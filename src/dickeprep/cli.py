@@ -235,7 +235,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         store=store,
     )
-    _emit(args, "table1", {"from": args.from_n, "to": args.to_n},
+    _emit(args, "table1", {"from": args.from_n, "to": args.to_n, "grid": args.grid},
           ["n", "w", "method", "f_hex", "r", "probability"],
           [(r.n, r.w, r.method, r.f_hex, r.r, r.probability) for r in rows])
     return 0

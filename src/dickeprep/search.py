@@ -6,9 +6,15 @@ maximized over the bias r in [0, n] by a dense grid followed by golden-section
 refinement.  The winning (f, r, p) records form a small database (JSON lines)
 that the actual state-preparation run would consult.
 
-The grid-scan kernel exploits that the amplitude is linear in the per-weight
-signs (-1)^{f_i}: the r-dependent inner sums are computed once per (n, w) and
-shared by all functions, so a scan is a single matrix product.
+The kernel exploits that the amplitude is linear in the per-weight signs
+(-1)^{f_i}, and that each weight's inner sum is an exact trigonometric
+polynomial in theta, sin^2(theta) = r/n, with integer frequencies
+(symstate.biased_amplitude_spectrum).  So one small matrix product per
+(n, w) and batch of functions gives every function's Fourier coefficients;
+the 512-point grid is then one more matrix product, and each golden-section
+probe costs one cos/sin evaluation per coefficient, with no per-weight table.
+A function and its complement have exactly negated coefficients, so they
+get bit-identical probabilities and the lowest-value tie-break is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .symfunc import SymmetricBooleanFunction, optimal_function
-from .symstate import biased_amplitude_table, childs_probability, dj_success_exact
+from .symstate import biased_amplitude_spectrum, childs_probability, dj_success_exact
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -68,11 +74,10 @@ def _sign_rows(n: int, values: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def _batch_probability(n: int, w: int, signs: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    # p[f] = C(n,w) * (sum_i signs[f,i] T[i,f])^2 with each function at its own r
-    T = biased_amplitude_table(n, w, rs / n)
-    amp = np.einsum("fi,if->f", signs, T)
-    return comb(n, w) * amp * amp
+def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """[cos(lam theta), sin(lam theta)] per bias r, with sin^2(theta) = r/n."""
+    phase = np.arcsin(np.sqrt(rs / n))[:, None] * lam[None, :]
+    return np.hstack([np.cos(phase), np.sin(phase)])
 
 
 def _optimize_batch(
@@ -83,21 +88,37 @@ def _optimize_batch(
     r_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row global max of p(r) on [0, n]: grid scan + golden-section refine."""
-    T = biased_amplitude_table(n, w, grid / n)
-    P = comb(n, w) * (signs @ T) ** 2  # (F, G)
+    lam, C = biased_amplitude_spectrum(n, w)
+    A = signs @ C  # per-function Fourier coefficients, amp_f = Re sum A e^{-i theta lam}
+    # fold each pair +-l onto l >= 0 (lam ascends, so A[:, ::-1] is at -lam):
+    # amp_f(theta) = coef[f] . _waves(theta), half the cos/sin evaluations
+    up = lam >= 0
+    mirror = A[:, ::-1][:, up]
+    coef = np.hstack([
+        A[:, up].real + np.where(lam[up] > 0, mirror.real, 0.0),
+        A[:, up].imag - mirror.imag,
+    ])
+    lam = lam[up]
+    scale = comb(n, w)
+
+    def probability(rs: np.ndarray) -> np.ndarray:  # each function at its own r
+        amp = (coef * _waves(n, lam, rs)).sum(axis=1)
+        return scale * amp * amp
+
+    P = scale * (coef @ _waves(n, lam, grid).T) ** 2  # (F, G)
     best = P.argmax(axis=1)  # leftmost max on ties
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]
     while float(np.max(hi - lo)) > r_tol:
         c = hi - _INVPHI * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
-        pc = _batch_probability(n, w, signs, c)
-        pd = _batch_probability(n, w, signs, d)
+        pc = probability(c)
+        pd = probability(d)
         move_lo = pd > pc
         lo = np.where(move_lo, c, lo)
         hi = np.where(move_lo, hi, d)
     r = 0.5 * (lo + hi)
-    return r, _batch_probability(n, w, signs, r)
+    return r, probability(r)
 
 
 def optimize_r(

@@ -35,6 +35,7 @@ from .symfunc import SymmetricBooleanFunction, spectrum_value
 __all__ = [
     "SymmetricState",
     "biased_amplitude",
+    "biased_amplitude_spectrum",
     "biased_amplitude_table",
     "biased_dj_state",
     "childs_probability",
@@ -196,6 +197,34 @@ def biased_amplitude_table(n: int, k: int, rhos: np.ndarray) -> np.ndarray:
         terms[js % 2 == 1] *= -1.0
         T[i] = terms.sum(axis=0)
     return T
+
+
+def biased_amplitude_spectrum(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Fourier form of the biased_amplitude_table rows at weight k.
+
+    With sin^2(theta) = rho the bias layer is B = R(theta) Z, and on the
+    symmetric subspace R(theta)^{(x)n} = S exp(-i theta X) S^-1, where
+    S = diag(i^m) and X is the real tridiagonal spin generator with
+    off-diagonal sqrt((m+1)(n-m)).  X has the integer eigenvalues
+    lam = -n, -n+2, ..., n, so every row is a trigonometric polynomial:
+      T[i](theta) = Re sum_l C[i, l] e^{-i theta lam_l},
+      C[i, l] = i^{k+i} 2^{-n/2} sqrt(C(n,i)/C(n,k)) V[k, l] V[i, l],
+    with V the eigenvectors of X.  Returns (lam, C): integer frequencies of
+    shape (n+1,) and complex coefficients of shape (n+1, n+1).
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} out of range [0, {n}]")
+    m = np.arange(n)
+    off = np.sqrt((m + 1.0) * (n - m))
+    evals, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    lam = np.rint(evals).astype(np.int64)
+    log_comb = np.array(
+        [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
+    )
+    scale = np.exp(0.5 * (log_comb - log_comb[k] - n * math.log(2.0)))
+    phase = np.array([1, 1j, -1, -1j])[(k + np.arange(n + 1)) % 4]
+    C = (phase * scale)[:, None] * V * V[k][None, :]
+    return lam, C
 
 
 def _check_bias(r: float, n: int) -> float:

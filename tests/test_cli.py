@@ -236,6 +236,18 @@ class TestTable1Command:
         assert {rec.method for rec in recs} == {"biased", "dj", "childs"}
         assert all(0.0 <= rec.probability <= 1.0 for rec in recs)
 
+    def test_meta_line_records_grid(self, capsys, tmp_path):
+        metas = []
+        for grid in ("512", "64"):
+            path = tmp_path / f"t{grid}.csv"
+            code, _, _ = run(capsys, "table1", "--from", "3", "--to", "3",
+                             "--grid", grid, "--out", str(path))
+            assert code == 0
+            meta, _, _ = csvio.read_csv(path)
+            assert meta["grid"] == grid
+            metas.append(path.read_text().splitlines()[0])
+        assert metas[0] != metas[1]
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table1", "--from", "5", "--to", "4")
         assert code == 1 and "--from" in err

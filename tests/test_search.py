@@ -1,7 +1,10 @@
 import json
+from math import comb
 
+import numpy as np
 import pytest
 
+from dickeprep import fullsim, search
 from dickeprep.errors import ResourceLimitError
 from dickeprep.search import (
     RecordStore,
@@ -14,6 +17,7 @@ from dickeprep.search import (
 )
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import (
+    biased_amplitude_table,
     biased_dj_state,
     childs_probability,
     dj_state,
@@ -93,6 +97,50 @@ class TestExhaustiveSearch:
             exhaustive_search(13, 2)
         with pytest.raises(ValueError, match="w="):
             exhaustive_search(4, 5)
+
+
+def complement(f):
+    return SymmetricBooleanFunction.from_value(f.n, f.value ^ ((1 << (f.n + 1)) - 1))
+
+
+class TestSpectralKernel:
+    def test_winner_matches_dense_oracle(self):
+        for n, w in ((4, 1), (6, 2), (7, 3), (9, 4), (10, 3)):
+            rec = exhaustive_search(n, w)
+            f = SymmetricBooleanFunction.from_hex(n, rec.f_hex)
+            amp = fullsim.weight_profile(fullsim.biased_dj_output(f, rec.r)).amplitudes[w]
+            assert abs(comb(n, w) * abs(amp) ** 2 - rec.probability) <= 1e-12
+
+    def test_optimize_r_matches_table_at_returned_r(self):
+        rng = np.random.default_rng(41)
+        for n in (3, 8, 16, 24, 31, 40):
+            for w in sorted({1, n // 4, n // 2, int(rng.integers(1, n))}):
+                f = optimal_function(n, w)
+                r, p = optimize_r(f, w)
+                T = biased_amplitude_table(n, w, np.array([r / n]))
+                amp = float(np.array(f.signs(), dtype=float) @ T[:, 0])
+                assert abs(comb(n, w) * amp * amp - p) <= 1e-10
+
+    def test_complement_is_bit_identical(self):
+        # the complement's Fourier coefficients are exactly negated, so p and r
+        # match bit for bit, alone and inside one scan batch
+        for n, w in ((5, 2), (6, 1)):
+            for value in range(1 << n):
+                f = SymmetricBooleanFunction.from_value(n, value)
+                assert optimize_r(f, w) == optimize_r(complement(f), w)
+        n, w = 8, 3
+        values = np.arange(1 << (n + 1), dtype=np.int64)
+        grid = np.linspace(0.0, float(n), 512)
+        r, p = search._optimize_batch(n, w, search._sign_rows(n, values), grid, 1e-8)
+        assert np.array_equal(p, p[::-1]) and np.array_equal(r, r[::-1])
+
+    def test_scan_tie_keeps_lower_complement(self):
+        # the winner's complement ties it exactly, so the lower value, with
+        # f_n = 0, wins -- also across scan chunks at n = 10
+        for n, w in ((4, 1), (5, 2), (8, 3), (9, 6), (10, 3)):
+            rec = exhaustive_search(n, w)
+            f = SymmetricBooleanFunction.from_hex(n, rec.f_hex)
+            assert f.bits[n] == 0
 
 
 class TestBaselineRecords:

@@ -12,6 +12,8 @@ from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import (
     SymmetricState,
     biased_amplitude,
+    biased_amplitude_spectrum,
+    biased_amplitude_table,
     biased_dj_state,
     childs_probability,
     childs_probability_exact,
@@ -186,6 +188,30 @@ class TestBiasedDJ:
             biased_dj_state(f, 4.5)
         with pytest.raises(ValueError, match="r="):
             biased_dj_state(f, -0.1)
+
+
+class TestBiasedAmplitudeSpectrum:
+    def test_matches_table(self):
+        # T[i](theta) = Re sum_l C[i, l] e^{-i theta lam_l}, sin^2(theta) = rho
+        rng = np.random.default_rng(37)
+        for n in range(31):
+            rhos = np.concatenate([[0.0, 1.0], rng.random(3)])
+            theta = np.arcsin(np.sqrt(rhos))
+            for k in range(n + 1):
+                lam, C = biased_amplitude_spectrum(n, k)
+                got = (C @ np.exp(-1j * np.outer(lam, theta))).real
+                assert np.max(np.abs(got - biased_amplitude_table(n, k, rhos))) <= 1e-13
+
+    def test_frequencies_are_exact_integers(self):
+        for n in (0, 1, 6, 33, 64):
+            lam, C = biased_amplitude_spectrum(n, n // 3)
+            assert lam.dtype.kind == "i"
+            assert lam.tolist() == list(range(-n, n + 1, 2))
+            assert C.shape == (n + 1, n + 1)
+
+    def test_weight_domain_error(self):
+        with pytest.raises(ValueError, match="k="):
+            biased_amplitude_spectrum(4, 5)
 
 
 class TestParityMeasurement:
