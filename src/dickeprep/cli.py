@@ -205,8 +205,6 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     if args.all_w:
         targets = range(1, args.n)
     elif args.w is not None:
@@ -216,9 +214,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("one of --w or --all-w is required")
     store = search.RecordStore(args.db)
     for w in targets:
-        rec = search.exhaustive_search(
-            args.n, w, grid_points=args.grid, jobs=args.jobs, max_n=args.max_n
-        )
+        rec = search.exhaustive_search(args.n, w, grid_points=args.grid)
         store.append(rec)
         print(rec.to_json())
     return 0
@@ -231,8 +227,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     rows = search.table_one(
         range(args.from_n, args.to_n + 1),
         grid_points=args.grid,
-        jobs=args.jobs,
-        max_n=args.max_n,
         store=store,
     )
     _emit(args, "table1", {"from": args.from_n, "to": args.to_n, "grid": args.grid},
@@ -297,23 +291,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fullsim)
 
-    p = sub.add_parser("search", help="exhaustive (f, r) scan into the record database")
+    p = sub.add_parser("search", help="best (f, r) search into the record database")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=None)
     p.add_argument("--all-w", dest="all_w", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None,
-                   help="raise the exhaustive-scan bound")
     p.add_argument("--db", required=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="biased/DJ/baseline probability table as CSV")
     p.add_argument("--from", dest="from_n", type=int, required=True)
     p.add_argument("--to", dest="to_n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--db", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_table1)

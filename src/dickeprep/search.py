@@ -1,20 +1,29 @@
-"""Offline exhaustive (f, r) search for the biased-DJ preparation.
+"""Offline (f, r) search for the biased-DJ preparation.
 
-For a target (n, w), every one of the 2^(n+1) symmetric Boolean functions is
-scanned; for each f the success probability p(r) = C(n,w) amp(f, r, w)^2 is
-maximized over the bias r in [0, n] by a dense grid followed by golden-section
-refinement.  The winning (f, r, p) records form a small database (JSON lines)
-that the actual state-preparation run would consult.
+For a target (n, w) the search finds the symmetric Boolean function f and the
+bias r in [0, n] that maximize the success probability
+p(f, r) = C(n,w) amp(f, r, w)^2 over all 2^(n+1) functions, without scanning
+them.  The amplitude is linear in the per-weight signs, amp = sum_i
+(-1)^{f_i} T_i(r) with T independent of f, so at a fixed r the best function
+is the sign rule f_i = [T_i(r) < 0] and max_f |amp| = ||T(r)||_1 (the paper's
+DJ argument, applied at every bias).  The sign patterns at the points of a
+dense r grid are the candidates; each is then maximized over r by the grid
+followed by golden-section refinement.  The winning (f, r, p) records form a
+small database (JSON lines) that the actual state-preparation run would
+consult.  Up to n = MAX_EXHAUSTIVE_N = 48 the candidates reach the optimum
+for every w; past it the grid misses sign patterns, so larger n is refused.
 
-The kernel exploits that the amplitude is linear in the per-weight signs
-(-1)^{f_i}, and that each weight's inner sum is an exact trigonometric
+The kernel uses that each weight's inner sum T_i is an exact trigonometric
 polynomial in theta, sin^2(theta) = r/n, with integer frequencies
 (symstate.biased_amplitude_spectrum).  So one small matrix product per
 (n, w) and batch of functions gives every function's Fourier coefficients;
-the 512-point grid is then one more matrix product, and each golden-section
-probe costs one cos/sin evaluation per coefficient, with no per-weight table.
-A function and its complement have exactly negated coefficients, so they
-get bit-identical probabilities and the lowest-value tie-break is exact.
+the grid is then one more matrix product, and each golden-section probe
+costs one cos/sin evaluation per coefficient.  A function and its
+complement have exactly negated coefficients, so they tie bit for bit and
+only the member with f_n = 0 is kept.  Mirror pairs also tie exactly:
+p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i} (complemented when
+that sets f_n), but the computed values differ by rounding, so the winner is
+relabelled to the member with the lower (function value, r).
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import comb
 from pathlib import Path
@@ -45,8 +53,7 @@ __all__ = [
     "table_one",
 ]
 
-MAX_EXHAUSTIVE_N = 12
-_CHUNK = 1024  # functions per scan chunk; fixed so results never depend on jobs
+MAX_EXHAUSTIVE_N = 48
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -80,6 +87,27 @@ def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return np.hstack([np.cos(phase), np.sin(phase)])
 
 
+def _fold(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies lam >= 0 and per-row coefficients: amp = coef . _waves(theta)."""
+    lam, C = biased_amplitude_spectrum(n, w)
+    A = signs @ C  # per-function Fourier coefficients, amp_f = Re sum A e^{-i theta lam}
+    # fold each pair +-l onto l >= 0 (lam ascends, so A[:, ::-1] is at -lam),
+    # which halves the cos/sin evaluations
+    up = lam >= 0
+    mirror = A[:, ::-1][:, up]
+    coef = np.hstack([
+        A[:, up].real + np.where(lam[up] > 0, mirror.real, 0.0),
+        A[:, up].imag - mirror.imag,
+    ])
+    return lam[up], coef
+
+
+def _mirror(n: int, value: int) -> int:
+    """Value of f_i -> f_{n-i}, complemented when that sets f_n."""
+    m = int(format(value, f"0{n + 1}b")[::-1], 2)
+    return m ^ ((1 << (n + 1)) - 1) if m >> n else m
+
+
 def _optimize_batch(
     n: int,
     w: int,
@@ -88,17 +116,7 @@ def _optimize_batch(
     r_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row global max of p(r) on [0, n]: grid scan + golden-section refine."""
-    lam, C = biased_amplitude_spectrum(n, w)
-    A = signs @ C  # per-function Fourier coefficients, amp_f = Re sum A e^{-i theta lam}
-    # fold each pair +-l onto l >= 0 (lam ascends, so A[:, ::-1] is at -lam):
-    # amp_f(theta) = coef[f] . _waves(theta), half the cos/sin evaluations
-    up = lam >= 0
-    mirror = A[:, ::-1][:, up]
-    coef = np.hstack([
-        A[:, up].real + np.where(lam[up] > 0, mirror.real, 0.0),
-        A[:, up].imag - mirror.imag,
-    ])
-    lam = lam[up]
+    lam, coef = _fold(n, w, signs)
     scale = comb(n, w)
 
     def probability(rs: np.ndarray) -> np.ndarray:  # each function at its own r
@@ -143,23 +161,6 @@ def optimize_r(
     return float(r[0]), float(p[0])
 
 
-def _scan_chunk(
-    n: int,
-    w: int,
-    start: int,
-    stop: int,
-    grid: np.ndarray,
-    r_tol: float,
-) -> tuple[float, int, float]:
-    """Best (p, f_value, r) over function values [start, stop)."""
-    values = np.arange(start, stop, dtype=np.int64)
-    signs = _sign_rows(n, values)
-    r, p = _optimize_batch(n, w, signs, grid, r_tol)
-    top = float(p.max())
-    idx = int(np.nonzero(p == top)[0][0])  # lowest function value on exact ties
-    return top, int(values[idx]), float(r[idx])
-
-
 def _better(a: tuple[float, int, float], b: tuple[float, int, float]) -> bool:
     """Tie-break: higher p, then lower function value, then lower r."""
     return (-a[0], a[1], a[2]) < (-b[0], b[1], b[2])
@@ -171,37 +172,42 @@ def exhaustive_search(
     *,
     grid_points: int = 512,
     r_tol: float = 1e-8,
-    jobs: int = 1,
-    max_n: int | None = None,
 ) -> SearchRecord:
-    """Scan all 2^(n+1) symmetric functions for the best (f, r) at weight w."""
-    bound = MAX_EXHAUSTIVE_N if max_n is None else max_n
-    if n > bound:
+    """Best (f, r) over all 2^(n+1) symmetric functions at weight w.
+
+    Candidates are the sign-rule functions f_i = [T_i(r) < 0] at the grid
+    biases; the highest p wins, then the lowest function value, and the
+    winner is relabelled to the lower (value, r) member of its mirror pair.
+    The bound MAX_EXHAUSTIVE_N was checked at the default 512-point grid; a
+    much coarser grid sees fewer sign patterns and can miss the optimum.
+    """
+    if n > MAX_EXHAUSTIVE_N:
         raise ResourceLimitError(
-            f"n={n} exceeds the exhaustive-scan bound {bound}; "
-            "raise it with max_n (CLI: --max-n) if you really mean it"
+            f"n={n} exceeds the search bound {MAX_EXHAUSTIVE_N}; past it the "
+            "grid sign patterns are not known to reach the optimum"
         )
+    if n < 1:
+        raise ValueError(f"n={n} must be positive")
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
     if grid_points < 2:
         raise ValueError(f"grid_points={grid_points} must be at least 2")
     grid = np.linspace(0.0, float(n), grid_points)
-    total = 1 << (n + 1)
-    spans = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda span: _scan_chunk(n, w, *span, grid, r_tol), spans)
-            )
-    else:
-        results = [_scan_chunk(n, w, *span, grid, r_tol) for span in spans]
-    best = results[0]
-    for cand in results[1:]:  # chunk order is fixed, so the merge is deterministic
-        if _better(cand, best):
-            best = cand
-    p, value, r = best
+    lam, coef = _fold(n, w, np.eye(n + 1))
+    negative = (coef @ _waves(n, lam, grid).T < 0).astype(np.int64)  # T_i(r_g) < 0
+    values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
+    # f and its complement tie bit for bit; keep the member with f_n = 0
+    values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
+    r, p = _optimize_batch(n, w, _sign_rows(n, values), grid, r_tol)
+    idx = int(np.argmax(p))  # values ascend, so ties keep the lowest value
+    value, r_best = min(
+        (int(values[idx]), float(r[idx])),
+        (_mirror(n, int(values[idx])), n - float(r[idx])),
+    )
     f_hex = SymmetricBooleanFunction.from_value(n, value).to_hex()
-    return SearchRecord(n=n, w=w, f_hex=f_hex, r=r, probability=p, method="biased")
+    return SearchRecord(
+        n=n, w=w, f_hex=f_hex, r=r_best, probability=float(p[idx]), method="biased"
+    )
 
 
 def dj_record(n: int, w: int) -> SearchRecord:
@@ -229,8 +235,6 @@ def table_one(
     ns: Iterable[int],
     *,
     grid_points: int = 512,
-    jobs: int = 1,
-    max_n: int | None = None,
     store: "RecordStore | None" = None,
 ) -> list[SearchRecord]:
     """Three rows per (n, w), 1 <= w <= n-1: biased search, DJ, baseline.
@@ -244,9 +248,7 @@ def table_one(
         for w in range(1, n):
             biased = index.get((n, w))
             if biased is None:
-                biased = exhaustive_search(
-                    n, w, grid_points=grid_points, jobs=jobs, max_n=max_n
-                )
+                biased = exhaustive_search(n, w, grid_points=grid_points)
                 if store is not None:
                     store.append(biased)
             rows.append(biased)

@@ -192,10 +192,23 @@ class TestSearchCommand:
 
     def test_all_w(self, capsys, tmp_path):
         db = tmp_path / "db.jsonl"
-        code, _, _ = run(capsys, "search", "--n", "4", "--all-w", "--db", str(db),
-                         "--jobs", "2")
+        code, _, _ = run(capsys, "search", "--n", "4", "--all-w", "--db", str(db))
         assert code == 0
         assert len(list(RecordStore(db).records())) == 3
+
+    def test_large_n_within_bound(self, capsys, tmp_path):
+        db = tmp_path / "db.jsonl"
+        code, out, _ = run(capsys, "search", "--n", "40", "--w", "10", "--db", str(db))
+        assert code == 0
+        assert SearchRecord.from_json(out.strip()).n == 40
+
+    def test_scan_knobs_are_gone(self, capsys, tmp_path):
+        db = str(tmp_path / "db.jsonl")
+        for argv in (["search", "--n", "4", "--w", "2", "--db", db],
+                     ["table1", "--from", "4", "--to", "4"]):
+            for knob in (["--jobs", "2"], ["--max-n", "20"]):
+                with pytest.raises(SystemExit):
+                    main(argv + knob)
 
     def test_requires_target(self, capsys, tmp_path):
         code, _, err = run(capsys, "search", "--n", "4", "--db", str(tmp_path / "x"))

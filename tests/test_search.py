@@ -17,9 +17,11 @@ from dickeprep.search import (
 )
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import (
+    biased_amplitude_spectrum,
     biased_amplitude_table,
     biased_dj_state,
     childs_probability,
+    dj_optimal_success_exact,
     dj_state,
     success_probability,
 )
@@ -89,23 +91,68 @@ class TestExhaustiveSearch:
     def test_deterministic_and_jobs_invariant(self):
         a = exhaustive_search(5, 2)
         b = exhaustive_search(5, 2)
-        c = exhaustive_search(5, 2, jobs=3)
-        assert a == b == c
+        assert a == b
 
     def test_scan_bound(self):
-        with pytest.raises(ResourceLimitError, match="max-n"):
-            exhaustive_search(13, 2)
+        assert search.MAX_EXHAUSTIVE_N == 48
+        with pytest.raises(ResourceLimitError, match="bound 48") as exc:
+            exhaustive_search(49, 2)
+        assert "max-n" not in str(exc.value)
         with pytest.raises(ValueError, match="w="):
             exhaustive_search(4, 5)
+        with pytest.raises(ValueError, match="n=0"):
+            exhaustive_search(0, 0)
 
 
 def complement(f):
     return SymmetricBooleanFunction.from_value(f.n, f.value ^ ((1 << (f.n + 1)) - 1))
 
 
+def mirror(f):
+    # f_i -> f_{n-i}, complemented when that sets f_n (the member kept of a complement pair)
+    g = SymmetricBooleanFunction(n=f.n, bits=f.bits[::-1])
+    return complement(g) if g.bits[f.n] else g
+
+
+def brute_force(n, w):
+    """Reference scan: every one of the 2^(n+1) functions through the batch kernel."""
+    values = np.arange(1 << (n + 1), dtype=np.int64)
+    grid = np.linspace(0.0, float(n), 512)
+    r, p = search._optimize_batch(n, w, search._sign_rows(n, values), grid, 1e-8)
+    idx = int(np.argmax(p))  # highest p, then lowest value
+    return SymmetricBooleanFunction.from_value(n, int(values[idx])), float(r[idx]), float(p[idx])
+
+
+class TestSignRuleSearch:
+    def test_matches_brute_force(self):
+        # same p as the full scan, and the winner is the canonical member,
+        # lowest (value, r), of the scan winner's mirror pair (f, r) ~ (mirror f, n - r)
+        for n in range(2, 11):
+            for w in range(1, n):
+                f, r, p = brute_force(n, w)
+                rec = exhaustive_search(n, w)
+                assert abs(rec.probability - p) <= 1e-12
+                value, r_canon = min((f.value, r), (mirror(f).value, n - r))
+                assert int(rec.f_hex, 16) == value
+                assert rec.r == pytest.approx(r_canon, abs=1e-12)
+
+    def test_reaches_envelope_up_to_bound(self):
+        # max_f p = C(n,w) ||T(theta)||_1^2 at each theta; the search must reach
+        # its maximum on a fine theta grid and beat the unbiased sign rule
+        theta = np.linspace(0.0, np.pi / 2, 8001)
+        for n in (24, 48):
+            for w in (1, n // 4, n // 2, 3 * n // 4, n - 1):
+                lam, C = biased_amplitude_spectrum(n, w)
+                T = (C @ np.exp(-1j * np.outer(lam, theta))).real
+                envelope = comb(n, w) * float(np.max(np.abs(T).sum(axis=0))) ** 2
+                p = exhaustive_search(n, w).probability
+                assert p >= envelope - 1e-9
+                assert p >= float(dj_optimal_success_exact(n, w))
+
+
 class TestSpectralKernel:
     def test_winner_matches_dense_oracle(self):
-        for n, w in ((4, 1), (6, 2), (7, 3), (9, 4), (10, 3)):
+        for n, w in ((4, 1), (6, 2), (7, 3), (9, 4), (10, 3), (6, 1), (11, 3)):
             rec = exhaustive_search(n, w)
             f = SymmetricBooleanFunction.from_hex(n, rec.f_hex)
             amp = fullsim.weight_profile(fullsim.biased_dj_output(f, rec.r)).amplitudes[w]
@@ -136,7 +183,7 @@ class TestSpectralKernel:
 
     def test_scan_tie_keeps_lower_complement(self):
         # the winner's complement ties it exactly, so the lower value, with
-        # f_n = 0, wins -- also across scan chunks at n = 10
+        # f_n = 0, wins
         for n, w in ((4, 1), (5, 2), (8, 3), (9, 6), (10, 3)):
             rec = exhaustive_search(n, w)
             f = SymmetricBooleanFunction.from_hex(n, rec.f_hex)
