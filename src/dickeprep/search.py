@@ -7,11 +7,13 @@ them.  The amplitude is linear in the per-weight signs, amp = sum_i
 (-1)^{f_i} T_i(r) with T independent of f, so at a fixed r the best function
 is the sign rule f_i = [T_i(r) < 0] and max_f |amp| = ||T(r)||_1 (the paper's
 DJ argument, applied at every bias).  The sign patterns at the points of a
-dense r grid are the candidates; each is then maximized over r by the grid
-followed by golden-section refinement.  The winning (f, r, p) records form a
-small database (JSON lines) that the actual state-preparation run would
-consult.  Up to n = MAX_EXHAUSTIVE_N = 48 the candidates reach the optimum
-for every w; past it the grid misses sign patterns, so larger n is refused.
+dense r grid (at least 512 points) are the candidates; each is then
+maximized over r by the same grid followed by golden-section refinement.
+The winning (f, r, p) records form a small database (JSON lines) that the
+actual state-preparation run would consult.  For every w and every
+n <= MAX_EXHAUSTIVE_N = 48 the result reaches the maximum over theta of
+C(n,w) ||T||_1^2 to 2e-15, and up to n = 13 it equals the full scan's; at
+n = 52 the grid first misses a sign pattern, so larger n is refused.
 
 The kernel uses that each weight's inner sum T_i is an exact trigonometric
 polynomial in theta, sin^2(theta) = r/n, with integer frequencies
@@ -54,6 +56,7 @@ __all__ = [
 ]
 
 MAX_EXHAUSTIVE_N = 48
+_MIN_SEARCH_GRID = 512  # exhaustive_search raises grid_points to this
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -176,10 +179,12 @@ def exhaustive_search(
     """Best (f, r) over all 2^(n+1) symmetric functions at weight w.
 
     Candidates are the sign-rule functions f_i = [T_i(r) < 0] at the grid
-    biases; the highest p wins, then the lowest function value, and the
-    winner is relabelled to the lower (value, r) member of its mirror pair.
-    The bound MAX_EXHAUSTIVE_N was checked at the default 512-point grid; a
-    much coarser grid sees fewer sign patterns and can miss the optimum.
+    biases, each refined over r from the same grid; the highest p wins, then
+    the lowest function value, and the winner is relabelled to the lower
+    (value, r) member of its mirror pair.  The grid has at least 512 points
+    (a smaller grid_points is raised to it): a coarser one would miss sign
+    patterns and refine towards lower local maxima, and the bound
+    MAX_EXHAUSTIVE_N was checked at 512.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise ResourceLimitError(
@@ -192,7 +197,7 @@ def exhaustive_search(
         raise ValueError(f"w={w} out of range [0, {n}]")
     if grid_points < 2:
         raise ValueError(f"grid_points={grid_points} must be at least 2")
-    grid = np.linspace(0.0, float(n), grid_points)
+    grid = np.linspace(0.0, float(n), max(grid_points, _MIN_SEARCH_GRID))
     lam, coef = _fold(n, w, np.eye(n + 1))
     negative = (coef @ _waves(n, lam, grid).T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)

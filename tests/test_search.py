@@ -114,10 +114,10 @@ def mirror(f):
     return complement(g) if g.bits[f.n] else g
 
 
-def brute_force(n, w):
+def brute_force(n, w, grid_points=512):
     """Reference scan: every one of the 2^(n+1) functions through the batch kernel."""
     values = np.arange(1 << (n + 1), dtype=np.int64)
-    grid = np.linspace(0.0, float(n), 512)
+    grid = np.linspace(0.0, float(n), grid_points)
     r, p = search._optimize_batch(n, w, search._sign_rows(n, values), grid, 1e-8)
     idx = int(np.argmax(p))  # highest p, then lowest value
     return SymmetricBooleanFunction.from_value(n, int(values[idx])), float(r[idx]), float(p[idx])
@@ -136,11 +136,22 @@ class TestSignRuleSearch:
                 assert int(rec.f_hex, 16) == value
                 assert rec.r == pytest.approx(r_canon, abs=1e-12)
 
+    def test_coarse_grid_is_raised(self):
+        # fewer than 512 grid points would lose sign patterns and local maxima:
+        # the record is the default one, never below the full scan at that grid
+        for n in (9, 10):
+            for w in range(1, n):
+                rec = exhaustive_search(n, w)
+                for grid_points in (2, 8):
+                    assert exhaustive_search(n, w, grid_points=grid_points) == rec
+                    _, _, p = brute_force(n, w, grid_points)
+                    assert rec.probability >= p - 1e-12
+
     def test_reaches_envelope_up_to_bound(self):
         # max_f p = C(n,w) ||T(theta)||_1^2 at each theta; the search must reach
         # its maximum on a fine theta grid and beat the unbiased sign rule
         theta = np.linspace(0.0, np.pi / 2, 8001)
-        for n in (24, 48):
+        for n in (12, 24, 36, 48):
             for w in (1, n // 4, n // 2, 3 * n // 4, n - 1):
                 lam, C = biased_amplitude_spectrum(n, w)
                 T = (C @ np.exp(-1j * np.outer(lam, theta))).real
