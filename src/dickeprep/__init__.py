@@ -11,15 +11,12 @@ __version__ = "0.1.0"
 
 from .errors import ResourceLimitError, StateError, UnreachableTargetError
 from .krawtchouk import (
-    KrawtchoukColumn,
-    KrawtchoukMatrix,
     abs_column_sum,
     column,
     krawtchouk,
     matrix,
 )
 from .symfunc import (
-    ReducedWalshSpectrum,
     SymmetricBooleanFunction,
     c_of_n,
     c_profile,
@@ -48,10 +45,7 @@ from .search import RecordStore, SearchRecord, exhaustive_search, optimize_r, ta
 __all__ = [
     "FullState",
     "GroverPlan",
-    "KrawtchoukColumn",
-    "KrawtchoukMatrix",
     "RecordStore",
-    "ReducedWalshSpectrum",
     "ResourceLimitError",
     "SearchRecord",
     "StateError",

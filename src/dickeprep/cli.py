@@ -61,12 +61,11 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
             raise ValueError(f"--k must be in [0, {n}], got {args.k}")
         col = column(args.k, n)
         _emit(args, "krawtchouk", {"n": n, "k": args.k}, ["i", "value"],
-              [(i, v) for i, v in enumerate(col.values)])
+              [(i, v) for i, v in enumerate(col)])
     else:
-        m = matrix(n)
         header = ["i"] + [f"k{k}" for k in range(n + 1)]
         _emit(args, "krawtchouk", {"n": n}, header,
-              [(i, *row) for i, row in enumerate(m.entries)])
+              [(i, *row) for i, row in enumerate(matrix(n))])
     return 0
 
 
@@ -91,16 +90,14 @@ def _cmd_cn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dj_prob(n: int, w: int) -> float:
-    p = dj_optimal_success_exact(n, w)
-    return p.numerator / p.denominator
-
-
 def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    rows = [(w, _dj_prob(n, w), childs_probability(n, w)) for w in range(n + 1)]
+    rows = [
+        (w, float(dj_optimal_success_exact(n, w)), childs_probability(n, w))
+        for w in range(n + 1)
+    ]
     _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], rows)
     return 0
 
@@ -109,7 +106,7 @@ def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
     rows = [
-        (n, _dj_prob(n, n // 4), childs_probability(n, n // 4))
+        (n, float(dj_optimal_success_exact(n, n // 4)), childs_probability(n, n // 4))
         for n in range(4, args.max_n + 1)
     ]
     _emit(args, "sweep-quarter", {"max_n": args.max_n},

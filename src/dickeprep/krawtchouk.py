@@ -9,17 +9,16 @@ three-term recurrence
     (i+1) K_{i+1}(k, n) = (n-2k) K_i(k, n) - (n-i+1) K_{i-1}(k, n)
 
 which costs O(n) per column (the K_{i-1} term is absent at i = 0, matching
-the defining sum).
+the defining sum).  A column is the plain tuple (K_0(k, n), ..., K_n(k, n));
+the matrix is the tuple of its rows, assembled from independently computed
+columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 __all__ = [
-    "KrawtchoukColumn",
-    "KrawtchoukMatrix",
     "abs_column_sum",
     "column",
     "krawtchouk",
@@ -30,23 +29,6 @@ __all__ = [
 def _check_index(name: str, value: int, n: int) -> None:
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} out of range [0, {n}]")
-
-
-@dataclass(frozen=True)
-class KrawtchoukColumn:
-    """Column k of the (n+1) x (n+1) Krawtchouk matrix; values[i] = K_i(k, n)."""
-
-    n: int
-    k: int
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class KrawtchoukMatrix:
-    """entries[i][k] = K_i(k, n): row 0 all ones, column 0 the binomial row."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
 
 
 def krawtchouk(i: int, k: int, n: int) -> int:
@@ -64,8 +46,8 @@ def krawtchouk(i: int, k: int, n: int) -> int:
     return total
 
 
-def column(k: int, n: int) -> KrawtchoukColumn:
-    """Column k of the Krawtchouk matrix via the three-term recurrence."""
+def column(k: int, n: int) -> tuple[int, ...]:
+    """Column k of the Krawtchouk matrix, (K_0(k, n), ..., K_n(k, n)), via the recurrence."""
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     _check_index("k", k, n)
@@ -75,16 +57,14 @@ def column(k: int, n: int) -> KrawtchoukColumn:
         vals[1] = n - 2 * k
     for i in range(1, n):
         vals[i + 1] = ((n - 2 * k) * vals[i] - (n - i + 1) * vals[i - 1]) // (i + 1)
-    return KrawtchoukColumn(n=n, k=k, values=tuple(vals))
+    return tuple(vals)
 
 
-def matrix(n: int) -> KrawtchoukMatrix:
-    """The full (n+1) x (n+1) exact Krawtchouk matrix."""
+def matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exact (n+1) x (n+1) Krawtchouk matrix as rows: entry [i][k] = K_i(k, n)."""
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
-    cols = [column(k, n).values for k in range(n + 1)]
-    rows = tuple(tuple(cols[k][i] for k in range(n + 1)) for i in range(n + 1))
-    return KrawtchoukMatrix(n=n, entries=rows)
+    return tuple(zip(*(column(k, n) for k in range(n + 1))))
 
 
 def abs_column_sum(k: int, n: int) -> int:
@@ -94,4 +74,4 @@ def abs_column_sum(k: int, n: int) -> int:
     peak reduced-Walsh value attainable at weight k by any symmetric Boolean
     function.
     """
-    return sum(abs(v) for v in column(k, n).values)
+    return sum(abs(v) for v in column(k, n))

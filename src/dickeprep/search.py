@@ -286,9 +286,15 @@ class RecordStore:
                     yield SearchRecord.from_json(line)
 
     def index(self) -> dict[tuple[int, int], SearchRecord]:
-        """Rebuild the (n, w) -> best-record lookup from the file."""
+        """Rebuild the (n, w) -> best biased record lookup from the file.
+
+        Baseline rows (method "dj" or "childs") are not search results and
+        are left out, so they never stand in for a biased record.
+        """
         best: dict[tuple[int, int], SearchRecord] = {}
         for rec in self.records():
+            if rec.method != "biased":
+                continue
             key = (rec.n, rec.w)
             cur = best.get(key)
             if cur is None or _better(_rank(rec), _rank(cur)):

@@ -3,7 +3,9 @@
 An n-variable symmetric Boolean function is the (n+1)-bit simplified value
 vector [f_0, ..., f_n], f_i being the output on inputs of Hamming weight i.
 Its Walsh spectrum depends only on wt(omega), so it reduces to n+1 exact
-integers rw_f(k) = sum_i (-1)^{f_i} K_i(k, n).
+integers rw_f(k) = sum_i (-1)^{f_i} K_i(k, n), returned as a plain tuple.
+The mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) lets one Krawtchouk column
+serve both k and n-k, so the whole spectrum builds only the columns k <= n/2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from math import comb
 from .krawtchouk import abs_column_sum, column
 
 __all__ = [
-    "ReducedWalshSpectrum",
     "SymmetricBooleanFunction",
     "c_of_n",
     "c_profile",
@@ -65,24 +66,25 @@ class SymmetricBooleanFunction:
         return tuple(1 - 2 * b for b in self.bits)
 
 
-@dataclass(frozen=True)
-class ReducedWalshSpectrum:
-    """values[k] = rw_f(k); Parseval: sum_k C(n,k) rw_f(k)^2 = 2^(2n)."""
-
-    n: int
-    values: tuple[int, ...]
-
-
 def spectrum_value(f: SymmetricBooleanFunction, k: int) -> int:
     """rw_f(k) = sum_i (-1)^{f_i} K_i(k, n), exact."""
-    col = column(k, f.n)
-    return sum(s * v for s, v in zip(f.signs(), col.values))
+    return sum(s * v for s, v in zip(f.signs(), column(k, f.n)))
 
 
-def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> ReducedWalshSpectrum:
-    return ReducedWalshSpectrum(
-        n=f.n, values=tuple(spectrum_value(f, k) for k in range(f.n + 1))
-    )
+def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
+    """(rw_f(0), ..., rw_f(n)); Parseval: sum_k C(n,k) rw_f(k)^2 = 2^(2n).
+
+    Column k also gives rw_f(n-k) = sum_i (-1)^i (-1)^{f_i} K_i(k, n).
+    """
+    n = f.n
+    signs = f.signs()
+    mirrored = tuple(-s if i & 1 else s for i, s in enumerate(signs))
+    out = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        col = column(k, n)
+        out[k] = sum(s * v for s, v in zip(signs, col))
+        out[n - k] = sum(s * v for s, v in zip(mirrored, col))
+    return tuple(out)
 
 
 def optimal_function(n: int, w: int) -> SymmetricBooleanFunction:
@@ -95,14 +97,7 @@ def optimal_function(n: int, w: int) -> SymmetricBooleanFunction:
     """
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    col = column(w, n)
-    return SymmetricBooleanFunction(n=n, bits=tuple(1 if v < 0 else 0 for v in col.values))
-
-
-def _c_term(n: int, w: int, s: int) -> float:
-    # C(n,w) * s^2 / 2^(2n) as one exact integer ratio (correctly rounded by
-    # CPython's big-int true division), then the sqrt(n) scale.
-    return (comb(n, w) * s * s) / (1 << (2 * n)) * math.sqrt(n)
+    return SymmetricBooleanFunction(n=n, bits=tuple(1 if v < 0 else 0 for v in column(w, n)))
 
 
 def c_profile(n: int) -> list[float]:
@@ -115,9 +110,10 @@ def c_profile(n: int) -> list[float]:
         raise ValueError(f"n={n} must be positive")
     out = [0.0] * (n + 1)
     for w in range(n // 2 + 1):
-        val = _c_term(n, w, abs_column_sum(w, n))
-        out[w] = val
-        out[n - w] = val
+        s = abs_column_sum(w, n)
+        # C(n,w) s^2 / 2^(2n) as one exact integer ratio (correctly rounded by
+        # CPython's big-int true division), then the sqrt(n) scale.
+        out[w] = out[n - w] = (comb(n, w) * s * s) / (1 << (2 * n)) * math.sqrt(n)
     return out
 
 

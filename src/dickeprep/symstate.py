@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import StateError, UnreachableTargetError
 from .krawtchouk import abs_column_sum
-from .symfunc import SymmetricBooleanFunction, spectrum_value
+from .symfunc import SymmetricBooleanFunction, reduced_walsh_spectrum, spectrum_value
 
 __all__ = [
     "SymmetricState",
-    "biased_amplitude",
     "biased_amplitude_spectrum",
     "biased_amplitude_table",
     "biased_dj_state",
@@ -89,10 +88,9 @@ def dicke(n: int, w: int) -> SymmetricState:
 
 def dj_state(f: SymmetricBooleanFunction) -> SymmetricState:
     """H^n U_f H^n |0..0>: amplitude rw_f(k)/2^n at each weight k."""
-    n = f.n
-    denom = 1 << n
-    amps = np.array([spectrum_value(f, k) / denom for k in range(n + 1)])
-    return SymmetricState(n=n, amps=amps)
+    denom = 1 << f.n
+    amps = np.array([rw / denom for rw in reduced_walsh_spectrum(f)])
+    return SymmetricState(n=f.n, amps=amps)
 
 
 def success_probability(s: SymmetricState, w: int) -> float:
@@ -114,13 +112,11 @@ def dj_success_exact(f: SymmetricBooleanFunction, w: int) -> Fraction:
 def dj_optimal_success_exact(n: int, w: int) -> Fraction:
     """dj_success_exact at the sign-rule optimum, via the column absolute sum.
 
-    The sign rule aligns every spectrum term, so rw_f(w) = sum_i |K_i(w, n)|;
-    the mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) lets the cheaper half
-    column serve both w and n-w.
+    The sign rule aligns every spectrum term, so rw_f(w) = sum_i |K_i(w, n)|.
     """
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    s = abs_column_sum(min(w, n - w), n)
+    s = abs_column_sum(w, n)
     return Fraction(comb(n, w) * s * s, 1 << (2 * n))
 
 
@@ -231,16 +227,6 @@ def _check_bias(r: float, n: int) -> float:
     if not 0.0 <= r <= n:
         raise ValueError(f"r={r} out of range [0, {n}]")
     return r / n
-
-
-def biased_amplitude(f: SymmetricBooleanFunction, r: float, k: int) -> float:
-    """Amplitude of the weight-k class in B_{r,n} U_f H |0..0>."""
-    if not 0 <= k <= f.n:
-        raise ValueError(f"k={k} out of range [0, {f.n}]")
-    rho = _check_bias(r, f.n)
-    T = biased_amplitude_table(f.n, k, np.array([rho]))
-    signs = np.array(f.signs(), dtype=float)
-    return float(signs @ T[:, 0])
 
 
 def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:

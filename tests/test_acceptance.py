@@ -42,8 +42,8 @@ def random_function(n, rng):
 
 
 def test_criterion_1_printed_matrices():
-    assert matrix(5).entries == MATRIX_N5
-    assert matrix(6).entries == MATRIX_N6
+    assert matrix(5) == MATRIX_N5
+    assert matrix(6) == MATRIX_N6
     ok(1, "Krawtchouk matrices for n=5 and n=6 match the reference values exactly")
 
 

@@ -1,9 +1,13 @@
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dickeprep
 from dickeprep import csvio, fullsim
 from dickeprep.cli import main
 from dickeprep.krawtchouk import matrix
@@ -26,7 +30,7 @@ class TestKrawtchoukCommand:
         assert meta["command"] == "krawtchouk"
         assert header[0] == "i"
         entries = tuple(tuple(int(v) for v in row[1:]) for row in rows)
-        assert entries == matrix(6).entries
+        assert entries == matrix(6)
 
     def test_column_stdout(self, capsys):
         code, out, _ = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
@@ -266,11 +270,39 @@ class TestTable1Command:
         assert code == 1 and "--from" in err
 
 
+class TestOutputDigests:
+    """The reproduction CSVs are pinned byte for byte (sha256 of stdout)."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("krawtchouk", "--n", "9"),
+             "3c44704f4cf2658cf9f7fb34cd33845b7570ce53e975d721c656ee7a97b7ef9b"),
+            (("krawtchouk", "--n", "8", "--k", "3"),
+             "6d3d3035f8b061efb0f30f38df4995bae7e413e2e07f6b5f0852714a24de74f1"),
+            (("cn", "--max-n", "40"),
+             "256028537bca4faa316cf4a68f25e7b1a5d46ecd21cdf2b3bddb139963aa4cae"),
+            (("curves", "--n", "61"),
+             "81c4cae78c9fb41078d6791daea03c5b25c8a47095d28d486139fcd45caf56ee"),
+            (("sweep-quarter", "--max-n", "64"),
+             "503b5495b58af8e2b5d0148e2c4039c37187f77bec4d84697f9d233d1b176f02"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestHarness:
     def test_module_entry_point(self):
+        # the subprocess imports the same dickeprep as this test run
+        root = str(Path(dickeprep.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dickeprep.cli", "optfn", "--n", "6", "--w", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "hex = 1C" in proc.stdout

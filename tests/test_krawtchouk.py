@@ -1,7 +1,7 @@
 import pytest
 from math import comb
 
-from dickeprep.krawtchouk import KrawtchoukMatrix, abs_column_sum, column, krawtchouk, matrix
+from dickeprep.krawtchouk import abs_column_sum, column, krawtchouk, matrix
 
 # reference matrices for n = 5 and n = 6, entries indexed (i, k)
 MATRIX_N5 = (
@@ -40,25 +40,25 @@ def test_point_values():
 
 
 def test_printed_matrices():
-    assert matrix(5).entries == MATRIX_N5
-    assert matrix(6).entries == MATRIX_N6
+    assert matrix(5) == MATRIX_N5
+    assert matrix(6) == MATRIX_N6
 
 
 def test_matrix_trivial():
-    assert matrix(0) == KrawtchoukMatrix(n=0, entries=((1,),))
+    assert matrix(0) == ((1,),)
 
 
 def test_matrix_structure():
     m = matrix(9)
-    assert all(v == 1 for v in m.entries[0])
-    assert [row[0] for row in m.entries] == [comb(9, i) for i in range(10)]
+    assert all(v == 1 for v in m[0])
+    assert [row[0] for row in m] == [comb(9, i) for i in range(10)]
 
 
 def test_column_examples():
-    assert column(2, 6).values == (1, 2, -1, -4, -1, 2, 1)
-    assert column(0, 4).values == (1, 4, 6, 4, 1)
+    assert column(2, 6) == (1, 2, -1, -4, -1, 2, 1)
+    assert column(0, 4) == (1, 4, 6, 4, 1)
     # frozen from the defining-sum oracle
-    assert column(1, 4).values == (1, 2, 0, -2, -1)
+    assert column(1, 4) == (1, 2, 0, -2, -1)
 
 
 def test_abs_column_sum_examples():
@@ -90,7 +90,7 @@ def test_domain_errors(func, kwargs):
 def test_recurrence_matches_defining_sum_up_to_100():
     for n in range(0, 101):
         for k in range(n + 1):
-            vals = column(k, n).values
+            vals = column(k, n)
             for i in range(n + 1):
                 assert vals[i] == krawtchouk(i, k, n), (i, k, n)
 
@@ -102,27 +102,24 @@ def check_identities(n, m, m_prev, m_next):
     boundary cases of (2), (6), (7); the defining sum is empty there, so they
     are zero.
     """
-    e = m.entries
-    nxt = m_next.entries
     for i in range(n + 1):
         for k in range(n + 1):
-            v = e[i][k]
+            v = m[i][k]
             if i == 0:
                 assert v == 1
             if i == 1:
                 assert v == n - 2 * k
-            k_next = e[i + 1][k] if i + 1 <= n else 0
-            k_prev = e[i - 1][k] if i >= 1 else 0
+            k_next = m[i + 1][k] if i + 1 <= n else 0
+            k_prev = m[i - 1][k] if i >= 1 else 0
             assert (i + 1) * k_next == (n - 2 * k) * v - (n - i + 1) * k_prev
-            assert v == (-1) ** k * e[n - i][k]
-            assert comb(n, k) * v == comb(n, i) * e[k][i]
-            assert v == (-1) ** i * e[i][n - k]
-            lhs6 = (n - k) * (e[i][k + 1] if k + 1 <= n else 0)
-            assert lhs6 == (n - 2 * i) * v - k * (e[i][k - 1] if k >= 1 else 0)
+            assert v == (-1) ** k * m[n - i][k]
+            assert comb(n, k) * v == comb(n, i) * m[k][i]
+            assert v == (-1) ** i * m[i][n - k]
+            lhs6 = (n - k) * (m[i][k + 1] if k + 1 <= n else 0)
+            assert lhs6 == (n - 2 * i) * v - k * (m[i][k - 1] if k >= 1 else 0)
             if m_prev is not None and n >= 1:
-                prev = m_prev.entries
-                third = prev[i][k] if (i <= n - 1 and k <= n - 1) else 0
-                lhs7 = (n - i + 1) * nxt[i][k]
+                third = m_prev[i][k] if (i <= n - 1 and k <= n - 1) else 0
+                lhs7 = (n - i + 1) * m_next[i][k]
                 assert lhs7 == (3 * n - 2 * i - 2 * k + 1) * v - 2 * (n - k) * third
 
 

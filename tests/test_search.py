@@ -236,6 +236,17 @@ class TestTableOne:
         # cached: no new biased records were appended on the second pass
         assert (tmp_path / "db.jsonl").read_text() == text
 
+    def test_store_baseline_rows_are_not_reused(self, tmp_path):
+        store = RecordStore(tmp_path / "db.jsonl")
+        store.append(dj_record(6, 2))
+        store.append(childs_record(6, 3))
+        rows = table_one([6], store=store)
+        assert [r.method for r in rows[::3]] == ["biased"] * 5
+        assert rows[3] == exhaustive_search(6, 2)
+        assert rows[6] == exhaustive_search(6, 3)
+        # the searched records were stored, next to the baseline rows
+        assert len(list(store.records())) == 2 + 5
+
 
 class TestRecordStore:
     def test_round_trip(self, tmp_path):

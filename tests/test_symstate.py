@@ -8,10 +8,9 @@ import pytest
 from dickeprep import fullsim
 from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.krawtchouk import abs_column_sum
-from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
+from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function, spectrum_value
 from dickeprep.symstate import (
     SymmetricState,
-    biased_amplitude,
     biased_amplitude_spectrum,
     biased_amplitude_table,
     biased_dj_state,
@@ -75,6 +74,14 @@ class TestDJState:
             n = int(rng.integers(1, 13))
             s = dj_state(random_function(n, rng))
             assert abs(s.binomial_norm() - 1.0) <= 1e-10
+
+    def test_matches_spectrum_values_bitwise(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 41):  # even n: the mirror pairs k, n-k meet at k = n/2
+            for _ in range(3):
+                f = random_function(n, rng)
+                expected = [spectrum_value(f, k) / 2**n for k in range(n + 1)]
+                assert dj_state(f).amps.tolist() == expected
 
 
 class TestSuccessProbability:
@@ -175,12 +182,6 @@ class TestBiasedDJ:
         for r in (0.0, 5.0):
             s = biased_dj_state(f, r)
             assert abs(s.binomial_norm() - 1.0) <= 1e-10
-
-    def test_single_amplitude_matches_state(self):
-        f = optimal_function(7, 3)
-        s = biased_dj_state(f, 1.9)
-        for k in range(8):
-            assert biased_amplitude(f, 1.9, k) == pytest.approx(float(s.amps[k]), abs=1e-15)
 
     def test_bias_domain_error(self):
         f = optimal_function(4, 1)
