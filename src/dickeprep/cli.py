@@ -23,6 +23,7 @@ from .symstate import (
     dj_state,
     parity_sample,
     success_probability,
+    weight_probabilities,
 )
 from .krawtchouk import column, matrix
 
@@ -163,7 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         outcomes = parity_sample(state, args.trials, rng)
         counts = np.bincount(outcomes, minlength=args.n + 1)
-        probs = [success_probability(state, k) for k in range(args.n + 1)]
+        probs = weight_probabilities(state)
         rows = [
             (k, int(counts[k]), counts[k] / args.trials, probs[k])
             for k in range(args.n + 1)
@@ -211,7 +212,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("one of --w or --all-w is required")
     store = search.RecordStore(args.db)
     for w in targets:
-        rec = search.exhaustive_search(args.n, w, grid_points=args.grid)
+        rec = search.exhaustive_search(args.n, w)
         store.append(rec)
         print(rec.to_json())
     return 0
@@ -221,12 +222,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     if args.from_n < 1 or args.to_n < args.from_n:
         raise ValueError(f"--from/--to must satisfy 1 <= from <= to, got {args.from_n}..{args.to_n}")
     store = search.RecordStore(args.db) if args.db else None
-    rows = search.table_one(
-        range(args.from_n, args.to_n + 1),
-        grid_points=args.grid,
-        store=store,
-    )
-    _emit(args, "table1", {"from": args.from_n, "to": args.to_n, "grid": args.grid},
+    rows = search.table_one(range(args.from_n, args.to_n + 1), store=store)
+    _emit(args, "table1", {"from": args.from_n, "to": args.to_n},
           ["n", "w", "method", "f_hex", "r", "probability"],
           [(r.n, r.w, r.method, r.f_hex, r.r, r.probability) for r in rows])
     return 0
@@ -292,14 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", type=int, default=None)
     p.add_argument("--all-w", dest="all_w", action="store_true")
-    p.add_argument("--grid", type=int, default=512)
     p.add_argument("--db", required=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="biased/DJ/baseline probability table as CSV")
     p.add_argument("--from", dest="from_n", type=int, required=True)
     p.add_argument("--to", dest="to_n", type=int, required=True)
-    p.add_argument("--grid", type=int, default=512)
     p.add_argument("--db", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_table1)

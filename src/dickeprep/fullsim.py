@@ -6,7 +6,9 @@ diffusion, and weight-grouped readout.  Basis convention: bit b of the integer
 index is qubit x_{b+1}, so the weight of the index equals wt(x).
 
 Memory is 2^n complex amplitudes, so construction is capped (default 14
-qubits, overridable per call or through DICKEPREP_FULLSIM_MAX_QUBITS).
+qubits, overridable only through DICKEPREP_FULLSIM_MAX_QUBITS).  A dense
+state counts as symmetric when every amplitude lies within 1e-10 of its
+weight class's mean.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
 
 DEFAULT_MAX_QUBITS = 14
 MAX_QUBITS_ENV = "DICKEPREP_FULLSIM_MAX_QUBITS"
+_SYMMETRY_TOL = 1e-10  # largest intra-class deviation of a symmetric state
 
 
 def max_qubits() -> int:
@@ -75,20 +78,19 @@ class FullState:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = max_qubits() if cap is None else cap
+def _check_cap(n: int) -> None:
+    limit = max_qubits()
     if n > limit:
         raise ResourceLimitError(
-            f"n={n} exceeds the dense-simulation cap {limit} "
-            f"(raise it via {MAX_QUBITS_ENV} or the max_n argument)"
+            f"n={n} exceeds the dense-simulation cap {limit} (raise it via {MAX_QUBITS_ENV})"
         )
 
 
-def zero_state(n: int, max_n: int | None = None) -> FullState:
+def zero_state(n: int) -> FullState:
     """|0...0> on n qubits, subject to the qubit cap."""
     if n < 1:
         raise ValueError(f"n={n} must be positive")
-    _check_cap(n, max_n)
+    _check_cap(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return FullState(n=n, amps=amps)
@@ -153,17 +155,17 @@ def diffuse_about(s: FullState, psi: FullState) -> FullState:
     return FullState(n=s.n, amps=2.0 * overlap * psi.amps - s.amps)
 
 
-def dj_output(f: SymmetricBooleanFunction, max_n: int | None = None) -> FullState:
+def dj_output(f: SymmetricBooleanFunction) -> FullState:
     """H^n U_f H^n |0..0> as a dense state."""
-    s = zero_state(f.n, max_n)
+    s = zero_state(f.n)
     s = apply_layer(s, f.n / 2.0)
     s = apply_phase_oracle(s, f)
     return apply_layer(s, f.n / 2.0)
 
 
-def biased_dj_output(f: SymmetricBooleanFunction, r: float, max_n: int | None = None) -> FullState:
+def biased_dj_output(f: SymmetricBooleanFunction, r: float) -> FullState:
     """B_{r,n} U_f H^n |0..0>: Hadamard layer, phase oracle, then the bias layer."""
-    s = zero_state(f.n, max_n)
+    s = zero_state(f.n)
     s = apply_layer(s, f.n / 2.0)
     s = apply_phase_oracle(s, f)
     return apply_layer(s, r)
@@ -176,23 +178,22 @@ class WeightProfile:
     n: int
     amplitudes: tuple[complex, ...]
     deviations: tuple[float, ...]
-    tol: float
 
     @property
     def symmetric(self) -> bool:
-        return max(self.deviations) <= self.tol
+        return max(self.deviations) <= _SYMMETRY_TOL
 
     @property
     def max_deviation(self) -> float:
         return max(self.deviations)
 
 
-def weight_profile(s: FullState, tol: float = 1e-10) -> WeightProfile:
+def weight_profile(s: FullState) -> WeightProfile:
     """Group amplitudes by Hamming weight and report the common value per class.
 
     The class amplitude is the mean over its basis strings; the deviation is
     the largest distance of any member from that mean.  A state is symmetric
-    when every deviation is within tol.
+    when every deviation is within 1e-10.
     """
     wt = weights(s.n)
     amplitudes = []
@@ -202,21 +203,19 @@ def weight_profile(s: FullState, tol: float = 1e-10) -> WeightProfile:
         mean = complex(cls.mean())
         amplitudes.append(mean)
         deviations.append(float(np.max(np.abs(cls - mean))))
-    return WeightProfile(
-        n=s.n, amplitudes=tuple(amplitudes), deviations=tuple(deviations), tol=tol
-    )
+    return WeightProfile(n=s.n, amplitudes=tuple(amplitudes), deviations=tuple(deviations))
 
 
-def from_symmetric(state: SymmetricState, max_n: int | None = None) -> FullState:
+def from_symmetric(state: SymmetricState) -> FullState:
     """Expand a symmetric state to its dense 2^n vector."""
-    _check_cap(state.n, max_n)
+    _check_cap(state.n)
     amps = np.asarray(state.amps, dtype=complex)[weights(state.n)]
     return FullState(n=state.n, amps=amps)
 
 
-def to_symmetric(s: FullState, tol: float = 1e-10) -> SymmetricState:
+def to_symmetric(s: FullState) -> SymmetricState:
     """Collapse a dense state to weight amplitudes; reject non-symmetric input."""
-    profile = weight_profile(s, tol)
+    profile = weight_profile(s)
     if not profile.symmetric:
         raise StateError(
             f"state is not symmetric: max intra-class deviation {profile.max_deviation:.3g}"

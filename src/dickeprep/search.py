@@ -6,9 +6,11 @@ p(f, r) = C(n,w) amp(f, r, w)^2 over all 2^(n+1) functions, without scanning
 them.  The amplitude is linear in the per-weight signs, amp = sum_i
 (-1)^{f_i} T_i(r) with T independent of f, so at a fixed r the best function
 is the sign rule f_i = [T_i(r) < 0] and max_f |amp| = ||T(r)||_1 (the paper's
-DJ argument, applied at every bias).  The sign patterns at the points of a
-dense r grid (at least 512 points) are the candidates; each is then
-maximized over r by the same grid followed by golden-section refinement.
+DJ argument, applied at every bias).  The sign patterns at the points of
+the r grid, linspace(0, n, 512), are the candidates; each is then maximized
+over r by the same grid followed by golden-section refinement down to a
+bracket of 1e-8 in r.  Both values are fixed, because the bound
+MAX_EXHAUSTIVE_N below was checked with exactly these.
 The winning (f, r, p) records form a small database (JSON lines) that the
 actual state-preparation run would consult.  For every w and every
 n <= MAX_EXHAUSTIVE_N = 48 the result reaches the maximum over theta of
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass
 from math import comb
 from pathlib import Path
@@ -56,7 +57,8 @@ __all__ = [
 ]
 
 MAX_EXHAUSTIVE_N = 48
-_MIN_SEARCH_GRID = 512  # exhaustive_search raises grid_points to this
+_GRID_POINTS = 512  # r grid of every maximization, see _grid
+_R_TOL = 1e-8  # golden-section refinement stops at this bracket width in r
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -82,6 +84,11 @@ class SearchRecord:
 def _sign_rows(n: int, values: np.ndarray) -> np.ndarray:
     bits = (values[:, None] >> np.arange(n + 1)[None, :]) & 1
     return 1.0 - 2.0 * bits
+
+
+def _grid(n: int) -> np.ndarray:
+    """The r grid: sign patterns are collected and maxima bracketed on it."""
+    return np.linspace(0.0, float(n), _GRID_POINTS)
 
 
 def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -111,14 +118,9 @@ def _mirror(n: int, value: int) -> int:
     return m ^ ((1 << (n + 1)) - 1) if m >> n else m
 
 
-def _optimize_batch(
-    n: int,
-    w: int,
-    signs: np.ndarray,
-    grid: np.ndarray,
-    r_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _optimize_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row global max of p(r) on [0, n]: grid scan + golden-section refine."""
+    grid = _grid(n)
     lam, coef = _fold(n, w, signs)
     scale = comb(n, w)
 
@@ -130,7 +132,7 @@ def _optimize_batch(
     best = P.argmax(axis=1)  # leftmost max on ties
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]
-    while float(np.max(hi - lo)) > r_tol:
+    while float(np.max(hi - lo)) > _R_TOL:
         c = hi - _INVPHI * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         pc = probability(c)
@@ -142,25 +144,17 @@ def _optimize_batch(
     return r, probability(r)
 
 
-def optimize_r(
-    f: SymmetricBooleanFunction,
-    w: int,
-    *,
-    grid_points: int = 512,
-    r_tol: float = 1e-8,
-) -> tuple[float, float]:
+def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     """Best bias for one function: argmax_r p(r) over [0, n] and the value.
 
-    Dense grid of `grid_points` values (ties keep the leftmost point), then
-    golden-section refinement of the winning bracket down to r_tol.
+    The r grid (ties keep the leftmost point), then golden-section
+    refinement of the winning bracket.
     """
+    if f.n < 1:
+        raise ValueError(f"n={f.n} must be positive")
     if not 0 <= w <= f.n:
         raise ValueError(f"w={w} out of range [0, {f.n}]")
-    if grid_points < 2:
-        raise ValueError(f"grid_points={grid_points} must be at least 2")
-    signs = np.array([f.signs()], dtype=float)
-    grid = np.linspace(0.0, float(f.n), grid_points)
-    r, p = _optimize_batch(f.n, w, signs, grid, r_tol)
+    r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float))
     return float(r[0]), float(p[0])
 
 
@@ -169,22 +163,13 @@ def _better(a: tuple[float, int, float], b: tuple[float, int, float]) -> bool:
     return (-a[0], a[1], a[2]) < (-b[0], b[1], b[2])
 
 
-def exhaustive_search(
-    n: int,
-    w: int,
-    *,
-    grid_points: int = 512,
-    r_tol: float = 1e-8,
-) -> SearchRecord:
+def exhaustive_search(n: int, w: int) -> SearchRecord:
     """Best (f, r) over all 2^(n+1) symmetric functions at weight w.
 
     Candidates are the sign-rule functions f_i = [T_i(r) < 0] at the grid
     biases, each refined over r from the same grid; the highest p wins, then
     the lowest function value, and the winner is relabelled to the lower
-    (value, r) member of its mirror pair.  The grid has at least 512 points
-    (a smaller grid_points is raised to it): a coarser one would miss sign
-    patterns and refine towards lower local maxima, and the bound
-    MAX_EXHAUSTIVE_N was checked at 512.
+    (value, r) member of its mirror pair.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise ResourceLimitError(
@@ -195,15 +180,12 @@ def exhaustive_search(
         raise ValueError(f"n={n} must be positive")
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    if grid_points < 2:
-        raise ValueError(f"grid_points={grid_points} must be at least 2")
-    grid = np.linspace(0.0, float(n), max(grid_points, _MIN_SEARCH_GRID))
     lam, coef = _fold(n, w, np.eye(n + 1))
-    negative = (coef @ _waves(n, lam, grid).T < 0).astype(np.int64)  # T_i(r_g) < 0
+    negative = (coef @ _waves(n, lam, _grid(n)).T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0
     values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
-    r, p = _optimize_batch(n, w, _sign_rows(n, values), grid, r_tol)
+    r, p = _optimize_batch(n, w, _sign_rows(n, values))
     idx = int(np.argmax(p))  # values ascend, so ties keep the lowest value
     value, r_best = min(
         (int(values[idx]), float(r[idx])),
@@ -236,12 +218,7 @@ def childs_record(n: int, w: int) -> SearchRecord:
     )
 
 
-def table_one(
-    ns: Iterable[int],
-    *,
-    grid_points: int = 512,
-    store: "RecordStore | None" = None,
-) -> list[SearchRecord]:
+def table_one(ns: Iterable[int], *, store: "RecordStore | None" = None) -> list[SearchRecord]:
     """Three rows per (n, w), 1 <= w <= n-1: biased search, DJ, baseline.
 
     With a store, previously computed biased records are reused and fresh
@@ -253,7 +230,7 @@ def table_one(
         for w in range(1, n):
             biased = index.get((n, w))
             if biased is None:
-                biased = exhaustive_search(n, w, grid_points=grid_points)
+                biased = exhaustive_search(n, w)
                 if store is not None:
                     store.append(biased)
             rows.append(biased)
@@ -267,14 +244,12 @@ class RecordStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def append(self, record: SearchRecord) -> None:
         line = record.to_json() + "\n"
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.flush()
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line)
+            fh.flush()
 
     def records(self) -> Iterator[SearchRecord]:
         if not self.path.exists():

@@ -51,7 +51,7 @@ __all__ = [
     "weight_probabilities",
 ]
 
-NORM_ATOL = 1e-8  # measurement refuses states further than this from unit norm
+NORM_ATOL = 1e-8  # biased_dj_state and measurement refuse a larger |norm - 1|
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +234,9 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
 
     r = n/2 makes the bias layer an ordinary Hadamard and reproduces
     dj_state(f).  Cost is O(n^2) per weight, O(n^3) for the full state.
+    Raises StateError when sum_k C(n,k) a_k^2 misses 1 by more than
+    NORM_ATOL: the summed terms cancel, so past n of about 60 the result
+    can be far from a unit vector.
     """
     n = f.n
     rho = _check_bias(r, n)
@@ -242,7 +245,9 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
     for k in range(n + 1):
         T = biased_amplitude_table(n, k, np.array([rho]))
         amps[k] = signs @ T[:, 0]
-    return SymmetricState(n=n, amps=amps)
+    state = SymmetricState(n=n, amps=amps)
+    _outcome_distribution(state)  # the norm gate of parity measurement
+    return state
 
 
 # ---------------------------------------------------------------------------

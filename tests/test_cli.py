@@ -210,7 +210,7 @@ class TestSearchCommand:
         db = str(tmp_path / "db.jsonl")
         for argv in (["search", "--n", "4", "--w", "2", "--db", db],
                      ["table1", "--from", "4", "--to", "4"]):
-            for knob in (["--jobs", "2"], ["--max-n", "20"]):
+            for knob in (["--jobs", "2"], ["--max-n", "20"], ["--grid", "64"]):
                 with pytest.raises(SystemExit):
                     main(argv + knob)
 
@@ -253,17 +253,12 @@ class TestTable1Command:
         assert {rec.method for rec in recs} == {"biased", "dj", "childs"}
         assert all(0.0 <= rec.probability <= 1.0 for rec in recs)
 
-    def test_meta_line_records_grid(self, capsys, tmp_path):
-        metas = []
-        for grid in ("512", "64"):
-            path = tmp_path / f"t{grid}.csv"
-            code, _, _ = run(capsys, "table1", "--from", "3", "--to", "3",
-                             "--grid", grid, "--out", str(path))
-            assert code == 0
-            meta, _, _ = csvio.read_csv(path)
-            assert meta["grid"] == grid
-            metas.append(path.read_text().splitlines()[0])
-        assert metas[0] != metas[1]
+    def test_meta_line(self, capsys):
+        code, out, _ = run(capsys, "table1", "--from", "3", "--to", "3")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"# dickeprep {dickeprep.__version__} command=table1 from=3 to=3"
+        )
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table1", "--from", "5", "--to", "4")
@@ -286,6 +281,11 @@ class TestOutputDigests:
              "81c4cae78c9fb41078d6791daea03c5b25c8a47095d28d486139fcd45caf56ee"),
             (("sweep-quarter", "--max-n", "64"),
              "503b5495b58af8e2b5d0148e2c4039c37187f77bec4d84697f9d233d1b176f02"),
+            (("simulate", "--n", "5", "--w", "1", "--method", "biased", "--r", "1.42458",
+              "--f", "03", "--trials", "5000", "--seed", "3"),
+             "d93ef5e832b1bcb1c7f85db03df9276276f2928dcfed55df801c8679ceb56af8"),
+            (("table1", "--from", "3", "--to", "7"),
+             "fc59bb9ac5c0f3f467c1f72d38be49f4ca608df954812fe1f1f3cc303ee7f036"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -23,8 +23,6 @@ class TestZeroState:
     def test_cap(self):
         with pytest.raises(ResourceLimitError, match="cap"):
             fullsim.zero_state(fullsim.DEFAULT_MAX_QUBITS + 1)
-        s = fullsim.zero_state(15, max_n=15)
-        assert s.n == 15
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "4")

@@ -59,8 +59,8 @@ class TestOptimizeR:
         f = optimal_function(4, 1)
         with pytest.raises(ValueError, match="w="):
             optimize_r(f, 5)
-        with pytest.raises(ValueError, match="grid_points"):
-            optimize_r(f, 1, grid_points=1)
+        with pytest.raises(ValueError, match="n=0 must be positive"):
+            optimize_r(SymmetricBooleanFunction.from_value(0, 0), 0)
 
 
 class TestExhaustiveSearch:
@@ -114,11 +114,10 @@ def mirror(f):
     return complement(g) if g.bits[f.n] else g
 
 
-def brute_force(n, w, grid_points=512):
+def brute_force(n, w):
     """Reference scan: every one of the 2^(n+1) functions through the batch kernel."""
     values = np.arange(1 << (n + 1), dtype=np.int64)
-    grid = np.linspace(0.0, float(n), grid_points)
-    r, p = search._optimize_batch(n, w, search._sign_rows(n, values), grid, 1e-8)
+    r, p = search._optimize_batch(n, w, search._sign_rows(n, values))
     idx = int(np.argmax(p))  # highest p, then lowest value
     return SymmetricBooleanFunction.from_value(n, int(values[idx])), float(r[idx]), float(p[idx])
 
@@ -135,17 +134,6 @@ class TestSignRuleSearch:
                 value, r_canon = min((f.value, r), (mirror(f).value, n - r))
                 assert int(rec.f_hex, 16) == value
                 assert rec.r == pytest.approx(r_canon, abs=1e-12)
-
-    def test_coarse_grid_is_raised(self):
-        # fewer than 512 grid points would lose sign patterns and local maxima:
-        # the record is the default one, never below the full scan at that grid
-        for n in (9, 10):
-            for w in range(1, n):
-                rec = exhaustive_search(n, w)
-                for grid_points in (2, 8):
-                    assert exhaustive_search(n, w, grid_points=grid_points) == rec
-                    _, _, p = brute_force(n, w, grid_points)
-                    assert rec.probability >= p - 1e-12
 
     def test_reaches_envelope_up_to_bound(self):
         # max_f p = C(n,w) ||T(theta)||_1^2 at each theta; the search must reach
@@ -188,8 +176,7 @@ class TestSpectralKernel:
                 assert optimize_r(f, w) == optimize_r(complement(f), w)
         n, w = 8, 3
         values = np.arange(1 << (n + 1), dtype=np.int64)
-        grid = np.linspace(0.0, float(n), 512)
-        r, p = search._optimize_batch(n, w, search._sign_rows(n, values), grid, 1e-8)
+        r, p = search._optimize_batch(n, w, search._sign_rows(n, values))
         assert np.array_equal(p, p[::-1]) and np.array_equal(r, r[::-1])
 
     def test_scan_tie_keeps_lower_complement(self):

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from dickeprep import fullsim
+from dickeprep import fullsim, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.krawtchouk import abs_column_sum
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function, spectrum_value
@@ -182,6 +182,14 @@ class TestBiasedDJ:
         for r in (0.0, 5.0):
             s = biased_dj_state(f, r)
             assert abs(s.binomial_norm() - 1.0) <= 1e-10
+
+    def test_norm_gate(self, monkeypatch):
+        # a synthesized state off unit norm is refused, not returned
+        table = symstate.biased_amplitude_table
+        monkeypatch.setattr(symstate, "biased_amplitude_table",
+                            lambda n, k, rhos: 1.0001 * table(n, k, rhos))
+        with pytest.raises(StateError, match="state norm"):
+            biased_dj_state(optimal_function(6, 2), 1.7)
 
     def test_bias_domain_error(self):
         f = optimal_function(4, 1)
