@@ -20,6 +20,7 @@ from .symfunc import (
     SymmetricBooleanFunction,
     c_of_n,
     c_profile,
+    dj_optimal_profile,
     optimal_function,
     reduced_walsh_spectrum,
     spectrum_value,
@@ -62,6 +63,7 @@ __all__ = [
     "childs_state",
     "column",
     "dicke",
+    "dj_optimal_profile",
     "dj_optimal_success_exact",
     "dj_state",
     "dj_success_exact",

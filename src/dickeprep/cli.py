@@ -14,7 +14,13 @@ import sys
 import numpy as np
 
 from . import __version__, csvio, fullsim, grover, search
-from .symfunc import SymmetricBooleanFunction, c_profile, optimal_function, spectrum_value
+from .symfunc import (
+    SymmetricBooleanFunction,
+    c_profile,
+    dj_optimal_profile,
+    optimal_function,
+    spectrum_value,
+)
 from .symstate import (
     biased_dj_state,
     childs_probability,
@@ -95,10 +101,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    rows = [
-        (w, float(dj_optimal_success_exact(n, w)), childs_probability(n, w))
-        for w in range(n + 1)
-    ]
+    # the baseline is symmetric in w <-> n-w, like the DJ profile
+    childs = [0.0] * (n + 1)
+    for w in range(n // 2 + 1):
+        childs[w] = childs[n - w] = childs_probability(n, w)
+    rows = zip(range(n + 1), dj_optimal_profile(n), childs)
     _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], rows)
     return 0
 

@@ -3,20 +3,31 @@
 K_i(k, n) = sum_j (-1)^j C(k, j) C(n-k, i-j).  Everything here is plain
 Python integers: columns at n = 1000 hold values around 2^995, far past any
 fixed-width type, and the consumers (Walsh spectra, probability ratios) need
-them exact.  Point queries use the defining sum; whole columns use the
+them exact.  A column is the plain tuple (K_0(k, n), ..., K_n(k, n)).
+
+Point queries -- one entry, or one column -- use the defining sum and the
 three-term recurrence
 
     (i+1) K_{i+1}(k, n) = (n-2k) K_i(k, n) - (n-i+1) K_{i-1}(k, n)
 
-which costs O(n) per column (the K_{i-1} term is absent at i = 0, matching
-the defining sum).  A column is the plain tuple (K_0(k, n), ..., K_n(k, n));
-the matrix is the tuple of its rows, assembled from independently computed
-columns.
+which costs O(n) multiplies and exact divides per column (the K_{i-1} term
+is absent at i = 0, matching the defining sum).
+
+Whole columns use the generating function
+G_k(z) = sum_i K_i(k, n) z^i = (1-z)^k (1+z)^(n-k), so
+G_{k-1} = G_k (1+z)/(1-z): multiplying by 1+z adds each entry to its
+predecessor, dividing by 1-z takes prefix sums.  `descending_columns` starts
+from column n, (-1)^i C(n, i), and steps down with additions only; the
+mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) gives column n-k from column
+k, so a consumer of all columns steps through the upper half only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import accumulate
 from math import comb
+from operator import add, mul
 
 __all__ = [
     "abs_column_sum",
@@ -60,11 +71,32 @@ def column(k: int, n: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def descending_columns(n: int) -> Iterator[list[int]]:
+    """Yield column(k, n) as a list for k = n, n-1, ..., 0, by additions only.
+
+    K_i(k-1, n) = sum_{j<=i} (K_j(k, n) + K_{j-1}(k, n)).  Only the current
+    column is kept (the caller must not modify it), so a caller that stops
+    early pays only for the columns it took.
+    """
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    col = [(-1) ** i * comb(n, i) for i in range(n + 1)]
+    yield col
+    for _ in range(n):
+        col = list(accumulate(map(add, col, [0] + col[:-1])))
+        yield col
+
+
 def matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """The exact (n+1) x (n+1) Krawtchouk matrix as rows: entry [i][k] = K_i(k, n)."""
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
-    return tuple(zip(*(column(k, n) for k in range(n + 1))))
+    alt = [-1 if i & 1 else 1 for i in range(n + 1)]
+    cols: list[list[int]] = [[]] * (n + 1)
+    for k, col in zip(range(n // 2 + 1), descending_columns(n)):
+        cols[n - k] = col
+        cols[k] = list(map(mul, alt, col))
+    return tuple(zip(*cols))
 
 
 def abs_column_sum(k: int, n: int) -> int:

@@ -5,7 +5,9 @@ vector [f_0, ..., f_n], f_i being the output on inputs of Hamming weight i.
 Its Walsh spectrum depends only on wt(omega), so it reduces to n+1 exact
 integers rw_f(k) = sum_i (-1)^{f_i} K_i(k, n), returned as a plain tuple.
 The mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) lets one Krawtchouk column
-serve both k and n-k, so the whole spectrum builds only the columns k <= n/2.
+serve both k and n-k, so whole spectra and profiles take only the columns
+k >= n/2 from the additive stepper `krawtchouk.descending_columns`; a single
+spectrum value or optimal function uses the recurrence column alone.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
-from .krawtchouk import abs_column_sum, column
+from .krawtchouk import column, descending_columns
 
 __all__ = [
     "SymmetricBooleanFunction",
     "c_of_n",
     "c_profile",
+    "dj_optimal_profile",
     "optimal_function",
     "reduced_walsh_spectrum",
     "spectrum_value",
@@ -74,16 +78,15 @@ def spectrum_value(f: SymmetricBooleanFunction, k: int) -> int:
 def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
     """(rw_f(0), ..., rw_f(n)); Parseval: sum_k C(n,k) rw_f(k)^2 = 2^(2n).
 
-    Column k also gives rw_f(n-k) = sum_i (-1)^i (-1)^{f_i} K_i(k, n).
+    Column n-k gives rw_f(n-k) and also rw_f(k) = sum_i (-1)^i (-1)^{f_i} K_i(n-k, n).
     """
     n = f.n
     signs = f.signs()
-    mirrored = tuple(-s if i & 1 else s for i, s in enumerate(signs))
+    mirrored = [-s if i & 1 else s for i, s in enumerate(signs)]
     out = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        col = column(k, n)
-        out[k] = sum(s * v for s, v in zip(signs, col))
-        out[n - k] = sum(s * v for s, v in zip(mirrored, col))
+    for k, col in zip(range(n // 2 + 1), descending_columns(n)):
+        out[n - k] = sum(map(mul, signs, col))
+        out[k] = sum(map(mul, mirrored, col))
     return tuple(out)
 
 
@@ -100,21 +103,30 @@ def optimal_function(n: int, w: int) -> SymmetricBooleanFunction:
     return SymmetricBooleanFunction(n=n, bits=tuple(1 if v < 0 else 0 for v in column(w, n)))
 
 
-def c_profile(n: int) -> list[float]:
-    """C(n,w) rw_f(w)^2 sqrt(n) / 2^(2n) for the per-w optimal f, all w.
+def dj_optimal_profile(n: int) -> list[float]:
+    """C(n,w) rw_f(w)^2 / 2^(2n) for the per-w sign-rule optimal f, all w.
 
-    Mirror symmetry K_i(n-k, n) = (-1)^i K_i(k, n) makes the w and n-w values
-    identical, so only the lower half is computed.
+    rw_f(w) = sum_i |K_i(w, n)| is the same for w and n-w (mirror symmetry),
+    so only the columns w >= n/2 are stepped through.  Each value is one exact
+    integer ratio, correctly rounded by CPython's big-int true division, so it
+    equals float(symstate.dj_optimal_success_exact(n, w)) bit for bit.
     """
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    out = [0.0] * (n + 1)
+    denom = 1 << (2 * n)
+    for k, col in zip(range(n // 2 + 1), descending_columns(n)):
+        s = sum(map(abs, col))
+        out[k] = out[n - k] = (comb(n, k) * s * s) / denom
+    return out
+
+
+def c_profile(n: int) -> list[float]:
+    """dj_optimal_profile(n) scaled by sqrt(n): the c(n) terms for all w."""
     if n < 1:
         raise ValueError(f"n={n} must be positive")
-    out = [0.0] * (n + 1)
-    for w in range(n // 2 + 1):
-        s = abs_column_sum(w, n)
-        # C(n,w) s^2 / 2^(2n) as one exact integer ratio (correctly rounded by
-        # CPython's big-int true division), then the sqrt(n) scale.
-        out[w] = out[n - w] = (comb(n, w) * s * s) / (1 << (2 * n)) * math.sqrt(n)
-    return out
+    scale = math.sqrt(n)
+    return [p * scale for p in dj_optimal_profile(n)]
 
 
 def c_of_n(n: int) -> float:

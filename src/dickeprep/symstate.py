@@ -73,9 +73,6 @@ class SymmetricState:
         """sum_k C(n,k) a_k^2 (1.0 for a physical state)."""
         return float(sum(comb(self.n, k) * float(a) * float(a) for k, a in enumerate(self.amps)))
 
-    def is_normalized(self, atol: float = 1e-10) -> bool:
-        return abs(self.binomial_norm() - 1.0) <= atol
-
 
 def dicke(n: int, w: int) -> SymmetricState:
     """|D^n_w>: the equal superposition of all weight-w basis states."""
@@ -130,9 +127,14 @@ def childs_probability_exact(n: int, w: int) -> Fraction:
 
 
 def childs_probability(n: int, w: int) -> float:
-    """Success probability of the plain biased-Hadamard preparation B_{w,n}|0..0>."""
-    p = childs_probability_exact(n, w)
-    return p.numerator / p.denominator
+    """Success probability of the plain biased-Hadamard preparation B_{w,n}|0..0>.
+
+    childs_probability_exact as one correctly rounded big-int true division
+    (0^0 = 1 covers the endpoints), without reducing the fraction first.
+    """
+    if not 0 <= w <= n:
+        raise ValueError(f"w={w} out of range [0, {n}]")
+    return (comb(n, w) * w**w * (n - w) ** (n - w)) / n**n
 
 
 def childs_state(n: int, w: int) -> SymmetricState:

@@ -286,6 +286,15 @@ class TestOutputDigests:
              "d93ef5e832b1bcb1c7f85db03df9276276f2928dcfed55df801c8679ceb56af8"),
             (("table1", "--from", "3", "--to", "7"),
              "fc59bb9ac5c0f3f467c1f72d38be49f4ca608df954812fe1f1f3cc303ee7f036"),
+            # long enough that whole columns come from the additive stepper
+            (("curves", "--n", "999"),
+             "351e3a2d47e4390d0471e99a281a511d99c4802737de0549cc0a17268b100e22"),
+            (("cn", "--max-n", "120"),
+             "10bd240ff6d6ea7345371429584e3a3e6efe93f007b7a606c998d736cc95f579"),
+            (("krawtchouk", "--n", "40"),
+             "a4640fe8d1ce901d590cf2cbafdd078cbe6c2098539ca9022870543218c2af0d"),
+            (("sweep-quarter", "--max-n", "300"),
+             "4f1d0678ab36479fa2430411d11bfb527c20863a017d3441db5f235d0cc31de3"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

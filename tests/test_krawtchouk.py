@@ -1,7 +1,7 @@
 import pytest
 from math import comb
 
-from dickeprep.krawtchouk import abs_column_sum, column, krawtchouk, matrix
+from dickeprep.krawtchouk import abs_column_sum, column, descending_columns, krawtchouk, matrix
 
 # reference matrices for n = 5 and n = 6, entries indexed (i, k)
 MATRIX_N5 = (
@@ -93,6 +93,28 @@ def test_recurrence_matches_defining_sum_up_to_100():
             vals = column(k, n)
             for i in range(n + 1):
                 assert vals[i] == krawtchouk(i, k, n), (i, k, n)
+
+
+def test_stepper_matches_recurrence_up_to_64():
+    for n in range(0, 65):
+        steps = [tuple(col) for col in descending_columns(n)]
+        assert steps == [column(m, n) for m in range(n, -1, -1)], n
+
+
+@pytest.mark.parametrize("n", [257, 999, 1000])
+def test_stepper_matches_recurrence_large_n(n):
+    wanted = {0, 1, n // 2, n}
+    seen = 0
+    for m, col in zip(range(n, -1, -1), descending_columns(n)):
+        seen += 1
+        if m in wanted:
+            assert tuple(col) == column(m, n), m
+    assert seen == n + 1
+
+
+def test_stepper_domain_error():
+    with pytest.raises(ValueError, match="n="):
+        next(descending_columns(-1))
 
 
 def check_identities(n, m, m_prev, m_next):

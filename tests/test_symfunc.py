@@ -105,6 +105,13 @@ class TestSpectrum:
         for f in cases:
             assert list(reduced_walsh_spectrum(f)) == full_walsh_by_weight(f)
 
+    @pytest.mark.parametrize("n", [101, 300])
+    def test_matches_spectrum_values(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            f = SymmetricBooleanFunction(n=n, bits=tuple(int(b) for b in rng.integers(0, 2, n + 1)))
+            assert reduced_walsh_spectrum(f) == tuple(spectrum_value(f, k) for k in range(n + 1))
+
     def test_parseval_random(self):
         rng = np.random.default_rng(23)
         for n in range(1, 17):

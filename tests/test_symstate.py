@@ -8,7 +8,12 @@ import pytest
 from dickeprep import fullsim, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.krawtchouk import abs_column_sum
-from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function, spectrum_value
+from dickeprep.symfunc import (
+    SymmetricBooleanFunction,
+    dj_optimal_profile,
+    optimal_function,
+    spectrum_value,
+)
 from dickeprep.symstate import (
     SymmetricState,
     biased_amplitude_spectrum,
@@ -40,7 +45,7 @@ class TestSymmetricState:
 
     def test_dicke(self):
         s = dicke(6, 2)
-        assert s.is_normalized()
+        assert abs(s.binomial_norm() - 1.0) <= 1e-10
         assert success_probability(s, 2) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="w="):
             dicke(4, 5)
@@ -55,7 +60,7 @@ class TestDJState:
     def test_worked_example(self):
         s = dj_state(optimal_function(6, 2))
         assert s.amps[2] == pytest.approx(3 / 16, abs=0)
-        assert s.is_normalized()
+        assert abs(s.binomial_norm() - 1.0) <= 1e-10
 
     def test_constant_function(self):
         f = SymmetricBooleanFunction(n=5, bits=(0,) * 6)
@@ -101,6 +106,13 @@ class TestSuccessProbability:
             for w in range(n + 1):
                 assert dj_success_exact(optimal_function(n, w), w) == dj_optimal_success_exact(n, w)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 61, 999, 1000])
+    def test_optimal_profile_bitwise(self, n):
+        profile = dj_optimal_profile(n)
+        assert len(profile) == n + 1
+        for w in range(n + 1):
+            assert profile[w] == float(dj_optimal_success_exact(n, w)), w
+
     def test_mirror_symmetry_exact(self):
         for n in range(1, 30):
             for w in range(n // 2 + 1):
@@ -121,6 +133,11 @@ class TestChilds:
     def test_exact_form(self):
         assert childs_probability_exact(4, 2) == Fraction(3, 8)
         assert childs_probability_exact(6, 3) == Fraction(20, 64)
+
+    def test_float_matches_exact(self):
+        for n in [*range(0, 81), 999]:
+            for w in range(n + 1):
+                assert childs_probability(n, w) == float(childs_probability_exact(n, w)), (n, w)
 
     def test_state_matches_probability(self):
         for n, w in ((4, 2), (9, 4), (11, 0), (11, 11)):
