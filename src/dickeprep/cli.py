@@ -9,7 +9,9 @@ deterministic for a fixed seed: same config, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -41,7 +43,7 @@ def _emit(args: argparse.Namespace, command: str, params: dict, header, rows, tr
     if out:
         csvio.write_csv(out, command, params, header, rows, trailer)
     else:
-        sys.stdout.write(csvio.render_csv(command, params, header, list(rows), trailer))
+        sys.stdout.write(csvio.render_csv(command, params, header, rows, trailer))
 
 
 def _parse_function(n: int, code: str) -> SymmetricBooleanFunction:
@@ -192,11 +194,12 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
         raise ValueError(f"--r must be in [0, {args.n}], got {r}")
     state = fullsim.biased_dj_output(f, r)
     profile = fullsim.weight_profile(state)
-    wt = fullsim.weights(args.n)
-    rows = [
-        (format(x, f"0{args.n}b"), int(wt[x]), amp.real, amp.imag)
-        for x, amp in enumerate(state.amps)
-    ]
+    rows = zip(
+        map(format, range(1 << args.n), repeat(f"0{args.n}b")),
+        fullsim.weights(args.n).tolist(),
+        state.amps.real.tolist(),
+        state.amps.imag.tolist(),
+    )
     trailer = [
         f"weight {k} amplitude {csvio.fmt(profile.amplitudes[k].real)} "
         f"deviation {csvio.fmt(profile.deviations[k])}"
@@ -238,6 +241,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dickeprep",

@@ -20,6 +20,15 @@ predecessor, dividing by 1-z takes prefix sums.  `descending_columns` starts
 from column n, (-1)^i C(n, i), and steps down with additions only; the
 mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) gives column n-k from column
 k, so a consumer of all columns steps through the upper half only.
+
+Each column is also a palindrome up to sign: z^n G_k(1/z) = (-1)^k G_k(z),
+so K_{n-i}(k, n) = (-1)^k K_i(k, n).  Entries i <= n//2 therefore fix the
+whole column, and both the recurrence and the additive step only read
+entries at or below the one they produce.  `column` runs the recurrence to
+n//2 and fills the rest by the palindrome; `descending_columns` yields only
+the half columns (K_0(k, n), ..., K_{n//2}(k, n)), which `full_column`
+completes.  With the mirror, a consumer of the whole matrix computes a
+quarter of it.
 """
 
 from __future__ import annotations
@@ -57,30 +66,46 @@ def krawtchouk(i: int, k: int, n: int) -> int:
     return total
 
 
-def column(k: int, n: int) -> tuple[int, ...]:
-    """Column k of the Krawtchouk matrix, (K_0(k, n), ..., K_n(k, n)), via the recurrence."""
+def _half_column(k: int, n: int) -> list[int]:
+    """(K_0(k, n), ..., K_{n//2}(k, n)) by the three-term recurrence."""
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     _check_index("k", k, n)
-    vals = [0] * (n + 1)
+    h = n // 2
+    vals = [0] * (h + 1)
     vals[0] = 1
-    if n >= 1:
+    if h >= 1:
         vals[1] = n - 2 * k
-    for i in range(1, n):
+    for i in range(1, h):
         vals[i + 1] = ((n - 2 * k) * vals[i] - (n - i + 1) * vals[i - 1]) // (i + 1)
-    return tuple(vals)
+    return vals
+
+
+def full_column(half: list[int], k: int, n: int) -> list[int]:
+    """Column k from its entries i <= n//2, by K_{n-i}(k, n) = (-1)^k K_i(k, n)."""
+    tail = half[: n + 1 - len(half)][::-1]
+    return half + (tail if k % 2 == 0 else [-v for v in tail])
+
+
+def column(k: int, n: int) -> tuple[int, ...]:
+    """Column k of the Krawtchouk matrix, (K_0(k, n), ..., K_n(k, n)).
+
+    The recurrence gives entries i <= n//2, the palindrome the rest.
+    """
+    return tuple(full_column(_half_column(k, n), k, n))
 
 
 def descending_columns(n: int) -> Iterator[list[int]]:
-    """Yield column(k, n) as a list for k = n, n-1, ..., 0, by additions only.
+    """Yield the half column (K_0(k, n), ..., K_{n//2}(k, n)) for k = n, n-1, ..., 0.
 
-    K_i(k-1, n) = sum_{j<=i} (K_j(k, n) + K_{j-1}(k, n)).  Only the current
-    column is kept (the caller must not modify it), so a caller that stops
-    early pays only for the columns it took.
+    K_i(k-1, n) = sum_{j<=i} (K_j(k, n) + K_{j-1}(k, n)) reads only entries
+    j <= i, so the truncated step is exact, by additions only.  Only the
+    current half column is kept (the caller must not modify it), so a caller
+    that stops early pays only for the columns it took.
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
-    col = [(-1) ** i * comb(n, i) for i in range(n + 1)]
+    col = [(-1) ** i * comb(n, i) for i in range(n // 2 + 1)]
     yield col
     for _ in range(n):
         col = list(accumulate(map(add, col, [0] + col[:-1])))
@@ -93,10 +118,17 @@ def matrix(n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"n={n} must be non-negative")
     alt = [-1 if i & 1 else 1 for i in range(n + 1)]
     cols: list[list[int]] = [[]] * (n + 1)
-    for k, col in zip(range(n // 2 + 1), descending_columns(n)):
+    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
+        col = full_column(half, n - k, n)
         cols[n - k] = col
         cols[k] = list(map(mul, alt, col))
     return tuple(zip(*cols))
+
+
+def half_abs_sum(half: list[int], n: int) -> int:
+    """sum_i |K_i(k, n)| from the half column: twice each i < n/2, plus the middle."""
+    total = 2 * sum(map(abs, half))
+    return total - abs(half[-1]) if n % 2 == 0 else total
 
 
 def abs_column_sum(k: int, n: int) -> int:
@@ -106,4 +138,4 @@ def abs_column_sum(k: int, n: int) -> int:
     peak reduced-Walsh value attainable at weight k by any symmetric Boolean
     function.
     """
-    return sum(abs(v) for v in column(k, n))
+    return half_abs_sum(_half_column(k, n), n)

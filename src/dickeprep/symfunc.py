@@ -7,7 +7,10 @@ integers rw_f(k) = sum_i (-1)^{f_i} K_i(k, n), returned as a plain tuple.
 The mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) lets one Krawtchouk column
 serve both k and n-k, so whole spectra and profiles take only the columns
 k >= n/2 from the additive stepper `krawtchouk.descending_columns`; a single
-spectrum value or optimal function uses the recurrence column alone.
+spectrum value or optimal function uses the recurrence column alone.  The
+palindrome K_{n-i}(k, n) = (-1)^k K_i(k, n) lets them read only the half
+column i <= n//2: sums of |K_i| count each i < n/2 twice, and the signs of a
+spectrum fold once per column parity, s_i + (-1)^k s_{n-i}.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .krawtchouk import column, descending_columns
+from .krawtchouk import column, descending_columns, half_abs_sum
 
 __all__ = [
     "SymmetricBooleanFunction",
@@ -75,18 +78,30 @@ def spectrum_value(f: SymmetricBooleanFunction, k: int) -> int:
     return sum(s * v for s, v in zip(f.signs(), column(k, f.n)))
 
 
+def _fold(signs: list[int], k: int) -> list[int]:
+    """Weights on the half column: s_i + (-1)^k s_{n-i} for i < n/2, then s_{n/2} for even n."""
+    n = len(signs) - 1
+    sign = -1 if k & 1 else 1
+    folded = [signs[i] + sign * signs[n - i] for i in range((n + 1) // 2)]
+    return (folded + [signs[n // 2]]) if n % 2 == 0 else folded
+
+
 def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
     """(rw_f(0), ..., rw_f(n)); Parseval: sum_k C(n,k) rw_f(k)^2 = 2^(2n).
 
     Column n-k gives rw_f(n-k) and also rw_f(k) = sum_i (-1)^i (-1)^{f_i} K_i(n-k, n).
+    Both sums run over the half column, with the signs folded by the
+    palindrome of column n-k.
     """
     n = f.n
-    signs = f.signs()
+    signs = list(f.signs())
     mirrored = [-s if i & 1 else s for i, s in enumerate(signs)]
+    folds = [(_fold(signs, p), _fold(mirrored, p)) for p in (0, 1)]
     out = [0] * (n + 1)
-    for k, col in zip(range(n // 2 + 1), descending_columns(n)):
-        out[n - k] = sum(map(mul, signs, col))
-        out[k] = sum(map(mul, mirrored, col))
+    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
+        direct, mirror = folds[(n - k) & 1]
+        out[n - k] = sum(map(mul, direct, half))
+        out[k] = sum(map(mul, mirror, half))
     return tuple(out)
 
 
@@ -107,16 +122,17 @@ def dj_optimal_profile(n: int) -> list[float]:
     """C(n,w) rw_f(w)^2 / 2^(2n) for the per-w sign-rule optimal f, all w.
 
     rw_f(w) = sum_i |K_i(w, n)| is the same for w and n-w (mirror symmetry),
-    so only the columns w >= n/2 are stepped through.  Each value is one exact
-    integer ratio, correctly rounded by CPython's big-int true division, so it
-    equals float(symstate.dj_optimal_success_exact(n, w)) bit for bit.
+    so only the columns w >= n/2 are stepped through, each as a half column.
+    Each value is one exact integer ratio, correctly rounded by CPython's
+    big-int true division, so it equals
+    float(symstate.dj_optimal_success_exact(n, w)) bit for bit.
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     out = [0.0] * (n + 1)
     denom = 1 << (2 * n)
-    for k, col in zip(range(n // 2 + 1), descending_columns(n)):
-        s = sum(map(abs, col))
+    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
+        s = half_abs_sum(half, n)
         out[k] = out[n - k] = (comb(n, k) * s * s) / denom
     return out
 

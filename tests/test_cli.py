@@ -177,6 +177,15 @@ class TestFullsimCommand:
         assert np.max(np.abs(amps - expected.amps)) < 1e-9
         assert "# symmetric True" in path.read_text()
 
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ("fullsim", "--n", "6", "--f", "2A", "--r", "2.5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "full.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
     def test_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "3")
         code, _, err = run(capsys, "fullsim", "--n", "4", "--f", "0")
@@ -295,6 +304,14 @@ class TestOutputDigests:
              "a4640fe8d1ce901d590cf2cbafdd078cbe6c2098539ca9022870543218c2af0d"),
             (("sweep-quarter", "--max-n", "300"),
              "4f1d0678ab36479fa2430411d11bfb527c20863a017d3441db5f235d0cc31de3"),
+            # columns from the half-column palindrome, and per-column CSV formatting
+            (("fullsim", "--n", "10", "--f", "2A5", "--r", "3.25"),
+             "0ff2509612f068a06382a71129b7c3636d9acb47b51badd278d2c2f77d0bbcfa"),
+            # odd n: no middle row
+            (("krawtchouk", "--n", "41"),
+             "a2264ad9478b9c6a499488b3ca7f851673cd06b0541dca2095a3d8e14e00d1c0"),
+            (("cn", "--max-n", "81"),
+             "c547354f0a588c3faa767eb956d6b67f0294bf2c5762a67a8f3994d03c07fa1f"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

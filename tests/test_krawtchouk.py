@@ -96,9 +96,10 @@ def test_recurrence_matches_defining_sum_up_to_100():
 
 
 def test_stepper_matches_recurrence_up_to_64():
+    # the stepper yields half columns, entries i <= n//2
     for n in range(0, 65):
         steps = [tuple(col) for col in descending_columns(n)]
-        assert steps == [column(m, n) for m in range(n, -1, -1)], n
+        assert steps == [column(m, n)[: n // 2 + 1] for m in range(n, -1, -1)], n
 
 
 @pytest.mark.parametrize("n", [257, 999, 1000])
@@ -108,8 +109,38 @@ def test_stepper_matches_recurrence_large_n(n):
     for m, col in zip(range(n, -1, -1), descending_columns(n)):
         seen += 1
         if m in wanted:
-            assert tuple(col) == column(m, n), m
+            assert tuple(col) == column(m, n)[: n // 2 + 1], m
     assert seen == n + 1
+
+
+def test_palindrome_against_defining_sum_up_to_64():
+    # K_{n-i}(k, n) = (-1)^k K_i(k, n)
+    for n in range(0, 65):
+        for k in range(n + 1):
+            sign = -1 if k & 1 else 1
+            col = column(k, n)
+            for i in range(n + 1):
+                mirrored = sign * krawtchouk(i, k, n)
+                assert krawtchouk(n - i, k, n) == mirrored, (i, k, n)
+                assert col[n - i] == mirrored, (i, k, n)
+
+
+@pytest.mark.parametrize("n", [257, 999, 1000])
+def test_palindrome_against_defining_sum_large_n(n):
+    # the defining sum costs O(n) big binomials per entry, so it is sampled
+    sampled = set(range(0, n + 1, 37)) | {1, n // 2, n - n // 2, n - 1, n}
+    for k in (0, 1, n // 2, n):
+        sign = -1 if k & 1 else 1
+        col = column(k, n)
+        assert all(col[n - i] == sign * col[i] for i in range(n + 1)), k
+        for i in sampled:
+            assert col[n - i] == sign * krawtchouk(i, k, n), (i, k)
+
+
+def test_abs_column_sum_matches_full_column_up_to_64():
+    for n in range(0, 65):
+        for k in range(n + 1):
+            assert abs_column_sum(k, n) == sum(map(abs, column(k, n))), (k, n)
 
 
 def test_stepper_domain_error():
