@@ -51,7 +51,7 @@ __all__ = [
     "weight_probabilities",
 ]
 
-NORM_ATOL = 1e-8  # biased_dj_state and measurement refuse a larger |norm - 1|
+NORM_ATOL = 1e-8  # biased_dj_state, Grover planning and measurement refuse a larger |norm - 1|
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +68,6 @@ class SymmetricState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-
-    def binomial_norm(self) -> float:
-        """sum_k C(n,k) a_k^2 (1.0 for a physical state)."""
-        return float(sum(comb(self.n, k) * float(a) * float(a) for k, a in enumerate(self.amps)))
 
 
 def dicke(n: int, w: int) -> SymmetricState:

@@ -183,11 +183,20 @@ def test_criterion_8_grover_closed_form():
         w = int(np.argmax(np.abs(s.amps)))
         t = int(rng.integers(0, 11))
         theta = math.asin(min(1.0, math.sqrt(success_probability(s, w))))
-        simulated = success_probability(amplify(s, w, t), w)
+        iterated = s
+        for _ in range(t):
+            iterated = grover_step(iterated, s, w)
+        simulated = success_probability(iterated, w)
         closed = math.sin((2 * t + 1) * theta) ** 2
-        worst = max(worst, abs(simulated - closed))
-        assert abs(simulated - closed) < 1e-10
-    ok(8, f"simulated success equals sin^2((2t+1) theta), worst gap {worst:.2e}")
+        rotated = amplify(s, w, t)
+        gap = max(
+            abs(simulated - closed),
+            abs(success_probability(rotated, w) - closed),
+            float(np.max(np.abs(rotated.amps - iterated.amps))),
+        )
+        worst = max(worst, gap)
+        assert gap < 1e-10
+    ok(8, f"t literal Grover steps equal sin^2((2t+1) theta) and amplify, worst gap {worst:.2e}")
 
 
 def test_criterion_9_dominance_curves():

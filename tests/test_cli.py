@@ -312,6 +312,19 @@ class TestOutputDigests:
              "a2264ad9478b9c6a499488b3ca7f851673cd06b0541dca2095a3d8e14e00d1c0"),
             (("cn", "--max-n", "81"),
              "c547354f0a588c3faa767eb956d6b67f0294bf2c5762a67a8f3994d03c07fa1f"),
+            # Grover amplification, at the recommended t and at an explicit --t
+            (("simulate", "--n", "300", "--w", "80", "--method", "dj", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "35c27ac6859dee70b75f3328b2a7c4914adf65e0a415caea993a9d26f7409fa3"),
+            (("simulate", "--n", "300", "--w", "80", "--method", "childs", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "630359c46eac99e79646913013538223c3fcd3d8f3c068f591b0e5bc45357171"),
+            (("simulate", "--n", "24", "--w", "11", "--method", "biased", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "b74bf89aab5c532a6eddcff9616861e14df513ecdfd480f0f2cfba1f173a0042"),
+            (("simulate", "--n", "100", "--w", "25", "--method", "dj", "--grover", "--t", "7",
+              "--trials", "20000", "--seed", "5"),
+             "d1a8d93d34acdbc95ef762717ec713bb84f074f16511fbed8b6591a3f8bc3808"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

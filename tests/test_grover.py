@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dickeprep import fullsim
-from dickeprep.errors import UnreachableTargetError
+from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.grover import (
     amplify,
     grover_step,
@@ -13,7 +13,13 @@ from dickeprep.grover import (
     recommended_iterations,
 )
 from dickeprep.symfunc import optimal_function
-from dickeprep.symstate import SymmetricState, dicke, dj_state, success_probability
+from dickeprep.symstate import (
+    SymmetricState,
+    dicke,
+    dj_state,
+    success_probability,
+    weight_probabilities,
+)
 
 
 def random_symmetric_state(n, rng):
@@ -41,7 +47,7 @@ class TestGroverStep:
             s = random_symmetric_state(n, rng)
             init = random_symmetric_state(n, rng)
             out = grover_step(s, init, int(rng.integers(0, n + 1)))
-            assert abs(out.binomial_norm() - 1.0) <= 1e-12
+            assert abs(weight_probabilities(out).sum() - 1.0) <= 1e-12
 
     def test_matches_dense_simulation(self):
         rng = np.random.default_rng(8)
@@ -135,6 +141,78 @@ class TestAmplify:
             assert success_probability(out, w) == pytest.approx(
                 math.sin((2 * t + 1) * theta) ** 2, abs=1e-10
             )
+
+    def test_matches_iterated_steps(self):
+        # random unit states with both signs of a_w, and states with p0 near 1,
+        # where the off-target factor approaches (-1)^t (2t+1): p0 = 1 - 1e-12,
+        # and a_0 = 1e-9 beside a_3 = 1/sqrt(20), whose float p0 is exactly 1
+        # (theta = pi/2, psi = 0)
+        rng = np.random.default_rng(91)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(1, 21))
+            s = random_symmetric_state(n, rng)
+            w = int(rng.integers(0, n + 1))
+            flipped = s.amps.copy()
+            flipped[w] = -flipped[w]
+            cases += [(s, w), (SymmetricState(n=n, amps=flipped), w)]
+        near = np.zeros(7)
+        near[2] = math.sqrt((1.0 - 1e-12) / comb(6, 2))
+        near[5] = math.sqrt(1e-12 / comb(6, 5))
+        at_one = np.zeros(7)
+        at_one[0] = 1e-9
+        at_one[3] = 1.0 / math.sqrt(comb(6, 3))
+        cases += [(SymmetricState(n=6, amps=near), 2), (SymmetricState(n=6, amps=at_one), 3)]
+        for s, w in cases:
+            state = s
+            for t in range(11):
+                out = amplify(s, w, t)
+                assert not np.any(np.isnan(out.amps))
+                assert np.max(np.abs(out.amps - state.amps)) <= 1e-12, (s.n, w, t)
+                state = grover_step(state, s, w)
+
+    def test_matches_dense_steps(self):
+        rng = np.random.default_rng(13)
+        n = 8
+        for _ in range(5):
+            s = random_symmetric_state(n, rng)
+            w = int(rng.integers(0, n + 1))
+            initial = dense = fullsim.from_symmetric(s)
+            for t in range(6):
+                expected = fullsim.to_symmetric(dense)
+                assert np.max(np.abs(amplify(s, w, t).amps - expected.amps)) < 1e-10, (w, t)
+                dense = fullsim.diffuse_about(fullsim.flip_weight(dense, w), initial)
+
+    def test_dicke_input(self):
+        # p0 = 1: cos(theta) = 0, and every step maps |D> to -|D>
+        for n, w in ((1, 1), (6, 2), (9, 0), (9, 9)):
+            d = dicke(n, w)
+            for t in range(4):
+                out = amplify(d, w, t)
+                assert not np.any(np.isnan(out.amps))
+                assert np.max(np.abs(out.amps - (-1) ** t * d.amps)) <= 1e-12
+
+    def test_cost_independent_of_t(self):
+        # one rotation, so a million steps cost one O(n) pass; the float angle
+        # (2t+1) theta carries a rounding error of about (2t+1) eps
+        s = dj_state(optimal_function(40, 10))
+        theta = plan_amplification(s, 10).theta
+        t = 10**6
+        out = amplify(s, 10, t)
+        tol = (2 * t + 1) * 1e-15
+        assert weight_probabilities(out).sum() == pytest.approx(1.0, abs=tol)
+        assert success_probability(out, 10) == pytest.approx(
+            math.sin((2 * t + 1) * theta) ** 2, abs=tol
+        )
+
+    def test_norm_gate(self):
+        s = SymmetricState(n=2, amps=[1.0, 1.0, 1.0])
+        with pytest.raises(StateError, match="norm"):
+            plan_amplification(s, 1)
+        with pytest.raises(StateError, match="norm"):
+            amplify(s, 1)
+        with pytest.raises(StateError, match="norm"):
+            amplify(s, 1, 2)
 
     def test_scaling_law(self):
         # t ~ n^(1/4): the ratio t / n^(1/4) stays within a narrow band

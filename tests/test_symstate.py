@@ -45,7 +45,7 @@ class TestSymmetricState:
 
     def test_dicke(self):
         s = dicke(6, 2)
-        assert abs(s.binomial_norm() - 1.0) <= 1e-10
+        assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
         assert success_probability(s, 2) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="w="):
             dicke(4, 5)
@@ -60,7 +60,7 @@ class TestDJState:
     def test_worked_example(self):
         s = dj_state(optimal_function(6, 2))
         assert s.amps[2] == pytest.approx(3 / 16, abs=0)
-        assert abs(s.binomial_norm() - 1.0) <= 1e-10
+        assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
 
     def test_constant_function(self):
         f = SymmetricBooleanFunction(n=5, bits=(0,) * 6)
@@ -78,7 +78,7 @@ class TestDJState:
         for _ in range(100):
             n = int(rng.integers(1, 13))
             s = dj_state(random_function(n, rng))
-            assert abs(s.binomial_norm() - 1.0) <= 1e-10
+            assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
 
     def test_matches_spectrum_values_bitwise(self):
         rng = np.random.default_rng(41)
@@ -142,7 +142,7 @@ class TestChilds:
     def test_state_matches_probability(self):
         for n, w in ((4, 2), (9, 4), (11, 0), (11, 11)):
             s = childs_state(n, w)
-            assert abs(s.binomial_norm() - 1.0) <= 1e-12
+            assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-12
             assert success_probability(s, w) == pytest.approx(childs_probability(n, w), rel=1e-12)
 
     def test_baseline_band_and_fact1_floor(self):
@@ -191,14 +191,14 @@ class TestBiasedDJ:
             n = int(rng.integers(1, 11))
             f = random_function(n, rng)
             r = float(rng.uniform(0.0, n))
-            assert abs(biased_dj_state(f, r).binomial_norm() - 1.0) <= 1e-10
+            assert abs(weight_probabilities(biased_dj_state(f, r)).sum() - 1.0) <= 1e-10
 
     def test_endpoint_biases(self):
         # r = 0 and r = n are valid (0^0 = 1 convention)
         f = optimal_function(5, 2)
         for r in (0.0, 5.0):
             s = biased_dj_state(f, r)
-            assert abs(s.binomial_norm() - 1.0) <= 1e-10
+            assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
 
     def test_norm_gate(self, monkeypatch):
         # a synthesized state off unit norm is refused, not returned
