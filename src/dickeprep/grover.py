@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 from .errors import UnreachableTargetError
+from .krawtchouk import column
 from .symstate import SymmetricState, _outcome_distribution, success_probability
 
 __all__ = [
@@ -53,7 +53,7 @@ def grover_step(s: SymmetricState, initial: SymmetricState, w: int) -> Symmetric
     a = s.amps.copy()
     a[w] = -a[w]
     psi = initial.amps
-    overlap = sum(comb(s.n, k) * x * y for k, (x, y) in enumerate(zip(psi.tolist(), a.tolist())))
+    overlap = sum(c * x * y for c, x, y in zip(column(0, s.n), psi.tolist(), a.tolist()))
     return SymmetricState(n=s.n, amps=2.0 * overlap * psi - a)
 
 

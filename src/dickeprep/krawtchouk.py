@@ -17,9 +17,16 @@ Whole columns use the generating function
 G_k(z) = sum_i K_i(k, n) z^i = (1-z)^k (1+z)^(n-k), so
 G_{k-1} = G_k (1+z)/(1-z): multiplying by 1+z adds each entry to its
 predecessor, dividing by 1-z takes prefix sums.  `descending_columns` starts
-from column n, (-1)^i C(n, i), and steps down with additions only; the
-mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) gives column n-k from column
-k, so a consumer of all columns steps through the upper half only.
+from column n and steps down with additions only; the mirror identity
+K_i(n-k, n) = (-1)^i K_i(k, n) gives column n-k from column k, so a
+consumer of all columns steps through the upper half only.
+
+Columns 0 and n are the signed binomial rows: G_0(z) = (1+z)^n gives
+K_i(0, n) = C(n, i), and K_i(n, n) = (-1)^i C(n, i) (MacWilliams & Sloane,
+The Theory of Error-Correcting Codes, ch. 5).  Every consumer of a whole
+row of binomials -- the parity outcome weights C(n, k) a_k^2, the DJ
+profile, the stepper's seed -- takes it from here, one recurrence pass per
+row instead of one `math.comb` call per entry.
 
 Each column is also a palindrome up to sign: z^n G_k(1/z) = (-1)^k G_k(z),
 so K_{n-i}(k, n) = (-1)^k K_i(k, n).  Entries i <= n//2 therefore fix the
@@ -103,9 +110,7 @@ def descending_columns(n: int) -> Iterator[list[int]]:
     current half column is kept (the caller must not modify it), so a caller
     that stops early pays only for the columns it took.
     """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
-    col = [(-1) ** i * comb(n, i) for i in range(n // 2 + 1)]
+    col = _half_column(n, n)
     yield col
     for _ in range(n):
         col = list(accumulate(map(add, col, [0] + col[:-1])))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 from operator import mul
 
 from .krawtchouk import column, descending_columns, half_abs_sum
@@ -131,9 +130,9 @@ def dj_optimal_profile(n: int) -> list[float]:
         raise ValueError(f"n={n} must be non-negative")
     out = [0.0] * (n + 1)
     denom = 1 << (2 * n)
-    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
+    for k, binom, half in zip(range(n // 2 + 1), column(0, n), descending_columns(n)):
         s = half_abs_sum(half, n)
-        out[k] = out[n - k] = (comb(n, k) * s * s) / denom
+        out[k] = out[n - k] = (binom * s * s) / denom
     return out
 
 

@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from .errors import StateError, UnreachableTargetError
-from .krawtchouk import abs_column_sum
+from .krawtchouk import abs_column_sum, column
 from .symfunc import SymmetricBooleanFunction, reduced_walsh_spectrum, spectrum_value
 
 __all__ = [
@@ -62,6 +62,8 @@ class SymmetricState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n={self.n} must be non-negative")
         amps = np.asarray(self.amps, dtype=float)
         if amps.shape != (self.n + 1,):
             raise ValueError(f"amps has shape {amps.shape}, expected ({self.n + 1},)")
@@ -173,8 +175,8 @@ def biased_amplitude_table(n: int, k: int, rhos: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         l1r = np.log1p(-rhos)
     l1r = np.where(np.isneginf(l1r), -1e12, l1r)
-    log_ck = [math.log(comb(k, j)) for j in range(k + 1)]
-    log_cnk = [math.log(comb(n - k, m)) for m in range(n - k + 1)]
+    log_ck = list(map(math.log, column(0, k)))
+    log_cnk = list(map(math.log, column(0, n - k)))
     half_log = 0.5 * n * math.log(2.0)
 
     T = np.zeros((n + 1, rhos.shape[0]))
@@ -252,16 +254,21 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
 # parity measurement
 
 def weight_probabilities(s: SymmetricState) -> np.ndarray:
-    """Parity-measurement outcome distribution p_k = C(n,k) a_k^2."""
-    return np.array(
-        [comb(s.n, k) * float(a) * float(a) for k, a in enumerate(s.amps)]
-    )
+    """Parity-measurement outcome distribution p_k = C(n,k) a_k^2.
+
+    The binomial row is Krawtchouk column 0.  Each exact C(n,k) is rounded
+    once to a float and multiplied by a_k twice, left to right, so the
+    result is the float product comb(n, k) * a_k * a_k bit for bit.  That
+    rounding holds to n = 1029; from n = 1030 the middle binomials exceed
+    the float range and the conversion raises OverflowError.
+    """
+    return np.array(column(0, s.n), dtype=float) * s.amps * s.amps
 
 
 def _outcome_distribution(s: SymmetricState) -> np.ndarray:
     p = weight_probabilities(s)
     total = p.sum()
-    if abs(total - 1.0) > NORM_ATOL:
+    if not abs(total - 1.0) <= NORM_ATOL:  # also refuses a NaN norm
         raise StateError(f"state norm {total:.6g} is not 1 within {NORM_ATOL:g}")
     return p / total
 

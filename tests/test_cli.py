@@ -325,6 +325,13 @@ class TestOutputDigests:
             (("simulate", "--n", "100", "--w", "25", "--method", "dj", "--grover", "--t", "7",
               "--trials", "20000", "--seed", "5"),
              "d1a8d93d34acdbc95ef762717ec713bb84f074f16511fbed8b6591a3f8bc3808"),
+            # the largest n whose binomials fit a float
+            (("simulate", "--n", "1029", "--w", "300", "--method", "dj", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "f3fc5d3b2f02f41e512fad8cdca445370ebbb4e2d3397ac313381fe9471cc427"),
+            (("simulate", "--n", "1029", "--w", "300", "--method", "childs", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "d67f65f9d5dc2562ecac93fe258103210fc4b5668c54fce9b10b79895bc76a41"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

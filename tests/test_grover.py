@@ -17,6 +17,8 @@ from dickeprep.symstate import (
     SymmetricState,
     dicke,
     dj_state,
+    parity_sample,
+    repetitions_until_success,
     success_probability,
     weight_probabilities,
 )
@@ -213,6 +215,19 @@ class TestAmplify:
             amplify(s, 1)
         with pytest.raises(StateError, match="norm"):
             amplify(s, 1, 2)
+
+    def test_norm_gate_refuses_nan(self):
+        # a NaN norm fails every comparison, so the gate must test for a pass
+        s = SymmetricState(n=2, amps=[math.nan] * 3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(StateError, match="norm"):
+            plan_amplification(s, 1)
+        with pytest.raises(StateError, match="norm"):
+            amplify(s, 1)
+        with pytest.raises(StateError, match="norm"):
+            parity_sample(s, 10, rng)
+        with pytest.raises(StateError, match="norm"):
+            repetitions_until_success(s, 1, rng)
 
     def test_scaling_law(self):
         # t ~ n^(1/4): the ratio t / n^(1/4) stays within a narrow band

@@ -143,6 +143,15 @@ def test_abs_column_sum_matches_full_column_up_to_64():
             assert abs_column_sum(k, n) == sum(map(abs, column(k, n))), (k, n)
 
 
+def test_binomial_rows():
+    # columns 0 and n are the signed binomial rows that whole-row consumers read
+    for n in list(range(0, 201)) + [1029]:
+        row = [comb(n, i) for i in range(n + 1)]
+        assert list(column(0, n)) == row, n
+        signed = [-v if i & 1 else v for i, v in enumerate(row[: n // 2 + 1])]
+        assert next(descending_columns(n)) == signed, n
+
+
 def test_stepper_domain_error():
     with pytest.raises(ValueError, match="n="):
         next(descending_columns(-1))

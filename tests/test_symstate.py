@@ -43,6 +43,10 @@ class TestSymmetricState:
         with pytest.raises(ValueError):
             SymmetricState(n=3, amps=np.zeros(3))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n=-1"):
+            SymmetricState(n=-1, amps=[])
+
     def test_dicke(self):
         s = dicke(6, 2)
         assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
@@ -263,6 +267,31 @@ class TestParityMeasurement:
     def test_probabilities_sum(self):
         s = dj_state(optimal_function(9, 4))
         assert weight_probabilities(s).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def comb_loop_probabilities(s):
+        """The former row source: one math.comb call per weight."""
+        return np.array([comb(s.n, k) * float(a) * float(a) for k, a in enumerate(s.amps)])
+
+    def test_probabilities_match_comb_loop_bitwise(self):
+        rng = np.random.default_rng(10)
+        for n in list(range(0, 65)) + [1029]:
+            states = [dicke(n, n // 3), dj_state(optimal_function(n, n // 3))]
+            if n:
+                states.append(childs_state(n, n // 2))
+            for scale in (2.0 ** (-n / 2), 1e-150, 1e-300):  # the first gives norms near 1
+                states.append(SymmetricState(n=n, amps=rng.normal(size=n + 1) * scale))
+            for s in states:
+                got = weight_probabilities(s)
+                assert got.tobytes() == self.comb_loop_probabilities(s).tobytes(), n
+
+    def test_probabilities_past_float_range_raise(self):
+        # C(1030, 515) > 2^1024: the float conversion must raise, never give inf or NaN
+        s = SymmetricState(n=1030, amps=np.full(1031, 1e-160))
+        with pytest.raises(OverflowError):
+            weight_probabilities(s)
+        with pytest.raises(OverflowError):
+            parity_sample(s, 10, np.random.default_rng(0))
 
     def test_unnormalized_rejected(self):
         junk = SymmetricState(n=3, amps=np.array([0.5, 0.1, 0.0, 0.0]))
