@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import repeat
+from itertools import product
 
 import numpy as np
 
@@ -33,17 +33,17 @@ from .symstate import (
     success_probability,
     weight_probabilities,
 )
-from .krawtchouk import column, matrix
+from .krawtchouk import column, columns
 
 __all__ = ["main"]
 
 
-def _emit(args: argparse.Namespace, command: str, params: dict, header, rows, trailer=()) -> None:
+def _emit(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> None:
     out = getattr(args, "out", None)
     if out:
-        csvio.write_csv(out, command, params, header, rows, trailer)
+        csvio.write_csv(out, command, params, header, cols, trailer)
     else:
-        sys.stdout.write(csvio.render_csv(command, params, header, rows, trailer))
+        sys.stdout.write(csvio.render_csv(command, params, header, cols, trailer))
 
 
 def _parse_function(n: int, code: str) -> SymmetricBooleanFunction:
@@ -68,13 +68,11 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
     if args.k is not None:
         if not 0 <= args.k <= n:
             raise ValueError(f"--k must be in [0, {n}], got {args.k}")
-        col = column(args.k, n)
         _emit(args, "krawtchouk", {"n": n, "k": args.k}, ["i", "value"],
-              [(i, v) for i, v in enumerate(col)])
+              [range(n + 1), column(args.k, n)])
     else:
         header = ["i"] + [f"k{k}" for k in range(n + 1)]
-        _emit(args, "krawtchouk", {"n": n}, header,
-              [(i, *row) for i, row in enumerate(matrix(n))])
+        _emit(args, "krawtchouk", {"n": n}, header, [range(n + 1), *columns(n)])
     return 0
 
 
@@ -90,12 +88,11 @@ def _cmd_optfn(args: argparse.Namespace) -> int:
 def _cmd_cn(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
-    rows = []
-    for n in range(1, args.max_n + 1):
-        profile = c_profile(n)
-        c = min(profile)
-        rows.append((n, c, profile.index(c)))
-    _emit(args, "cn", {"max_n": args.max_n}, ["n", "c", "w_min"], rows)
+    cs, w_mins = [], []
+    for profile in map(c_profile, range(1, args.max_n + 1)):
+        cs.append(min(profile))
+        w_mins.append(profile.index(cs[-1]))
+    _emit(args, "cn", {"max_n": args.max_n}, ["n", "c", "w_min"], [range(1, len(cs) + 1), cs, w_mins])
     return 0
 
 
@@ -107,20 +104,18 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     childs = [0.0] * (n + 1)
     for w in range(n // 2 + 1):
         childs[w] = childs[n - w] = childs_probability(n, w)
-    rows = zip(range(n + 1), dj_optimal_profile(n), childs)
-    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], rows)
+    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
+          [range(n + 1), dj_optimal_profile(n), childs])
     return 0
 
 
 def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
-    rows = [
-        (n, float(dj_optimal_success_exact(n, n // 4)), childs_probability(n, n // 4))
-        for n in range(4, args.max_n + 1)
-    ]
-    _emit(args, "sweep-quarter", {"max_n": args.max_n},
-          ["n", "dj_prob", "childs_prob"], rows)
+    ns = range(4, args.max_n + 1)
+    _emit(args, "sweep-quarter", {"max_n": args.max_n}, ["n", "dj_prob", "childs_prob"],
+          [ns, [float(dj_optimal_success_exact(n, n // 4)) for n in ns],
+           [childs_probability(n, n // 4) for n in ns]])
     return 0
 
 
@@ -173,15 +168,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         outcomes = parity_sample(state, args.trials, rng)
         counts = np.bincount(outcomes, minlength=args.n + 1)
-        probs = weight_probabilities(state)
-        rows = [
-            (k, int(counts[k]), counts[k] / args.trials, probs[k])
-            for k in range(args.n + 1)
-        ]
         params = {"n": args.n, "w": args.w, "method": args.method,
                   "trials": args.trials, "seed": args.seed}
-        _emit(args, "simulate", params,
-              ["weight", "count", "frequency", "analytic"], rows)
+        _emit(args, "simulate", params, ["weight", "count", "frequency", "analytic"],
+              [range(args.n + 1), counts, counts / args.trials, weight_probabilities(state)])
     return 0
 
 
@@ -194,19 +184,18 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
         raise ValueError(f"--r must be in [0, {args.n}], got {r}")
     state = fullsim.biased_dj_output(f, r)
     profile = fullsim.weight_profile(state)
-    rows = zip(
-        map(format, range(1 << args.n), repeat(f"0{args.n}b")),
-        fullsim.weights(args.n).tolist(),
-        state.amps.real.tolist(),
-        state.amps.imag.tolist(),
-    )
+    # format(x, f"0{n}b") for every x: each high half followed by each low half
+    high = list(map("".join, product("01", repeat=args.n - args.n // 2)))
+    low = list(map("".join, product("01", repeat=args.n // 2)))
+    labels = [a + b for a in high for b in low]
     trailer = [
         f"weight {k} amplitude {csvio.fmt(profile.amplitudes[k].real)} "
         f"deviation {csvio.fmt(profile.deviations[k])}"
         for k in range(args.n + 1)
     ] + [f"symmetric {profile.symmetric}"]
     _emit(args, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},
-          ["x", "weight", "re", "im"], rows, trailer)
+          ["x", "weight", "re", "im"],
+          [labels, fullsim.weights(args.n), state.amps.real, state.amps.imag], trailer)
     return 0
 
 
@@ -232,10 +221,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     if args.from_n < 1 or args.to_n < args.from_n:
         raise ValueError(f"--from/--to must satisfy 1 <= from <= to, got {args.from_n}..{args.to_n}")
     store = search.RecordStore(args.db) if args.db else None
-    rows = search.table_one(range(args.from_n, args.to_n + 1), store=store)
-    _emit(args, "table1", {"from": args.from_n, "to": args.to_n},
-          ["n", "w", "method", "f_hex", "r", "probability"],
-          [(r.n, r.w, r.method, r.f_hex, r.r, r.probability) for r in rows])
+    records = search.table_one(range(args.from_n, args.to_n + 1), store=store)
+    header = ["n", "w", "method", "f_hex", "r", "probability"]
+    _emit(args, "table1", {"from": args.from_n, "to": args.to_n}, header,
+          [[getattr(rec, field) for rec in records] for field in header])
     return 0
 
 

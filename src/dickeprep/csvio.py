@@ -5,21 +5,21 @@ command, and its parameters (no timestamps, so identical configs produce
 byte-identical files), then a header row, then data rows.  Probabilities are
 printed to 9 significant digits; exact integers in full.
 
-`render_csv` formats by column, not by value: a column of plain ints and
-strs goes to `csv.writer` as it is (the writer applies `str`, as `fmt`
-does), a column of plain floats is formatted in one `map`, and any other
-column (None, bools, numpy scalars, mixed types) falls back to `fmt` per
-value.  The bytes are the same as formatting each value with `fmt`.
+`render_csv` takes one column per header field.  A float or int ndarray is
+formatted once per distinct value, any other column by `fmt` per value; the
+bytes equal `csv.writer` on per-value `fmt` (`,`, `"`, newline and a lone
+empty field quoted).  Columns unlike the header in count or length, and a
+carriage return in a field (which csv.reader would split at), raise ValueError.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 
@@ -32,13 +32,20 @@ def fmt(value: object) -> str:
     return str(value)
 
 
-def _format_column(col: tuple) -> Sequence[object]:
-    types = set(map(type, col))
-    if types <= {int, str}:
-        return col
-    if types == {float}:
-        return list(map(format, col, repeat(".9g")))
-    return list(map(fmt, col))
+def _quote(field: str) -> str:
+    if "\r" in field:
+        raise ValueError(f"CSV field {field!r} holds a carriage return")
+    return '"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\n') else field
+
+
+def _format_column(col: Iterable[object]) -> list[str]:
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
+        # distinct bit patterns, not values, so that -0.0 stays apart from 0.0
+        bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        return np.array(list(map(fmt, bits.view(col.dtype))), dtype=object)[inv].tolist()
+    out = list(map(fmt, col))
+    text = "".join(out)
+    return list(map(_quote, out)) if any(c in text for c in ',"\n\r') else out
 
 
 def _meta_line(command: str, params: dict[str, object]) -> str:
@@ -51,22 +58,19 @@ def render_csv(
     command: str,
     params: dict[str, object],
     header: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    columns: Iterable[Iterable[object]],
     trailer_comments: Sequence[str] = (),
 ) -> str:
-    rows = list(rows)
-    if set(map(len, rows)) - {len(header)}:
-        raise ValueError(f"every CSV row must have {len(header)} fields, as the header has")
-    cols = [_format_column(col) for col in zip(*rows)]
-    buf = io.StringIO()
-    buf.write(_meta_line(command, params) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    # with no columns every row is empty, and zip(*cols) would drop them
-    writer.writerows(zip(*cols) if cols else rows)
-    for comment in trailer_comments:
-        buf.write(f"# {comment}\n")
-    return buf.getvalue()
+    head = _format_column(header)
+    cols = [_format_column(col) for col in columns]
+    if len(cols) != len(head) or len(set(map(len, cols))) > 1:
+        raise ValueError(f"need one equal-length column for each of the {len(head)} header fields")
+    if len(cols) == 1:  # csv.writer quotes a lone empty field, so that its line is not blank
+        head, *cols = ([field or '""' for field in col] for col in (head, *cols))
+    lines = [_meta_line(command, params), ",".join(head)]
+    lines += map(",".join, zip(*cols))
+    lines += [f"# {comment}" for comment in trailer_comments]
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(
@@ -74,12 +78,12 @@ def write_csv(
     command: str,
     params: dict[str, object],
     header: Sequence[str],
-    rows: Iterable[Sequence[object]],
+    columns: Iterable[Iterable[object]],
     trailer_comments: Sequence[str] = (),
 ) -> None:
     """Atomically write a CSV file; nothing is left behind on failure."""
     path = Path(path)
-    text = render_csv(command, params, header, rows, trailer_comments)
+    text = render_csv(command, params, header, columns, trailer_comments)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")

@@ -99,9 +99,9 @@ def zero_state(n: int) -> FullState:
 @lru_cache(maxsize=32)
 def weights(n: int) -> np.ndarray:
     """wt(x) for every basis index x in [0, 2^n)."""
-    out = np.zeros(1 << n, dtype=np.int64)
-    for x in range(1, 1 << n):
-        out[x] = out[x >> 1] + (x & 1)
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):  # setting the next bit up adds 1 to every weight so far
+        out = np.concatenate((out, out + 1))
     out.flags.writeable = False
     return out
 

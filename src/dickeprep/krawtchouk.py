@@ -48,6 +48,7 @@ from operator import add, mul
 __all__ = [
     "abs_column_sum",
     "column",
+    "columns",
     "krawtchouk",
     "matrix",
 ]
@@ -117,8 +118,8 @@ def descending_columns(n: int) -> Iterator[list[int]]:
         yield col
 
 
-def matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """The exact (n+1) x (n+1) Krawtchouk matrix as rows: entry [i][k] = K_i(k, n)."""
+def columns(n: int) -> list[list[int]]:
+    """The exact Krawtchouk matrix as its n+1 columns: entry [k][i] = K_i(k, n)."""
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     alt = [-1 if i & 1 else 1 for i in range(n + 1)]
@@ -127,7 +128,12 @@ def matrix(n: int) -> tuple[tuple[int, ...], ...]:
         col = full_column(half, n - k, n)
         cols[n - k] = col
         cols[k] = list(map(mul, alt, col))
-    return tuple(zip(*cols))
+    return cols
+
+
+def matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exact (n+1) x (n+1) Krawtchouk matrix as rows: entry [i][k] = K_i(k, n)."""
+    return tuple(zip(*columns(n)))
 
 
 def half_abs_sum(half: list[int], n: int) -> int:

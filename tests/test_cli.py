@@ -332,6 +332,11 @@ class TestOutputDigests:
             (("simulate", "--n", "1029", "--w", "300", "--method", "childs", "--grover",
               "--trials", "20000", "--seed", "5"),
              "d67f65f9d5dc2562ecac93fe258103210fc4b5668c54fce9b10b79895bc76a41"),
+            # the largest dumps: few distinct amplitudes among 2^14 rows, big-int columns
+            (("fullsim", "--n", "14", "--f", "2A5B", "--r", "5.3"),
+             "7eeb1c16b685e82dc1c30af303a7188edfb3550589eff9e749f855fce5cff7d3"),
+            (("krawtchouk", "--n", "160"),
+             "5a8e5c824b803d9c40cfae3b6b1f2eb7e39cd85537d488b63d6a237c8d213aab"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -20,40 +20,73 @@ def render_per_value(command, params, header, rows, trailer_comments=()):
     return buf.getvalue()
 
 
-CASES = {
-    "big ints": (["i", "v"], [(i, (-3) ** (60 + 7 * i)) for i in range(5)] + [(5, 2**64), (6, -(2**64) - 1)]),
-    "quoted strs": (["s", "t"], [("a,b", 'say "hi"'), ("plain", "line\nbreak"), ("", " ")]),
-    "None, bool, numpy scalars": (
-        ["a", "b", "c", "d"],
-        [(None, True, np.float64(0.1), np.int64(7)), (None, False, np.float64(-2.5e-300), np.int64(-1))],
-    ),
-    "float column with an int": (["x"], [(0.1,), (3,), (1e22,), (2.0 / 3.0,)]),
-    "signed zero, nan, inf": (["x", "y"], [(-0.0, 0.0), (float("nan"), float("inf")), (float("-inf"), 1.0)]),
-    "mixed int and str": (["k", "v"], [(1, "x"), ("y", 2)]),
-    "zero rows": (["a", "b"], []),
+SUBNORMAL = 5e-324
+CASES = {  # name -> (header, columns)
+    "big ints": (["i", "v"], [
+        list(range(7)),
+        [(-3) ** (60 + 7 * i) for i in range(5)] + [2**64, -(2**64) - 1],
+    ]),
+    "quoted strs": (["s", "t"], [["a,b", "plain", ""], ['say "hi"', "line\nbreak", " "]]),
+    "quoted header": (['s,"q"', "t\nu"], [[1], [2]]),
+    "None, bool, numpy scalars": (["a", "b", "c", "d"], [
+        [None, None],
+        [True, False],
+        [np.float64(0.1), np.float64(-2.5e-300)],
+        [np.int64(7), np.int64(-1)],
+    ]),
+    "float column with an int": (["x"], [[0.1, 3, 1e22, 2.0 / 3.0]]),
+    "signed zero, nan, inf": (["x", "y"], [[-0.0, float("nan"), float("-inf")], [0.0, float("inf"), 1.0]]),
+    "mixed int and str": (["k", "v"], [[1, "y"], ["x", 2]]),
+    "zero rows": (["a", "b"], [[], []]),
+    "float array: signed zeros, nan, inf, subnormals": (["x"], [np.array([
+        -0.0, 0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+        SUBNORMAL, -SUBNORMAL, 3 * SUBNORMAL, 2.2250738585072014e-308 / 3, 1.0,
+    ])]),
+    "float array: only negative zeros": (["x", "y"], [np.array([-0.0, -0.0]), np.array([0.0, -0.0])]),
+    "float array: ties and near ties to 9 digits": (["x"], [np.array([
+        0.1, np.nextafter(0.1, 1.0), 1.0 / 3.0, 1.0 / 3.0 + 1e-12,
+        0.123456789, 0.123456788, 0.123456789, -0.123456789, 1e22, 1e22 + 2**30,
+    ])]),
+    "float32 array": (["x"], [np.array([0.1, -0.0, 0.0, 1.0 / 3.0, 0.1], dtype=np.float32)]),
+    "int64 array": (["i"], [np.array([0, -1, 7, 2**62, -(2**63), 7, 0], dtype=np.int64)]),
+    "arrays beside lists, as fullsim emits them": (["x", "weight", "re", "im"], [
+        ["00", "01", "10", "11"],
+        np.array([0, 1, 1, 2]),
+        np.array([0.5, -0.25, -0.25, 0.125]),
+        np.array([0.0, -0.0, 0.0, -0.0]),
+    ]),
+    "single column of empty strs": (["s"], [["", "a", ""]]),
+    "single empty header field": ([""], [[1, 2]]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bytes_match_per_value_formatting(name):
-    header, rows = CASES[name]
+    header, cols = CASES[name]
     params = {"n": 3, "case": name.replace(" ", "_")}
     trailer = ["done"]
-    got = render_csv("demo", params, header, rows, trailer).encode("utf-8")
-    assert got == render_per_value("demo", params, header, rows, trailer).encode("utf-8")
+    got = render_csv("demo", params, header, cols, trailer).encode("utf-8")
+    assert got == render_per_value("demo", params, header, zip(*cols), trailer).encode("utf-8")
 
 
-def test_generator_rows():
-    rows = [(1, 0.5, "a"), (2, 0.25, "b")]
-    assert render_csv("demo", {}, ["i", "p", "s"], iter(rows)) == render_per_value(
-        "demo", {}, ["i", "p", "s"], rows)
+def test_generator_columns():
+    cols = [[1, 2], [0.5, 0.25], ["a", "b"]]
+    got = render_csv("demo", {}, ["i", "p", "s"], (iter(col) for col in cols))
+    assert got == render_per_value("demo", {}, ["i", "p", "s"], zip(*cols))
 
 
-@pytest.mark.parametrize("rows", [
-    [(1, 2), (3,)],  # ragged
-    [(1, 2, 3), (4, 5, 6)],  # wider than the header
-    [(1,)],  # narrower than the header
+@pytest.mark.parametrize("cols", [
+    [[1, 3], [2]],  # ragged
+    [[1, 4], [2, 5], [3, 6]],  # more columns than the header has fields
+    [[1]],  # fewer
+    [np.array([1.0, 2.0]), [1]],  # ragged, one of them an array
 ])
-def test_row_length_must_match_header(rows):
+def test_columns_must_match_header(cols):
     with pytest.raises(ValueError, match="fields"):
-        render_csv("demo", {}, ["a", "b"], rows)
+        render_csv("demo", {}, ["a", "b"], cols)
+
+
+def test_carriage_return_raises():
+    # csv.writer leaves it unquoted here, and csv.reader then splits the line at it
+    with pytest.raises(ValueError, match="carriage return"):
+        render_csv("demo", {}, ["s"], [["a\rb"]])

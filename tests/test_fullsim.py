@@ -35,6 +35,20 @@ class TestZeroState:
             fullsim.zero_state(3)
 
 
+class TestWeights:
+    def test_popcount(self):
+        for n in range(13):
+            wt = fullsim.weights(n)
+            assert wt.dtype == np.int64
+            assert wt.tolist() == [bin(x).count("1") for x in range(1 << n)]
+
+    def test_cached_read_only(self):
+        wt = fullsim.weights(7)
+        assert fullsim.weights(7) is wt
+        with pytest.raises(ValueError):
+            wt[0] = 1
+
+
 class TestApplyLayer:
     def test_hadamard_layer(self):
         n = 5

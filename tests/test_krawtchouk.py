@@ -1,7 +1,14 @@
 import pytest
 from math import comb
 
-from dickeprep.krawtchouk import abs_column_sum, column, descending_columns, krawtchouk, matrix
+from dickeprep.krawtchouk import (
+    abs_column_sum,
+    column,
+    columns,
+    descending_columns,
+    krawtchouk,
+    matrix,
+)
 
 # reference matrices for n = 5 and n = 6, entries indexed (i, k)
 MATRIX_N5 = (
@@ -42,6 +49,13 @@ def test_point_values():
 def test_printed_matrices():
     assert matrix(5) == MATRIX_N5
     assert matrix(6) == MATRIX_N6
+
+
+def test_columns_are_the_matrix_columns():
+    for n in (0, 1, 6, 9, 40):
+        assert columns(n) == [list(column(k, n)) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        columns(-1)
 
 
 def test_matrix_trivial():
