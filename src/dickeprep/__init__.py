@@ -39,7 +39,7 @@ from .symstate import (
     repetitions_until_success,
     success_probability,
 )
-from .grover import GroverPlan, amplify, grover_step, plan_amplification, recommended_iterations
+from .grover import GroverPlan, amplify, plan_amplification, recommended_iterations
 from .fullsim import FullState, WeightProfile, weight_profile, zero_state
 from .search import RecordStore, SearchRecord, exhaustive_search, optimize_r, table_one
 
@@ -68,7 +68,6 @@ __all__ = [
     "dj_state",
     "dj_success_exact",
     "exhaustive_search",
-    "grover_step",
     "krawtchouk",
     "matrix",
     "optimal_function",

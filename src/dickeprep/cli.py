@@ -31,7 +31,6 @@ from .symstate import (
     dj_state,
     parity_sample,
     success_probability,
-    weight_probabilities,
 )
 from .krawtchouk import column, columns
 
@@ -171,7 +170,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params = {"n": args.n, "w": args.w, "method": args.method,
                   "trials": args.trials, "seed": args.seed}
         _emit(args, "simulate", params, ["weight", "count", "frequency", "analytic"],
-              [range(args.n + 1), counts, counts / args.trials, weight_probabilities(state)])
+              [range(args.n + 1), counts, counts / args.trials, state.probabilities])
     return 0
 
 

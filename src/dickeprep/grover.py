@@ -11,7 +11,10 @@ and the success probability is exactly sin^2(phi).  The off-target factor
 equals (-1)^t sin((2t+1) psi) / sin(psi) with psi = pi/2 - theta, so it is
 bounded by 2t+1 and stays finite for a Dicke input (cos(theta) = 0).  The
 rotation holds only for a unit vector, so planning first runs the 1e-8
-norm gate of parity measurement and raises StateError past it.
+norm gate of the input's distribution and raises StateError past it.  In
+floats the angles (2t+1) theta and (2t+1) psi each carry an error of about
+(2t+1) eps, so at large t the result drifts off unit norm; amplify gates
+its result too, and sampling reuses that gate.
 """
 
 from __future__ import annotations
@@ -20,13 +23,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import UnreachableTargetError
-from .krawtchouk import column
-from .symstate import SymmetricState, _outcome_distribution, success_probability
+from .symstate import SymmetricState, success_probability
 
 __all__ = [
     "GroverPlan",
     "amplify",
-    "grover_step",
     "plan_amplification",
     "recommended_iterations",
 ]
@@ -38,23 +39,6 @@ class GroverPlan:
 
     theta: float
     t: int
-
-
-def grover_step(s: SymmetricState, initial: SymmetricState, w: int) -> SymmetricState:
-    """One application of (2|Psi><Psi| - I) O_g with |Psi> = initial.
-
-    The literal step that amplify's closed form is checked against: flip
-    a_w, then map a to 2 <Psi, a>_C Psi - a with <x, y>_C = sum_k C(n,k) x_k y_k.
-    """
-    if s.n != initial.n:
-        raise ValueError(f"state n={s.n} and initial n={initial.n} differ")
-    if not 0 <= w <= s.n:
-        raise ValueError(f"w={w} out of range [0, {s.n}]")
-    a = s.amps.copy()
-    a[w] = -a[w]
-    psi = initial.amps
-    overlap = sum(c * x * y for c, x, y in zip(column(0, s.n), psi.tolist(), a.tolist()))
-    return SymmetricState(n=s.n, amps=2.0 * overlap * psi - a)
 
 
 def recommended_iterations(theta: float) -> int:
@@ -77,7 +61,7 @@ def plan_amplification(initial: SymmetricState, w: int) -> GroverPlan:
 
     Raises StateError when the state is not a unit vector within NORM_ATOL.
     """
-    _outcome_distribution(initial)  # the norm gate of parity measurement
+    initial.distribution  # the norm gate of parity measurement
     p = success_probability(initial, w)
     if p <= 0.0:
         raise UnreachableTargetError(f"target weight {w} has zero amplitude")
@@ -86,7 +70,11 @@ def plan_amplification(initial: SymmetricState, w: int) -> GroverPlan:
 
 
 def amplify(initial: SymmetricState, w: int, t: int | None = None) -> SymmetricState:
-    """t Grover steps on the initial state as one rotation (t=None: recommended count)."""
+    """t Grover steps on the initial state as one rotation (t=None: recommended count).
+
+    Raises StateError when the input, or the rotated result, is not a unit
+    vector within NORM_ATOL.
+    """
     if t is not None and t < 0:
         raise ValueError(f"t={t} must be non-negative")
     plan = plan_amplification(initial, w)
@@ -97,4 +85,6 @@ def amplify(initial: SymmetricState, w: int, t: int | None = None) -> SymmetricS
     off = (-1) ** t * (math.sin(m * psi) / math.sin(psi) if psi > 0.0 else m)
     amps = initial.amps * off
     amps[w] = initial.amps[w] * math.sin(m * plan.theta) / math.sin(plan.theta)
-    return SymmetricState(n=initial.n, amps=amps)
+    out = SymmetricState(n=initial.n, amps=amps)
+    out.distribution  # the float rotation is off unit norm at large t
+    return out

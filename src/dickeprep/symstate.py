@@ -16,7 +16,10 @@ Synthesis maps:
   * childs_probability -- the plain biased-Hadamard baseline B_{w,n} |0..0>.
 
 Parity measurement is modeled at the outcome level: weight k is drawn with
-probability C(n,k) a_k^2 and the register collapses to |D^n_k>.
+probability C(n,k) a_k^2 and the register collapses to |D^n_k>.  Each state
+owns that row (`probabilities`) and its gated, normalized form
+(`distribution`), each computed once, so synthesis, Grover planning and
+sampling weigh and gate a state once between them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -48,10 +52,9 @@ __all__ = [
     "parity_sample",
     "repetitions_until_success",
     "success_probability",
-    "weight_probabilities",
 ]
 
-NORM_ATOL = 1e-8  # biased_dj_state, Grover planning and measurement refuse a larger |norm - 1|
+NORM_ATOL = 1e-8  # SymmetricState.distribution refuses a larger |norm - 1|
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +73,34 @@ class SymmetricState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Parity-measurement outcome weights p_k = C(n,k) a_k^2, read-only.
+
+        The binomial row is Krawtchouk column 0.  Each exact C(n,k) is rounded
+        once to a float and multiplied by a_k twice, left to right, so the
+        result is the float product comb(n, k) * a_k * a_k bit for bit.  That
+        rounding holds to n = 1029; from n = 1030 the middle binomials exceed
+        the float range and the conversion raises OverflowError.
+        """
+        p = np.array(column(0, self.n), dtype=float) * self.amps * self.amps
+        p.flags.writeable = False
+        return p
+
+    @cached_property
+    def distribution(self) -> np.ndarray:
+        """probabilities / their sum, read-only: the parity-measurement law.
+
+        Raises StateError, on every access, when the sum misses 1 by more
+        than NORM_ATOL.
+        """
+        total = self.probabilities.sum()
+        if not abs(total - 1.0) <= NORM_ATOL:  # also refuses a NaN norm
+            raise StateError(f"state norm {total:.6g} is not 1 within {NORM_ATOL:g}")
+        p = self.probabilities / total
+        p.flags.writeable = False
+        return p
 
 
 def dicke(n: int, w: int) -> SymmetricState:
@@ -246,43 +277,23 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
         T = biased_amplitude_table(n, k, np.array([rho]))
         amps[k] = signs @ T[:, 0]
     state = SymmetricState(n=n, amps=amps)
-    _outcome_distribution(state)  # the norm gate of parity measurement
+    state.distribution  # the norm gate of parity measurement
     return state
 
 
 # ---------------------------------------------------------------------------
 # parity measurement
 
-def weight_probabilities(s: SymmetricState) -> np.ndarray:
-    """Parity-measurement outcome distribution p_k = C(n,k) a_k^2.
-
-    The binomial row is Krawtchouk column 0.  Each exact C(n,k) is rounded
-    once to a float and multiplied by a_k twice, left to right, so the
-    result is the float product comb(n, k) * a_k * a_k bit for bit.  That
-    rounding holds to n = 1029; from n = 1030 the middle binomials exceed
-    the float range and the conversion raises OverflowError.
-    """
-    return np.array(column(0, s.n), dtype=float) * s.amps * s.amps
-
-
-def _outcome_distribution(s: SymmetricState) -> np.ndarray:
-    p = weight_probabilities(s)
-    total = p.sum()
-    if not abs(total - 1.0) <= NORM_ATOL:  # also refuses a NaN norm
-        raise StateError(f"state norm {total:.6g} is not 1 within {NORM_ATOL:g}")
-    return p / total
-
-
 def parity_measure(s: SymmetricState, rng: np.random.Generator) -> int:
     """Sample one parity-measurement outcome; result k collapses s to |D^n_k>."""
-    return int(rng.choice(s.n + 1, p=_outcome_distribution(s)))
+    return int(rng.choice(s.n + 1, p=s.distribution))
 
 
 def parity_sample(s: SymmetricState, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Vector of `trials` independent parity-measurement outcomes."""
     if trials < 0:
         raise ValueError(f"trials={trials} must be non-negative")
-    return rng.choice(s.n + 1, size=trials, p=_outcome_distribution(s))
+    return rng.choice(s.n + 1, size=trials, p=s.distribution)
 
 
 def repetitions_until_success(s: SymmetricState, w: int, rng: np.random.Generator) -> int:
@@ -292,7 +303,7 @@ def repetitions_until_success(s: SymmetricState, w: int, rng: np.random.Generato
     measurement, so the count is geometric with mean 1/success_probability.
     """
     p = success_probability(s, w)
-    _outcome_distribution(s)  # validate normalization, same gate as parity_measure
+    s.distribution  # validate normalization, same gate as parity_measure
     if p <= 0.0:
         raise UnreachableTargetError(f"target weight {w} has zero amplitude")
     return int(rng.geometric(min(p, 1.0)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dickeprep import fullsim
-from dickeprep.grover import amplify, grover_step
+from dickeprep.grover import amplify
 from dickeprep.krawtchouk import abs_column_sum, matrix
 from dickeprep.search import exhaustive_search, optimize_r
 from dickeprep.symfunc import SymmetricBooleanFunction, c_of_n, optimal_function
@@ -27,9 +27,9 @@ from dickeprep.symstate import (
     parity_sample,
     repetitions_until_success,
     success_probability,
-    weight_probabilities,
 )
 
+from grover_reference import grover_step
 from test_krawtchouk import MATRIX_N5, MATRIX_N6, run_identity_sweep
 
 
@@ -229,7 +229,7 @@ def test_criterion_10_statistics():
     rng = np.random.default_rng(20240915)
     for state in (dj_state(optimal_function(6, 2)), dj_state(optimal_function(9, 4))):
         outcomes = parity_sample(state, trials, rng)
-        probs = weight_probabilities(state)
+        probs = state.probabilities
         for k in range(state.n + 1):
             freq = float(np.mean(outcomes == k))
             sigma = math.sqrt(probs[k] * (1.0 - probs[k]) / trials)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import dickeprep
-from dickeprep import csvio, fullsim
+from dickeprep import csvio, fullsim, symstate
 from dickeprep.cli import main
-from dickeprep.krawtchouk import matrix
+from dickeprep.krawtchouk import column, matrix
 from dickeprep.search import RecordStore, SearchRecord
 from dickeprep.symfunc import SymmetricBooleanFunction
 
@@ -150,6 +150,29 @@ class TestSimulateCommand:
         before = float(out.split("probability before = ")[1].splitlines()[0])
         after = float(out.split("probability after = ")[1].splitlines()[0])
         assert after >= before
+
+    def test_grover_result_off_unit_norm_refused(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "3", "--w", "1", "--method", "dj",
+                             "--grover", "--t", "100000000000000")
+        assert code == 1 and "state norm" in err
+        assert "probability after" not in out
+
+    def test_each_state_weighed_once(self, capsys, monkeypatch):
+        # one binomial row for the input, one for the amplified state: amplify's
+        # re-plan, sampling and the CSV reuse the rows and gates of those two
+        rows = []
+
+        def counting_column(k, n):
+            rows.append((k, n))
+            return column(k, n)
+
+        monkeypatch.setattr(symstate, "column", counting_column)
+        for method in ("dj", "childs"):
+            rows.clear()
+            code, _, _ = run(capsys, "simulate", "--n", "40", "--w", "9", "--method", method,
+                             "--grover", "--trials", "100", "--seed", "1")
+            assert code == 0
+            assert rows == [(0, 40), (0, 40)], method
 
     def test_flag_conflicts(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "4", "--w", "1",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -6,22 +7,21 @@ import pytest
 
 from dickeprep import fullsim
 from dickeprep.errors import StateError, UnreachableTargetError
-from dickeprep.grover import (
-    amplify,
-    grover_step,
-    plan_amplification,
-    recommended_iterations,
-)
+from dickeprep.grover import amplify, plan_amplification, recommended_iterations
 from dickeprep.symfunc import optimal_function
 from dickeprep.symstate import (
     SymmetricState,
+    childs_probability_exact,
+    childs_state,
     dicke,
+    dj_optimal_success_exact,
     dj_state,
     parity_sample,
     repetitions_until_success,
     success_probability,
-    weight_probabilities,
 )
+
+from grover_reference import grover_step
 
 
 def random_symmetric_state(n, rng):
@@ -49,7 +49,7 @@ class TestGroverStep:
             s = random_symmetric_state(n, rng)
             init = random_symmetric_state(n, rng)
             out = grover_step(s, init, int(rng.integers(0, n + 1)))
-            assert abs(weight_probabilities(out).sum() - 1.0) <= 1e-12
+            assert abs(out.probabilities.sum() - 1.0) <= 1e-12
 
     def test_matches_dense_simulation(self):
         rng = np.random.default_rng(8)
@@ -202,10 +202,17 @@ class TestAmplify:
         t = 10**6
         out = amplify(s, 10, t)
         tol = (2 * t + 1) * 1e-15
-        assert weight_probabilities(out).sum() == pytest.approx(1.0, abs=tol)
+        assert out.probabilities.sum() == pytest.approx(1.0, abs=tol)
         assert success_probability(out, 10) == pytest.approx(
             math.sin((2 * t + 1) * theta) ** 2, abs=tol
         )
+
+    def test_result_off_unit_norm_refused(self):
+        # at t = 1e14 the float angles drift apart and the result has norm
+        # 1.00095, where the exact success is sin^2(k pi) = 0 (theta = pi/3)
+        s = dj_state(optimal_function(3, 1))
+        with pytest.raises(StateError, match="state norm 1.00095"):
+            amplify(s, 1, 10**14)
 
     def test_norm_gate(self):
         s = SymmetricState(n=2, amps=[1.0, 1.0, 1.0])
@@ -250,3 +257,46 @@ class TestAmplify:
             amplify(dicke(5, 2), 3, 1)
         with pytest.raises(UnreachableTargetError):
             plan_amplification(dicke(5, 2), 3)
+
+
+def exact_success_curve(p, t_max):
+    """[sin^2((2t+1) theta) for t = 0..t_max] as Fractions, from sin^2(theta) = p.
+
+    p_t = p V_t^2 with V_-1 = -1, V_0 = 1, V_{m+1} = (2 - 4p) V_m - V_{m-1}:
+    V_t = sin((2t+1) theta) / sin(theta) is a polynomial in p.
+    """
+    prev, cur = Fraction(-1), Fraction(1)
+    curve = []
+    for _ in range(t_max + 1):
+        curve.append(p * cur * cur)
+        prev, cur = cur, (2 - 4 * p) * cur - prev
+    return curve
+
+
+class TestExactOracle:
+    """amplify against exact rationals for the DJ optimum and the Childs baseline."""
+
+    @staticmethod
+    def cases():
+        for n in (10, 57, 200, 1029):
+            for w in (1, n // 4, n // 2):
+                yield n, w, "dj", dj_state(optimal_function(n, w)), dj_optimal_success_exact(n, w)
+                yield n, w, "childs", childs_state(n, w), childs_probability_exact(n, w)
+
+    def test_success_and_plan_match_exact(self):
+        # worst measured gap 2.6e-14 (childs, n = 1029)
+        for n, w, method, state, p in self.cases():
+            planned = plan_amplification(state, w).t
+            curve = exact_success_curve(p, 2 * planned + 1)
+            for t in (0, planned, 2 * planned + 1):
+                got = success_probability(amplify(state, w, t), w)
+                assert abs(got - float(curve[t])) <= 1e-13, (n, w, method, t)
+            first_lobe = curve[: planned + 2]
+            assert max(range(planned + 2), key=first_lobe.__getitem__) == planned, (n, w, method)
+
+    def test_later_lobe_can_beat_plan(self):
+        # the plan targets the first peak of sin^2((2t+1) theta) only: at
+        # (57, 1) the DJ optimum has p = 0.288, t = 0, yet t = 2 reaches 0.642
+        curve = exact_success_curve(dj_optimal_success_exact(57, 1), 2)
+        assert plan_amplification(dj_state(optimal_function(57, 1)), 1).t == 0
+        assert float(curve[2] - curve[0]) == pytest.approx(0.354, abs=1e-3)

@@ -30,7 +30,6 @@ from dickeprep.symstate import (
     parity_sample,
     repetitions_until_success,
     success_probability,
-    weight_probabilities,
 )
 
 
@@ -49,7 +48,7 @@ class TestSymmetricState:
 
     def test_dicke(self):
         s = dicke(6, 2)
-        assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
+        assert abs(s.probabilities.sum() - 1.0) <= 1e-10
         assert success_probability(s, 2) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError, match="w="):
             dicke(4, 5)
@@ -64,7 +63,7 @@ class TestDJState:
     def test_worked_example(self):
         s = dj_state(optimal_function(6, 2))
         assert s.amps[2] == pytest.approx(3 / 16, abs=0)
-        assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
+        assert abs(s.probabilities.sum() - 1.0) <= 1e-10
 
     def test_constant_function(self):
         f = SymmetricBooleanFunction(n=5, bits=(0,) * 6)
@@ -82,7 +81,7 @@ class TestDJState:
         for _ in range(100):
             n = int(rng.integers(1, 13))
             s = dj_state(random_function(n, rng))
-            assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
+            assert abs(s.probabilities.sum() - 1.0) <= 1e-10
 
     def test_matches_spectrum_values_bitwise(self):
         rng = np.random.default_rng(41)
@@ -146,7 +145,7 @@ class TestChilds:
     def test_state_matches_probability(self):
         for n, w in ((4, 2), (9, 4), (11, 0), (11, 11)):
             s = childs_state(n, w)
-            assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-12
+            assert abs(s.probabilities.sum() - 1.0) <= 1e-12
             assert success_probability(s, w) == pytest.approx(childs_probability(n, w), rel=1e-12)
 
     def test_baseline_band_and_fact1_floor(self):
@@ -195,14 +194,14 @@ class TestBiasedDJ:
             n = int(rng.integers(1, 11))
             f = random_function(n, rng)
             r = float(rng.uniform(0.0, n))
-            assert abs(weight_probabilities(biased_dj_state(f, r)).sum() - 1.0) <= 1e-10
+            assert abs(biased_dj_state(f, r).probabilities.sum() - 1.0) <= 1e-10
 
     def test_endpoint_biases(self):
         # r = 0 and r = n are valid (0^0 = 1 convention)
         f = optimal_function(5, 2)
         for r in (0.0, 5.0):
             s = biased_dj_state(f, r)
-            assert abs(weight_probabilities(s).sum() - 1.0) <= 1e-10
+            assert abs(s.probabilities.sum() - 1.0) <= 1e-10
 
     def test_norm_gate(self, monkeypatch):
         # a synthesized state off unit norm is refused, not returned
@@ -266,7 +265,7 @@ class TestParityMeasurement:
 
     def test_probabilities_sum(self):
         s = dj_state(optimal_function(9, 4))
-        assert weight_probabilities(s).sum() == pytest.approx(1.0, abs=1e-12)
+        assert s.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
     def comb_loop_probabilities(s):
@@ -282,16 +281,31 @@ class TestParityMeasurement:
             for scale in (2.0 ** (-n / 2), 1e-150, 1e-300):  # the first gives norms near 1
                 states.append(SymmetricState(n=n, amps=rng.normal(size=n + 1) * scale))
             for s in states:
-                got = weight_probabilities(s)
+                got = s.probabilities
                 assert got.tobytes() == self.comb_loop_probabilities(s).tobytes(), n
 
     def test_probabilities_past_float_range_raise(self):
         # C(1030, 515) > 2^1024: the float conversion must raise, never give inf or NaN
         s = SymmetricState(n=1030, amps=np.full(1031, 1e-160))
         with pytest.raises(OverflowError):
-            weight_probabilities(s)
+            s.probabilities
         with pytest.raises(OverflowError):
             parity_sample(s, 10, np.random.default_rng(0))
+
+    def test_outcome_arrays_cached_read_only(self):
+        s = dj_state(optimal_function(9, 4))
+        assert s.probabilities is s.probabilities
+        assert s.distribution is s.distribution
+        for arr in (s.probabilities, s.distribution):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert s.distribution.tobytes() == (s.probabilities / s.probabilities.sum()).tobytes()
+
+    def test_failing_gate_raises_on_every_access(self):
+        junk = SymmetricState(n=3, amps=np.array([0.5, 0.1, 0.0, 0.0]))
+        for _ in range(3):
+            with pytest.raises(StateError, match="state norm"):
+                junk.distribution
 
     def test_unnormalized_rejected(self):
         junk = SymmetricState(n=3, amps=np.array([0.5, 0.1, 0.0, 0.0]))
@@ -320,7 +334,7 @@ class TestRepetitions:
             n = int(rng.integers(2, 11))
             f = random_function(n, rng)
             s = dj_state(f)
-            p = weight_probabilities(s)
+            p = s.probabilities
             w = int(np.argmax(p))  # guarantees p > 0
             mean = np.mean([repetitions_until_success(s, w, rng) for _ in range(40_000)])
             assert mean * p[w] == pytest.approx(1.0, abs=0.02)
