@@ -7,12 +7,18 @@ Dicke state |D^n_w> is the unit vector a_w = 1/sqrt(C(n,w)).
 Synthesis maps:
   * dj_state        -- H U_f H on |0..0>, amplitudes rw_f(k)/2^n (exact ints
                        divided once, so Parseval gives normalization for free)
-  * biased_dj_state -- B_{r,n} U_f H on |0..0>; amplitude at weight k is
-                       2^{-n/2} sum_i (-1)^{f_i} sum_j (-1)^j C(k,j) C(n-k,i-j)
-                           (1-r/n)^{(n-d)/2} (r/n)^{d/2},   d = i+k-2j,
-                       the weight-grouped form of the double sum over basis
-                       strings (x counted by wt(x)=i and overlap |x AND z|=j).
-                       O(n^2) per weight instead of O(4^n).
+  * biased_dj_state -- B_{r,n} U_f H on |0..0>.  Grouping the basis strings
+                       x by weight and by overlap with z gives, at weight k,
+                         sum_i T_i(k) z^i = 2^{-n/2} (v - u z)^k (u + v z)^{n-k}
+                       with u = sqrt(1-r/n), v = sqrt(r/n): the biased form of
+                       the Krawtchouk generating function, which it is, times
+                       2^{-n}, at r = n/2.  The amplitude is
+                       a_k = sum_i (-1)^{f_i} T_i(k).
+                       One table of (u + v z)^m rows, n additive steps, gives
+                       both factors for every k; one matrix product with the
+                       Hankel matrix of the signs sums all weights at once.
+                       O(n) numpy calls and O(n^3) flops per state instead of
+                       O(4^n).
   * childs_probability -- the plain biased-Hadamard baseline B_{w,n} |0..0>.
 
 Parity measurement is modeled at the outcome level: weight k is drawn with
@@ -39,7 +45,6 @@ from .symfunc import SymmetricBooleanFunction, reduced_walsh_spectrum, spectrum_
 __all__ = [
     "SymmetricState",
     "biased_amplitude_spectrum",
-    "biased_amplitude_table",
     "biased_dj_state",
     "childs_probability",
     "childs_probability_exact",
@@ -181,53 +186,8 @@ def childs_state(n: int, w: int) -> SymmetricState:
 # ---------------------------------------------------------------------------
 # biased Deutsch-Jozsa
 
-def _masked_log(x: np.ndarray) -> np.ndarray:
-    # log with -inf replaced by a huge negative finite value so that
-    # d * log(0) evaluates to 0 when d == 0 and underflows to exp(..) = 0
-    # when d > 0, implementing the 0^0 = 1 convention without warnings.
-    with np.errstate(divide="ignore"):
-        out = np.log(x)
-    return np.where(np.isneginf(out), -1e12, out)
-
-
-def biased_amplitude_table(n: int, k: int, rhos: np.ndarray) -> np.ndarray:
-    """Function-independent inner sums of the biased-DJ amplitude at weight k.
-
-    Returns T of shape (n+1, len(rhos)) with
-      T[i, g] = 2^{-n/2} sum_j (-1)^j C(k,j) C(n-k,i-j)
-                (1-rho_g)^{(n-d)/2} rho_g^{d/2},   d = i+k-2j,
-    so the amplitude for a function f is sum_i (-1)^{f_i} T[i].  Logs of the
-    exact binomials keep every term finite at any n.
-    """
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    if np.any(rhos < 0.0) or np.any(rhos > 1.0):
-        raise ValueError("rho values must lie in [0, 1]")
-    lr = _masked_log(rhos)
-    with np.errstate(divide="ignore"):
-        l1r = np.log1p(-rhos)
-    l1r = np.where(np.isneginf(l1r), -1e12, l1r)
-    log_ck = list(map(math.log, column(0, k)))
-    log_cnk = list(map(math.log, column(0, n - k)))
-    half_log = 0.5 * n * math.log(2.0)
-
-    T = np.zeros((n + 1, rhos.shape[0]))
-    for i in range(n + 1):
-        j_lo = max(0, i - (n - k))
-        j_hi = min(i, k)
-        if j_lo > j_hi:
-            continue
-        js = np.arange(j_lo, j_hi + 1)
-        d = (i + k - 2 * js)[:, None].astype(float)
-        base = np.array([log_ck[j] + log_cnk[i - j] for j in js])[:, None] - half_log
-        logw = 0.5 * d * lr[None, :] + 0.5 * (n - d) * l1r[None, :]
-        terms = np.exp(base + logw)
-        terms[js % 2 == 1] *= -1.0
-        T[i] = terms.sum(axis=0)
-    return T
-
-
 def biased_amplitude_spectrum(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Fourier form of the biased_amplitude_table rows at weight k.
+    """Exact Fourier form of the biased-DJ inner sums T_i(k) at weight k.
 
     With sin^2(theta) = rho the bias layer is B = R(theta) Z, and on the
     symmetric subspace R(theta)^{(x)n} = S exp(-i theta X) S^-1, where
@@ -260,22 +220,56 @@ def _check_bias(r: float, n: int) -> float:
     return r / n
 
 
+def _power_rows(a: float, b: float, n: int) -> np.ndarray:
+    """Coefficients of (a + b z)^m, m = 0..n: row m of an (n+1, n+1) table.
+
+    Row m+1 is a * row m plus b * row m shifted one place.  With a, b >= 0
+    both terms are non-negative, so no step cancels, and a or b = 0 gives
+    exact zeros (the 0^0 = 1 convention).
+    """
+    rows = np.zeros((n + 1, n + 2))  # column 0 is a zero pad for the shift
+    rows[0, 1] = 1.0
+    for m in range(n):
+        rows[m + 1, 1:] = a * rows[m, 1:] + b * rows[m, :-1]
+    return rows[:, 1:]
+
+
 def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
     """B_{r,n} U_f H |0..0> in the symmetric representation.
 
+    With u = sqrt(1-r/n), v = sqrt(r/n) and s_i = (-1)^{f_i},
+      a_k = 2^{-n/2} sum_{j,m} s_{j+m} [z^j](v - u z)^k [z^m](u + v z)^{n-k}.
+    The coefficient tables have no cancelling terms, and r = 0 or n needs no
+    special case: the bias layer is then Z or X and every product is exact.
     r = n/2 makes the bias layer an ordinary Hadamard and reproduces
-    dj_state(f).  Cost is O(n^2) per weight, O(n^3) for the full state.
+    dj_state(f).  Cost is n row steps and one (n+1)-square matrix product.
+
+    The sum over j and m cancels: its terms add up in absolute value to
+    ((u+v)/sqrt 2)^n, between 2^{-n/2} and 1, while an amplitude that
+    matters is about 1/sqrt(C(n,k)), so the relative rounding error grows
+    like sqrt(C(n,k)), about 2^{n/2}.
     Raises StateError when sum_k C(n,k) a_k^2 misses 1 by more than
-    NORM_ATOL: the summed terms cancel, so past n of about 60 the result
-    can be far from a unit vector.
+    NORM_ATOL.  For sign-rule functions the gate first refuses a weight at
+    n = 62, and refuses all weights from an n between 76 and 106 that
+    depends on r: (60, w = 15, r = 30) passes, (150, 37, r = 40) raises.  It
+    bounds the norm, not each weight: against exact Pythagorean biases
+    (r = 9n/25 and 25n/169, n <= 100, sign-rule f) a passing state was off
+    by up to 6e-6 in one C(n,k) a_k^2, at (89, 28, r = 9n/25).
     """
     n = f.n
     rho = _check_bias(r, n)
-    signs = np.array(f.signs(), dtype=float)
-    amps = np.empty(n + 1)
-    for k in range(n + 1):
-        T = biased_amplitude_table(n, k, np.array([rho]))
-        amps[k] = signs @ T[:, 0]
+    # the n-k qubits where the output string is 0 contribute (u + v z)^{n-k},
+    # the k where it is 1 contribute (v - u z)^k, whose z^j coefficient is
+    # (-1)^j [z^{k-j}] (u + v z)^k: row k reversed.  For j > k the index
+    # k - j wraps to a column past row k's degree, which holds a zero.
+    on_zeros = _power_rows(math.sqrt(1.0 - rho), math.sqrt(rho), n)
+    ks = np.arange(n + 1)
+    on_ones = on_zeros[ks[:, None], ks[:, None] - ks]
+    on_ones[:, 1::2] *= -1.0
+    # H[j, m] = s_{j+m}; past s_n the padding only meets zero coefficients
+    signs = np.concatenate([f.signs(), np.zeros(n)])
+    hankel = np.lib.stride_tricks.sliding_window_view(signs, n + 1)
+    amps = ((on_ones @ hankel) * on_zeros[::-1]).sum(axis=1) * 2.0 ** (-0.5 * n)
     state = SymmetricState(n=n, amps=amps)
     state.distribution  # the norm gate of parity measurement
     return state

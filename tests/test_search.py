@@ -18,13 +18,14 @@ from dickeprep.search import (
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import (
     biased_amplitude_spectrum,
-    biased_amplitude_table,
     biased_dj_state,
     childs_probability,
     dj_optimal_success_exact,
     dj_state,
     success_probability,
 )
+
+from biased_reference import biased_amplitude_table
 
 
 class TestOptimizeR:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dickeprep.symfunc import (
 from dickeprep.symstate import (
     SymmetricState,
     biased_amplitude_spectrum,
-    biased_amplitude_table,
     biased_dj_state,
     childs_probability,
     childs_probability_exact,
@@ -31,6 +31,8 @@ from dickeprep.symstate import (
     repetitions_until_success,
     success_probability,
 )
+
+from biased_reference import biased_amplitude_table, biased_amplitudes
 
 
 def random_function(n, rng):
@@ -172,7 +174,7 @@ class TestBiasedDJ:
     def test_reduces_to_dj_at_half(self):
         rng = np.random.default_rng(29)
         for _ in range(25):
-            n = int(rng.integers(1, 11))
+            n = int(rng.integers(1, 41))
             f = random_function(n, rng)
             b = biased_dj_state(f, n / 2.0)
             assert np.max(np.abs(b.amps - dj_state(f).amps)) < 1e-12
@@ -197,17 +199,35 @@ class TestBiasedDJ:
             assert abs(biased_dj_state(f, r).probabilities.sum() - 1.0) <= 1e-10
 
     def test_endpoint_biases(self):
-        # r = 0 and r = n are valid (0^0 = 1 convention)
+        # r = 0 and r = n are valid (0^0 = 1 convention) and exact: the bias
+        # layer is Z at r = 0, so a_k = (-1)^k s_k 2^{-n/2}, and X at r = n,
+        # so a_k = s_{n-k} 2^{-n/2}
         f = optimal_function(5, 2)
         for r in (0.0, 5.0):
             s = biased_dj_state(f, r)
             assert abs(s.probabilities.sum() - 1.0) <= 1e-10
+        rng = np.random.default_rng(47)
+        for n in range(1, 41):
+            f = random_function(n, rng)
+            s = np.array(f.signs(), dtype=float)
+            alt = (-1.0) ** np.arange(n + 1)
+            assert np.array_equal(biased_dj_state(f, 0.0).amps, alt * s * 2.0 ** (-n / 2))
+            assert np.array_equal(biased_dj_state(f, float(n)).amps, s[::-1] * 2.0 ** (-n / 2))
+
+    def test_matches_log_space_reference(self):
+        # every weight, n <= 30, against the per-weight log-space table
+        rng = np.random.default_rng(43)
+        for n in range(1, 31):
+            for r in (0.0, float(n), *rng.uniform(0.0, n, 2)):
+                f = random_function(n, rng)
+                expected = biased_amplitudes(np.array(f.signs(), dtype=float), r / n)
+                got = biased_dj_state(f, r).amps
+                assert np.max(np.abs(got - expected)) <= 1e-13, (n, r)
 
     def test_norm_gate(self, monkeypatch):
         # a synthesized state off unit norm is refused, not returned
-        table = symstate.biased_amplitude_table
-        monkeypatch.setattr(symstate, "biased_amplitude_table",
-                            lambda n, k, rhos: 1.0001 * table(n, k, rhos))
+        rows = symstate._power_rows
+        monkeypatch.setattr(symstate, "_power_rows", lambda a, b, n: 1.0001 * rows(a, b, n))
         with pytest.raises(StateError, match="state norm"):
             biased_dj_state(optimal_function(6, 2), 1.7)
 
@@ -217,6 +237,80 @@ class TestBiasedDJ:
             biased_dj_state(f, 4.5)
         with pytest.raises(ValueError, match="r="):
             biased_dj_state(f, -0.1)
+
+
+def pythagorean_rows(n, a, c):
+    """Integer coefficients of (a - b z)^k (b + a z)^(n-k), k = 0..n, b^2 = c^2 - a^2.
+
+    At the bias rho = (a/c)^2, u = b/c and v = a/c, so the biased-DJ
+    generating function at weight k is this row over 2^{n/2} c^n.  Row k+1
+    is row k divided exactly by (b + a z) and multiplied by (a - b z).
+    """
+    b = math.isqrt(c * c - a * a)
+    g = [comb(n, i) * b ** (n - i) * a**i for i in range(n + 1)]
+    rows = [g]
+    for _ in range(n):
+        q = [0]
+        for x in g[:-1]:
+            q.append((x - a * q[-1]) // b)
+        q.append(0)
+        g = [a * hi - b * lo for lo, hi in zip(q, q[1:])]
+        rows.append(g)
+    return rows
+
+
+def exact_biased_probabilities(f, rows, c):
+    """C(n,k) a_k^2 of biased_dj_state(f, n (a/c)^2), each an exact rational, as floats.
+
+    rows is pythagorean_rows(f.n, a, c).
+    """
+    n = f.n
+    den = (1 << n) * c ** (2 * n)
+    return np.array([comb(n, k) * sum(map(mul, f.signs(), row)) ** 2 / den
+                     for k, row in enumerate(rows)])
+
+
+class TestBiasedExactOracle:
+    # Pythagorean biases rho = (a/c)^2 make every C(n,k) a_k^2 rational
+    BIASES = ((3, 5), (5, 13))  # r = 9n/25 and r = 25n/169
+
+    def test_rows_match_polynomial_product(self):
+        for a, c in self.BIASES:
+            b = math.isqrt(c * c - a * a)
+            for n in range(8):
+                for k, row in enumerate(pythagorean_rows(n, a, c)):
+                    g = [0] * (n + 1)
+                    for j in range(k + 1):
+                        for m in range(n - k + 1):
+                            g[j + m] += comb(k, j) * a ** (k - j) * (-b) ** j \
+                                * comb(n - k, m) * b ** (n - k - m) * a**m
+                    assert row == g, (a, c, n, k)
+
+    @pytest.mark.parametrize("n, tol", [(25, 1e-13), (50, 1e-9)])
+    def test_every_weight_against_exact(self, n, tol):
+        for a, c in self.BIASES:
+            rows = pythagorean_rows(n, a, c)
+            for w in range(1, n):
+                f = optimal_function(n, w)
+                p = biased_dj_state(f, a * a * n / (c * c)).probabilities
+                assert np.max(np.abs(p - exact_biased_probabilities(f, rows, c))) <= tol, (a, c, w)
+
+    def test_passing_states_near_exact(self):
+        # The gate bounds the norm, not each weight: a state that passes can
+        # still be off by several 1e-6 in one weight.  The worst on this grid,
+        # and over every (n, w) with 26 <= n <= 100, is 6.0e-6 at
+        # (89, 28, r = 9n/25), whose norm misses 1 by 8.9e-9.
+        for a, c in self.BIASES:
+            for n in range(26, 101, 3):
+                rows = pythagorean_rows(n, a, c)
+                for w in range(1, n, 3):
+                    f = optimal_function(n, w)
+                    try:
+                        p = biased_dj_state(f, a * a * n / (c * c)).probabilities
+                    except StateError:
+                        continue
+                    err = np.max(np.abs(p - exact_biased_probabilities(f, rows, c)))
+                    assert err <= 1e-5, (a, c, n, w)
 
 
 class TestBiasedAmplitudeSpectrum:
