@@ -6,20 +6,33 @@ Its Walsh spectrum depends only on wt(omega), so it reduces to n+1 exact
 integers rw_f(k) = sum_i (-1)^{f_i} K_i(k, n), returned as a plain tuple.
 The mirror identity K_i(n-k, n) = (-1)^i K_i(k, n) lets one Krawtchouk column
 serve both k and n-k, so whole spectra and profiles take only the columns
-k >= n/2 from the additive stepper `krawtchouk.descending_columns`; a single
-spectrum value or optimal function uses the recurrence column alone.  The
-palindrome K_{n-i}(k, n) = (-1)^k K_i(k, n) lets them read only the half
-column i <= n//2: sums of |K_i| count each i < n/2 twice, and the signs of a
-spectrum fold once per column parity, s_i + (-1)^k s_{n-i}.
+k >= n/2; a single spectrum value or optimal function uses the recurrence
+column alone.  The palindrome K_{n-i}(k, n) = (-1)^k K_i(k, n) lets them
+read only the half column i <= n//2: sums of |K_i| count each i < n/2
+twice, and the signs of a spectrum fold once per column parity,
+s_i + (-1)^k s_{n-i}, to weights 0 and +-2 (the middle row of even n keeps
+s_{n/2}).
+
+The profile needs every entry's absolute value, which is not linear in the
+column, so it walks the columns one at a time with the additive stepper
+`krawtchouk.descending_columns`.  A spectrum needs only two folded dots per
+column, which are linear, so `reduced_walsh_spectrum` steps L columns at
+once in lanes of one Python int per row: row i holds
+sum_l K_i(c_l, n) 2^((n+3) l) for L columns c_l an even number apart.
+Every packed value fits its lane: |K_i(k, n)| <= C(n, i), the step's
+partial sums are entries of column k-1, and |folded dot| <= sum_i
+|K_i(k, n)| <= 2^n, so n+3 bits hold every value with a sign margin.  L is
+about sqrt(n/6), capped so a packed row is at most 4096 bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
+from operator import add
 
-from .krawtchouk import column, descending_columns, half_abs_sum
+from .krawtchouk import _half_column, column, descending_columns, half_abs_sum
 
 __all__ = [
     "SymmetricBooleanFunction",
@@ -77,31 +90,91 @@ def spectrum_value(f: SymmetricBooleanFunction, k: int) -> int:
     return sum(s * v for s, v in zip(f.signs(), column(k, f.n)))
 
 
-def _fold(signs: list[int], k: int) -> list[int]:
-    """Weights on the half column: s_i + (-1)^k s_{n-i} for i < n/2, then s_{n/2} for even n."""
+# Spectrum lanes: about sqrt(n / _LANE_DIVISOR), at most _ROW_BITS bits per packed row.
+_ROW_BITS = 4096
+_LANE_DIVISOR = 6
+
+
+def _lane_layout(n: int) -> tuple[int, int]:
+    """(lanes, span): the n//2 + 1 spectrum columns as runs of `span`, stepped side by side.
+
+    About sqrt(n/6) lanes of n+3 bits, at most 4096 bits in all; with more
+    than one lane the span is even, so every lane has the same column parity.
+    """
+    m = n // 2 + 1
+    lanes = max(1, min(math.isqrt(n // _LANE_DIVISOR), _ROW_BITS // (n + 3)))
+    span = -(-m // lanes)
+    if lanes > 1:
+        span += span & 1
+    return -(-m // span), span
+
+
+def _fold_selectors(signs: list[int], parity: int) -> tuple[list[int], list[int]]:
+    """Indices i < n/2 where s_i + (-1)^parity s_{n-i} is +2, and where it is -2."""
     n = len(signs) - 1
-    sign = -1 if k & 1 else 1
+    sign = -1 if parity else 1
     folded = [signs[i] + sign * signs[n - i] for i in range((n + 1) // 2)]
-    return (folded + [signs[n // 2]]) if n % 2 == 0 else folded
+    return [i for i, w in enumerate(folded) if w > 0], [i for i, w in enumerate(folded) if w < 0]
 
 
 def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
     """(rw_f(0), ..., rw_f(n)); Parseval: sum_k C(n,k) rw_f(k)^2 = 2^(2n).
 
-    Column n-k gives rw_f(n-k) and also rw_f(k) = sum_i (-1)^i (-1)^{f_i} K_i(n-k, n).
-    Both sums run over the half column, with the signs folded by the
-    palindrome of column n-k.
+    Column n-k, k <= n//2, gives rw_f(n-k) and also
+    rw_f(k) = sum_i (-1)^i (-1)^{f_i} K_i(n-k, n).  Both run over the half
+    column with the signs folded by the palindrome of column n-k, so each
+    is a sum of selected rows, doubled, plus the middle row of even n: no
+    multiplies.
+
+    Lane layout (`_lane_layout`): the columns n, n-1, ..., n - n//2 are cut
+    into L runs of `span` columns, `span` even when L > 1, and lane l steps
+    the run that starts at column n - l*span, seeded by the recurrence
+    (`krawtchouk._half_column`).  The last run may end past column
+    n - n//2; its extra columns are dropped.  Row i is one int,
+    sum_l K_i(n - l*span - j, n) 2^(B l) at step j, with B = n + 3.  One
+    `accumulate(map(add, ...))` pass steps every lane k -> k-1, and the
+    selected-row sums dot every lane, because both are linear; the even span
+    gives all lanes one column parity, hence one pair of folded selectors.
+
+    Width bound: |K_i(k, n)| <= C(n, i), and the step's partial sums are
+    entries of column k-1, so a packed row stays within its L*B bits; a
+    folded dot is at most sum_i |K_i(k, n)| <= 2^n in absolute value, inside
+    the [-2^(n+2), 2^(n+2)) that a signed B-bit lane holds.  Each dot is
+    unpacked once per lane after adding 2^(B-1) to every lane, so a negative
+    lane borrows nothing from the lane above it.
     """
     n = f.n
     signs = list(f.signs())
     mirrored = [-s if i & 1 else s for i, s in enumerate(signs)]
-    folds = [(_fold(signs, p), _fold(mirrored, p)) for p in (0, 1)]
-    out = [0] * (n + 1)
-    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
-        direct, mirror = folds[(n - k) & 1]
-        out[n - k] = sum(map(mul, direct, half))
-        out[k] = sum(map(mul, mirror, half))
-    return tuple(out)
+    selectors = [(_fold_selectors(signs, p), _fold_selectors(mirrored, p)) for p in (0, 1)]
+    middle = (signs[n // 2], mirrored[n // 2]) if n % 2 == 0 else (0, 0)
+
+    m = n // 2 + 1
+    lanes, span = _lane_layout(n)
+    width = n + 3
+    offset = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shifts = range(0, width * lanes, width)
+    bias = sum(offset << s for s in shifts)
+
+    rows = [0] * m
+    for l in reversed(range(lanes)):
+        rows = [(r << width) + v for r, v in zip(rows, _half_column(n - l * span, n))]
+
+    direct_dots, mirror_dots = [], []
+    for j in range(span):
+        if j:
+            rows = list(accumulate(map(add, rows, [0] + rows[:-1])))
+        row = rows.__getitem__
+        for dots, (plus, minus), mid in zip((direct_dots, mirror_dots), selectors[(n - j) & 1], middle):
+            dot = 2 * (sum(map(row, plus)) - sum(map(row, minus))) + mid * rows[-1]
+            dots.append(dot + bias)
+
+    def unpack(dots: list[int]) -> list[int]:
+        """Every lane of every biased dot, lane-major: entry l*span + j is column n - l*span - j."""
+        return [((d >> s) & mask) - offset for s in shifts for d in dots]
+
+    return tuple(unpack(mirror_dots)[:m] + unpack(direct_dots)[: n + 1 - m][::-1])
 
 
 def optimal_function(n: int, w: int) -> SymmetricBooleanFunction:

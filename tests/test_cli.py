@@ -360,6 +360,10 @@ class TestOutputDigests:
              "7eeb1c16b685e82dc1c30af303a7188edfb3550589eff9e749f855fce5cff7d3"),
             (("krawtchouk", "--n", "160"),
              "5a8e5c824b803d9c40cfae3b6b1f2eb7e39cd85537d488b63d6a237c8d213aab"),
+            # even n, several spectrum lanes and the folded middle row
+            (("simulate", "--n", "706", "--w", "92", "--method", "dj", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "8116eb6a620667ca868c00ce66379e75c5c93c81d68c7006bf8dc515b9ea1119"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

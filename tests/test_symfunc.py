@@ -4,15 +4,18 @@ from math import comb
 import numpy as np
 import pytest
 
-from dickeprep.krawtchouk import abs_column_sum, matrix
+from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
+    _lane_layout,
     c_of_n,
     c_profile,
     optimal_function,
     reduced_walsh_spectrum,
     spectrum_value,
 )
+
+from spectrum_reference import reduced_walsh_spectrum as reference_spectrum
 
 
 def naive_walsh(f, omega):
@@ -123,6 +126,66 @@ class TestSpectrum:
             weights = np.array([comb(n, k) for k in range(n + 1)], dtype=np.int64)
             parseval = (weights[None, :] * rw * rw).sum(axis=1)
             assert np.all(parseval == 1 << (2 * n))
+
+
+def _test_functions(n, rng):
+    """A random f, the constant f, the parity f (f_i = i mod 2) and the sign-rule f at w = n//3."""
+    return [
+        SymmetricBooleanFunction(n=n, bits=tuple(int(b) for b in rng.integers(0, 2, n + 1))),
+        SymmetricBooleanFunction(n=n, bits=(0,) * (n + 1)),
+        SymmetricBooleanFunction(n=n, bits=tuple(i % 2 for i in range(n + 1))),
+        optimal_function(n, n // 3),
+    ]
+
+
+class TestLanePackedSpectrum:
+    """The lane-packed stepper against the literal per-column loop and exact identities."""
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(160)
+        for n in range(161):
+            for f in _test_functions(n, rng):
+                assert reduced_walsh_spectrum(f) == reference_spectrum(f), n
+
+    def test_reference_range_covers_every_layout(self):
+        # one lane, a full last lane and a partial last lane, each at both parities of n
+        kinds = set()
+        for n in range(161):
+            lanes, span = _lane_layout(n)
+            kind = "one" if lanes == 1 else "full" if lanes * span == n // 2 + 1 else "partial"
+            kinds.add((n % 2, kind))
+        assert kinds == {(p, kind) for p in (0, 1) for kind in ("one", "full", "partial")}
+
+    def test_layout(self):
+        # past n = 4093 one (n+3)-bit lane alone fills the 4096-bit cap
+        for n in range(5000):
+            lanes, span = _lane_layout(n)
+            m = n // 2 + 1
+            assert (lanes - 1) * span < m <= lanes * span, n
+            assert lanes * span <= n + 1, n  # every lane steps through real columns
+            assert lanes == 1 or span % 2 == 0, n
+            assert lanes == 1 or lanes * (n + 3) <= 4096, n
+
+    @pytest.mark.parametrize("n", [301, 706, 1029, 1060, 2000])
+    def test_extreme_values(self, n):
+        # |rw| = 2^n, the largest value a lane holds, in the first lane's first column
+        zero = (0,) * n
+        constant = SymmetricBooleanFunction(n=n, bits=(0,) * (n + 1))
+        parity = SymmetricBooleanFunction(n=n, bits=tuple(i % 2 for i in range(n + 1)))
+        assert reduced_walsh_spectrum(constant) == (2**n,) + zero
+        assert reduced_walsh_spectrum(parity) == zero + (2**n,)
+
+    @pytest.mark.parametrize("n", [1029, 1060, 2000])
+    def test_parseval_and_point_values(self, n):
+        rng = np.random.default_rng(n)
+        f = SymmetricBooleanFunction(n=n, bits=tuple(int(b) for b in rng.integers(0, 2, n + 1)))
+        rw = reduced_walsh_spectrum(f)
+        assert sum(b * v * v for b, v in zip(column(0, n), rw)) == 4**n
+        lanes, span = _lane_layout(n)
+        edges = {0, n // 2, n - n // 2, n}
+        edges |= {k for l in range(lanes) for k in (l * span, l * span + span - 1, n - l * span)}
+        ks = sorted(k for k in edges | set(rng.integers(0, n + 1, 8).tolist()) if 0 <= k <= n)
+        assert [rw[k] for k in ks] == [spectrum_value(f, k) for k in ks]
 
 
 class TestOptimalFunction:
