@@ -8,9 +8,10 @@ them.  The amplitude is linear in the per-weight signs, amp = sum_i
 is the sign rule f_i = [T_i(r) < 0] and max_f |amp| = ||T(r)||_1 (the paper's
 DJ argument, applied at every bias).  The sign patterns at the points of
 the r grid, linspace(0, n, 512), are the candidates; each is then maximized
-over r by the same grid followed by golden-section refinement down to a
-bracket of 1e-8 in r.  Both values are fixed, because the bound
-MAX_EXHAUSTIVE_N below was checked with exactly these.
+over r by the same grid, whose best point brackets the maximum between its
+neighbours, followed by Newton's method in theta inside that bracket, run
+until its step is a few ulps of theta.  The grid is fixed, because the bound
+MAX_EXHAUSTIVE_N below was checked with exactly this grid.
 The winning (f, r, p) records form a small database (JSON lines) that the
 actual state-preparation run would consult.  For every w and every
 n <= MAX_EXHAUSTIVE_N = 48 the result reaches the maximum over theta of
@@ -21,8 +22,10 @@ The kernel uses that each weight's inner sum T_i is an exact trigonometric
 polynomial in theta, sin^2(theta) = r/n, with integer frequencies
 (symstate.biased_amplitude_spectrum).  So one small matrix product per
 (n, w) and batch of functions gives every function's Fourier coefficients;
-the grid is then one more matrix product, and each golden-section probe
-costs one cos/sin evaluation per coefficient.  A function and its
+the grid is then one more matrix product.  The derivatives of amp are
+closed-form in the same coefficients, so each Newton step on
+p'(theta) = 2 C(n,w) amp amp' costs one cos/sin evaluation per coefficient,
+and three or four steps reach the maximum.  A function and its
 complement have exactly negated coefficients, so they tie bit for bit and
 only the member with f_n = 0 is kept.  Mirror pairs also tie exactly:
 p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i} (complemented when
@@ -33,8 +36,7 @@ relabelled to the member with the lower (function value, r).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,8 +60,9 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 48
 _GRID_POINTS = 512  # r grid of every maximization, see _grid
-_R_TOL = 1e-8  # golden-section refinement stops at this bracket width in r
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
+# bisection toward a root near theta = 0 does not run down into denormals
+_THETA_STEP = 4.0 * float(np.spacing(np.pi / 2))
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,9 @@ class SearchRecord:
     method: str = "biased"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        fields = {"n": self.n, "w": self.w, "f_hex": self.f_hex, "r": self.r,
+                  "probability": self.probability, "method": self.method}
+        return json.dumps(fields, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
@@ -91,15 +96,20 @@ def _grid(n: int) -> np.ndarray:
     return np.linspace(0.0, float(n), _GRID_POINTS)
 
 
+def _theta(n: int, rs: np.ndarray) -> np.ndarray:
+    """The angle of bias r: sin^2(theta) = r/n."""
+    return np.arcsin(np.sqrt(rs / n))
+
+
 def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """[cos(lam theta), sin(lam theta)] per bias r, with sin^2(theta) = r/n."""
-    phase = np.arcsin(np.sqrt(rs / n))[:, None] * lam[None, :]
+    phase = _theta(n, rs)[:, None] * lam[None, :]
     return np.hstack([np.cos(phase), np.sin(phase)])
 
 
-def _fold(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies lam >= 0 and per-row coefficients: amp = coef . _waves(theta)."""
-    lam, C = biased_amplitude_spectrum(n, w)
+def _fold(lam: np.ndarray, C: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies l >= 0 and per-row coefficients [a_l, b_l] of the spectrum
+    (lam, C): amp = coef . _waves(theta) = sum_l a_l cos(l theta) + b_l sin(l theta)."""
     A = signs @ C  # per-function Fourier coefficients, amp_f = Re sum A e^{-i theta lam}
     # fold each pair +-l onto l >= 0 (lam ascends, so A[:, ::-1] is at -lam),
     # which halves the cos/sin evaluations
@@ -118,10 +128,72 @@ def _mirror(n: int, value: int) -> int:
     return m ^ ((1 << (n + 1)) - 1) if m >> n else m
 
 
-def _optimize_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row global max of p(r) on [0, n]: grid scan + golden-section refine."""
+def _slopes(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = amp amp' and h' = amp'^2 + amp amp'' at each row's own theta.
+
+    One cos/sin pass over the folded coefficients: amp = sum a c + b s,
+    amp' = sum l (b c - a s) and amp'' = -sum l^2 (a c + b s), with
+    c, s = cos(l theta), sin(l theta).  Negated coefficients give the same
+    h and h' bit for bit.
+    """
+    a, b = coef[:, :lam.size], coef[:, lam.size:]
+    phase = theta[:, None] * lam
+    c, s = np.cos(phase), np.sin(phase)
+    even = a * c + b * s
+    amp = even.sum(axis=1)
+    d1 = ((b * c - a * s) * lam).sum(axis=1)
+    d2 = -(even * (lam * lam)).sum(axis=1)
+    return amp * d1, d1 * d1 + amp * d2
+
+
+def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose bracket [lo, hi] holds a maximum of amp^2, and its theta there.
+
+    p rises from the start theta toward one bracket end; only where h changes
+    sign between the two is there a maximum inside, and it is the root of h,
+    found by Newton safeguarded with bisection (rtsafe, Numerical Recipes
+    9.4).  The other rows are left to the caller's endpoint comparison.
+    """
+    h, dh = _slopes(lam, coef, theta)
+    far = np.where(h > 0, hi, lo)
+    h_far, _ = _slopes(lam, coef, far)
+    idx = np.flatnonzero(((h > 0) & (h_far < 0)) | ((h < 0) & (h_far > 0)))
+    out = theta[idx]
+    t, h, dh, far, coef = out, h[idx], dh[idx], far[idx], coef[idx]
+    a, b = np.minimum(t, far), np.maximum(t, far)  # h(a) > 0 > h(b)
+    dx = dx_old = b - a
+    rows = np.arange(idx.size)
+    while rows.size:
+        step = h / np.where(dh < 0, dh, -1.0)
+        nt = t - step
+        # bisect where Newton leaves the bracket, runs downhill in p (h' >= 0)
+        # or does not halve the step before last
+        bisect = (dh >= 0) | (nt < a) | (nt > b) | (2.0 * np.abs(step) > dx_old)
+        nt = np.where(bisect, 0.5 * (a + b), nt)
+        dx_old, dx = dx, np.abs(nt - t)
+        out[rows] = t = nt
+        go = dx > _THETA_STEP
+        rows, t, a, b, dx, dx_old, coef = (x[go] for x in (rows, t, a, b, dx, dx_old, coef))
+        h, dh = _slopes(lam, coef, t)
+        a = np.where(h > 0, t, a)
+        b = np.where(h < 0, t, b)
+    return idx, out
+
+
+def _optimize_batch(n: int, w: int, signs: np.ndarray,
+                    spectrum: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row global max of p(r) on [0, n]: grid scan, then Newton in theta.
+
+    The best grid point (ties keep the leftmost) brackets the maximum between
+    its neighbours.  Inside that bracket Newton refines the root of
+    p'(theta) = 2 C(n,w) amp amp'; p at the result is then compared with p at
+    both bracket ends, so an endpoint maximum is kept.  `spectrum` is
+    biased_amplitude_spectrum(n, w), when the caller already has it.
+    """
     grid = _grid(n)
-    lam, coef = _fold(n, w, signs)
+    lam, coef = _fold(*(biased_amplitude_spectrum(n, w) if spectrum is None else spectrum), signs)
     scale = comb(n, w)
 
     def probability(rs: np.ndarray) -> np.ndarray:  # each function at its own r
@@ -132,23 +204,22 @@ def _optimize_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.n
     best = P.argmax(axis=1)  # leftmost max on ties
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]
-    while float(np.max(hi - lo)) > _R_TOL:
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        pc = probability(c)
-        pd = probability(d)
-        move_lo = pd > pc
-        lo = np.where(move_lo, c, lo)
-        hi = np.where(move_lo, hi, d)
-    r = 0.5 * (lo + hi)
-    return r, probability(r)
+    r = grid[best]
+    idx, theta = _newton(lam, coef, _theta(n, r), _theta(n, lo), _theta(n, hi))
+    r[idx] = n * np.sin(theta) ** 2
+    rs = np.stack([lo, hi, r])
+    ps = np.stack([probability(x) for x in rs])
+    pick = ps.argmax(axis=0)  # an end that ties the refined point keeps its exact r
+    rows = np.arange(r.size)
+    return rs[pick, rows], ps[pick, rows]
 
 
 def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     """Best bias for one function: argmax_r p(r) over [0, n] and the value.
 
-    The r grid (ties keep the leftmost point), then golden-section
-    refinement of the winning bracket.
+    The r grid (ties keep the leftmost point), then Newton's method in theta
+    inside the bracket of the winning grid point; a bracket end that is at
+    least as high is returned instead, so an endpoint maximum is kept.
     """
     if f.n < 1:
         raise ValueError(f"n={f.n} must be positive")
@@ -167,7 +238,8 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     """Best (f, r) over all 2^(n+1) symmetric functions at weight w.
 
     Candidates are the sign-rule functions f_i = [T_i(r) < 0] at the grid
-    biases, each refined over r from the same grid; the highest p wins, then
+    biases, each maximized over r as in optimize_r, from one spectrum of
+    (n, w) shared by the collection and the refinement; the highest p wins, then
     the lowest function value, and the winner is relabelled to the lower
     (value, r) member of its mirror pair.
     """
@@ -180,12 +252,13 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
         raise ValueError(f"n={n} must be positive")
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    lam, coef = _fold(n, w, np.eye(n + 1))
+    spectrum = biased_amplitude_spectrum(n, w)
+    lam, coef = _fold(*spectrum, np.eye(n + 1))
     negative = (coef @ _waves(n, lam, _grid(n)).T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0
     values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
-    r, p = _optimize_batch(n, w, _sign_rows(n, values))
+    r, p = _optimize_batch(n, w, _sign_rows(n, values), spectrum)
     idx = int(np.argmax(p))  # values ascend, so ties keep the lowest value
     value, r_best = min(
         (int(values[idx]), float(r[idx])),

@@ -317,7 +317,7 @@ class TestOutputDigests:
               "--f", "03", "--trials", "5000", "--seed", "3"),
              "d93ef5e832b1bcb1c7f85db03df9276276f2928dcfed55df801c8679ceb56af8"),
             (("table1", "--from", "3", "--to", "7"),
-             "fc59bb9ac5c0f3f467c1f72d38be49f4ca608df954812fe1f1f3cc303ee7f036"),
+             "5741c7bfc028524bc5473792716aa9b9bee3a453ba5e9a859e08e039f6ff9e06"),
             # long enough that whole columns come from the additive stepper
             (("curves", "--n", "999"),
              "351e3a2d47e4390d0471e99a281a511d99c4802737de0549cc0a17268b100e22"),
@@ -364,6 +364,9 @@ class TestOutputDigests:
             (("simulate", "--n", "706", "--w", "92", "--method", "dj", "--grover",
               "--trials", "20000", "--seed", "5"),
              "8116eb6a620667ca868c00ce66379e75c5c93c81d68c7006bf8dc515b9ea1119"),
+            # the Newton-refined search through n = 11
+            (("table1", "--from", "8", "--to", "11"),
+             "b1d7105ad8d3a6b8707c20d56a3caedd6b8396fbe35da18e7a0c4da507519618"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

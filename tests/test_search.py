@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import comb
 
@@ -25,6 +26,7 @@ from dickeprep.symstate import (
     success_probability,
 )
 
+import search_reference
 from biased_reference import biased_amplitude_table
 
 
@@ -189,6 +191,64 @@ class TestSpectralKernel:
             assert f.bits[n] == 0
 
 
+class TestNewtonRefinement:
+    """Newton in theta against the literal golden-section loop it replaced."""
+
+    def test_not_below_golden_reference(self):
+        # every sign-rule candidate of every (n, w) up to n = 13, and a sample up to 48
+        cells = [(n, w) for n in range(1, 14) for w in range(n + 1)]
+        cells += [(n, w) for n in (17, 24, 31, 40, 48) for w in (1, n // 4, n // 2, n - 3)]
+        for n, w in cells:
+            signs = search._sign_rows(n, search_reference.candidates(n, w))
+            _, p = search._optimize_batch(n, w, signs)
+            _, p_ref = search_reference.optimize_batch(n, w, signs)
+            assert np.all(p >= p_ref - 2e-15), (n, w)
+
+    def test_optimize_r_not_below_golden_reference(self):
+        for n in range(16, 65):
+            for w in sorted({1, n // 3, n // 2, n - 2}):
+                f = optimal_function(n, w)
+                _, p = optimize_r(f, w)
+                _, p_ref = search_reference.optimize_batch(n, w, np.array([f.signs()], dtype=float))
+                assert p >= p_ref[0] - 2e-15, (n, w)
+
+    def test_mirror_weights_agree_in_r(self):
+        # the optimum at n - w is the optimum at w, at r or at n - r; the golden
+        # loop left them up to 6e-8 apart
+        for n in range(1, 14):
+            recs = [exhaustive_search(n, w) for w in range(n + 1)]
+            for w in range(n + 1):
+                r, r_mirror = recs[w].r, recs[n - w].r
+                assert min(abs(r - r_mirror), abs(r - (n - r_mirror))) <= 1e-12, (n, w)
+
+    def test_middle_weight_reaches_dj_to_ulps(self):
+        # at w = n/2 the sign-rule function peaks at the r = 0 end, at p_dj;
+        # the golden loop stopped about 1e-8 short
+        for n in (16, 32):
+            w = n // 2
+            p_dj = float(dj_optimal_success_exact(n, w))
+            _, p = optimize_r(optimal_function(n, w), w)
+            assert abs(p - p_dj) <= 4 * np.spacing(p_dj)
+
+    def test_endpoint_maxima_reach_dj(self):
+        # endpoint maxima the golden loop lost, by up to 6e-2 at (52, 26)
+        for n, w in ((52, 26), (56, 28), (60, 30), (63, 31), (63, 32), (64, 32)):
+            _, p = optimize_r(optimal_function(n, w), w)
+            assert p >= float(dj_optimal_success_exact(n, w)) - 1e-12, (n, w)
+
+    def test_one_spectrum_per_search(self, monkeypatch):
+        calls = []
+        real = search.biased_amplitude_spectrum
+
+        def counted(n, w):
+            calls.append((n, w))
+            return real(n, w)
+
+        monkeypatch.setattr(search, "biased_amplitude_spectrum", counted)
+        exhaustive_search(9, 4)
+        assert calls == [(9, 4)]
+
+
 class TestBaselineRecords:
     def test_dj_record(self):
         rec = dj_record(6, 2)
@@ -256,6 +316,10 @@ class TestRecordStore:
         index = store.index()
         assert index[(4, 1)].f_hex == "3"
         assert index[(4, 2)].probability == 0.9
+
+    def test_json_matches_asdict(self):
+        for rec in (exhaustive_search(6, 2), dj_record(6, 2), childs_record(6, 3)):
+            assert rec.to_json() == json.dumps(dataclasses.asdict(rec), sort_keys=True)
 
     def test_missing_file_is_empty(self, tmp_path):
         store = RecordStore(tmp_path / "nope.jsonl")
