@@ -33,7 +33,6 @@ __all__ = [
     "apply_phase_oracle",
     "biased_dj_output",
     "diffuse_about",
-    "dj_output",
     "flip_weight",
     "from_symmetric",
     "max_qubits",
@@ -155,16 +154,8 @@ def diffuse_about(s: FullState, psi: FullState) -> FullState:
     return FullState(n=s.n, amps=2.0 * overlap * psi.amps - s.amps)
 
 
-def dj_output(f: SymmetricBooleanFunction) -> FullState:
-    """H^n U_f H^n |0..0> as a dense state."""
-    s = zero_state(f.n)
-    s = apply_layer(s, f.n / 2.0)
-    s = apply_phase_oracle(s, f)
-    return apply_layer(s, f.n / 2.0)
-
-
 def biased_dj_output(f: SymmetricBooleanFunction, r: float) -> FullState:
-    """B_{r,n} U_f H^n |0..0>: Hadamard layer, phase oracle, then the bias layer."""
+    """B_{r,n} U_f H^n |0..0>: Hadamard layer, phase oracle, bias layer (DJ at r = n/2)."""
     s = zero_state(f.n)
     s = apply_layer(s, f.n / 2.0)
     s = apply_phase_oracle(s, f)

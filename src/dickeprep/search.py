@@ -19,7 +19,8 @@ C(n,w) ||T||_1^2 to 2e-15, and up to n = 13 it equals the full scan's; at
 n = 52 the grid first misses a sign pattern, so larger n is refused.
 
 The kernel uses that each weight's inner sum T_i is an exact trigonometric
-polynomial in theta, sin^2(theta) = r/n, with integer frequencies
+polynomial in theta, sin^2(theta) = r/n, with integer frequencies, whose
+coefficients are products of two Krawtchouk numbers, conjugate at +-l
 (symstate.biased_amplitude_spectrum).  So one small matrix product per
 (n, w) and batch of functions gives every function's Fourier coefficients;
 the grid is then one more matrix product.  The derivatives of amp are
@@ -110,16 +111,10 @@ def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
 def _fold(lam: np.ndarray, C: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies l >= 0 and per-row coefficients [a_l, b_l] of the spectrum
     (lam, C): amp = coef . _waves(theta) = sum_l a_l cos(l theta) + b_l sin(l theta)."""
-    A = signs @ C  # per-function Fourier coefficients, amp_f = Re sum A e^{-i theta lam}
-    # fold each pair +-l onto l >= 0 (lam ascends, so A[:, ::-1] is at -lam),
-    # which halves the cos/sin evaluations
-    up = lam >= 0
-    mirror = A[:, ::-1][:, up]
-    coef = np.hstack([
-        A[:, up].real + np.where(lam[up] > 0, mirror.real, 0.0),
-        A[:, up].imag - mirror.imag,
-    ])
-    return lam[up], coef
+    up = lam >= 0  # the column at -l is the exact conjugate of the one at l: count l twice
+    A = signs @ C[:, up]  # per-function Fourier coefficients at lam >= 0
+    twice = np.where(lam[up] > 0, 2.0, 1.0)
+    return lam[up], np.hstack([A.real * twice, A.imag * twice])
 
 
 def _mirror(n: int, value: int) -> int:

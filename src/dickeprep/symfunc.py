@@ -28,6 +28,7 @@ about sqrt(n/6), capped so a packed row is at most 4096 bits.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
@@ -70,6 +71,8 @@ class SymmetricBooleanFunction:
     @classmethod
     def from_hex(cls, n: int, code: str) -> "SymmetricBooleanFunction":
         """Decode the hex rendering of the bit string f_n f_{n-1} ... f_1 f_0."""
+        if not re.fullmatch(r"[0-9A-Fa-f]+", code):
+            raise ValueError(f"{code!r} is not a hex string")  # int() takes 0x3, +3, 3_0, " 3"
         return cls.from_value(n, int(code, 16))
 
     @property

@@ -209,6 +209,14 @@ class TestFullsimCommand:
         assert code == 0
         assert path.read_bytes() == out.encode("utf-8")
 
+    @pytest.mark.parametrize("f_hex", ["0x3", " 3 ", "3_0", "+3", "0X1f", "\u0663"])
+    def test_rejects_non_hex_function(self, capsys, f_hex):
+        code, out, err = run(capsys, "fullsim", "--n", "4", "--f", f_hex, "--r", "1.3")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: --f: ") and "not a hex string" in err
+
     def test_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "3")
         code, _, err = run(capsys, "fullsim", "--n", "4", "--f", "0")

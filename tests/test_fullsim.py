@@ -94,7 +94,7 @@ class TestPhaseOracle:
         assert np.array_equal(fullsim.apply_phase_oracle(s, one).amps, -s.amps)
 
     def test_dj_pipeline_worked_example(self):
-        out = fullsim.dj_output(optimal_function(6, 2))
+        out = fullsim.biased_dj_output(optimal_function(6, 2), 3.0)
         wt = fullsim.weights(6)
         assert np.max(np.abs(out.amps[wt == 2] - 3 / 16)) < 1e-14
 
@@ -108,7 +108,7 @@ class TestWeightProfile:
         rng = np.random.default_rng(13)
         for _ in range(20):
             n = int(rng.integers(1, 11))
-            profile = fullsim.weight_profile(fullsim.dj_output(random_function(n, rng)))
+            profile = fullsim.weight_profile(fullsim.biased_dj_output(random_function(n, rng), n / 2))
             assert profile.symmetric
             assert profile.max_deviation <= 1e-10
 

@@ -69,6 +69,7 @@ class TestSymmetricBooleanFunction:
         assert f.bits == (0, 1, 0, 0, 0)
         assert SymmetricBooleanFunction(n=6, bits=(0, 0, 1, 1, 1, 0, 0)).to_hex() == "1C"
         assert SymmetricBooleanFunction.from_hex(4, "0").to_hex() == "0"
+        assert SymmetricBooleanFunction.from_hex(8, "1f").to_hex() == "1F"
 
     def test_hex_round_trip(self):
         for n in range(0, 7):
@@ -86,6 +87,12 @@ class TestSymmetricBooleanFunction:
             SymmetricBooleanFunction.from_value(3, 16)
         with pytest.raises(ValueError):
             SymmetricBooleanFunction.from_hex(3, "-1")
+
+    @pytest.mark.parametrize("code", ["0x3", " 3 ", "3_0", "+3", "0X1f", "\u0663", ""])
+    def test_hex_accepts_only_ascii_digits(self, code):
+        # int(code, 16) takes every one of these but the empty string
+        with pytest.raises(ValueError, match="not a hex string"):
+            SymmetricBooleanFunction.from_hex(8, code)
 
 
 class TestSpectrum:

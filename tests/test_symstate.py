@@ -8,7 +8,7 @@ import pytest
 
 from dickeprep import fullsim, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
-from dickeprep.krawtchouk import abs_column_sum
+from dickeprep.krawtchouk import abs_column_sum, columns
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
     dj_optimal_profile,
@@ -75,7 +75,7 @@ class TestDJState:
 
     def test_against_dense_oracle(self):
         f = SymmetricBooleanFunction(n=4, bits=(0, 1, 0, 0, 1))
-        expected = fullsim.to_symmetric(fullsim.dj_output(f))
+        expected = fullsim.to_symmetric(fullsim.biased_dj_output(f, 2.0))
         assert np.max(np.abs(dj_state(f).amps - expected.amps)) < 1e-14
 
     def test_normalization_random(self):
@@ -331,6 +331,43 @@ class TestBiasedAmplitudeSpectrum:
             assert lam.dtype.kind == "i"
             assert lam.tolist() == list(range(-n, n + 1, 2))
             assert C.shape == (n + 1, n + 1)
+            assert C.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [12, 48, 64, 100, 300])
+    def test_matches_exact_closed_form(self, n):
+        # the column at lam = n - 2l holds i^{k+i} K_i(l, n) K_l(k, n) / 2^{3n/2},
+        # a rational for even n; every entry is purely real or imaginary
+        K = columns(n)  # K[l][i] = K_i(l, n)
+        scale = 1 << (3 * n // 2)
+        for k in (1, n // 4, n // 2):
+            lam, C = biased_amplitude_spectrum(n, k)
+            for i in range(n + 1):
+                sign = -1 if (k + i) % 4 >= 2 else 1
+                part, zero = (C[i].real, C[i].imag) if (k + i) % 2 == 0 else (C[i].imag, C[i].real)
+                assert not zero.any()
+                for j, l in enumerate(range(n, -1, -1)):
+                    assert lam[j] == n - 2 * l
+                    exact = Fraction(sign * K[l][i] * K[k][l], scale)
+                    got = float(part[j])
+                    if exact == 0:
+                        assert got == 0.0, (k, i, l)
+                    else:
+                        ulps = abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+                        assert ulps <= 4, (k, i, l, float(ulps))
+
+    def test_negative_frequencies_are_exact_conjugates(self):
+        # search._fold reads only the columns lam >= 0 and doubles lam > 0
+        for n in (1, 2, 12, 33, 100):
+            for k in (0, 1, n // 3, n // 2, n):
+                lam, C = biased_amplitude_spectrum(n, k)
+                assert np.array_equal(C[:, ::-1], C.conj())
+
+    def test_float_range(self):
+        # Krawtchouk entries pass the float range at n = 1030
+        lam, C = biased_amplitude_spectrum(1029, 514)
+        assert np.isfinite(C).all()
+        with pytest.raises(OverflowError):
+            biased_amplitude_spectrum(1030, 1)
 
     def test_weight_domain_error(self):
         with pytest.raises(ValueError, match="k="):
