@@ -9,6 +9,7 @@ deterministic for a fixed seed: same config, same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from itertools import product
@@ -18,21 +19,22 @@ import numpy as np
 from . import __version__, csvio, fullsim, grover, search
 from .symfunc import (
     SymmetricBooleanFunction,
-    c_profile,
+    c_minima,
     dj_optimal_profile,
     optimal_function,
+    quarter_slice,
     spectrum_value,
 )
 from .symstate import (
     biased_dj_state,
     childs_probability,
+    childs_profile,
     childs_state,
-    dj_optimal_success_exact,
     dj_state,
     parity_sample,
     success_probability,
 )
-from .krawtchouk import column, columns
+from .krawtchouk import column, column_strings
 
 __all__ = ["main"]
 
@@ -43,6 +45,26 @@ def _emit(args: argparse.Namespace, command: str, params: dict, header, cols, tr
         csvio.write_csv(out, command, params, header, cols, trailer)
     else:
         sys.stdout.write(csvio.render_csv(command, params, header, cols, trailer))
+
+
+@contextlib.contextmanager
+def _full_integers():
+    """Lift CPython's 4300-digit limit on int-to-decimal text while output is written.
+
+    Exact integers are printed in full.  The limit is process-wide and main()
+    may run in-process, so it is restored on the way out.  Pythons without
+    the limit (before 3.10.7) have nothing to lift.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_function(n: int, code: str) -> SymmetricBooleanFunction:
@@ -64,33 +86,33 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise ValueError(f"--n must be non-negative, got {n}")
-    if args.k is not None:
-        if not 0 <= args.k <= n:
-            raise ValueError(f"--k must be in [0, {n}], got {args.k}")
-        _emit(args, "krawtchouk", {"n": n, "k": args.k}, ["i", "value"],
-              [range(n + 1), column(args.k, n)])
-    else:
-        header = ["i"] + [f"k{k}" for k in range(n + 1)]
-        _emit(args, "krawtchouk", {"n": n}, header, [range(n + 1), *columns(n)])
+    if args.k is not None and not 0 <= args.k <= n:
+        raise ValueError(f"--k must be in [0, {n}], got {args.k}")
+    with _full_integers():
+        if args.k is not None:
+            _emit(args, "krawtchouk", {"n": n, "k": args.k}, ["i", "value"],
+                  [range(n + 1), column(args.k, n)])
+        else:
+            header = ["i"] + [f"k{k}" for k in range(n + 1)]
+            _emit(args, "krawtchouk", {"n": n}, header, [range(n + 1), *column_strings(n)])
     return 0
 
 
 def _cmd_optfn(args: argparse.Namespace) -> int:
     _check_w(args.n, args.w)
     f = optimal_function(args.n, args.w)
+    rw = spectrum_value(f, args.w)
     print(f"re_f = [{', '.join(str(b) for b in f.bits)}]")
     print(f"hex = {f.to_hex()}")
-    print(f"rw_f({args.w}) = {spectrum_value(f, args.w)}")
+    with _full_integers():
+        print(f"rw_f({args.w}) = {rw}")
     return 0
 
 
 def _cmd_cn(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
-    cs, w_mins = [], []
-    for profile in map(c_profile, range(1, args.max_n + 1)):
-        cs.append(min(profile))
-        w_mins.append(profile.index(cs[-1]))
+    cs, w_mins = zip(*c_minima(args.max_n))
     _emit(args, "cn", {"max_n": args.max_n}, ["n", "c", "w_min"], [range(1, len(cs) + 1), cs, w_mins])
     return 0
 
@@ -99,12 +121,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    # the baseline is symmetric in w <-> n-w, like the DJ profile
-    childs = [0.0] * (n + 1)
-    for w in range(n // 2 + 1):
-        childs[w] = childs[n - w] = childs_probability(n, w)
     _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
-          [range(n + 1), dj_optimal_profile(n), childs])
+          [range(n + 1), dj_optimal_profile(n), childs_profile(n)])
     return 0
 
 
@@ -113,8 +131,7 @@ def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
     ns = range(4, args.max_n + 1)
     _emit(args, "sweep-quarter", {"max_n": args.max_n}, ["n", "dj_prob", "childs_prob"],
-          [ns, [float(dj_optimal_success_exact(n, n // 4)) for n in ns],
-           [childs_probability(n, n // 4) for n in ns]])
+          [ns, quarter_slice(args.max_n)[4:], [childs_probability(n, n // 4) for n in ns]])
     return 0
 
 

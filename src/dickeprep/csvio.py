@@ -6,10 +6,12 @@ byte-identical files), then a header row, then data rows.  Probabilities are
 printed to 9 significant digits; exact integers in full.
 
 `render_csv` takes one column per header field.  A float or int ndarray is
-formatted once per distinct value, any other column by `fmt` per value; the
-bytes equal `csv.writer` on per-value `fmt` (`,`, `"`, newline and a lone
-empty field quoted).  Columns unlike the header in count or length, and a
-carriage return in a field (which csv.reader would split at), raise ValueError.
+formatted once per distinct value, a list of only `str` is its own text
+(`fmt` returns a str unchanged), and any other column goes through `fmt` per
+value; the bytes equal `csv.writer` on per-value `fmt` (`,`, `"`, newline
+and a lone empty field quoted).  Columns unlike the header in count or
+length, and a carriage return in a field (which csv.reader would split at),
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _format_column(col: Iterable[object]) -> list[str]:
         # distinct bit patterns, not values, so that -0.0 stays apart from 0.0
         bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
         return np.array(list(map(fmt, bits.view(col.dtype))), dtype=object)[inv].tolist()
-    out = list(map(fmt, col))
+    out = col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))
     text = "".join(out)
     return list(map(_quote, out)) if any(c in text for c in ',"\n\r') else out
 

@@ -36,6 +36,18 @@ n//2 and fills the rest by the palindrome; `descending_columns` yields only
 the half columns (K_0(k, n), ..., K_{n//2}(k, n)), which `full_column`
 completes.  With the mirror, a consumer of the whole matrix computes a
 quarter of it.
+
+A column also steps in n: G_k^(n+1) = G_k^(n) (1+z) and
+G_{k+1}^(n+1) = G_k^(n) (1-z), one add or subtract per half-column entry
+(`next_half_column`; for odd n the half column first gains
+K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).  Sweeps over
+n (`symfunc.c_minima`, `symfunc.quarter_slice`) carry one column this way
+instead of rebuilding every n from scratch.
+
+`column_strings` gives the matrix as decimal text for the `krawtchouk`
+dump.  The palindrome and the mirror hold each |K_i(k, n)| up to four
+times, so only the half columns k >= n/2 go through `str`; every other cell
+adds or drops a leading "-" (a zero stays "0").
 """
 
 from __future__ import annotations
@@ -43,11 +55,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 __all__ = [
     "abs_column_sum",
     "column",
+    "column_strings",
     "columns",
     "krawtchouk",
     "matrix",
@@ -118,6 +131,22 @@ def descending_columns(n: int) -> Iterator[list[int]]:
         yield col
 
 
+def next_half_column(half: list[int], k: int, n: int, down: bool = False) -> list[int]:
+    """Half column k at n+1 from half column k at n; half column k+1 at n+1 when `down`.
+
+    G_k^(n+1) = G_k^(n) (1+z) and G_{k+1}^(n+1) = G_k^(n) (1-z), so entry i is
+    K_i(k, n) + K_{i-1}(k, n), or K_i(k, n) - K_{i-1}(k, n): one add per
+    entry.  For odd n the half column grows by one entry, whose input
+    K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) comes from the palindrome, so it
+    is 2 K_{n//2}(k, n) or 0 (times -1 when `down`).
+    """
+    out = [half[0], *map(sub if down else add, half[1:], half)]
+    if n & 1:
+        last = 2 * half[-1] if (k & 1) == down else 0
+        out.append(-last if down else last)
+    return out
+
+
 def columns(n: int) -> list[list[int]]:
     """The exact Krawtchouk matrix as its n+1 columns: entry [k][i] = K_i(k, n)."""
     if n < 0:
@@ -128,6 +157,29 @@ def columns(n: int) -> list[list[int]]:
         col = full_column(half, n - k, n)
         cols[n - k] = col
         cols[k] = list(map(mul, alt, col))
+    return cols
+
+
+def column_strings(n: int) -> list[list[str]]:
+    """The decimal text of every entry of columns(n), each |K_i(k, n)| formatted once.
+
+    Only the half columns k >= n/2 go through `str`; the palindrome and the
+    mirror give every other entry by adding or dropping a leading "-".
+    """
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    cols: list[list[str]] = [[]] * (n + 1)
+    tail = n - n // 2  # entries i > n//2, which are K_{n-i}: n-i = tail-1, ..., 0
+    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
+        text = list(map(str, half))
+        neg = [t[1:] if t[0] == "-" else t if t == "0" else "-" + t for t in text]  # "0" stays "0"
+        odd = (n - k) & 1
+        col = text + (neg if odd else text)[:tail][::-1]
+        col_neg = neg + (text if odd else neg)[:tail][::-1]
+        cols[n - k] = col
+        mirror = col[:]  # K_i(k, n) = (-1)^i K_i(n-k, n)
+        mirror[1::2] = col_neg[1::2]
+        cols[k] = mirror
     return cols
 
 

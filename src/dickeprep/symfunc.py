@@ -15,9 +15,17 @@ s_{n/2}).
 
 The profile needs every entry's absolute value, which is not linear in the
 column, so it walks the columns one at a time with the additive stepper
-`krawtchouk.descending_columns`.  A spectrum needs only two folded dots per
-column, which are linear, so `reduced_walsh_spectrum` steps L columns at
-once in lanes of one Python int per row: row i holds
+`krawtchouk.descending_columns`.  Sweeps over n walk along n instead:
+`quarter_slice` carries the single column k = n//4 and `c_minima` each
+column k from n = 2k up, by the Pascal step `krawtchouk.next_half_column`
+(one add per half-column entry, where a step in k costs two), with
+C(n, k) carried by one exact multiply and divide.  Each keeps one column
+live, and each value is the same correctly rounded ratio as the per-n
+profile's.
+
+A spectrum needs only two folded dots per column, which are linear, so
+`reduced_walsh_spectrum` steps L columns at once in lanes of one Python int
+per row: row i holds
 sum_l K_i(c_l, n) 2^((n+3) l) for L columns c_l an even number apart.
 Every packed value fits its lane: |K_i(k, n)| <= C(n, i), the step's
 partial sums are entries of column k-1, and |folded dot| <= sum_i
@@ -33,14 +41,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .krawtchouk import _half_column, column, descending_columns, half_abs_sum
+from .krawtchouk import _half_column, column, descending_columns, half_abs_sum, next_half_column
 
 __all__ = [
     "SymmetricBooleanFunction",
+    "c_minima",
     "c_of_n",
     "c_profile",
     "dj_optimal_profile",
     "optimal_function",
+    "quarter_slice",
     "reduced_walsh_spectrum",
     "spectrum_value",
 ]
@@ -223,3 +233,61 @@ def c_profile(n: int) -> list[float]:
 def c_of_n(n: int) -> float:
     """min_w C(n,w) rw_f(w)^2 sqrt(n) / 2^(2n) over the sign-rule functions."""
     return min(c_profile(n))
+
+
+def c_minima(max_n: int) -> list[tuple[float, int]]:
+    """(c(n), w_min(n)) for n = 1..max_n: min(c_profile(n)) and its first index.
+
+    Each column k <= max_n//2 is carried along n = 2k..max_n by the Pascal
+    step (1+z), one add per half-column entry, with C(n, k) by one exact
+    multiply and divide; column k at n = 2k comes from column k-1 at
+    n = 2k-2 by (1-z), then (1+z).  Only one carried column is live at a
+    time.  Every term is the same float as in c_profile, and the profile is
+    symmetric in w <-> n-w, so a strict `<` over ascending k keeps the first
+    minimum, as `profile.index` does.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n={max_n} must be positive")
+    cs, w_mins = [math.inf] * (max_n + 1), [0] * (max_n + 1)
+    denoms = [1 << (2 * n) for n in range(max_n + 1)]
+    scales = [math.sqrt(n) for n in range(max_n + 1)]
+    seed, seed_binom = [1], 1  # column 0 at n = 0
+    for k in range(max_n // 2 + 1):
+        if k:
+            seed = next_half_column(next_half_column(seed, k - 1, 2 * k - 2, down=True), k, 2 * k - 1)
+            seed_binom = seed_binom * (2 * k) * (2 * k - 1) // (k * k)
+        half, binom = seed, seed_binom
+        for n in range(max(2 * k, 1), max_n + 1):
+            if n > 2 * k:
+                half = next_half_column(half, k, n - 1)
+                binom = binom * n // (n - k)
+            s = half_abs_sum(half, n)
+            c = (binom * s * s) / denoms[n] * scales[n]
+            if c < cs[n]:
+                cs[n], w_mins[n] = c, k
+    return list(zip(cs[1:], w_mins[1:]))
+
+
+def quarter_slice(max_n: int) -> list[float]:
+    """dj_optimal_profile(n)[n // 4] for n = 0..max_n, one carried column.
+
+    Column k = n//4 goes from n to n+1 by the Pascal step (1+z), or by
+    (1-z) to column k+1 where (n+1)//4 > k, with C(n, k) carried by one
+    exact multiply and divide.  Each value is the same correctly rounded
+    ratio as float(symstate.dj_optimal_success_exact(n, n // 4)).
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n={max_n} must be non-negative")
+    out = [1.0]
+    k, half, binom = 0, [1], 1  # column 0 at n = 0
+    for n in range(1, max_n + 1):
+        down = n // 4 > k
+        half = next_half_column(half, k, n - 1, down)
+        if down:
+            k += 1
+            binom = binom * n // k
+        else:
+            binom = binom * n // (n - k)
+        s = half_abs_sum(half, n)
+        out.append((binom * s * s) / (1 << (2 * n)))
+    return out

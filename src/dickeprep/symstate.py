@@ -48,6 +48,7 @@ __all__ = [
     "biased_dj_state",
     "childs_probability",
     "childs_probability_exact",
+    "childs_profile",
     "childs_state",
     "dicke",
     "dj_optimal_success_exact",
@@ -169,6 +170,21 @@ def childs_probability(n: int, w: int) -> float:
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
     return (comb(n, w) * w**w * (n - w) ** (n - w)) / n**n
+
+
+def childs_profile(n: int) -> list[float]:
+    """[childs_probability(n, w) for w in 0..n], bit for bit.
+
+    One n**n and the binomial row (Krawtchouk column 0) serve every w, and
+    the value at w is also the one at n - w.
+    """
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    nn = n**n
+    out = [0.0] * (n + 1)
+    for w, binom in zip(range(n // 2 + 1), column(0, n)):
+        out[w] = out[n - w] = (binom * w**w * (n - w) ** (n - w)) / nn
+    return out
 
 
 def childs_state(n: int, w: int) -> SymmetricState:

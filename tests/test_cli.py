@@ -10,7 +10,7 @@ import pytest
 import dickeprep
 from dickeprep import csvio, fullsim, symstate
 from dickeprep.cli import main
-from dickeprep.krawtchouk import column, matrix
+from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.search import RecordStore, SearchRecord
 from dickeprep.symfunc import SymmetricBooleanFunction
 
@@ -57,6 +57,20 @@ class TestOptfnCommand:
         code, _, err = run(capsys, "optfn", "--n", "4", "--w", "7")
         assert code == 1
         assert "--w" in err
+
+    def test_exact_integer_past_4300_digits(self, capsys):
+        # rw_f(1) at n = 14400 has 4333 digits, past CPython's default text limit
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        before = get_limit() if get_limit else None
+        code, out, err = run(capsys, "optfn", "--n", "14400", "--w", "1")
+        assert code == 0, err
+        assert (get_limit() if get_limit else None) == before  # restored for the caller
+        text = out.splitlines()[2].removeprefix("rw_f(1) = ")
+        assert len(text) == 4333 and text.isdigit()
+        # compared in 40-digit pieces, each within the default limit
+        expected = abs_column_sum(1, 14400)
+        pieces = [int(text[max(0, j - 40):j]) for j in range(len(text), 0, -40)]
+        assert sum(p * 10 ** (40 * i) for i, p in enumerate(pieces)) == expected
 
 
 class TestCnCommand:
@@ -375,6 +389,14 @@ class TestOutputDigests:
             # the Newton-refined search through n = 11
             (("table1", "--from", "8", "--to", "11"),
              "b1d7105ad8d3a6b8707c20d56a3caedd6b8396fbe35da18e7a0c4da507519618"),
+            # columns carried along n: the largest benchmark sizes
+            (("cn", "--max-n", "250"),
+             "6f5f9efe5377da1d715e735d689aacccbdc44b68a41b08bec79963479a7d101f"),
+            (("sweep-quarter", "--max-n", "800"),
+             "44c8df3394d7f6757614762809c3459c1c7368d83fc3d3b41f283ef2c0e19299"),
+            # the smallest palindrome and mirror edge of the dump
+            (("krawtchouk", "--n", "1"),
+             "113b446998022b215ad83d3551840184c972d539910d82cfbf45f46d17f0008f"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -56,6 +56,9 @@ CASES = {  # name -> (header, columns)
         np.array([0.0, -0.0, 0.0, -0.0]),
     ]),
     "single column of empty strs": (["s"], [["", "a", ""]]),
+    "str columns, as the krawtchouk dump emits them": (["i", "k0", "k1"], [
+        range(3), ["1", "-20", "0"], ["-1", "a,b", 'q"'],
+    ]),
     "single empty header field": ([""], [[1, 2]]),
 }
 
@@ -90,3 +93,13 @@ def test_carriage_return_raises():
     # csv.writer leaves it unquoted here, and csv.reader then splits the line at it
     with pytest.raises(ValueError, match="carriage return"):
         render_csv("demo", {}, ["s"], [["a\rb"]])
+
+
+def test_str_column_passes_through_without_fmt(monkeypatch):
+    import dickeprep.csvio as csvio
+
+    calls = []
+    monkeypatch.setattr(csvio, "fmt", lambda v: calls.append(v) or fmt(v))
+    got = render_csv("demo", {}, ["a", "b"], [["1", "-2"], [3, "x"]])
+    assert got == render_per_value("demo", {}, ["a", "b"], [("1", 3), ("-2", "x")])
+    assert calls == [3, "x"]  # only the column that is not all str

@@ -4,10 +4,12 @@ from math import comb
 from dickeprep.krawtchouk import (
     abs_column_sum,
     column,
+    column_strings,
     columns,
     descending_columns,
     krawtchouk,
     matrix,
+    next_half_column,
 )
 
 # reference matrices for n = 5 and n = 6, entries indexed (i, k)
@@ -164,6 +166,35 @@ def test_binomial_rows():
         assert list(column(0, n)) == row, n
         signed = [-v if i & 1 else v for i, v in enumerate(row[: n // 2 + 1])]
         assert next(descending_columns(n)) == signed, n
+
+
+def test_pascal_step_matches_column_up_to_64():
+    # G_k^(n) (1+z) = G_k^(n+1) and G_k^(n) (1-z) = G_{k+1}^(n+1), on the half column
+    for n in range(0, 64):
+        for k in range(n + 1):
+            half = list(column(k, n)[: n // 2 + 1])
+            up = next_half_column(half, k, n)
+            down = next_half_column(half, k, n, down=True)
+            assert up == list(column(k, n + 1)[: (n + 1) // 2 + 1]), (k, n)
+            assert down == list(column(k + 1, n + 1)[: (n + 1) // 2 + 1]), (k, n)
+            assert half == list(column(k, n)[: n // 2 + 1])  # the input is left as it was
+
+
+def test_column_strings_are_str_of_columns_up_to_64():
+    for n in range(0, 65):
+        assert column_strings(n) == [list(map(str, col)) for col in columns(n)], n
+    with pytest.raises(ValueError, match="n="):
+        column_strings(-1)
+
+
+def test_column_strings_never_print_negative_zero():
+    # K_3(1, 6) = 0 reaches column 5 through the mirror's sign flip; K_2(3, 9) = 0
+    assert krawtchouk(3, 1, 6) == 0 and krawtchouk(3, 5, 6) == 0
+    assert column_strings(6)[5][3] == "0" and column_strings(6)[1][3] == "0"
+    assert krawtchouk(2, 3, 9) == 0
+    assert column_strings(9)[3][2] == "0" and column_strings(9)[6][2] == "0"
+    for n in range(0, 65):
+        assert not any("-0" == t for col in column_strings(n) for t in col), n
 
 
 def test_stepper_domain_error():

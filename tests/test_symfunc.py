@@ -8,9 +8,12 @@ from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
     _lane_layout,
+    c_minima,
     c_of_n,
     c_profile,
+    dj_optimal_profile,
     optimal_function,
+    quarter_slice,
     reduced_walsh_spectrum,
     spectrum_value,
 )
@@ -262,3 +265,35 @@ class TestCofN:
         s = abs_column_sum(w, n)
         expected = comb(n, w) * s * s / 4**n * math.sqrt(n)
         assert c_profile(n)[w] == pytest.approx(expected, rel=1e-15)
+
+
+class TestCarriedColumns:
+    """The sweeps that carry one column along n give the per-n references bit for bit."""
+
+    def test_c_minima_match_profile_min_and_index(self):
+        ref = []
+        for n in range(1, 121):
+            prof = c_profile(n)
+            ref.append((min(prof), prof.index(min(prof))))
+        assert c_minima(120) == ref
+        # each N ends the walk at a different seed column and parity
+        for max_n in range(1, 41):
+            assert c_minima(max_n) == ref[:max_n], max_n
+
+    def test_c_minima_domain(self):
+        with pytest.raises(ValueError, match="max_n="):
+            c_minima(0)
+
+    def test_quarter_slice_matches_exact_optimum(self):
+        from dickeprep.symstate import dj_optimal_success_exact
+
+        got = quarter_slice(400)
+        assert got == [float(dj_optimal_success_exact(n, n // 4)) for n in range(401)]
+        assert quarter_slice(0) == [1.0]
+        assert quarter_slice(9) == got[:10]
+
+    def test_quarter_slice_matches_profile(self):
+        got = quarter_slice(64)
+        assert got == [dj_optimal_profile(n)[n // 4] for n in range(65)]
+        with pytest.raises(ValueError, match="max_n="):
+            quarter_slice(-1)

@@ -21,6 +21,7 @@ from dickeprep.symstate import (
     biased_dj_state,
     childs_probability,
     childs_probability_exact,
+    childs_profile,
     childs_state,
     dicke,
     dj_optimal_success_exact,
@@ -143,6 +144,12 @@ class TestChilds:
         for n in [*range(0, 81), 999]:
             for w in range(n + 1):
                 assert childs_probability(n, w) == float(childs_probability_exact(n, w)), (n, w)
+
+    def test_profile_matches_probability(self):
+        for n in [*range(0, 81), 999, 1000]:
+            assert childs_profile(n) == [childs_probability(n, w) for w in range(n + 1)], n
+        with pytest.raises(ValueError, match="n="):
+            childs_profile(-1)
 
     def test_state_matches_probability(self):
         for n, w in ((4, 2), (9, 4), (11, 0), (11, 11)):
