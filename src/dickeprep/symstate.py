@@ -26,6 +26,20 @@ probability C(n,k) a_k^2 and the register collapses to |D^n_k>.  Each state
 owns that row (`probabilities`) and its gated, normalized form
 (`distribution`), each computed once, so synthesis, Grover planning and
 sampling weigh and gate a state once between them.
+
+Outcomes are drawn by inverse CDF through a guide table (Chen & Asau, AIIE
+Trans. 6 (1974) 163; Devroye, Non-Uniform Random Variate Generation, 1986,
+III.2.4), bit for bit the stream of Generator.choice(n + 1, size, p=...).
+Like choice, the sampler takes cdf = cumsum(distribution) / its last entry
+and one uniform u = rng.random() per trial, and the outcome is
+#{cdf <= u} = cdf.searchsorted(u, side="right").  With G the smallest power
+of two >= 4(n+1), the table holds cut[j] = #{cdf <= j/G}; u*G and j/G are
+exact, and #{cdf <= u} is non-decreasing in u, so on the bucket
+j <= u*G < j+1 it lies between cut[j] and cut[j+1].  Where the two agree
+that count is the outcome, read with one gather; only trials in a bucket
+that holds a cdf value are binary-searched.  The uniforms are drawn a block
+at a time into one buffer, so a draw holds 8 bytes per trial (the outcome
+array) where choice holds 16.
 """
 
 from __future__ import annotations
@@ -289,16 +303,42 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
 # ---------------------------------------------------------------------------
 # parity measurement
 
+_BLOCK = 1 << 15  # uniforms drawn per rng.random call in parity_sample
+
+
 def parity_measure(s: SymmetricState, rng: np.random.Generator) -> int:
-    """Sample one parity-measurement outcome; result k collapses s to |D^n_k>."""
-    return int(rng.choice(s.n + 1, p=s.distribution))
+    """Sample one parity-measurement outcome; result k collapses s to |D^n_k>.
+
+    One uniform, the same value as int(rng.choice(s.n + 1, p=s.distribution)).
+    """
+    return int(parity_sample(s, 1, rng)[0])
 
 
 def parity_sample(s: SymmetricState, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Vector of `trials` independent parity-measurement outcomes."""
+    """Vector of `trials` independent parity-measurement outcomes, int64.
+
+    Equal to rng.choice(s.n + 1, size=trials, p=s.distribution), and leaves
+    rng where choice would; the module docstring gives the guide-table
+    argument.
+    """
     if trials < 0:
         raise ValueError(f"trials={trials} must be non-negative")
-    return rng.choice(s.n + 1, size=trials, p=s.distribution)
+    cdf = s.distribution.cumsum()
+    cdf /= cdf[-1]
+    g = 1 << (4 * cdf.size - 1).bit_length()  # smallest power of two >= 4(n+1)
+    # cdf * g is exact, so cdf <= j/g exactly when ceil(cdf * g) <= j
+    cut = np.bincount(np.ceil(cdf * g).astype(np.intp), minlength=g + 1).cumsum()
+    guide = np.where(cut[:-1] == cut[1:], cut[:-1], -1)  # -1: search this bucket
+    out = np.empty(trials, dtype=np.int64)
+    u = np.empty(min(trials, _BLOCK))
+    for start in range(0, trials, _BLOCK):
+        k = out[start:start + _BLOCK]
+        v = rng.random(out=u[:k.size])
+        np.multiply(v, g, out=k, casting="unsafe")  # the bucket floor(u * g)
+        np.take(guide, k, out=k, mode="clip")
+        miss = np.flatnonzero(k < 0)
+        k[miss] = cdf.searchsorted(v[miss], side="right")
+    return out
 
 
 def repetitions_until_success(s: SymmetricState, w: int, rng: np.random.Generator) -> int:

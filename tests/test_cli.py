@@ -418,6 +418,27 @@ class TestHarness:
         assert proc.returncode == 0
         assert "hex = 1C" in proc.stdout
 
+    def test_unallocatable_trials_refused_in_one_line(self):
+        # No trials limit exists yet: 10^11 outcomes need 745 GiB and the
+        # allocation fails.  The address-space cap makes it fail on any host,
+        # overcommitting or not, before a single page is touched.
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        root = str(Path(dickeprep.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dickeprep.cli", "simulate", "--n", "5", "--w", "2",
+             "--method", "dj", "--trials", "100000000000"],
+            capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
     def test_failure_leaves_no_partial_file(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         code, _, err = run(capsys, "cn", "--max-n", "5", "--out", str(target))

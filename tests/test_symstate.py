@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -8,11 +9,13 @@ import pytest
 
 from dickeprep import fullsim, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
+from dickeprep.grover import amplify, plan_amplification
 from dickeprep.krawtchouk import abs_column_sum, columns
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
     dj_optimal_profile,
     optimal_function,
+    reduced_walsh_spectrum,
     spectrum_value,
 )
 from dickeprep.symstate import (
@@ -33,6 +36,7 @@ from dickeprep.symstate import (
     success_probability,
 )
 
+import sampler_reference
 from biased_reference import biased_amplitude_table, biased_amplitudes
 
 
@@ -452,6 +456,173 @@ class TestParityMeasurement:
             parity_measure(junk, rng)
         with pytest.raises(StateError):
             parity_sample(junk, 10, rng)
+
+
+def sampler_states(n):
+    """Dicke, Childs (endpoints too), DJ, biased-DJ and Grover-amplified states at n."""
+    w = n // 4
+    f = optimal_function(n, w)
+    states = [dicke(n, n // 2), dj_state(f)]
+    if n:
+        states += [childs_state(n, 0), childs_state(n, n // 3), childs_state(n, n),
+                   amplify(states[1], w)]
+    if 1 <= n <= 40:
+        states.append(biased_dj_state(f, n / 3))
+    return states
+
+
+def two_boundary_state():
+    """n = 2 with law (0.30, 0.01, 0.69): cdf 0.30 and 0.31 share the bucket [4/16, 5/16).
+
+    G = 16 buckets.  Weight 1 owns [0.30, 0.31), which lies inside that one
+    bucket, so the guide table never answers 1: every 1 drawn comes from the
+    binary-search fallback.
+    """
+    return SymmetricState(n=2, amps=np.sqrt([0.30, 0.01 / 2, 0.69]))
+
+
+class TestSamplerExactness:
+    """parity_sample and parity_measure against Generator.choice (sampler_reference)."""
+
+    TRIALS = (0, 1, 2, 1000, 20_000)
+
+    def assert_same_draw(self, s, trials, seed, bit_generator=np.random.PCG64):
+        rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        got = parity_sample(s, trials, rng)
+        want = sampler_reference.parity_sample(s, trials, ref_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape == (trials,)
+        assert np.array_equal(got, want), (s.n, trials, seed)
+        assert rng.random() == ref_rng.random(), (s.n, trials, seed)  # same stream position
+
+    @pytest.mark.parametrize("ns, seeds", [
+        (range(0, 41), range(5)),
+        ((64, 129, 300, 1028, 1029), range(3)),
+    ])
+    def test_samples_match_choice(self, ns, seeds):
+        for n in ns:
+            for s in sampler_states(n):
+                for seed in seeds:
+                    for trials in self.TRIALS:
+                        self.assert_same_draw(s, trials, seed)
+
+    def test_fallback_search(self):
+        s = two_boundary_state()
+        for seed in range(5):
+            assert (parity_sample(s, 20_000, np.random.default_rng(seed)) == 1).any()
+            self.assert_same_draw(s, 20_000, seed)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox, np.random.SFC64])
+    def test_blocks_continue_one_stream(self, bit_generator):
+        # more trials than one block of uniforms, ending inside a block
+        trials = 2 * symstate._BLOCK + 3
+        for s in (two_boundary_state(), amplify(dj_state(optimal_function(300, 75)), 75)):
+            self.assert_same_draw(s, trials, 11, bit_generator)
+
+    def test_measure_matches_choice(self):
+        for n in (0, 1, 6, 40, 1029):
+            for s in sampler_states(n) + [two_boundary_state()]:
+                rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+                got = [parity_measure(s, rng) for _ in range(50)]
+                want = [sampler_reference.parity_measure(s, ref_rng) for _ in range(50)]
+                assert got == want and all(type(k) is int for k in got), n
+                assert rng.random() == ref_rng.random()
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials=-1"):
+            parity_sample(dicke(3, 1), -1, np.random.default_rng(0))
+
+    def test_peak_memory_per_trial(self):
+        # Generator.choice holds two 8-byte arrays per trial (uniforms and
+        # outcomes).  The bound is those 16 B per trial plus 1 MiB of slack for
+        # the guide table and one block's scratch; the draw itself keeps only
+        # the 8-byte outcome array per trial.
+        trials = 10**6
+        s = amplify(dj_state(optimal_function(300, 75)), 75)
+        s.distribution
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            outcomes = parity_sample(s, trials, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert outcomes.nbytes == 8 * trials
+        assert peak <= 16 * trials + (1 << 20), peak
+
+
+def bernstein_halfwidth(trials, p, delta):
+    """t with P(|Bin(trials, p) - trials p| >= t) <= delta, by Bernstein's inequality.
+
+    P(|X - Np| >= t) <= 2 exp(-t^2 / (2 (Np(1-p) + t/3))); this t makes the
+    right side equal delta.
+    """
+    log_term = math.log(2 / delta)
+    return log_term / 3 + math.sqrt(log_term**2 / 9 + 2 * log_term * trials * p * (1 - p))
+
+
+def dj_law(f, w, t=0):
+    """Exact outcome law of amplify(dj_state(f), w, t), each weight rounded once.
+
+    dj_state(f) has p_k = C(n,k) rw_k^2 / 4^n.  After t Grover steps the
+    target holds p_t = p V_t^2 (V_-1 = -1, V_0 = 1,
+    V_{m+1} = (2 - 4p) V_m - V_{m-1}, with p = p_w), and every other weight
+    is scaled by (1 - p_t) / (1 - p).
+    """
+    n = f.n
+    law = [Fraction(comb(n, k) * rw * rw, 4**n) for k, rw in enumerate(reduced_walsh_spectrum(f))]
+    p = law[w]
+    prev, cur = Fraction(-1), Fraction(1)
+    for _ in range(t):
+        prev, cur = cur, (2 - 4 * p) * cur - prev
+    p_t = p * cur * cur
+    return [float(p_t if k == w else q * (1 - p_t) / (1 - p)) for k, q in enumerate(law)]
+
+
+def childs_law(n, w):
+    """Exact outcome law of childs_state(n, w): C(n,k) w^k (n-w)^(n-k) / n^n, rounded once."""
+    return [comb(n, k) * w**k * (n - w) ** (n - k) / n**n for k in range(n + 1)]
+
+
+class TestParityCounts:
+    """Parity-sample counts against the exact outcome law, per weight.
+
+    Each count is Binomial(TRIALS, p_k) for a correct sampler.  A weight
+    fails when its count is off by more than the Bernstein half-width at
+    delta = ALPHA / (number of weights checked), so by the union bound a
+    correct sampler fails this test with probability at most ALPHA over the
+    choice of seeds.  Weights of exact probability 0 must never be drawn.
+    """
+
+    TRIALS = 100_000
+    ALPHA = 1e-6
+
+    @staticmethod
+    def cases():
+        yield dicke(12, 5), [float(k == 5) for k in range(13)]
+        for n, w in ((6, 2), (20, 5), (64, 16), (300, 75)):
+            f = optimal_function(n, w)
+            t = plan_amplification(dj_state(f), w).t
+            yield dj_state(f), dj_law(f, w)
+            yield amplify(dj_state(f), w, t), dj_law(f, w, t)
+        for n, w in ((30, 0), (30, 7), (30, 30), (200, 50)):
+            yield childs_state(n, w), childs_law(n, w)
+        a, c = 3, 5  # r = 9n/25, where the biased law is rational
+        f = optimal_function(25, 6)
+        yield biased_dj_state(f, a * a * 25 / (c * c)), exact_biased_probabilities(f, pythagorean_rows(25, a, c), c)
+
+    def test_counts_within_binomial_bound(self):
+        cases = list(self.cases())
+        delta = self.ALPHA / sum(len(law) for _, law in cases)
+        for seed, (s, law) in enumerate(cases):
+            counts = np.bincount(parity_sample(s, self.TRIALS, np.random.default_rng(seed)),
+                                 minlength=s.n + 1)
+            for k, (count, p) in enumerate(zip(counts, law)):
+                if p == 0.0:
+                    assert count == 0, (s.n, k)
+                else:
+                    assert abs(count - self.TRIALS * p) <= bernstein_halfwidth(self.TRIALS, p, delta), (s.n, k)
 
 
 class TestRepetitions:
