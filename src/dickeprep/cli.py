@@ -27,8 +27,8 @@ from .symfunc import (
 )
 from .symstate import (
     biased_dj_state,
-    childs_probability,
     childs_profile,
+    childs_quarter_slice,
     childs_state,
     dj_state,
     parity_sample,
@@ -39,12 +39,17 @@ from .krawtchouk import column, column_strings
 __all__ = ["main"]
 
 
-def _emit(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> None:
+def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
+    """Write the CSV to --out and return "", or return its text for stdout."""
     out = getattr(args, "out", None)
     if out:
         csvio.write_csv(out, command, params, header, cols, trailer)
-    else:
-        sys.stdout.write(csvio.render_csv(command, params, header, cols, trailer))
+        return ""
+    return csvio.render_csv(command, params, header, cols, trailer)
+
+
+def _emit(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> None:
+    sys.stdout.write(_csv(args, command, params, header, cols, trailer))
 
 
 @contextlib.contextmanager
@@ -131,7 +136,7 @@ def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
     ns = range(4, args.max_n + 1)
     _emit(args, "sweep-quarter", {"max_n": args.max_n}, ["n", "dj_prob", "childs_prob"],
-          [ns, quarter_slice(args.max_n)[4:], [childs_probability(n, n // 4) for n in ns]])
+          [ns, quarter_slice(args.max_n)[4:], childs_quarter_slice(args.max_n)[4:]])
     return 0
 
 
@@ -161,33 +166,35 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.t is not None and not args.grover:
         raise ValueError("--t requires --grover")
     state, f = _simulate_state(args)
-    print(f"method = {args.method}")
-    print(f"n = {args.n}")
-    print(f"w = {args.w}")
+    # the report is held back, so a failure anywhere leaves stdout empty
+    report = [f"method = {args.method}", f"n = {args.n}", f"w = {args.w}"]
     if f is not None:
-        print(f"f = {f.to_hex()}")
+        report.append(f"f = {f.to_hex()}")
     p = success_probability(state, args.w)
-    print(f"analytic probability = {csvio.fmt(p)}")
+    report.append(f"analytic probability = {csvio.fmt(p)}")
     if args.grover:
         plan = grover.plan_amplification(state, args.w)
         t = args.t if args.t is not None else plan.t
         state = grover.amplify(state, args.w, t)
         p_after = success_probability(state, args.w)
-        print(f"theta = {csvio.fmt(plan.theta)}")
-        print(f"t = {t}")
-        print(f"probability before = {csvio.fmt(p)}")
-        print(f"probability after = {csvio.fmt(p_after)}")
-        print(f"expected repetitions before = {csvio.fmt(1.0 / p if p > 0 else float('inf'))}")
-        print(f"expected repetitions after = {csvio.fmt(1.0 / p_after if p_after > 0 else float('inf'))}")
-        p = p_after
+        report += [
+            f"theta = {csvio.fmt(plan.theta)}",
+            f"t = {t}",
+            f"probability before = {csvio.fmt(p)}",
+            f"probability after = {csvio.fmt(p_after)}",
+            f"expected repetitions before = {csvio.fmt(1.0 / p if p > 0 else float('inf'))}",
+            f"expected repetitions after = {csvio.fmt(1.0 / p_after if p_after > 0 else float('inf'))}",
+        ]
+    table = ""
     if args.trials:
         rng = np.random.default_rng(args.seed)
         outcomes = parity_sample(state, args.trials, rng)
         counts = np.bincount(outcomes, minlength=args.n + 1)
         params = {"n": args.n, "w": args.w, "method": args.method,
                   "trials": args.trials, "seed": args.seed}
-        _emit(args, "simulate", params, ["weight", "count", "frequency", "analytic"],
-              [range(args.n + 1), counts, counts / args.trials, state.probabilities])
+        table = _csv(args, "simulate", params, ["weight", "count", "frequency", "analytic"],
+                     [range(args.n + 1), counts, counts / args.trials, state.probabilities])
+    sys.stdout.write("".join(f"{line}\n" for line in report) + table)
     return 0
 
 

@@ -26,7 +26,13 @@ coefficients are products of two Krawtchouk numbers, conjugate at +-l
 the grid is then one more matrix product.  The derivatives of amp are
 closed-form in the same coefficients, so each Newton step on
 p'(theta) = 2 C(n,w) amp amp' costs one cos/sin evaluation per coefficient,
-and three or four steps reach the maximum.  A function and its
+and three or four steps reach the maximum.  The parts that do not depend
+on w -- the float Krawtchouk matrix behind the coefficients and the grid's
+cosines and sines at the folded frequencies -- form one basis per n,
+shared by every w at that n: each is kept in an LRU cache of 8 sizes, for
+n <= 64 only, which bounds them at 8 x 65^2 x 8 B = 264 KiB and
+8 x 512 x 66 x 8 B = 2.1 MiB.  Every float is the same whether or not the
+basis was cached.  A function and its
 complement have exactly negated coefficients, so they tie bit for bit and
 only the member with f_n = 0 is kept.  Mirror pairs also tie exactly:
 p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i} (complemented when
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -61,6 +68,10 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 48
 _GRID_POINTS = 512  # r grid of every maximization, see _grid
+# grid-wave matrices kept, one per n, for n <= _WAVES_CACHE_N only: at most
+# 8 x 512 x 66 x 8 B = 2.1 MiB, 66 = 2 (n/2 + 1) folded frequencies at n = 64
+_WAVES_CACHE = 8
+_WAVES_CACHE_N = 64
 # Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
 # bisection toward a root near theta = 0 does not run down into denormals
 _THETA_STEP = 4.0 * float(np.spacing(np.pi / 2))
@@ -108,6 +119,20 @@ def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return np.hstack([np.cos(phase), np.sin(phase)])
 
 
+@lru_cache(maxsize=_WAVES_CACHE)
+def _grid_waves(n: int) -> np.ndarray:
+    """_waves on the grid at the folded frequencies l >= 0, read-only: (G, 2L)."""
+    lam = np.arange(-n, n + 1, 2)
+    waves = _waves(n, lam[lam >= 0], _grid(n))
+    waves.flags.writeable = False
+    return waves
+
+
+def _grid_waves_of(n: int) -> np.ndarray:
+    """_grid_waves(n), kept only for n <= _WAVES_CACHE_N."""
+    return (_grid_waves if n <= _WAVES_CACHE_N else _grid_waves.__wrapped__)(n)
+
+
 def _fold(lam: np.ndarray, C: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies l >= 0 and per-row coefficients [a_l, b_l] of the spectrum
     (lam, C): amp = coef . _waves(theta) = sum_l a_l cos(l theta) + b_l sin(l theta)."""
@@ -123,36 +148,33 @@ def _mirror(n: int, value: int) -> int:
     return m ^ ((1 << (n + 1)) - 1) if m >> n else m
 
 
-def _slopes(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slopes(lam: np.ndarray, coef: np.ndarray, c: np.ndarray,
+            s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h = amp amp' and h' = amp'^2 + amp amp'' at each row's own theta.
 
-    One cos/sin pass over the folded coefficients: amp = sum a c + b s,
-    amp' = sum l (b c - a s) and amp'' = -sum l^2 (a c + b s), with
-    c, s = cos(l theta), sin(l theta).  Negated coefficients give the same
-    h and h' bit for bit.
+    c, s = cos(l theta), sin(l theta) at the folded frequencies, one row per
+    coefficient row, with any leading axes: amp = sum a c + b s,
+    amp' = sum l (b c - a s) and amp'' = -sum l^2 (a c + b s).  Negated
+    coefficients give the same h and h' bit for bit.
     """
     a, b = coef[:, :lam.size], coef[:, lam.size:]
-    phase = theta[:, None] * lam
-    c, s = np.cos(phase), np.sin(phase)
     even = a * c + b * s
-    amp = even.sum(axis=1)
-    d1 = ((b * c - a * s) * lam).sum(axis=1)
-    d2 = -(even * (lam * lam)).sum(axis=1)
+    amp = even.sum(axis=-1)
+    d1 = ((b * c - a * s) * lam).sum(axis=-1)
+    d2 = -(even * (lam * lam)).sum(axis=-1)
     return amp * d1, d1 * d1 + amp * d2
 
 
-def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose bracket [lo, hi] holds a maximum of amp^2, and its theta there.
+def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarray,
+            h: np.ndarray, dh: np.ndarray, h_far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose bracket holds a maximum of amp^2, and its theta there.
 
-    p rises from the start theta toward one bracket end; only where h changes
-    sign between the two is there a maximum inside, and it is the root of h,
-    found by Newton safeguarded with bisection (rtsafe, Numerical Recipes
-    9.4).  The other rows are left to the caller's endpoint comparison.
+    p rises from the start theta (slopes h, dh) toward the bracket end `far`
+    (slope h_far); only where h changes sign between the two is there a
+    maximum inside, and it is the root of h, found by Newton safeguarded with
+    bisection (rtsafe, Numerical Recipes 9.4).  The other rows are left to
+    the caller's endpoint comparison.
     """
-    h, dh = _slopes(lam, coef, theta)
-    far = np.where(h > 0, hi, lo)
-    h_far, _ = _slopes(lam, coef, far)
     idx = np.flatnonzero(((h > 0) & (h_far < 0)) | ((h < 0) & (h_far > 0)))
     out = theta[idx]
     t, h, dh, far, coef = out, h[idx], dh[idx], far[idx], coef[idx]
@@ -170,7 +192,10 @@ def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, lo: np.ndarray
         out[rows] = t = nt
         go = dx > _THETA_STEP
         rows, t, a, b, dx, dx_old, coef = (x[go] for x in (rows, t, a, b, dx, dx_old, coef))
-        h, dh = _slopes(lam, coef, t)
+        if not rows.size:
+            break
+        phase = t[:, None] * lam
+        h, dh = _slopes(lam, coef, np.cos(phase), np.sin(phase))
         a = np.where(h > 0, t, a)
         b = np.where(h < 0, t, b)
     return idx, out
@@ -184,26 +209,29 @@ def _optimize_batch(n: int, w: int, signs: np.ndarray,
     The best grid point (ties keep the leftmost) brackets the maximum between
     its neighbours.  Inside that bracket Newton refines the root of
     p'(theta) = 2 C(n,w) amp amp'; p at the result is then compared with p at
-    both bracket ends, so an endpoint maximum is kept.  `spectrum` is
-    biased_amplitude_spectrum(n, w), when the caller already has it.
+    both bracket ends, so an endpoint maximum is kept.  The start and both
+    ends are grid points, so their cosines and sines are rows of the cached
+    grid waves; only Newton's iterates and its result evaluate new ones.
+    `spectrum` is biased_amplitude_spectrum(n, w), when the caller already
+    has it.
     """
     grid = _grid(n)
     lam, coef = _fold(*(biased_amplitude_spectrum(n, w) if spectrum is None else spectrum), signs)
     scale = comb(n, w)
-
-    def probability(rs: np.ndarray) -> np.ndarray:  # each function at its own r
-        amp = (coef * _waves(n, lam, rs)).sum(axis=1)
-        return scale * amp * amp
-
-    P = scale * (coef @ _waves(n, lam, grid).T) ** 2  # (F, G)
+    waves = _grid_waves_of(n)
+    P = scale * (coef @ waves.T) ** 2  # (F, G)
     best = P.argmax(axis=1)  # leftmost max on ties
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, grid.size - 1)]
-    r = grid[best]
-    idx, theta = _newton(lam, coef, _theta(n, r), _theta(n, lo), _theta(n, hi))
+    at = np.stack([best, np.maximum(best - 1, 0), np.minimum(best + 1, grid.size - 1)])
+    start = waves[at]  # (3, F, 2L): the start, lo and hi of every row
+    (h, h_lo, h_hi), (dh, _, _) = _slopes(lam, coef, start[..., :lam.size], start[..., lam.size:])
+    r, lo, hi = grid[at]
+    up = h > 0
+    idx, theta = _newton(lam, coef, _theta(n, r), _theta(n, np.where(up, hi, lo)),
+                         h, dh, np.where(up, h_hi, h_lo))
     r[idx] = n * np.sin(theta) ** 2
     rs = np.stack([lo, hi, r])
-    ps = np.stack([probability(x) for x in rs])
+    amp = (coef * np.concatenate([start[1:], _waves(n, lam, r)[None]])).sum(axis=-1)
+    ps = scale * amp * amp  # each function at its own r
     pick = ps.argmax(axis=0)  # an end that ties the refined point keeps its exact r
     rows = np.arange(r.size)
     return rs[pick, rows], ps[pick, rows]
@@ -249,7 +277,7 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
         raise ValueError(f"w={w} out of range [0, {n}]")
     spectrum = biased_amplitude_spectrum(n, w)
     lam, coef = _fold(*spectrum, np.eye(n + 1))
-    negative = (coef @ _waves(n, lam, _grid(n)).T < 0).astype(np.int64)  # T_i(r_g) < 0
+    negative = (coef @ _grid_waves_of(n).T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0
     values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))

@@ -404,6 +404,13 @@ class TestOutputDigests:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    def test_search_all_w_digest(self, capsys, tmp_path):
+        # every w after the first reads the per-n basis cached by the one before
+        code, out, _ = run(capsys, "search", "--n", "40", "--all-w", "--db", str(tmp_path / "db.jsonl"))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "c41c50c97e45e625584dcd55b4c95fae2fa9cc12cf6ed60150dbf7710951c3d5")
+
 
 class TestHarness:
     def test_module_entry_point(self):
@@ -438,6 +445,16 @@ class TestHarness:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_simulate_failure_prints_nothing(self, capsys, tmp_path):
+        # the report lines are held until the CSV is written
+        target = tmp_path / "missing-dir" / "hist.csv"
+        code, out, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
+                             "--grover", "--trials", "100", "--seed", "1", "--out", str(target))
+        assert code == 1 and err.startswith("error:")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_failure_leaves_no_partial_file(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from dickeprep import fullsim, search
+from dickeprep import fullsim, search, symstate
 from dickeprep.errors import ResourceLimitError
 from dickeprep.search import (
     RecordStore,
@@ -247,6 +247,66 @@ class TestNewtonRefinement:
         monkeypatch.setattr(search, "biased_amplitude_spectrum", counted)
         exhaustive_search(9, 4)
         assert calls == [(9, 4)]
+
+
+def _clear_basis():
+    symstate._krawtchouk_floats.cache_clear()
+    search._grid_waves.cache_clear()
+
+
+def _basis_hits() -> tuple[int, int]:
+    return symstate._krawtchouk_floats.cache_info().hits, search._grid_waves.cache_info().hits
+
+
+def _evict_basis(keep: int):
+    """Fill both per-n caches with other sizes, so that `keep` is not held."""
+    sizes = [m for m in range(30, 41) if m != keep][:max(symstate._KRAWTCHOUK_CACHE,
+                                                         search._WAVES_CACHE)]
+    for m in sizes:
+        biased_amplitude_spectrum(m, 1)
+        search._grid_waves(m)
+
+
+class TestSharedBasis:
+    """The w-independent basis is built once per n; results do not depend on it."""
+
+    CASES = [
+        *((n, w, "cell") for n in (6, 11, 24, 48) for w in (1, n // 3, n // 2, n - 1)),
+        *((n, w, "fit") for n in (16, 62) for w in (1, n // 4, n // 2, n - 1)),
+    ]
+
+    @staticmethod
+    def _result(n, w, kind):
+        if kind == "cell":
+            return exhaustive_search(n, w)
+        return optimize_r(optimal_function(n, w), w)
+
+    def test_cold_warm_and_evicted_agree(self):
+        for n, w, kind in self.CASES:
+            _clear_basis()
+            cold = self._result(n, w, kind)
+            hits = _basis_hits()
+            warm = self._result(n, w, kind)
+            assert all(after > before for after, before in zip(_basis_hits(), hits))
+            _evict_basis(n)
+            evicted = self._result(n, w, kind)
+            assert cold == warm == evicted, (n, w, kind)
+
+    def test_cached_waves_are_the_grid_waves(self):
+        for n in (1, 6, 11, 48):
+            lam = np.arange(-n, n + 1, 2)
+            waves = search._grid_waves(n)
+            assert np.array_equal(waves, search._waves(n, lam[lam >= 0], search._grid(n)))
+            with pytest.raises(ValueError):
+                waves[0, 0] = 2.0
+
+    def test_cache_bound(self):
+        # at most 8 matrices, each of n <= 64: 8 x 512 x 66 x 8 B
+        assert search._grid_waves.cache_info().maxsize == search._WAVES_CACHE == 8
+        assert search._WAVES_CACHE_N == 64
+        search._grid_waves.cache_clear()
+        optimize_r(optimal_function(65, 9), 9)
+        assert search._grid_waves.cache_info().currsize == 0
 
 
 class TestBaselineRecords:

@@ -25,6 +25,7 @@ from dickeprep.symstate import (
     childs_probability,
     childs_probability_exact,
     childs_profile,
+    childs_quarter_slice,
     childs_state,
     dicke,
     dj_optimal_success_exact,
@@ -154,6 +155,14 @@ class TestChilds:
             assert childs_profile(n) == [childs_probability(n, w) for w in range(n + 1)], n
         with pytest.raises(ValueError, match="n="):
             childs_profile(-1)
+
+    def test_quarter_slice_matches_probability(self):
+        got = childs_quarter_slice(1000)
+        assert got == [childs_probability(n, n // 4) for n in range(1001)]
+        assert childs_quarter_slice(0) == [1.0]
+        assert childs_quarter_slice(9) == got[:10]
+        with pytest.raises(ValueError, match="max_n="):
+            childs_quarter_slice(-1)
 
     def test_state_matches_probability(self):
         for n, w in ((4, 2), (9, 4), (11, 0), (11, 11)):
@@ -383,6 +392,44 @@ class TestBiasedAmplitudeSpectrum:
     def test_weight_domain_error(self):
         with pytest.raises(ValueError, match="k="):
             biased_amplitude_spectrum(4, 5)
+
+
+class TestKrawtchoukFloats:
+    """The float Krawtchouk matrix behind biased_amplitude_spectrum, one per n."""
+
+    @pytest.mark.parametrize("n", [*range(71), 301, 1029])
+    def test_quarter_build_is_the_conversion_bit_for_bit(self, n):
+        # int64 views tell +0.0 from -0.0
+        got = symstate._krawtchouk_floats.__wrapped__(n)
+        want = np.array(columns(n), dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_overflow_leaves_nothing_cached(self):
+        cache = symstate._krawtchouk_floats
+        cache.cache_clear()
+        for build in (cache, lambda n: biased_amplitude_spectrum(n, 1)):
+            with pytest.raises(OverflowError):
+                build(1030)
+            assert cache.cache_info().currsize == 0
+
+    def test_cached_matrix_is_read_only(self):
+        K = symstate._krawtchouk_floats(5)
+        with pytest.raises(ValueError):
+            K[0, 0] = 2.0
+        assert symstate._krawtchouk_floats(5)[0, 0] == 1.0
+
+    def test_cache_bound(self):
+        # at most 8 matrices, each of n <= 64: 8 x 65^2 x 8 B
+        cache = symstate._krawtchouk_floats
+        assert cache.cache_info().maxsize == symstate._KRAWTCHOUK_CACHE == 8
+        assert symstate._KRAWTCHOUK_CACHE_N == 64
+        cache.cache_clear()
+        biased_amplitude_spectrum(65, 3)
+        assert cache.cache_info().currsize == 0
+        for n in range(40, 50):
+            biased_amplitude_spectrum(n, 3)
+        assert cache.cache_info().currsize == 8
 
 
 class TestParityMeasurement:
