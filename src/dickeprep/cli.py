@@ -17,6 +17,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__, csvio, fullsim, grover, search
+from .errors import ResourceLimitError
 from .symfunc import (
     SymmetricBooleanFunction,
     c_minima,
@@ -37,6 +38,9 @@ from .symstate import (
 from .krawtchouk import column, column_strings
 
 __all__ = ["main"]
+
+# simulate --trials bound: the outcome array holds 8 B per trial, 800 MB here
+MAX_TRIALS = 10**8
 
 
 def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
@@ -163,6 +167,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_w(args.n, args.w)
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if args.trials is not None and args.trials > MAX_TRIALS:
+        raise ResourceLimitError(
+            f"--trials {args.trials} exceeds the limit {MAX_TRIALS} (8 B of outcomes per trial)"
+        )
     if args.t is not None and not args.grover:
         raise ValueError("--t requires --grover")
     state, f = _simulate_state(args)

@@ -9,6 +9,18 @@ Memory is 2^n complex amplitudes, so construction is capped (default 14
 qubits, overridable only through DICKEPREP_FULLSIM_MAX_QUBITS).  A dense
 state counts as symmetric when every amplitude lies within 1e-10 of its
 weight class's mean.
+
+Both dense kernels are arranged for few numpy calls on long 1-D runs, and
+give the same bits as the direct forms they replaced.  A tensor layer is n
+constant-geometry passes (M. C. Pease, J. ACM 15 (1968) 252): the pairs of
+the lowest qubit are the even and odd entries, and writing their two
+outputs to the lower and upper half of a second buffer moves that qubit to
+the top, so the passes visit qubits 0, 1, ..., n-1 in turn, with the same
+complex products and sums per amplitude as a per-qubit loop over strided
+views.  The weight readout gathers the amplitudes by weight once, with a
+stable sort, so every class is a contiguous slice in index order: its mean
+is the same pairwise sum as over a boolean-mask copy, and one
+maximum.reduceat gives every deviation exactly.
 """
 
 from __future__ import annotations
@@ -105,6 +117,21 @@ def weights(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _weight_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis indices sorted stably by weight, and each class's start and size.
+
+    Read-only; holds one int64 permutation of 2^n entries (128 KiB at n = 14).
+    """
+    wt = weights(n)
+    order = np.argsort(wt, kind="stable")
+    counts = np.bincount(wt, minlength=n + 1)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    for a in (order, starts, counts):
+        a.flags.writeable = False
+    return order, starts, counts
+
+
 def _bias_matrix(rho: float) -> np.ndarray:
     return np.array(
         [
@@ -116,17 +143,37 @@ def _bias_matrix(rho: float) -> np.ndarray:
 
 
 def apply_layer(s: FullState, r: float) -> FullState:
-    """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer."""
+    """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer.
+
+    Constant-geometry form (Pease 1968): each of the n passes reads the
+    pairs of the current lowest qubit as the even and odd entries of the
+    source and writes m00 x0 + m01 x1 to the lower half of the other buffer,
+    m10 x0 + m11 x1 to the upper half.  That moves the lowest qubit to the
+    top, so pass q acts on qubit q and after n passes the order is restored.
+    Every amplitude gets the same complex products and sums, in the same
+    qubit order, as a per-qubit loop over (2^(n-q-1), 2, 2^q) views, so the
+    result equals that loop's bit for bit; each pass is six ufunc calls on
+    2^(n-1)-long runs, into one ping-pong pair of buffers and one half-size
+    temporary.
+    """
     if not 0.0 <= r <= s.n:
         raise ValueError(f"r={r} out of range [0, {s.n}]")
     m = _bias_matrix(r / s.n)
-    amps = s.amps
+    h = 1 << (s.n - 1)
+    bufs = (np.empty(2 * h, dtype=complex), np.empty(2 * h, dtype=complex))
+    tmp = np.empty(h, dtype=complex)
+    src = s.amps
     for q in range(s.n):
-        block = amps.reshape(1 << (s.n - q - 1), 2, 1 << q)
-        new0 = m[0, 0] * block[:, 0, :] + m[0, 1] * block[:, 1, :]
-        new1 = m[1, 0] * block[:, 0, :] + m[1, 1] * block[:, 1, :]
-        amps = np.stack([new0, new1], axis=1).reshape(-1)
-    return FullState(n=s.n, amps=amps)
+        dst = bufs[q & 1]
+        x0, x1, lo, hi = src[0::2], src[1::2], dst[:h], dst[h:]
+        np.multiply(m[0, 0], x0, out=lo)
+        np.multiply(m[0, 1], x1, out=tmp)
+        np.add(lo, tmp, out=lo)
+        np.multiply(m[1, 0], x0, out=hi)
+        np.multiply(m[1, 1], x1, out=tmp)
+        np.add(hi, tmp, out=hi)
+        src = dst
+    return FullState(n=s.n, amps=src)
 
 
 def apply_phase_oracle(s: FullState, f: SymmetricBooleanFunction) -> FullState:
@@ -185,16 +232,18 @@ def weight_profile(s: FullState) -> WeightProfile:
     The class amplitude is the mean over its basis strings; the deviation is
     the largest distance of any member from that mean.  A state is symmetric
     when every deviation is within 1e-10.
+
+    One stable gather by weight (_weight_classes) lays each class out as a
+    contiguous slice holding the members of a boolean-mask copy in the same
+    order, so each mean is the same pairwise sum; the deviations are one
+    maximum.reduceat over all classes, which is exact.
     """
-    wt = weights(s.n)
-    amplitudes = []
-    deviations = []
-    for k in range(s.n + 1):
-        cls = s.amps[wt == k]
-        mean = complex(cls.mean())
-        amplitudes.append(mean)
-        deviations.append(float(np.max(np.abs(cls - mean))))
-    return WeightProfile(n=s.n, amplitudes=tuple(amplitudes), deviations=tuple(deviations))
+    order, starts, counts = _weight_classes(s.n)
+    grouped = s.amps[order]
+    means = np.array([grouped[a:a + c].mean() for a, c in zip(starts.tolist(), counts.tolist())])
+    deviations = np.maximum.reduceat(np.abs(grouped - np.repeat(means, counts)), starts)
+    return WeightProfile(n=s.n, amplitudes=tuple(means.tolist()),
+                         deviations=tuple(deviations.tolist()))
 
 
 def from_symmetric(state: SymmetricState) -> FullState:

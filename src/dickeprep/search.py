@@ -133,11 +133,15 @@ def _grid_waves_of(n: int) -> np.ndarray:
     return (_grid_waves if n <= _WAVES_CACHE_N else _grid_waves.__wrapped__)(n)
 
 
-def _fold(lam: np.ndarray, C: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold(lam: np.ndarray, C: np.ndarray,
+          signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies l >= 0 and per-row coefficients [a_l, b_l] of the spectrum
-    (lam, C): amp = coef . _waves(theta) = sum_l a_l cos(l theta) + b_l sin(l theta)."""
+    (lam, C): amp = coef . _waves(theta) = sum_l a_l cos(l theta) + b_l sin(l theta).
+
+    One row per row of signs (a function's (-1)^{f_i}), or without signs one
+    per weight i, the coefficients of T_i."""
     up = lam >= 0  # the column at -l is the exact conjugate of the one at l: count l twice
-    A = signs @ C[:, up]  # per-function Fourier coefficients at lam >= 0
+    A = C[:, up] if signs is None else signs @ C[:, up]  # Fourier coefficients at lam >= 0
     twice = np.where(lam[up] > 0, 2.0, 1.0)
     return lam[up], np.hstack([A.real * twice, A.imag * twice])
 
@@ -176,12 +180,13 @@ def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarra
     the caller's endpoint comparison.
     """
     idx = np.flatnonzero(((h > 0) & (h_far < 0)) | ((h < 0) & (h_far > 0)))
-    out = theta[idx]
-    t, h, dh, far, coef = out, h[idx], dh[idx], far[idx], coef[idx]
+    t, h, dh, far, coef = theta[idx], h[idx], dh[idx], far[idx], coef[idx]
     a, b = np.minimum(t, far), np.maximum(t, far)  # h(a) > 0 > h(b)
     dx = dx_old = b - a
-    rows = np.arange(idx.size)
-    while rows.size:
+    # rows stay in place: a converged row keeps its theta while the live rows
+    # step on, and the loop ends when none is live
+    live = np.ones(idx.size, dtype=bool)
+    while idx.size:
         step = h / np.where(dh < 0, dh, -1.0)
         nt = t - step
         # bisect where Newton leaves the bracket, runs downhill in p (h' >= 0)
@@ -189,16 +194,15 @@ def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarra
         bisect = (dh >= 0) | (nt < a) | (nt > b) | (2.0 * np.abs(step) > dx_old)
         nt = np.where(bisect, 0.5 * (a + b), nt)
         dx_old, dx = dx, np.abs(nt - t)
-        out[rows] = t = nt
-        go = dx > _THETA_STEP
-        rows, t, a, b, dx, dx_old, coef = (x[go] for x in (rows, t, a, b, dx, dx_old, coef))
-        if not rows.size:
+        t = np.where(live, nt, t)
+        live &= dx > _THETA_STEP
+        if not live.any():
             break
         phase = t[:, None] * lam
         h, dh = _slopes(lam, coef, np.cos(phase), np.sin(phase))
         a = np.where(h > 0, t, a)
         b = np.where(h < 0, t, b)
-    return idx, out
+    return idx, t
 
 
 def _optimize_batch(n: int, w: int, signs: np.ndarray,
@@ -276,7 +280,7 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
     spectrum = biased_amplitude_spectrum(n, w)
-    lam, coef = _fold(*spectrum, np.eye(n + 1))
+    lam, coef = _fold(*spectrum)
     negative = (coef @ _grid_waves_of(n).T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dickeprep
-from dickeprep import csvio, fullsim, symstate
+from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.search import RecordStore, SearchRecord
@@ -187,6 +187,31 @@ class TestSimulateCommand:
                              "--grover", "--trials", "100", "--seed", "1")
             assert code == 0
             assert rows == [(0, 40), (0, 40)], method
+
+    def test_trials_limit_refused_before_synthesis(self, capsys, monkeypatch):
+        calls = []
+        real = cli._simulate_state
+
+        def watched(args):
+            calls.append(args.trials)
+            return real(args)
+
+        monkeypatch.setattr(cli, "_simulate_state", watched)
+        over = str(cli.MAX_TRIALS + 1)
+        code, out, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
+                             "--grover", "--trials", over)
+        assert code == 1 and out == "" and calls == []
+        assert err.splitlines() == [
+            f"error: --trials {over} exceeds the limit {cli.MAX_TRIALS} (8 B of outcomes per trial)"
+        ]
+        # the bound itself is accepted (checked at a lowered bound, not 10^8 draws)
+        monkeypatch.setattr(cli, "MAX_TRIALS", 50)
+        code, _, _ = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
+                         "--trials", "50", "--seed", "1")
+        assert code == 0 and calls == [50]
+        code, _, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
+                           "--trials", "51")
+        assert code == 1 and "exceeds the limit 50" in err and calls == [50]
 
     def test_flag_conflicts(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "4", "--w", "1",
@@ -426,9 +451,9 @@ class TestHarness:
         assert "hex = 1C" in proc.stdout
 
     def test_unallocatable_trials_refused_in_one_line(self):
-        # No trials limit exists yet: 10^11 outcomes need 745 GiB and the
-        # allocation fails.  The address-space cap makes it fail on any host,
-        # overcommitting or not, before a single page is touched.
+        # 10^11 outcomes would need 745 GiB.  cli.MAX_TRIALS refuses them
+        # before any work; the address-space cap would still make the
+        # allocation fail on any host if that limit were lifted.
         resource = pytest.importorskip("resource")
 
         def cap_address_space():

@@ -9,6 +9,8 @@ from dickeprep.errors import ResourceLimitError, StateError
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import biased_dj_state, dicke, dj_state
 
+import fullsim_reference
+
 
 def random_function(n, rng):
     return SymmetricBooleanFunction.from_value(n, int(rng.integers(0, 1 << (n + 1))))
@@ -130,6 +132,78 @@ class TestWeightProfile:
         assert profile.deviations[1] > 1e-3
         with pytest.raises(StateError, match="not symmetric"):
             fullsim.to_symmetric(fullsim.FullState(n=n, amps=amps))
+
+
+def bits(values):
+    """Exact bit patterns of a float or complex array (or tuple) as int64."""
+    return np.asarray(values).view(np.int64)
+
+
+def exactness_cases():
+    """(state, r) for n = 1-14: zero state, Hadamard-then-phase outputs and
+    those outputs times per-amplitude phases, at r in {0, n/2, n, 2 seeded}."""
+    rng = np.random.default_rng(20)
+    for n in range(1, 15):
+        zero = fullsim.zero_state(n)
+        oracle = fullsim.apply_phase_oracle(fullsim.apply_layer(zero, n / 2.0),
+                                            random_function(n, rng))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << n))
+        phased = fullsim.FullState(n=n, amps=oracle.amps * phases)
+        rs = [0.0, n / 2.0, float(n), *rng.uniform(0, n, 2).tolist()]
+        for s in (zero, oracle, phased):
+            for r in rs:
+                yield s, r
+
+
+def assert_same_profile(s):
+    new, old = fullsim.weight_profile(s), fullsim_reference.weight_profile(s)
+    assert np.array_equal(bits(new.amplitudes), bits(old.amplitudes))
+    assert np.array_equal(bits(new.deviations), bits(old.deviations))
+    assert new == old
+
+
+class TestAgainstReferenceKernels:
+    """The constant-geometry layer and the one-gather readout equal the
+    per-qubit loop and the mask-per-class readout bit for bit."""
+
+    def test_layer_bit_for_bit(self):
+        count = 0
+        for s, r in exactness_cases():
+            new, old = fullsim.apply_layer(s, r), fullsim_reference.apply_layer(s, r)
+            assert np.array_equal(bits(new.amps), bits(old.amps)), (s.n, r)
+            count += 1
+        assert count == 14 * 3 * 5
+
+    def test_profile_bit_for_bit(self):
+        for s, r in exactness_cases():
+            assert_same_profile(fullsim.apply_layer(s, r))
+
+    def test_profile_symmetric_and_not(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 5, 9, 12):
+            f = random_function(n, rng)
+            symmetric = fullsim.biased_dj_output(f, float(rng.uniform(0, n)))
+            flipped = fullsim.flip_weight(symmetric, n // 2)
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            psi = fullsim.FullState(n=n, amps=amps / np.linalg.norm(amps))
+            diffused = fullsim.diffuse_about(flipped, psi)
+            for s in (symmetric, flipped, diffused, fullsim.flip_weight(diffused, 0)):
+                assert_same_profile(s)
+            assert fullsim.weight_profile(flipped).symmetric
+            assert n == 1 or not fullsim.weight_profile(diffused).symmetric
+
+    def test_class_cache_read_only(self):
+        order, starts, counts = fullsim._weight_classes(6)
+        assert fullsim._weight_classes(6)[0] is order
+        assert counts.tolist() == [comb(6, k) for k in range(7)]
+        assert starts.tolist() == [sum(counts[:k]) for k in range(7)]
+        # stable: each class lists its indices in ascending order, as a mask does
+        wt = fullsim.weights(6)
+        for k, (a, c) in enumerate(zip(starts, counts)):
+            assert order[a:a + c].tolist() == np.flatnonzero(wt == k).tolist()
+        for a in (order, starts, counts):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 class TestAgainstCompactRepresentation:
