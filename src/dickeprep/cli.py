@@ -13,6 +13,7 @@ import contextlib
 import functools
 import sys
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -144,6 +145,41 @@ def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     return 0
 
 
+def _binomial_fits(n: int, k: int) -> bool:
+    """Whether C(n, k) converts to a float, at the cost of at most 1024 factors."""
+    k = min(k, n - k)
+    if k > 1024 or (k > 0 and n.bit_length() > 1024):
+        return False  # for 1 <= k <= n/2, C(n, k) >= 2^k and >= n
+    try:
+        float(comb(n, k))
+    except OverflowError:
+        return False
+    return True
+
+
+def _check_binomials(args: argparse.Namespace) -> None:
+    """Refuse a request whose C(n, k) leaves the float range, before any work.
+
+    The success probability needs C(n, w).  The norm gate of a biased
+    state, Grover planning and sampling need the whole binomial row, whose
+    largest entry C(n, n//2) is a float only up to n = 1029.
+    """
+    n = args.n
+    row_users = [name for name, used in (("--method biased", args.method == "biased"),
+                                         ("--grover", args.grover), ("--trials", args.trials))
+                 if used]
+    if row_users and not _binomial_fits(n, n // 2):
+        raise OverflowError(
+            f"C({n}, {n // 2}) exceeds the float range: with {' and '.join(row_users)}, "
+            f"every C(n, k) must be a float, which holds only up to n = 1029"
+        )
+    if not _binomial_fits(n, args.w):
+        raise OverflowError(
+            f"C({n}, {args.w}) exceeds the float range (about 1.8e308) "
+            f"of the success probability C(n, w) a_w^2"
+        )
+
+
 def _simulate_state(args: argparse.Namespace):
     n, w = args.n, args.w
     if args.method == "childs":
@@ -173,6 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.t is not None and not args.grover:
         raise ValueError("--t requires --grover")
+    _check_binomials(args)
     state, f = _simulate_state(args)
     # the report is held back, so a failure anywhere leaves stdout empty
     report = [f"method = {args.method}", f"n = {args.n}", f"w = {args.w}"]

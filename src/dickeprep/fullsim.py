@@ -16,11 +16,17 @@ constant-geometry passes (M. C. Pease, J. ACM 15 (1968) 252): the pairs of
 the lowest qubit are the even and odd entries, and writing their two
 outputs to the lower and upper half of a second buffer moves that qubit to
 the top, so the passes visit qubits 0, 1, ..., n-1 in turn, with the same
-complex products and sums per amplitude as a per-qubit loop over strided
-views.  The weight readout gathers the amplitudes by weight once, with a
-stable sort, so every class is a contiguous slice in index order: its mean
-is the same pairwise sum as over a boolean-mask copy, and one
-maximum.reduceat gives every deviation exactly.
+products and sums per amplitude as a per-qubit loop over strided views;
+a column of the matrix broadcast against the even (odd) entries writes both
+halves in one call.
+The layer's matrix is real, and one kernel runs it on complex states and on
+the real vectors of biased_dj_output, whose every step is real: with real
+coefficients and +0.0 imaginary parts, complex arithmetic gives the same
+real parts as float arithmetic and keeps the imaginary parts +0.0.  The
+weight readout gathers the amplitudes by weight once, with a stable sort,
+so every class is a contiguous slice in index order: its mean is the same
+pairwise sum as over a boolean-mask copy, and one maximum.reduceat gives
+every deviation exactly.
 """
 
 from __future__ import annotations
@@ -78,10 +84,9 @@ class FullState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)  # one copy, also from a float vector
         if amps.shape != (1 << self.n,):
             raise ValueError(f"amps has shape {amps.shape}, expected ({1 << self.n},)")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -97,11 +102,20 @@ def _check_cap(n: int) -> None:
         )
 
 
-def zero_state(n: int) -> FullState:
-    """|0...0> on n qubits, subject to the qubit cap."""
+def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"n={n} must be positive")
     _check_cap(n)
+
+
+def _check_bias(r: float, n: int) -> None:
+    if not 0.0 <= r <= n:
+        raise ValueError(f"r={r} out of range [0, {n}]")
+
+
+def zero_state(n: int) -> FullState:
+    """|0...0> on n qubits, subject to the qubit cap."""
+    _check_size(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return FullState(n=n, amps=amps)
@@ -137,43 +151,48 @@ def _bias_matrix(rho: float) -> np.ndarray:
         [
             [math.sqrt(1.0 - rho), math.sqrt(rho)],
             [math.sqrt(rho), -math.sqrt(1.0 - rho)],
-        ],
-        dtype=complex,
+        ]
     )
 
 
-def apply_layer(s: FullState, r: float) -> FullState:
-    """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer.
+def _layer(amps: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
+    """The real 2x2 matrix m on every qubit of amps (float or complex), into a new array.
 
     Constant-geometry form (Pease 1968): each of the n passes reads the
     pairs of the current lowest qubit as the even and odd entries of the
     source and writes m00 x0 + m01 x1 to the lower half of the other buffer,
     m10 x0 + m11 x1 to the upper half.  That moves the lowest qubit to the
     top, so pass q acts on qubit q and after n passes the order is restored.
-    Every amplitude gets the same complex products and sums, in the same
-    qubit order, as a per-qubit loop over (2^(n-q-1), 2, 2^q) views, so the
-    result equals that loop's bit for bit; each pass is six ufunc calls on
-    2^(n-1)-long runs, into one ping-pong pair of buffers and one half-size
-    temporary.
+    Every amplitude gets the same products and sums, in the same qubit
+    order, as a per-qubit loop over (2^(n-q-1), 2, 2^q) views, so the result
+    equals that loop's bit for bit.  Each pass is three ufunc calls: a
+    column of m broadcast against the even (odd) entries fills both halves
+    at once, into one ping-pong pair of buffers and one temporary, all of
+    amps' dtype.
     """
-    if not 0.0 <= r <= s.n:
-        raise ValueError(f"r={r} out of range [0, {s.n}]")
-    m = _bias_matrix(r / s.n)
-    h = 1 << (s.n - 1)
-    bufs = (np.empty(2 * h, dtype=complex), np.empty(2 * h, dtype=complex))
-    tmp = np.empty(h, dtype=complex)
-    src = s.amps
-    for q in range(s.n):
+    col0, col1 = m[:, :1], m[:, 1:]
+    shape = (2, 1 << (n - 1))
+    bufs = (np.empty(shape, dtype=amps.dtype), np.empty(shape, dtype=amps.dtype))
+    tmp = np.empty(shape, dtype=amps.dtype)
+    src = amps
+    for q in range(n):
         dst = bufs[q & 1]
-        x0, x1, lo, hi = src[0::2], src[1::2], dst[:h], dst[h:]
-        np.multiply(m[0, 0], x0, out=lo)
-        np.multiply(m[0, 1], x1, out=tmp)
-        np.add(lo, tmp, out=lo)
-        np.multiply(m[1, 0], x0, out=hi)
-        np.multiply(m[1, 1], x1, out=tmp)
-        np.add(hi, tmp, out=hi)
-        src = dst
-    return FullState(n=s.n, amps=src)
+        np.multiply(col0, src[0::2], out=dst)
+        np.multiply(col1, src[1::2], out=tmp)
+        np.add(dst, tmp, out=dst)
+        src = dst.reshape(-1)
+    return src
+
+
+def apply_layer(s: FullState, r: float) -> FullState:
+    """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer.
+
+    The constant-geometry kernel with real coefficients on the complex
+    amplitudes: a real scalar enters each complex product as a + 0j, the
+    same operands as a complex bias matrix.
+    """
+    _check_bias(r, s.n)
+    return FullState(n=s.n, amps=_layer(s.amps, s.n, _bias_matrix(r / s.n)))
 
 
 def apply_phase_oracle(s: FullState, f: SymmetricBooleanFunction) -> FullState:
@@ -202,11 +221,26 @@ def diffuse_about(s: FullState, psi: FullState) -> FullState:
 
 
 def biased_dj_output(f: SymmetricBooleanFunction, r: float) -> FullState:
-    """B_{r,n} U_f H^n |0..0>: Hadamard layer, phase oracle, bias layer (DJ at r = n/2)."""
-    s = zero_state(f.n)
-    s = apply_layer(s, f.n / 2.0)
-    s = apply_phase_oracle(s, f)
-    return apply_layer(s, r)
+    """B_{r,n} U_f H^n |0..0>: Hadamard layer, phase oracle, bias layer (DJ at r = n/2).
+
+    Every step is real, so it runs on one float64 vector, bit for bit
+    apply_layer(apply_phase_oracle(apply_layer(zero_state(n), n/2), f), r).
+    The Hadamard layer's passes multiply the one nonzero entry of each pair
+    by s = sqrt(1/2) and add a zero, so H^n |0..0> is the constant
+    fl(...fl(s s)... s) of n factors; the oracle flips its sign by weight;
+    the bias layer is apply_layer's kernel.  The imaginary parts, which
+    complex arithmetic keeps at +0.0, come from the one conversion to
+    FullState.  n, the qubit cap and r are checked before any 2^n array.
+    """
+    n = f.n
+    _check_size(n)
+    _check_bias(r, n)
+    s = math.sqrt(0.5)
+    c = 1.0
+    for _ in range(n):
+        c *= s
+    phased = np.where(np.array(f.bits, dtype=bool), -c, c)[weights(n)]
+    return FullState(n=n, amps=_layer(phased, n, _bias_matrix(r / n)))
 
 
 @dataclass(frozen=True)
@@ -236,11 +270,14 @@ def weight_profile(s: FullState) -> WeightProfile:
     One stable gather by weight (_weight_classes) lays each class out as a
     contiguous slice holding the members of a boolean-mask copy in the same
     order, so each mean is the same pairwise sum; the deviations are one
-    maximum.reduceat over all classes, which is exact.
+    maximum.reduceat over all classes, which is exact.  A mean is the
+    pairwise np.add.reduce over the slice divided by its size, which is
+    what ndarray.mean computes, without its per-call dispatch.
     """
     order, starts, counts = _weight_classes(s.n)
     grouped = s.amps[order]
-    means = np.array([grouped[a:a + c].mean() for a, c in zip(starts.tolist(), counts.tolist())])
+    means = np.array([np.add.reduce(grouped[a:a + c]) / c
+                      for a, c in zip(starts.tolist(), counts.tolist())])
     deviations = np.maximum.reduceat(np.abs(grouped - np.repeat(means, counts)), starts)
     return WeightProfile(n=s.n, amplitudes=tuple(means.tolist()),
                          deviations=tuple(deviations.tolist()))

@@ -14,7 +14,9 @@ rotation holds only for a unit vector, so planning first runs the 1e-8
 norm gate of the input's distribution and raises StateError past it.  In
 floats the angles (2t+1) theta and (2t+1) psi each carry an error of about
 (2t+1) eps, so at large t the result drifts off unit norm; amplify gates
-its result too, and sampling reuses that gate.
+its result too, and sampling reuses that gate.  From (2t+1) theta = 2^52
+rad on, the ulp of the phase is 1 rad, so it has no correct bits left, and
+amplify refuses such a t before it rotates.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "plan_amplification",
     "recommended_iterations",
 ]
+
+# amplify refuses a phase (2t+1) theta at or past this many radians
+MAX_PHASE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,8 @@ def amplify(initial: SymmetricState, w: int, t: int | None = None) -> SymmetricS
     """t Grover steps on the initial state as one rotation (t=None: recommended count).
 
     Raises StateError when the input, or the rotated result, is not a unit
-    vector within NORM_ATOL.
+    vector within NORM_ATOL, and ValueError when (2t+1) theta reaches
+    MAX_PHASE = 2^52 rad, where the phase has no correct bits.
     """
     if t is not None and t < 0:
         raise ValueError(f"t={t} must be non-negative")
@@ -81,6 +87,11 @@ def amplify(initial: SymmetricState, w: int, t: int | None = None) -> SymmetricS
     if t is None:
         t = plan.t
     m = 2 * t + 1
+    if m >= MAX_PHASE / plan.theta:  # exact int-float comparison at any t
+        raise ValueError(
+            f"t={t} puts the Grover phase (2t+1) theta past 2^52 rad "
+            f"(theta = {plan.theta:.6g}), where it has no correct bits"
+        )
     psi = math.pi / 2 - plan.theta
     off = (-1) ** t * (math.sin(m * psi) / math.sin(psi) if psi > 0.0 else m)
     amps = initial.amps * off

@@ -25,7 +25,9 @@ Parity measurement is modeled at the outcome level: weight k is drawn with
 probability C(n,k) a_k^2 and the register collapses to |D^n_k>.  Each state
 owns that row (`probabilities`) and its gated, normalized form
 (`distribution`), each computed once, so synthesis, Grover planning and
-sampling weigh and gate a state once between them.
+sampling weigh and gate a state once between them.  The float binomial row
+C(n, k) is built once per n and shared by every state of that size, from a
+small per-n cache.
 
 Outcomes are drawn by inverse CDF through a guide table (Chen & Asau, AIIE
 Trans. 6 (1974) 163; Devroye, Non-Uniform Random Variate Generation, 1986,
@@ -79,6 +81,22 @@ __all__ = [
 NORM_ATOL = 1e-8  # SymmetricState.distribution refuses a larger |norm - 1|
 
 
+# rounded binomial rows kept, one per n: at most 8 x 1030 x 8 B = 64.4 KiB,
+# since from n = 1030 the row raises instead
+_BINOMIAL_ROWS = 8
+
+
+@lru_cache(maxsize=_BINOMIAL_ROWS)
+def _binomial_row(n: int) -> np.ndarray:
+    """np.array(column(0, n), dtype=float), read-only: C(n, k) rounded once.
+
+    Raises OverflowError from n = 1030, and lru_cache keeps no entry then.
+    """
+    row = np.array(column(0, n), dtype=float)
+    row.flags.writeable = False
+    return row
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricState:
     """n-qubit permutation-symmetric state: one real amplitude per weight."""
@@ -104,9 +122,10 @@ class SymmetricState:
         once to a float and multiplied by a_k twice, left to right, so the
         result is the float product comb(n, k) * a_k * a_k bit for bit.  That
         rounding holds to n = 1029; from n = 1030 the middle binomials exceed
-        the float range and the conversion raises OverflowError.
+        the float range and the conversion raises OverflowError.  The rounded
+        row is shared by every state of the same n (_binomial_row).
         """
-        p = np.array(column(0, self.n), dtype=float) * self.amps * self.amps
+        p = _binomial_row(self.n) * self.amps * self.amps
         p.flags.writeable = False
         return p
 
@@ -350,9 +369,11 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
     ks = np.arange(n + 1)
     on_ones = on_zeros[ks[:, None], ks[:, None] - ks]
     on_ones[:, 1::2] *= -1.0
-    # H[j, m] = s_{j+m}; past s_n the padding only meets zero coefficients
+    # H[j, m] = s_{j+m}; past s_n the padding only meets zero coefficients.
+    # The strided view is the one sliding_window_view builds, without its
+    # per-call checks
     signs = np.concatenate([f.signs(), np.zeros(n)])
-    hankel = np.lib.stride_tricks.sliding_window_view(signs, n + 1)
+    hankel = np.ndarray((n + 1, n + 1), buffer=signs, strides=2 * signs.strides)
     amps = ((on_ones @ hankel) * on_zeros[::-1]).sum(axis=1) * 2.0 ** (-0.5 * n)
     state = SymmetricState(n=n, amps=amps)
     state.distribution  # the norm gate of parity measurement

@@ -13,6 +13,7 @@ from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.search import RecordStore, SearchRecord
 from dickeprep.symfunc import SymmetricBooleanFunction
+from dickeprep.symstate import dicke
 
 
 def run(capsys, *argv):
@@ -172,8 +173,8 @@ class TestSimulateCommand:
         assert "probability after" not in out
 
     def test_each_state_weighed_once(self, capsys, monkeypatch):
-        # one binomial row for the input, one for the amplified state: amplify's
-        # re-plan, sampling and the CSV reuse the rows and gates of those two
+        # one binomial row per n per process: the input, the amplified state,
+        # amplify's re-plan, sampling, the CSV and the next request all read it
         rows = []
 
         def counting_column(k, n):
@@ -181,12 +182,12 @@ class TestSimulateCommand:
             return column(k, n)
 
         monkeypatch.setattr(symstate, "column", counting_column)
+        symstate._binomial_row.cache_clear()
         for method in ("dj", "childs"):
-            rows.clear()
             code, _, _ = run(capsys, "simulate", "--n", "40", "--w", "9", "--method", method,
                              "--grover", "--trials", "100", "--seed", "1")
             assert code == 0
-            assert rows == [(0, 40), (0, 40)], method
+        assert rows == [(0, 40)]
 
     def test_trials_limit_refused_before_synthesis(self, capsys, monkeypatch):
         calls = []
@@ -212,6 +213,52 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
                            "--trials", "51")
         assert code == 1 and "exceeds the limit 50" in err and calls == [50]
+
+    def test_binomials_past_float_range_refused_before_synthesis(self, capsys, monkeypatch):
+        calls = []
+
+        def watched(args):
+            calls.append((args.n, args.w))
+            return dicke(args.n, args.w), None  # a stand-in, not the requested state
+
+        monkeypatch.setattr(cli, "_simulate_state", watched)
+        row = "every C(n, k) must be a float, which holds only up to n = 1029"
+        refused = [
+            (("--n", "1100", "--w", "550", "--method", "dj", "--grover"),
+             f"C(1100, 550) exceeds the float range: with --grover, {row}"),
+            (("--n", "1030", "--w", "3", "--method", "childs", "--trials", "10"),
+             f"C(1030, 515) exceeds the float range: with --trials, {row}"),
+            (("--n", "1031", "--w", "3", "--method", "biased", "--grover", "--trials", "10"),
+             f"C(1031, 515) exceeds the float range: with --method biased and --grover "
+             f"and --trials, {row}"),
+            (("--n", "2000", "--w", "500", "--method", "childs"),
+             "C(2000, 500) exceeds the float range (about 1.8e308) "
+             "of the success probability C(n, w) a_w^2"),
+            (("--n", str(1 << 1024), "--w", "1", "--method", "dj"),
+             f"C({1 << 1024}, 1) exceeds the float range (about 1.8e308) "
+             f"of the success probability C(n, w) a_w^2"),
+        ]
+        for argv, message in refused:
+            code, out, err = run(capsys, "simulate", *argv)
+            assert (code, out, err.splitlines()) == (1, "", [f"error: {message}"]), argv
+        assert calls == []
+        # the row edge itself, and one C(n, w) far past it without the row
+        for argv in (("--n", "1029", "--w", "514", "--method", "dj", "--grover", "--trials", "10"),
+                     ("--n", "5000", "--w", "2", "--method", "dj"),
+                     ("--n", "5000", "--w", "4998", "--method", "childs")):
+            code, out, _ = run(capsys, "simulate", *argv)
+            assert code == 0 and "analytic probability" in out, argv
+        assert calls == [(1029, 514), (5000, 2), (5000, 4998)]
+
+    def test_grover_phase_past_float_bits_refused(self, capsys):
+        t = "100000000000000000000000"
+        code, out, err = run(capsys, "simulate", "--n", "6", "--w", "2", "--method", "dj",
+                             "--grover", "--t", t)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: t={t} puts the Grover phase (2t+1) theta past 2^52 rad "
+            f"(theta = 0.812756), where it has no correct bits"
+        ]
 
     def test_flag_conflicts(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "4", "--w", "1",

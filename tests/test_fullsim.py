@@ -206,6 +206,65 @@ class TestAgainstReferenceKernels:
                 a[0] = 1
 
 
+def literal_biased_dj(f, r):
+    """Hadamard layer on |0..0>, phase oracle, bias layer: the complex per-qubit pipeline."""
+    s = fullsim_reference.apply_layer(fullsim.zero_state(f.n), f.n / 2.0)
+    return fullsim_reference.apply_layer(fullsim.apply_phase_oracle(s, f), r)
+
+
+class TestBiasedOutputInRealArithmetic:
+    """biased_dj_output runs on float64 and equals the literal complex
+    pipeline bit for bit, imaginary parts +0.0 included."""
+
+    @staticmethod
+    def assert_literal(f, r):
+        out = fullsim.biased_dj_output(f, r)
+        assert out.amps.dtype == complex
+        assert np.array_equal(bits(out.amps), bits(literal_biased_dj(f, r).amps)), (f.n, r)
+        assert not bits(out.amps.imag).any()  # every imaginary part is +0.0
+
+    def test_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        count = 0
+        for n in range(1, 15):
+            f = random_function(n, rng)
+            for r in (0.0, n / 2.0, float(n), *rng.uniform(0, n, 2).tolist()):
+                self.assert_literal(f, r)
+                count += 1
+        assert count == 14 * 5
+
+    def test_bit_for_bit_above_default_cap(self, monkeypatch):
+        monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "16")
+        rng = np.random.default_rng(23)
+        f = random_function(16, rng)
+        for r in (0.0, 8.0, 16.0, *rng.uniform(0, 16, 2).tolist()):
+            self.assert_literal(f, r)
+
+    def test_arguments_checked_before_any_dense_work(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"weights({n}) read before the argument checks")
+
+        monkeypatch.setattr(fullsim, "weights", refuse)
+        with pytest.raises(ValueError, match="n=0 must be positive"):
+            fullsim.biased_dj_output(SymmetricBooleanFunction(n=0, bits=(0,)), 0.0)
+        n = fullsim.DEFAULT_MAX_QUBITS + 1
+        with pytest.raises(ResourceLimitError, match="cap"):
+            fullsim.biased_dj_output(SymmetricBooleanFunction.from_value(n, 1), 1.0)
+        for r in (-0.5, 3.5, math.nan):
+            with pytest.raises(ValueError, match=r"out of range \[0, 3\]"):
+                fullsim.biased_dj_output(SymmetricBooleanFunction.from_value(3, 5), r)
+
+    def test_layer_real_coefficients_equal_complex_ones(self, monkeypatch):
+        # a real scalar enters each complex product as a + 0j: the reference
+        # kernel with the complex bias matrix gives the same bits
+        real = fullsim._bias_matrix
+        monkeypatch.setattr(fullsim_reference, "_bias_matrix",
+                            lambda rho: real(rho).astype(complex))
+        for s, r in exactness_cases():
+            new, old = fullsim.apply_layer(s, r), fullsim_reference.apply_layer(s, r)
+            assert np.array_equal(bits(new.amps), bits(old.amps)), (s.n, r)
+
+
 class TestAgainstCompactRepresentation:
     def test_biased_pipeline_matches_weight_formula(self):
         rng = np.random.default_rng(15)

@@ -214,6 +214,21 @@ class TestAmplify:
         with pytest.raises(StateError, match="state norm 1.00095"):
             amplify(s, 1, 10**14)
 
+    def test_phase_past_float_bits_refused(self, monkeypatch):
+        # (2t+1) theta >= 2^52 rad: the phase's ulp is 1 rad, so it has no correct bits
+        s = dj_state(optimal_function(3, 1))  # theta = pi/3
+        theta = plan_amplification(s, 1).theta
+        edge = math.ceil((2.0**52 / theta - 1) / 2)
+        angles = []
+        real_sin = math.sin
+        monkeypatch.setattr(math, "sin", lambda x: angles.append(x) or real_sin(x))
+        for t in (edge, edge + 1, 10**16, 10**400):
+            with pytest.raises(ValueError, match=r"Grover phase \(2t\+1\) theta past 2\^52 rad"):
+                amplify(s, 1, t)
+        assert max(map(abs, angles)) <= 3 * theta  # planning only (t = 0, 1), no rotation
+        with pytest.raises(StateError, match="state norm"):  # below the edge: the norm gate
+            amplify(s, 1, edge - 1)
+
     def test_norm_gate(self):
         s = SymmetricState(n=2, amps=[1.0, 1.0, 1.0])
         with pytest.raises(StateError, match="norm"):

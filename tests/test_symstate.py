@@ -10,7 +10,7 @@ import pytest
 from dickeprep import fullsim, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.grover import amplify, plan_amplification
-from dickeprep.krawtchouk import abs_column_sum, columns
+from dickeprep.krawtchouk import abs_column_sum, column, columns
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
     dj_optimal_profile,
@@ -480,6 +480,18 @@ class TestParityMeasurement:
             s.probabilities
         with pytest.raises(OverflowError):
             parity_sample(s, 10, np.random.default_rng(0))
+
+    def test_binomial_row_cached_read_only(self):
+        for n in [*range(65), 1029]:
+            row = symstate._binomial_row(n)
+            assert row.tobytes() == np.array(column(0, n), dtype=float).tobytes(), n
+            assert symstate._binomial_row(n) is row
+            with pytest.raises(ValueError):
+                row[0] = 2.0
+        assert symstate._binomial_row.cache_info().currsize <= symstate._BINOMIAL_ROWS
+        with pytest.raises(OverflowError):
+            symstate._binomial_row(1030)
+        assert symstate._binomial_row(1029) is row  # the failed size cached nothing
 
     def test_outcome_arrays_cached_read_only(self):
         s = dj_state(optimal_function(9, 4))
