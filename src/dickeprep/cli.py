@@ -22,6 +22,7 @@ from .errors import ResourceLimitError
 from .symfunc import (
     SymmetricBooleanFunction,
     c_minima,
+    c_minima_bytes,
     dj_optimal_profile,
     optimal_function,
     quarter_slice,
@@ -42,6 +43,8 @@ __all__ = ["main"]
 
 # simulate --trials bound: the outcome array holds 8 B per trial, 800 MB here
 MAX_TRIALS = 10**8
+# cn --max-n bound on c_minima's float table, (max_n//2 + 1)^2 x 8 B: up to --max-n 2895
+MAX_CN_TABLE_BYTES = 16 << 20
 
 
 def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
@@ -122,6 +125,11 @@ def _cmd_optfn(args: argparse.Namespace) -> int:
 def _cmd_cn(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
+    table = c_minima_bytes(args.max_n)
+    if table > MAX_CN_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"--max-n {args.max_n} needs a {table} B float table, over the limit {MAX_CN_TABLE_BYTES} B"
+        )
     cs, w_mins = zip(*c_minima(args.max_n))
     _emit(args, "cn", {"max_n": args.max_n}, ["n", "c", "w_min"], [range(1, len(cs) + 1), cs, w_mins])
     return 0

@@ -40,9 +40,9 @@ quarter of it.
 A column also steps in n: G_k^(n+1) = G_k^(n) (1+z) and
 G_{k+1}^(n+1) = G_k^(n) (1-z), one add or subtract per half-column entry
 (`next_half_column`; for odd n the half column first gains
-K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).  Sweeps over
-n (`symfunc.c_minima`, `symfunc.quarter_slice`) carry one column this way
-instead of rebuilding every n from scratch.
+K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
+`symfunc.quarter_slice` carries its one column this way instead of
+rebuilding every n from scratch.
 
 `column_strings` gives the matrix as decimal text for the `krawtchouk`
 dump.  The palindrome and the mirror hold each |K_i(k, n)| up to four

@@ -15,13 +15,37 @@ s_{n/2}).
 
 The profile needs every entry's absolute value, which is not linear in the
 column, so it walks the columns one at a time with the additive stepper
-`krawtchouk.descending_columns`.  Sweeps over n walk along n instead:
-`quarter_slice` carries the single column k = n//4 and `c_minima` each
-column k from n = 2k up, by the Pascal step `krawtchouk.next_half_column`
-(one add per half-column entry, where a step in k costs two), with
-C(n, k) carried by one exact multiply and divide.  Each keeps one column
-live, and each value is the same correctly rounded ratio as the per-n
-profile's.
+`krawtchouk.descending_columns`.  `quarter_slice` walks along n instead: it
+carries the single column k = n//4 by the Pascal step
+`krawtchouk.next_half_column` (one add per half-column entry, where a step
+in k costs two), with C(n, k) carried by one exact multiply and divide, and
+each value is the same correctly rounded ratio as the per-n profile's.
+
+`c_minima` prints only the minimum of each profile, c(n) = min_k c_k(n)
+with c_k(n) = C(n, k) S(k, n)^2 sqrt(n) / 4^n and S(k, n) = sum_i |K_i(k, n)|,
+so a certified float filter rules out the other terms, and only the
+survivors, usually one per n, are evaluated exactly.  The filter carries
+every column k <= n//2 in one table of floats Y_i ~ K_i(k, n) 2^-e_k, by
+the Pascal step Y_i + Y_{i-1} (the palindrome gives the extra input at
+odd n).  Column k is born at n = 2k from the exact
+`krawtchouk._half_column`, and every 32 steps each column is rescaled by a
+power of two, so nothing overflows at any n.  The error bound follows
+Higham, Accuracy and Stability of Numerical Algorithms (2nd ed., 2002),
+ch. 3-4, with unit roundoff u = 2^-53: a step rounds each entry once, by
+at most u |Y_i| / (1 - u), and passes on the old errors e_i + e_{i-1}, so
+the bound F on the total error over the full column obeys
+F(n+1) = 2 F(n) + 2u S~(n+1), where S~ is the float sum of |Y_i| over the
+full column (a sum that lands among the subnormals is exact).  A rescale
+or a conversion from integers adds (n + 2) 2^-1074 for subnormal results,
+and every update of F is rounded up.  Then
+|S(k, n) 2^-e_k - S~| <= F + (n + 8) u S~, the last term being the
+rounding of the sum itself.  C(n, k) is a float carried by the ratio
+n / (n - k) from its exact value at birth, within (2(n - 2k) + 1) 1.01 u.
+These give certified bounds lo_k <= c_k(n) <= hi_k, and `c_minima`'s
+prune rule drops a term only when no rounding of the printed float can
+make it the minimum.  A surviving column whose F passes 2^-24 S~ is rebuilt
+from the exact column first.  The table takes (N//2 + 1)^2 x 8 B
+(`c_minima_bytes`), and `cli` refuses a `cn` run past its byte bound.
 
 A spectrum needs only two folded dots per column, which are linear, so
 `reduced_walsh_spectrum` steps L columns at once in lanes of one Python int
@@ -39,13 +63,17 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from operator import add
 
-from .krawtchouk import _half_column, column, descending_columns, half_abs_sum, next_half_column
+import numpy as np
+
+from .krawtchouk import _half_column, abs_column_sum, column, descending_columns, half_abs_sum, next_half_column
 
 __all__ = [
     "SymmetricBooleanFunction",
     "c_minima",
+    "c_minima_bytes",
     "c_of_n",
     "c_profile",
     "dj_optimal_profile",
@@ -235,37 +263,155 @@ def c_of_n(n: int) -> float:
     return min(c_profile(n))
 
 
+# c_minima's float filter (module docstring)
+_U = 2.0**-53  # unit roundoff of float64
+_RESEED_RATIO = 2.0**-24  # a candidate column whose error bound passes this share of its sum is rebuilt exactly
+_RESCALE_STEPS = 32  # steps between the per-column power-of-two rescalings
+_ROUND_UP = 1.0 + 2.0**-51  # lifts a computed bound past the rounding of its own arithmetic
+_SUBNORMAL = 2.0**-1074  # two roundings of a subnormal result, per entry
+_PRUNE_SLACK = 1.0 + 2.0**-48  # past (1 + u)^3 / (1 - u)^3, the rounding of the printed term
+_POWER_CLIP = 800  # |binary exponent| of a bound, far past any c_k(n)
+
+
+def c_minima_bytes(max_n: int) -> int:
+    """Bytes of c_minima(max_n)'s float table: (max_n//2 + 1)^2 float64 entries."""
+    return 8 * (max_n // 2 + 1) ** 2
+
+
+def _scaled_floats(values: list[int], top: int) -> np.ndarray:
+    """values * 2^-top as floats, each rounded once (a subnormal result once more)."""
+    if top > 1000:  # float() takes ints below 2^1024 only
+        values = [v / (1 << (top - 1000)) for v in values]
+        top = 1000
+    return np.ldexp(np.array(values, dtype=float), -top)
+
+
+class _FloatFilter:
+    """Certified float bounds lo_k <= c_k(n) <= hi_k for every k <= n//2, one n at a time.
+
+    Row k of `table` holds half column k as Y_i ~ K_i(k, n) 2^-exps[k], and
+    sums[k] is the float sum of |Y_i| over the full column, with
+    |S(k, n) 2^-exps[k] - sums[k]| <= err[k] + (n + 8) u sums[k].
+    C(n, k) is binoms[k] 2^binom_exps[k] within a relative (2(n - 2k) + 1) 1.01 u.
+    """
+
+    def __init__(self, max_n: int) -> None:
+        m = max_n // 2 + 1
+        self.n = 0
+        self.table = np.zeros((m, m))
+        self.table[0, 0] = 1.0  # column 0 at n = 0
+        self.sums = np.ones(1)
+        self.err = np.zeros(m)
+        self.exps = np.zeros(m, dtype=np.int64)
+        self.binoms = np.ones(m)
+        self.binom_exps = np.zeros(m, dtype=np.int64)
+        self._ks = np.arange(m)
+        self._signs = np.where(self._ks & 1, -1.0, 1.0)
+
+    def _abs_sums(self, rows: np.ndarray) -> np.ndarray:
+        """sum_i |Y_i| over the full columns of half-column rows: twice each i < n/2, plus the middle."""
+        n, h = self.n, self.n // 2
+        mags = np.abs(rows)
+        total = 2.0 * mags[:, : n - h].sum(axis=1)
+        if n % 2 == 0:
+            total += mags[:, h]
+        return total
+
+    def step(self) -> None:
+        """n -> n+1: the Pascal step on every column, then column n/2 is born at even n."""
+        n = self.n = self.n + 1
+        h, live = n // 2, (n - 1) // 2 + 1
+        block = self.table[:live, : h + 1]
+        err = self.err[:live]
+        if n % 2 == 0:  # the half column gains K_h(k, n-1) = (-1)^k K_{h-1}(k, n-1)
+            block[:, h] = self._signs[:live] * block[:, h - 1]
+        np.add(block[:, 1:], block[:, :-1], out=block[:, 1:])
+        if n % _RESCALE_STEPS == 0:
+            shift = np.frexp(np.abs(block).max(axis=1))[1]
+            np.ldexp(block, -shift[:, None], out=block)
+            err[:] = (np.ldexp(err, -shift) + (n + 2) * _SUBNORMAL) * _ROUND_UP
+            self.exps[:live] += shift
+        self.sums = self._abs_sums(self.table[: h + 1, : h + 1])
+        err[:] = (2.0 * err + 2.0 * _U * self.sums[:live]) * _ROUND_UP
+        self.binoms[:live] *= n / (n - self._ks[:live])
+        if n % 2 == 0:
+            middle = comb(n, h)
+            self.binom_exps[h] = middle.bit_length()
+            self.binoms[h] = middle / (1 << middle.bit_length())
+            self.reseed([h])
+        self.binoms[: h + 1], shift = np.frexp(self.binoms[: h + 1])
+        self.binom_exps[: h + 1] += shift
+
+    def reseed(self, ks) -> None:
+        """Rebuild columns ks at n from the exact krawtchouk._half_column."""
+        n, h = self.n, self.n // 2
+        for k in ks:
+            half = _half_column(int(k), n)
+            top = max(map(abs, half)).bit_length()
+            self.table[k, : h + 1] = _scaled_floats(half, top)
+            self.exps[k] = top
+        self.sums[ks] = self._abs_sums(self.table[ks, : h + 1])
+        self.err[ks] = (2.0 * _U * self.sums[ks] + (n + 2) * _SUBNORMAL) * _ROUND_UP
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): lo[k] <= C(n, k) S(k, n)^2 sqrt(n) / 4^n <= hi[k] for k <= n//2."""
+        n, h = self.n, self.n // 2
+        s = self.sums
+        dev = (self.err[: h + 1] + (n + 8) * _U * s) * _ROUND_UP
+        # the binomial's error, plus a few u for sqrt(n) and the products below
+        rel = (2 * (n - 2 * self._ks[: h + 1]) + 16) * (1.01 * _U)
+        scale = self.binoms[: h + 1] * math.sqrt(n)
+        lo = scale * np.square(np.maximum(s - dev, 0.0)) * (1.0 - rel)
+        hi = scale * np.square(s + dev) * (1.0 + rel)
+        power = self.binom_exps[: h + 1] + 2 * self.exps[: h + 1] - 2 * n
+        clipped = np.maximum(np.minimum(power, _POWER_CLIP), -_POWER_CLIP)  # lowers lo, raises hi
+        return (np.where(power < -_POWER_CLIP, 0.0, np.ldexp(lo, clipped)),
+                np.where(power > _POWER_CLIP, np.inf, np.ldexp(hi, clipped)))
+
+    def candidates(self) -> np.ndarray:
+        """Ascending k whose term may print as the minimum; candidates past the reseed ratio are rebuilt first."""
+        lo, hi = self.bounds()
+        keep = np.flatnonzero(lo <= hi.min() * _PRUNE_SLACK)
+        redo = keep[self.err[keep] > _RESEED_RATIO * self.sums[keep]]
+        if redo.size:
+            self.reseed(redo)
+            lo, hi = self.bounds()
+            keep = np.flatnonzero(lo <= hi.min() * _PRUNE_SLACK)
+        return keep
+
+
 def c_minima(max_n: int) -> list[tuple[float, int]]:
     """(c(n), w_min(n)) for n = 1..max_n: min(c_profile(n)) and its first index.
 
-    Each column k <= max_n//2 is carried along n = 2k..max_n by the Pascal
-    step (1+z), one add per half-column entry, with C(n, k) by one exact
-    multiply and divide; column k at n = 2k comes from column k-1 at
-    n = 2k-2 by (1-z), then (1+z).  Only one carried column is live at a
-    time.  Every term is the same float as in c_profile, and the profile is
-    symmetric in w <-> n-w, so a strict `<` over ascending k keeps the first
-    minimum, as `profile.index` does.
+    A certified float filter (`_FloatFilter`, module docstring) rules out
+    all but a few terms per n, usually one; those are evaluated exactly as
+    in c_profile, (C(n, k) S^2) / 4^n * sqrt(n), so every row is the same
+    float and index as min(c_profile(n)) and profile.index, whatever the
+    floats round to.
+
+    Prune rule: with lo_k <= c_k(n) <= hi_k certified and U = min_k hi_k,
+    column k is dropped when lo_k > U (1 + 2^-48).  The printed term rounds
+    three times (the integer ratio, sqrt(n) and their product), so it lies
+    within (1 +- u)^3 of the exact one, and a dropped term prints strictly
+    above the term that attains U.  The profile is symmetric in w <-> n-w,
+    so a strict `<` over the ascending surviving k keeps the first minimum.
+    The float table takes c_minima_bytes(max_n).
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be positive")
-    cs, w_mins = [math.inf] * (max_n + 1), [0] * (max_n + 1)
-    denoms = [1 << (2 * n) for n in range(max_n + 1)]
-    scales = [math.sqrt(n) for n in range(max_n + 1)]
-    seed, seed_binom = [1], 1  # column 0 at n = 0
-    for k in range(max_n // 2 + 1):
-        if k:
-            seed = next_half_column(next_half_column(seed, k - 1, 2 * k - 2, down=True), k, 2 * k - 1)
-            seed_binom = seed_binom * (2 * k) * (2 * k - 1) // (k * k)
-        half, binom = seed, seed_binom
-        for n in range(max(2 * k, 1), max_n + 1):
-            if n > 2 * k:
-                half = next_half_column(half, k, n - 1)
-                binom = binom * n // (n - k)
-            s = half_abs_sum(half, n)
-            c = (binom * s * s) / denoms[n] * scales[n]
-            if c < cs[n]:
-                cs[n], w_mins[n] = c, k
-    return list(zip(cs[1:], w_mins[1:]))
+    out = []
+    floats = _FloatFilter(max_n)
+    for n in range(1, max_n + 1):
+        floats.step()
+        best, w_min = math.inf, 0
+        for k in floats.candidates():
+            k = int(k)
+            s = abs_column_sum(k, n)
+            c = (comb(n, k) * s * s) / (1 << (2 * n)) * math.sqrt(n)
+            if c < best:
+                best, w_min = c, k
+        out.append((best, w_min))
+    return out
 
 
 def quarter_slice(max_n: int) -> list[float]:

@@ -12,7 +12,7 @@ from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.search import RecordStore, SearchRecord
-from dickeprep.symfunc import SymmetricBooleanFunction
+from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes
 from dickeprep.symstate import dicke
 
 
@@ -213,6 +213,31 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
                            "--trials", "51")
         assert code == 1 and "exceeds the limit 50" in err and calls == [50]
+
+    def test_cn_table_limit_refused_before_work(self, capsys, monkeypatch):
+        calls = []
+        real = cli.c_minima
+
+        def watched(max_n):
+            calls.append(max_n)
+            return real(max_n)
+
+        monkeypatch.setattr(cli, "c_minima", watched)
+        huge = 10**12
+        code, out, err = run(capsys, "cn", "--max-n", str(huge))
+        assert code == 1 and out == "" and calls == []
+        assert err.splitlines() == [
+            f"error: --max-n {huge} needs a {c_minima_bytes(huge)} B float table, "
+            f"over the limit {cli.MAX_CN_TABLE_BYTES} B"
+        ]
+        assert c_minima_bytes(2895) <= cli.MAX_CN_TABLE_BYTES < c_minima_bytes(2896)
+        # the bound itself is accepted (checked at a lowered bound)
+        monkeypatch.setattr(cli, "MAX_CN_TABLE_BYTES", c_minima_bytes(5))
+        code, out, _ = run(capsys, "cn", "--max-n", "5")
+        assert code == 0 and len(out.splitlines()) == 7 and calls == [5]
+        code, out, err = run(capsys, "cn", "--max-n", "6")
+        assert code == 1 and out == "" and calls == [5]
+        assert err.splitlines() == ["error: --max-n 6 needs a 128 B float table, over the limit 72 B"]
 
     def test_binomials_past_float_range_refused_before_synthesis(self, capsys, monkeypatch):
         calls = []
@@ -469,6 +494,9 @@ class TestOutputDigests:
             # the smallest palindrome and mirror edge of the dump
             (("krawtchouk", "--n", "1"),
              "113b446998022b215ad83d3551840184c972d539910d82cfbf45f46d17f0008f"),
+            # c(n) past the float filter's reseeding of candidate columns
+            (("cn", "--max-n", "600"),
+             "e2ea6d4189dcdca78fed42fb5ad6c9d3c3b0b9cbfb63a819ef3a11ecec606656"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

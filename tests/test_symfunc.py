@@ -1,14 +1,19 @@
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from dickeprep.krawtchouk import abs_column_sum, column, matrix
+from dickeprep import symfunc
+from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
+    _FloatFilter,
     _lane_layout,
+    _scaled_floats,
     c_minima,
+    c_minima_bytes,
     c_of_n,
     c_profile,
     dj_optimal_profile,
@@ -18,6 +23,7 @@ from dickeprep.symfunc import (
     spectrum_value,
 )
 
+import cn_reference
 from spectrum_reference import reduced_walsh_spectrum as reference_spectrum
 
 
@@ -297,3 +303,74 @@ class TestCarriedColumns:
         assert got == [dj_optimal_profile(n)[n // 4] for n in range(65)]
         with pytest.raises(ValueError, match="max_n="):
             quarter_slice(-1)
+
+
+@pytest.fixture(scope="module")
+def reference_rows():
+    """cn_reference.c_minima(600): each row depends on n alone, so row n - 1 serves every max_n >= n."""
+    return cn_reference.c_minima(600)
+
+
+class TestFloatFilteredMinima:
+    """c_minima's float filter against the exact reference, and its certificate against exact columns."""
+
+    def test_small_max_n_match_reference(self):
+        for max_n in range(1, 61):
+            assert c_minima(max_n) == cn_reference.c_minima(max_n), max_n
+
+    @pytest.mark.parametrize("max_n", [250, 401, 600])
+    def test_large_max_n_match_reference(self, reference_rows, max_n):
+        assert c_minima(max_n) == reference_rows[:max_n]
+
+    def test_certificate_against_exact_columns(self):
+        u = Fraction(1, 1 << 53)
+        floats = _FloatFilter(200)
+        for n in range(1, 201):
+            floats.step()
+            sums = [sum(map(abs, col)) for col in columns(n)[: n // 2 + 1]]
+            for stage in ("stepped", "filtered"):
+                if stage == "filtered":
+                    floats.candidates()  # may rebuild some columns
+                lo, hi = floats.bounds()
+                for k, total in enumerate(sums):
+                    s = Fraction(floats.sums[k])
+                    exact = Fraction(total, 1 << int(floats.exps[k]))
+                    assert abs(exact - s) <= Fraction(floats.err[k]) + (n + 8) * u * s, (n, k, stage)
+                    binom = Fraction(floats.binoms[k]) * 2 ** int(floats.binom_exps[k])
+                    assert abs(binom - comb(n, k)) <= (2 * (n - 2 * k) + 1) * Fraction(101, 100) * u * comb(n, k)
+                    # lo <= C(n, k) S^2 sqrt(n) / 4^n <= hi, squared to stay rational
+                    c_squared = Fraction(comb(n, k) * total * total, 1 << (2 * n)) ** 2 * n
+                    assert Fraction(lo[k]) ** 2 <= c_squared <= Fraction(hi[k]) ** 2, (n, k, stage)
+
+    def test_reseeding_off_gives_same_rows(self, reference_rows, monkeypatch):
+        counts = []
+        real = symfunc.abs_column_sum
+
+        def counted(k, n):
+            counts[-1] += 1
+            return real(k, n)
+
+        monkeypatch.setattr(symfunc, "abs_column_sum", counted)
+        for ratio in (symfunc._RESEED_RATIO, math.inf):
+            monkeypatch.setattr(symfunc, "_RESEED_RATIO", ratio)
+            counts.append(0)
+            assert c_minima(400) == reference_rows[:400], ratio
+        # more exact terms without reseeding, the same bytes
+        assert 400 <= counts[0] < counts[1]
+
+    def test_integers_past_float_range_rounded_once(self):
+        # past 1000 bits the conversion divides exactly first; a subnormal result rounds once more
+        values = [3**700, -(5**430), 7 << 1100, (1 << 1050) + 1, 1, 0, -1]  # at most 1110 bits
+        for top in (1110, 1200, 2100, 2300):
+            got = _scaled_floats(values, top)
+            for v, g in zip(values, got):
+                exact = Fraction(v, 1 << top)
+                if abs(exact) >= 2.0**-1022:
+                    assert g == float(exact), (v, top)
+                else:
+                    assert abs(Fraction(g) - exact) <= Fraction(1, 1 << 1074), (v, top)
+        assert list(_scaled_floats([5, -3, 1 << 900], 901)) == [5 * 2.0**-901, -3 * 2.0**-901, 0.5]
+
+    def test_table_bytes(self):
+        assert [c_minima_bytes(n) for n in (1, 2, 3, 250, 600)] == [8, 32, 32, 8 * 126**2, 8 * 301**2]
+
