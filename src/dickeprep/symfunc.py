@@ -49,22 +49,27 @@ from the exact column first.  The table takes (N//2 + 1)^2 x 8 B
 
 A spectrum needs only two folded dots per column, which are linear, so
 `reduced_walsh_spectrum` steps L columns at once in lanes of one Python int
-per row: row i holds
-sum_l K_i(c_l, n) 2^((n+3) l) for L columns c_l an even number apart.
-Every packed value fits its lane: |K_i(k, n)| <= C(n, i), the step's
-partial sums are entries of column k-1, and |folded dot| <= sum_i
-|K_i(k, n)| <= 2^n, so n+3 bits hold every value with a sign margin.  L is
-about sqrt(n/6), capped so a packed row is at most 4096 bits.
+per row: row i holds sum_l K_i(c_l, n) 2^(B_0 + ... + B_{l-1}) for L
+columns c_l an even number apart.  Rows are never unpacked, only dots, and
+every dot is a spectrum value rw_f(c), so Parseval,
+sum_k C(n, k) rw_f(k)^2 = 4^n, gives |rw_f(c)| <= 2^n / sqrt(C(n, c)), and
+lane l takes B_l = n - floor(log4 C(n, c)) + 2 bits for c its column
+farthest from n/2.  A dot is read from the step's own prefix sums
+P = accumulate(R), which also give the next column P_i + P_{i-1}:
+sum_i phi_i R_i = sum_i (phi_i - phi_{i+1}) P_i, one add per index where
+the folded weights change.  L is at most about sqrt(n/6), the most whose
+widths fit a 4096-bit row.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -131,31 +136,52 @@ def spectrum_value(f: SymmetricBooleanFunction, k: int) -> int:
     return sum(s * v for s, v in zip(f.signs(), column(k, f.n)))
 
 
-# Spectrum lanes: about sqrt(n / _LANE_DIVISOR), at most _ROW_BITS bits per packed row.
+# Spectrum lanes: at most about sqrt(n / _LANE_DIVISOR), their widths summing to at most _ROW_BITS.
 _ROW_BITS = 4096
 _LANE_DIVISOR = 6
 
 
-def _lane_layout(n: int) -> tuple[int, int]:
-    """(lanes, span): the n//2 + 1 spectrum columns as runs of `span`, stepped side by side.
+def _lane_layout(n: int, binomials: Sequence[int]) -> tuple[int, list[int]]:
+    """(span, widths): the n//2 + 1 spectrum columns as len(widths) runs of `span`, stepped side by side.
 
-    About sqrt(n/6) lanes of n+3 bits, at most 4096 bits in all; with more
-    than one lane the span is even, so every lane has the same column parity.
+    `binomials[i]` is +-C(n, i) for i <= n//2.  Lane l visits the columns
+    n - l*span down to n - (l+1)*span + 1, and its width is
+    n - floor(log4 C(n, c)) + 2 for c the one of those farthest from n/2,
+    where C(n, c) is least.  The lane count is the largest, up to about
+    sqrt(n/6), whose widths sum to at most 4096 bits, or 1; with more than
+    one lane the span is even, so every lane has the same column parity.
     """
     m = n // 2 + 1
-    lanes = max(1, min(math.isqrt(n // _LANE_DIVISOR), _ROW_BITS // (n + 3)))
-    span = -(-m // lanes)
-    if lanes > 1:
+    for target in range(math.isqrt(n // _LANE_DIVISOR), 1, -1):
+        span = -(-m // target)
         span += span & 1
-    return -(-m // span), span
+        lanes = -(-m // span)
+        # lane l's columns run from n - s down to n + 1 - s - span, s = l*span
+        widths = [n + 2 - (abs(binomials[min(s, n + 1 - s - span)]).bit_length() - 1) // 2
+                  for s in range(0, lanes * span, span)]
+        if lanes == 1 or sum(widths) <= _ROW_BITS:
+            return span, widths
+    return m, [n + 2]
 
 
-def _fold_selectors(signs: list[int], parity: int) -> tuple[list[int], list[int]]:
-    """Indices i < n/2 where s_i + (-1)^parity s_{n-i} is +2, and where it is -2."""
+def _abel_groups(signs: list[int], parity: int) -> list[tuple[int, list[int]]]:
+    """Pairs (d, indices): the folded half-column dot is sum over pairs of d * sum_{i in indices} P_i.
+
+    The weights are phi_i = s_i + (-1)^parity s_{n-i} for i < n/2, then
+    s_{n/2} for even n, and P_i = R_0 + ... + R_i, so
+    sum_i phi_i R_i = sum_i (phi_i - phi_{i+1}) P_i (phi past the end is 0).
+    Each nonzero difference d is grouped with the indices where it occurs.
+    """
     n = len(signs) - 1
     sign = -1 if parity else 1
-    folded = [signs[i] + sign * signs[n - i] for i in range((n + 1) // 2)]
-    return [i for i, w in enumerate(folded) if w > 0], [i for i, w in enumerate(folded) if w < 0]
+    weights = [signs[i] + sign * signs[n - i] for i in range((n + 1) // 2)]
+    if n % 2 == 0:
+        weights.append(signs[n // 2])
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(map(sub, weights, weights[1:] + [0])):
+        if d:
+            groups.setdefault(d, []).append(i)
+    return list(groups.items())
 
 
 def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
@@ -163,57 +189,65 @@ def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
 
     Column n-k, k <= n//2, gives rw_f(n-k) and also
     rw_f(k) = sum_i (-1)^i (-1)^{f_i} K_i(n-k, n).  Both run over the half
-    column with the signs folded by the palindrome of column n-k, so each
-    is a sum of selected rows, doubled, plus the middle row of even n: no
-    multiplies.
+    column with the signs folded by the palindrome of column n-k (weights
+    0 and +-2, and +-1 on the middle row of even n).
 
     Lane layout (`_lane_layout`): the columns n, n-1, ..., n - n//2 are cut
     into L runs of `span` columns, `span` even when L > 1, and lane l steps
     the run that starts at column n - l*span, seeded by the recurrence
     (`krawtchouk._half_column`).  The last run may end past column
     n - n//2; its extra columns are dropped.  Row i is one int,
-    sum_l K_i(n - l*span - j, n) 2^(B l) at step j, with B = n + 3.  One
-    `accumulate(map(add, ...))` pass steps every lane k -> k-1, and the
-    selected-row sums dot every lane, because both are linear; the even span
-    gives all lanes one column parity, hence one pair of folded selectors.
+    sum_l K_i(c_l, n) 2^(B_0 + ... + B_{l-1}) for lane l at column c_l, B_l
+    bits wide.  The stepper keeps the prefix sums P = accumulate(R) of the
+    rows, not the rows.  It reads both dots from them by Abel summation,
+    sum_i phi_i R_i = sum_i (phi_i - phi_{i+1}) P_i, so a dot costs one add
+    per index where its weights change, and steps every lane k -> k-1 by
+    R'_i = P_i + P_{i-1}, accumulated as it is formed: two adds per row, one
+    `accumulate(map(add, ...))` pass.  Both are linear, so one pass serves
+    every lane; the even span gives all lanes one column parity, hence one
+    pair of folded weights.
 
-    Width bound: |K_i(k, n)| <= C(n, i), and the step's partial sums are
-    entries of column k-1, so a packed row stays within its L*B bits; a
-    folded dot is at most sum_i |K_i(k, n)| <= 2^n in absolute value, inside
-    the [-2^(n+2), 2^(n+2)) that a signed B-bit lane holds.  Each dot is
-    unpacked once per lane after adding 2^(B-1) to every lane, so a negative
-    lane borrows nothing from the lane above it.
+    Width bound: rows and prefix sums are never unpacked, only dots, and a
+    dot is a spectrum value rw_f(c) or rw_f(n-c) at a column c of its lane.
+    Parseval gives C(n, c) rw_f(c)^2 <= 4^n, so with 4^t <= C(n, c),
+    |rw_f(c)| <= 2^(n-t), inside the [-2^(n-t+1), 2^(n-t+1)) of a signed
+    lane of B_l = n - t + 2 bits; t is floor(log4 C(n, c)) at the visited
+    column where C(n, c) is least, dropped columns included.  Each dot is
+    unpacked once per lane after adding 2^(B_l - 1) to every lane, so a
+    negative lane borrows nothing from the lane above it.
     """
     n = f.n
     signs = list(f.signs())
     mirrored = [-s if i & 1 else s for i, s in enumerate(signs)]
-    selectors = [(_fold_selectors(signs, p), _fold_selectors(mirrored, p)) for p in (0, 1)]
-    middle = (signs[n // 2], mirrored[n // 2]) if n % 2 == 0 else (0, 0)
+    groups = [(_abel_groups(signs, p), _abel_groups(mirrored, p)) for p in (0, 1)]
 
     m = n // 2 + 1
-    lanes, span = _lane_layout(n)
-    width = n + 3
-    offset = 1 << (width - 1)
-    mask = (1 << width) - 1
-    shifts = range(0, width * lanes, width)
-    bias = sum(offset << s for s in shifts)
+    first = _half_column(n, n)  # (-1)^i C(n, i): lane 0's seed and the binomials of the layout
+    span, widths = _lane_layout(n, first)
+    # (shift, mask, offset) of each lane; the bias adds every lane's offset
+    fields = [(s, (1 << b) - 1, 1 << (b - 1)) for s, b in zip(accumulate(widths[:-1], initial=0), widths)]
+    bias = sum(offset << s for s, _, offset in fields)
 
-    rows = [0] * m
-    for l in reversed(range(lanes)):
-        rows = [(r << width) + v for r, v in zip(rows, _half_column(n - l * span, n))]
+    sums = [0] * m  # the packed rows of the seed columns, then their prefix sums
+    for l in reversed(range(len(widths))):
+        seed = _half_column(n - l * span, n) if l else first
+        sums = [(r << widths[l]) + v for r, v in zip(sums, seed)]
+    sums = list(accumulate(sums))
 
     direct_dots, mirror_dots = [], []
     for j in range(span):
-        if j:
-            rows = list(accumulate(map(add, rows, [0] + rows[:-1])))
-        row = rows.__getitem__
-        for dots, (plus, minus), mid in zip((direct_dots, mirror_dots), selectors[(n - j) & 1], middle):
-            dot = 2 * (sum(map(row, plus)) - sum(map(row, minus))) + mid * rows[-1]
-            dots.append(dot + bias)
+        if j:  # the next column, R'_i = P_i + P_{i-1}, is kept only as its prefix sums
+            sums = list(accumulate(map(add, sums, [0] + sums[:-1])))
+        get = sums.__getitem__
+        for dots, pairs in zip((direct_dots, mirror_dots), groups[(n - j) & 1]):
+            dot = bias
+            for d, indices in pairs:
+                dot += d * sum(map(get, indices))
+            dots.append(dot)
 
     def unpack(dots: list[int]) -> list[int]:
         """Every lane of every biased dot, lane-major: entry l*span + j is column n - l*span - j."""
-        return [((d >> s) & mask) - offset for s in shifts for d in dots]
+        return [((d >> s) & mask) - offset for s, mask, offset in fields for d in dots]
 
     return tuple(unpack(mirror_dots)[:m] + unpack(direct_dots)[: n + 1 - m][::-1])
 

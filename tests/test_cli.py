@@ -497,6 +497,11 @@ class TestOutputDigests:
             # c(n) past the float filter's reseeding of candidate columns
             (("cn", "--max-n", "600"),
              "e2ea6d4189dcdca78fed42fb5ad6c9d3c3b0b9cbfb63a819ef3a11ecec606656"),
+            # odd n, odd w: the direct dot reads the odd columns and the mirror dot the even
+            # ones, the other way round from n = 1029, w = 300
+            (("simulate", "--n", "1027", "--w", "301", "--method", "dj", "--grover",
+              "--trials", "20000", "--seed", "5"),
+             "f61eac5d1c94c8a1f25eb836cf3bf27bcc8cae1ef3ec72f9f9906f52a6daff84"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dickeprep import symfunc
-from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix
+from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix, next_half_column
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
     _FloatFilter,
@@ -167,20 +167,30 @@ class TestLanePackedSpectrum:
         # one lane, a full last lane and a partial last lane, each at both parities of n
         kinds = set()
         for n in range(161):
-            lanes, span = _lane_layout(n)
+            span, widths = _lane_layout(n, column(0, n))
+            lanes = len(widths)
             kind = "one" if lanes == 1 else "full" if lanes * span == n // 2 + 1 else "partial"
             kinds.add((n % 2, kind))
         assert kinds == {(p, kind) for p in (0, 1) for kind in ("one", "full", "partial")}
 
     def test_layout(self):
-        # past n = 4093 one (n+3)-bit lane alone fills the 4096-bit cap
+        # every visited column is checked below n = 1200, the lane ends past it
+        binomials = [1]  # C(n, i) for i <= n//2, carried along n
         for n in range(5000):
-            lanes, span = _lane_layout(n)
-            m = n // 2 + 1
+            if n:
+                binomials = next_half_column(binomials, 0, n - 1)
+            span, widths = _lane_layout(n, binomials)
+            lanes, m = len(widths), n // 2 + 1
             assert (lanes - 1) * span < m <= lanes * span, n
             assert lanes * span <= n + 1, n  # every lane steps through real columns
             assert lanes == 1 or span % 2 == 0, n
-            assert lanes == 1 or lanes * (n + 3) <= 4096, n
+            assert lanes == 1 or sum(widths) <= 4096, n
+            assert (lanes == 1) == (n < 24 or n >= 2566), n  # sqrt(n/6) < 2, or two lanes pass 4096 bits
+            # |rw_f(c)| <= 2^n / sqrt(C(n, c)) < 2^(width - 1) at every column c of the lane
+            for l, width in enumerate(widths):
+                ends = (n - l * span, n + 1 - (l + 1) * span)
+                for c in range(ends[1], ends[0] + 1) if n < 1200 else ends:
+                    assert binomials[min(c, n - c)] << (2 * width - 2) > 1 << (2 * n), (n, l, c)
 
     @pytest.mark.parametrize("n", [301, 706, 1029, 1060, 2000])
     def test_extreme_values(self, n):
@@ -191,15 +201,38 @@ class TestLanePackedSpectrum:
         assert reduced_walsh_spectrum(constant) == (2**n,) + zero
         assert reduced_walsh_spectrum(parity) == zero + (2**n,)
 
+    @pytest.mark.parametrize("n", [301, 706, 1029, 1060, 2000])
+    def test_tightest_dots(self, n):
+        # the sign-rule f at a lane's column farthest from n/2 makes the largest dot the lane
+        # holds, |rw_f(c)| = sum_i |K_i(c, n)|; the last lane's may be a dropped column
+        span, widths = _lane_layout(n, column(0, n))
+        for l in range(len(widths)):
+            top, bottom = n - l * span, n + 1 - (l + 1) * span
+            far = top if top - n / 2 >= n / 2 - bottom else bottom
+            f = optimal_function(n, far)
+            rw = reduced_walsh_spectrum(f)
+            assert abs(rw[far]) == abs_column_sum(far, n), (l, far)
+            ks = {far, n - far, top, n - top, max(bottom, n - n // 2), n - max(bottom, n - n // 2)}
+            assert [rw[k] for k in sorted(ks)] == [spectrum_value(f, k) for k in sorted(ks)], l
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 511, 512])
+    def test_partial_last_lane_matches_reference(self, n):
+        span, widths = _lane_layout(n, column(0, n))
+        assert len(widths) > 1 and len(widths) * span > n // 2 + 1  # the last lane drops columns
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            f = SymmetricBooleanFunction(n=n, bits=tuple(int(b) for b in rng.integers(0, 2, n + 1)))
+            assert reduced_walsh_spectrum(f) == reference_spectrum(f)
+
     @pytest.mark.parametrize("n", [1029, 1060, 2000])
     def test_parseval_and_point_values(self, n):
         rng = np.random.default_rng(n)
         f = SymmetricBooleanFunction(n=n, bits=tuple(int(b) for b in rng.integers(0, 2, n + 1)))
         rw = reduced_walsh_spectrum(f)
         assert sum(b * v * v for b, v in zip(column(0, n), rw)) == 4**n
-        lanes, span = _lane_layout(n)
+        span, widths = _lane_layout(n, column(0, n))
         edges = {0, n // 2, n - n // 2, n}
-        edges |= {k for l in range(lanes) for k in (l * span, l * span + span - 1, n - l * span)}
+        edges |= {k for l in range(len(widths)) for k in (l * span, l * span + span - 1, n - l * span)}
         ks = sorted(k for k in edges | set(rng.integers(0, n + 1, 8).tolist()) if 0 <= k <= n)
         assert [rw[k] for k in ks] == [spectrum_value(f, k) for k in ks]
 
