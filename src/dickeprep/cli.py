@@ -34,15 +34,12 @@ from .symstate import (
     childs_quarter_slice,
     childs_state,
     dj_state,
-    parity_sample,
     success_probability,
 )
 from .krawtchouk import column, column_strings
 
 __all__ = ["main"]
 
-# simulate --trials bound: the outcome array holds 8 B per trial, 800 MB here
-MAX_TRIALS = 10**8
 # cn --max-n bound on c_minima's float table, (max_n//2 + 1)^2 x 8 B: up to --max-n 2895
 MAX_CN_TABLE_BYTES = 16 << 20
 
@@ -209,12 +206,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
     _check_w(args.n, args.w)
-    if args.trials is not None and args.trials < 1:
-        raise ValueError(f"--trials must be positive, got {args.trials}")
-    if args.trials is not None and args.trials > MAX_TRIALS:
-        raise ResourceLimitError(
-            f"--trials {args.trials} exceeds the limit {MAX_TRIALS} (8 B of outcomes per trial)"
-        )
+    # Generator.multinomial takes the count as an int64
+    if args.trials is not None and not 1 <= args.trials <= np.iinfo(np.int64).max:
+        raise ValueError(f"--trials must be in [1, 2^63 - 1], got {args.trials}")
     if args.t is not None and not args.grover:
         raise ValueError("--t requires --grover")
     _check_binomials(args)
@@ -240,9 +234,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ]
     table = ""
     if args.trials:
-        rng = np.random.default_rng(args.seed)
-        outcomes = parity_sample(state, args.trials, rng)
-        counts = np.bincount(outcomes, minlength=args.n + 1)
+        # the counts of i.i.d. parity measurements, drawn at once
+        counts = np.random.default_rng(args.seed).multinomial(args.trials, state.distribution)
         params = {"n": args.n, "w": args.w, "method": args.method,
                   "trials": args.trials, "seed": args.seed}
         table = _csv(args, "simulate", params, ["weight", "count", "frequency", "analytic"],

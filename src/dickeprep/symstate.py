@@ -41,7 +41,9 @@ j <= u*G < j+1 it lies between cut[j] and cut[j+1].  Where the two agree
 that count is the outcome, read with one gather; only trials in a bucket
 that holds a cdf value are binary-searched.  The uniforms are drawn a block
 at a time into one buffer, so a draw holds 8 bytes per trial (the outcome
-array) where choice holds 16.
+array) where choice holds 16.  These are the per-trial outcomes; the CLI's
+`simulate --trials` prints only counts, so it draws them in one
+Generator.multinomial on `distribution`, the same law at constant memory.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def childs_state(n: int, w: int) -> SymmetricState:
     """B_{w,n}|0..0>: the product state with a_k = (w/n)^{k/2} (1-w/n)^{(n-k)/2}."""
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    rho = w / n
+    rho = w / n if n else 0.0  # n = 0: the empty product, a_0 = 1
     ks = np.arange(n + 1, dtype=float)
     log_rho = math.log(rho) if rho > 0.0 else -1e12
     log_1mrho = math.log1p(-rho) if rho < 1.0 else -1e12
@@ -320,7 +322,7 @@ def biased_amplitude_spectrum(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_bias(r: float, n: int) -> float:
     if not 0.0 <= r <= n:
         raise ValueError(f"r={r} out of range [0, {n}]")
-    return r / n
+    return r / n if n else 0.0  # n = 0 has no bias layer
 
 
 def _power_rows(a: float, b: float, n: int) -> np.ndarray:

@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def simulate_counts(out):
+    """The count column of a simulate report printed with its CSV."""
+    lines = out.splitlines()
+    rows = lines[lines.index("weight,count,frequency,analytic") + 1:]
+    return [int(row.split(",")[1]) for row in rows]
+
+
 class TestKrawtchoukCommand:
     def test_matrix_round_trip(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
@@ -190,6 +197,7 @@ class TestSimulateCommand:
         assert rows == [(0, 40)]
 
     def test_trials_limit_refused_before_synthesis(self, capsys, monkeypatch):
+        # Generator.multinomial takes the count as an int64, so 2^63 - 1 is the bound
         calls = []
         real = cli._simulate_state
 
@@ -198,21 +206,16 @@ class TestSimulateCommand:
             return real(args)
 
         monkeypatch.setattr(cli, "_simulate_state", watched)
-        over = str(cli.MAX_TRIALS + 1)
-        code, out, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
-                             "--grover", "--trials", over)
-        assert code == 1 and out == "" and calls == []
-        assert err.splitlines() == [
-            f"error: --trials {over} exceeds the limit {cli.MAX_TRIALS} (8 B of outcomes per trial)"
-        ]
-        # the bound itself is accepted (checked at a lowered bound, not 10^8 draws)
-        monkeypatch.setattr(cli, "MAX_TRIALS", 50)
-        code, _, _ = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
-                         "--trials", "50", "--seed", "1")
-        assert code == 0 and calls == [50]
-        code, _, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
-                           "--trials", "51")
-        assert code == 1 and "exceeds the limit 50" in err and calls == [50]
+        for bad in (str(2**63), "0"):
+            code, out, err = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
+                                 "--grover", "--trials", bad)
+            assert code == 1 and out == "" and calls == []
+            assert err.splitlines() == [f"error: --trials must be in [1, 2^63 - 1], got {bad}"]
+        top = 2**63 - 1
+        code, out, _ = run(capsys, "simulate", "--n", "5", "--w", "2", "--method", "dj",
+                           "--trials", str(top), "--seed", "1")
+        assert code == 0 and calls == [top]
+        assert sum(simulate_counts(out)) == top
 
     def test_cn_table_limit_refused_before_work(self, capsys, monkeypatch):
         calls = []
@@ -434,7 +437,7 @@ class TestOutputDigests:
              "503b5495b58af8e2b5d0148e2c4039c37187f77bec4d84697f9d233d1b176f02"),
             (("simulate", "--n", "5", "--w", "1", "--method", "biased", "--r", "1.42458",
               "--f", "03", "--trials", "5000", "--seed", "3"),
-             "d93ef5e832b1bcb1c7f85db03df9276276f2928dcfed55df801c8679ceb56af8"),
+             "d9bc164d1adc97d97eb82fd1c0063d41c8c9ce15a2d13ffffb35aac763fa12ba"),
             (("table1", "--from", "3", "--to", "7"),
              "5741c7bfc028524bc5473792716aa9b9bee3a453ba5e9a859e08e039f6ff9e06"),
             # long enough that whole columns come from the additive stepper
@@ -457,23 +460,23 @@ class TestOutputDigests:
             # Grover amplification, at the recommended t and at an explicit --t
             (("simulate", "--n", "300", "--w", "80", "--method", "dj", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "35c27ac6859dee70b75f3328b2a7c4914adf65e0a415caea993a9d26f7409fa3"),
+             "6f7135791b69dd0c8f71219e4b8cdf34b03d7907ee2273bc9764eb2c68a1da2f"),
             (("simulate", "--n", "300", "--w", "80", "--method", "childs", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "630359c46eac99e79646913013538223c3fcd3d8f3c068f591b0e5bc45357171"),
+             "c20831b59e338de79cb3b1939446786d972e693e52b1a40e5044e74da79db422"),
             (("simulate", "--n", "24", "--w", "11", "--method", "biased", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "b74bf89aab5c532a6eddcff9616861e14df513ecdfd480f0f2cfba1f173a0042"),
+             "45ed51053e5ef98f92d289265f5f8b312bd087eb4fa07cf051acb014fc7bd182"),
             (("simulate", "--n", "100", "--w", "25", "--method", "dj", "--grover", "--t", "7",
               "--trials", "20000", "--seed", "5"),
-             "d1a8d93d34acdbc95ef762717ec713bb84f074f16511fbed8b6591a3f8bc3808"),
+             "ba5d410ce0554e142a5fabb805f3937fcc3e13e0365d4fd53259388423088326"),
             # the largest n whose binomials fit a float
             (("simulate", "--n", "1029", "--w", "300", "--method", "dj", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "f3fc5d3b2f02f41e512fad8cdca445370ebbb4e2d3397ac313381fe9471cc427"),
+             "23a7f77ec16d01006e27097fa09de3d324f8e1e79b6910eb19bcfd348688fa6e"),
             (("simulate", "--n", "1029", "--w", "300", "--method", "childs", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "d67f65f9d5dc2562ecac93fe258103210fc4b5668c54fce9b10b79895bc76a41"),
+             "55424daeba0d2cbec4659a807e645a3597ffd39da871de30876c5e7bf5c09a13"),
             # the largest dumps: few distinct amplitudes among 2^14 rows, big-int columns
             (("fullsim", "--n", "14", "--f", "2A5B", "--r", "5.3"),
              "7eeb1c16b685e82dc1c30af303a7188edfb3550589eff9e749f855fce5cff7d3"),
@@ -482,7 +485,7 @@ class TestOutputDigests:
             # even n, several spectrum lanes and the folded middle row
             (("simulate", "--n", "706", "--w", "92", "--method", "dj", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "8116eb6a620667ca868c00ce66379e75c5c93c81d68c7006bf8dc515b9ea1119"),
+             "eddf1d1f0699a6e354ffd090468062eabca1c4ecbd391baf5bb01e3d4deab6a1"),
             # the Newton-refined search through n = 11
             (("table1", "--from", "8", "--to", "11"),
              "b1d7105ad8d3a6b8707c20d56a3caedd6b8396fbe35da18e7a0c4da507519618"),
@@ -501,7 +504,7 @@ class TestOutputDigests:
             # ones, the other way round from n = 1029, w = 300
             (("simulate", "--n", "1027", "--w", "301", "--method", "dj", "--grover",
               "--trials", "20000", "--seed", "5"),
-             "f61eac5d1c94c8a1f25eb836cf3bf27bcc8cae1ef3ec72f9f9906f52a6daff84"),
+             "f844f725f78f13d9bee90384a925b69e85a60cab61b76a3f93beb1aa3aa6929f"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -531,9 +534,9 @@ class TestHarness:
         assert "hex = 1C" in proc.stdout
 
     def test_unallocatable_trials_refused_in_one_line(self):
-        # 10^11 outcomes would need 745 GiB.  cli.MAX_TRIALS refuses them
-        # before any work; the address-space cap would still make the
-        # allocation fail on any host if that limit were lifted.
+        # 10^11 outcomes would need 745 GiB, but the counts are one multinomial
+        # draw, so the run fits under a 4 GiB address-space cap.  Past int64,
+        # the count numpy takes, the request is refused in one line.
         resource = pytest.importorskip("resource")
 
         def cap_address_space():
@@ -542,15 +545,20 @@ class TestHarness:
         root = str(Path(dickeprep.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dickeprep.cli", "simulate", "--n", "5", "--w", "2",
-             "--method", "dj", "--trials", "100000000000"],
-            capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert proc.stdout == ""
+
+        def simulate(trials):
+            return subprocess.run(
+                [sys.executable, "-m", "dickeprep.cli", "simulate", "--n", "5", "--w", "2",
+                 "--method", "dj", "--trials", str(trials), "--seed", "1"],
+                capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+            )
+
+        proc = simulate(10**11)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert sum(simulate_counts(proc.stdout)) == 10**11
+        proc = simulate(2**63)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: --trials must be in [1, 2^63 - 1], got {2**63}"]
 
     def test_simulate_failure_prints_nothing(self, capsys, tmp_path):
         # the report lines are held until the CSV is written

@@ -7,7 +7,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from dickeprep import fullsim, symstate
+from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.grover import amplify, plan_amplification
 from dickeprep.krawtchouk import abs_column_sum, column, columns
@@ -165,7 +165,7 @@ class TestChilds:
             childs_quarter_slice(-1)
 
     def test_state_matches_probability(self):
-        for n, w in ((4, 2), (9, 4), (11, 0), (11, 11)):
+        for n, w in ((0, 0), (4, 2), (9, 4), (11, 0), (11, 11)):
             s = childs_state(n, w)
             assert abs(s.probabilities.sum() - 1.0) <= 1e-12
             assert success_probability(s, w) == pytest.approx(childs_probability(n, w), rel=1e-12)
@@ -221,13 +221,13 @@ class TestBiasedDJ:
     def test_endpoint_biases(self):
         # r = 0 and r = n are valid (0^0 = 1 convention) and exact: the bias
         # layer is Z at r = 0, so a_k = (-1)^k s_k 2^{-n/2}, and X at r = n,
-        # so a_k = s_{n-k} 2^{-n/2}
+        # so a_k = s_{n-k} 2^{-n/2}.  n = 0 has no qubit to bias: a_0 = s_0
         f = optimal_function(5, 2)
         for r in (0.0, 5.0):
             s = biased_dj_state(f, r)
             assert abs(s.probabilities.sum() - 1.0) <= 1e-10
         rng = np.random.default_rng(47)
-        for n in range(1, 41):
+        for n in range(41):
             f = random_function(n, rng)
             s = np.array(f.signs(), dtype=float)
             alt = (-1.0) ** np.arange(n + 1)
@@ -621,37 +621,55 @@ def bernstein_halfwidth(trials, p, delta):
     return log_term / 3 + math.sqrt(log_term**2 / 9 + 2 * log_term * trials * p * (1 - p))
 
 
-def dj_law(f, w, t=0):
-    """Exact outcome law of amplify(dj_state(f), w, t), each weight rounded once.
+def grover_law(law, w, t):
+    """Exact outcome law after t Grover steps toward w, from the exact law `law`, rounded once.
 
-    dj_state(f) has p_k = C(n,k) rw_k^2 / 4^n.  After t Grover steps the
-    target holds p_t = p V_t^2 (V_-1 = -1, V_0 = 1,
-    V_{m+1} = (2 - 4p) V_m - V_{m-1}, with p = p_w), and every other weight
-    is scaled by (1 - p_t) / (1 - p).
+    With p = law[w] the target holds p_t = p V_t^2 (V_-1 = -1, V_0 = 1,
+    V_{m+1} = (2 - 4p) V_m - V_{m-1}), and every other weight is scaled by
+    (1 - p_t) / (1 - p).
     """
-    n = f.n
-    law = [Fraction(comb(n, k) * rw * rw, 4**n) for k, rw in enumerate(reduced_walsh_spectrum(f))]
     p = law[w]
     prev, cur = Fraction(-1), Fraction(1)
     for _ in range(t):
         prev, cur = cur, (2 - 4 * p) * cur - prev
     p_t = p * cur * cur
-    return [float(p_t if k == w else q * (1 - p_t) / (1 - p)) for k, q in enumerate(law)]
+    scale = (1 - p_t) / (1 - p) if p < 1 else 0  # p = 1: every other weight is 0
+    return [float(p_t if k == w else q * scale) for k, q in enumerate(law)]
 
 
-def childs_law(n, w):
-    """Exact outcome law of childs_state(n, w): C(n,k) w^k (n-w)^(n-k) / n^n, rounded once."""
-    return [comb(n, k) * w**k * (n - w) ** (n - k) / n**n for k in range(n + 1)]
+def dj_law(f, w, t=0):
+    """Exact outcome law of amplify(dj_state(f), w, t): p_k = C(n,k) rw_k^2 / 4^n, then Grover."""
+    law = [Fraction(comb(f.n, k) * rw * rw, 4**f.n) for k, rw in enumerate(reduced_walsh_spectrum(f))]
+    return grover_law(law, w, t)
+
+
+def childs_law(n, w, t=0):
+    """Exact outcome law of amplify(childs_state(n, w), w, t): C(n,k) w^k (n-w)^(n-k) / n^n, then Grover."""
+    law = [Fraction(comb(n, k) * w**k * (n - w) ** (n - k), n**n) for k in range(n + 1)]
+    return grover_law(law, w, t)
+
+
+def simulate_counts(path, argv, trials, seed):
+    """The count column of `dickeprep simulate *argv --trials trials --seed seed`, read from its CSV."""
+    assert cli.main(["simulate", *argv, "--trials", str(trials), "--seed", str(seed), "--out", str(path)]) == 0
+    _, header, rows = csvio.read_csv(path)
+    counts = [int(row[header.index("count")]) for row in rows]
+    assert sum(counts) == trials
+    return counts
 
 
 class TestParityCounts:
-    """Parity-sample counts against the exact outcome law, per weight.
+    """Parity-measurement counts against the exact outcome law, per weight.
 
-    Each count is Binomial(TRIALS, p_k) for a correct sampler.  A weight
-    fails when its count is off by more than the Bernstein half-width at
-    delta = ALPHA / (number of weights checked), so by the union bound a
-    correct sampler fails this test with probability at most ALPHA over the
-    choice of seeds.  Weights of exact probability 0 must never be drawn.
+    Two samplers are checked: parity_sample's outcomes, counted by bincount,
+    and the count column of `simulate --trials` for the cases the CLI
+    reaches (amplified DJ and Childs states, and a biased state with given
+    --f and --r).  Each count is Binomial(TRIALS, p_k) for a correct
+    sampler.  A weight fails when its count is off by more than the
+    Bernstein half-width at delta = ALPHA / (number of counts checked), so
+    by the union bound correct samplers fail this test with probability at
+    most ALPHA over the choice of seeds.  Weights of exact probability 0 must
+    never be drawn.
     """
 
     TRIALS = 100_000
@@ -659,29 +677,41 @@ class TestParityCounts:
 
     @staticmethod
     def cases():
-        yield dicke(12, 5), [float(k == 5) for k in range(13)]
+        """(state, its exact law, the simulate argv that prepares it, or None)."""
+        yield dicke(12, 5), [float(k == 5) for k in range(13)], None
         for n, w in ((6, 2), (20, 5), (64, 16), (300, 75)):
             f = optimal_function(n, w)
             t = plan_amplification(dj_state(f), w).t
-            yield dj_state(f), dj_law(f, w)
-            yield amplify(dj_state(f), w, t), dj_law(f, w, t)
+            yield dj_state(f), dj_law(f, w), None
+            yield (amplify(dj_state(f), w, t), dj_law(f, w, t),
+                   ("--n", str(n), "--w", str(w), "--method", "dj", "--grover"))
         for n, w in ((30, 0), (30, 7), (30, 30), (200, 50)):
-            yield childs_state(n, w), childs_law(n, w)
+            t = plan_amplification(childs_state(n, w), w).t
+            yield childs_state(n, w), childs_law(n, w), None
+            yield (amplify(childs_state(n, w), w, t), childs_law(n, w, t),
+                   ("--n", str(n), "--w", str(w), "--method", "childs", "--grover"))
         a, c = 3, 5  # r = 9n/25, where the biased law is rational
         f = optimal_function(25, 6)
-        yield biased_dj_state(f, a * a * 25 / (c * c)), exact_biased_probabilities(f, pythagorean_rows(25, a, c), c)
+        yield (biased_dj_state(f, a * a * 25 / (c * c)),
+               exact_biased_probabilities(f, pythagorean_rows(25, a, c), c),
+               ("--n", "25", "--w", "6", "--method", "biased", "--f", f.to_hex(), "--r", "9"))
 
-    def test_counts_within_binomial_bound(self):
+    def test_counts_within_binomial_bound(self, tmp_path):
         cases = list(self.cases())
-        delta = self.ALPHA / sum(len(law) for _, law in cases)
-        for seed, (s, law) in enumerate(cases):
-            counts = np.bincount(parity_sample(s, self.TRIALS, np.random.default_rng(seed)),
-                                 minlength=s.n + 1)
-            for k, (count, p) in enumerate(zip(counts, law)):
-                if p == 0.0:
-                    assert count == 0, (s.n, k)
-                else:
-                    assert abs(count - self.TRIALS * p) <= bernstein_halfwidth(self.TRIALS, p, delta), (s.n, k)
+        delta = self.ALPHA / sum(len(law) * (1 if argv is None else 2) for _, law, argv in cases)
+        csv = tmp_path / "counts.csv"
+        for seed, (s, law, argv) in enumerate(cases):
+            outcomes = parity_sample(s, self.TRIALS, np.random.default_rng(seed))
+            samples = {"parity_sample": np.bincount(outcomes, minlength=s.n + 1)}
+            if argv is not None:
+                samples["simulate"] = simulate_counts(csv, argv, self.TRIALS, seed)
+            for sampler, counts in samples.items():
+                for k, (count, p) in enumerate(zip(counts, law, strict=True)):
+                    if p == 0.0:
+                        assert count == 0, (sampler, s.n, k)
+                    else:
+                        assert abs(count - self.TRIALS * p) <= bernstein_halfwidth(self.TRIALS, p, delta), (
+                            sampler, s.n, k)
 
 
 class TestRepetitions:
