@@ -211,6 +211,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--trials must be in [1, 2^63 - 1], got {args.trials}")
     if args.t is not None and not args.grover:
         raise ValueError("--t requires --grover")
+    if args.seed is not None and args.trials is None:
+        raise ValueError("--seed requires --trials")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     _check_binomials(args)
     state, f = _simulate_state(args)
     # the report is held back, so a failure anywhere leaves stdout empty
@@ -258,13 +262,14 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
     low = list(map("".join, product("01", repeat=args.n // 2)))
     labels = [a + b for a in high for b in low]
     trailer = [
-        f"weight {k} amplitude {csvio.fmt(profile.amplitudes[k].real)} "
+        f"weight {k} amplitude {csvio.fmt(profile.amplitudes[k])} "
         f"deviation {csvio.fmt(profile.deviations[k])}"
         for k in range(args.n + 1)
     ] + [f"symmetric {profile.symmetric}"]
+    # the amplitudes are real; the im column stays, all zeros, for the file format
     _emit(args, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},
           ["x", "weight", "re", "im"],
-          [labels, fullsim.weights(args.n), state.amps.real, state.amps.imag], trailer)
+          [labels, fullsim.weights(args.n), state.amps, np.zeros(state.amps.size)], trailer)
     return 0
 
 

@@ -5,10 +5,10 @@ Ground truth for every symmetric-subspace claim: tensor-product layers of the
 diffusion, and weight-grouped readout.  Basis convention: bit b of the integer
 index is qubit x_{b+1}, so the weight of the index equals wt(x).
 
-Memory is 2^n complex amplitudes, so construction is capped (default 14
-qubits, overridable only through DICKEPREP_FULLSIM_MAX_QUBITS).  A dense
-state counts as symmetric when every amplitude lies within 1e-10 of its
-weight class's mean.
+Every operator here is a real orthogonal matrix, so a state is 2^n float64
+amplitudes, and construction is capped (default 14 qubits, overridable only
+through DICKEPREP_FULLSIM_MAX_QUBITS).  A dense state counts as symmetric
+when every amplitude lies within 1e-10 of its weight class's mean.
 
 Both dense kernels are arranged for few numpy calls on long 1-D runs, and
 give the same bits as the direct forms they replaced.  A tensor layer is n
@@ -18,15 +18,10 @@ outputs to the lower and upper half of a second buffer moves that qubit to
 the top, so the passes visit qubits 0, 1, ..., n-1 in turn, with the same
 products and sums per amplitude as a per-qubit loop over strided views;
 a column of the matrix broadcast against the even (odd) entries writes both
-halves in one call.
-The layer's matrix is real, and one kernel runs it on complex states and on
-the real vectors of biased_dj_output, whose every step is real: with real
-coefficients and +0.0 imaginary parts, complex arithmetic gives the same
-real parts as float arithmetic and keeps the imaginary parts +0.0.  The
-weight readout gathers the amplitudes by weight once, with a stable sort,
-so every class is a contiguous slice in index order: its mean is the same
-pairwise sum as over a boolean-mask copy, and one maximum.reduceat gives
-every deviation exactly.
+halves in one call.  The weight readout gathers the amplitudes by weight
+once, with a stable sort, so every class is a contiguous slice in index
+order: its mean is the same pairwise sum as over a boolean-mask copy, and
+one maximum.reduceat gives every deviation exactly.
 """
 
 from __future__ import annotations
@@ -84,14 +79,17 @@ class FullState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=complex)  # one copy, also from a float vector
+        amps = np.asarray(self.amps)
+        if amps.dtype.kind == "c":  # casting would drop the imaginary parts
+            raise TypeError("amps must be real: every dense operator here is a real matrix")
+        amps = np.array(amps, dtype=float)  # one copy
         if amps.shape != (1 << self.n,):
             raise ValueError(f"amps has shape {amps.shape}, expected ({1 << self.n},)")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.sum(self.amps * self.amps))
 
 
 def _check_cap(n: int) -> None:
@@ -116,7 +114,7 @@ def _check_bias(r: float, n: int) -> None:
 def zero_state(n: int) -> FullState:
     """|0...0> on n qubits, subject to the qubit cap."""
     _check_size(n)
-    amps = np.zeros(1 << n, dtype=complex)
+    amps = np.zeros(1 << n)
     amps[0] = 1.0
     return FullState(n=n, amps=amps)
 
@@ -156,7 +154,7 @@ def _bias_matrix(rho: float) -> np.ndarray:
 
 
 def _layer(amps: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
-    """The real 2x2 matrix m on every qubit of amps (float or complex), into a new array.
+    """The 2x2 matrix m on every qubit of amps, into a new array.
 
     Constant-geometry form (Pease 1968): each of the n passes reads the
     pairs of the current lowest qubit as the even and odd entries of the
@@ -167,13 +165,12 @@ def _layer(amps: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
     order, as a per-qubit loop over (2^(n-q-1), 2, 2^q) views, so the result
     equals that loop's bit for bit.  Each pass is three ufunc calls: a
     column of m broadcast against the even (odd) entries fills both halves
-    at once, into one ping-pong pair of buffers and one temporary, all of
-    amps' dtype.
+    at once, into one ping-pong pair of buffers and one temporary.
     """
     col0, col1 = m[:, :1], m[:, 1:]
     shape = (2, 1 << (n - 1))
-    bufs = (np.empty(shape, dtype=amps.dtype), np.empty(shape, dtype=amps.dtype))
-    tmp = np.empty(shape, dtype=amps.dtype)
+    bufs = (np.empty(shape), np.empty(shape))
+    tmp = np.empty(shape)
     src = amps
     for q in range(n):
         dst = bufs[q & 1]
@@ -185,12 +182,7 @@ def _layer(amps: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
 
 
 def apply_layer(s: FullState, r: float) -> FullState:
-    """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer.
-
-    The constant-geometry kernel with real coefficients on the complex
-    amplitudes: a real scalar enters each complex product as a + 0j, the
-    same operands as a complex bias matrix.
-    """
+    """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer."""
     _check_bias(r, s.n)
     return FullState(n=s.n, amps=_layer(s.amps, s.n, _bias_matrix(r / s.n)))
 
@@ -223,14 +215,12 @@ def diffuse_about(s: FullState, psi: FullState) -> FullState:
 def biased_dj_output(f: SymmetricBooleanFunction, r: float) -> FullState:
     """B_{r,n} U_f H^n |0..0>: Hadamard layer, phase oracle, bias layer (DJ at r = n/2).
 
-    Every step is real, so it runs on one float64 vector, bit for bit
-    apply_layer(apply_phase_oracle(apply_layer(zero_state(n), n/2), f), r).
+    Bit for bit apply_layer(apply_phase_oracle(apply_layer(zero_state(n), n/2), f), r).
     The Hadamard layer's passes multiply the one nonzero entry of each pair
     by s = sqrt(1/2) and add a zero, so H^n |0..0> is the constant
     fl(...fl(s s)... s) of n factors; the oracle flips its sign by weight;
-    the bias layer is apply_layer's kernel.  The imaginary parts, which
-    complex arithmetic keeps at +0.0, come from the one conversion to
-    FullState.  n, the qubit cap and r are checked before any 2^n array.
+    the bias layer is apply_layer's kernel.  n, the qubit cap and r are
+    checked before any 2^n array.
     """
     n = f.n
     _check_size(n)
@@ -248,7 +238,7 @@ class WeightProfile:
     """Per-weight readout: class amplitude, intra-class spread, symmetry flag."""
 
     n: int
-    amplitudes: tuple[complex, ...]
+    amplitudes: tuple[float, ...]
     deviations: tuple[float, ...]
 
     @property
@@ -286,8 +276,7 @@ def weight_profile(s: FullState) -> WeightProfile:
 def from_symmetric(state: SymmetricState) -> FullState:
     """Expand a symmetric state to its dense 2^n vector."""
     _check_cap(state.n)
-    amps = np.asarray(state.amps, dtype=complex)[weights(state.n)]
-    return FullState(n=state.n, amps=amps)
+    return FullState(n=state.n, amps=state.amps[weights(state.n)])
 
 
 def to_symmetric(s: FullState) -> SymmetricState:
@@ -297,4 +286,4 @@ def to_symmetric(s: FullState) -> SymmetricState:
         raise StateError(
             f"state is not symmetric: max intra-class deviation {profile.max_deviation:.3g}"
         )
-    return SymmetricState(n=s.n, amps=np.array([a.real for a in profile.amplitudes]))
+    return SymmetricState(n=s.n, amps=np.array(profile.amplitudes))

@@ -20,19 +20,19 @@ n = 52 the grid first misses a sign pattern, so larger n is refused.
 
 The kernel uses that each weight's inner sum T_i is an exact trigonometric
 polynomial in theta, sin^2(theta) = r/n, with integer frequencies, whose
-coefficients are products of two Krawtchouk numbers, conjugate at +-l
-(symstate.biased_amplitude_spectrum).  So one small matrix product per
-(n, w) and batch of functions gives every function's Fourier coefficients;
-the grid is then one more matrix product.  The derivatives of amp are
-closed-form in the same coefficients, so each Newton step on
-p'(theta) = 2 C(n,w) amp amp' costs one cos/sin evaluation per coefficient,
-and three or four steps reach the maximum.  The parts that do not depend
-on w -- the float Krawtchouk matrix behind the coefficients and the grid's
-cosines and sines at the folded frequencies -- form one basis per n,
-shared by every w at that n: each is kept in an LRU cache of 8 sizes, for
-n <= 64 only, which bounds them at 8 x 65^2 x 8 B = 264 KiB and
-8 x 512 x 66 x 8 B = 2.1 MiB.  Every float is the same whether or not the
-basis was cached.  A function and its
+coefficients are products of two Krawtchouk numbers (_spectrum).  The
+terms at frequencies +-l are conjugate, so the spectrum is built directly
+in real form, a cosine and a sine coefficient per frequency l >= 0.  So one
+small matrix product per (n, w) and batch of functions gives every
+function's Fourier coefficients; the grid is then one more matrix product.
+The derivatives of amp are closed-form in the same coefficients, so each
+Newton step on p'(theta) = 2 C(n,w) amp amp' costs one cos/sin evaluation
+per coefficient, and three or four steps reach the maximum.  The parts
+that do not depend on w -- the float Krawtchouk rows behind the
+coefficients and the grid's cosines and sines at the same frequencies --
+form one basis per n (_basis), shared by every w at that n and kept in an
+LRU cache of 8 sizes, for n <= 64 only, which bounds it at 2.2 MiB.  Every
+float is the same whether or not the basis was cached.  A function and its
 complement have exactly negated coefficients, so they tie bit for bit and
 only the member with f_n = 0 is kept.  Mirror pairs also tie exactly:
 p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i} (complemented when
@@ -42,9 +42,10 @@ relabelled to the member with the lower (function value, r).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -52,8 +53,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ResourceLimitError
+from .krawtchouk import descending_columns
 from .symfunc import SymmetricBooleanFunction, optimal_function
-from .symstate import biased_amplitude_spectrum, childs_probability, dj_success_exact
+from .symstate import childs_probability, dj_success_exact
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -68,10 +70,11 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 48
 _GRID_POINTS = 512  # r grid of every maximization, see _grid
-# grid-wave matrices kept, one per n, for n <= _WAVES_CACHE_N only: at most
-# 8 x 512 x 66 x 8 B = 2.1 MiB, 66 = 2 (n/2 + 1) folded frequencies at n = 64
-_WAVES_CACHE = 8
-_WAVES_CACHE_N = 64
+# bases kept, one per n, for n <= _BASIS_CACHE_N only: at n = 64 a basis is
+# 33 x 65 Krawtchouk floats and 512 x 66 wave floats, so at most
+# 8 x (33 x 65 + 512 x 66) x 8 B = 2.2 MiB
+_BASIS_CACHE = 8
+_BASIS_CACHE_N = 64
 # Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
 # bisection toward a root near theta = 0 does not run down into denormals
 _THETA_STEP = 4.0 * float(np.spacing(np.pi / 2))
@@ -109,8 +112,8 @@ def _grid(n: int) -> np.ndarray:
 
 
 def _theta(n: int, rs: np.ndarray) -> np.ndarray:
-    """The angle of bias r: sin^2(theta) = r/n."""
-    return np.arcsin(np.sqrt(rs / n))
+    """The angle of bias r: sin^2(theta) = r/n (0 at n = 0, which has no bias layer)."""
+    return np.arcsin(np.sqrt(rs / max(n, 1)))
 
 
 def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -119,31 +122,74 @@ def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return np.hstack([np.cos(phase), np.sin(phase)])
 
 
-@lru_cache(maxsize=_WAVES_CACHE)
-def _grid_waves(n: int) -> np.ndarray:
-    """_waves on the grid at the folded frequencies l >= 0, read-only: (G, 2L)."""
-    lam = np.arange(-n, n + 1, 2)
-    waves = _waves(n, lam[lam >= 0], _grid(n))
-    waves.flags.writeable = False
-    return waves
+@functools.lru_cache(maxsize=_BASIS_CACHE)
+def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of every spectrum at n that does not depend on w, read-only.
+
+    K[j, i] = K_i(l, n) at l = ceil(n/2) + j: the rows l >= n/2 of
+    np.array(krawtchouk.columns(n), dtype=float) bit for bit, the only rows
+    a spectrum reads.  Only the columns i <= n//2 -- the first half columns
+    descending_columns yields -- are converted from exact integers; the
+    palindrome K_{n-i}(l, n) = (-1)^l K_i(l, n) fills in the rest by exact
+    sign flips, and `+ 0.0` turns a negated zero back into the +0.0 the
+    conversion gives.  From n = 1030 the conversion raises OverflowError,
+    and the cache keeps no entry then.  The second array is _waves on the
+    grid at the frequencies 2l - n of those rows: (G, 2L).
+    """
+    h = n // 2
+    quarter = np.array(list(islice(descending_columns(n), h + 1)), dtype=float)[::-1]
+    alt = 1.0 - 2.0 * (np.arange(n - h, n + 1) & 1)  # (-1)^l
+    K = np.empty((h + 1, n + 1))
+    K[:, :h + 1] = quarter
+    K[:, h + 1:] = quarter[:, :n - h][:, ::-1] * alt[:, None] + 0.0
+    waves = _waves(n, np.arange(n - 2 * h, n + 1, 2), _grid(n))
+    for a in (K, waves):
+        a.flags.writeable = False
+    return K, waves
 
 
-def _grid_waves_of(n: int) -> np.ndarray:
-    """_grid_waves(n), kept only for n <= _WAVES_CACHE_N."""
-    return (_grid_waves if n <= _WAVES_CACHE_N else _grid_waves.__wrapped__)(n)
+def _spectrum(n: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Fourier form of the biased-DJ inner sums T_i(theta) at weight w.
 
+    With sin^2(theta) = r/n the bias layer is B = R(theta) Z, and on the
+    symmetric subspace R(theta)^{(x)n} = S exp(-i theta X) S^-1, where
+    S = diag(i^m) and X = sum_q X_q.  There H^{(x)n} is the orthonormal
+    Krawtchouk matrix and HXH = Z, so with C(n,l) K_w(l) = C(n,w) K_l(w):
+      T_i(theta) = Re sum_l (-i)^{w+i} K_i(l, n) K_l(w, n) 2^{-3n/2} e^{-i theta (2l - n)}.
+    The terms at l and n - l are conjugates (K_i(n-l) = (-1)^i K_i(l)
+    and K_{n-l}(w) = (-1)^w K_l(w)), so T_i is real and the rows l >= n/2
+    give it: the frequency lam = 2l - n >= 0 counts twice where lam > 0, and
+    the phase (-i)^{w+i} is 1, -i, -1 or i, so each row i has a cosine or
+    a sine part only.  Returns (lam, T, waves): lam = n % 2, ..., n, T of
+    shape (n+1, 2L) with
+      T_i(theta) = sum_l T[i, l] cos(lam_l theta) + T[i, L+l] sin(lam_l theta),
+    and the grid waves of _basis.  Scaled as K_i(l)/2^n times
+    K_l(w)/2^{n/2}, each entry is within a few ulps and exact zeros stay 0;
+    from n = 1030 the floats overflow (OverflowError).
 
-def _fold(lam: np.ndarray, C: np.ndarray,
-          signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies l >= 0 and per-row coefficients [a_l, b_l] of the spectrum
-    (lam, C): amp = coef . _waves(theta) = sum_l a_l cos(l theta) + b_l sin(l theta).
-
-    One row per row of signs (a function's (-1)^{f_i}), or without signs one
-    per weight i, the coefficients of T_i."""
-    up = lam >= 0  # the column at -l is the exact conjugate of the one at l: count l twice
-    A = C[:, up] if signs is None else signs @ C[:, up]  # Fourier coefficients at lam >= 0
-    twice = np.where(lam[up] > 0, 2.0, 1.0)
-    return lam[up], np.hstack([A.real * twice, A.imag * twice])
+    The basis does not depend on w, and for n <= 64 the last 8 are kept,
+    so each further w at the same n costs a few (n+1)^2/2 elementwise
+    products.
+    """
+    if not 0 <= w <= n:
+        raise ValueError(f"w={w} out of range [0, {n}]")
+    K, waves = (_basis if n <= _BASIS_CACHE_N else _basis.__wrapped__)(n)
+    h = n // 2
+    lam = np.arange(n - 2 * h, n + 1, 2)
+    # K_l(w, n) for l >= n/2: row w, or (-1)^l K_l(n - w, n) from row n - w
+    if w >= n - h:
+        K_w = K[w - n + h, n - h:]
+    else:
+        K_w = K[h - w, n - h:] * (1.0 - 2.0 * (np.arange(n - h, n + 1) & 1))
+    M = (K * 2.0 ** -n) * (K_w * 2.0 ** (-0.5 * n))[:, None]  # M[j, i] at frequency lam_j
+    M[lam > 0] *= 2.0
+    phase = (w + np.arange(n + 1)) % 4  # (-i)^{w+i} = cos sign + i sin sign
+    cos_sign = np.array([1.0, 0.0, -1.0, 0.0])[phase, None]
+    sin_sign = np.array([0.0, -1.0, 0.0, 1.0])[phase, None]
+    # T stays column-major, the transpose of M: a row-major copy changes how
+    # BLAS rounds the products with it, which moves 41 of the 1128 records at
+    # n <= 48 by an ulp and relabels two exact ties at n = 43
+    return lam, np.hstack([M.T * cos_sign, M.T * sin_sign]), waves
 
 
 def _mirror(n: int, value: int) -> int:
@@ -206,7 +252,7 @@ def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarra
 
 
 def _optimize_batch(n: int, w: int, signs: np.ndarray,
-                    spectrum: tuple[np.ndarray, np.ndarray] | None = None
+                    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row global max of p(r) on [0, n]: grid scan, then Newton in theta.
 
@@ -216,13 +262,12 @@ def _optimize_batch(n: int, w: int, signs: np.ndarray,
     both bracket ends, so an endpoint maximum is kept.  The start and both
     ends are grid points, so their cosines and sines are rows of the cached
     grid waves; only Newton's iterates and its result evaluate new ones.
-    `spectrum` is biased_amplitude_spectrum(n, w), when the caller already
-    has it.
+    `spectrum` is _spectrum(n, w), when the caller already has it.
     """
     grid = _grid(n)
-    lam, coef = _fold(*(biased_amplitude_spectrum(n, w) if spectrum is None else spectrum), signs)
+    lam, T, waves = _spectrum(n, w) if spectrum is None else spectrum
+    coef = signs @ T  # each row's [a_l | b_l]
     scale = comb(n, w)
-    waves = _grid_waves_of(n)
     P = scale * (coef @ waves.T) ** 2  # (F, G)
     best = P.argmax(axis=1)  # leftmost max on ties
     at = np.stack([best, np.maximum(best - 1, 0), np.minimum(best + 1, grid.size - 1)])
@@ -261,6 +306,14 @@ def _better(a: tuple[float, int, float], b: tuple[float, int, float]) -> bool:
     return (-a[0], a[1], a[2]) < (-b[0], b[1], b[2])
 
 
+def _check_bound(n: int) -> None:
+    if n > MAX_EXHAUSTIVE_N:
+        raise ResourceLimitError(
+            f"n={n} exceeds the search bound {MAX_EXHAUSTIVE_N}; past it the "
+            "grid sign patterns are not known to reach the optimum"
+        )
+
+
 def exhaustive_search(n: int, w: int) -> SearchRecord:
     """Best (f, r) over all 2^(n+1) symmetric functions at weight w.
 
@@ -270,18 +323,13 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     the lowest function value, and the winner is relabelled to the lower
     (value, r) member of its mirror pair.
     """
-    if n > MAX_EXHAUSTIVE_N:
-        raise ResourceLimitError(
-            f"n={n} exceeds the search bound {MAX_EXHAUSTIVE_N}; past it the "
-            "grid sign patterns are not known to reach the optimum"
-        )
+    _check_bound(n)
     if n < 1:
         raise ValueError(f"n={n} must be positive")
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    spectrum = biased_amplitude_spectrum(n, w)
-    lam, coef = _fold(*spectrum)
-    negative = (coef @ _grid_waves_of(n).T < 0).astype(np.int64)  # T_i(r_g) < 0
+    _, T, waves = spectrum = _spectrum(n, w)
+    negative = (T @ waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0
     values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
@@ -322,8 +370,12 @@ def table_one(ns: Iterable[int], *, store: "RecordStore | None" = None) -> list[
     """Three rows per (n, w), 1 <= w <= n-1: biased search, DJ, baseline.
 
     With a store, previously computed biased records are reused and fresh
-    ones appended, matching the offline-database workflow.
+    ones appended, matching the offline-database workflow.  An n past
+    MAX_EXHAUSTIVE_N is refused before any search or store access.
     """
+    ns = list(ns)
+    for n in ns:
+        _check_bound(n)
     index = store.index() if store is not None else {}
     rows: list[SearchRecord] = []
     for n in ns:

@@ -52,18 +52,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 from math import comb
 
 import numpy as np
 
 from .errors import StateError, UnreachableTargetError
-from .krawtchouk import abs_column_sum, column, descending_columns
+from .krawtchouk import abs_column_sum, column
 from .symfunc import SymmetricBooleanFunction, reduced_walsh_spectrum, spectrum_value
 
 __all__ = [
     "SymmetricState",
-    "biased_amplitude_spectrum",
     "biased_dj_state",
     "childs_probability",
     "childs_probability_exact",
@@ -260,63 +258,6 @@ def childs_state(n: int, w: int) -> SymmetricState:
 
 # ---------------------------------------------------------------------------
 # biased Deutsch-Jozsa
-
-# float Krawtchouk matrices kept, one per n, for n <= _KRAWTCHOUK_CACHE_N only:
-# at most 8 x 65^2 x 8 B = 264 KiB
-_KRAWTCHOUK_CACHE = 8
-_KRAWTCHOUK_CACHE_N = 64
-
-
-@lru_cache(maxsize=_KRAWTCHOUK_CACHE)
-def _krawtchouk_floats(n: int) -> np.ndarray:
-    """np.array(krawtchouk.columns(n), dtype=float) bit for bit, read-only.
-
-    K[l, i] = K_i(l, n).  Only the quarter l >= n/2, i <= n//2 -- the first
-    half columns descending_columns yields -- is converted from exact
-    integers.  The palindrome K_{n-i}(l, n) = (-1)^l K_i(l, n) and the mirror
-    K_i(n-l, n) = (-1)^i K_i(l, n) fill in the rest by exact sign flips, and
-    `+ 0.0` turns a negated zero back into the +0.0 the conversion gives.
-    Every |K_i(l, n)| lies in the quarter, so n = 1030 raises OverflowError.
-    """
-    h = n // 2
-    quarter = np.array(list(islice(descending_columns(n), h + 1)), dtype=float)[::-1]
-    alt = 1.0 - 2.0 * (np.arange(n + 1) & 1)  # (-1)^j
-    K = np.empty((n + 1, n + 1))
-    top = K[n - h:]  # rows l = n-h..n, n-h = ceil(n/2)
-    top[:, :h + 1] = quarter
-    top[:, h + 1:] = quarter[:, :n - h][:, ::-1] * alt[n - h:, None] + 0.0
-    K[:n - h] = K[n:h:-1] * alt + 0.0
-    K.flags.writeable = False
-    return K
-
-
-def biased_amplitude_spectrum(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Fourier form of the biased-DJ inner sums T_i(k) at weight k.
-
-    With sin^2(theta) = rho the bias layer is B = R(theta) Z, and on the
-    symmetric subspace R(theta)^{(x)n} = S exp(-i theta X) S^-1, where
-    S = diag(i^m) and X = sum_q X_q.  There H^{(x)n} is the orthonormal
-    Krawtchouk matrix and HXH = Z, so with C(n,l) K_k(l) = C(n,k) K_l(k):
-      T[i](theta) = Re sum_l C[i, l] e^{-i theta (n - 2l)},
-      C[i, l] = i^{k+i} K_i(l, n) K_l(k, n) / 2^{3n/2}.
-    Returns (lam, C): lam = -n, -n+2, ..., n and C of shape (n+1, n+1),
-    whose column at -lam is the exact conjugate of that at lam.  Scaled as
-    K_i(l)/2^n times K_l(k)/2^{n/2}, each entry is within a few ulps and
-    exact zeros stay 0; from n = 1030 the floats overflow (OverflowError).
-
-    The float Krawtchouk matrix does not depend on k.  It is converted from
-    a quarter of the exact entries and completed by sign flips, and for
-    n <= 64 the last 8 are kept, so each further k at the same n costs a few
-    (n+1)^2 elementwise products.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range [0, {n}]")
-    build = _krawtchouk_floats if n <= _KRAWTCHOUK_CACHE_N else _krawtchouk_floats.__wrapped__
-    K = build(n)  # K[l, i] = K_i(l, n)
-    # column j of C has lam = -n + 2j, the conjugate of l = j: phase (-i)^{k+i}
-    phase = np.array([1, -1j, -1, 1j])[(k + np.arange(n + 1)) % 4]
-    C_t = (K * 2.0 ** -n) * (K[k] * 2.0 ** (-0.5 * n))[:, None] * phase
-    return np.arange(-n, n + 1, 2), np.ascontiguousarray(C_t.T)
 
 
 def _check_bias(r: float, n: int) -> float:

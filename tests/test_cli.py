@@ -265,6 +265,11 @@ class TestSimulateCommand:
             (("--n", str(1 << 1024), "--w", "1", "--method", "dj"),
              f"C({1 << 1024}, 1) exceeds the float range (about 1.8e308) "
              f"of the success probability C(n, w) a_w^2"),
+            (("--n", "1029", "--w", "514", "--method", "dj", "--grover", "--trials", "10",
+              "--seed", "-1"),
+             "--seed must be non-negative, got -1"),
+            (("--n", "5", "--w", "2", "--method", "dj", "--seed", "3"),
+             "--seed requires --trials"),
         ]
         for argv, message in refused:
             code, out, err = run(capsys, "simulate", *argv)
@@ -308,10 +313,11 @@ class TestFullsimCommand:
         assert len(rows) == 16
         f = SymmetricBooleanFunction.from_hex(4, "12")
         expected = fullsim.biased_dj_output(f, 1.3)
-        amps = np.zeros(16, dtype=complex)
+        amps = np.zeros(16)
         for row in rows:
-            amps[int(row[0], 2)] = float(row[2]) + 1j * float(row[3])
+            amps[int(row[0], 2)] = float(row[2])
         assert np.max(np.abs(amps - expected.amps)) < 1e-9
+        assert {row[3] for row in rows} == {"0"}  # the amplitudes are real
         assert "# symmetric True" in path.read_text()
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
@@ -418,6 +424,17 @@ class TestTable1Command:
         code, _, err = run(capsys, "table1", "--from", "5", "--to", "4")
         assert code == 1 and "--from" in err
 
+    def test_past_search_bound_refused_before_work(self, capsys, tmp_path):
+        db = tmp_path / "t.jsonl"
+        db.write_text("")
+        code, out, err = run(capsys, "table1", "--from", "47", "--to", "49", "--db", str(db))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: n=49 exceeds the search bound 48; past it the grid sign patterns "
+            "are not known to reach the optimum"
+        ]
+        assert db.read_text() == ""
+
 
 class TestOutputDigests:
     """The reproduction CSVs are pinned byte for byte (sha256 of stdout)."""
@@ -451,7 +468,7 @@ class TestOutputDigests:
              "4f1d0678ab36479fa2430411d11bfb527c20863a017d3441db5f235d0cc31de3"),
             # columns from the half-column palindrome, and per-column CSV formatting
             (("fullsim", "--n", "10", "--f", "2A5", "--r", "3.25"),
-             "0ff2509612f068a06382a71129b7c3636d9acb47b51badd278d2c2f77d0bbcfa"),
+             "3e95b1dd5c6335d0dc72e91e82eb32e23e6f2e660c7ec56abd1a975f4e1e57d5"),
             # odd n: no middle row
             (("krawtchouk", "--n", "41"),
              "a2264ad9478b9c6a499488b3ca7f851673cd06b0541dca2095a3d8e14e00d1c0"),
@@ -479,7 +496,7 @@ class TestOutputDigests:
              "55424daeba0d2cbec4659a807e645a3597ffd39da871de30876c5e7bf5c09a13"),
             # the largest dumps: few distinct amplitudes among 2^14 rows, big-int columns
             (("fullsim", "--n", "14", "--f", "2A5B", "--r", "5.3"),
-             "7eeb1c16b685e82dc1c30af303a7188edfb3550589eff9e749f855fce5cff7d3"),
+             "c058e8149c96a046c94cacf81106d6ec7592a1e370fbf47245e74b14c1949603"),
             (("krawtchouk", "--n", "160"),
              "5a8e5c824b803d9c40cfae3b6b1f2eb7e39cd85537d488b63d6a237c8d213aab"),
             # even n, several spectrum lanes and the folded middle row

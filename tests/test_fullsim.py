@@ -75,7 +75,7 @@ class TestApplyLayer:
         rng = np.random.default_rng(9)
         for _ in range(20):
             n = int(rng.integers(1, 10))
-            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps = rng.normal(size=1 << n)
             amps /= np.linalg.norm(amps)
             s = fullsim.FullState(n=n, amps=amps)
             out = fullsim.apply_layer(s, float(rng.uniform(0, n)))
@@ -125,7 +125,7 @@ class TestWeightProfile:
 
     def test_flags_non_symmetric(self):
         n = 3
-        amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+        amps = np.full(1 << n, 2.0 ** (-n / 2))
         amps[1] = -amps[1]  # break one weight-1 member
         profile = fullsim.weight_profile(fullsim.FullState(n=n, amps=amps))
         assert not profile.symmetric
@@ -135,20 +135,20 @@ class TestWeightProfile:
 
 
 def bits(values):
-    """Exact bit patterns of a float or complex array (or tuple) as int64."""
+    """Exact bit patterns of a float array (or tuple) as int64."""
     return np.asarray(values).view(np.int64)
 
 
 def exactness_cases():
     """(state, r) for n = 1-14: zero state, Hadamard-then-phase outputs and
-    those outputs times per-amplitude phases, at r in {0, n/2, n, 2 seeded}."""
+    those outputs times per-amplitude factors in (-1, 1), at r in {0, n/2, n, 2 seeded}."""
     rng = np.random.default_rng(20)
     for n in range(1, 15):
         zero = fullsim.zero_state(n)
         oracle = fullsim.apply_phase_oracle(fullsim.apply_layer(zero, n / 2.0),
                                             random_function(n, rng))
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << n))
-        phased = fullsim.FullState(n=n, amps=oracle.amps * phases)
+        factors = rng.uniform(-1.0, 1.0, 1 << n)
+        phased = fullsim.FullState(n=n, amps=oracle.amps * factors)
         rs = [0.0, n / 2.0, float(n), *rng.uniform(0, n, 2).tolist()]
         for s in (zero, oracle, phased):
             for r in rs:
@@ -169,8 +169,8 @@ class TestAgainstReferenceKernels:
     def test_layer_bit_for_bit(self):
         count = 0
         for s, r in exactness_cases():
-            new, old = fullsim.apply_layer(s, r), fullsim_reference.apply_layer(s, r)
-            assert np.array_equal(bits(new.amps), bits(old.amps)), (s.n, r)
+            new, old = fullsim.apply_layer(s, r), fullsim_reference.apply_layer(s.amps, s.n, r)
+            assert np.array_equal(bits(new.amps), bits(old)), (s.n, r)
             count += 1
         assert count == 14 * 3 * 5
 
@@ -184,7 +184,7 @@ class TestAgainstReferenceKernels:
             f = random_function(n, rng)
             symmetric = fullsim.biased_dj_output(f, float(rng.uniform(0, n)))
             flipped = fullsim.flip_weight(symmetric, n // 2)
-            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps = rng.normal(size=1 << n)
             psi = fullsim.FullState(n=n, amps=amps / np.linalg.norm(amps))
             diffused = fullsim.diffuse_about(flipped, psi)
             for s in (symmetric, flipped, diffused, fullsim.flip_weight(diffused, 0)):
@@ -208,20 +208,25 @@ class TestAgainstReferenceKernels:
 
 def literal_biased_dj(f, r):
     """Hadamard layer on |0..0>, phase oracle, bias layer: the complex per-qubit pipeline."""
-    s = fullsim_reference.apply_layer(fullsim.zero_state(f.n), f.n / 2.0)
-    return fullsim_reference.apply_layer(fullsim.apply_phase_oracle(s, f), r)
+    n = f.n
+    zero = np.zeros(1 << n, dtype=complex)
+    zero[0] = 1.0
+    s = fullsim_reference.apply_layer(zero, n, n / 2.0)
+    s = s * (1.0 - 2.0 * np.array(f.bits, dtype=float)[fullsim.weights(n)])
+    return fullsim_reference.apply_layer(s, n, r)
 
 
 class TestBiasedOutputInRealArithmetic:
-    """biased_dj_output runs on float64 and equals the literal complex
-    pipeline bit for bit, imaginary parts +0.0 included."""
+    """biased_dj_output runs on float64 and equals the real parts of the
+    literal complex pipeline bit for bit, whose imaginary parts are all +0.0."""
 
     @staticmethod
     def assert_literal(f, r):
         out = fullsim.biased_dj_output(f, r)
-        assert out.amps.dtype == complex
-        assert np.array_equal(bits(out.amps), bits(literal_biased_dj(f, r).amps)), (f.n, r)
-        assert not bits(out.amps.imag).any()  # every imaginary part is +0.0
+        literal = literal_biased_dj(f, r)
+        assert out.amps.dtype == np.float64
+        assert np.array_equal(bits(out.amps), bits(literal.real)), (f.n, r)
+        assert not bits(literal.imag).any()  # every imaginary part is +0.0
 
     def test_bit_for_bit(self):
         rng = np.random.default_rng(22)
@@ -254,15 +259,21 @@ class TestBiasedOutputInRealArithmetic:
             with pytest.raises(ValueError, match=r"out of range \[0, 3\]"):
                 fullsim.biased_dj_output(SymmetricBooleanFunction.from_value(3, 5), r)
 
-    def test_layer_real_coefficients_equal_complex_ones(self, monkeypatch):
-        # a real scalar enters each complex product as a + 0j: the reference
-        # kernel with the complex bias matrix gives the same bits
-        real = fullsim._bias_matrix
-        monkeypatch.setattr(fullsim_reference, "_bias_matrix",
-                            lambda rho: real(rho).astype(complex))
+    def test_layer_real_coefficients_equal_complex_ones(self):
+        # the float64 layer gives the real parts of the literal complex layer,
+        # complex bias matrix included, and that layer keeps +0.0 imaginary parts
         for s, r in exactness_cases():
-            new, old = fullsim.apply_layer(s, r), fullsim_reference.apply_layer(s, r)
-            assert np.array_equal(bits(new.amps), bits(old.amps)), (s.n, r)
+            new = fullsim.apply_layer(s, r)
+            old = fullsim_reference.apply_layer(s.amps.astype(complex), s.n, r)
+            assert np.array_equal(bits(new.amps), bits(old.real)), (s.n, r)
+            assert not bits(old.imag).any(), (s.n, r)
+
+    def test_complex_amplitudes_refused(self):
+        # a cast would drop the imaginary parts, with only a ComplexWarning
+        for amps in (np.full(4, 0.5 + 0.0j), [0.5j, 0.5, 0.5, 0.5]):
+            with pytest.raises(TypeError, match="must be real"):
+                fullsim.FullState(n=2, amps=amps)
+        assert fullsim.FullState(n=2, amps=[1, 0, 0, 0]).amps.dtype == np.float64
 
 
 class TestAgainstCompactRepresentation:

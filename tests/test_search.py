@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from dickeprep import fullsim, search, symstate
+from dickeprep import fullsim, search
 from dickeprep.errors import ResourceLimitError
 from dickeprep.search import (
     RecordStore,
@@ -18,7 +18,6 @@ from dickeprep.search import (
 )
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import (
-    biased_amplitude_spectrum,
     biased_dj_state,
     childs_probability,
     dj_optimal_success_exact,
@@ -144,8 +143,9 @@ class TestSignRuleSearch:
         theta = np.linspace(0.0, np.pi / 2, 8001)
         for n in (12, 24, 36, 48):
             for w in (1, n // 4, n // 2, 3 * n // 4, n - 1):
-                lam, C = biased_amplitude_spectrum(n, w)
-                T = (C @ np.exp(-1j * np.outer(lam, theta))).real
+                lam, coef, _ = search._spectrum(n, w)
+                phase = np.outer(lam, theta)
+                T = coef @ np.vstack([np.cos(phase), np.sin(phase)])
                 envelope = comb(n, w) * float(np.max(np.abs(T).sum(axis=0))) ** 2
                 p = exhaustive_search(n, w).probability
                 assert p >= envelope - 1e-9
@@ -238,33 +238,21 @@ class TestNewtonRefinement:
 
     def test_one_spectrum_per_search(self, monkeypatch):
         calls = []
-        real = search.biased_amplitude_spectrum
+        real = search._spectrum
 
         def counted(n, w):
             calls.append((n, w))
             return real(n, w)
 
-        monkeypatch.setattr(search, "biased_amplitude_spectrum", counted)
+        monkeypatch.setattr(search, "_spectrum", counted)
         exhaustive_search(9, 4)
         assert calls == [(9, 4)]
 
 
-def _clear_basis():
-    symstate._krawtchouk_floats.cache_clear()
-    search._grid_waves.cache_clear()
-
-
-def _basis_hits() -> tuple[int, int]:
-    return symstate._krawtchouk_floats.cache_info().hits, search._grid_waves.cache_info().hits
-
-
 def _evict_basis(keep: int):
-    """Fill both per-n caches with other sizes, so that `keep` is not held."""
-    sizes = [m for m in range(30, 41) if m != keep][:max(symstate._KRAWTCHOUK_CACHE,
-                                                         search._WAVES_CACHE)]
-    for m in sizes:
-        biased_amplitude_spectrum(m, 1)
-        search._grid_waves(m)
+    """Fill the per-n cache with other sizes, so that `keep` is not held."""
+    for m in [m for m in range(30, 41) if m != keep][:search._BASIS_CACHE]:
+        search._basis(m)
 
 
 class TestSharedBasis:
@@ -283,30 +271,63 @@ class TestSharedBasis:
 
     def test_cold_warm_and_evicted_agree(self):
         for n, w, kind in self.CASES:
-            _clear_basis()
+            search._basis.cache_clear()
             cold = self._result(n, w, kind)
-            hits = _basis_hits()
+            hits = search._basis.cache_info().hits
             warm = self._result(n, w, kind)
-            assert all(after > before for after, before in zip(_basis_hits(), hits))
+            assert search._basis.cache_info().hits > hits
             _evict_basis(n)
             evicted = self._result(n, w, kind)
             assert cold == warm == evicted, (n, w, kind)
 
     def test_cached_waves_are_the_grid_waves(self):
         for n in (1, 6, 11, 48):
+            K, waves = search._basis(n)
             lam = np.arange(-n, n + 1, 2)
-            waves = search._grid_waves(n)
             assert np.array_equal(waves, search._waves(n, lam[lam >= 0], search._grid(n)))
             with pytest.raises(ValueError):
                 waves[0, 0] = 2.0
 
     def test_cache_bound(self):
-        # at most 8 matrices, each of n <= 64: 8 x 512 x 66 x 8 B
-        assert search._grid_waves.cache_info().maxsize == search._WAVES_CACHE == 8
-        assert search._WAVES_CACHE_N == 64
-        search._grid_waves.cache_clear()
+        # the search reaches the basis only through _spectrum's bounds
+        # (the bounds themselves: TestKrawtchoukFloats in test_symstate)
+        cache = search._basis
+        cache.cache_clear()
         optimize_r(optimal_function(65, 9), 9)
-        assert search._grid_waves.cache_info().currsize == 0
+        assert cache.cache_info().currsize == 0
+        for n in range(40, 50):
+            optimize_r(optimal_function(n, 3), 3)
+        assert cache.cache_info().currsize == search._BASIS_CACHE
+
+    def test_overflow_leaves_nothing_cached(self):
+        # Krawtchouk entries pass the float range at n = 1030
+        cache = search._basis
+        cache.cache_clear()
+        for build in (cache, lambda n: search._spectrum(n, 1)):
+            with pytest.raises(OverflowError):
+                build(1030)
+            assert cache.cache_info().currsize == 0
+
+
+class TestRealSpectrum:
+    """The real coefficients equal the fold of the complex closed form."""
+
+    def test_equals_fold_of_complex_closed_form(self):
+        for n in range(65):
+            for k in range(n + 1):
+                lam, coef, _ = search._spectrum(n, k)
+                lam_ref, coef_ref = search_reference.fold(
+                    *search_reference.biased_amplitude_spectrum(n, k))
+                assert np.array_equal(lam, lam_ref), (n, k)
+                assert np.array_equal(coef, coef_ref), (n, k)
+
+    def test_exact_tie_cells_keep_their_records(self):
+        # two candidates tie to an ulp at (43, 19) and at (43, 24), so the
+        # rounding of signs @ T picks the stored function; a row-major T
+        # stores 195555 and 32AAAA8 instead
+        assert search._spectrum(43, 19)[1].flags.f_contiguous
+        assert exhaustive_search(43, 19).f_hex == "40000195555"
+        assert exhaustive_search(43, 24).f_hex == "32AAAAA"
 
 
 class TestBaselineRecords:
@@ -343,6 +364,14 @@ class TestTableOne:
         assert first == again
         # cached: no new biased records were appended on the second pass
         assert (tmp_path / "db.jsonl").read_text() == text
+
+    def test_refuses_past_bound_before_work(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "exhaustive_search", lambda n, w: calls.append((n, w)))
+        store = RecordStore(tmp_path / "db.jsonl")
+        with pytest.raises(ResourceLimitError, match="n=49 exceeds the search bound 48"):
+            table_one(range(47, 50), store=store)
+        assert calls == [] and not store.path.exists()
 
     def test_store_baseline_rows_are_not_reused(self, tmp_path):
         store = RecordStore(tmp_path / "db.jsonl")

@@ -7,7 +7,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from dickeprep import cli, csvio, fullsim, symstate
+from dickeprep import cli, csvio, fullsim, search, symstate
 from dickeprep.errors import StateError, UnreachableTargetError
 from dickeprep.grover import amplify, plan_amplification
 from dickeprep.krawtchouk import abs_column_sum, column, columns
@@ -20,7 +20,6 @@ from dickeprep.symfunc import (
 )
 from dickeprep.symstate import (
     SymmetricState,
-    biased_amplitude_spectrum,
     biased_dj_state,
     childs_probability,
     childs_probability_exact,
@@ -38,6 +37,7 @@ from dickeprep.symstate import (
 )
 
 import sampler_reference
+import search_reference
 from biased_reference import biased_amplitude_table, biased_amplitudes
 
 
@@ -334,40 +334,46 @@ class TestBiasedExactOracle:
 
 
 class TestBiasedAmplitudeSpectrum:
+    """The real Fourier form of the biased-DJ inner sums T_i(k) that the
+    search builds per (n, k): a cosine and a sine part per frequency."""
+
     def test_matches_table(self):
-        # T[i](theta) = Re sum_l C[i, l] e^{-i theta lam_l}, sin^2(theta) = rho
         rng = np.random.default_rng(37)
         for n in range(31):
             rhos = np.concatenate([[0.0, 1.0], rng.random(3)])
-            theta = np.arcsin(np.sqrt(rhos))
+            theta = np.arcsin(np.sqrt(rhos))  # sin^2(theta) = rho
             for k in range(n + 1):
-                lam, C = biased_amplitude_spectrum(n, k)
-                got = (C @ np.exp(-1j * np.outer(lam, theta))).real
+                lam, coef, _ = search._spectrum(n, k)
+                phase = np.outer(lam, theta)
+                got = coef @ np.vstack([np.cos(phase), np.sin(phase)])
                 assert np.max(np.abs(got - biased_amplitude_table(n, k, rhos))) <= 1e-13
 
     def test_frequencies_are_exact_integers(self):
         for n in (0, 1, 6, 33, 64):
-            lam, C = biased_amplitude_spectrum(n, n // 3)
+            lam, coef, waves = search._spectrum(n, n // 3)
             assert lam.dtype.kind == "i"
-            assert lam.tolist() == list(range(-n, n + 1, 2))
-            assert C.shape == (n + 1, n + 1)
-            assert C.flags.c_contiguous
+            assert lam.tolist() == list(range(n % 2, n + 1, 2))
+            assert coef.shape == (n + 1, 2 * lam.size)
+            assert waves.shape == (search._GRID_POINTS, 2 * lam.size)
 
     @pytest.mark.parametrize("n", [12, 48, 64, 100, 300])
     def test_matches_exact_closed_form(self, n):
-        # the column at lam = n - 2l holds i^{k+i} K_i(l, n) K_l(k, n) / 2^{3n/2},
-        # a rational for even n; every entry is purely real or imaginary
+        # at lam = 2l - n >= 0 the term is (-i)^{k+i} K_i(l, n) K_l(k, n) / 2^{3n/2},
+        # a rational for even n, counted twice for lam > 0; the phase puts it in
+        # the cosine part for even k + i and in the sine part for odd k + i
         K = columns(n)  # K[l][i] = K_i(l, n)
         scale = 1 << (3 * n // 2)
         for k in (1, n // 4, n // 2):
-            lam, C = biased_amplitude_spectrum(n, k)
+            lam, coef, _ = search._spectrum(n, k)
+            a, b = coef[:, :lam.size], coef[:, lam.size:]
             for i in range(n + 1):
-                sign = -1 if (k + i) % 4 >= 2 else 1
-                part, zero = (C[i].real, C[i].imag) if (k + i) % 2 == 0 else (C[i].imag, C[i].real)
+                m = (k + i) % 4
+                sign = -1 if m in (1, 2) else 1  # (-i)^m is 1, -i, -1, i
+                part, zero = (a[i], b[i]) if m % 2 == 0 else (b[i], a[i])
                 assert not zero.any()
-                for j, l in enumerate(range(n, -1, -1)):
-                    assert lam[j] == n - 2 * l
-                    exact = Fraction(sign * K[l][i] * K[k][l], scale)
+                for j, freq in enumerate(lam.tolist()):
+                    l = (n + freq) // 2
+                    exact = Fraction(sign * (2 if freq else 1) * K[l][i] * K[k][l], scale)
                     got = float(part[j])
                     if exact == 0:
                         assert got == 0.0, (k, i, l)
@@ -376,59 +382,53 @@ class TestBiasedAmplitudeSpectrum:
                         assert ulps <= 4, (k, i, l, float(ulps))
 
     def test_negative_frequencies_are_exact_conjugates(self):
-        # search._fold reads only the columns lam >= 0 and doubles lam > 0
+        # the complex closed form that the real one folds: its column at -lam
+        # is the exact conjugate of that at lam, so only lam >= 0 is kept
         for n in (1, 2, 12, 33, 100):
             for k in (0, 1, n // 3, n // 2, n):
-                lam, C = biased_amplitude_spectrum(n, k)
+                lam, C = search_reference.biased_amplitude_spectrum(n, k)
                 assert np.array_equal(C[:, ::-1], C.conj())
+                assert np.array_equal(search_reference.fold(lam, C)[1], search._spectrum(n, k)[1])
 
     def test_float_range(self):
         # Krawtchouk entries pass the float range at n = 1030
-        lam, C = biased_amplitude_spectrum(1029, 514)
-        assert np.isfinite(C).all()
+        lam, coef, _ = search._spectrum(1029, 514)
+        assert np.isfinite(coef).all()
         with pytest.raises(OverflowError):
-            biased_amplitude_spectrum(1030, 1)
+            search._spectrum(1030, 1)
 
     def test_weight_domain_error(self):
-        with pytest.raises(ValueError, match="k="):
-            biased_amplitude_spectrum(4, 5)
+        with pytest.raises(ValueError, match="w="):
+            search._spectrum(4, 5)
 
 
 class TestKrawtchoukFloats:
-    """The float Krawtchouk matrix behind biased_amplitude_spectrum, one per n."""
+    """The float Krawtchouk rows of the search's per-n basis."""
 
     @pytest.mark.parametrize("n", [*range(71), 301, 1029])
     def test_quarter_build_is_the_conversion_bit_for_bit(self, n):
-        # int64 views tell +0.0 from -0.0
-        got = symstate._krawtchouk_floats.__wrapped__(n)
-        want = np.array(columns(n), dtype=float)
+        # the rows l >= n/2; int64 views tell +0.0 from -0.0
+        got = search._basis.__wrapped__(n)[0]
+        want = np.array(columns(n), dtype=float)[(n + 1) // 2:]
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_overflow_leaves_nothing_cached(self):
-        cache = symstate._krawtchouk_floats
-        cache.cache_clear()
-        for build in (cache, lambda n: biased_amplitude_spectrum(n, 1)):
-            with pytest.raises(OverflowError):
-                build(1030)
-            assert cache.cache_info().currsize == 0
-
     def test_cached_matrix_is_read_only(self):
-        K = symstate._krawtchouk_floats(5)
+        K = search._basis(5)[0]
         with pytest.raises(ValueError):
             K[0, 0] = 2.0
-        assert symstate._krawtchouk_floats(5)[0, 0] == 1.0
+        assert search._basis(5)[0][0, 0] == 1.0  # K_0(3, 5)
 
     def test_cache_bound(self):
-        # at most 8 matrices, each of n <= 64: 8 x 65^2 x 8 B
-        cache = symstate._krawtchouk_floats
-        assert cache.cache_info().maxsize == symstate._KRAWTCHOUK_CACHE == 8
-        assert symstate._KRAWTCHOUK_CACHE_N == 64
+        # at most 8 bases, each of n <= 64: 8 x (33 x 65 + 512 x 66) x 8 B
+        cache = search._basis
+        assert cache.cache_info().maxsize == search._BASIS_CACHE == 8
+        assert search._BASIS_CACHE_N == 64
         cache.cache_clear()
-        biased_amplitude_spectrum(65, 3)
+        search._spectrum(65, 3)
         assert cache.cache_info().currsize == 0
         for n in range(40, 50):
-            biased_amplitude_spectrum(n, 3)
+            search._spectrum(n, 3)
         assert cache.cache_info().currsize == 8
 
 
