@@ -24,6 +24,7 @@ from .symfunc import (
     c_minima,
     c_minima_bytes,
     dj_optimal_profile,
+    dj_optimal_profile_strings,
     optimal_function,
     quarter_slice,
     spectrum_value,
@@ -42,6 +43,10 @@ __all__ = ["main"]
 
 # cn --max-n bound on c_minima's float table, (max_n//2 + 1)^2 x 8 B: up to --max-n 2895
 MAX_CN_TABLE_BYTES = 16 << 20
+
+# curves prints its DJ column from certified floats from this n up, exactly below it (same bytes):
+# the measured crossover, where the float path starts to beat the exact one
+CURVES_FLOAT_MIN_N = 80
 
 
 def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
@@ -136,8 +141,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
-          [range(n + 1), dj_optimal_profile(n), childs_profile(n)])
+    dj = dj_optimal_profile_strings(n) if n >= CURVES_FLOAT_MIN_N else dj_optimal_profile(n)
+    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], [range(n + 1), dj, childs_profile(n)])
     return 0
 
 

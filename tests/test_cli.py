@@ -12,7 +12,7 @@ from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.search import RecordStore, SearchRecord
-from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes
+from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, dj_optimal_profile
 from dickeprep.symstate import dicke
 
 
@@ -114,6 +114,26 @@ class TestCurvesCommand:
         assert float(rows[0][1]) == 1.0 and float(rows[0][2]) == 1.0
         # dominance on the interior
         assert all(float(r[1]) >= float(r[2]) - 1e-12 for r in rows)
+
+    @staticmethod
+    def exact_csv(n):
+        """The curves CSV with the DJ column from the exact dj_optimal_profile."""
+        return csvio.render_csv("curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
+                                [range(n + 1), dj_optimal_profile(n), symstate.childs_profile(n)])
+
+    @pytest.mark.parametrize("n", [cli.CURVES_FLOAT_MIN_N - 1, cli.CURVES_FLOAT_MIN_N, cli.CURVES_FLOAT_MIN_N + 1,
+                                   527, 999, 1000, 1029, 1030, 1100, 2000, 2200])
+    def test_same_bytes_as_exact_path(self, capsys, n):
+        # C(n, n//2) leaves the float range from n = 1030, and U[0, 0] = 2^(-n/2) is subnormal past n = 2044
+        code, out, err = run(capsys, "curves", "--n", str(n))
+        assert (code, err) == (0, "")
+        assert out == self.exact_csv(n)
+
+    def test_float_path_same_bytes_at_every_small_n(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CURVES_FLOAT_MIN_N", 1)
+        for n in range(1, 401):
+            _, out, _ = run(capsys, "curves", "--n", str(n))
+            assert out == self.exact_csv(n), n
 
 
 class TestSweepQuarterCommand:

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from dickeprep import symfunc
-from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix, next_half_column
+from dickeprep.csvio import fmt
+from dickeprep.krawtchouk import abs_column_sum, column, columns, descending_columns, half_abs_sum, matrix, next_half_column
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
     _FloatFilter,
+    _dj_float_bounds,
     _lane_layout,
     _scaled_floats,
+    _sqrt_ratios,
     c_minima,
     c_minima_bytes,
     c_of_n,
     c_profile,
     dj_optimal_profile,
+    dj_optimal_profile_strings,
     optimal_function,
     quarter_slice,
     reduced_walsh_spectrum,
@@ -407,3 +411,77 @@ class TestFloatFilteredMinima:
     def test_table_bytes(self):
         assert [c_minima_bytes(n) for n in (1, 2, 3, 250, 600)] == [8, 32, 32, 8 * 126**2, 8 * 301**2]
 
+
+
+def exact_dj_profile(n):
+    """Fraction(C(n, k) S^2, 4^n) for k <= n//2, S = sum_i |K_i(k, n)| from column n - k by the mirror."""
+    binoms = column(0, n)
+    halves = descending_columns(n)
+    return [Fraction(binoms[k] * half_abs_sum(half, n) ** 2, 1 << (2 * n))
+            for k, half in zip(range(n // 2 + 1), halves)]
+
+
+def exact_strings(n):
+    return [fmt(p) for p in dj_optimal_profile(n)]
+
+
+class TestCertifiedDjStrings:
+    """dj_optimal_profile_strings: the 9-digit text of dj_optimal_profile from certified floats."""
+
+    @pytest.mark.parametrize("ns", [range(161), (255, 256, 350, 351, 1000)])
+    def test_bounds_contain_exact_value(self, ns):
+        for n in ns:
+            binoms, lo, hi = _dj_float_bounds(n)
+            assert binoms == list(column(0, n)[: n // 2 + 1])
+            assert lo.shape == hi.shape == (n // 2 + 1,)
+            for k, exact in enumerate(exact_dj_profile(n)):
+                assert Fraction(lo[k]) <= exact <= Fraction(hi[k]), (n, k)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
+    def test_widened_bounds_fall_back_to_same_strings(self, n, monkeypatch):
+        calls = []
+        real_sum, real_bounds = symfunc.abs_column_sum, symfunc._dj_float_bounds
+
+        def widened(m):
+            binoms, lo, hi = real_bounds(m)
+            return binoms, lo * 0.5, hi * 2.0
+
+        def counted(k, m):
+            calls.append(k)
+            return real_sum(k, m)
+
+        monkeypatch.setattr(symfunc, "_dj_float_bounds", widened)
+        monkeypatch.setattr(symfunc, "abs_column_sum", counted)
+        assert dj_optimal_profile_strings(n) == exact_strings(n)
+        assert calls == list(range(n // 2 + 1))
+
+    def test_non_finite_bounds_fall_back(self, monkeypatch):
+        real_bounds = symfunc._dj_float_bounds
+        for bad in (math.nan, math.inf):
+            monkeypatch.setattr(symfunc, "_dj_float_bounds",
+                                lambda m: (real_bounds(m)[0], np.full(m // 2 + 1, bad), np.full(m // 2 + 1, bad)))
+            assert dj_optimal_profile_strings(30) == exact_strings(30)
+
+    @pytest.mark.parametrize("n", [350, 1000])
+    def test_few_exact_fallbacks(self, n):
+        # bound: at most 2 % of the n//2 + 1 columns (3 at n = 350, 10 at n = 1000)
+        _, lo, hi = _dj_float_bounds(n)
+        fallbacks = sum(fmt(a) != fmt(b) for a, b in zip(lo.tolist(), hi.tolist()))
+        assert np.isfinite(hi).all()
+        assert fallbacks <= (n // 2 + 1) // 50
+
+    def test_weights_rounded_within_bound(self):
+        # sqrt(v / 2^n) within 2u relative, or within 2^-1074 once it is subnormal
+        for n in (0, 1, 30, 1022, 1023, 1030, 2000, 2047, 2200, 2300):
+            values = list(column(0, n)[: n // 2 + 1])
+            got = _sqrt_ratios(values, n)
+            assert got.shape == (len(values),)
+            for v, g in zip(values, got.tolist()):
+                p = n // 2 + 1200  # floor(sqrt(v / 2^n) 2^p) from one integer square root
+                root = Fraction(math.isqrt(v << (2 * p - n)), 1 << p)
+                slack = Fraction(1, 1 << p) + (2 * Fraction(root) / (1 << 53) if g >= 2.0**-1022 else Fraction(1, 1 << 1074))
+                assert abs(Fraction(g) - root) <= slack, (n, v)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="n="):
+            dj_optimal_profile_strings(-1)
