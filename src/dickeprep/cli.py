@@ -32,7 +32,9 @@ from .symfunc import (
 from .symstate import (
     biased_dj_state,
     childs_profile,
+    childs_profile_strings,
     childs_quarter_slice,
+    childs_quarter_slice_strings,
     childs_state,
     dj_state,
     success_probability,
@@ -44,9 +46,13 @@ __all__ = ["main"]
 # cn --max-n bound on c_minima's float table, (max_n//2 + 1)^2 x 8 B: up to --max-n 2895
 MAX_CN_TABLE_BYTES = 16 << 20
 
-# curves prints its DJ column from certified floats from this n up, exactly below it (same bytes):
+# curves prints both columns from certified floats from this n up, exactly below it (same bytes):
 # the measured crossover, where the float path starts to beat the exact one
-CURVES_FLOAT_MIN_N = 80
+CURVES_FLOAT_MIN_N = 96
+
+# sweep-quarter prints its Childs column from certified floats from this --max-n up (same bytes):
+# the measured crossover, as for curves
+SWEEP_FLOAT_MIN_N = 160
 
 
 def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
@@ -141,8 +147,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    dj = dj_optimal_profile_strings(n) if n >= CURVES_FLOAT_MIN_N else dj_optimal_profile(n)
-    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], [range(n + 1), dj, childs_profile(n)])
+    if n >= CURVES_FLOAT_MIN_N:
+        dj, childs = dj_optimal_profile_strings(n), childs_profile_strings(n)
+    else:
+        dj, childs = dj_optimal_profile(n), childs_profile(n)
+    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], [range(n + 1), dj, childs])
     return 0
 
 
@@ -150,8 +159,9 @@ def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
     ns = range(4, args.max_n + 1)
+    childs = childs_quarter_slice_strings if args.max_n >= SWEEP_FLOAT_MIN_N else childs_quarter_slice
     _emit(args, "sweep-quarter", {"max_n": args.max_n}, ["n", "dj_prob", "childs_prob"],
-          [ns, quarter_slice(args.max_n)[4:], childs_quarter_slice(args.max_n)[4:]])
+          [ns, quarter_slice(args.max_n)[4:], childs(args.max_n)[4:]])
     return 0
 
 

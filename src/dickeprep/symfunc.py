@@ -97,9 +97,10 @@ tau = t / sqrt(nu), is rounded outward.  A value prints from its floats
 when format(lo, ".9g") == format(hi, ".9g") (Ziv, ACM TOMS 17 (1991)
 410): the 9-digit rounding is monotone, so the exact value rounded to a
 float prints the same.  Otherwise, or when a bound is not finite, that one
-value is computed exactly as in `dj_optimal_profile`.  The bound is about
-75 to 600 times the observed error at n = 50 to 1000, and few columns
-fall back: 0 of 176 at n = 350, 2 of 501 at n = 1000.
+value is computed exactly as in `dj_optimal_profile`.  The same rule
+(`_certified_strings`) prints the Childs column of `symstate`.  The bound
+is about 75 to 600 times the observed error at n = 50 to 1000, and few
+columns fall back: 0 of 176 at n = 350, 2 of 501 at n = 1000.
 """
 
 from __future__ import annotations
@@ -510,14 +511,41 @@ def _sqrt_ratios(values: list[int], n: int) -> np.ndarray:
     return np.array(out)
 
 
-def _dj_float_bounds(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(C(n, k), lo, hi) for k <= n//2, with lo[k] <= dj_optimal_profile(n)[k] <= hi[k] certified.
+def _recurrence_block(rows: np.ndarray, top: int, i: int, lam, alpha, beta) -> None:
+    """Rows u_{i+1}..u_{i+top} of every column into rows[2 : top + 2], from u_{i-1}, u_i in rows[0], rows[1]."""
+    for j in range(1, top + 1):  # u_{i+j} = (lam u_{i+j-1} - alpha u_{i+j-2}) / beta, row i+j-1
+        new, r = rows[j + 1], i + j - 1
+        np.multiply(lam, rows[j], out=new)
+        new -= alpha[r] * rows[j - 1]
+        new /= beta[r]
 
-    Columns k of U are streamed row by row through the three-term
-    recurrence, each from u_0 = 1 and rescaled by powers of two at block
-    ends; the bound is in the module docstring.  A non-finite entry of lo
-    or hi certifies nothing.
+
+@dataclass(frozen=True)
+class _DjTerms:
+    """The terms of the bound of `_dj_float_bounds`, one entry per column k <= n//2 (module docstring).
+
+    tau = t / sqrt(nu) ~ sqrt(p) from the folded sums t = sum |u_i| w_i and
+    nu = |u|^2, kept at their final power-of-two scale; rel bounds the
+    relative rounding errors of t and nu, and sums the error they put in
+    tau.  The residual X u - lam u is at most row * 2|u| + floor over the
+    rows i != n//2 and their mirrors, and at most closure over the middle
+    row (two rows at odd n), at the scale of nu.  weights bounds |w~ - w|.
     """
+
+    binoms: list[int]
+    tau: np.ndarray
+    nu: np.ndarray
+    rel: np.ndarray
+    sums: np.ndarray
+    row: np.ndarray
+    floor: float
+    closure: np.ndarray
+    weights: float
+
+
+def _dj_float_terms(n: int) -> _DjTerms:
+    """Columns k of U streamed row by row through the three-term recurrence, each from u_0 = 1
+    and rescaled by powers of two at block ends, and the terms of their bound (module docstring)."""
     h = n // 2
     binoms = _half_column(0, n)
     ks = np.arange(h + 1)
@@ -538,11 +566,7 @@ def _dj_float_bounds(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     i = 0
     while i < h:
         top = min(block, h - i)
-        for j in range(1, top + 1):  # u_{i+j} = (lam u_{i+j-1} - alpha u_{i+j-2}) / beta, row i+j-1
-            new, r = rows[j + 1], i + j - 1
-            np.multiply(lam, rows[j], out=new)
-            new -= alpha[r] * rows[j - 1]
-            new /= beta[r]
+        _recurrence_block(rows, top, i, lam, alpha, beta)
         new_rows = rows[2 : top + 2]
         t += weights[i + 1 : i + top + 1] @ np.abs(new_rows)
         nu += mult[i + 1 : i + top + 1] @ np.square(new_rows)
@@ -567,14 +591,46 @@ def _dj_float_bounds(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         rel = 1.01 * (2.02 * (h + 4) * _U + tiny / t + tiny / nu)
         rel = np.where(rel <= 2.0**-10, rel, np.inf)
         tau = t / np.sqrt(nu)
+        sums = 1.01 * tau * (rel + 3 * _U)
+    return _DjTerms(
+        binoms=binoms, tau=tau, nu=nu, rel=rel, sums=sums,
+        row=_GAMMA_ROW * (lam + (n + 1) / 2) / 2,  # a-priori, rows i < h and their mirrors
+        floor=math.sqrt(2 * h) * 4 * (n + 2) * _SUBNORMAL,
+        closure=math.sqrt(1 + n % 2) * closure,
+        weights=2 * _U + math.sqrt(n + 1) * _SUBNORMAL,
+    )
+
+
+def _dj_float_bounds(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(C(n, k), lo, hi) for k <= n//2, with lo[k] <= dj_optimal_profile(n)[k] <= hi[k] certified.
+
+    The terms come from `_dj_float_terms`; the bound is in the module
+    docstring.  A non-finite entry of lo or hi certifies nothing.
+    """
+    d = _dj_float_terms(n)
+    with np.errstate(all="ignore"):  # a non-finite bound certifies nothing
         # Davis-Kahan, sin <= |X u - lam u| / (2 |u|): a-priori rows i < h (twice), then the closure
-        residual = math.sqrt(2 * h) * 4 * (n + 2) * _SUBNORMAL + math.sqrt(1 + n % 2) * closure
-        sine = _GAMMA_ROW * (lam + (n + 1) / 2) / 2 + residual / (2 * np.sqrt(nu * (1.0 - rel)))
-        weights_err = 2 * _U + math.sqrt(n + 1) * _SUBNORMAL
-        eps = (math.sqrt(2) * sine + weights_err + 1.01 * tau * (rel + 3 * _U)) * _BOUND_MARGIN
-        lo = np.square(np.maximum(tau - eps, 0.0)) * (2.0 - _OUTWARD)
-        hi = np.square(tau + eps) * _OUTWARD
-    return binoms, lo, hi
+        sine = d.row + (d.floor + d.closure) / (2 * np.sqrt(d.nu * (1.0 - d.rel)))
+        eps = (math.sqrt(2) * sine + d.weights + d.sums) * _BOUND_MARGIN
+        lo = np.square(np.maximum(d.tau - eps, 0.0)) * (2.0 - _OUTWARD)
+        hi = np.square(d.tau + eps) * _OUTWARD
+    return d.binoms, lo, hi
+
+
+def _certified_strings(lo: np.ndarray, hi: np.ndarray, exact) -> list[str]:
+    """format(x_j, ".9g") for values x_j certified to lie in [lo[j], hi[j]].
+
+    The text comes from the bounds when both print alike (Ziv, module
+    docstring), and otherwise, or when a bound is not finite, from the
+    float exact(j).
+    """
+    out = []
+    for j, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
+        text = format(low, _PRINTED)
+        if not math.isfinite(high) or text != format(high, _PRINTED):
+            text = format(exact(j), _PRINTED)
+        out.append(text)
+    return out
 
 
 def dj_optimal_profile_strings(n: int) -> list[str]:
@@ -588,14 +644,13 @@ def dj_optimal_profile_strings(n: int) -> list[str]:
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     binoms, lo, hi = _dj_float_bounds(n)
-    out = [""] * (n + 1)
-    for k, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
-        text = format(low, _PRINTED)
-        if not math.isfinite(high) or text != format(high, _PRINTED):
-            s = abs_column_sum(k, n)
-            text = format((binoms[k] * s * s) / (1 << (2 * n)), _PRINTED)
-        out[k] = out[n - k] = text
-    return out
+
+    def exact(k: int) -> float:
+        s = abs_column_sum(k, n)
+        return (binoms[k] * s * s) / (1 << (2 * n))
+
+    half = _certified_strings(lo, hi, exact)
+    return half + half[: n - n // 2][::-1]
 
 
 def quarter_slice(max_n: int) -> list[float]:

@@ -29,6 +29,30 @@ sampling weigh and gate a state once between them.  The float binomial row
 C(n, k) is built once per n and shared by every state of that size, from a
 small per-n cache.
 
+`childs_profile_strings` and `childs_quarter_slice_strings` give the 9-digit
+text of the Childs column from floats.  One table holds v^v for v = 0..N as
+a mantissa in [1/2, 1) and an int64 exponent.  It is built by left-to-right
+square-and-multiply over the bits of v, vectorised over v, with np.frexp
+renormalising after every step, so nothing overflows at any N.  Only the
+IEEE products round (a product by 1 is exact).  With e(v) roundings in v^v,
+e(1) = 0, e(2v) = 2 e(v) + 1 and e(v + 1) = e(v) + 1 give e(v) = v - 1, so
+entry v is within gamma_(v-1) = (v-1)u / (1 - (v-1)u) of v^v, u = 2^-53
+(Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1).  The
+exact C(n, w), from the binomial half row or carried along n = 4w..4w+3, is
+rounded to a float once; where some C leaves the float range (from
+n = 1030 for the half row), each C past 2^1000 is rounded as C / 2^s, with
+the power of two carried in the exponent.  Then p~ = C V[w] V[n-w] / V[n] takes
+1 + (w-1) + (n-w-1) + (n-1) + 3 = 2n + 1 roundings for 0 < w < n, so
+p~ = p (1 + theta) with |theta| <= gamma_(2n+1); at w = 0 and n, p~ = 1
+exactly.  Each end of [lo, hi] = p~ (1 -+ rel) rounds twice more, so
+rel = gamma_k / (1 - gamma_k) at k = 2n + 3; the rounding of rel itself
+is of second order, inside the slack of those two.  No value is
+subnormal: p_C(n, w) is the mode of a binomial law, at least 1/(n + 1).
+A value prints from its bounds when both give the same 9 digits (the Ziv
+rule of `symfunc.dj_optimal_profile_strings`), and otherwise from the
+exact childs_probability.  childs_profile and childs_quarter_slice stay
+exact, for small n and as the reference.
+
 Outcomes are drawn by inverse CDF through a guide table (Chen & Asau, AIIE
 Trans. 6 (1974) 163; Devroye, Non-Uniform Random Variate Generation, 1986,
 III.2.4), bit for bit the stream of Generator.choice(n + 1, size, p=...).
@@ -57,8 +81,8 @@ from math import comb
 import numpy as np
 
 from .errors import StateError, UnreachableTargetError
-from .krawtchouk import abs_column_sum, column
-from .symfunc import SymmetricBooleanFunction, reduced_walsh_spectrum, spectrum_value
+from .krawtchouk import _half_column, abs_column_sum, column
+from .symfunc import SymmetricBooleanFunction, _U, _certified_strings, reduced_walsh_spectrum, spectrum_value
 
 __all__ = [
     "SymmetricState",
@@ -66,7 +90,9 @@ __all__ = [
     "childs_probability",
     "childs_probability_exact",
     "childs_profile",
+    "childs_profile_strings",
     "childs_quarter_slice",
+    "childs_quarter_slice_strings",
     "childs_state",
     "dicke",
     "dj_optimal_success_exact",
@@ -242,6 +268,78 @@ def childs_quarter_slice(max_n: int) -> list[float]:
             binom = binom * n // (n - w)
         out.append((binom * ww * (n - w) ** (n - w)) / n**n)
     return out
+
+
+def _power_table(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, e) with m[v] 2^e[v] within gamma_(v-1) of v**v for v = 0..top (0**0 = 1 exactly).
+
+    Left-to-right square-and-multiply over the bits of v, vectorised over v,
+    on mantissas renormalised by np.frexp after every step (module docstring).
+    """
+    vs = np.arange(top + 1)
+    base, base_exp = np.frexp(vs.astype(float))  # exact: every v < 2^53
+    on = (vs >> np.arange(top.bit_length() - 1, -1, -1)[:, None]) & 1 == 1  # the bits of v, highest first
+    factors, factor_exps = np.where(on, base, 1.0), np.where(on, base_exp, 0)
+    m, e = np.ones(top + 1), np.zeros(top + 1, dtype=np.int64)
+    for factor, factor_exp in zip(factors, factor_exps):
+        m, shift = np.frexp(m * m * factor)  # a square, then a product where the bit is set
+        e = 2 * e + factor_exp + shift
+    return m, e
+
+
+def _childs_float_bounds(binoms: list[int], ws: np.ndarray, ns, table) -> tuple[np.ndarray, ...]:
+    """(p~, lo, hi) with lo <= childs_probability_exact(ns, ws) <= hi certified, from binoms = C(ns, ws).
+
+    p~ = C V[w] V[n - w] / V[n] on mantissas from the v**v table rounds
+    within gamma_(2n+1) (module docstring), and [lo, hi] widens it outward.
+    """
+    m, e = table
+    try:
+        cm, shifts = np.array(binoms, dtype=float), 0  # each rounded once
+    except OverflowError:  # float() takes ints below 2^1024 only
+        shifts = np.maximum(np.array([c.bit_length() for c in binoms]) - 1000, 0)
+        cm = np.array([c / (1 << s) for c, s in zip(binoms, shifts.tolist())])
+    cm, ce = np.frexp(cm)
+    p = np.ldexp(cm * m[ws] * m[ns - ws] / m[ns], shifts + ce + e[ws] + e[ns - ws] - e[ns])
+    k = 2 * ns + 3  # the 2n + 1 roundings of p~, and two more for each end of [lo, hi]
+    rel = k * _U / (1.0 - 2 * k * _U)  # gamma_k / (1 - gamma_k); its own rounding is of second order
+    return p, p * (1.0 - rel), p * (1.0 + rel)
+
+
+def childs_profile_strings(n: int) -> list[str]:
+    """[csvio.fmt(p) for p in childs_profile(n)], the same strings, from certified floats.
+
+    A value prints from its bounds (`_childs_float_bounds`) when both give
+    the same 9 digits, and otherwise from the exact childs_probability(n, w).
+    """
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    ws = np.arange(n // 2 + 1)
+    _, lo, hi = _childs_float_bounds(_half_column(0, n), ws, n, _power_table(n))
+    half = _certified_strings(lo, hi, lambda w: childs_probability(n, w))
+    return half + half[: n - n // 2][::-1]
+
+
+def childs_quarter_slice_strings(max_n: int) -> list[str]:
+    """[csvio.fmt(p) for p in childs_quarter_slice(max_n)], the same strings, from certified floats.
+
+    C(n, n//4) is carried along n as in childs_quarter_slice; each value
+    prints from its bounds when both give the same 9 digits, and otherwise
+    from the exact childs_probability(n, n // 4).
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n={max_n} must be non-negative")
+    binoms = [1]
+    w = 0
+    for n in range(1, max_n + 1):
+        if n // 4 > w:
+            w += 1
+            binoms.append(binoms[-1] * n // w)
+        else:
+            binoms.append(binoms[-1] * n // (n - w))
+    ns = np.arange(max_n + 1)
+    _, lo, hi = _childs_float_bounds(binoms, ns // 4, ns, _power_table(max_n))
+    return _certified_strings(lo, hi, lambda n: childs_probability(n, n // 4))
 
 
 def childs_state(n: int, w: int) -> SymmetricState:

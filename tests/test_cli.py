@@ -12,7 +12,7 @@ from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, matrix
 from dickeprep.search import RecordStore, SearchRecord
-from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, dj_optimal_profile
+from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, dj_optimal_profile, quarter_slice
 from dickeprep.symstate import dicke
 
 
@@ -117,12 +117,13 @@ class TestCurvesCommand:
 
     @staticmethod
     def exact_csv(n):
-        """The curves CSV with the DJ column from the exact dj_optimal_profile."""
+        """The curves CSV with both columns from the exact dj_optimal_profile and childs_profile."""
         return csvio.render_csv("curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
                                 [range(n + 1), dj_optimal_profile(n), symstate.childs_profile(n)])
 
-    @pytest.mark.parametrize("n", [cli.CURVES_FLOAT_MIN_N - 1, cli.CURVES_FLOAT_MIN_N, cli.CURVES_FLOAT_MIN_N + 1,
-                                   527, 999, 1000, 1029, 1030, 1100, 2000, 2200])
+    @pytest.mark.parametrize("n", sorted({79, 80, 81, cli.CURVES_FLOAT_MIN_N - 1, cli.CURVES_FLOAT_MIN_N,
+                                          cli.CURVES_FLOAT_MIN_N + 1, 350, 527, 999, 1000, 1029, 1030, 1100,
+                                          2000, 2200, 4000}))
     def test_same_bytes_as_exact_path(self, capsys, n):
         # C(n, n//2) leaves the float range from n = 1030, and U[0, 0] = 2^(-n/2) is subnormal past n = 2044
         code, out, err = run(capsys, "curves", "--n", str(n))
@@ -145,6 +146,28 @@ class TestSweepQuarterCommand:
         assert header == ["n", "dj_prob", "childs_prob"]
         assert [int(r[0]) for r in rows] == list(range(4, 41))
         assert all(float(r[1]) >= float(r[2]) - 1e-12 for r in rows)
+
+    @staticmethod
+    def exact_csv(max_n, dj=None, childs=None):
+        """The sweep-quarter CSV from the exact quarter_slice and childs_quarter_slice (or prefixes of them)."""
+        dj = quarter_slice(max_n) if dj is None else dj[: max_n + 1]
+        childs = symstate.childs_quarter_slice(max_n) if childs is None else childs[: max_n + 1]
+        return csvio.render_csv("sweep-quarter", {"max_n": max_n}, ["n", "dj_prob", "childs_prob"],
+                                [range(4, max_n + 1), dj[4:], childs[4:]])
+
+    @pytest.mark.parametrize("max_n", [4, cli.SWEEP_FLOAT_MIN_N - 1, cli.SWEEP_FLOAT_MIN_N, cli.SWEEP_FLOAT_MIN_N + 1,
+                                       697, 1029, 1030, 1100])
+    def test_same_bytes_as_exact_path(self, capsys, max_n):
+        code, out, err = run(capsys, "sweep-quarter", "--max-n", str(max_n))
+        assert (code, err) == (0, "")
+        assert out == self.exact_csv(max_n)
+
+    def test_float_path_same_bytes_at_every_small_n(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_FLOAT_MIN_N", 4)
+        dj, childs = quarter_slice(400), symstate.childs_quarter_slice(400)  # each a prefix of the next
+        for max_n in range(4, 401):
+            _, out, _ = run(capsys, "sweep-quarter", "--max-n", str(max_n))
+            assert out == self.exact_csv(max_n, dj, childs), max_n
 
 
 class TestSimulateCommand:

@@ -425,6 +425,37 @@ def exact_strings(n):
     return [fmt(p) for p in dj_optimal_profile(n)]
 
 
+_ROOT_BITS = 200
+
+
+def root(q):
+    """floor(sqrt(q) 2^200) / 2^200 for a rational q >= 0: sqrt(q) lies in [root(q), root(q) + 2^-200)."""
+    q = Fraction(q)
+    return Fraction(math.isqrt((q.numerator << (2 * _ROOT_BITS)) // q.denominator), 1 << _ROOT_BITS)
+
+
+_ROOT_SLACK = Fraction(1, 1 << _ROOT_BITS)
+
+
+def enclosed_abs(terms, rest):
+    """An upper bound on |sum_j c_j sqrt(a_j) + rest| for (a_j, c_j) in terms, a_j integer radicands.
+
+    Equal radicands are summed first, so terms that cancel exactly leave no enclosure slack.
+    """
+    groups = {}
+    for a, c in terms:
+        groups[a] = groups.get(a, 0) + c
+    slack = 0
+    for a, c in groups.items():
+        s = math.isqrt(a)
+        if s * s == a:
+            rest += s * c
+        else:
+            rest += root(a) * c
+            slack += abs(c) * _ROOT_SLACK
+    return abs(rest) + slack
+
+
 class TestCertifiedDjStrings:
     """dj_optimal_profile_strings: the 9-digit text of dj_optimal_profile from certified floats."""
 
@@ -436,6 +467,68 @@ class TestCertifiedDjStrings:
             assert lo.shape == hi.shape == (n // 2 + 1,)
             for k, exact in enumerate(exact_dj_profile(n)):
                 assert Fraction(lo[k]) <= exact <= Fraction(hi[k]), (n, k)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_each_term_covers_its_exact_counterpart(self, n, monkeypatch):
+        # From the float rows the recurrence produced, in Fractions (square roots enclosed within
+        # 2^-200): the residual X u~ - lam u~ of the rows i != n//2 and their mirrors against the
+        # a-priori row term, that of the middle row(s) against the closure, |w~ - w| against the
+        # weights term, and |tau~ - t / sqrt(nu)| with the exact sums of the float rows against the sums
+        # term.  Then [lo, hi] must hold tau~ +- eps for eps the sum of the certified terms, so a bound
+        # that drops one of them fails here although the others alone still cover the observed error.
+        blocks, terms = [], []
+        real_block, real_terms = symfunc._recurrence_block, symfunc._dj_float_terms
+
+        def block(rows, top, i, *args):
+            real_block(rows, top, i, *args)
+            blocks.append(rows[2 : top + 2].copy())
+
+        def captured(m):
+            terms.append(real_terms(m))
+            return terms[-1]
+
+        monkeypatch.setattr(symfunc, "_recurrence_block", block)
+        monkeypatch.setattr(symfunc, "_dj_float_terms", captured)
+        _, lo, hi = _dj_float_bounds(n)
+        (d,) = terms
+        h = n // 2
+        assert len(blocks) == min(h, 1)  # one block up to n = 40: no rescale between the captured rows
+        half = np.vstack([np.ones(h + 1), *blocks])  # rows u_0..u_h of every column k <= n//2
+        mirror = [min(i, n - i) for i in range(n + 1)]
+        middle = {h, n - h}
+
+        w_float = [Fraction(x) for x in _sqrt_ratios(d.binoms, n).tolist()]
+        w_err = 0
+        for i in mirror:
+            w = root(Fraction(d.binoms[i], 1 << n))
+            w_err += max(abs(w_float[i] - w), abs(w_float[i] - w - _ROOT_SLACK)) ** 2
+        assert Fraction(d.weights) ** 2 >= w_err
+
+        for k in range(h + 1):
+            lam = n - 2 * k
+            u = [Fraction(x) * (-1 if k % 2 and i > h else 1)
+                 for i, x in zip(range(n + 1), (half[j, k] for j in mirror))]
+            rows_sq = middle_sq = 0
+            for i in range(n + 1):
+                below = u[i - 1] if i > 0 else 0
+                above = u[i + 1] if i < n else 0
+                r = enclosed_abs([(i * (n - i + 1), below), ((i + 1) * (n - i), above)], -lam * u[i])
+                if i in middle:
+                    middle_sq += r * r
+                else:
+                    rows_sq += r * r
+            nu = sum(x * x for x in u)
+            t = sum(abs(x) * w_float[j] for x, j in zip(u, mirror))
+            tau, sums = Fraction(d.tau[k]), Fraction(d.sums[k])
+            nu_floor = Fraction(d.nu[k]) * (1 - Fraction(d.rel[k]))  # at the scale of the closure term
+
+            assert (2 * Fraction(d.row[k])) ** 2 * nu >= rows_sq, (n, k)
+            assert Fraction(d.closure[k]) ** 2 * nu >= middle_sq * nu_floor, (n, k)
+            assert (tau - sums) ** 2 * nu <= t * t <= (tau + sums) ** 2 * nu, (n, k)
+
+            sine = Fraction(d.row[k]) + (Fraction(d.floor) + Fraction(d.closure[k])) / (2 * (root(nu_floor) + _ROOT_SLACK))
+            eps = root(2) * sine + Fraction(d.weights) + sums
+            assert Fraction(lo[k]) <= max(tau - eps, 0) ** 2 and (tau + eps) ** 2 <= Fraction(hi[k]), (n, k)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
     def test_widened_bounds_fall_back_to_same_strings(self, n, monkeypatch):

@@ -24,7 +24,9 @@ from dickeprep.symstate import (
     childs_probability,
     childs_probability_exact,
     childs_profile,
+    childs_profile_strings,
     childs_quarter_slice,
+    childs_quarter_slice_strings,
     childs_state,
     dicke,
     dj_optimal_success_exact,
@@ -153,11 +155,19 @@ class TestChilds:
     def test_profile_matches_probability(self):
         for n in [*range(0, 81), 999, 1000]:
             assert childs_profile(n) == [childs_probability(n, w) for w in range(n + 1)], n
+        # past the float range of C(n, n//2) from n = 1030, against the exact rational at sampled w
+        for n in (1029, 1030, 2000):
+            got = childs_profile(n)
+            for w in sorted({*range(0, n + 1, 23), 1, n // 2, n - 1, n}):
+                assert got[w] == float(childs_probability_exact(n, w)), (n, w)
         with pytest.raises(ValueError, match="n="):
             childs_profile(-1)
 
     def test_quarter_slice_matches_probability(self):
-        got = childs_quarter_slice(1000)
+        got = childs_quarter_slice(2000)
+        for n in (1029, 1030, 2000):
+            assert got[n] == float(childs_probability_exact(n, n // 4)), n
+        got = got[:1001]
         assert got == [childs_probability(n, n // 4) for n in range(1001)]
         assert childs_quarter_slice(0) == [1.0]
         assert childs_quarter_slice(9) == got[:10]
@@ -188,6 +198,135 @@ class TestChilds:
                     assert figure == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
                 else:
                     assert figure >= 0.75, (n, w)
+
+
+_U = Fraction(1, 1 << 53)
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability, Lemma 3.1)."""
+    return k * _U / (1 - k * _U)
+
+
+def childs_ratio(n, w):
+    """childs_probability_exact(n, w) as an unreduced (numerator, denominator)."""
+    return comb(n, w) * w**w * (n - w) ** (n - w), n**n
+
+
+def childs_bounds(n):
+    """symstate._childs_float_bounds over the profile k <= n//2 at n."""
+    ws = np.arange(n // 2 + 1)
+    return symstate._childs_float_bounds(list(column(0, n)[: n // 2 + 1]), ws, n, symstate._power_table(n))
+
+
+def quarter_bounds(max_n):
+    """symstate._childs_float_bounds over the quarter slice n = 0..max_n."""
+    ns = np.arange(max_n + 1)
+    binoms = [comb(n, n // 4) for n in range(max_n + 1)]
+    return symstate._childs_float_bounds(binoms, ns // 4, ns, symstate._power_table(max_n))
+
+
+def inside(lo, hi, num, den):
+    """Whether lo <= num / den <= hi, in integers."""
+    a, b = float(lo).as_integer_ratio()
+    c, d = float(hi).as_integer_ratio()
+    return a * den <= num * b and num * d <= c * den
+
+
+class TestCertifiedChildsStrings:
+    """childs_profile_strings and childs_quarter_slice_strings: the Childs column from certified floats."""
+
+    def test_power_table_within_gamma(self):
+        m, e = symstate._power_table(3000)
+        assert m.shape == e.shape == (3001,)
+        assert ((0.5 <= m) & (m < 1.0)).all()
+        for v in range(3001):
+            got, exact = Fraction(float(m[v])) * 2 ** int(e[v]), v**v  # 0**0 = 1
+            assert abs(got - exact) <= gamma(max(v - 1, 0)) * exact, v
+
+    @pytest.mark.parametrize("ns", [range(161), (350, 1000, 1030, 2000)])
+    def test_bounds_contain_exact_value(self, ns):
+        for n in ns:
+            _, lo, hi = childs_bounds(n)
+            assert lo.shape == hi.shape == (n // 2 + 1,)
+            for w in range(n // 2 + 1):
+                assert inside(lo[w], hi[w], *childs_ratio(n, w)), (n, w)
+
+    def test_quarter_bounds_contain_exact_value(self):
+        _, lo, hi = quarter_bounds(1100)
+        for n in range(1101):
+            assert inside(lo[n], hi[n], *childs_ratio(n, n // 4)), n
+
+    def test_bounds_cover_every_rounding(self):
+        # p~ = C V[w] V[n - w] / V[n] with 0 < w < n rounds C once, V[v] v - 1 times
+        # (test_power_table_within_gamma), and makes two products and a division:
+        # 1 + (w - 1) + (n - w - 1) + (n - 1) + 3 = 2n + 1 roundings, so each end of [lo, hi] must
+        # reach p~ / (1 +- gamma_(2n+1)) whatever the roundings did; at w = 0 and n, p~ = 1 exactly.
+        cases = [(n, w, p[w], lo[w], hi[w]) for n in [*range(1, 161), 1030, 2000]
+                 for p, lo, hi in [childs_bounds(n)] for w in range(n // 2 + 1)]
+        p, lo, hi = quarter_bounds(1100)
+        cases += [(n, n // 4, p[n], lo[n], hi[n]) for n in range(1101)]
+        for n, w, approx, low, high in cases:
+            if w in (0, n):
+                assert approx == 1.0 and low <= 1.0 <= high, (n, w)
+                continue
+            g = gamma(1 + (w - 1) + (n - w - 1) + (n - 1) + 3)
+            approx = Fraction(float(approx))
+            assert Fraction(float(low)) <= approx / (1 + g) and approx / (1 - g) <= Fraction(float(high)), (n, w)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350, 1030])
+    def test_same_strings_as_exact_profile(self, n):
+        assert childs_profile_strings(n) == [csvio.fmt(p) for p in childs_profile(n)]
+
+    def test_quarter_slice_same_strings(self):
+        assert childs_quarter_slice_strings(1300) == [csvio.fmt(p) for p in childs_quarter_slice(1300)]
+        assert childs_quarter_slice_strings(0) == ["1"]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
+    def test_widened_bounds_fall_back_to_same_strings(self, n, monkeypatch):
+        calls = []
+        real_probability, real_bounds = symstate.childs_probability, symstate._childs_float_bounds
+
+        def widened(*args):
+            p, lo, hi = real_bounds(*args)
+            return p, lo * 0.5, hi * 2.0
+
+        def counted(m, w):
+            calls.append(w)
+            return real_probability(m, w)
+
+        monkeypatch.setattr(symstate, "_childs_float_bounds", widened)
+        monkeypatch.setattr(symstate, "childs_probability", counted)
+        assert childs_profile_strings(n) == [csvio.fmt(p) for p in childs_profile(n)]
+        assert calls == list(range(n // 2 + 1))
+        calls.clear()
+        assert childs_quarter_slice_strings(n) == [csvio.fmt(p) for p in childs_quarter_slice(n)]
+        assert calls == [m // 4 for m in range(n + 1)]
+
+    def test_non_finite_bounds_fall_back(self, monkeypatch):
+        real_bounds = symstate._childs_float_bounds
+        for bad in (math.nan, math.inf):
+            def broken(*args):
+                p = real_bounds(*args)[0]
+                return p, np.full_like(p, bad), np.full_like(p, bad)
+
+            monkeypatch.setattr(symstate, "_childs_float_bounds", broken)
+            assert childs_profile_strings(30) == [csvio.fmt(p) for p in childs_profile(30)]
+            assert childs_quarter_slice_strings(30) == [csvio.fmt(p) for p in childs_quarter_slice(30)]
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_few_exact_fallbacks(self, n):
+        # at most 1 % of the n//2 + 1 columns (5 at n = 1000, 20 at n = 4000)
+        _, lo, hi = childs_bounds(n)
+        fallbacks = sum(csvio.fmt(a) != csvio.fmt(b) for a, b in zip(lo.tolist(), hi.tolist()))
+        assert np.isfinite(hi).all()
+        assert fallbacks <= (n // 2 + 1) // 100
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="n="):
+            childs_profile_strings(-1)
+        with pytest.raises(ValueError, match="max_n="):
+            childs_quarter_slice_strings(-1)
 
 
 class TestBiasedDJ:
