@@ -39,12 +39,12 @@ from .symstate import (
     dj_state,
     success_probability,
 )
-from .krawtchouk import column, column_strings
+from .krawtchouk import _half_column, column, column_strings
 
 __all__ = ["main"]
 
-# cn --max-n bound on c_minima's float table, (max_n//2 + 1)^2 x 8 B: up to --max-n 2895
-MAX_CN_TABLE_BYTES = 16 << 20
+# cn --max-n bound on c_minima's float arrays, about 20 MiB: those of --max-n 2895
+MAX_CN_TABLE_BYTES = c_minima_bytes(2895)
 
 # curves prints both columns from certified floats from this n up, exactly below it (same bytes):
 # the measured crossover, where the float path starts to beat the exact one
@@ -148,7 +148,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
     if n >= CURVES_FLOAT_MIN_N:
-        dj, childs = dj_optimal_profile_strings(n), childs_profile_strings(n)
+        binoms = _half_column(0, n)  # C(n, k) for k <= n//2, shared by both columns
+        dj, childs = dj_optimal_profile_strings(n, binoms), childs_profile_strings(n, binoms)
     else:
         dj, childs = dj_optimal_profile(n), childs_profile(n)
     _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], [range(n + 1), dj, childs])

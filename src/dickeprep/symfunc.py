@@ -27,25 +27,44 @@ so a certified float filter rules out the other terms, and only the
 survivors, usually one per n, are evaluated exactly.  The filter carries
 every column k <= n//2 in one table of floats Y_i ~ K_i(k, n) 2^-e_k, by
 the Pascal step Y_i + Y_{i-1} (the palindrome gives the extra input at
-odd n).  Column k is born at n = 2k from the exact
-`krawtchouk._half_column`, and every 32 steps each column is rescaled by a
-power of two, so nothing overflows at any n.  The error bound follows
-Higham, Accuracy and Stability of Numerical Algorithms (2nd ed., 2002),
-ch. 3-4, with unit roundoff u = 2^-53: a step rounds each entry once, by
-at most u |Y_i| / (1 - u), and passes on the old errors e_i + e_{i-1}, so
-the bound F on the total error over the full column obeys
-F(n+1) = 2 F(n) + 2u S~(n+1), where S~ is the float sum of |Y_i| over the
-full column (a sum that lands among the subnormals is exact).  A rescale
-or a conversion from integers adds (n + 2) 2^-1074 for subnormal results,
-and every update of F is rounded up.  Then
-|S(k, n) 2^-e_k - S~| <= F + (n + 8) u S~, the last term being the
-rounding of the sum itself.  C(n, k) is a float carried by the ratio
-n / (n - k) from its exact value at birth, within (2(n - 2k) + 1) 1.01 u.
-These give certified bounds lo_k <= c_k(n) <= hi_k, and `c_minima`'s
-prune rule drops a term only when no rounding of the printed float can
-make it the minimum.  A surviving column whose F passes 2^-24 S~ is rebuilt
-from the exact column first.  The table takes (N//2 + 1)^2 x 8 B
-(`c_minima_bytes`), and `cli` refuses a `cn` run past its byte bound.
+odd n).  A step of n costs two passes over the live table, whole rows at
+a time through one reusable buffer: the Pascal add (from a copy of the
+old entries) and the float sums S~ of |Y_i| over the full columns.  The
+rest runs once per block of 32 n, vectorised over the block: the error
+bounds, the carried binomials, the bounds of every term, the prune, and a
+rescale of each column by the power of two that brings its sum into
+[1/2, 1), so nothing overflows at any n.  Column k is born at n = 2k in
+closed form: G_k(z) = (1 - z)^k (1 + z)^k = (1 - z^2)^k, so K_i(k, 2k) is
+(-1)^(i/2) C(k, i/2) at even i and 0 at odd i, from the binomial half row
+of k, itself carried by one add per entry.  A block's births are written
+before it steps, into rows its steps reach only from their birth on.
+
+The error bound follows Higham, Accuracy and Stability of Numerical
+Algorithms (2nd ed., 2002), ch. 3-4, with unit roundoff u = 2^-53: a step
+rounds each entry once, by at most u |Y_i| / (1 - u), and passes on the
+old errors e_i + e_{i-1}, so the bound F on the total error over the full
+column obeys F(n+1) = 2 F(n) + 2u S~(n+1), where S~ is the float sum of
+|Y_i| over the full column (a sum that lands among the subnormals is
+exact).  A rescale or a conversion from integers adds (n + 2) 2^-1074 for
+subnormal results, and so does every step.  Over a block of n0 + 1, ...,
+n0 + r the recurrence is the sum F(n0 + j + 1) = sum_{t <= j} 2^(j - t) g_t
+of the terms g_t = 2u S~(n0 + t + 1) + (n0 + t + 3) 2^-1074 (g_0 also
+carries 2 F(n0)), each scaled exactly by 2^(r - 1 - t), summed once and
+rounded up.  Then |S(k, n) 2^-e_k - S~| <= F + (n + 8) u S~, the
+last term being the rounding of the sum itself.  C(n, k) is a float
+carried by the ratio n / (n - k) from its exact value at birth, one
+running product per block, within (2(n - 2k) + 1) 1.01 u.  These give
+certified bounds lo_k <= c_k(n) <= hi_k, and `c_minima`'s prune rule
+drops a term only when no rounding of the printed float can make it the
+minimum.  A surviving column whose F passes 2^-24 S~ is rebuilt from the
+exact column at the first n of the block where it survives, at its scale
+2^-e_k, and replayed to the end of the block, all such columns of a block
+together; the exact S of the rebuild serves its term.  The middle column
+k = n//2 has S = 2^ceil(n/2), so its exact term needs only C(n, k) (the
+minimum at every even n up to 2895 is this column); other survivors take S from
+`krawtchouk.abs_column_sum`.  The table, the buffer and the block's
+arrays take `c_minima_bytes`, and `cli` refuses a `cn` run past its byte
+bound.
 
 A spectrum needs only two folded dots per column, which are linear, so
 `reduced_walsh_spectrum` steps L columns at once in lanes of one Python int
@@ -343,118 +362,272 @@ def c_of_n(n: int) -> float:
 # c_minima's float filter (module docstring)
 _U = 2.0**-53  # unit roundoff of float64
 _RESEED_RATIO = 2.0**-24  # a candidate column whose error bound passes this share of its sum is rebuilt exactly
-_RESCALE_STEPS = 32  # steps between the per-column power-of-two rescalings
+_BLOCK_STEPS = 32  # steps of n per block: one bound, prune and rescale pass each; rows of the sum buffer
 _ROUND_UP = 1.0 + 2.0**-51  # lifts a computed bound past the rounding of its own arithmetic
+_BOUND_MARGIN = 1.0 + 2.0**-40  # past the rounding of the few dozen float operations that form a bound
 _SUBNORMAL = 2.0**-1074  # two roundings of a subnormal result, per entry
 _PRUNE_SLACK = 1.0 + 2.0**-48  # past (1 + u)^3 / (1 - u)^3, the rounding of the printed term
 _POWER_CLIP = 800  # |binary exponent| of a bound, far past any c_k(n)
 
 
 def c_minima_bytes(max_n: int) -> int:
-    """Bytes of c_minima(max_n)'s float table: (max_n//2 + 1)^2 float64 entries."""
-    return 8 * (max_n // 2 + 1) ** 2
+    """Bytes of c_minima(max_n)'s float arrays, m = max_n//2 + 1 columns of m + 1 entries.
+
+    The (m, m + 1) table, the sum buffer of whole table rows (32 of them, or
+    as many as fill 32^3 entries), and ten (32, m) arrays' worth for a
+    block: its sums, error bounds, binomials, lo and hi, and the temporaries
+    that form them (module docstring).
+    """
+    m = max_n // 2 + 1
+    buffer = min(max(_BLOCK_STEPS, _BLOCK_STEPS**3 // (m + 1)), m) * (m + 1)
+    return 8 * (m * (m + 1) + buffer + 10 * _BLOCK_STEPS * m)
 
 
 def _scaled_floats(values: list[int], top: int) -> np.ndarray:
     """values * 2^-top as floats, each rounded once (a subnormal result once more)."""
-    if top > 1000:  # float() takes ints below 2^1024 only
-        values = [v / (1 << (top - 1000)) for v in values]
-        top = 1000
+    big = max(map(abs, values)).bit_length() - 1000
+    if big > 0:  # float() takes ints below 2^1024 only
+        values = [v / (1 << big) for v in values]
+        top -= big
     return np.ldexp(np.array(values, dtype=float), -top)
 
 
-class _FloatFilter:
-    """Certified float bounds lo_k <= c_k(n) <= hi_k for every k <= n//2, one n at a time.
+def _born_column(binomials: list[int], h: int) -> list[int]:
+    """(K_0(h, 2h), ..., K_h(h, 2h)) from the binomial half row (C(h, 0), ..., C(h, h//2)).
 
-    Row k of `table` holds half column k as Y_i ~ K_i(k, n) 2^-exps[k], and
-    sums[k] is the float sum of |Y_i| over the full column, with
-    |S(k, n) 2^-exps[k] - sums[k]| <= err[k] + (n + 8) u sums[k].
-    C(n, k) is binoms[k] 2^binom_exps[k] within a relative (2(n - 2k) + 1) 1.01 u.
+    G_h(z) = (1 - z)^h (1 + z)^h = (1 - z^2)^h, so K_i(h, 2h) is
+    (-1)^(i/2) C(h, i/2) at even i and 0 at odd i.
+    """
+    out = [0] * (h + 1)
+    out[::2] = [-c if j & 1 else c for j, c in enumerate(binomials)]
+    return out
+
+
+def _doubling_sums(g: np.ndarray) -> np.ndarray:
+    """F_j >= sum_{t <= j} 2^(j - t) g_t down the rows of a nonnegative g, in place: F_j = 2 F_(j-1) + g_j at once.
+
+    Row t is scaled by 2^(r - 1 - t), r = len(g), which is exact; the running
+    sum (within gamma_r) is scaled back by 2^(j + 1 - r) and rounded up by
+    _BOUND_MARGIN in one product, and _SUBNORMAL covers that product's
+    rounding of a subnormal result.
+    """
+    r = len(g)
+    g *= np.ldexp(1.0, np.arange(r - 1, -1, -1))[:, None]
+    np.cumsum(g, axis=0, out=g)
+    g *= _BOUND_MARGIN * np.ldexp(1.0, np.arange(1 - r, 1))[:, None]
+    g += _SUBNORMAL
+    return g
+
+
+class _FloatFilter:
+    """Certified float bounds lo <= c_k(n) <= hi for every k <= n//2, one block of n at a time.
+
+    Row k of `table` holds half column k as Y_i ~ K_i(k, n) 2^-e_k, with
+    e_k = exps[k] through a block.  After `advance`, row j of each block
+    array belongs to n = ns[j]: sums[j, k] is the float sum of |Y_i| over
+    the full column, with
+    |S(k, n) 2^-exps[k] - sums[j, k]| <= err[j, k] + (n + 8) u sums[j, k],
+    binoms[j, k] 2^binom_exps[k] is C(n, k) within a relative
+    (2(n - 2k) + 1) 1.01 u, and lo[j, k] <= c_k(n) <= hi[j, k]; `candidates`
+    keeps all of this true.  Entries k > n//2 are not columns yet; their hi
+    is inf.
     """
 
     def __init__(self, max_n: int) -> None:
         m = max_n // 2 + 1
-        self.n = 0
-        self.table = np.zeros((m, m))
+        self.max_n, self.n = max_n, 0
+        self.table = np.zeros((m, m + 1))  # entries past i = n//2 + 1 stay zero: at least one past each row
         self.table[0, 0] = 1.0  # column 0 at n = 0
-        self.sums = np.ones(1)
-        self.err = np.zeros(m)
-        self.exps = np.zeros(m, dtype=np.int64)
-        self.binoms = np.ones(m)
+        # the sum buffer: whole rows, 32 of them or as many as fill 32^3 entries, at most the table's
+        self._buf = np.empty((min(max(_BLOCK_STEPS, _BLOCK_STEPS**3 // (m + 1)), m), m + 1))
+        # each column at n, the end of the last block
+        self._err = np.zeros(m)
+        self._exps = np.zeros(m, dtype=np.int64)
+        self._binoms = np.ones(m)
         self.binom_exps = np.zeros(m, dtype=np.int64)
-        self._ks = np.arange(m)
-        self._signs = np.where(self._ks & 1, -1.0, 1.0)
+        # full-column weights of the entries i <= n//2, from row n % 2 at m - n//2: 2, the middle of even n 1, then 0
+        self._weights = np.zeros((2, 2 * m + 1))
+        self._weights[:, : m + 1] = 2.0
+        self._weights[0, m] = 1.0
+        self._signs = np.where(np.arange(m) & 1, -1.0, 1.0)
+        self._row, self._middle = [1], 1  # C(h, j) for j <= h//2, and C(2h, h), of the last column born
+        self.ns = np.zeros(0, dtype=np.int64)
+        self._powers = np.ldexp(1.0, np.arange(-_POWER_CLIP, _POWER_CLIP + 1))  # 2^p, |p| <= _POWER_CLIP
 
-    def _abs_sums(self, rows: np.ndarray) -> np.ndarray:
-        """sum_i |Y_i| over the full columns of half-column rows: twice each i < n/2, plus the middle."""
-        n, h = self.n, self.n // 2
-        mags = np.abs(rows)
-        total = 2.0 * mags[:, : n - h].sum(axis=1)
-        if n % 2 == 0:
-            total += mags[:, h]
-        return total
+    def _bounds(self, ns, ks, sums, err, binoms, binom_exps, exps) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): lo <= C(n, k) S(k, n)^2 sqrt(n) / 4^n <= hi, elementwise over the broadcast (n, k)."""
+        dev = sums * ((ns + 8) * _U)
+        dev += err
+        dev *= _ROUND_UP
+        lo = np.subtract(sums, dev)
+        np.maximum(lo, 0.0, out=lo)
+        hi = np.add(sums, dev, out=dev)
+        for bound in (lo, hi):  # in place, so that few block-sized temporaries add to c_minima_bytes
+            np.square(bound, out=bound)
+            bound *= binoms
+            bound *= np.sqrt(ns)
+        # the binomial's error, 2(n - 2k) + 1 roundings, plus a few u for sqrt(n) and the products here
+        factor = np.subtract(ns + 8, 2 * ks, dtype=float)
+        factor *= 2.02 * _U
+        factor += 1.0
+        hi *= factor
+        lo *= np.subtract(2.0, factor, out=factor)  # exactly 1 - rel, as 1 + rel was rounded
+        power = np.subtract(binom_exps + 2 * exps, 2 * ns)
+        low, high = power < -_POWER_CLIP, power > _POWER_CLIP
+        np.clip(power, -_POWER_CLIP, _POWER_CLIP, out=power)  # lowers lo, raises hi
+        power += _POWER_CLIP
+        np.take(self._powers, power, out=factor)
+        lo *= factor
+        hi *= factor
+        lo[low], hi[high] = 0.0, np.inf
+        return lo, hi
 
-    def step(self) -> None:
-        """n -> n+1: the Pascal step on every column, then column n/2 is born at even n."""
-        n = self.n = self.n + 1
-        h, live = n // 2, (n - 1) // 2 + 1
-        block = self.table[:live, : h + 1]
-        err = self.err[:live]
+    def _birth(self, n: int) -> None:
+        """Column h = n/2 at n from the binomial half row of h (`_born_column`), before the block steps."""
+        h = n // 2
+        self._row = next_half_column(self._row, 0, h - 1)
+        self._middle = self._middle * n * (n - 1) // (h * h)
+        self.middles[n] = self._middle
+        top = self._row[-1].bit_length()  # C(h, h//2), the largest entry
+        self.table[h, : h + 1] = _scaled_floats(_born_column(self._row, h), top)
+        self._exps[h], self._err[h] = top, 0.0
+        e = self._middle.bit_length()
+        self._binoms[h], self.binom_exps[h] = self._middle / (1 << e), e
+
+    def _pass(self, n: int, t: np.ndarray, stepped: int, signs: np.ndarray, out: np.ndarray) -> None:
+        """The first `stepped` rows of t to n by the Pascal step, then every row's full-column sum into out.
+
+        Row r of t is a column k at n - 1 (at n when not stepped), signs[r] =
+        (-1)^k.  Rows go through the buffer in chunks, whole rows at a time,
+        so every pass is contiguous: a copy of the old entries, Y_i + Y_{i-1}
+        over the flattened rows (the zero past each row keeps the next row's
+        Y_0), then |Y_i| weighted 2 for i < n/2, 1 for the middle of even n
+        and 0 past it.
+        """
+        h, buf = n // 2, self._buf
+        width, flat = t.shape[1], t.reshape(-1)
         if n % 2 == 0:  # the half column gains K_h(k, n-1) = (-1)^k K_{h-1}(k, n-1)
-            block[:, h] = self._signs[:live] * block[:, h - 1]
-        np.add(block[:, 1:], block[:, :-1], out=block[:, 1:])
-        if n % _RESCALE_STEPS == 0:
-            shift = np.frexp(np.abs(block).max(axis=1))[1]
-            np.ldexp(block, -shift[:, None], out=block)
-            err[:] = (np.ldexp(err, -shift) + (n + 2) * _SUBNORMAL) * _ROUND_UP
-            self.exps[:live] += shift
-        self.sums = self._abs_sums(self.table[: h + 1, : h + 1])
-        err[:] = (2.0 * err + 2.0 * _U * self.sums[:live]) * _ROUND_UP
-        self.binoms[:live] *= n / (n - self._ks[:live])
-        if n % 2 == 0:
-            middle = comb(n, h)
-            self.binom_exps[h] = middle.bit_length()
-            self.binoms[h] = middle / (1 << middle.bit_length())
-            self.reseed([h])
-        self.binoms[: h + 1], shift = np.frexp(self.binoms[: h + 1])
+            np.multiply(signs, t[:stepped, h - 1], out=t[:stepped, h])
+        start = len(self.table) - h
+        weights = self._weights[n % 2, start : start + width]
+        for r in range(0, len(t), len(buf)):
+            e = min(r + len(buf), len(t))
+            s = min(e, stepped)
+            if s > r:
+                old = buf.reshape(-1)[: (s - r) * width - 1]
+                np.copyto(old, flat[r * width : s * width - 1])
+                np.add(flat[r * width + 1 : s * width], old, out=flat[r * width + 1 : s * width])
+            np.dot(np.abs(t[r:e], out=buf[: e - r]), weights, out=out[r:e])
+        if n % 2 == 0:  # the step carried K_h into entry h + 1; an odd step's is overwritten by the next one
+            t[:stepped, h + 1] = 0.0
+
+    def _rescale(self) -> None:
+        """Close the last block: scale each column by the power of two that brings its sum into [1/2, 1)."""
+        n = self.n
+        h = n // 2
+        shift = np.frexp(self.sums[-1])[1]
+        rows = self.table[: h + 1]
+        np.ldexp(rows, -shift[:, None], out=rows)
+        self._err[: h + 1] = (np.ldexp(self.err[-1], -shift) + (n + 2) * _SUBNORMAL) * _ROUND_UP
+        self._exps[: h + 1] += shift
+        self._binoms[: h + 1], shift = np.frexp(self.binoms[-1])
         self.binom_exps[: h + 1] += shift
+        del self.sums, self.err, self.binoms, self.lo, self.hi, self.valid  # before the next block's
 
-    def reseed(self, ks) -> None:
-        """Rebuild columns ks at n from the exact krawtchouk._half_column."""
-        n, h = self.n, self.n // 2
-        for k in ks:
-            half = _half_column(int(k), n)
-            top = max(map(abs, half)).bit_length()
-            self.table[k, : h + 1] = _scaled_floats(half, top)
-            self.exps[k] = top
-        self.sums[ks] = self._abs_sums(self.table[ks, : h + 1])
-        self.err[ks] = (2.0 * _U * self.sums[ks] + (n + 2) * _SUBNORMAL) * _ROUND_UP
+    def advance(self) -> None:
+        """Step every column through the next block of up to 32 n, and bound every term of the block."""
+        if self.ns.size:
+            self._rescale()
+        first = self.n + 1
+        self.n = min(self.n + _BLOCK_STEPS, self.max_n)
+        ns = self.ns = np.arange(first, self.n + 1)
+        w = self.n // 2 + 1
+        self.middles = {}
+        for n in range(first + first % 2, self.n + 1, 2):
+            self._birth(n)
+        self.sums = np.zeros((len(ns), w))
+        for j, n in enumerate(ns.tolist()):
+            live = (n + 1) // 2  # the columns k <= (n - 1)//2 step; column n/2 is born at even n
+            self._pass(n, self.table[: n // 2 + 1], live, self._signs[:live], self.sums[j, : n // 2 + 1])
+        # F(n) = 2 F(n-1) + 2u S~(n), and the birth's rounding; every n gets a subnormal term
+        g = self.sums * (2 * _U)
+        g += ((ns + 2) * _SUBNORMAL)[:, None]
+        g[0] += 2.0 * self._err[:w]
+        self.err = _doubling_sums(g)
+        # C(n, k) = C(n-1, k) n / (n - k), from the block's start or from the birth
+        ks, col = np.arange(w), ns[:, None]
+        binoms = np.ones((len(ns) + 1, w))
+        binoms[0] = self._binoms[:w]
+        np.divide(col, col - ks, out=binoms[1:], where=ks <= (col - 1) // 2)
+        self.binoms = np.cumprod(binoms, axis=0, out=binoms)[1:]
+        self.exps = self._exps[:w]
+        self.lo, self.hi = self._bounds(col, ks, self.sums, self.err, self.binoms, self.binom_exps[:w], self.exps)
+        self.valid = ks <= col // 2
+        self.hi[~self.valid] = np.inf
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi): lo[k] <= C(n, k) S(k, n)^2 sqrt(n) / 4^n <= hi[k] for k <= n//2."""
-        n, h = self.n, self.n // 2
-        s = self.sums
-        dev = (self.err[: h + 1] + (n + 8) * _U * s) * _ROUND_UP
-        # the binomial's error, plus a few u for sqrt(n) and the products below
-        rel = (2 * (n - 2 * self._ks[: h + 1]) + 16) * (1.01 * _U)
-        scale = self.binoms[: h + 1] * math.sqrt(n)
-        lo = scale * np.square(np.maximum(s - dev, 0.0)) * (1.0 - rel)
-        hi = scale * np.square(s + dev) * (1.0 + rel)
-        power = self.binom_exps[: h + 1] + 2 * self.exps[: h + 1] - 2 * n
-        clipped = np.maximum(np.minimum(power, _POWER_CLIP), -_POWER_CLIP)  # lowers lo, raises hi
-        return (np.where(power < -_POWER_CLIP, 0.0, np.ldexp(lo, clipped)),
-                np.where(power > _POWER_CLIP, np.inf, np.ldexp(hi, clipped)))
+    def _reseed(self, ks: np.ndarray, starts: np.ndarray) -> dict[tuple[int, int], int]:
+        """Rebuild each column ks[i] at n = ns[starts[i]] from the exact krawtchouk._half_column, at its scale
+        2^-exps[k], and replay them all to the block's end in a copy of their rows; S(k, n) at each rebuild."""
+        order = np.argsort(starts, kind="stable")
+        ks, starts = ks[order].tolist(), starts[order].tolist()
+        rows, out = np.zeros((len(ks), self.table.shape[1])), np.empty(len(ks))
+        signs, rebuilt, done = self._signs[ks], {}, 0
+        for j in range(starts[0], len(self.ns)):
+            n, stepped = int(self.ns[j]), done
+            while done < len(ks) and starts[done] == j:  # one exact column at a time
+                half = _half_column(ks[done], n)
+                rows[done, : n // 2 + 1] = _scaled_floats(half, int(self.exps[ks[done]]))
+                rebuilt[j, ks[done]] = half_abs_sum(half, n)
+                done += 1
+            self._pass(n, rows[:done], stepped, signs[:stepped], out[:done])
+            self.sums[j, ks[:done]] = out[:done]
+        self.table[ks] = rows
+        # from each rebuild on: F = the rounding of the conversion, then the doubling recurrence
+        col = self.ns[:, None]
+        after = np.arange(len(self.ns))[:, None] >= np.array(starts)
+        g = np.where(after, self.sums[:, ks] * (2 * _U) + (col + 2) * _SUBNORMAL, 0.0)
+        self.err[:, ks] = np.where(after, _doubling_sums(g), self.err[:, ks])
+        lo, hi = self._bounds(col, np.array(ks), self.sums[:, ks], self.err[:, ks], self.binoms[:, ks],
+                              self.binom_exps[ks], self.exps[ks])
+        self.lo[:, ks] = np.where(after, lo, self.lo[:, ks])
+        self.hi[:, ks] = np.where(after, hi, self.hi[:, ks])
+        return rebuilt
 
-    def candidates(self) -> np.ndarray:
-        """Ascending k whose term may print as the minimum; candidates past the reseed ratio are rebuilt first."""
-        lo, hi = self.bounds()
-        keep = np.flatnonzero(lo <= hi.min() * _PRUNE_SLACK)
-        redo = keep[self.err[keep] > _RESEED_RATIO * self.sums[keep]]
-        if redo.size:
-            self.reseed(redo)
-            lo, hi = self.bounds()
-            keep = np.flatnonzero(lo <= hi.min() * _PRUNE_SLACK)
-        return keep
+    def candidates(self) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
+        """keep[j, k]: whether c_k(ns[j]) may print as the minimum; and S(k, n) of the columns rebuilt.
+
+        A kept column past the reseed ratio is rebuilt at the first row where
+        it is (`_reseed`, such columns of the block together), which moves
+        its bounds from there to the block's end, and the block is pruned
+        again, until no kept column is past the ratio.  No (n, k) is rebuilt
+        twice, so this ends.
+        """
+        rebuilt: dict[tuple[int, int], int] = {}
+        while True:
+            keep = (self.lo <= self.hi.min(axis=1, keepdims=True) * _PRUNE_SLACK) & self.valid
+            redo = keep & (self.err / _RESEED_RATIO > self.sums)
+            for j, k in rebuilt:
+                redo[j, k] = False
+            ks = np.flatnonzero(redo.any(axis=0))
+            if not ks.size:
+                return keep, rebuilt
+            starts = redo[:, ks].argmax(axis=0)
+            for g in range(0, len(ks), _BLOCK_STEPS):  # a copy of at most 32 rows, one block array's worth
+                rebuilt.update(self._reseed(ks[g : g + _BLOCK_STEPS], starts[g : g + _BLOCK_STEPS]))
+
+
+def _c_term(k: int, n: int, binom: int, s: int | None = None) -> float:
+    """c_k(n) = (C(n, k) S(k, n)^2) / 4^n * sqrt(n), rounded as c_profile rounds it, from binom = C(n, k).
+
+    The middle column k = n//2 has S = 2^ceil(n/2), so the ratio is the
+    same rational as C(n, k) / 4^k; elsewhere S is `s`, or
+    abs_column_sum(k, n) when not given.
+    """
+    if k == n // 2:
+        return binom / (1 << (2 * k)) * math.sqrt(n)
+    if s is None:
+        s = abs_column_sum(k, n)
+    return (binom * s * s) / (1 << (2 * n)) * math.sqrt(n)
 
 
 def c_minima(max_n: int) -> list[tuple[float, int]]:
@@ -462,9 +635,9 @@ def c_minima(max_n: int) -> list[tuple[float, int]]:
 
     A certified float filter (`_FloatFilter`, module docstring) rules out
     all but a few terms per n, usually one; those are evaluated exactly as
-    in c_profile, (C(n, k) S^2) / 4^n * sqrt(n), so every row is the same
-    float and index as min(c_profile(n)) and profile.index, whatever the
-    floats round to.
+    in c_profile, (C(n, k) S^2) / 4^n * sqrt(n) (`_c_term`), so every row is
+    the same float and index as min(c_profile(n)) and profile.index,
+    whatever the floats round to.
 
     Prune rule: with lo_k <= c_k(n) <= hi_k certified and U = min_k hi_k,
     column k is dropped when lo_k > U (1 + 2^-48).  The printed term rounds
@@ -472,22 +645,23 @@ def c_minima(max_n: int) -> list[tuple[float, int]]:
     within (1 +- u)^3 of the exact one, and a dropped term prints strictly
     above the term that attains U.  The profile is symmetric in w <-> n-w,
     so a strict `<` over the ascending surviving k keeps the first minimum.
-    The float table takes c_minima_bytes(max_n).
+    The float arrays take c_minima_bytes(max_n).
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be positive")
     out = []
     floats = _FloatFilter(max_n)
-    for n in range(1, max_n + 1):
-        floats.step()
-        best, w_min = math.inf, 0
-        for k in floats.candidates():
-            k = int(k)
-            s = abs_column_sum(k, n)
-            c = (comb(n, k) * s * s) / (1 << (2 * n)) * math.sqrt(n)
-            if c < best:
-                best, w_min = c, k
-        out.append((best, w_min))
+    while floats.n < max_n:
+        floats.advance()
+        keep, rebuilt = floats.candidates()
+        rows = [(math.inf, 0)] * len(floats.ns)
+        for j, k in np.argwhere(keep).tolist():  # ascending k in each row
+            n = int(floats.ns[j])
+            binom = floats.middles[n] if 2 * k == n else comb(n, k)
+            c = _c_term(k, n, binom, rebuilt.get((j, k)))
+            if c < rows[j][0]:
+                rows[j] = (c, k)
+        out += rows
     return out
 
 
@@ -495,7 +669,6 @@ def c_minima(max_n: int) -> list[tuple[float, int]]:
 _BLOCK_ROWS = 32  # rows of U per block: one buffer of (_BLOCK_ROWS + 2) x (n//2 + 1) floats
 _GAMMA_ROW = 5.01 * _U  # past gamma_5 = 5u / (1 - 5u), the rounding of one recurrence row
 _OUTWARD = 1.0 + 2.0**-50  # past (1 + u)^4, the rounding of a square and its operands
-_BOUND_MARGIN = 1.0 + 2.0**-40  # past the rounding of the few dozen float operations that form a bound
 _PRINTED = ".9g"  # csvio.fmt's format of a float
 
 
@@ -543,11 +716,13 @@ class _DjTerms:
     weights: float
 
 
-def _dj_float_terms(n: int) -> _DjTerms:
+def _dj_float_terms(n: int, binoms: list[int]) -> _DjTerms:
     """Columns k of U streamed row by row through the three-term recurrence, each from u_0 = 1
-    and rescaled by powers of two at block ends, and the terms of their bound (module docstring)."""
+    and rescaled by powers of two at block ends, and the terms of their bound (module docstring).
+
+    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).
+    """
     h = n // 2
-    binoms = _half_column(0, n)
     ks = np.arange(h + 1)
     lam = (n - 2 * ks).astype(float)
     alpha = np.sqrt((ks * (n - ks + 1)).astype(float))  # sqrt(i (n - i + 1)), the u_{i-1} coefficient
@@ -601,13 +776,15 @@ def _dj_float_terms(n: int) -> _DjTerms:
     )
 
 
-def _dj_float_bounds(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _dj_float_bounds(n: int, binoms: list[int] | None = None) -> tuple[list[int], np.ndarray, np.ndarray]:
     """(C(n, k), lo, hi) for k <= n//2, with lo[k] <= dj_optimal_profile(n)[k] <= hi[k] certified.
 
-    The terms come from `_dj_float_terms`; the bound is in the module
-    docstring.  A non-finite entry of lo or hi certifies nothing.
+    The binomials are `binoms`, or the krawtchouk._half_column(0, n) built
+    here when not given.  The terms come from `_dj_float_terms`; the bound
+    is in the module docstring.  A non-finite entry of lo or hi certifies
+    nothing.
     """
-    d = _dj_float_terms(n)
+    d = _dj_float_terms(n, _half_column(0, n) if binoms is None else binoms)
     with np.errstate(all="ignore"):  # a non-finite bound certifies nothing
         # Davis-Kahan, sin <= |X u - lam u| / (2 |u|): a-priori rows i < h (twice), then the closure
         sine = d.row + (d.floor + d.closure) / (2 * np.sqrt(d.nu * (1.0 - d.rel)))
@@ -633,17 +810,19 @@ def _certified_strings(lo: np.ndarray, hi: np.ndarray, exact) -> list[str]:
     return out
 
 
-def dj_optimal_profile_strings(n: int) -> list[str]:
+def dj_optimal_profile_strings(n: int, binoms: list[int] | None = None) -> list[str]:
     """[csvio.fmt(p) for p in dj_optimal_profile(n)], the same strings, from certified floats.
 
     Each value comes with certified bounds (`_dj_float_bounds`, module
     docstring) and prints from them when both format to the same 9 digits;
     otherwise it is computed exactly, (C(n, k) S^2) / 4^n with
     S = abs_column_sum(k, n), as in dj_optimal_profile.  Memory is O(n).
+    binoms, when given, is the binomial half row (C(n, 0), ..., C(n, n//2))
+    that a caller shares with symstate.childs_profile_strings.
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
-    binoms, lo, hi = _dj_float_bounds(n)
+    binoms, lo, hi = _dj_float_bounds(n, binoms)
 
     def exact(k: int) -> float:
         s = abs_column_sum(k, n)

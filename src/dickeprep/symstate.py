@@ -306,16 +306,20 @@ def _childs_float_bounds(binoms: list[int], ws: np.ndarray, ns, table) -> tuple[
     return p, p * (1.0 - rel), p * (1.0 + rel)
 
 
-def childs_profile_strings(n: int) -> list[str]:
+def childs_profile_strings(n: int, binoms: list[int] | None = None) -> list[str]:
     """[csvio.fmt(p) for p in childs_profile(n)], the same strings, from certified floats.
 
     A value prints from its bounds (`_childs_float_bounds`) when both give
     the same 9 digits, and otherwise from the exact childs_probability(n, w).
+    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)), built here
+    when not given.
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     ws = np.arange(n // 2 + 1)
-    _, lo, hi = _childs_float_bounds(_half_column(0, n), ws, n, _power_table(n))
+    if binoms is None:
+        binoms = _half_column(0, n)
+    _, lo, hi = _childs_float_bounds(binoms, ws, n, _power_table(n))
     half = _certified_strings(lo, hi, lambda w: childs_probability(n, w))
     return half + half[: n - n // 2][::-1]
 

@@ -130,6 +130,24 @@ class TestCurvesCommand:
         assert (code, err) == (0, "")
         assert out == self.exact_csv(n)
 
+    def test_float_path_builds_binomial_row_once(self, capsys, monkeypatch):
+        from dickeprep import symfunc
+        from dickeprep.krawtchouk import _half_column
+
+        rows = []
+
+        def counted(k, n):
+            if k == 0:
+                rows.append(n)
+            return _half_column(k, n)
+
+        for module in (cli, symfunc, symstate):
+            monkeypatch.setattr(module, "_half_column", counted)
+        n = cli.CURVES_FLOAT_MIN_N + 100
+        _, out, _ = run(capsys, "curves", "--n", str(n))
+        assert rows == [n]
+        assert out == self.exact_csv(n)
+
     def test_float_path_same_bytes_at_every_small_n(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "CURVES_FLOAT_MIN_N", 1)
         for n in range(1, 401):
@@ -283,7 +301,7 @@ class TestSimulateCommand:
         assert code == 0 and len(out.splitlines()) == 7 and calls == [5]
         code, out, err = run(capsys, "cn", "--max-n", "6")
         assert code == 1 and out == "" and calls == [5]
-        assert err.splitlines() == ["error: --max-n 6 needs a 128 B float table, over the limit 72 B"]
+        assert err.splitlines() == ["error: --max-n 6 needs a 10560 B float table, over the limit 7872 B"]
 
     def test_binomials_past_float_range_refused_before_synthesis(self, capsys, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -7,9 +8,19 @@ import pytest
 
 from dickeprep import symfunc
 from dickeprep.csvio import fmt
-from dickeprep.krawtchouk import abs_column_sum, column, columns, descending_columns, half_abs_sum, matrix, next_half_column
+from dickeprep.krawtchouk import (
+    _half_column,
+    abs_column_sum,
+    column,
+    columns,
+    descending_columns,
+    half_abs_sum,
+    matrix,
+    next_half_column,
+)
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
+    _born_column,
     _FloatFilter,
     _dj_float_bounds,
     _lane_layout,
@@ -352,48 +363,88 @@ class TestFloatFilteredMinima:
     """c_minima's float filter against the exact reference, and its certificate against exact columns."""
 
     def test_small_max_n_match_reference(self):
-        for max_n in range(1, 61):
+        # both parities, and the block ends 32 and 64
+        for max_n in range(1, 71):
             assert c_minima(max_n) == cn_reference.c_minima(max_n), max_n
 
     @pytest.mark.parametrize("max_n", [250, 401, 600])
     def test_large_max_n_match_reference(self, reference_rows, max_n):
         assert c_minima(max_n) == reference_rows[:max_n]
 
-    def test_certificate_against_exact_columns(self):
+    @staticmethod
+    def check_certificate(max_n):
+        """lo <= c_k(n) <= hi and the terms it rests on against exact columns, at every n <= max_n and k."""
         u = Fraction(1, 1 << 53)
-        floats = _FloatFilter(200)
-        for n in range(1, 201):
-            floats.step()
-            sums = [sum(map(abs, col)) for col in columns(n)[: n // 2 + 1]]
+        floats = _FloatFilter(max_n)
+        while floats.n < max_n:
+            floats.advance()
+            exact = {n: [sum(map(abs, col)) for col in columns(n)[: n // 2 + 1]] for n in floats.ns.tolist()}
             for stage in ("stepped", "filtered"):
                 if stage == "filtered":
-                    floats.candidates()  # may rebuild some columns
-                lo, hi = floats.bounds()
-                for k, total in enumerate(sums):
-                    s = Fraction(floats.sums[k])
-                    exact = Fraction(total, 1 << int(floats.exps[k]))
-                    assert abs(exact - s) <= Fraction(floats.err[k]) + (n + 8) * u * s, (n, k, stage)
-                    binom = Fraction(floats.binoms[k]) * 2 ** int(floats.binom_exps[k])
-                    assert abs(binom - comb(n, k)) <= (2 * (n - 2 * k) + 1) * Fraction(101, 100) * u * comb(n, k)
-                    # lo <= C(n, k) S^2 sqrt(n) / 4^n <= hi, squared to stay rational
-                    c_squared = Fraction(comb(n, k) * total * total, 1 << (2 * n)) ** 2 * n
-                    assert Fraction(lo[k]) ** 2 <= c_squared <= Fraction(hi[k]) ** 2, (n, k, stage)
+                    floats.candidates()  # may rebuild some columns from a row of the block on
+                for j, n in enumerate(floats.ns.tolist()):
+                    for k, total in enumerate(exact[n]):
+                        s = Fraction(floats.sums[j, k])
+                        scaled = Fraction(total, 1 << int(floats.exps[k]))
+                        assert abs(scaled - s) <= Fraction(floats.err[j, k]) + (n + 8) * u * s, (n, k, stage)
+                        binom = Fraction(floats.binoms[j, k]) * 2 ** int(floats.binom_exps[k])
+                        assert abs(binom - comb(n, k)) <= (2 * (n - 2 * k) + 1) * Fraction(101, 100) * u * comb(n, k)
+                        # lo <= C(n, k) S^2 sqrt(n) / 4^n <= hi, squared to stay rational
+                        c_squared = Fraction(comb(n, k) * total * total, 1 << (2 * n)) ** 2 * n
+                        assert Fraction(floats.lo[j, k]) ** 2 <= c_squared <= Fraction(floats.hi[j, k]) ** 2, (n, k)
+
+    def test_certificate_against_exact_columns(self):
+        # every n of each block, the block ends and mid-block n alike
+        self.check_certificate(200)
+
+    def test_certificate_with_mid_block_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_RESEED_RATIO", 2.0**-50)  # rebuilds nearly every kept column
+        self.check_certificate(200)
+
+    def test_mid_block_rebuilds_give_same_rows(self, reference_rows, monkeypatch):
+        monkeypatch.setattr(symfunc, "_RESEED_RATIO", 2.0**-50)  # rebuilds nearly every kept column
+        rows = []
+        real = _FloatFilter._reseed
+
+        def watched(self, ks, starts):
+            rows.extend(starts.tolist())
+            return real(self, ks, starts)
+
+        monkeypatch.setattr(_FloatFilter, "_reseed", watched)
+        assert c_minima(300) == reference_rows[:300]
+        assert any(0 < j < symfunc._BLOCK_STEPS - 1 for j in rows)
+
+    def test_born_column_is_the_binomial_half_row(self):
+        # (1 - z)^h (1 + z)^h = (1 - z^2)^h
+        for h in range(301):
+            assert _born_column(_half_column(0, h), h) == _half_column(h, 2 * h), h
 
     def test_reseeding_off_gives_same_rows(self, reference_rows, monkeypatch):
         counts = []
-        real = symfunc.abs_column_sum
+        real = symfunc._c_term
 
-        def counted(k, n):
+        def counted(*args):
             counts[-1] += 1
-            return real(k, n)
+            return real(*args)
 
-        monkeypatch.setattr(symfunc, "abs_column_sum", counted)
+        monkeypatch.setattr(symfunc, "_c_term", counted)
         for ratio in (symfunc._RESEED_RATIO, math.inf):
             monkeypatch.setattr(symfunc, "_RESEED_RATIO", ratio)
             counts.append(0)
             assert c_minima(400) == reference_rows[:400], ratio
         # more exact terms without reseeding, the same bytes
         assert 400 <= counts[0] < counts[1]
+
+    def test_peak_memory_within_reported_bytes(self):
+        # every array c_minima allocates is counted: no temporary as large as the table
+        c_minima(40)  # lazy imports and caches outside the traced run
+        tracemalloc.start()
+        try:
+            c_minima(600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * c_minima_bytes(600)
 
     def test_integers_past_float_range_rounded_once(self):
         # past 1000 bits the conversion divides exactly first; a subnormal result rounds once more
@@ -409,7 +460,12 @@ class TestFloatFilteredMinima:
         assert list(_scaled_floats([5, -3, 1 << 900], 901)) == [5 * 2.0**-901, -3 * 2.0**-901, 0.5]
 
     def test_table_bytes(self):
-        assert [c_minima_bytes(n) for n in (1, 2, 3, 250, 600)] == [8, 32, 32, 8 * 126**2, 8 * 301**2]
+        # the (m, m + 1) table, a buffer of whole rows (at most the table's, 32 or the rows of 32^3 entries),
+        # and ten (32, m) block arrays
+        assert [c_minima_bytes(n) for n in (1, 2, 3)] == [8 * (2 + 2 + 320), 8 * (6 + 6 + 640), 8 * (6 + 6 + 640)]
+        assert c_minima_bytes(250) == 8 * (126 * 127 + 126 * 127 + 320 * 126)
+        assert c_minima_bytes(600) == 8 * (301 * 302 + 108 * 302 + 320 * 301)
+        assert c_minima_bytes(2895) == 8 * (1448 * 1449 + 32 * 1449 + 320 * 1448)
 
 
 
@@ -483,8 +539,8 @@ class TestCertifiedDjStrings:
             real_block(rows, top, i, *args)
             blocks.append(rows[2 : top + 2].copy())
 
-        def captured(m):
-            terms.append(real_terms(m))
+        def captured(m, binoms):
+            terms.append(real_terms(m, binoms))
             return terms[-1]
 
         monkeypatch.setattr(symfunc, "_recurrence_block", block)
@@ -535,8 +591,8 @@ class TestCertifiedDjStrings:
         calls = []
         real_sum, real_bounds = symfunc.abs_column_sum, symfunc._dj_float_bounds
 
-        def widened(m):
-            binoms, lo, hi = real_bounds(m)
+        def widened(m, binoms):
+            binoms, lo, hi = real_bounds(m, binoms)
             return binoms, lo * 0.5, hi * 2.0
 
         def counted(k, m):
@@ -552,7 +608,7 @@ class TestCertifiedDjStrings:
         real_bounds = symfunc._dj_float_bounds
         for bad in (math.nan, math.inf):
             monkeypatch.setattr(symfunc, "_dj_float_bounds",
-                                lambda m: (real_bounds(m)[0], np.full(m // 2 + 1, bad), np.full(m // 2 + 1, bad)))
+                                lambda m, binoms: (real_bounds(m)[0], np.full(m // 2 + 1, bad), np.full(m // 2 + 1, bad)))
             assert dj_optimal_profile_strings(30) == exact_strings(30)
 
     @pytest.mark.parametrize("n", [350, 1000])
