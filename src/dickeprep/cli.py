@@ -23,7 +23,6 @@ from .symfunc import (
     SymmetricBooleanFunction,
     c_minima,
     c_minima_bytes,
-    dj_optimal_profile,
     dj_optimal_profile_strings,
     optimal_function,
     quarter_slice,
@@ -31,28 +30,18 @@ from .symfunc import (
 )
 from .symstate import (
     biased_dj_state,
-    childs_profile,
     childs_profile_strings,
-    childs_quarter_slice,
     childs_quarter_slice_strings,
     childs_state,
     dj_state,
     success_probability,
 )
-from .krawtchouk import _half_column, column, column_strings
+from .krawtchouk import column, column_strings
 
 __all__ = ["main"]
 
 # cn --max-n bound on c_minima's float arrays, about 20 MiB: those of --max-n 2895
 MAX_CN_TABLE_BYTES = c_minima_bytes(2895)
-
-# curves prints both columns from certified floats from this n up, exactly below it (same bytes):
-# the measured crossover, where the float path starts to beat the exact one
-CURVES_FLOAT_MIN_N = 96
-
-# sweep-quarter prints its Childs column from certified floats from this --max-n up (same bytes):
-# the measured crossover, as for curves
-SWEEP_FLOAT_MIN_N = 160
 
 
 def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
@@ -147,11 +136,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    if n >= CURVES_FLOAT_MIN_N:
-        binoms = _half_column(0, n)  # C(n, k) for k <= n//2, shared by both columns
-        dj, childs = dj_optimal_profile_strings(n, binoms), childs_profile_strings(n, binoms)
-    else:
-        dj, childs = dj_optimal_profile(n), childs_profile(n)
+    binoms = column(0, n)[: n // 2 + 1]  # C(n, k) for k <= n//2, shared by both columns
+    dj, childs = dj_optimal_profile_strings(n, binoms), childs_profile_strings(n, binoms)
     _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], [range(n + 1), dj, childs])
     return 0
 
@@ -159,10 +145,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
-    ns = range(4, args.max_n + 1)
-    childs = childs_quarter_slice_strings if args.max_n >= SWEEP_FLOAT_MIN_N else childs_quarter_slice
     _emit(args, "sweep-quarter", {"max_n": args.max_n}, ["n", "dj_prob", "childs_prob"],
-          [ns, quarter_slice(args.max_n)[4:], childs(args.max_n)[4:]])
+          [range(4, args.max_n + 1), quarter_slice(args.max_n)[4:], childs_quarter_slice_strings(args.max_n)[4:]])
     return 0
 
 

@@ -705,7 +705,6 @@ class _DjTerms:
     row (two rows at odd n), at the scale of nu.  weights bounds |w~ - w|.
     """
 
-    binoms: list[int]
     tau: np.ndarray
     nu: np.ndarray
     rel: np.ndarray
@@ -716,7 +715,7 @@ class _DjTerms:
     weights: float
 
 
-def _dj_float_terms(n: int, binoms: list[int]) -> _DjTerms:
+def _dj_float_terms(n: int, binoms: Sequence[int]) -> _DjTerms:
     """Columns k of U streamed row by row through the three-term recurrence, each from u_0 = 1
     and rescaled by powers of two at block ends, and the terms of their bound (module docstring).
 
@@ -768,7 +767,7 @@ def _dj_float_terms(n: int, binoms: list[int]) -> _DjTerms:
         tau = t / np.sqrt(nu)
         sums = 1.01 * tau * (rel + 3 * _U)
     return _DjTerms(
-        binoms=binoms, tau=tau, nu=nu, rel=rel, sums=sums,
+        tau=tau, nu=nu, rel=rel, sums=sums,
         row=_GAMMA_ROW * (lam + (n + 1) / 2) / 2,  # a-priori, rows i < h and their mirrors
         floor=math.sqrt(2 * h) * 4 * (n + 2) * _SUBNORMAL,
         closure=math.sqrt(1 + n % 2) * closure,
@@ -776,22 +775,21 @@ def _dj_float_terms(n: int, binoms: list[int]) -> _DjTerms:
     )
 
 
-def _dj_float_bounds(n: int, binoms: list[int] | None = None) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """(C(n, k), lo, hi) for k <= n//2, with lo[k] <= dj_optimal_profile(n)[k] <= hi[k] certified.
+def _dj_float_bounds(n: int, binoms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) for k <= n//2, with lo[k] <= dj_optimal_profile(n)[k] <= hi[k] certified.
 
-    The binomials are `binoms`, or the krawtchouk._half_column(0, n) built
-    here when not given.  The terms come from `_dj_float_terms`; the bound
-    is in the module docstring.  A non-finite entry of lo or hi certifies
-    nothing.
+    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).  The terms
+    come from `_dj_float_terms`; the bound is in the module docstring.  A
+    non-finite entry of lo or hi certifies nothing.
     """
-    d = _dj_float_terms(n, _half_column(0, n) if binoms is None else binoms)
+    d = _dj_float_terms(n, binoms)
     with np.errstate(all="ignore"):  # a non-finite bound certifies nothing
         # Davis-Kahan, sin <= |X u - lam u| / (2 |u|): a-priori rows i < h (twice), then the closure
         sine = d.row + (d.floor + d.closure) / (2 * np.sqrt(d.nu * (1.0 - d.rel)))
         eps = (math.sqrt(2) * sine + d.weights + d.sums) * _BOUND_MARGIN
         lo = np.square(np.maximum(d.tau - eps, 0.0)) * (2.0 - _OUTWARD)
         hi = np.square(d.tau + eps) * _OUTWARD
-    return d.binoms, lo, hi
+    return lo, hi
 
 
 def _certified_strings(lo: np.ndarray, hi: np.ndarray, exact) -> list[str]:
@@ -810,19 +808,19 @@ def _certified_strings(lo: np.ndarray, hi: np.ndarray, exact) -> list[str]:
     return out
 
 
-def dj_optimal_profile_strings(n: int, binoms: list[int] | None = None) -> list[str]:
+def dj_optimal_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
     """[csvio.fmt(p) for p in dj_optimal_profile(n)], the same strings, from certified floats.
 
     Each value comes with certified bounds (`_dj_float_bounds`, module
     docstring) and prints from them when both format to the same 9 digits;
     otherwise it is computed exactly, (C(n, k) S^2) / 4^n with
     S = abs_column_sum(k, n), as in dj_optimal_profile.  Memory is O(n).
-    binoms, when given, is the binomial half row (C(n, 0), ..., C(n, n//2))
-    that a caller shares with symstate.childs_profile_strings.
+    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)), which a
+    caller shares with symstate.childs_profile_strings.
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
-    binoms, lo, hi = _dj_float_bounds(n, binoms)
+    lo, hi = _dj_float_bounds(n, binoms)
 
     def exact(k: int) -> float:
         s = abs_column_sum(k, n)

@@ -50,8 +50,8 @@ is of second order, inside the slack of those two.  No value is
 subnormal: p_C(n, w) is the mode of a binomial law, at least 1/(n + 1).
 A value prints from its bounds when both give the same 9 digits (the Ziv
 rule of `symfunc.dj_optimal_profile_strings`), and otherwise from the
-exact childs_probability.  childs_profile and childs_quarter_slice stay
-exact, for small n and as the reference.
+exact childs_probability, which is also the reference they are tested
+against.
 
 Outcomes are drawn by inverse CDF through a guide table (Chen & Asau, AIIE
 Trans. 6 (1974) 163; Devroye, Non-Uniform Random Variate Generation, 1986,
@@ -73,6 +73,7 @@ Generator.multinomial on `distribution`, the same law at constant memory.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -81,7 +82,7 @@ from math import comb
 import numpy as np
 
 from .errors import StateError, UnreachableTargetError
-from .krawtchouk import _half_column, abs_column_sum, column
+from .krawtchouk import abs_column_sum, column
 from .symfunc import SymmetricBooleanFunction, _U, _certified_strings, reduced_walsh_spectrum, spectrum_value
 
 __all__ = [
@@ -89,9 +90,7 @@ __all__ = [
     "biased_dj_state",
     "childs_probability",
     "childs_probability_exact",
-    "childs_profile",
     "childs_profile_strings",
-    "childs_quarter_slice",
     "childs_quarter_slice_strings",
     "childs_state",
     "dicke",
@@ -233,43 +232,6 @@ def childs_probability(n: int, w: int) -> float:
     return (comb(n, w) * w**w * (n - w) ** (n - w)) / n**n
 
 
-def childs_profile(n: int) -> list[float]:
-    """[childs_probability(n, w) for w in 0..n], bit for bit.
-
-    One n**n and the binomial row (Krawtchouk column 0) serve every w, and
-    the value at w is also the one at n - w.
-    """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
-    nn = n**n
-    out = [0.0] * (n + 1)
-    for w, binom in zip(range(n // 2 + 1), column(0, n)):
-        out[w] = out[n - w] = (binom * w**w * (n - w) ** (n - w)) / nn
-    return out
-
-
-def childs_quarter_slice(max_n: int) -> list[float]:
-    """[childs_probability(n, n // 4) for n = 0..max_n], bit for bit.
-
-    The counterpart of symfunc.quarter_slice: C(n, w) at w = n//4 is carried
-    along n by one exact multiply and divide, and w**w is recomputed only
-    when w steps, so each value is the same big-int true division.
-    """
-    if max_n < 0:
-        raise ValueError(f"max_n={max_n} must be non-negative")
-    out = [1.0]
-    w, binom, ww = 0, 1, 1  # C(0, 0) and 0**0 at n = 0
-    for n in range(1, max_n + 1):
-        if n // 4 > w:
-            w += 1
-            binom = binom * n // w
-            ww = w**w
-        else:
-            binom = binom * n // (n - w)
-        out.append((binom * ww * (n - w) ** (n - w)) / n**n)
-    return out
-
-
 def _power_table(top: int) -> tuple[np.ndarray, np.ndarray]:
     """(m, e) with m[v] 2^e[v] within gamma_(v-1) of v**v for v = 0..top (0**0 = 1 exactly).
 
@@ -287,7 +249,7 @@ def _power_table(top: int) -> tuple[np.ndarray, np.ndarray]:
     return m, e
 
 
-def _childs_float_bounds(binoms: list[int], ws: np.ndarray, ns, table) -> tuple[np.ndarray, ...]:
+def _childs_float_bounds(binoms: Sequence[int], ws: np.ndarray, ns, table) -> tuple[np.ndarray, ...]:
     """(p~, lo, hi) with lo <= childs_probability_exact(ns, ws) <= hi certified, from binoms = C(ns, ws).
 
     p~ = C V[w] V[n - w] / V[n] on mantissas from the v**v table rounds
@@ -306,30 +268,27 @@ def _childs_float_bounds(binoms: list[int], ws: np.ndarray, ns, table) -> tuple[
     return p, p * (1.0 - rel), p * (1.0 + rel)
 
 
-def childs_profile_strings(n: int, binoms: list[int] | None = None) -> list[str]:
-    """[csvio.fmt(p) for p in childs_profile(n)], the same strings, from certified floats.
+def childs_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
+    """[csvio.fmt(childs_probability(n, w)) for w in 0..n], the same strings, from certified floats.
 
     A value prints from its bounds (`_childs_float_bounds`) when both give
     the same 9 digits, and otherwise from the exact childs_probability(n, w).
-    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)), built here
-    when not given.
+    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
     ws = np.arange(n // 2 + 1)
-    if binoms is None:
-        binoms = _half_column(0, n)
     _, lo, hi = _childs_float_bounds(binoms, ws, n, _power_table(n))
     half = _certified_strings(lo, hi, lambda w: childs_probability(n, w))
     return half + half[: n - n // 2][::-1]
 
 
 def childs_quarter_slice_strings(max_n: int) -> list[str]:
-    """[csvio.fmt(p) for p in childs_quarter_slice(max_n)], the same strings, from certified floats.
+    """[csvio.fmt(childs_probability(n, n // 4)) for n in 0..max_n], the same strings, from certified floats.
 
-    C(n, n//4) is carried along n as in childs_quarter_slice; each value
-    prints from its bounds when both give the same 9 digits, and otherwise
-    from the exact childs_probability(n, n // 4).
+    C(n, n//4) is carried along n by one exact multiply and divide; each
+    value prints from its bounds when both give the same 9 digits, and
+    otherwise from the exact childs_probability(n, n // 4).
     """
     if max_n < 0:
         raise ValueError(f"max_n={max_n} must be non-negative")

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def quarter_childs(max_n):
+    """[childs_probability(n, n // 4) for n = 0..max_n], the exact Childs quarter slice."""
+    return [symstate.childs_probability(n, n // 4) for n in range(max_n + 1)]
 
 
 def simulate_counts(out):
@@ -117,13 +123,12 @@ class TestCurvesCommand:
 
     @staticmethod
     def exact_csv(n):
-        """The curves CSV with both columns from the exact dj_optimal_profile and childs_profile."""
+        """The curves CSV with both columns from exact floats: dj_optimal_profile and childs_probability per w."""
+        childs = [symstate.childs_probability(n, w) for w in range(n + 1)]
         return csvio.render_csv("curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
-                                [range(n + 1), dj_optimal_profile(n), symstate.childs_profile(n)])
+                                [range(n + 1), dj_optimal_profile(n), childs])
 
-    @pytest.mark.parametrize("n", sorted({79, 80, 81, cli.CURVES_FLOAT_MIN_N - 1, cli.CURVES_FLOAT_MIN_N,
-                                          cli.CURVES_FLOAT_MIN_N + 1, 350, 527, 999, 1000, 1029, 1030, 1100,
-                                          2000, 2200, 4000}))
+    @pytest.mark.parametrize("n", [79, 80, 81, 95, 96, 97, 350, 527, 999, 1000, 1029, 1030, 1100, 2000, 2200, 4000])
     def test_same_bytes_as_exact_path(self, capsys, n):
         # C(n, n//2) leaves the float range from n = 1030, and U[0, 0] = 2^(-n/2) is subnormal past n = 2044
         code, out, err = run(capsys, "curves", "--n", str(n))
@@ -132,24 +137,27 @@ class TestCurvesCommand:
 
     def test_float_path_builds_binomial_row_once(self, capsys, monkeypatch):
         from dickeprep import symfunc
-        from dickeprep.krawtchouk import _half_column
 
+        krawtchouk = importlib.import_module("dickeprep.krawtchouk")  # the package exports a function of that name
         rows = []
+        real = krawtchouk._half_column
 
         def counted(k, n):
             if k == 0:
                 rows.append(n)
-            return _half_column(k, n)
+            return real(k, n)
 
-        for module in (cli, symfunc, symstate):
-            monkeypatch.setattr(module, "_half_column", counted)
-        n = cli.CURVES_FLOAT_MIN_N + 100
-        _, out, _ = run(capsys, "curves", "--n", str(n))
-        assert rows == [n]
-        assert out == self.exact_csv(n)
+        # krawtchouk.column builds through its module's _half_column; the others hold their own binding
+        for module in (krawtchouk, cli, symfunc, symstate):
+            if hasattr(module, "_half_column"):
+                monkeypatch.setattr(module, "_half_column", counted)
+        for n in (12, 196):
+            rows.clear()
+            _, out, _ = run(capsys, "curves", "--n", str(n))
+            assert rows == [n]
+            assert out == self.exact_csv(n)
 
-    def test_float_path_same_bytes_at_every_small_n(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "CURVES_FLOAT_MIN_N", 1)
+    def test_float_path_same_bytes_at_every_small_n(self, capsys):
         for n in range(1, 401):
             _, out, _ = run(capsys, "curves", "--n", str(n))
             assert out == self.exact_csv(n), n
@@ -167,22 +175,23 @@ class TestSweepQuarterCommand:
 
     @staticmethod
     def exact_csv(max_n, dj=None, childs=None):
-        """The sweep-quarter CSV from the exact quarter_slice and childs_quarter_slice (or prefixes of them)."""
+        """The sweep-quarter CSV from exact floats: quarter_slice and childs_probability(n, n // 4) per n.
+
+        dj and childs, when given, are longer such lists, of which the CSV takes the prefix.
+        """
         dj = quarter_slice(max_n) if dj is None else dj[: max_n + 1]
-        childs = symstate.childs_quarter_slice(max_n) if childs is None else childs[: max_n + 1]
+        childs = quarter_childs(max_n) if childs is None else childs[: max_n + 1]
         return csvio.render_csv("sweep-quarter", {"max_n": max_n}, ["n", "dj_prob", "childs_prob"],
                                 [range(4, max_n + 1), dj[4:], childs[4:]])
 
-    @pytest.mark.parametrize("max_n", [4, cli.SWEEP_FLOAT_MIN_N - 1, cli.SWEEP_FLOAT_MIN_N, cli.SWEEP_FLOAT_MIN_N + 1,
-                                       697, 1029, 1030, 1100])
+    @pytest.mark.parametrize("max_n", [4, 159, 160, 161, 697, 1029, 1030, 1100])
     def test_same_bytes_as_exact_path(self, capsys, max_n):
         code, out, err = run(capsys, "sweep-quarter", "--max-n", str(max_n))
         assert (code, err) == (0, "")
         assert out == self.exact_csv(max_n)
 
-    def test_float_path_same_bytes_at_every_small_n(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "SWEEP_FLOAT_MIN_N", 4)
-        dj, childs = quarter_slice(400), symstate.childs_quarter_slice(400)  # each a prefix of the next
+    def test_float_path_same_bytes_at_every_small_n(self, capsys):
+        dj, childs = quarter_slice(400), quarter_childs(400)  # each a prefix of the next
         for max_n in range(4, 401):
             _, out, _ = run(capsys, "sweep-quarter", "--max-n", str(max_n))
             assert out == self.exact_csv(max_n, dj, childs), max_n

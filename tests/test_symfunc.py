@@ -481,6 +481,11 @@ def exact_strings(n):
     return [fmt(p) for p in dj_optimal_profile(n)]
 
 
+def half_row(n):
+    """The binomial half row (C(n, 0), ..., C(n, n//2)) that curves passes to the float paths."""
+    return column(0, n)[: n // 2 + 1]
+
+
 _ROOT_BITS = 200
 
 
@@ -518,8 +523,7 @@ class TestCertifiedDjStrings:
     @pytest.mark.parametrize("ns", [range(161), (255, 256, 350, 351, 1000)])
     def test_bounds_contain_exact_value(self, ns):
         for n in ns:
-            binoms, lo, hi = _dj_float_bounds(n)
-            assert binoms == list(column(0, n)[: n // 2 + 1])
+            lo, hi = _dj_float_bounds(n, half_row(n))
             assert lo.shape == hi.shape == (n // 2 + 1,)
             for k, exact in enumerate(exact_dj_profile(n)):
                 assert Fraction(lo[k]) <= exact <= Fraction(hi[k]), (n, k)
@@ -545,7 +549,8 @@ class TestCertifiedDjStrings:
 
         monkeypatch.setattr(symfunc, "_recurrence_block", block)
         monkeypatch.setattr(symfunc, "_dj_float_terms", captured)
-        _, lo, hi = _dj_float_bounds(n)
+        binoms = half_row(n)
+        lo, hi = _dj_float_bounds(n, binoms)
         (d,) = terms
         h = n // 2
         assert len(blocks) == min(h, 1)  # one block up to n = 40: no rescale between the captured rows
@@ -553,10 +558,10 @@ class TestCertifiedDjStrings:
         mirror = [min(i, n - i) for i in range(n + 1)]
         middle = {h, n - h}
 
-        w_float = [Fraction(x) for x in _sqrt_ratios(d.binoms, n).tolist()]
+        w_float = [Fraction(x) for x in _sqrt_ratios(binoms, n).tolist()]
         w_err = 0
         for i in mirror:
-            w = root(Fraction(d.binoms[i], 1 << n))
+            w = root(Fraction(binoms[i], 1 << n))
             w_err += max(abs(w_float[i] - w), abs(w_float[i] - w - _ROOT_SLACK)) ** 2
         assert Fraction(d.weights) ** 2 >= w_err
 
@@ -592,8 +597,8 @@ class TestCertifiedDjStrings:
         real_sum, real_bounds = symfunc.abs_column_sum, symfunc._dj_float_bounds
 
         def widened(m, binoms):
-            binoms, lo, hi = real_bounds(m, binoms)
-            return binoms, lo * 0.5, hi * 2.0
+            lo, hi = real_bounds(m, binoms)
+            return lo * 0.5, hi * 2.0
 
         def counted(k, m):
             calls.append(k)
@@ -601,20 +606,20 @@ class TestCertifiedDjStrings:
 
         monkeypatch.setattr(symfunc, "_dj_float_bounds", widened)
         monkeypatch.setattr(symfunc, "abs_column_sum", counted)
-        assert dj_optimal_profile_strings(n) == exact_strings(n)
+        assert dj_optimal_profile_strings(n, half_row(n)) == exact_strings(n)
         assert calls == list(range(n // 2 + 1))
 
     def test_non_finite_bounds_fall_back(self, monkeypatch):
         real_bounds = symfunc._dj_float_bounds
         for bad in (math.nan, math.inf):
             monkeypatch.setattr(symfunc, "_dj_float_bounds",
-                                lambda m, binoms: (real_bounds(m)[0], np.full(m // 2 + 1, bad), np.full(m // 2 + 1, bad)))
-            assert dj_optimal_profile_strings(30) == exact_strings(30)
+                                lambda m, binoms: (np.full(m // 2 + 1, bad), np.full(m // 2 + 1, bad)))
+            assert dj_optimal_profile_strings(30, half_row(30)) == exact_strings(30)
 
     @pytest.mark.parametrize("n", [350, 1000])
     def test_few_exact_fallbacks(self, n):
         # bound: at most 2 % of the n//2 + 1 columns (3 at n = 350, 10 at n = 1000)
-        _, lo, hi = _dj_float_bounds(n)
+        lo, hi = _dj_float_bounds(n, half_row(n))
         fallbacks = sum(fmt(a) != fmt(b) for a, b in zip(lo.tolist(), hi.tolist()))
         assert np.isfinite(hi).all()
         assert fallbacks <= (n // 2 + 1) // 50
@@ -633,4 +638,4 @@ class TestCertifiedDjStrings:
 
     def test_domain(self):
         with pytest.raises(ValueError, match="n="):
-            dj_optimal_profile_strings(-1)
+            dj_optimal_profile_strings(-1, ())

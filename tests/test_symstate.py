@@ -23,9 +23,7 @@ from dickeprep.symstate import (
     biased_dj_state,
     childs_probability,
     childs_probability_exact,
-    childs_profile,
     childs_profile_strings,
-    childs_quarter_slice,
     childs_quarter_slice_strings,
     childs_state,
     dicke,
@@ -151,28 +149,10 @@ class TestChilds:
         for n in [*range(0, 81), 999]:
             for w in range(n + 1):
                 assert childs_probability(n, w) == float(childs_probability_exact(n, w)), (n, w)
-
-    def test_profile_matches_probability(self):
-        for n in [*range(0, 81), 999, 1000]:
-            assert childs_profile(n) == [childs_probability(n, w) for w in range(n + 1)], n
-        # past the float range of C(n, n//2) from n = 1030, against the exact rational at sampled w
+        # past the float range of C(n, n//2) from n = 1030, at sampled w and at the quarter point
         for n in (1029, 1030, 2000):
-            got = childs_profile(n)
-            for w in sorted({*range(0, n + 1, 23), 1, n // 2, n - 1, n}):
-                assert got[w] == float(childs_probability_exact(n, w)), (n, w)
-        with pytest.raises(ValueError, match="n="):
-            childs_profile(-1)
-
-    def test_quarter_slice_matches_probability(self):
-        got = childs_quarter_slice(2000)
-        for n in (1029, 1030, 2000):
-            assert got[n] == float(childs_probability_exact(n, n // 4)), n
-        got = got[:1001]
-        assert got == [childs_probability(n, n // 4) for n in range(1001)]
-        assert childs_quarter_slice(0) == [1.0]
-        assert childs_quarter_slice(9) == got[:10]
-        with pytest.raises(ValueError, match="max_n="):
-            childs_quarter_slice(-1)
+            for w in sorted({*range(0, n + 1, 23), 1, n // 4, n // 2, n - 1, n}):
+                assert childs_probability(n, w) == float(childs_probability_exact(n, w)), (n, w)
 
     def test_state_matches_probability(self):
         for n, w in ((0, 0), (4, 2), (9, 4), (11, 0), (11, 11)):
@@ -213,10 +193,25 @@ def childs_ratio(n, w):
     return comb(n, w) * w**w * (n - w) ** (n - w), n**n
 
 
+def half_row(n):
+    """The binomial half row (C(n, 0), ..., C(n, n//2)) that curves passes to childs_profile_strings."""
+    return column(0, n)[: n // 2 + 1]
+
+
+def childs_strings(n):
+    """The printed Childs profile at n, from childs_probability per w."""
+    return [csvio.fmt(childs_probability(n, w)) for w in range(n + 1)]
+
+
+def quarter_strings(max_n):
+    """The printed Childs quarter slice n = 0..max_n, from childs_probability per n."""
+    return [csvio.fmt(childs_probability(n, n // 4)) for n in range(max_n + 1)]
+
+
 def childs_bounds(n):
     """symstate._childs_float_bounds over the profile k <= n//2 at n."""
     ws = np.arange(n // 2 + 1)
-    return symstate._childs_float_bounds(list(column(0, n)[: n // 2 + 1]), ws, n, symstate._power_table(n))
+    return symstate._childs_float_bounds(half_row(n), ws, n, symstate._power_table(n))
 
 
 def quarter_bounds(max_n):
@@ -276,10 +271,10 @@ class TestCertifiedChildsStrings:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350, 1030])
     def test_same_strings_as_exact_profile(self, n):
-        assert childs_profile_strings(n) == [csvio.fmt(p) for p in childs_profile(n)]
+        assert childs_profile_strings(n, half_row(n)) == childs_strings(n)
 
     def test_quarter_slice_same_strings(self):
-        assert childs_quarter_slice_strings(1300) == [csvio.fmt(p) for p in childs_quarter_slice(1300)]
+        assert childs_quarter_slice_strings(1300) == quarter_strings(1300)
         assert childs_quarter_slice_strings(0) == ["1"]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
@@ -297,10 +292,10 @@ class TestCertifiedChildsStrings:
 
         monkeypatch.setattr(symstate, "_childs_float_bounds", widened)
         monkeypatch.setattr(symstate, "childs_probability", counted)
-        assert childs_profile_strings(n) == [csvio.fmt(p) for p in childs_profile(n)]
+        assert childs_profile_strings(n, half_row(n)) == childs_strings(n)
         assert calls == list(range(n // 2 + 1))
         calls.clear()
-        assert childs_quarter_slice_strings(n) == [csvio.fmt(p) for p in childs_quarter_slice(n)]
+        assert childs_quarter_slice_strings(n) == quarter_strings(n)
         assert calls == [m // 4 for m in range(n + 1)]
 
     def test_non_finite_bounds_fall_back(self, monkeypatch):
@@ -311,8 +306,8 @@ class TestCertifiedChildsStrings:
                 return p, np.full_like(p, bad), np.full_like(p, bad)
 
             monkeypatch.setattr(symstate, "_childs_float_bounds", broken)
-            assert childs_profile_strings(30) == [csvio.fmt(p) for p in childs_profile(30)]
-            assert childs_quarter_slice_strings(30) == [csvio.fmt(p) for p in childs_quarter_slice(30)]
+            assert childs_profile_strings(30, half_row(30)) == childs_strings(30)
+            assert childs_quarter_slice_strings(30) == quarter_strings(30)
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_few_exact_fallbacks(self, n):
@@ -324,7 +319,7 @@ class TestCertifiedChildsStrings:
 
     def test_domain(self):
         with pytest.raises(ValueError, match="n="):
-            childs_profile_strings(-1)
+            childs_profile_strings(-1, ())
         with pytest.raises(ValueError, match="max_n="):
             childs_quarter_slice_strings(-1)
 
