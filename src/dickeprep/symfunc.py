@@ -45,8 +45,9 @@ rounds each entry once, by at most u |Y_i| / (1 - u), and passes on the
 old errors e_i + e_{i-1}, so the bound F on the total error over the full
 column obeys F(n+1) = 2 F(n) + 2u S~(n+1), where S~ is the float sum of
 |Y_i| over the full column (a sum that lands among the subnormals is
-exact).  A rescale or a conversion from integers adds (n + 2) 2^-1074 for
-subnormal results, and so does every step.  Over a block of n0 + 1, ...,
+exact).  A rescale or a conversion from integers (`_frexp_ints`, the one
+conversion of every float path here and in `symstate`) adds (n + 2) 2^-1074
+for subnormal results, and so does every step.  Over a block of n0 + 1, ...,
 n0 + r the recurrence is the sum F(n0 + j + 1) = sum_{t <= j} 2^(j - t) g_t
 of the terms g_t = 2u S~(n0 + t + 1) + (n0 + t + 3) 2^-1074 (g_0 also
 carries 2 F(n0)), each scaled exactly by 2^(r - 1 - t), summed once and
@@ -383,13 +384,19 @@ def c_minima_bytes(max_n: int) -> int:
     return 8 * (m * (m + 1) + buffer + 10 * _BLOCK_STEPS * m)
 
 
-def _scaled_floats(values: list[int], top: int) -> np.ndarray:
-    """values * 2^-top as floats, each rounded once (a subnormal result once more)."""
-    big = max(map(abs, values)).bit_length() - 1000
-    if big > 0:  # float() takes ints below 2^1024 only
-        values = [v / (1 << big) for v in values]
-        top -= big
-    return np.ldexp(np.array(values, dtype=float), -top)
+def _frexp_ints(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(m, e): m 2^e is each int of values rounded once to 53 bits, at any size; |m| in [1/2, 1) or m = 0, e int64.
+
+    float() takes ints below 2^1024 - 2^970 only; past that each v is first divided by 2^s,
+    s = max(bit_length - 1000, 0), one correctly rounded quotient, and s joins its exponent.
+    """
+    try:
+        m, e = np.frexp(np.array(values, dtype=float))
+        return m, e.astype(np.int64)
+    except OverflowError:
+        shifts = [max(v.bit_length() - 1000, 0) for v in values]
+        m, e = np.frexp([v / (1 << s) for v, s in zip(values, shifts)])
+        return m, e + np.array(shifts, dtype=np.int64)
 
 
 def _born_column(binomials: list[int], h: int) -> list[int]:
@@ -489,10 +496,9 @@ class _FloatFilter:
         self._middle = self._middle * n * (n - 1) // (h * h)
         self.middles[n] = self._middle
         top = self._row[-1].bit_length()  # C(h, h//2), the largest entry
-        self.table[h, : h + 1] = _scaled_floats(_born_column(self._row, h), top)
+        m, e = _frexp_ints(_born_column(self._row, h))
+        self.table[h, : h + 1] = np.ldexp(m, e - top)  # a subnormal result rounds once more
         self._exps[h], self._err[h] = top, 0.0
-        e = self._middle.bit_length()
-        self._binoms[h], self.binom_exps[h] = self._middle / (1 << e), e
 
     def _pass(self, n: int, t: np.ndarray, stepped: int, signs: np.ndarray, out: np.ndarray) -> None:
         """The first `stepped` rows of t to n by the Pascal step, then every row's full-column sum into out.
@@ -545,6 +551,8 @@ class _FloatFilter:
         self.middles = {}
         for n in range(first + first % 2, self.n + 1, 2):
             self._birth(n)
+        born = [n // 2 for n in self.middles]  # C(n, n/2) of every birth of the block, in one conversion
+        self._binoms[born], self.binom_exps[born] = _frexp_ints(list(self.middles.values()))
         self.sums = np.zeros((len(ns), w))
         for j, n in enumerate(ns.tolist()):
             live = (n + 1) // 2  # the columns k <= (n - 1)//2 step; column n/2 is born at even n
@@ -576,7 +584,8 @@ class _FloatFilter:
             n, stepped = int(self.ns[j]), done
             while done < len(ks) and starts[done] == j:  # one exact column at a time
                 half = _half_column(ks[done], n)
-                rows[done, : n // 2 + 1] = _scaled_floats(half, int(self.exps[ks[done]]))
+                m, e = _frexp_ints(half)
+                rows[done, : n // 2 + 1] = np.ldexp(m, e - self.exps[ks[done]])
                 rebuilt[j, ks[done]] = half_abs_sum(half, n)
                 done += 1
             self._pass(n, rows[:done], stepped, signs[:stepped], out[:done])
@@ -674,14 +683,11 @@ _PRINTED = ".9g"  # csvio.fmt's format of a float
 
 def _sqrt_ratios(values: list[int], n: int) -> np.ndarray:
     """sqrt(v / 2^n) for each positive int v, within 2u relative (a subnormal result within _SUBNORMAL)."""
-    if n <= 1022:  # every v converts to a float, and v 2^-n stays normal
+    if n <= 1022:  # every v converts to a float and v 2^-n stays normal: 3 numpy calls where the rest make 9
         return np.sqrt(np.ldexp(np.array(values, dtype=float), -n))
-    out = []
-    for v in values:
-        e = v.bit_length()
-        e -= (e - n) & 1  # v / 2^e lies in [1/2, 2) and e - n is even
-        out.append(math.ldexp(math.sqrt(v / (1 << e)), (e - n) // 2))
-    return np.array(out)
+    m, e = _frexp_ints(values)
+    d = e - n  # v / 2^n = m 2^(d & 1) 4^(d >> 1), the first factor in [1/2, 2)
+    return np.ldexp(np.sqrt(np.ldexp(m, d & 1)), d >> 1)
 
 
 def _recurrence_block(rows: np.ndarray, top: int, i: int, lam, alpha, beta) -> None:
@@ -830,26 +836,30 @@ def dj_optimal_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
     return half + half[: n - n // 2][::-1]
 
 
+def _quarter_binomials(max_n: int) -> list[int]:
+    """[C(n, n // 4) for n in 0..max_n], each from the last by one exact multiply and divide."""
+    out = [1]
+    for n in range(1, max_n + 1):
+        k = (n - 1) // 4  # C(n, k + 1) = C(n - 1, k) n / (k + 1), C(n, k) = C(n - 1, k) n / (n - k)
+        out.append(out[-1] * n // (k + 1 if n // 4 > k else n - k))
+    return out
+
+
 def quarter_slice(max_n: int) -> list[float]:
     """dj_optimal_profile(n)[n // 4] for n = 0..max_n, one carried column.
 
     Column k = n//4 goes from n to n+1 by the Pascal step (1+z), or by
-    (1-z) to column k+1 where (n+1)//4 > k, with C(n, k) carried by one
-    exact multiply and divide.  Each value is the same correctly rounded
-    ratio as float(symstate.dj_optimal_success_exact(n, n // 4)).
+    (1-z) to column k+1 where (n+1)//4 > k, with C(n, k) from
+    `_quarter_binomials`.  Each value is the same correctly rounded ratio
+    as float(symstate.dj_optimal_success_exact(n, n // 4)).
     """
     if max_n < 0:
         raise ValueError(f"max_n={max_n} must be non-negative")
-    out = [1.0]
-    k, half, binom = 0, [1], 1  # column 0 at n = 0
-    for n in range(1, max_n + 1):
-        down = n // 4 > k
-        half = next_half_column(half, k, n - 1, down)
-        if down:
-            k += 1
-            binom = binom * n // k
-        else:
-            binom = binom * n // (n - k)
+    out, half = [], [1]  # column 0 at n = 0
+    for n, binom in enumerate(_quarter_binomials(max_n)):
+        if n:
+            k = (n - 1) // 4
+            half = next_half_column(half, k, n - 1, n // 4 > k)
         s = half_abs_sum(half, n)
         out.append((binom * s * s) / (1 << (2 * n)))
     return out

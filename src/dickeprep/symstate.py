@@ -38,10 +38,9 @@ IEEE products round (a product by 1 is exact).  With e(v) roundings in v^v,
 e(1) = 0, e(2v) = 2 e(v) + 1 and e(v + 1) = e(v) + 1 give e(v) = v - 1, so
 entry v is within gamma_(v-1) = (v-1)u / (1 - (v-1)u) of v^v, u = 2^-53
 (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1).  The
-exact C(n, w), from the binomial half row or carried along n = 4w..4w+3, is
-rounded to a float once; where some C leaves the float range (from
-n = 1030 for the half row), each C past 2^1000 is rounded as C / 2^s, with
-the power of two carried in the exponent.  Then p~ = C V[w] V[n-w] / V[n] takes
+exact C(n, w), from the binomial half row or `symfunc._quarter_binomials`,
+is rounded once at any size by `symfunc._frexp_ints`, to a mantissa and an
+int64 exponent.  Then p~ = C V[w] V[n-w] / V[n] takes
 1 + (w-1) + (n-w-1) + (n-1) + 3 = 2n + 1 roundings for 0 < w < n, so
 p~ = p (1 + theta) with |theta| <= gamma_(2n+1); at w = 0 and n, p~ = 1
 exactly.  Each end of [lo, hi] = p~ (1 -+ rel) rounds twice more, so
@@ -83,7 +82,8 @@ import numpy as np
 
 from .errors import StateError, UnreachableTargetError
 from .krawtchouk import abs_column_sum, column
-from .symfunc import SymmetricBooleanFunction, _U, _certified_strings, reduced_walsh_spectrum, spectrum_value
+from .symfunc import (SymmetricBooleanFunction, _U, _certified_strings, _frexp_ints, _quarter_binomials,
+                      reduced_walsh_spectrum, spectrum_value)
 
 __all__ = [
     "SymmetricState",
@@ -256,13 +256,8 @@ def _childs_float_bounds(binoms: Sequence[int], ws: np.ndarray, ns, table) -> tu
     within gamma_(2n+1) (module docstring), and [lo, hi] widens it outward.
     """
     m, e = table
-    try:
-        cm, shifts = np.array(binoms, dtype=float), 0  # each rounded once
-    except OverflowError:  # float() takes ints below 2^1024 only
-        shifts = np.maximum(np.array([c.bit_length() for c in binoms]) - 1000, 0)
-        cm = np.array([c / (1 << s) for c, s in zip(binoms, shifts.tolist())])
-    cm, ce = np.frexp(cm)
-    p = np.ldexp(cm * m[ws] * m[ns - ws] / m[ns], shifts + ce + e[ws] + e[ns - ws] - e[ns])
+    cm, ce = _frexp_ints(binoms)
+    p = np.ldexp(cm * m[ws] * m[ns - ws] / m[ns], ce + e[ws] + e[ns - ws] - e[ns])
     k = 2 * ns + 3  # the 2n + 1 roundings of p~, and two more for each end of [lo, hi]
     rel = k * _U / (1.0 - 2 * k * _U)  # gamma_k / (1 - gamma_k); its own rounding is of second order
     return p, p * (1.0 - rel), p * (1.0 + rel)
@@ -286,22 +281,14 @@ def childs_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
 def childs_quarter_slice_strings(max_n: int) -> list[str]:
     """[csvio.fmt(childs_probability(n, n // 4)) for n in 0..max_n], the same strings, from certified floats.
 
-    C(n, n//4) is carried along n by one exact multiply and divide; each
-    value prints from its bounds when both give the same 9 digits, and
-    otherwise from the exact childs_probability(n, n // 4).
+    C(n, n//4) is carried along n as in symfunc.quarter_slice; each value
+    prints from its bounds when both give the same 9 digits, and otherwise
+    from the exact childs_probability(n, n // 4).
     """
     if max_n < 0:
         raise ValueError(f"max_n={max_n} must be non-negative")
-    binoms = [1]
-    w = 0
-    for n in range(1, max_n + 1):
-        if n // 4 > w:
-            w += 1
-            binoms.append(binoms[-1] * n // w)
-        else:
-            binoms.append(binoms[-1] * n // (n - w))
     ns = np.arange(max_n + 1)
-    _, lo, hi = _childs_float_bounds(binoms, ns // 4, ns, _power_table(max_n))
+    _, lo, hi = _childs_float_bounds(_quarter_binomials(max_n), ns // 4, ns, _power_table(max_n))
     return _certified_strings(lo, hi, lambda n: childs_probability(n, n // 4))
 
 

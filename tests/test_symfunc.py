@@ -23,8 +23,9 @@ from dickeprep.symfunc import (
     _born_column,
     _FloatFilter,
     _dj_float_bounds,
+    _frexp_ints,
     _lane_layout,
-    _scaled_floats,
+    _quarter_binomials,
     _sqrt_ratios,
     c_minima,
     c_minima_bytes,
@@ -346,6 +347,11 @@ class TestCarriedColumns:
         assert quarter_slice(0) == [1.0]
         assert quarter_slice(9) == got[:10]
 
+    def test_quarter_binomials_exact(self):
+        # past the float range from n = 1270, where C(n, n // 4) first passes 2^1024
+        assert _quarter_binomials(1300) == [comb(n, n // 4) for n in range(1301)]
+        assert _quarter_binomials(0) == [1]
+
     def test_quarter_slice_matches_profile(self):
         got = quarter_slice(64)
         assert got == [dj_optimal_profile(n)[n // 4] for n in range(65)]
@@ -446,18 +452,42 @@ class TestFloatFilteredMinima:
             tracemalloc.stop()
         assert peak <= 1.1 * c_minima_bytes(600)
 
+    def test_frexp_ints_rounds_once_at_any_size(self):
+        # m 2^e is v rounded once to 53 bits, ties to even; 2^1024 - 1 rounds up to 2^1024, past float()
+        def rounded(v):
+            drop = max(abs(v).bit_length() - 53, 0)
+            q, r = divmod(abs(v), 1 << drop)
+            q += 2 * r > 1 << drop or (2 * r == 1 << drop and q & 1)
+            return Fraction(q << drop if v >= 0 else -(q << drop))
+
+        big = (1 << 1100) + 1
+        values = [0, 1, -1, 1 << 1023, (1 << 1024) - 1, 1 << 1024, big, -big]
+        with pytest.raises(OverflowError):
+            np.array([(1 << 1024) - 1], dtype=float)
+        for case in [[v] for v in values] + [values, [1, 1 << 2000], [(1 << 60) + 1, -(1 << 2000) - 3]]:
+            m, e = _frexp_ints(case)
+            assert m.shape == e.shape == (len(case),) and e.dtype == np.int64, case
+            for v, mantissa, exp in zip(case, m.tolist(), e.tolist()):
+                assert mantissa == 0 if v == 0 else 0.5 <= abs(mantissa) < 1, v
+                assert Fraction(mantissa) * Fraction(2) ** exp == rounded(v), v
+
     def test_integers_past_float_range_rounded_once(self):
-        # past 1000 bits the conversion divides exactly first; a subnormal result rounds once more
+        # the filter's born and rebuilt columns, values * 2^-top: past 1000 bits the conversion
+        # divides exactly first; a subnormal result rounds once more
+        def scaled(values, top):
+            m, e = _frexp_ints(values)
+            return np.ldexp(m, e - top)
+
         values = [3**700, -(5**430), 7 << 1100, (1 << 1050) + 1, 1, 0, -1]  # at most 1110 bits
         for top in (1110, 1200, 2100, 2300):
-            got = _scaled_floats(values, top)
+            got = scaled(values, top)
             for v, g in zip(values, got):
                 exact = Fraction(v, 1 << top)
                 if abs(exact) >= 2.0**-1022:
                     assert g == float(exact), (v, top)
                 else:
                     assert abs(Fraction(g) - exact) <= Fraction(1, 1 << 1074), (v, top)
-        assert list(_scaled_floats([5, -3, 1 << 900], 901)) == [5 * 2.0**-901, -3 * 2.0**-901, 0.5]
+        assert list(scaled([5, -3, 1 << 900], 901)) == [5 * 2.0**-901, -3 * 2.0**-901, 0.5]
 
     def test_table_bytes(self):
         # the (m, m + 1) table, a buffer of whole rows (at most the table's, 32 or the rows of 32^3 entries),

@@ -248,8 +248,9 @@ class TestCertifiedChildsStrings:
                 assert inside(lo[w], hi[w], *childs_ratio(n, w)), (n, w)
 
     def test_quarter_bounds_contain_exact_value(self):
-        _, lo, hi = quarter_bounds(1100)
-        for n in range(1101):
+        # C(n, n // 4) passes 2^1024 from n = 1270
+        _, lo, hi = quarter_bounds(1300)
+        for n in range(1301):
             assert inside(lo[n], hi[n], *childs_ratio(n, n // 4)), n
 
     def test_bounds_cover_every_rounding(self):
@@ -259,8 +260,8 @@ class TestCertifiedChildsStrings:
         # reach p~ / (1 +- gamma_(2n+1)) whatever the roundings did; at w = 0 and n, p~ = 1 exactly.
         cases = [(n, w, p[w], lo[w], hi[w]) for n in [*range(1, 161), 1030, 2000]
                  for p, lo, hi in [childs_bounds(n)] for w in range(n // 2 + 1)]
-        p, lo, hi = quarter_bounds(1100)
-        cases += [(n, n // 4, p[n], lo[n], hi[n]) for n in range(1101)]
+        p, lo, hi = quarter_bounds(1300)
+        cases += [(n, n // 4, p[n], lo[n], hi[n]) for n in range(1301)]
         for n, w, approx, low, high in cases:
             if w in (0, n):
                 assert approx == 1.0 and low <= 1.0 <= high, (n, w)
@@ -424,6 +425,38 @@ def exact_biased_probabilities(f, rows, c):
                      for k, row in enumerate(rows)])
 
 
+def surd_biased_probabilities(f, p, q):
+    """C(n,k) a_k^2 of biased_dj_state(f, n p / q), each exact (P + Q sqrt(D)) / (2^n q^n) rounded to a float.
+
+    With rho = p/q, u^2 = (q - p)/q and v^2 = p/q, the term of [z^i] in
+    (v - u z)^k (u + v z)^(n-k) with j factors -u z is
+    (-1)^j C(k, j) C(n-k, i-j) u^(n-d) v^d, d = k + i - 2j, and
+    (2q)^(n/2) u^(n-d) v^d 2^(-n/2) = (q - p)^((n-d)/2) p^(d/2): an integer
+    times one of two roots, 1 and sqrt(D) at even n, sqrt(q - p) and sqrt(p)
+    at odd n, D = p (q - p).  So a_k (2q)^(n/2) = A x + B y with integers A, B,
+    and C(n,k) a_k^2 (2q)^n = C(n,k) (P + Q sqrt(D)).  Q sqrt(D) is taken
+    from math.isqrt at 2^-256, so each value is within 2^-256 C(n,k) / (2q)^n
+    of exact before its one rounding.
+    """
+    n, signs = f.n, f.signs()
+    d_root, scale = p * (q - p), 256
+    x2, y2 = (1, d_root) if n % 2 == 0 else (q - p, p)  # the squares of the two roots
+    out = []
+    for k in range(n + 1):
+        ab = [0, 0]  # A, B
+        for i, s in enumerate(signs):
+            for j in range(max(0, i - (n - k)), min(i, k) + 1):
+                d = k + i - 2 * j
+                term = (-1) ** j * comb(k, j) * comb(n - k, i - j) * (q - p) ** ((n - d) // 2) * p ** (d // 2)
+                ab[d % 2] += s * term  # odd d: sqrt(D) at even n, sqrt(p) at odd n
+        a, b = ab
+        big_p, big_q = a * a * x2 + b * b * y2, 2 * a * b
+        surd = math.isqrt(big_q * big_q * d_root << (2 * scale))
+        num = (big_p << scale) + (surd if big_q >= 0 else -surd)
+        out.append(comb(n, k) * num / ((2 * q) ** n << scale))
+    return np.array(out)
+
+
 class TestBiasedExactOracle:
     # Pythagorean biases rho = (a/c)^2 make every C(n,k) a_k^2 rational
     BIASES = ((3, 5), (5, 13))  # r = 9n/25 and r = 25n/169
@@ -448,6 +481,22 @@ class TestBiasedExactOracle:
                 f = optimal_function(n, w)
                 p = biased_dj_state(f, a * a * n / (c * c)).probabilities
                 assert np.max(np.abs(p - exact_biased_probabilities(f, rows, c))) <= tol, (a, c, w)
+
+    def test_surd_oracle_matches_pythagorean(self):
+        # at rho = 9/25, D = 144 is a square, so both oracles round the same exact rational once
+        for n in (7, 8, 25):
+            f = optimal_function(n, n // 4)
+            assert np.array_equal(surd_biased_probabilities(f, 9, 25),
+                                  exact_biased_probabilities(f, pythagorean_rows(n, 3, 5), 5)), n
+
+    @pytest.mark.parametrize("n, w, r, tol", [(20, 5, 5, 1e-14), (30, 9, 9, 2e-13), (40, 10, 10, 2e-12)])
+    def test_every_weight_at_surd_bias(self, n, w, r, tol):
+        # rho = 1/4 and 3/10, where sqrt(rho (1 - rho)) is irrational; the largest errors seen are
+        # 3.1e-15, 4.4e-14 and 4.5e-13, and each tol is 3 to 5 times that
+        rho = Fraction(r, n)
+        f = optimal_function(n, w)
+        p = biased_dj_state(f, r).probabilities
+        assert np.max(np.abs(p - surd_biased_probabilities(f, rho.numerator, rho.denominator))) <= tol
 
     def test_passing_states_near_exact(self):
         # The gate bounds the norm, not each weight: a state that passes can
