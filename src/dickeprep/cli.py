@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import functools
 import sys
-from itertools import product
+from itertools import chain, product, repeat
 from math import comb
 
 import numpy as np
@@ -25,6 +25,7 @@ from .symfunc import (
     c_minima_bytes,
     dj_optimal_profile_strings,
     optimal_function,
+    quarter_binomials,
     quarter_slice,
     spectrum_value,
 )
@@ -36,7 +37,7 @@ from .symstate import (
     dj_state,
     success_probability,
 )
-from .krawtchouk import column, column_strings
+from .krawtchouk import column, dump_rows
 
 __all__ = ["main"]
 
@@ -44,17 +45,31 @@ __all__ = ["main"]
 MAX_CN_TABLE_BYTES = c_minima_bytes(2895)
 
 
-def _csv(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> str:
+def _krawtchouk_text_bytes(n: int) -> int:
+    """A bound on the `krawtchouk --n` text: (n+1)^2 cells, each at most 2^n.
+
+    |K_i(k, n)| <= C(n, i) <= 2^n has at most floor(n log10 2) + 1 digits;
+    with a sign and a comma, a cell takes at most that + 2 bytes.
+    30103/100000 > log10 2, so the bound holds at every n.
+    """
+    return (n + 1) ** 2 * (n * 30103 // 100000 + 3)
+
+
+# krawtchouk --n bound on the matrix text, about 333 MB: that of --n 1030
+MAX_KRAWTCHOUK_TEXT_BYTES = _krawtchouk_text_bytes(1030)
+
+
+def _csv(args: argparse.Namespace, command: str, params: dict, header, rows: str, trailer=()) -> str:
     """Write the CSV to --out and return "", or return its text for stdout."""
     out = getattr(args, "out", None)
     if out:
-        csvio.write_csv(out, command, params, header, cols, trailer)
+        csvio.write_csv(out, command, params, header, rows, trailer)
         return ""
-    return csvio.render_csv(command, params, header, cols, trailer)
+    return csvio.render_csv(command, params, header, rows, trailer)
 
 
-def _emit(args: argparse.Namespace, command: str, params: dict, header, cols, trailer=()) -> None:
-    sys.stdout.write(_csv(args, command, params, header, cols, trailer))
+def _emit(args: argparse.Namespace, command: str, params: dict, header, rows: str, trailer=()) -> None:
+    sys.stdout.write(_csv(args, command, params, header, rows, trailer))
 
 
 @contextlib.contextmanager
@@ -100,11 +115,17 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be in [0, {n}], got {args.k}")
     with _full_integers():
         if args.k is not None:
-            _emit(args, "krawtchouk", {"n": n, "k": args.k}, ["i", "value"],
-                  [range(n + 1), column(args.k, n)])
+            header = ["i", "value"]
+            _emit(args, "krawtchouk", {"n": n, "k": args.k}, header,
+                  csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
         else:
+            text = _krawtchouk_text_bytes(n)
+            if text > MAX_KRAWTCHOUK_TEXT_BYTES:
+                raise ResourceLimitError(
+                    f"--n {n} needs up to {text} B of text, over the limit {MAX_KRAWTCHOUK_TEXT_BYTES} B"
+                )
             header = ["i"] + [f"k{k}" for k in range(n + 1)]
-            _emit(args, "krawtchouk", {"n": n}, header, [range(n + 1), *column_strings(n)])
+            _emit(args, "krawtchouk", {"n": n}, header, dump_rows(n))
     return 0
 
 
@@ -128,7 +149,8 @@ def _cmd_cn(args: argparse.Namespace) -> int:
             f"--max-n {args.max_n} needs a {table} B float table, over the limit {MAX_CN_TABLE_BYTES} B"
         )
     cs, w_mins = zip(*c_minima(args.max_n))
-    _emit(args, "cn", {"max_n": args.max_n}, ["n", "c", "w_min"], [range(1, len(cs) + 1), cs, w_mins])
+    header = ["n", "c", "w_min"]
+    _emit(args, "cn", {"max_n": args.max_n}, header, csvio.column_rows(header, [range(1, len(cs) + 1), cs, w_mins]))
     return 0
 
 
@@ -138,15 +160,19 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be positive, got {n}")
     binoms = column(0, n)[: n // 2 + 1]  # C(n, k) for k <= n//2, shared by both columns
     dj, childs = dj_optimal_profile_strings(n, binoms), childs_profile_strings(n, binoms)
-    _emit(args, "curves", {"n": n}, ["w", "dj_prob", "childs_prob"], [range(n + 1), dj, childs])
+    header = ["w", "dj_prob", "childs_prob"]
+    _emit(args, "curves", {"n": n}, header, csvio.column_rows(header, [range(n + 1), dj, childs]))
     return 0
 
 
 def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
-    _emit(args, "sweep-quarter", {"max_n": args.max_n}, ["n", "dj_prob", "childs_prob"],
-          [range(4, args.max_n + 1), quarter_slice(args.max_n)[4:], childs_quarter_slice_strings(args.max_n)[4:]])
+    binoms = quarter_binomials(args.max_n)  # C(n, n//4) for n <= max_n, shared by both columns
+    dj, childs = quarter_slice(args.max_n, binoms), childs_quarter_slice_strings(args.max_n, binoms)
+    header = ["n", "dj_prob", "childs_prob"]
+    _emit(args, "sweep-quarter", {"max_n": args.max_n}, header,
+          csvio.column_rows(header, [range(4, args.max_n + 1), dj[4:], childs[4:]]))
     return 0
 
 
@@ -242,8 +268,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         counts = np.random.default_rng(args.seed).multinomial(args.trials, state.distribution)
         params = {"n": args.n, "w": args.w, "method": args.method,
                   "trials": args.trials, "seed": args.seed}
-        table = _csv(args, "simulate", params, ["weight", "count", "frequency", "analytic"],
-                     [range(args.n + 1), counts, counts / args.trials, state.probabilities])
+        header = ["weight", "count", "frequency", "analytic"]
+        table = _csv(args, "simulate", params, header, csvio.column_rows(
+            header, [range(args.n + 1), counts, counts / args.trials, state.probabilities]))
     sys.stdout.write("".join(f"{line}\n" for line in report) + table)
     return 0
 
@@ -257,19 +284,25 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
         raise ValueError(f"--r must be in [0, {args.n}], got {r}")
     state = fullsim.biased_dj_output(f, r)
     profile = fullsim.weight_profile(state)
-    # format(x, f"0{n}b") for every x: each high half followed by each low half
-    high = list(map("".join, product("01", repeat=args.n - args.n // 2)))
-    low = list(map("".join, product("01", repeat=args.n // 2)))
-    labels = [a + b for a in high for b in low]
     trailer = [
         f"weight {k} amplitude {csvio.fmt(profile.amplitudes[k])} "
         f"deviation {csvio.fmt(profile.deviations[k])}"
         for k in range(args.n + 1)
     ] + [f"symmetric {profile.symmetric}"]
-    # the amplitudes are real; the im column stays, all zeros, for the file format
+    # Row x is format(x, f"0{n}b"), wt(x), the amplitude and 0: the amplitudes
+    # are real, and the im column stays, all zeros, for the file format.  x is
+    # a high half followed by a low half; each low half comes with the comma,
+    # the row weight and the next comma already joined, one list per weight of
+    # the high half, so a row is four pieces of one join.
+    high = list(map("".join, product("01", repeat=args.n - args.n // 2)))
+    low = list(map("".join, product("01", repeat=args.n // 2)))
+    low_wt = [[f"{b},{wt + b.count('1')}," for b in low] for wt in range(args.n - args.n // 2 + 1)]
+    pieces = [",0\n"] * (4 * state.amps.size)
+    pieces[0::4] = chain.from_iterable(repeat(a, len(low)) for a in high)
+    pieces[1::4] = chain.from_iterable(low_wt[a.count("1")] for a in high)
+    pieces[2::4] = csvio.fmt_column(state.amps)
     _emit(args, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},
-          ["x", "weight", "re", "im"],
-          [labels, fullsim.weights(args.n), state.amps, np.zeros(state.amps.size)], trailer)
+          ["x", "weight", "re", "im"], "".join(pieces), trailer)
     return 0
 
 
@@ -298,7 +331,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     records = search.table_one(range(args.from_n, args.to_n + 1), store=store)
     header = ["n", "w", "method", "f_hex", "r", "probability"]
     _emit(args, "table1", {"from": args.from_n, "to": args.to_n}, header,
-          [[getattr(rec, field) for rec in records] for field in header])
+          csvio.column_rows(header, [[getattr(rec, field) for rec in records] for field in header]))
     return 0
 
 

@@ -5,13 +5,17 @@ command, and its parameters (no timestamps, so identical configs produce
 byte-identical files), then a header row, then data rows.  Probabilities are
 printed to 9 significant digits; exact integers in full.
 
-`render_csv` takes one column per header field.  A float or int ndarray is
-formatted once per distinct value, a list of only `str` is its own text
-(`fmt` returns a str unchanged), and any other column goes through `fmt` per
-value; the bytes equal `csv.writer` on per-value `fmt` (`,`, `"`, newline
-and a lone empty field quoted).  Columns unlike the header in count or
-length, and a carriage return in a field (which csv.reader would split at),
-raise ValueError.
+`render_csv` returns the text of every CSV: the meta line, the header, the
+data rows (one text, each row ended by a newline) and the trailer comments.
+The dumps (`krawtchouk --n`, `fullsim`) build their rows directly; the other
+commands pass their data as columns, one per header field, through
+`column_rows`.  There a float or int ndarray is formatted once per distinct
+value, a list of only `str` is its own text (`fmt` returns a str
+unchanged), and any other column goes through `fmt` per value; the bytes
+equal `csv.writer` on per-value `fmt` (`,`, `"`, newline and a lone empty
+field quoted).  Columns unlike the header in count or length, and a
+carriage return in a field (which csv.reader would split at), raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["fmt", "read_csv", "render_csv", "write_csv"]
+__all__ = ["column_rows", "fmt", "fmt_column", "read_csv", "render_csv", "write_csv"]
 
 
 def fmt(value: object) -> str:
@@ -34,20 +38,41 @@ def fmt(value: object) -> str:
     return str(value)
 
 
+def fmt_column(col: Iterable[object]) -> list[str]:
+    """fmt of every value of col; a float or int ndarray is formatted once per distinct bit pattern."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
+        # distinct bit patterns, not values, so that -0.0 stays apart from 0.0
+        bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        return np.array(list(map(fmt, bits.view(col.dtype))), dtype=object)[inv].tolist()
+    return col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))
+
+
 def _quote(field: str) -> str:
     if "\r" in field:
         raise ValueError(f"CSV field {field!r} holds a carriage return")
     return '"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\n') else field
 
 
-def _format_column(col: Iterable[object]) -> list[str]:
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
-        # distinct bit patterns, not values, so that -0.0 stays apart from 0.0
-        bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-        return np.array(list(map(fmt, bits.view(col.dtype))), dtype=object)[inv].tolist()
-    out = col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))
+def _fields(col: Iterable[object]) -> list[str]:
+    out = fmt_column(col)
     text = "".join(out)
     return list(map(_quote, out)) if any(c in text for c in ',"\n\r') else out
+
+
+def _lone(fields: list[str]) -> list[str]:
+    # csv.writer quotes a lone empty field, so that its line is not blank
+    return [field or '""' for field in fields]
+
+
+def column_rows(header: Sequence[str], columns: Iterable[Iterable[object]]) -> str:
+    """The data rows of one column per header field, as CSV text for `render_csv`."""
+    cols = [_fields(col) for col in columns]
+    if len(cols) != len(header) or len(set(map(len, cols))) > 1:
+        raise ValueError(f"need one equal-length column for each of the {len(header)} header fields")
+    if len(cols) == 1:
+        cols = [_lone(cols[0])]
+    lines = list(map(",".join, zip(*cols)))
+    return "\n".join(lines + [""]) if lines else ""
 
 
 def _meta_line(command: str, params: dict[str, object]) -> str:
@@ -60,19 +85,15 @@ def render_csv(
     command: str,
     params: dict[str, object],
     header: Sequence[str],
-    columns: Iterable[Iterable[object]],
+    rows: str,
     trailer_comments: Sequence[str] = (),
 ) -> str:
-    head = _format_column(header)
-    cols = [_format_column(col) for col in columns]
-    if len(cols) != len(head) or len(set(map(len, cols))) > 1:
-        raise ValueError(f"need one equal-length column for each of the {len(head)} header fields")
-    if len(cols) == 1:  # csv.writer quotes a lone empty field, so that its line is not blank
-        head, *cols = ([field or '""' for field in col] for col in (head, *cols))
-    lines = [_meta_line(command, params), ",".join(head)]
-    lines += map(",".join, zip(*cols))
-    lines += [f"# {comment}" for comment in trailer_comments]
-    return "\n".join(lines) + "\n"
+    """The CSV text: meta line, header, `rows` (each ended by a newline), trailer comments."""
+    head = _fields(header)
+    if len(head) == 1:
+        head = _lone(head)
+    trailer = [f"# {comment}\n" for comment in trailer_comments]
+    return "".join([_meta_line(command, params), "\n", ",".join(head), "\n", rows, *trailer])
 
 
 def write_csv(
@@ -80,12 +101,12 @@ def write_csv(
     command: str,
     params: dict[str, object],
     header: Sequence[str],
-    columns: Iterable[Iterable[object]],
+    rows: str,
     trailer_comments: Sequence[str] = (),
 ) -> None:
     """Atomically write a CSV file; nothing is left behind on failure."""
     path = Path(path)
-    text = render_csv(command, params, header, columns, trailer_comments)
+    text = render_csv(command, params, header, rows, trailer_comments)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")

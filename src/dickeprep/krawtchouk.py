@@ -44,10 +44,13 @@ K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
 `symfunc.quarter_slice` carries its one column this way instead of
 rebuilding every n from scratch.
 
-`column_strings` gives the matrix as decimal text for the `krawtchouk`
-dump.  The palindrome and the mirror hold each |K_i(k, n)| up to four
-times, so only the half columns k >= n/2 go through `str`; every other cell
-adds or drops a leading "-" (a zero stays "0").
+`dump_rows` gives the matrix as the rows of the `krawtchouk` dump,
+"i,K_i(0, n),...,K_i(n, n)", in one text.  Only the quarter block i, k <= n/2
+goes through `str` (taken, by the mirror, from the half columns k >= n/2 that
+the stepper yields): the mirror fills out rows i <= n/2 with the same texts
+reversed, signs flipped at odd i, and the palindrome gives row n-i from row
+i with signs flipped at odd k.  A sign flip adds or drops a leading "-" (a
+zero stays "0").
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ from operator import add, mul, sub
 __all__ = [
     "abs_column_sum",
     "column",
-    "column_strings",
     "columns",
+    "dump_rows",
     "krawtchouk",
     "matrix",
 ]
@@ -160,27 +163,29 @@ def columns(n: int) -> list[list[int]]:
     return cols
 
 
-def column_strings(n: int) -> list[list[str]]:
-    """The decimal text of every entry of columns(n), each |K_i(k, n)| formatted once.
+def dump_rows(n: int) -> str:
+    """The rows "i,K_i(0, n),...,K_i(n, n)" for i = 0..n, each ended by a newline.
 
-    Only the half columns k >= n/2 go through `str`; the palindrome and the
-    mirror give every other entry by adding or dropping a leading "-".
+    Each |K_i(k, n)| of the quarter block i, k <= n/2 goes through `str`
+    once; the mirror and the palindrome give every other entry by adding or
+    dropping a leading "-".
     """
     if n < 0:
         raise ValueError(f"n={n} must be non-negative")
-    cols: list[list[str]] = [[]] * (n + 1)
-    tail = n - n // 2  # entries i > n//2, which are K_{n-i}: n-i = tail-1, ..., 0
-    for k, half in zip(range(n // 2 + 1), descending_columns(n)):
-        text = list(map(str, half))
-        neg = [t[1:] if t[0] == "-" else t if t == "0" else "-" + t for t in text]  # "0" stays "0"
-        odd = (n - k) & 1
-        col = text + (neg if odd else text)[:tail][::-1]
-        col_neg = neg + (text if odd else neg)[:tail][::-1]
-        cols[n - k] = col
-        mirror = col[:]  # K_i(k, n) = (-1)^i K_i(n-k, n)
-        mirror[1::2] = col_neg[1::2]
-        cols[k] = mirror
-    return cols
+    h = n // 2
+    # column j of the block is K_i(n - j, n) for i <= h, the half column the stepper yields
+    block = [list(map(str, half)) for _, half in zip(range(h + 1), descending_columns(n))]
+    top, bottom = [], []
+    for i, pos in enumerate(zip(*block)):  # pos[j] = K_i(n - j, n) = (-1)^i K_i(j, n)
+        neg = [t[1:] if t[0] == "-" else t if t == "0" else "-" + t for t in pos]  # "0" stays "0"
+        # k <= h from K_i(k, n) = (-1)^i K_i(n - k, n), k > h from pos itself
+        row = [str(i), *(neg if i & 1 else pos), *pos[:n - h][::-1]]
+        top.append(",".join(row))
+        if n - i > h:  # row n - i: K_{n-i}(k, n) = (-1)^k K_i(k, n)
+            flipped = [str(n - i), *(pos if i & 1 else neg), *neg[:n - h][::-1]]  # -K_i(k, n)
+            flipped[1::2] = row[1::2]  # even k keep the sign of row i
+            bottom.append(",".join(flipped))
+    return "\n".join([*top, *bottom[::-1], ""])
 
 
 def matrix(n: int) -> tuple[tuple[int, ...], ...]:

@@ -18,8 +18,9 @@ column, so it walks the columns one at a time with the additive stepper
 `krawtchouk.descending_columns`.  `quarter_slice` walks along n instead: it
 carries the single column k = n//4 by the Pascal step
 `krawtchouk.next_half_column` (one add per half-column entry, where a step
-in k costs two), with C(n, k) carried by one exact multiply and divide, and
-each value is the same correctly rounded ratio as the per-n profile's.
+in k costs two), with C(n, k) from `quarter_binomials` (carried by one
+exact multiply and divide, a list the caller shares with the Childs column),
+and each value is the same correctly rounded ratio as the per-n profile's.
 
 `c_minima` prints only the minimum of each profile, c(n) = min_k c_k(n)
 with c_k(n) = C(n, k) S(k, n)^2 sqrt(n) / 4^n and S(k, n) = sum_i |K_i(k, n)|,
@@ -146,6 +147,7 @@ __all__ = [
     "dj_optimal_profile",
     "dj_optimal_profile_strings",
     "optimal_function",
+    "quarter_binomials",
     "quarter_slice",
     "reduced_walsh_spectrum",
     "spectrum_value",
@@ -836,7 +838,7 @@ def dj_optimal_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
     return half + half[: n - n // 2][::-1]
 
 
-def _quarter_binomials(max_n: int) -> list[int]:
+def quarter_binomials(max_n: int) -> list[int]:
     """[C(n, n // 4) for n in 0..max_n], each from the last by one exact multiply and divide."""
     out = [1]
     for n in range(1, max_n + 1):
@@ -845,18 +847,19 @@ def _quarter_binomials(max_n: int) -> list[int]:
     return out
 
 
-def quarter_slice(max_n: int) -> list[float]:
+def quarter_slice(max_n: int, binoms: Sequence[int]) -> list[float]:
     """dj_optimal_profile(n)[n // 4] for n = 0..max_n, one carried column.
 
     Column k = n//4 goes from n to n+1 by the Pascal step (1+z), or by
-    (1-z) to column k+1 where (n+1)//4 > k, with C(n, k) from
-    `_quarter_binomials`.  Each value is the same correctly rounded ratio
-    as float(symstate.dj_optimal_success_exact(n, n // 4)).
+    (1-z) to column k+1 where (n+1)//4 > k, with C(n, k) from binoms, the
+    list quarter_binomials(max_n), which a caller shares with
+    symstate.childs_quarter_slice_strings.  Each value is the same correctly
+    rounded ratio as float(symstate.dj_optimal_success_exact(n, n // 4)).
     """
     if max_n < 0:
         raise ValueError(f"max_n={max_n} must be non-negative")
     out, half = [], [1]  # column 0 at n = 0
-    for n, binom in enumerate(_quarter_binomials(max_n)):
+    for n, binom in enumerate(binoms):
         if n:
             k = (n - 1) // 4
             half = next_half_column(half, k, n - 1, n // 4 > k)

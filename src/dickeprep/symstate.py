@@ -38,7 +38,7 @@ IEEE products round (a product by 1 is exact).  With e(v) roundings in v^v,
 e(1) = 0, e(2v) = 2 e(v) + 1 and e(v + 1) = e(v) + 1 give e(v) = v - 1, so
 entry v is within gamma_(v-1) = (v-1)u / (1 - (v-1)u) of v^v, u = 2^-53
 (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1).  The
-exact C(n, w), from the binomial half row or `symfunc._quarter_binomials`,
+exact C(n, w), from the binomial half row or `symfunc.quarter_binomials`,
 is rounded once at any size by `symfunc._frexp_ints`, to a mantissa and an
 int64 exponent.  Then p~ = C V[w] V[n-w] / V[n] takes
 1 + (w-1) + (n-w-1) + (n-1) + 3 = 2n + 1 roundings for 0 < w < n, so
@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import StateError, UnreachableTargetError
 from .krawtchouk import abs_column_sum, column
-from .symfunc import (SymmetricBooleanFunction, _U, _certified_strings, _frexp_ints, _quarter_binomials,
+from .symfunc import (SymmetricBooleanFunction, _U, _certified_strings, _frexp_ints,
                       reduced_walsh_spectrum, spectrum_value)
 
 __all__ = [
@@ -278,17 +278,18 @@ def childs_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
     return half + half[: n - n // 2][::-1]
 
 
-def childs_quarter_slice_strings(max_n: int) -> list[str]:
+def childs_quarter_slice_strings(max_n: int, binoms: Sequence[int]) -> list[str]:
     """[csvio.fmt(childs_probability(n, n // 4)) for n in 0..max_n], the same strings, from certified floats.
 
-    C(n, n//4) is carried along n as in symfunc.quarter_slice; each value
-    prints from its bounds when both give the same 9 digits, and otherwise
-    from the exact childs_probability(n, n // 4).
+    binoms is symfunc.quarter_binomials(max_n), C(n, n//4) carried along n
+    as for symfunc.quarter_slice; each value prints from its bounds when both
+    give the same 9 digits, and otherwise from the exact
+    childs_probability(n, n // 4).
     """
     if max_n < 0:
         raise ValueError(f"max_n={max_n} must be non-negative")
     ns = np.arange(max_n + 1)
-    _, lo, hi = _childs_float_bounds(_quarter_binomials(max_n), ns // 4, ns, _power_table(max_n))
+    _, lo, hi = _childs_float_bounds(binoms, ns // 4, ns, _power_table(max_n))
     return _certified_strings(lo, hi, lambda n: childs_probability(n, n // 4))
 
 

@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,13 @@ import pytest
 import dickeprep
 from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
-from dickeprep.krawtchouk import abs_column_sum, column, matrix
+from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix
 from dickeprep.search import RecordStore, SearchRecord
-from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, dj_optimal_profile, quarter_slice
+from dickeprep.symfunc import (SymmetricBooleanFunction, c_minima_bytes, dj_optimal_profile, quarter_binomials,
+                               quarter_slice)
 from dickeprep.symstate import dicke
+
+from csv_reference import render_per_value
 
 
 def run(capsys, *argv):
@@ -45,6 +49,49 @@ class TestKrawtchoukCommand:
         assert header[0] == "i"
         entries = tuple(tuple(int(v) for v in row[1:]) for row in rows)
         assert entries == matrix(6)
+
+    def test_matrix_same_bytes_as_csv_writer(self, capsys, tmp_path):
+        for n in range(201):
+            code, out, err = run(capsys, "krawtchouk", "--n", str(n))
+            assert (code, err) == (0, "")
+            header = ["i"] + [f"k{k}" for k in range(n + 1)]
+            rows = [(i, *row) for i, row in enumerate(zip(*columns(n)))]
+            assert out == render_per_value("krawtchouk", {"n": n}, header, rows), n
+            if n in (0, 1, 2, 57, 200):
+                path = tmp_path / "m.csv"
+                assert run(capsys, "krawtchouk", "--n", str(n), "--out", str(path))[:2] == (0, "")
+                assert path.read_bytes() == out.encode("utf-8")
+
+    def test_text_limit_refused_before_work(self, capsys, monkeypatch):
+        calls = []
+        real = cli.dump_rows
+
+        def watched(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(cli, "dump_rows", watched)
+        # the bound's decimal text passes 4300 digits here
+        for huge in (10**6, 10**4000):
+            code, out, err = run(capsys, "krawtchouk", "--n", str(huge))
+            assert code == 1 and out == "" and calls == []
+            with cli._full_integers():
+                expected = (f"error: --n {huge} needs up to {cli._krawtchouk_text_bytes(huge)} B of text, "
+                            f"over the limit {cli.MAX_KRAWTCHOUK_TEXT_BYTES} B")
+            assert err.splitlines() == [expected]
+        assert cli._krawtchouk_text_bytes(1030) <= cli.MAX_KRAWTCHOUK_TEXT_BYTES < cli._krawtchouk_text_bytes(1031)
+        # the bound holds: the text of every cell fits it
+        for n in (0, 1, 9, 160):
+            assert sum(len(str(v)) + 1 for col in columns(n) for v in col) <= cli._krawtchouk_text_bytes(n)
+        # the bound itself is accepted (checked at a lowered bound); --k prints one column, unbounded
+        monkeypatch.setattr(cli, "MAX_KRAWTCHOUK_TEXT_BYTES", cli._krawtchouk_text_bytes(5))
+        code, out, _ = run(capsys, "krawtchouk", "--n", "5")
+        assert code == 0 and len(out.splitlines()) == 8 and calls == [5]
+        code, out, err = run(capsys, "krawtchouk", "--n", "6")
+        assert code == 1 and out == "" and calls == [5]
+        assert err.splitlines() == ["error: --n 6 needs up to 196 B of text, over the limit 144 B"]
+        code, out, _ = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
+        assert code == 0 and len(out.splitlines()) == 9 and calls == [5]
 
     def test_column_stdout(self, capsys):
         code, out, _ = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
@@ -125,8 +172,9 @@ class TestCurvesCommand:
     def exact_csv(n):
         """The curves CSV with both columns from exact floats: dj_optimal_profile and childs_probability per w."""
         childs = [symstate.childs_probability(n, w) for w in range(n + 1)]
-        return csvio.render_csv("curves", {"n": n}, ["w", "dj_prob", "childs_prob"],
-                                [range(n + 1), dj_optimal_profile(n), childs])
+        header = ["w", "dj_prob", "childs_prob"]
+        return csvio.render_csv("curves", {"n": n}, header,
+                                csvio.column_rows(header, [range(n + 1), dj_optimal_profile(n), childs]))
 
     @pytest.mark.parametrize("n", [79, 80, 81, 95, 96, 97, 350, 527, 999, 1000, 1029, 1030, 1100, 2000, 2200, 4000])
     def test_same_bytes_as_exact_path(self, capsys, n):
@@ -179,10 +227,11 @@ class TestSweepQuarterCommand:
 
         dj and childs, when given, are longer such lists, of which the CSV takes the prefix.
         """
-        dj = quarter_slice(max_n) if dj is None else dj[: max_n + 1]
+        dj = quarter_slice(max_n, quarter_binomials(max_n)) if dj is None else dj[: max_n + 1]
         childs = quarter_childs(max_n) if childs is None else childs[: max_n + 1]
-        return csvio.render_csv("sweep-quarter", {"max_n": max_n}, ["n", "dj_prob", "childs_prob"],
-                                [range(4, max_n + 1), dj[4:], childs[4:]])
+        header = ["n", "dj_prob", "childs_prob"]
+        return csvio.render_csv("sweep-quarter", {"max_n": max_n}, header,
+                                csvio.column_rows(header, [range(4, max_n + 1), dj[4:], childs[4:]]))
 
     @pytest.mark.parametrize("max_n", [4, 159, 160, 161, 697, 1029, 1030, 1100])
     def test_same_bytes_as_exact_path(self, capsys, max_n):
@@ -191,7 +240,7 @@ class TestSweepQuarterCommand:
         assert out == self.exact_csv(max_n)
 
     def test_float_path_same_bytes_at_every_small_n(self, capsys):
-        dj, childs = quarter_slice(400), quarter_childs(400)  # each a prefix of the next
+        dj, childs = quarter_slice(400, quarter_binomials(400)), quarter_childs(400)  # each a prefix of the next
         for max_n in range(4, 401):
             _, out, _ = run(capsys, "sweep-quarter", "--max-n", str(max_n))
             assert out == self.exact_csv(max_n, dj, childs), max_n
@@ -389,6 +438,29 @@ class TestFullsimCommand:
         assert np.max(np.abs(amps - expected.amps)) < 1e-9
         assert {row[3] for row in rows} == {"0"}  # the amplitudes are real
         assert "# symmetric True" in path.read_text()
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_same_bytes_as_csv_writer(self, capsys, tmp_path, n):
+        # f = 0 at r = n / 2 leaves all but one amplitude exactly zero
+        values = (0, int(np.random.default_rng(n).integers(1, 1 << (n + 1))))
+        functions = [SymmetricBooleanFunction.from_value(n, value) for value in values]
+        for f, r in product(functions, (0.0, n / 3, n / 2, float(n))):
+            argv = ("fullsim", "--n", str(n), "--f", f.to_hex(), "--r", repr(r))
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            state = fullsim.biased_dj_output(f, r)
+            profile = fullsim.weight_profile(state)
+            rows = zip([format(x, f"0{n}b") for x in range(1 << n)], fullsim.weights(n).tolist(),
+                       state.amps.tolist(), [0.0] * (1 << n))
+            trailer = [f"weight {k} amplitude {csvio.fmt(profile.amplitudes[k])} "
+                       f"deviation {csvio.fmt(profile.deviations[k])}" for k in range(n + 1)]
+            trailer.append(f"symmetric {profile.symmetric}")
+            params = {"n": n, "f": f.to_hex(), "r": r}
+            expected = render_per_value("fullsim", params, ["x", "weight", "re", "im"], rows, trailer)
+            assert out == expected, (n, r)
+            path = tmp_path / "full.csv"
+            assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+            assert path.read_bytes() == out.encode("utf-8")
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ("fullsim", "--n", "6", "--f", "2A", "--r", "2.5")

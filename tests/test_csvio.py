@@ -1,23 +1,9 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 
-from dickeprep.csvio import _meta_line, fmt, render_csv
+from dickeprep.csvio import column_rows, fmt, render_csv
 
-
-def render_per_value(command, params, header, rows, trailer_comments=()):
-    """The reference renderer: fmt on every value, one writerow per row."""
-    buf = io.StringIO()
-    buf.write(_meta_line(command, params) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    for comment in trailer_comments:
-        buf.write(f"# {comment}\n")
-    return buf.getvalue()
+from csv_reference import render_per_value
 
 
 SUBNORMAL = 5e-324
@@ -68,13 +54,13 @@ def test_bytes_match_per_value_formatting(name):
     header, cols = CASES[name]
     params = {"n": 3, "case": name.replace(" ", "_")}
     trailer = ["done"]
-    got = render_csv("demo", params, header, cols, trailer).encode("utf-8")
+    got = render_csv("demo", params, header, column_rows(header, cols), trailer).encode("utf-8")
     assert got == render_per_value("demo", params, header, zip(*cols), trailer).encode("utf-8")
 
 
 def test_generator_columns():
     cols = [[1, 2], [0.5, 0.25], ["a", "b"]]
-    got = render_csv("demo", {}, ["i", "p", "s"], (iter(col) for col in cols))
+    got = render_csv("demo", {}, ["i", "p", "s"], column_rows(["i", "p", "s"], (iter(col) for col in cols)))
     assert got == render_per_value("demo", {}, ["i", "p", "s"], zip(*cols))
 
 
@@ -86,13 +72,15 @@ def test_generator_columns():
 ])
 def test_columns_must_match_header(cols):
     with pytest.raises(ValueError, match="fields"):
-        render_csv("demo", {}, ["a", "b"], cols)
+        column_rows(["a", "b"], cols)
 
 
 def test_carriage_return_raises():
     # csv.writer leaves it unquoted here, and csv.reader then splits the line at it
     with pytest.raises(ValueError, match="carriage return"):
-        render_csv("demo", {}, ["s"], [["a\rb"]])
+        column_rows(["s"], [["a\rb"]])
+    with pytest.raises(ValueError, match="carriage return"):
+        render_csv("demo", {}, ["a\rb"], "")
 
 
 def test_str_column_passes_through_without_fmt(monkeypatch):
@@ -100,6 +88,13 @@ def test_str_column_passes_through_without_fmt(monkeypatch):
 
     calls = []
     monkeypatch.setattr(csvio, "fmt", lambda v: calls.append(v) or fmt(v))
-    got = render_csv("demo", {}, ["a", "b"], [["1", "-2"], [3, "x"]])
+    got = render_csv("demo", {}, ["a", "b"], column_rows(["a", "b"], [["1", "-2"], [3, "x"]]))
     assert got == render_per_value("demo", {}, ["a", "b"], [("1", 3), ("-2", "x")])
     assert calls == [3, "x"]  # only the column that is not all str
+
+
+def test_rows_text_passes_through():
+    # the dumps hand render_csv their rows as one text; only the header is formatted here
+    got = render_csv("demo", {"n": 1}, ["x", 'q"'], "a,1\nb,2\n", ["done"])
+    assert got == render_per_value("demo", {"n": 1}, ["x", 'q"'], [("a", 1), ("b", 2)], ["done"])
+    assert render_csv("demo", {}, [""], "") == render_per_value("demo", {}, [""], [])

@@ -4,9 +4,9 @@ from math import comb
 from dickeprep.krawtchouk import (
     abs_column_sum,
     column,
-    column_strings,
     columns,
     descending_columns,
+    dump_rows,
     krawtchouk,
     matrix,
     next_half_column,
@@ -180,21 +180,30 @@ def test_pascal_step_matches_column_up_to_64():
             assert half == list(column(k, n)[: n // 2 + 1])  # the input is left as it was
 
 
-def test_column_strings_are_str_of_columns_up_to_64():
+def dump_cells(n):
+    """dump_rows(n) split into its cells: [i][k] is the text of K_i(k, n), the i column dropped."""
+    text = dump_rows(n)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert [line.split(",", 1)[0] for line in lines] == [str(i) for i in range(n + 1)]
+    return [line.split(",")[1:] for line in lines]
+
+
+def test_dump_rows_are_str_of_columns_up_to_64():
     for n in range(0, 65):
-        assert column_strings(n) == [list(map(str, col)) for col in columns(n)], n
+        assert dump_cells(n) == [list(map(str, row)) for row in zip(*columns(n))], n
     with pytest.raises(ValueError, match="n="):
-        column_strings(-1)
+        dump_rows(-1)
 
 
-def test_column_strings_never_print_negative_zero():
+def test_dump_rows_never_print_negative_zero():
     # K_3(1, 6) = 0 reaches column 5 through the mirror's sign flip; K_2(3, 9) = 0
     assert krawtchouk(3, 1, 6) == 0 and krawtchouk(3, 5, 6) == 0
-    assert column_strings(6)[5][3] == "0" and column_strings(6)[1][3] == "0"
+    assert dump_cells(6)[3][5] == "0" and dump_cells(6)[3][1] == "0"
     assert krawtchouk(2, 3, 9) == 0
-    assert column_strings(9)[3][2] == "0" and column_strings(9)[6][2] == "0"
+    assert dump_cells(9)[2][3] == "0" and dump_cells(9)[2][6] == "0"
     for n in range(0, 65):
-        assert not any("-0" == t for col in column_strings(n) for t in col), n
+        assert not any("-0" == t for row in dump_cells(n) for t in row), n
 
 
 def test_stepper_domain_error():

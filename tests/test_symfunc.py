@@ -25,7 +25,6 @@ from dickeprep.symfunc import (
     _dj_float_bounds,
     _frexp_ints,
     _lane_layout,
-    _quarter_binomials,
     _sqrt_ratios,
     c_minima,
     c_minima_bytes,
@@ -34,6 +33,7 @@ from dickeprep.symfunc import (
     dj_optimal_profile,
     dj_optimal_profile_strings,
     optimal_function,
+    quarter_binomials,
     quarter_slice,
     reduced_walsh_spectrum,
     spectrum_value,
@@ -342,21 +342,21 @@ class TestCarriedColumns:
     def test_quarter_slice_matches_exact_optimum(self):
         from dickeprep.symstate import dj_optimal_success_exact
 
-        got = quarter_slice(400)
+        got = quarter_slice(400, quarter_binomials(400))
         assert got == [float(dj_optimal_success_exact(n, n // 4)) for n in range(401)]
-        assert quarter_slice(0) == [1.0]
-        assert quarter_slice(9) == got[:10]
+        assert quarter_slice(0, [1]) == [1.0]
+        assert quarter_slice(9, quarter_binomials(9)) == got[:10]
 
     def test_quarter_binomials_exact(self):
         # past the float range from n = 1270, where C(n, n // 4) first passes 2^1024
-        assert _quarter_binomials(1300) == [comb(n, n // 4) for n in range(1301)]
-        assert _quarter_binomials(0) == [1]
+        assert quarter_binomials(1300) == [comb(n, n // 4) for n in range(1301)]
+        assert quarter_binomials(0) == [1]
 
     def test_quarter_slice_matches_profile(self):
-        got = quarter_slice(64)
+        got = quarter_slice(64, quarter_binomials(64))
         assert got == [dj_optimal_profile(n)[n // 4] for n in range(65)]
         with pytest.raises(ValueError, match="max_n="):
-            quarter_slice(-1)
+            quarter_slice(-1, [])
 
 
 @pytest.fixture(scope="module")

@@ -214,11 +214,15 @@ def childs_bounds(n):
     return symstate._childs_float_bounds(half_row(n), ws, n, symstate._power_table(n))
 
 
+def quarter_row(max_n):
+    """[C(n, n // 4) for n = 0..max_n], exact."""
+    return [comb(n, n // 4) for n in range(max_n + 1)]
+
+
 def quarter_bounds(max_n):
     """symstate._childs_float_bounds over the quarter slice n = 0..max_n."""
     ns = np.arange(max_n + 1)
-    binoms = [comb(n, n // 4) for n in range(max_n + 1)]
-    return symstate._childs_float_bounds(binoms, ns // 4, ns, symstate._power_table(max_n))
+    return symstate._childs_float_bounds(quarter_row(max_n), ns // 4, ns, symstate._power_table(max_n))
 
 
 def inside(lo, hi, num, den):
@@ -275,8 +279,8 @@ class TestCertifiedChildsStrings:
         assert childs_profile_strings(n, half_row(n)) == childs_strings(n)
 
     def test_quarter_slice_same_strings(self):
-        assert childs_quarter_slice_strings(1300) == quarter_strings(1300)
-        assert childs_quarter_slice_strings(0) == ["1"]
+        assert childs_quarter_slice_strings(1300, quarter_row(1300)) == quarter_strings(1300)
+        assert childs_quarter_slice_strings(0, [1]) == ["1"]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
     def test_widened_bounds_fall_back_to_same_strings(self, n, monkeypatch):
@@ -296,7 +300,7 @@ class TestCertifiedChildsStrings:
         assert childs_profile_strings(n, half_row(n)) == childs_strings(n)
         assert calls == list(range(n // 2 + 1))
         calls.clear()
-        assert childs_quarter_slice_strings(n) == quarter_strings(n)
+        assert childs_quarter_slice_strings(n, quarter_row(n)) == quarter_strings(n)
         assert calls == [m // 4 for m in range(n + 1)]
 
     def test_non_finite_bounds_fall_back(self, monkeypatch):
@@ -308,7 +312,7 @@ class TestCertifiedChildsStrings:
 
             monkeypatch.setattr(symstate, "_childs_float_bounds", broken)
             assert childs_profile_strings(30, half_row(30)) == childs_strings(30)
-            assert childs_quarter_slice_strings(30) == quarter_strings(30)
+            assert childs_quarter_slice_strings(30, quarter_row(30)) == quarter_strings(30)
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_few_exact_fallbacks(self, n):
@@ -322,7 +326,7 @@ class TestCertifiedChildsStrings:
         with pytest.raises(ValueError, match="n="):
             childs_profile_strings(-1, ())
         with pytest.raises(ValueError, match="max_n="):
-            childs_quarter_slice_strings(-1)
+            childs_quarter_slice_strings(-1, [])
 
 
 class TestBiasedDJ:
