@@ -6,7 +6,8 @@ byte-identical files), then a header row, then data rows.  Probabilities are
 printed to 9 significant digits; exact integers in full.
 
 `render_csv` returns the text of every CSV: the meta line, the header, the
-data rows (one text, each row ended by a newline) and the trailer comments.
+data rows (one text, each row ended by a newline) and the trailer comments;
+`write_csv` writes the same bytes to a file without joining them first.
 The dumps (`krawtchouk --n`, `fullsim`) build their rows directly; the other
 commands pass their data as columns, one per header field, through
 `column_rows`.  There a float or int ndarray is formatted once per distinct
@@ -81,6 +82,17 @@ def _meta_line(command: str, params: dict[str, object]) -> str:
     return "# " + " ".join(parts)
 
 
+def _frame(
+    command: str, params: dict[str, object], header: Sequence[str], trailer_comments: Sequence[str]
+) -> tuple[str, str]:
+    """The text before the data rows (meta line, header) and after them (trailer comments)."""
+    head = _fields(header)
+    if len(head) == 1:
+        head = _lone(head)
+    trailer = "".join(f"# {comment}\n" for comment in trailer_comments)
+    return "".join([_meta_line(command, params), "\n", ",".join(head), "\n"]), trailer
+
+
 def render_csv(
     command: str,
     params: dict[str, object],
@@ -89,11 +101,8 @@ def render_csv(
     trailer_comments: Sequence[str] = (),
 ) -> str:
     """The CSV text: meta line, header, `rows` (each ended by a newline), trailer comments."""
-    head = _fields(header)
-    if len(head) == 1:
-        head = _lone(head)
-    trailer = [f"# {comment}\n" for comment in trailer_comments]
-    return "".join([_meta_line(command, params), "\n", ",".join(head), "\n", rows, *trailer])
+    head, trailer = _frame(command, params, header, trailer_comments)
+    return "".join([head, rows, trailer])
 
 
 def write_csv(
@@ -104,12 +113,20 @@ def write_csv(
     rows: str,
     trailer_comments: Sequence[str] = (),
 ) -> None:
-    """Atomically write a CSV file; nothing is left behind on failure."""
+    """Atomically write the bytes of render_csv; nothing is left behind on failure.
+
+    `rows` goes to the file in slices of at most 2^20 characters, so no
+    joined or encoded copy of the whole text is made.
+    """
     path = Path(path)
-    text = render_csv(command, params, header, rows, trailer_comments)
+    head, trailer = _frame(command, params, header, trailer_comments)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(head)
+            for start in range(0, len(rows), 1 << 20):
+                fh.write(rows[start:start + (1 << 20)])
+            fh.write(trailer)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -30,8 +30,10 @@ Newton step on p'(theta) = 2 C(n,w) amp amp' costs one cos/sin evaluation
 per coefficient, and three or four steps reach the maximum.  The parts
 that do not depend on w -- the float Krawtchouk rows behind the
 coefficients and the grid's cosines and sines at the same frequencies --
-form one basis per n (_basis), shared by every w at that n and kept in an
-LRU cache of 8 sizes, for n <= 64 only, which bounds it at 2.2 MiB.  Every
+form one basis per n (_basis).  exhaustive_search, which visits one n at
+many w, reads it from an LRU cache of 8 sizes, shared by every w at that n;
+its n <= MAX_EXHAUSTIVE_N bounds the cache at 1.64 MiB.  optimize_r, one
+call per (f, w), builds its own basis and leaves the cache alone.  Every
 float is the same whether or not the basis was cached.  A function and its
 complement have exactly negated coefficients, so they tie bit for bit and
 only the member with f_n = 0 is kept.  Mirror pairs also tie exactly:
@@ -70,11 +72,10 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 48
 _GRID_POINTS = 512  # r grid of every maximization, see _grid
-# bases kept, one per n, for n <= _BASIS_CACHE_N only: at n = 64 a basis is
-# 33 x 65 Krawtchouk floats and 512 x 66 wave floats, so at most
-# 8 x (33 x 65 + 512 x 66) x 8 B = 2.2 MiB
+# bases kept, one per n; only exhaustive_search reads the cache, so n <= 48
+# and a basis is at most 25 x 49 Krawtchouk floats and 512 x 50 wave floats:
+# 8 x (25 x 49 + 512 x 50) x 8 B = 1.64 MiB
 _BASIS_CACHE = 8
-_BASIS_CACHE_N = 64
 # Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
 # bisection toward a root near theta = 0 does not run down into denormals
 _THETA_STEP = 4.0 * float(np.spacing(np.pi / 2))
@@ -117,9 +118,12 @@ def _theta(n: int, rs: np.ndarray) -> np.ndarray:
 
 
 def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """[cos(lam theta), sin(lam theta)] per bias r, with sin^2(theta) = r/n."""
+    """[cos(lam theta), sin(lam theta)] per bias r, with sin^2(theta) = r/n: (R, 2L), row-major."""
     phase = _theta(n, rs)[:, None] * lam[None, :]
-    return np.hstack([np.cos(phase), np.sin(phase)])
+    out = np.empty((phase.shape[0], 2 * lam.size))
+    np.cos(phase, out=out[:, :lam.size])
+    np.sin(phase, out=out[:, lam.size:])
+    return out
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE)
@@ -148,7 +152,8 @@ def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return K, waves
 
 
-def _spectrum(n: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectrum(n: int, w: int, basis: tuple[np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Fourier form of the biased-DJ inner sums T_i(theta) at weight w.
 
     With sin^2(theta) = r/n the bias layer is B = R(theta) Z, and on the
@@ -163,17 +168,18 @@ def _spectrum(n: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a sine part only.  Returns (lam, T, waves): lam = n % 2, ..., n, T of
     shape (n+1, 2L) with
       T_i(theta) = sum_l T[i, l] cos(lam_l theta) + T[i, L+l] sin(lam_l theta),
-    and the grid waves of _basis.  Scaled as K_i(l)/2^n times
+    and the grid waves of the basis.  Scaled as K_i(l)/2^n times
     K_l(w)/2^{n/2}, each entry is within a few ulps and exact zeros stay 0;
-    from n = 1030 the floats overflow (OverflowError).
+    from n = 1030 the floats overflow (OverflowError, raised by _basis).
 
-    The basis does not depend on w, and for n <= 64 the last 8 are kept,
-    so each further w at the same n costs a few (n+1)^2/2 elementwise
-    products.
+    `basis` is _basis(n), which does not depend on w: exhaustive_search
+    passes the cached one, so each further w at the same n costs a few
+    (n+1)^2/2 elementwise products, and optimize_r builds its own with
+    _basis.__wrapped__, which leaves the cache alone.
     """
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    K, waves = (_basis if n <= _BASIS_CACHE_N else _basis.__wrapped__)(n)
+    K, waves = basis
     h = n // 2
     lam = np.arange(n - 2 * h, n + 1, 2)
     # K_l(w, n) for l >= n/2: row w, or (-1)^l K_l(n - w, n) from row n - w
@@ -252,7 +258,7 @@ def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarra
 
 
 def _optimize_batch(n: int, w: int, signs: np.ndarray,
-                    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray]
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row global max of p(r) on [0, n]: grid scan, then Newton in theta.
 
@@ -260,12 +266,12 @@ def _optimize_batch(n: int, w: int, signs: np.ndarray,
     its neighbours.  Inside that bracket Newton refines the root of
     p'(theta) = 2 C(n,w) amp amp'; p at the result is then compared with p at
     both bracket ends, so an endpoint maximum is kept.  The start and both
-    ends are grid points, so their cosines and sines are rows of the cached
+    ends are grid points, so their cosines and sines are rows of the basis's
     grid waves; only Newton's iterates and its result evaluate new ones.
-    `spectrum` is _spectrum(n, w), when the caller already has it.
+    `spectrum` is _spectrum(n, w, basis).
     """
     grid = _grid(n)
-    lam, T, waves = _spectrum(n, w) if spectrum is None else spectrum
+    lam, T, waves = spectrum
     coef = signs @ T  # each row's [a_l | b_l]
     scale = comb(n, w)
     P = scale * (coef @ waves.T) ** 2  # (F, G)
@@ -292,12 +298,14 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     The r grid (ties keep the leftmost point), then Newton's method in theta
     inside the bracket of the winning grid point; a bracket end that is at
     least as high is returned instead, so an endpoint maximum is kept.
+    One call reads one basis once, so it builds its own and caches nothing.
     """
     if f.n < 1:
         raise ValueError(f"n={f.n} must be positive")
     if not 0 <= w <= f.n:
         raise ValueError(f"w={w} out of range [0, {f.n}]")
-    r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float))
+    spectrum = _spectrum(f.n, w, _basis.__wrapped__(f.n))
+    r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float), spectrum)
     return float(r[0]), float(p[0])
 
 
@@ -319,16 +327,16 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
 
     Candidates are the sign-rule functions f_i = [T_i(r) < 0] at the grid
     biases, each maximized over r as in optimize_r, from one spectrum of
-    (n, w) shared by the collection and the refinement; the highest p wins, then
-    the lowest function value, and the winner is relabelled to the lower
-    (value, r) member of its mirror pair.
+    (n, w), on the cached basis of n, shared by the collection and the
+    refinement; the highest p wins, then the lowest function value, and the
+    winner is relabelled to the lower (value, r) member of its mirror pair.
     """
     _check_bound(n)
     if n < 1:
         raise ValueError(f"n={n} must be positive")
     if not 0 <= w <= n:
         raise ValueError(f"w={w} out of range [0, {n}]")
-    _, T, waves = spectrum = _spectrum(n, w)
+    _, T, waves = spectrum = _spectrum(n, w, _basis(n))
     negative = (T @ waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0

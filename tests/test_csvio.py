@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dickeprep.csvio import column_rows, fmt, render_csv
+from dickeprep.csvio import column_rows, fmt, render_csv, write_csv
 
 from csv_reference import render_per_value
 
@@ -98,3 +98,32 @@ def test_rows_text_passes_through():
     got = render_csv("demo", {"n": 1}, ["x", 'q"'], "a,1\nb,2\n", ["done"])
     assert got == render_per_value("demo", {"n": 1}, ["x", 'q"'], [("a", 1), ("b", 2)], ["done"])
     assert render_csv("demo", {}, [""], "") == render_per_value("demo", {}, [""], [])
+
+
+def test_write_csv_is_render_csv_in_slices(tmp_path):
+    # rows of more than one 2^20-character slice, two-byte characters across
+    # the slice edges, a single-field header and trailer comments
+    rows = "".join(f"{i},\u00e9{'x' * (i % 7)}\n" for i in range(200_000))
+    assert len(rows) > 2 * (1 << 20)
+    for header, trailer in ((["i", "s"], ["done", "again"]), ([""], [])):
+        path = tmp_path / "out.csv"
+        write_csv(path, "demo", {"n": 3}, header, rows, trailer)
+        assert path.read_bytes() == render_csv("demo", {"n": 3}, header, rows, trailer).encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    path = tmp_path / "empty.csv"
+    write_csv(path, "demo", {}, ["a"], "")
+    assert path.read_bytes() == render_csv("demo", {}, ["a"], "").encode("utf-8")
+
+
+def test_write_csv_failure_leaves_nothing_behind(tmp_path):
+    # a lone surrogate past the first slice fails the utf-8 encoding mid-write
+    path = tmp_path / "out.csv"
+    path.write_text("old\n", encoding="utf-8")
+    rows = "a\n" * (1 << 20) + "\ud800\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_csv(path, "demo", {}, ["a"], rows)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_text(encoding="utf-8") == "old\n"
+    with pytest.raises(ValueError, match="carriage return"):
+        write_csv(tmp_path / "new.csv", "demo", {}, ["a\rb"], "")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -116,10 +117,15 @@ def mirror(f):
     return complement(g) if g.bits[f.n] else g
 
 
+def cold_spectrum(n, w):
+    """_spectrum(n, w) on a basis built for this call alone, as optimize_r builds it."""
+    return search._spectrum(n, w, search._basis.__wrapped__(n))
+
+
 def brute_force(n, w):
     """Reference scan: every one of the 2^(n+1) functions through the batch kernel."""
     values = np.arange(1 << (n + 1), dtype=np.int64)
-    r, p = search._optimize_batch(n, w, search._sign_rows(n, values))
+    r, p = search._optimize_batch(n, w, search._sign_rows(n, values), cold_spectrum(n, w))
     idx = int(np.argmax(p))  # highest p, then lowest value
     return SymmetricBooleanFunction.from_value(n, int(values[idx])), float(r[idx]), float(p[idx])
 
@@ -143,7 +149,7 @@ class TestSignRuleSearch:
         theta = np.linspace(0.0, np.pi / 2, 8001)
         for n in (12, 24, 36, 48):
             for w in (1, n // 4, n // 2, 3 * n // 4, n - 1):
-                lam, coef, _ = search._spectrum(n, w)
+                lam, coef, _ = cold_spectrum(n, w)
                 phase = np.outer(lam, theta)
                 T = coef @ np.vstack([np.cos(phase), np.sin(phase)])
                 envelope = comb(n, w) * float(np.max(np.abs(T).sum(axis=0))) ** 2
@@ -179,7 +185,7 @@ class TestSpectralKernel:
                 assert optimize_r(f, w) == optimize_r(complement(f), w)
         n, w = 8, 3
         values = np.arange(1 << (n + 1), dtype=np.int64)
-        r, p = search._optimize_batch(n, w, search._sign_rows(n, values))
+        r, p = search._optimize_batch(n, w, search._sign_rows(n, values), cold_spectrum(n, w))
         assert np.array_equal(p, p[::-1]) and np.array_equal(r, r[::-1])
 
     def test_scan_tie_keeps_lower_complement(self):
@@ -200,7 +206,7 @@ class TestNewtonRefinement:
         cells += [(n, w) for n in (17, 24, 31, 40, 48) for w in (1, n // 4, n // 2, n - 3)]
         for n, w in cells:
             signs = search._sign_rows(n, search_reference.candidates(n, w))
-            _, p = search._optimize_batch(n, w, signs)
+            _, p = search._optimize_batch(n, w, signs, cold_spectrum(n, w))
             _, p_ref = search_reference.optimize_batch(n, w, signs)
             assert np.all(p >= p_ref - 2e-15), (n, w)
 
@@ -240,9 +246,9 @@ class TestNewtonRefinement:
         calls = []
         real = search._spectrum
 
-        def counted(n, w):
+        def counted(n, w, basis):
             calls.append((n, w))
-            return real(n, w)
+            return real(n, w, basis)
 
         monkeypatch.setattr(search, "_spectrum", counted)
         exhaustive_search(9, 4)
@@ -256,7 +262,8 @@ def _evict_basis(keep: int):
 
 
 class TestSharedBasis:
-    """The w-independent basis is built once per n; results do not depend on it."""
+    """exhaustive_search builds the w-independent basis once per n, optimize_r
+    builds its own per call; results do not depend on either."""
 
     CASES = [
         *((n, w, "cell") for n in (6, 11, 24, 48) for w in (1, n // 3, n // 2, n - 1)),
@@ -273,9 +280,12 @@ class TestSharedBasis:
         for n, w, kind in self.CASES:
             search._basis.cache_clear()
             cold = self._result(n, w, kind)
-            hits = search._basis.cache_info().hits
+            info = search._basis.cache_info()
             warm = self._result(n, w, kind)
-            assert search._basis.cache_info().hits > hits
+            if kind == "cell":
+                assert search._basis.cache_info().hits > info.hits
+            else:
+                assert search._basis.cache_info() == info
             _evict_basis(n)
             evicted = self._result(n, w, kind)
             assert cold == warm == evicted, (n, w, kind)
@@ -289,21 +299,58 @@ class TestSharedBasis:
                 waves[0, 0] = 2.0
 
     def test_cache_bound(self):
-        # the search reaches the basis only through _spectrum's bounds
-        # (the bounds themselves: TestKrawtchoukFloats in test_symstate)
+        # only exhaustive_search, n <= 48, fills the cache; optimize_r at any n
+        # leaves it as it was (the byte bound: TestKrawtchoukFloats in test_symstate)
         cache = search._basis
         cache.cache_clear()
-        optimize_r(optimal_function(65, 9), 9)
-        assert cache.cache_info().currsize == 0
-        for n in range(40, 50):
+        for n in range(41, 49):
+            exhaustive_search(n, 3)
+        info = cache.cache_info()
+        assert info.currsize == search._BASIS_CACHE
+        for n in (65, *range(40, 50)):
             optimize_r(optimal_function(n, 3), 3)
-        assert cache.cache_info().currsize == search._BASIS_CACHE
+            assert cache.cache_info() == info, n
+        hits = info.hits
+        for n in range(41, 49):
+            exhaustive_search(n, 5)
+        assert cache.cache_info().hits == hits + 8
+
+    def test_one_shot_fits_keep_the_cells_basis(self):
+        # cells at n = 9 interleaved with one-shot fits at 25 other sizes: the
+        # fits build their own bases, so the n = 9 basis is built once
+        cold = []
+        for w in range(1, 9):
+            search._basis.cache_clear()
+            cold.append(exhaustive_search(9, w))
+        search._basis.cache_clear()
+        fits = iter(range(16, 41))
+        warm = []
+        for w in range(1, 9):
+            warm.append(exhaustive_search(9, w))
+            for m in islice(fits, 4):
+                optimize_r(optimal_function(m, m // 3), m // 3)
+        assert next(fits, None) is None
+        info = search._basis.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+        assert warm == cold
+
+    def test_waves_are_one_row_major_array(self):
+        # cos and sin written into one (R, 2L) array: the hstack of the two, bit for bit
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 6, 11, 48, 64, 301):
+            lam = np.arange(n % 2, n + 1, 2)
+            for rs in (search._grid(n), rng.random(7) * n, np.array([n / 2])):
+                waves = search._waves(n, lam, rs)
+                phase = search._theta(n, rs)[:, None] * lam[None, :]
+                want = np.hstack([np.cos(phase), np.sin(phase)])
+                assert waves.flags.c_contiguous and waves.shape == want.shape
+                assert np.array_equal(waves.view(np.int64), want.view(np.int64)), n
 
     def test_overflow_leaves_nothing_cached(self):
         # Krawtchouk entries pass the float range at n = 1030
         cache = search._basis
         cache.cache_clear()
-        for build in (cache, lambda n: search._spectrum(n, 1)):
+        for build in (cache, lambda n: optimize_r(SymmetricBooleanFunction.from_value(n, 0), 1)):
             with pytest.raises(OverflowError):
                 build(1030)
             assert cache.cache_info().currsize == 0
@@ -314,8 +361,9 @@ class TestRealSpectrum:
 
     def test_equals_fold_of_complex_closed_form(self):
         for n in range(65):
+            basis = search._basis.__wrapped__(n)
             for k in range(n + 1):
-                lam, coef, _ = search._spectrum(n, k)
+                lam, coef, _ = search._spectrum(n, k, basis)
                 lam_ref, coef_ref = search_reference.fold(
                     *search_reference.biased_amplitude_spectrum(n, k))
                 assert np.array_equal(lam, lam_ref), (n, k)
@@ -325,7 +373,7 @@ class TestRealSpectrum:
         # two candidates tie to an ulp at (43, 19) and at (43, 24), so the
         # rounding of signs @ T picks the stored function; a row-major T
         # stores 195555 and 32AAAA8 instead
-        assert search._spectrum(43, 19)[1].flags.f_contiguous
+        assert search._spectrum(43, 19, search._basis(43))[1].flags.f_contiguous
         assert exhaustive_search(43, 19).f_hex == "40000195555"
         assert exhaustive_search(43, 24).f_hex == "32AAAAA"
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dickeprep import cli, csvio, fullsim, search, symstate
-from dickeprep.errors import StateError, UnreachableTargetError
+from dickeprep.errors import ResourceLimitError, StateError, UnreachableTargetError
 from dickeprep.grover import amplify, plan_amplification
 from dickeprep.krawtchouk import abs_column_sum, column, columns
 from dickeprep.symfunc import (
@@ -529,15 +529,16 @@ class TestBiasedAmplitudeSpectrum:
         for n in range(31):
             rhos = np.concatenate([[0.0, 1.0], rng.random(3)])
             theta = np.arcsin(np.sqrt(rhos))  # sin^2(theta) = rho
+            basis = search._basis.__wrapped__(n)
             for k in range(n + 1):
-                lam, coef, _ = search._spectrum(n, k)
+                lam, coef, _ = search._spectrum(n, k, basis)
                 phase = np.outer(lam, theta)
                 got = coef @ np.vstack([np.cos(phase), np.sin(phase)])
                 assert np.max(np.abs(got - biased_amplitude_table(n, k, rhos))) <= 1e-13
 
     def test_frequencies_are_exact_integers(self):
         for n in (0, 1, 6, 33, 64):
-            lam, coef, waves = search._spectrum(n, n // 3)
+            lam, coef, waves = search._spectrum(n, n // 3, search._basis.__wrapped__(n))
             assert lam.dtype.kind == "i"
             assert lam.tolist() == list(range(n % 2, n + 1, 2))
             assert coef.shape == (n + 1, 2 * lam.size)
@@ -550,8 +551,9 @@ class TestBiasedAmplitudeSpectrum:
         # the cosine part for even k + i and in the sine part for odd k + i
         K = columns(n)  # K[l][i] = K_i(l, n)
         scale = 1 << (3 * n // 2)
+        basis = search._basis.__wrapped__(n)
         for k in (1, n // 4, n // 2):
-            lam, coef, _ = search._spectrum(n, k)
+            lam, coef, _ = search._spectrum(n, k, basis)
             a, b = coef[:, :lam.size], coef[:, lam.size:]
             for i in range(n + 1):
                 m = (k + i) % 4
@@ -572,21 +574,22 @@ class TestBiasedAmplitudeSpectrum:
         # the complex closed form that the real one folds: its column at -lam
         # is the exact conjugate of that at lam, so only lam >= 0 is kept
         for n in (1, 2, 12, 33, 100):
+            basis = search._basis.__wrapped__(n)
             for k in (0, 1, n // 3, n // 2, n):
                 lam, C = search_reference.biased_amplitude_spectrum(n, k)
                 assert np.array_equal(C[:, ::-1], C.conj())
-                assert np.array_equal(search_reference.fold(lam, C)[1], search._spectrum(n, k)[1])
+                assert np.array_equal(search_reference.fold(lam, C)[1], search._spectrum(n, k, basis)[1])
 
     def test_float_range(self):
         # Krawtchouk entries pass the float range at n = 1030
-        lam, coef, _ = search._spectrum(1029, 514)
+        lam, coef, _ = search._spectrum(1029, 514, search._basis.__wrapped__(1029))
         assert np.isfinite(coef).all()
         with pytest.raises(OverflowError):
-            search._spectrum(1030, 1)
+            search._basis.__wrapped__(1030)
 
     def test_weight_domain_error(self):
         with pytest.raises(ValueError, match="w="):
-            search._spectrum(4, 5)
+            search._spectrum(4, 5, search._basis.__wrapped__(4))
 
 
 class TestKrawtchoukFloats:
@@ -607,15 +610,19 @@ class TestKrawtchoukFloats:
         assert search._basis(5)[0][0, 0] == 1.0  # K_0(3, 5)
 
     def test_cache_bound(self):
-        # at most 8 bases, each of n <= 64: 8 x (33 x 65 + 512 x 66) x 8 B
+        # at most 8 bases, each of n <= 48, the sizes exhaustive_search takes:
+        # 8 x (25 x 49 + 512 x 50) x 8 B = 1.64 MiB
         cache = search._basis
         assert cache.cache_info().maxsize == search._BASIS_CACHE == 8
-        assert search._BASIS_CACHE_N == 64
+        assert search.MAX_EXHAUSTIVE_N == 48
+        largest = sum(a.nbytes for a in cache.__wrapped__(48))
+        assert 8 * largest == 8 * (25 * 49 + 512 * 50) * 8 < 1.64 * 2**20
         cache.cache_clear()
-        search._spectrum(65, 3)
+        with pytest.raises(ResourceLimitError):
+            search.exhaustive_search(49, 3)
         assert cache.cache_info().currsize == 0
-        for n in range(40, 50):
-            search._spectrum(n, 3)
+        for n in range(40, 49):
+            search.exhaustive_search(n, 3)
         assert cache.cache_info().currsize == 8
 
 
