@@ -18,9 +18,6 @@ from .krawtchouk import (
 )
 from .symfunc import (
     SymmetricBooleanFunction,
-    c_of_n,
-    c_profile,
-    dj_optimal_profile,
     optimal_function,
     reduced_walsh_spectrum,
     spectrum_value,
@@ -57,13 +54,10 @@ __all__ = [
     "abs_column_sum",
     "amplify",
     "biased_dj_state",
-    "c_of_n",
-    "c_profile",
     "childs_probability",
     "childs_state",
     "column",
     "dicke",
-    "dj_optimal_profile",
     "dj_optimal_success_exact",
     "dj_state",
     "dj_success_exact",

@@ -6,8 +6,8 @@ diffusion, and weight-grouped readout.  Basis convention: bit b of the integer
 index is qubit x_{b+1}, so the weight of the index equals wt(x).
 
 Every operator here is a real orthogonal matrix, so a state is 2^n float64
-amplitudes, and construction is capped (default 14 qubits, overridable only
-through DICKEPREP_FULLSIM_MAX_QUBITS).  A dense state counts as symmetric
+amplitudes, and construction is capped at MAX_QUBITS = 16 qubits (8 B per
+amplitude, 512 KiB a state).  A dense state counts as symmetric
 when every amplitude lies within 1e-10 of its weight class's mean.
 
 Both dense kernels are arranged for few numpy calls on long 1-D runs, and
@@ -27,7 +27,6 @@ one maximum.reduceat gives every deviation exactly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,9 +37,8 @@ from .symfunc import SymmetricBooleanFunction
 from .symstate import SymmetricState
 
 __all__ = [
-    "DEFAULT_MAX_QUBITS",
     "FullState",
-    "MAX_QUBITS_ENV",
+    "MAX_QUBITS",
     "WeightProfile",
     "apply_layer",
     "apply_phase_oracle",
@@ -48,27 +46,14 @@ __all__ = [
     "diffuse_about",
     "flip_weight",
     "from_symmetric",
-    "max_qubits",
     "to_symmetric",
     "weight_profile",
     "weights",
     "zero_state",
 ]
 
-DEFAULT_MAX_QUBITS = 14
-MAX_QUBITS_ENV = "DICKEPREP_FULLSIM_MAX_QUBITS"
+MAX_QUBITS = 16  # the dense-simulation cap
 _SYMMETRY_TOL = 1e-10  # largest intra-class deviation of a symmetric state
-
-
-def max_qubits() -> int:
-    """Configured dense-simulation cap (environment override or default)."""
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_QUBITS_ENV}={raw!r} is not an integer") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +78,8 @@ class FullState:
 
 
 def _check_cap(n: int) -> None:
-    limit = max_qubits()
-    if n > limit:
-        raise ResourceLimitError(
-            f"n={n} exceeds the dense-simulation cap {limit} (raise it via {MAX_QUBITS_ENV})"
-        )
+    if n > MAX_QUBITS:
+        raise ResourceLimitError(f"n={n} exceeds the dense-simulation cap {MAX_QUBITS}")
 
 
 def _check_size(n: int) -> None:

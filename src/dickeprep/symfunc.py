@@ -13,16 +13,16 @@ twice, and the signs of a spectrum fold once per column parity,
 s_i + (-1)^k s_{n-i}, to weights 0 and +-2 (the middle row of even n keeps
 s_{n/2}).
 
-The profile needs every entry's absolute value, which is not linear in the
-column, so it walks the columns one at a time with the additive stepper
-`krawtchouk.descending_columns`.  `quarter_slice` walks along n instead: it
-carries the single column k = n//4 by the Pascal step
+The DJ optimum p_dj(n, k) = C(n, k) S(k, n)^2 / 4^n, with
+S(k, n) = sum_i |K_i(k, n)|, needs every entry's absolute value, which is
+not linear in the column.  `quarter_slice` gives it at k = n//4 for every
+n up to a bound: it carries that single column along n by the Pascal step
 `krawtchouk.next_half_column` (one add per half-column entry, where a step
 in k costs two), with C(n, k) from `quarter_binomials` (carried by one
 exact multiply and divide, a list the caller shares with the Childs column),
-and each value is the same correctly rounded ratio as the per-n profile's.
+and each value is that exact ratio, correctly rounded.
 
-`c_minima` prints only the minimum of each profile, c(n) = min_k c_k(n)
+`c_minima` gives only the least term at each n, c(n) = min_k c_k(n)
 with c_k(n) = C(n, k) S(k, n)^2 sqrt(n) / 4^n and S(k, n) = sum_i |K_i(k, n)|,
 so a certified float filter rules out the other terms, and only the
 survivors, usually one per n, are evaluated exactly.  The filter carries
@@ -118,7 +118,8 @@ tau = t / sqrt(nu), is rounded outward.  A value prints from its floats
 when format(lo, ".9g") == format(hi, ".9g") (Ziv, ACM TOMS 17 (1991)
 410): the 9-digit rounding is monotone, so the exact value rounded to a
 float prints the same.  Otherwise, or when a bound is not finite, that one
-value is computed exactly as in `dj_optimal_profile`.  The same rule
+value is computed exactly, as one correctly rounded integer ratio
+C(n, k) S(k, n)^2 / 4^n.  The same rule
 (`_certified_strings`) prints the Childs column of `symstate`.  The bound
 is about 75 to 600 times the observed error at n = 50 to 1000, and few
 columns fall back: 0 of 176 at n = 350, 2 of 501 at n = 1000.
@@ -136,15 +137,12 @@ from operator import add, sub
 
 import numpy as np
 
-from .krawtchouk import _half_column, abs_column_sum, column, descending_columns, half_abs_sum, next_half_column
+from .krawtchouk import _half_column, abs_column_sum, column, half_abs_sum, next_half_column
 
 __all__ = [
     "SymmetricBooleanFunction",
     "c_minima",
     "c_minima_bytes",
-    "c_of_n",
-    "c_profile",
-    "dj_optimal_profile",
     "dj_optimal_profile_strings",
     "optimal_function",
     "quarter_binomials",
@@ -330,38 +328,6 @@ def optimal_function(n: int, w: int) -> SymmetricBooleanFunction:
     return SymmetricBooleanFunction(n=n, bits=tuple(1 if v < 0 else 0 for v in column(w, n)))
 
 
-def dj_optimal_profile(n: int) -> list[float]:
-    """C(n,w) rw_f(w)^2 / 2^(2n) for the per-w sign-rule optimal f, all w.
-
-    rw_f(w) = sum_i |K_i(w, n)| is the same for w and n-w (mirror symmetry),
-    so only the columns w >= n/2 are stepped through, each as a half column.
-    Each value is one exact integer ratio, correctly rounded by CPython's
-    big-int true division, so it equals
-    float(symstate.dj_optimal_success_exact(n, w)) bit for bit.
-    """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
-    out = [0.0] * (n + 1)
-    denom = 1 << (2 * n)
-    for k, binom, half in zip(range(n // 2 + 1), column(0, n), descending_columns(n)):
-        s = half_abs_sum(half, n)
-        out[k] = out[n - k] = (binom * s * s) / denom
-    return out
-
-
-def c_profile(n: int) -> list[float]:
-    """dj_optimal_profile(n) scaled by sqrt(n): the c(n) terms for all w."""
-    if n < 1:
-        raise ValueError(f"n={n} must be positive")
-    scale = math.sqrt(n)
-    return [p * scale for p in dj_optimal_profile(n)]
-
-
-def c_of_n(n: int) -> float:
-    """min_w C(n,w) rw_f(w)^2 sqrt(n) / 2^(2n) over the sign-rule functions."""
-    return min(c_profile(n))
-
-
 # c_minima's float filter (module docstring)
 _U = 2.0**-53  # unit roundoff of float64
 _RESEED_RATIO = 2.0**-24  # a candidate column whose error bound passes this share of its sum is rebuilt exactly
@@ -373,6 +339,11 @@ _PRUNE_SLACK = 1.0 + 2.0**-48  # past (1 + u)^3 / (1 - u)^3, the rounding of the
 _POWER_CLIP = 800  # |binary exponent| of a bound, far past any c_k(n)
 
 
+def _buffer_rows(m: int) -> int:
+    """Rows of c_minima's sum buffer for m columns: 32, or as many as fill 32^3 entries, at most m."""
+    return min(max(_BLOCK_STEPS, _BLOCK_STEPS**3 // (m + 1)), m)
+
+
 def c_minima_bytes(max_n: int) -> int:
     """Bytes of c_minima(max_n)'s float arrays, m = max_n//2 + 1 columns of m + 1 entries.
 
@@ -382,8 +353,7 @@ def c_minima_bytes(max_n: int) -> int:
     that form them (module docstring).
     """
     m = max_n // 2 + 1
-    buffer = min(max(_BLOCK_STEPS, _BLOCK_STEPS**3 // (m + 1)), m) * (m + 1)
-    return 8 * (m * (m + 1) + buffer + 10 * _BLOCK_STEPS * m)
+    return 8 * (m * (m + 1) + _buffer_rows(m) * (m + 1) + 10 * _BLOCK_STEPS * m)
 
 
 def _frexp_ints(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -447,8 +417,7 @@ class _FloatFilter:
         self.max_n, self.n = max_n, 0
         self.table = np.zeros((m, m + 1))  # entries past i = n//2 + 1 stay zero: at least one past each row
         self.table[0, 0] = 1.0  # column 0 at n = 0
-        # the sum buffer: whole rows, 32 of them or as many as fill 32^3 entries, at most the table's
-        self._buf = np.empty((min(max(_BLOCK_STEPS, _BLOCK_STEPS**3 // (m + 1)), m), m + 1))
+        self._buf = np.empty((_buffer_rows(m), m + 1))  # the sum buffer: whole rows of the table
         # each column at n, the end of the last block
         self._err = np.zeros(m)
         self._exps = np.zeros(m, dtype=np.int64)
@@ -628,11 +597,12 @@ class _FloatFilter:
 
 
 def _c_term(k: int, n: int, binom: int, s: int | None = None) -> float:
-    """c_k(n) = (C(n, k) S(k, n)^2) / 4^n * sqrt(n), rounded as c_profile rounds it, from binom = C(n, k).
+    """c_k(n) = (C(n, k) S(k, n)^2) / 4^n * sqrt(n) from binom = C(n, k), rounded three times.
 
-    The middle column k = n//2 has S = 2^ceil(n/2), so the ratio is the
-    same rational as C(n, k) / 4^k; elsewhere S is `s`, or
-    abs_column_sum(k, n) when not given.
+    The integer ratio is correctly rounded, then multiplied by the rounded
+    sqrt(n), as `c_minima` defines each term.  The middle column k = n//2
+    has S = 2^ceil(n/2), so the ratio is the same rational as C(n, k) / 4^k;
+    elsewhere S is `s`, or abs_column_sum(k, n) when not given.
     """
     if k == n // 2:
         return binom / (1 << (2 * k)) * math.sqrt(n)
@@ -642,19 +612,21 @@ def _c_term(k: int, n: int, binom: int, s: int | None = None) -> float:
 
 
 def c_minima(max_n: int) -> list[tuple[float, int]]:
-    """(c(n), w_min(n)) for n = 1..max_n: min(c_profile(n)) and its first index.
+    """(c(n), w_min(n)) for n = 1..max_n: the least term c_k(n) over k = 0..n and its first index.
 
-    A certified float filter (`_FloatFilter`, module docstring) rules out
-    all but a few terms per n, usually one; those are evaluated exactly as
-    in c_profile, (C(n, k) S^2) / 4^n * sqrt(n) (`_c_term`), so every row is
-    the same float and index as min(c_profile(n)) and profile.index,
-    whatever the floats round to.
+    Each term is the float c_k(n) = (C(n, k) S(k, n)^2) / 4^n * sqrt(n),
+    S(k, n) = sum_i |K_i(k, n)|: the integer ratio correctly rounded, times
+    the rounded sqrt(n).  A certified float filter (`_FloatFilter`, module
+    docstring) rules out all but a few terms per n, usually one; those are
+    evaluated exactly as that float (`_c_term`), so every row is the same
+    float and first index as a minimum over every term, whatever the
+    filter's floats round to.
 
     Prune rule: with lo_k <= c_k(n) <= hi_k certified and U = min_k hi_k,
     column k is dropped when lo_k > U (1 + 2^-48).  The printed term rounds
     three times (the integer ratio, sqrt(n) and their product), so it lies
     within (1 +- u)^3 of the exact one, and a dropped term prints strictly
-    above the term that attains U.  The profile is symmetric in w <-> n-w,
+    above the term that attains U.  The terms are symmetric in k <-> n-k,
     so a strict `<` over the ascending surviving k keeps the first minimum.
     The float arrays take c_minima_bytes(max_n).
     """
@@ -685,8 +657,6 @@ _PRINTED = ".9g"  # csvio.fmt's format of a float
 
 def _sqrt_ratios(values: list[int], n: int) -> np.ndarray:
     """sqrt(v / 2^n) for each positive int v, within 2u relative (a subnormal result within _SUBNORMAL)."""
-    if n <= 1022:  # every v converts to a float and v 2^-n stays normal: 3 numpy calls where the rest make 9
-        return np.sqrt(np.ldexp(np.array(values, dtype=float), -n))
     m, e = _frexp_ints(values)
     d = e - n  # v / 2^n = m 2^(d & 1) 4^(d >> 1), the first factor in [1/2, 2)
     return np.ldexp(np.sqrt(np.ldexp(m, d & 1)), d >> 1)
@@ -784,7 +754,7 @@ def _dj_float_terms(n: int, binoms: Sequence[int]) -> _DjTerms:
 
 
 def _dj_float_bounds(n: int, binoms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) for k <= n//2, with lo[k] <= dj_optimal_profile(n)[k] <= hi[k] certified.
+    """(lo, hi) for k <= n//2, with lo[k] <= C(n, k) S(k, n)^2 / 4^n <= hi[k] certified.
 
     binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).  The terms
     come from `_dj_float_terms`; the bound is in the module docstring.  A
@@ -817,12 +787,13 @@ def _certified_strings(lo: np.ndarray, hi: np.ndarray, exact) -> list[str]:
 
 
 def dj_optimal_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
-    """[csvio.fmt(p) for p in dj_optimal_profile(n)], the same strings, from certified floats.
+    """csvio.fmt(p) for p = C(n, w) S(w, n)^2 / 4^n, w = 0..n, the DJ optimum rounded once, from certified floats.
 
-    Each value comes with certified bounds (`_dj_float_bounds`, module
-    docstring) and prints from them when both format to the same 9 digits;
-    otherwise it is computed exactly, (C(n, k) S^2) / 4^n with
-    S = abs_column_sum(k, n), as in dj_optimal_profile.  Memory is O(n).
+    S(w, n) = sum_i |K_i(w, n)| is the same for w and n - w.  Each value
+    comes with certified bounds (`_dj_float_bounds`, module docstring) and
+    prints from them when both format to the same 9 digits; otherwise it is
+    computed exactly, the integer ratio (C(n, k) S^2) / 4^n with
+    S = abs_column_sum(k, n), correctly rounded.  Memory is O(n).
     binoms is the binomial half row (C(n, 0), ..., C(n, n//2)), which a
     caller shares with symstate.childs_profile_strings.
     """
@@ -848,7 +819,7 @@ def quarter_binomials(max_n: int) -> list[int]:
 
 
 def quarter_slice(max_n: int, binoms: Sequence[int]) -> list[float]:
-    """dj_optimal_profile(n)[n // 4] for n = 0..max_n, one carried column.
+    """C(n, k) S(k, n)^2 / 4^n at k = n // 4, correctly rounded, for n = 0..max_n, one carried column.
 
     Column k = n//4 goes from n to n+1 by the Pascal step (1+z), or by
     (1-z) to column k+1 where (n+1)//4 > k, with C(n, k) from binoms, the

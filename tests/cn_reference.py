@@ -6,15 +6,17 @@ from dickeprep.krawtchouk import half_abs_sum, next_half_column
 
 
 def c_minima(max_n: int) -> list[tuple[float, int]]:
-    """(c(n), w_min(n)) for n = 1..max_n: min(c_profile(n)) and its first index.
+    """(c(n), w_min(n)) for n = 1..max_n: min_k c_k(n) and its first index, every term evaluated.
+
+    c_k(n) = (C(n, k) S(k, n)^2) / 4^n * sqrt(n), S(k, n) = sum_i |K_i(k, n)|:
+    the integer ratio correctly rounded, times the rounded sqrt(n).
 
     Each column k <= max_n//2 is carried along n = 2k..max_n by the Pascal
     step (1+z), one add per half-column entry, with C(n, k) by one exact
     multiply and divide; column k at n = 2k comes from column k-1 at
     n = 2k-2 by (1-z), then (1+z).  Only one carried column is live at a
-    time.  Every term is the same float as in c_profile, and the profile is
-    symmetric in w <-> n-w, so a strict `<` over ascending k keeps the first
-    minimum, as `profile.index` does.
+    time.  The terms are symmetric in k <-> n-k, so a strict `<` over
+    ascending k <= n//2 keeps the first minimum over all k.
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be positive")

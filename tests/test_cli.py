@@ -14,11 +14,11 @@ from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix
 from dickeprep.search import RecordStore, SearchRecord
-from dickeprep.symfunc import (SymmetricBooleanFunction, c_minima_bytes, dj_optimal_profile, quarter_binomials,
-                               quarter_slice)
+from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, quarter_binomials, quarter_slice
 from dickeprep.symstate import dicke
 
 from csv_reference import render_per_value
+from profile_reference import dj_optimal_profile
 
 
 def run(capsys, *argv):
@@ -480,10 +480,16 @@ class TestFullsimCommand:
         assert err.startswith("error: --f: ") and "not a hex string" in err
 
     def test_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "3")
+        monkeypatch.setattr(fullsim, "MAX_QUBITS", 3)
         code, _, err = run(capsys, "fullsim", "--n", "4", "--f", "0")
         assert code == 1
         assert "cap" in err
+
+    def test_cap_ignores_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("DICKEPREP_FULLSIM_MAX_QUBITS", "20")
+        code, out, err = run(capsys, "fullsim", "--n", "17", "--f", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: n=17 exceeds the dense-simulation cap 16\n"
 
 
 class TestSearchCommand:

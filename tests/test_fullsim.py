@@ -23,18 +23,24 @@ class TestZeroState:
         assert s.norm() == pytest.approx(1.0, abs=0)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError, match="cap"):
-            fullsim.zero_state(fullsim.DEFAULT_MAX_QUBITS + 1)
+        assert fullsim.MAX_QUBITS == 16
+        assert fullsim.zero_state(16).n == 16
+        with pytest.raises(ResourceLimitError, match="n=17 exceeds the dense-simulation cap 16"):
+            fullsim.zero_state(17)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "4")
+    def test_cap_patched(self, monkeypatch):
+        monkeypatch.setattr(fullsim, "MAX_QUBITS", 4)
         with pytest.raises(ResourceLimitError):
             fullsim.zero_state(5)
-        monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "16")
-        assert fullsim.zero_state(16).n == 16
-        monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "junk")
-        with pytest.raises(ValueError, match=fullsim.MAX_QUBITS_ENV):
-            fullsim.zero_state(3)
+        assert fullsim.zero_state(4).n == 4
+
+    def test_environment_ignored(self, monkeypatch):
+        # the cap is a constant: no environment variable raises it or breaks it
+        monkeypatch.setenv("DICKEPREP_FULLSIM_MAX_QUBITS", "20")
+        with pytest.raises(ResourceLimitError, match="cap 16"):
+            fullsim.zero_state(17)
+        monkeypatch.setenv("DICKEPREP_FULLSIM_MAX_QUBITS", "junk")
+        assert fullsim.zero_state(3).n == 3
 
 
 class TestWeights:
@@ -238,8 +244,8 @@ class TestBiasedOutputInRealArithmetic:
                 count += 1
         assert count == 14 * 5
 
-    def test_bit_for_bit_above_default_cap(self, monkeypatch):
-        monkeypatch.setenv(fullsim.MAX_QUBITS_ENV, "16")
+    def test_bit_for_bit_above_default_cap(self):
+        # n = 16, the cap, above the 14 qubits of the other cases
         rng = np.random.default_rng(23)
         f = random_function(16, rng)
         for r in (0.0, 8.0, 16.0, *rng.uniform(0, 16, 2).tolist()):
@@ -252,7 +258,7 @@ class TestBiasedOutputInRealArithmetic:
         monkeypatch.setattr(fullsim, "weights", refuse)
         with pytest.raises(ValueError, match="n=0 must be positive"):
             fullsim.biased_dj_output(SymmetricBooleanFunction(n=0, bits=(0,)), 0.0)
-        n = fullsim.DEFAULT_MAX_QUBITS + 1
+        n = fullsim.MAX_QUBITS + 1
         with pytest.raises(ResourceLimitError, match="cap"):
             fullsim.biased_dj_output(SymmetricBooleanFunction.from_value(n, 1), 1.0)
         for r in (-0.5, 3.5, math.nan):

@@ -28,9 +28,6 @@ from dickeprep.symfunc import (
     _sqrt_ratios,
     c_minima,
     c_minima_bytes,
-    c_of_n,
-    c_profile,
-    dj_optimal_profile,
     dj_optimal_profile_strings,
     optimal_function,
     quarter_binomials,
@@ -40,6 +37,7 @@ from dickeprep.symfunc import (
 )
 
 import cn_reference
+from profile_reference import dj_optimal_profile
 from spectrum_reference import reduced_walsh_spectrum as reference_spectrum
 
 
@@ -296,30 +294,41 @@ class TestOptimalFunction:
             optimal_function(5, 6)
 
 
+def c_term(k, n):
+    """c_k(n) = (C(n, k) S(k, n)^2) / 4^n * sqrt(n), from the exact column sum."""
+    s = abs_column_sum(k, n)
+    return comb(n, k) * s * s / 4**n * math.sqrt(n)
+
+
 class TestCofN:
+    """cn_reference.c_minima, the exact c(n) that symfunc.c_minima is checked against."""
+
     def test_trivial(self):
-        assert c_of_n(1) == 1.0
+        assert cn_reference.c_minima(1) == [(1.0, 0)]
 
     def test_small_values(self):
         # frozen from exact integer ratios
-        assert c_of_n(2) == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-        assert c_of_n(4) == pytest.approx(0.75, abs=1e-15)
+        rows = cn_reference.c_minima(4)
+        assert rows[1][0] == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
+        assert rows[3][0] == pytest.approx(0.75, abs=1e-15)
 
     def test_profile_mirror(self):
+        # the terms are symmetric in k <-> n-k, and the first minimum lies in the lower half
+        rows = cn_reference.c_minima(13)
         for n in (3, 8, 13):
-            prof = c_profile(n)
-            assert len(prof) == n + 1
-            assert prof == prof[::-1]
+            c, w = rows[n - 1]
+            assert w <= n // 2
+            assert c == c_term(w, n) == c_term(n - w, n)
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="n="):
-            c_of_n(0)
+        with pytest.raises(ValueError, match="max_n="):
+            cn_reference.c_minima(0)
 
     def test_profile_term(self):
-        n, w = 6, 2
-        s = abs_column_sum(w, n)
-        expected = comb(n, w) * s * s / 4**n * math.sqrt(n)
-        assert c_profile(n)[w] == pytest.approx(expected, rel=1e-15)
+        # odd n = 5: the least term is the first of the mirror pair k = 2, 3
+        c, w = cn_reference.c_minima(5)[4]
+        assert w == 2
+        assert c == c_term(2, 5) == c_term(3, 5)
 
 
 class TestCarriedColumns:
@@ -328,12 +337,12 @@ class TestCarriedColumns:
     def test_c_minima_match_profile_min_and_index(self):
         ref = []
         for n in range(1, 121):
-            prof = c_profile(n)
-            ref.append((min(prof), prof.index(min(prof))))
-        assert c_minima(120) == ref
+            terms = [c_term(k, n) for k in range(n + 1)]
+            ref.append((min(terms), terms.index(min(terms))))
+        assert cn_reference.c_minima(120) == c_minima(120) == ref
         # each N ends the walk at a different seed column and parity
         for max_n in range(1, 41):
-            assert c_minima(max_n) == ref[:max_n], max_n
+            assert cn_reference.c_minima(max_n) == c_minima(max_n) == ref[:max_n], max_n
 
     def test_c_minima_domain(self):
         with pytest.raises(ValueError, match="max_n="):

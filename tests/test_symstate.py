@@ -13,7 +13,6 @@ from dickeprep.grover import amplify, plan_amplification
 from dickeprep.krawtchouk import abs_column_sum, column, columns
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
-    dj_optimal_profile,
     optimal_function,
     reduced_walsh_spectrum,
     spectrum_value,
@@ -39,6 +38,7 @@ from dickeprep.symstate import (
 import sampler_reference
 import search_reference
 from biased_reference import biased_amplitude_table, biased_amplitudes
+from profile_reference import dj_optimal_profile
 
 
 def random_function(n, rng):
