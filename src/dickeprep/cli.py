@@ -130,6 +130,8 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
 
 
 def _cmd_optfn(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     _check_w(args.n, args.w)
     f = optimal_function(args.n, args.w)
     rw = spectrum_value(f, args.w)
@@ -309,6 +311,8 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
+    if args.all_w and args.w is not None:
+        raise ValueError("--w and --all-w exclude each other")
     if args.all_w:
         targets = range(1, args.n)
     elif args.w is not None:

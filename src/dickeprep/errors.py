@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one copy of each argument check."""
 
 
 class StateError(ValueError):
@@ -12,3 +12,22 @@ class UnreachableTargetError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A request exceeds a configured resource bound (qubit cap, scan bound)."""
+
+
+def check_index(name: str, value: int, n: int) -> None:
+    """Refuse an index outside [0, n]: a weight, or a row or column of the Krawtchouk matrix."""
+    if not 0 <= value <= n:
+        raise ValueError(f"{name}={value} out of range [0, {n}]")
+
+
+def check_bias(r: float, n: int) -> float:
+    """r / n for a bias r in [0, n], and 0 at n = 0, which has no bias layer; NaN is refused."""
+    if not 0.0 <= r <= n:
+        raise ValueError(f"r={r} out of range [0, {n}]")
+    return r / n if n else 0.0
+
+
+def check_size(name: str, value: int, least: int) -> None:
+    """Refuse a size below `least`, which is 0 ("non-negative") or 1 ("positive")."""
+    if value < least:
+        raise ValueError(f"{name}={value} must be {'positive' if least else 'non-negative'}")

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResourceLimitError, StateError
+from .errors import ResourceLimitError, StateError, check_bias, check_index, check_size
 from .symfunc import SymmetricBooleanFunction
 from .symstate import SymmetricState
 
@@ -82,20 +82,10 @@ def _check_cap(n: int) -> None:
         raise ResourceLimitError(f"n={n} exceeds the dense-simulation cap {MAX_QUBITS}")
 
 
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n={n} must be positive")
-    _check_cap(n)
-
-
-def _check_bias(r: float, n: int) -> None:
-    if not 0.0 <= r <= n:
-        raise ValueError(f"r={r} out of range [0, {n}]")
-
-
 def zero_state(n: int) -> FullState:
     """|0...0> on n qubits, subject to the qubit cap."""
-    _check_size(n)
+    check_size("n", n, 1)
+    _check_cap(n)
     amps = np.zeros(1 << n)
     amps[0] = 1.0
     return FullState(n=n, amps=amps)
@@ -165,7 +155,7 @@ def _layer(amps: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
 
 def apply_layer(s: FullState, r: float) -> FullState:
     """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer."""
-    _check_bias(r, s.n)
+    check_bias(r, s.n)
     return FullState(n=s.n, amps=_layer(s.amps, s.n, _bias_matrix(r / s.n)))
 
 
@@ -180,8 +170,7 @@ def apply_phase_oracle(s: FullState, f: SymmetricBooleanFunction) -> FullState:
 
 def flip_weight(s: FullState, w: int) -> FullState:
     """Grover oracle O_g: negate every amplitude of Hamming weight w."""
-    if not 0 <= w <= s.n:
-        raise ValueError(f"w={w} out of range [0, {s.n}]")
+    check_index("w", w, s.n)
     sign = np.where(weights(s.n) == w, -1.0, 1.0)
     return FullState(n=s.n, amps=s.amps * sign)
 
@@ -205,14 +194,15 @@ def biased_dj_output(f: SymmetricBooleanFunction, r: float) -> FullState:
     checked before any 2^n array.
     """
     n = f.n
-    _check_size(n)
-    _check_bias(r, n)
+    check_size("n", n, 1)
+    _check_cap(n)
+    rho = check_bias(r, n)
     s = math.sqrt(0.5)
     c = 1.0
     for _ in range(n):
         c *= s
     phased = np.where(np.array(f.bits, dtype=bool), -c, c)[weights(n)]
-    return FullState(n=n, amps=_layer(phased, n, _bias_matrix(r / n)))
+    return FullState(n=n, amps=_layer(phased, n, _bias_matrix(rho)))
 
 
 @dataclass(frozen=True)

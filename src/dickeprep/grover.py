@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnreachableTargetError
+from .errors import UnreachableTargetError, check_size
 from .symstate import SymmetricState, success_probability
 
 __all__ = [
@@ -81,8 +81,8 @@ def amplify(initial: SymmetricState, w: int, t: int | None = None) -> SymmetricS
     vector within NORM_ATOL, and ValueError when (2t+1) theta reaches
     MAX_PHASE = 2^52 rad, where the phase has no correct bits.
     """
-    if t is not None and t < 0:
-        raise ValueError(f"t={t} must be non-negative")
+    if t is not None:
+        check_size("t", t, 0)
     plan = plan_amplification(initial, w)
     if t is None:
         t = plan.t

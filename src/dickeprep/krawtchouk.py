@@ -60,6 +60,8 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul, sub
 
+from .errors import check_index, check_size
+
 __all__ = [
     "abs_column_sum",
     "column",
@@ -70,17 +72,11 @@ __all__ = [
 ]
 
 
-def _check_index(name: str, value: int, n: int) -> None:
-    if not 0 <= value <= n:
-        raise ValueError(f"{name}={value} out of range [0, {n}]")
-
-
 def krawtchouk(i: int, k: int, n: int) -> int:
     """K_i(k, n) by the defining binomial sum, exact."""
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
-    _check_index("i", i, n)
-    _check_index("k", k, n)
+    check_size("n", n, 0)
+    check_index("i", i, n)
+    check_index("k", k, n)
     lo = max(0, i - (n - k))
     hi = min(i, k)
     total = 0
@@ -92,9 +88,8 @@ def krawtchouk(i: int, k: int, n: int) -> int:
 
 def _half_column(k: int, n: int) -> list[int]:
     """(K_0(k, n), ..., K_{n//2}(k, n)) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
-    _check_index("k", k, n)
+    check_size("n", n, 0)
+    check_index("k", k, n)
     h = n // 2
     vals = [0] * (h + 1)
     vals[0] = 1
@@ -152,8 +147,7 @@ def next_half_column(half: list[int], k: int, n: int, down: bool = False) -> lis
 
 def columns(n: int) -> list[list[int]]:
     """The exact Krawtchouk matrix as its n+1 columns: entry [k][i] = K_i(k, n)."""
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
+    check_size("n", n, 0)
     alt = [-1 if i & 1 else 1 for i in range(n + 1)]
     cols: list[list[int]] = [[]] * (n + 1)
     for k, half in zip(range(n // 2 + 1), descending_columns(n)):
@@ -170,8 +164,7 @@ def dump_rows(n: int) -> str:
     once; the mirror and the palindrome give every other entry by adding or
     dropping a leading "-".
     """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
+    check_size("n", n, 0)
     h = n // 2
     # column j of the block is K_i(n - j, n) for i <= h, the half column the stepper yields
     block = [list(map(str, half)) for _, half in zip(range(h + 1), descending_columns(n))]

@@ -54,7 +54,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_index, check_size
 from .krawtchouk import descending_columns
 from .symfunc import SymmetricBooleanFunction, optimal_function
 from .symstate import childs_probability, dj_success_exact
@@ -177,8 +177,7 @@ def _spectrum(n: int, w: int, basis: tuple[np.ndarray, np.ndarray]
     (n+1)^2/2 elementwise products, and optimize_r builds its own with
     _basis.__wrapped__, which leaves the cache alone.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     K, waves = basis
     h = n // 2
     lam = np.arange(n - 2 * h, n + 1, 2)
@@ -300,10 +299,8 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     least as high is returned instead, so an endpoint maximum is kept.
     One call reads one basis once, so it builds its own and caches nothing.
     """
-    if f.n < 1:
-        raise ValueError(f"n={f.n} must be positive")
-    if not 0 <= w <= f.n:
-        raise ValueError(f"w={w} out of range [0, {f.n}]")
+    check_size("n", f.n, 1)
+    check_index("w", w, f.n)
     spectrum = _spectrum(f.n, w, _basis.__wrapped__(f.n))
     r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float), spectrum)
     return float(r[0]), float(p[0])
@@ -332,10 +329,8 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     winner is relabelled to the lower (value, r) member of its mirror pair.
     """
     _check_bound(n)
-    if n < 1:
-        raise ValueError(f"n={n} must be positive")
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_size("n", n, 1)
+    check_index("w", w, n)
     _, T, waves = spectrum = _spectrum(n, w, _basis(n))
     negative = (T @ waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)

@@ -70,9 +70,9 @@ bound.
 
 A spectrum needs only two folded dots per column, which are linear, so
 `reduced_walsh_spectrum` steps L columns at once in lanes of one Python int
-per row: row i holds sum_l K_i(c_l, n) 2^(B_0 + ... + B_{l-1}) for L
-columns c_l an even number apart.  Rows are never unpacked, only dots, and
-every dot is a spectrum value rw_f(c), so Parseval,
+per row: row i holds sum_l K_i(c_l, n) 2^(B_{l+1} + ... + B_{L-1}) for L
+columns c_l an even number apart, lane 0 in the top bits.  Rows are never
+unpacked, only dots, and every dot is a spectrum value rw_f(c), so Parseval,
 sum_k C(n, k) rw_f(k)^2 = 4^n, gives |rw_f(c)| <= 2^n / sqrt(C(n, c)), and
 lane l takes B_l = n - floor(log4 C(n, c)) + 2 bits for c its column
 farthest from n/2.  A dot is read from the step's own prefix sums
@@ -137,6 +137,7 @@ from operator import add, sub
 
 import numpy as np
 
+from .errors import check_index, check_size
 from .krawtchouk import _half_column, abs_column_sum, column, half_abs_sum, next_half_column
 
 __all__ = [
@@ -160,8 +161,7 @@ class SymmetricBooleanFunction:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n={self.n} must be non-negative")
+        check_size("n", self.n, 0)
         if len(self.bits) != self.n + 1:
             raise ValueError(f"bits has length {len(self.bits)}, expected n+1={self.n + 1}")
         if any(b not in (0, 1) for b in self.bits):
@@ -260,9 +260,14 @@ def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
     the run that starts at column n - l*span, seeded by the recurrence
     (`krawtchouk._half_column`).  The last run may end past column
     n - n//2; its extra columns are dropped.  Row i is one int,
-    sum_l K_i(c_l, n) 2^(B_0 + ... + B_{l-1}) for lane l at column c_l, B_l
-    bits wide.  The stepper keeps the prefix sums P = accumulate(R) of the
-    rows, not the rows.  It reads both dots from them by Abel summation,
+    sum_l K_i(c_l, n) 2^(B_{l+1} + ... + B_{L-1}) for lane l at column c_l,
+    B_l bits wide.  The top lane sets the length of each int.  Lane 0, the
+    widest (its first column n takes B_0 = n + 2 bits), holds the top bits:
+    its entries start at +-C(n, i), short at small i, so the ints are
+    shorter on average than with a narrower lane on top (1097 against 1150
+    bits at n = 290, 3464 against 3632 at n = 917).  The stepper keeps the
+    prefix sums P = accumulate(R) of the rows, not the rows.  It reads both
+    dots from them by Abel summation,
     sum_i phi_i R_i = sum_i (phi_i - phi_{i+1}) P_i, so a dot costs one add
     per index where its weights change, and steps every lane k -> k-1 by
     R'_i = P_i + P_{i-1}, accumulated as it is formed: two adds per row, one
@@ -287,12 +292,13 @@ def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
     m = n // 2 + 1
     first = _half_column(n, n)  # (-1)^i C(n, i): lane 0's seed and the binomials of the layout
     span, widths = _lane_layout(n, first)
-    # (shift, mask, offset) of each lane; the bias adds every lane's offset
-    fields = [(s, (1 << b) - 1, 1 << (b - 1)) for s, b in zip(accumulate(widths[:-1], initial=0), widths)]
+    # (shift, mask, offset) of each lane, lane 0 on top; the bias adds every lane's offset
+    shifts = list(accumulate(widths[:0:-1], initial=0))[::-1]
+    fields = [(s, (1 << b) - 1, 1 << (b - 1)) for s, b in zip(shifts, widths)]
     bias = sum(offset << s for s, _, offset in fields)
 
     sums = [0] * m  # the packed rows of the seed columns, then their prefix sums
-    for l in reversed(range(len(widths))):
+    for l in range(len(widths)):
         seed = _half_column(n - l * span, n) if l else first
         sums = [(r << widths[l]) + v for r, v in zip(sums, seed)]
     sums = list(accumulate(sums))
@@ -323,8 +329,7 @@ def optimal_function(n: int, w: int) -> SymmetricBooleanFunction:
     entries of the column leave f_i free; we fix those to 0 so the output is
     deterministic.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     return SymmetricBooleanFunction(n=n, bits=tuple(1 if v < 0 else 0 for v in column(w, n)))
 
 
@@ -630,8 +635,7 @@ def c_minima(max_n: int) -> list[tuple[float, int]]:
     so a strict `<` over the ascending surviving k keeps the first minimum.
     The float arrays take c_minima_bytes(max_n).
     """
-    if max_n < 1:
-        raise ValueError(f"max_n={max_n} must be positive")
+    check_size("max_n", max_n, 1)
     out = []
     floats = _FloatFilter(max_n)
     while floats.n < max_n:
@@ -797,8 +801,7 @@ def dj_optimal_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
     binoms is the binomial half row (C(n, 0), ..., C(n, n//2)), which a
     caller shares with symstate.childs_profile_strings.
     """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
+    check_size("n", n, 0)
     lo, hi = _dj_float_bounds(n, binoms)
 
     def exact(k: int) -> float:
@@ -827,8 +830,7 @@ def quarter_slice(max_n: int, binoms: Sequence[int]) -> list[float]:
     symstate.childs_quarter_slice_strings.  Each value is the same correctly
     rounded ratio as float(symstate.dj_optimal_success_exact(n, n // 4)).
     """
-    if max_n < 0:
-        raise ValueError(f"max_n={max_n} must be non-negative")
+    check_size("max_n", max_n, 0)
     out, half = [], [1]  # column 0 at n = 0
     for n, binom in enumerate(binoms):
         if n:

@@ -63,8 +63,9 @@ exact, and #{cdf <= u} is non-decreasing in u, so on the bucket
 j <= u*G < j+1 it lies between cut[j] and cut[j+1].  Where the two agree
 that count is the outcome, read with one gather; only trials in a bucket
 that holds a cdf value are binary-searched.  The uniforms are drawn a block
-at a time into one buffer, so a draw holds 8 bytes per trial (the outcome
-array) where choice holds 16.  These are the per-trial outcomes; the CLI's
+of at most 2^15 at a time into one buffer, so a draw holds 8 bytes per trial
+(the outcome array) plus at most 256 KiB (the buffer), where choice holds 16
+bytes per trial.  These are the per-trial outcomes; the CLI's
 `simulate --trials` prints only counts, so it draws them in one
 Generator.multinomial on `distribution`, the same law at constant memory.
 """
@@ -80,7 +81,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import StateError, UnreachableTargetError
+from .errors import StateError, UnreachableTargetError, check_bias, check_index, check_size
 from .krawtchouk import abs_column_sum, column
 from .symfunc import (SymmetricBooleanFunction, _U, _certified_strings, _frexp_ints,
                       reduced_walsh_spectrum, spectrum_value)
@@ -130,8 +131,7 @@ class SymmetricState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n={self.n} must be non-negative")
+        check_size("n", self.n, 0)
         amps = np.asarray(self.amps, dtype=float)
         if amps.shape != (self.n + 1,):
             raise ValueError(f"amps has shape {amps.shape}, expected ({self.n + 1},)")
@@ -171,8 +171,7 @@ class SymmetricState:
 
 def dicke(n: int, w: int) -> SymmetricState:
     """|D^n_w>: the equal superposition of all weight-w basis states."""
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     amps = np.zeros(n + 1)
     amps[w] = 1.0 / math.sqrt(comb(n, w))
     return SymmetricState(n=n, amps=amps)
@@ -187,16 +186,14 @@ def dj_state(f: SymmetricBooleanFunction) -> SymmetricState:
 
 def success_probability(s: SymmetricState, w: int) -> float:
     """C(n,w) a_w^2: the parity-measurement probability of landing in |D^n_w>."""
-    if not 0 <= w <= s.n:
-        raise ValueError(f"w={w} out of range [0, {s.n}]")
+    check_index("w", w, s.n)
     a = float(s.amps[w])
     return comb(s.n, w) * a * a
 
 
 def dj_success_exact(f: SymmetricBooleanFunction, w: int) -> Fraction:
     """The dj_state success probability as an exact rational C(n,w) rw^2 / 2^(2n)."""
-    if not 0 <= w <= f.n:
-        raise ValueError(f"w={w} out of range [0, {f.n}]")
+    check_index("w", w, f.n)
     rw = spectrum_value(f, w)
     return Fraction(comb(f.n, w) * rw * rw, 1 << (2 * f.n))
 
@@ -206,16 +203,14 @@ def dj_optimal_success_exact(n: int, w: int) -> Fraction:
 
     The sign rule aligns every spectrum term, so rw_f(w) = sum_i |K_i(w, n)|.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     s = abs_column_sum(w, n)
     return Fraction(comb(n, w) * s * s, 1 << (2 * n))
 
 
 def childs_probability_exact(n: int, w: int) -> Fraction:
     """C(n,w) (w/n)^w (1-w/n)^(n-w) exactly, with 0^0 = 1 at the endpoints."""
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     if w in (0, n):
         return Fraction(1)
     return Fraction(comb(n, w) * w**w * (n - w) ** (n - w), n**n)
@@ -227,8 +222,7 @@ def childs_probability(n: int, w: int) -> float:
     childs_probability_exact as one correctly rounded big-int true division
     (0^0 = 1 covers the endpoints), without reducing the fraction first.
     """
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     return (comb(n, w) * w**w * (n - w) ** (n - w)) / n**n
 
 
@@ -270,8 +264,7 @@ def childs_profile_strings(n: int, binoms: Sequence[int]) -> list[str]:
     the same 9 digits, and otherwise from the exact childs_probability(n, w).
     binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).
     """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
+    check_size("n", n, 0)
     ws = np.arange(n // 2 + 1)
     _, lo, hi = _childs_float_bounds(binoms, ws, n, _power_table(n))
     half = _certified_strings(lo, hi, lambda w: childs_probability(n, w))
@@ -286,8 +279,7 @@ def childs_quarter_slice_strings(max_n: int, binoms: Sequence[int]) -> list[str]
     give the same 9 digits, and otherwise from the exact
     childs_probability(n, n // 4).
     """
-    if max_n < 0:
-        raise ValueError(f"max_n={max_n} must be non-negative")
+    check_size("max_n", max_n, 0)
     ns = np.arange(max_n + 1)
     _, lo, hi = _childs_float_bounds(binoms, ns // 4, ns, _power_table(max_n))
     return _certified_strings(lo, hi, lambda n: childs_probability(n, n // 4))
@@ -295,8 +287,7 @@ def childs_quarter_slice_strings(max_n: int, binoms: Sequence[int]) -> list[str]
 
 def childs_state(n: int, w: int) -> SymmetricState:
     """B_{w,n}|0..0>: the product state with a_k = (w/n)^{k/2} (1-w/n)^{(n-k)/2}."""
-    if not 0 <= w <= n:
-        raise ValueError(f"w={w} out of range [0, {n}]")
+    check_index("w", w, n)
     rho = w / n if n else 0.0  # n = 0: the empty product, a_0 = 1
     ks = np.arange(n + 1, dtype=float)
     log_rho = math.log(rho) if rho > 0.0 else -1e12
@@ -307,12 +298,6 @@ def childs_state(n: int, w: int) -> SymmetricState:
 
 # ---------------------------------------------------------------------------
 # biased Deutsch-Jozsa
-
-
-def _check_bias(r: float, n: int) -> float:
-    if not 0.0 <= r <= n:
-        raise ValueError(f"r={r} out of range [0, {n}]")
-    return r / n if n else 0.0  # n = 0 has no bias layer
 
 
 def _power_rows(a: float, b: float, n: int) -> np.ndarray:
@@ -352,7 +337,7 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
     by up to 6e-6 in one C(n,k) a_k^2, at (89, 28, r = 9n/25).
     """
     n = f.n
-    rho = _check_bias(r, n)
+    rho = check_bias(r, n)
     # the n-k qubits where the output string is 0 contribute (u + v z)^{n-k},
     # the k where it is 1 contribute (v - u z)^k, whose z^j coefficient is
     # (-1)^j [z^{k-j}] (u + v z)^k: row k reversed.  For j > k the index
@@ -393,8 +378,7 @@ def parity_sample(s: SymmetricState, trials: int, rng: np.random.Generator) -> n
     rng where choice would; the module docstring gives the guide-table
     argument.
     """
-    if trials < 0:
-        raise ValueError(f"trials={trials} must be non-negative")
+    check_size("trials", trials, 0)
     cdf = s.distribution.cumsum()
     cdf /= cdf[-1]
     g = 1 << (4 * cdf.size - 1).bit_length()  # smallest power of two >= 4(n+1)

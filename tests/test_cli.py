@@ -119,6 +119,12 @@ class TestOptfnCommand:
         assert code == 1
         assert "--w" in err
 
+    def test_bad_n_named_before_w(self, capsys):
+        code, out, err = run(capsys, "optfn", "--n", "-1", "--w", "0")
+        assert (code, out, err.splitlines()) == (1, "", ["error: --n must be non-negative, got -1"])
+        code, out, _ = run(capsys, "optfn", "--n", "0", "--w", "0")
+        assert code == 0 and out.splitlines() == ["re_f = [0]", "hex = 0", "rw_f(0) = 1"]
+
     def test_exact_integer_past_4300_digits(self, capsys):
         # rw_f(1) at n = 14400 has 4333 digits, past CPython's default text limit
         get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -525,6 +531,12 @@ class TestSearchCommand:
     def test_requires_target(self, capsys, tmp_path):
         code, _, err = run(capsys, "search", "--n", "4", "--db", str(tmp_path / "x"))
         assert code == 1 and "--w" in err and "--all-w" in err
+
+    def test_w_and_all_w_refused_together(self, capsys, tmp_path):
+        db = tmp_path / "db.jsonl"
+        code, out, err = run(capsys, "search", "--n", "6", "--w", "2", "--all-w", "--db", str(db))
+        assert (code, out, err.splitlines()) == (1, "", ["error: --w and --all-w exclude each other"])
+        assert not db.exists()
 
 
 class TestTable1Command:
