@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import functools
 import sys
-from itertools import chain, product, repeat
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -59,19 +59,6 @@ def _krawtchouk_text_bytes(n: int) -> int:
 MAX_KRAWTCHOUK_TEXT_BYTES = _krawtchouk_text_bytes(1030)
 
 
-def _csv(args: argparse.Namespace, command: str, params: dict, header, rows: str, trailer=()) -> str:
-    """Write the CSV to --out and return "", or return its text for stdout."""
-    out = getattr(args, "out", None)
-    if out:
-        csvio.write_csv(out, command, params, header, rows, trailer)
-        return ""
-    return csvio.render_csv(command, params, header, rows, trailer)
-
-
-def _emit(args: argparse.Namespace, command: str, params: dict, header, rows: str, trailer=()) -> None:
-    sys.stdout.write(_csv(args, command, params, header, rows, trailer))
-
-
 @contextlib.contextmanager
 def _full_integers():
     """Lift CPython's 4300-digit limit on int-to-decimal text while output is written.
@@ -116,8 +103,8 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
     with _full_integers():
         if args.k is not None:
             header = ["i", "value"]
-            _emit(args, "krawtchouk", {"n": n, "k": args.k}, header,
-                  csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
+            csvio.write_csv(args.out, "krawtchouk", {"n": n, "k": args.k}, header,
+                            csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
         else:
             text = _krawtchouk_text_bytes(n)
             if text > MAX_KRAWTCHOUK_TEXT_BYTES:
@@ -125,7 +112,7 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
                     f"--n {n} needs up to {text} B of text, over the limit {MAX_KRAWTCHOUK_TEXT_BYTES} B"
                 )
             header = ["i"] + [f"k{k}" for k in range(n + 1)]
-            _emit(args, "krawtchouk", {"n": n}, header, dump_rows(n))
+            csvio.write_csv(args.out, "krawtchouk", {"n": n}, header, dump_rows(n))
     return 0
 
 
@@ -152,7 +139,8 @@ def _cmd_cn(args: argparse.Namespace) -> int:
         )
     cs, w_mins = zip(*c_minima(args.max_n))
     header = ["n", "c", "w_min"]
-    _emit(args, "cn", {"max_n": args.max_n}, header, csvio.column_rows(header, [range(1, len(cs) + 1), cs, w_mins]))
+    csvio.write_csv(args.out, "cn", {"max_n": args.max_n}, header,
+                    csvio.column_rows(header, [range(1, len(cs) + 1), cs, w_mins]))
     return 0
 
 
@@ -163,7 +151,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     binoms = column(0, n)[: n // 2 + 1]  # C(n, k) for k <= n//2, shared by both columns
     dj, childs = dj_optimal_profile_strings(n, binoms), childs_profile_strings(n, binoms)
     header = ["w", "dj_prob", "childs_prob"]
-    _emit(args, "curves", {"n": n}, header, csvio.column_rows(header, [range(n + 1), dj, childs]))
+    csvio.write_csv(args.out, "curves", {"n": n}, header, csvio.column_rows(header, [range(n + 1), dj, childs]))
     return 0
 
 
@@ -173,8 +161,8 @@ def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     binoms = quarter_binomials(args.max_n)  # C(n, n//4) for n <= max_n, shared by both columns
     dj, childs = quarter_slice(args.max_n, binoms), childs_quarter_slice_strings(args.max_n, binoms)
     header = ["n", "dj_prob", "childs_prob"]
-    _emit(args, "sweep-quarter", {"max_n": args.max_n}, header,
-          csvio.column_rows(header, [range(4, args.max_n + 1), dj[4:], childs[4:]]))
+    csvio.write_csv(args.out, "sweep-quarter", {"max_n": args.max_n}, header,
+                    csvio.column_rows(header, [range(4, args.max_n + 1), dj[4:], childs[4:]]))
     return 0
 
 
@@ -264,16 +252,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"expected repetitions before = {csvio.fmt(1.0 / p if p > 0 else float('inf'))}",
             f"expected repetitions after = {csvio.fmt(1.0 / p_after if p_after > 0 else float('inf'))}",
         ]
-    table = ""
-    if args.trials:
-        # the counts of i.i.d. parity measurements, drawn at once
-        counts = np.random.default_rng(args.seed).multinomial(args.trials, state.distribution)
-        params = {"n": args.n, "w": args.w, "method": args.method,
-                  "trials": args.trials, "seed": args.seed}
-        header = ["weight", "count", "frequency", "analytic"]
-        table = _csv(args, "simulate", params, header, csvio.column_rows(
-            header, [range(args.n + 1), counts, counts / args.trials, state.probabilities]))
-    sys.stdout.write("".join(f"{line}\n" for line in report) + table)
+    text = "".join(f"{line}\n" for line in report)
+    if not args.trials:
+        sys.stdout.write(text)
+        return 0
+    # the counts of i.i.d. parity measurements, drawn at once
+    counts = np.random.default_rng(args.seed).multinomial(args.trials, state.distribution)
+    params = {"n": args.n, "w": args.w, "method": args.method, "trials": args.trials, "seed": args.seed}
+    header = ["weight", "count", "frequency", "analytic"]
+    rows = csvio.column_rows(header, [range(args.n + 1), counts, counts / args.trials, state.probabilities])
+    # on stdout the CSV follows the report; an --out file is written first
+    if not args.out:
+        sys.stdout.write(text)
+    csvio.write_csv(args.out, "simulate", params, header, rows)
+    if args.out:
+        sys.stdout.write(text)
     return 0
 
 
@@ -295,16 +288,23 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
     # are real, and the im column stays, all zeros, for the file format.  x is
     # a high half followed by a low half; each low half comes with the comma,
     # the row weight and the next comma already joined, one list per weight of
-    # the high half, so a row is four pieces of one join.
+    # the high half, so a row is four pieces of one join, and the rows of one
+    # high half are one slice.
     high = list(map("".join, product("01", repeat=args.n - args.n // 2)))
     low = list(map("".join, product("01", repeat=args.n // 2)))
     low_wt = [[f"{b},{wt + b.count('1')}," for b in low] for wt in range(args.n - args.n // 2 + 1)]
-    pieces = [",0\n"] * (4 * state.amps.size)
-    pieces[0::4] = chain.from_iterable(repeat(a, len(low)) for a in high)
-    pieces[1::4] = chain.from_iterable(low_wt[a.count("1")] for a in high)
-    pieces[2::4] = csvio.fmt_column(state.amps)
-    _emit(args, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},
-          ["x", "weight", "re", "im"], "".join(pieces), trailer)
+    amps = csvio.fmt_column(state.amps)
+
+    def slices():
+        pieces = [",0\n"] * (4 * len(low))
+        for start, a in zip(range(0, len(amps), len(low)), high):
+            pieces[0::4] = [a] * len(low)
+            pieces[1::4] = low_wt[a.count("1")]
+            pieces[2::4] = amps[start:start + len(low)]
+            yield "".join(pieces)
+
+    csvio.write_csv(args.out, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},
+                    ["x", "weight", "re", "im"], slices(), trailer)
     return 0
 
 
@@ -334,8 +334,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     store = search.RecordStore(args.db) if args.db else None
     records = search.table_one(range(args.from_n, args.to_n + 1), store=store)
     header = ["n", "w", "method", "f_hex", "r", "probability"]
-    _emit(args, "table1", {"from": args.from_n, "to": args.to_n}, header,
-          csvio.column_rows(header, [[getattr(rec, field) for rec in records] for field in header]))
+    csvio.write_csv(args.out, "table1", {"from": args.from_n, "to": args.to_n}, header,
+                    csvio.column_rows(header, [[getattr(rec, field) for rec in records] for field in header]))
     return 0
 
 

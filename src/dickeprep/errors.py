@@ -15,7 +15,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def check_index(name: str, value: int, n: int) -> None:
-    """Refuse an index outside [0, n]: a weight, or a row or column of the Krawtchouk matrix."""
+    """Refuse a negative n, then an index outside [0, n]: a weight, or a Krawtchouk row or column."""
+    check_size("n", n, 0)
     if not 0 <= value <= n:
         raise ValueError(f"{name}={value} out of range [0, {n}]")
 

@@ -155,8 +155,8 @@ def _layer(amps: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
 
 def apply_layer(s: FullState, r: float) -> FullState:
     """B_{r,n} on every qubit; r = n/2 is exactly the Hadamard layer."""
-    check_bias(r, s.n)
-    return FullState(n=s.n, amps=_layer(s.amps, s.n, _bias_matrix(r / s.n)))
+    check_size("n", s.n, 1)
+    return FullState(n=s.n, amps=_layer(s.amps, s.n, _bias_matrix(check_bias(r, s.n))))
 
 
 def apply_phase_oracle(s: FullState, f: SymmetricBooleanFunction) -> FullState:

@@ -163,7 +163,8 @@ class SymmetricState:
         """
         total = self.probabilities.sum()
         if not abs(total - 1.0) <= NORM_ATOL:  # also refuses a NaN norm
-            raise StateError(f"state norm {total:.6g} is not 1 within {NORM_ATOL:g}")
+            raise StateError(f"state norm {float(total)!r} is not 1 within {NORM_ATOL:g}: "
+                             f"it misses by {abs(total - 1.0):.3g}")
         p = self.probabilities / total
         p.flags.writeable = False
         return p

@@ -17,7 +17,7 @@ from dickeprep.search import RecordStore, SearchRecord
 from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, quarter_binomials, quarter_slice
 from dickeprep.symstate import dicke
 
-from csv_reference import render_per_value
+from csv_reference import read_csv, render_per_value, written
 from profile_reference import dj_optimal_profile
 
 
@@ -44,7 +44,7 @@ class TestKrawtchoukCommand:
         path = tmp_path / "m.csv"
         code, _, _ = run(capsys, "krawtchouk", "--n", "6", "--out", str(path))
         assert code == 0
-        meta, header, rows = csvio.read_csv(path)
+        meta, header, rows = read_csv(path)
         assert meta["command"] == "krawtchouk"
         assert header[0] == "i"
         entries = tuple(tuple(int(v) for v in row[1:]) for row in rows)
@@ -145,7 +145,7 @@ class TestCnCommand:
         path = tmp_path / "cn.csv"
         code, _, _ = run(capsys, "cn", "--max-n", "100", "--out", str(path))
         assert code == 0
-        _, header, rows = csvio.read_csv(path)
+        _, header, rows = read_csv(path)
         assert header == ["n", "c", "w_min"]
         assert len(rows) == 100
         cs = {int(r[0]): float(r[1]) for r in rows}
@@ -167,7 +167,7 @@ class TestCurvesCommand:
         path = tmp_path / "curves.csv"
         code, _, _ = run(capsys, "curves", "--n", "12", "--out", str(path))
         assert code == 0
-        _, header, rows = csvio.read_csv(path)
+        _, header, rows = read_csv(path)
         assert header == ["w", "dj_prob", "childs_prob"]
         assert len(rows) == 13
         assert float(rows[0][1]) == 1.0 and float(rows[0][2]) == 1.0
@@ -179,8 +179,8 @@ class TestCurvesCommand:
         """The curves CSV with both columns from exact floats: dj_optimal_profile and childs_probability per w."""
         childs = [symstate.childs_probability(n, w) for w in range(n + 1)]
         header = ["w", "dj_prob", "childs_prob"]
-        return csvio.render_csv("curves", {"n": n}, header,
-                                csvio.column_rows(header, [range(n + 1), dj_optimal_profile(n), childs]))
+        return written("curves", {"n": n}, header,
+                       csvio.column_rows(header, [range(n + 1), dj_optimal_profile(n), childs]))
 
     @pytest.mark.parametrize("n", [79, 80, 81, 95, 96, 97, 350, 527, 999, 1000, 1029, 1030, 1100, 2000, 2200, 4000])
     def test_same_bytes_as_exact_path(self, capsys, n):
@@ -222,7 +222,7 @@ class TestSweepQuarterCommand:
         path = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "sweep-quarter", "--max-n", "40", "--out", str(path))
         assert code == 0
-        _, header, rows = csvio.read_csv(path)
+        _, header, rows = read_csv(path)
         assert header == ["n", "dj_prob", "childs_prob"]
         assert [int(r[0]) for r in rows] == list(range(4, 41))
         assert all(float(r[1]) >= float(r[2]) - 1e-12 for r in rows)
@@ -236,8 +236,8 @@ class TestSweepQuarterCommand:
         dj = quarter_slice(max_n, quarter_binomials(max_n)) if dj is None else dj[: max_n + 1]
         childs = quarter_childs(max_n) if childs is None else childs[: max_n + 1]
         header = ["n", "dj_prob", "childs_prob"]
-        return csvio.render_csv("sweep-quarter", {"max_n": max_n}, header,
-                                csvio.column_rows(header, [range(4, max_n + 1), dj[4:], childs[4:]]))
+        return written("sweep-quarter", {"max_n": max_n}, header,
+                       csvio.column_rows(header, [range(4, max_n + 1), dj[4:], childs[4:]]))
 
     @pytest.mark.parametrize("max_n", [4, 159, 160, 161, 697, 1029, 1030, 1100])
     def test_same_bytes_as_exact_path(self, capsys, max_n):
@@ -266,7 +266,7 @@ class TestSimulateCommand:
             "--trials", "100000", "--seed", "7", "--out", str(path),
         )
         assert code == 0
-        _, header, rows = csvio.read_csv(path)
+        _, header, rows = read_csv(path)
         assert header == ["weight", "count", "frequency", "analytic"]
         freq2 = float(rows[2][2])
         assert freq2 == pytest.approx(0.52734375, abs=5e-3)
@@ -433,7 +433,7 @@ class TestFullsimCommand:
         code, _, _ = run(capsys, "fullsim", "--n", "4", "--f", "12", "--r", "1.3",
                          "--out", str(path))
         assert code == 0
-        meta, header, rows = csvio.read_csv(path)
+        meta, header, rows = read_csv(path)
         assert header == ["x", "weight", "re", "im"]
         assert len(rows) == 16
         f = SymmetricBooleanFunction.from_hex(4, "12")
@@ -546,7 +546,7 @@ class TestTable1Command:
         code, _, _ = run(capsys, "table1", "--from", "4", "--to", "5",
                          "--db", str(db), "--out", str(out1))
         assert code == 0
-        _, header, rows = csvio.read_csv(out1)
+        _, header, rows = read_csv(out1)
         assert header == ["n", "w", "method", "f_hex", "r", "probability"]
         assert len(rows) == 3 * (3 + 4)
         by_key = {(int(r[0]), int(r[1]), r[2]): r for r in rows}
@@ -564,7 +564,7 @@ class TestTable1Command:
     def test_rows_parse_as_records(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         run(capsys, "table1", "--from", "4", "--to", "4", "--out", str(out))
-        _, _, rows = csvio.read_csv(out)
+        _, _, rows = read_csv(out)
         recs = [
             SearchRecord(n=int(r[0]), w=int(r[1]), method=r[2], f_hex=r[3],
                          r=float(r[4]), probability=float(r[5]))
@@ -736,6 +736,21 @@ class TestHarness:
         proc = simulate(2**63)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == [f"error: --trials must be in [1, 2^63 - 1], got {2**63}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["krawtchouk", "--n", "abc"],
+        ["simulate", "--n", "6", "--w", "2", "--method", "dj", "--trials", "1e3"],
+        ["search", "--n", "4", "--w", "2"],  # no --db
+    ])
+    def test_parse_error_exits_2_with_usage(self, capsys, argv):
+        # argparse's convention, apart from the exit 1 of a refused value
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: dickeprep {argv[0]} ")
+        assert lines[-1].startswith(f"dickeprep {argv[0]}: error: ")
 
     def test_simulate_failure_prints_nothing(self, capsys, tmp_path):
         # the report lines are held until the CSV is written

@@ -1,9 +1,12 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from dickeprep.csvio import column_rows, fmt, render_csv, write_csv
+from dickeprep.csvio import column_rows, fmt, write_csv
 
-from csv_reference import render_per_value
+from csv_reference import render_per_value, written
 
 
 SUBNORMAL = 5e-324
@@ -54,13 +57,13 @@ def test_bytes_match_per_value_formatting(name):
     header, cols = CASES[name]
     params = {"n": 3, "case": name.replace(" ", "_")}
     trailer = ["done"]
-    got = render_csv("demo", params, header, column_rows(header, cols), trailer).encode("utf-8")
+    got = written("demo", params, header, column_rows(header, cols), trailer).encode("utf-8")
     assert got == render_per_value("demo", params, header, zip(*cols), trailer).encode("utf-8")
 
 
 def test_generator_columns():
     cols = [[1, 2], [0.5, 0.25], ["a", "b"]]
-    got = render_csv("demo", {}, ["i", "p", "s"], column_rows(["i", "p", "s"], (iter(col) for col in cols)))
+    got = written("demo", {}, ["i", "p", "s"], column_rows(["i", "p", "s"], (iter(col) for col in cols)))
     assert got == render_per_value("demo", {}, ["i", "p", "s"], zip(*cols))
 
 
@@ -75,12 +78,13 @@ def test_columns_must_match_header(cols):
         column_rows(["a", "b"], cols)
 
 
-def test_carriage_return_raises():
+def test_carriage_return_raises(capsys):
     # csv.writer leaves it unquoted here, and csv.reader then splits the line at it
     with pytest.raises(ValueError, match="carriage return"):
         column_rows(["s"], [["a\rb"]])
     with pytest.raises(ValueError, match="carriage return"):
-        render_csv("demo", {}, ["a\rb"], "")
+        write_csv(None, "demo", {}, ["a\rb"], [])
+    assert capsys.readouterr().out == ""  # refused before the first byte
 
 
 def test_str_column_passes_through_without_fmt(monkeypatch):
@@ -88,42 +92,64 @@ def test_str_column_passes_through_without_fmt(monkeypatch):
 
     calls = []
     monkeypatch.setattr(csvio, "fmt", lambda v: calls.append(v) or fmt(v))
-    got = render_csv("demo", {}, ["a", "b"], column_rows(["a", "b"], [["1", "-2"], [3, "x"]]))
+    got = written("demo", {}, ["a", "b"], column_rows(["a", "b"], [["1", "-2"], [3, "x"]]))
     assert got == render_per_value("demo", {}, ["a", "b"], [("1", 3), ("-2", "x")])
     assert calls == [3, "x"]  # only the column that is not all str
 
 
 def test_rows_text_passes_through():
-    # the dumps hand render_csv their rows as one text; only the header is formatted here
-    got = render_csv("demo", {"n": 1}, ["x", 'q"'], "a,1\nb,2\n", ["done"])
+    # the dumps hand write_csv their rows as text slices; only the header is formatted here
+    got = written("demo", {"n": 1}, ["x", 'q"'], ["a,1\n", "b,2\n"], ["done"])
     assert got == render_per_value("demo", {"n": 1}, ["x", 'q"'], [("a", 1), ("b", 2)], ["done"])
-    assert render_csv("demo", {}, [""], "") == render_per_value("demo", {}, [""], [])
+    assert written("demo", {}, [""], []) == render_per_value("demo", {}, [""], [])
+    assert column_rows(["a"], [[]]) == []
 
 
-def test_write_csv_is_render_csv_in_slices(tmp_path):
-    # rows of more than one 2^20-character slice, two-byte characters across
-    # the slice edges, a single-field header and trailer comments
-    rows = "".join(f"{i},\u00e9{'x' * (i % 7)}\n" for i in range(200_000))
-    assert len(rows) > 2 * (1 << 20)
-    for header, trailer in ((["i", "s"], ["done", "again"]), ([""], [])):
+def test_slices_stream_to_stdout_as_they_come():
+    # each slice reaches the stream before the next is asked for
+    buf = io.StringIO()
+    seen = []
+
+    def rows():
+        for i in range(3):
+            seen.append(buf.getvalue())
+            yield f"{i},x\n"
+
+    with contextlib.redirect_stdout(buf):
+        write_csv("", "demo", {}, ["i", "s"], rows(), ["done"])  # an empty --out is stdout
+    head = written("demo", {}, ["i", "s"], [])
+    assert seen == [head, head + "0,x\n", head + "0,x\n1,x\n"]
+    assert buf.getvalue() == head + "0,x\n1,x\n2,x\n# done\n"
+
+
+def test_write_csv_file_same_bytes_as_stdout(tmp_path):
+    # slices of more than 2^20 characters, two-byte characters, a single-field
+    # header, trailer comments, and no rows at all
+    rows = ["".join(f"{i},\u00e9{'x' * (i % 7)}\n" for i in range(j, j + 100_000)) for j in (0, 100_000)]
+    assert len(rows[0]) > 1 << 20
+    for header, trailer, slices in ((["i", "s"], ["done", "again"], rows), ([""], [], rows), (["a"], [], [])):
         path = tmp_path / "out.csv"
-        write_csv(path, "demo", {"n": 3}, header, rows, trailer)
-        assert path.read_bytes() == render_csv("demo", {"n": 3}, header, rows, trailer).encode("utf-8")
+        write_csv(path, "demo", {"n": 3}, header, iter(slices), trailer)
+        assert path.read_bytes() == written("demo", {"n": 3}, header, slices, trailer).encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    path = tmp_path / "empty.csv"
-    write_csv(path, "demo", {}, ["a"], "")
-    assert path.read_bytes() == render_csv("demo", {}, ["a"], "").encode("utf-8")
 
 
 def test_write_csv_failure_leaves_nothing_behind(tmp_path):
-    # a lone surrogate past the first slice fails the utf-8 encoding mid-write
+    # a failure after the first slice: a lone surrogate fails the utf-8
+    # encoding, and the producer of the slices raises or is interrupted
+    def rows(failure):
+        yield "a\n" * (1 << 20)
+        if failure is UnicodeEncodeError:
+            yield "\ud800\n"
+        raise failure("mid-dump")
+
     path = tmp_path / "out.csv"
     path.write_text("old\n", encoding="utf-8")
-    rows = "a\n" * (1 << 20) + "\ud800\n"
-    with pytest.raises(UnicodeEncodeError):
-        write_csv(path, "demo", {}, ["a"], rows)
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    assert path.read_text(encoding="utf-8") == "old\n"
+    for failure in (UnicodeEncodeError, RuntimeError, KeyboardInterrupt):
+        with pytest.raises(failure):
+            write_csv(path, "demo", {}, ["a"], rows(failure))
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert path.read_text(encoding="utf-8") == "old\n"
     with pytest.raises(ValueError, match="carriage return"):
-        write_csv(tmp_path / "new.csv", "demo", {}, ["a\rb"], "")
+        write_csv(tmp_path / "new.csv", "demo", {}, ["a\rb"], [])
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -7,7 +7,7 @@ import pytest
 from dickeprep import fullsim
 from dickeprep.errors import ResourceLimitError, StateError
 from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
-from dickeprep.symstate import biased_dj_state, dicke, dj_state
+from dickeprep.symstate import SymmetricState, biased_dj_state, dicke, dj_state
 
 import fullsim_reference
 
@@ -90,6 +90,15 @@ class TestApplyLayer:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="r="):
             fullsim.apply_layer(fullsim.zero_state(3), 3.5)
+
+    def test_zero_qubits_refused(self):
+        # from_symmetric builds a 0-qubit state; the layer refuses it as zero_state(0) does
+        s = fullsim.from_symmetric(SymmetricState(n=0, amps=np.array([1.0])))
+        assert s.n == 0
+        with pytest.raises(ValueError, match="^n=0 must be positive$"):
+            fullsim.zero_state(0)
+        with pytest.raises(ValueError, match="^n=0 must be positive$"):
+            fullsim.apply_layer(s, 0.0)
 
 
 class TestPhaseOracle:

@@ -182,7 +182,7 @@ def test_pascal_step_matches_column_up_to_64():
 
 def dump_cells(n):
     """dump_rows(n) split into its cells: [i][k] is the text of K_i(k, n), the i column dropped."""
-    text = dump_rows(n)
+    text = "".join(dump_rows(n))
     assert text.endswith("\n")
     lines = text[:-1].split("\n")
     assert [line.split(",", 1)[0] for line in lines] == [str(i) for i in range(n + 1)]
@@ -194,6 +194,19 @@ def test_dump_rows_are_str_of_columns_up_to_64():
         assert dump_cells(n) == [list(map(str, row)) for row in zip(*columns(n))], n
     with pytest.raises(ValueError, match="n="):
         dump_rows(-1)
+
+
+def test_dump_rows_come_in_slices_of_whole_rows():
+    # a dump of n <= 151 is one slice; past about n = 190, slices of at most 2^20 characters
+    assert [len(list(dump_rows(n))) for n in (0, 1, 64, 151)] == [1, 1, 1, 1]
+    for n in (200, 330):
+        slices = list(dump_rows(n))
+        assert len(slices) > 1
+        assert all(len(part) <= 1 << 20 and part.endswith("\n") for part in slices)
+        assert all(len(part) + len(nxt.split("\n", 1)[0]) + 1 > 1 << 20 for part, nxt in zip(slices, slices[1:]))
+        lines = "".join(slices).split("\n")
+        assert lines[-1] == "" and [line.split(",") for line in lines[:-1]] == [
+            [str(i), *map(str, row)] for i, row in enumerate(zip(*columns(n)))]
 
 
 def test_dump_rows_never_print_negative_zero():

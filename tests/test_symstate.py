@@ -38,6 +38,7 @@ from dickeprep.symstate import (
 import sampler_reference
 import search_reference
 from biased_reference import biased_amplitude_table, biased_amplitudes
+from csv_reference import read_csv
 from profile_reference import dj_optimal_profile
 
 
@@ -132,6 +133,14 @@ class TestSuccessProbability:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="w="):
             success_probability(dicke(4, 1), 5)
+
+
+@pytest.mark.parametrize("fn", [optimal_function, dicke, childs_probability, childs_probability_exact,
+                                childs_state, dj_optimal_success_exact])
+@pytest.mark.parametrize("n,w", [(-1, 0), (-2, -1), (-1, 3)])
+def test_negative_n_named_before_w(fn, n, w):
+    with pytest.raises(ValueError, match=rf"^n={n} must be non-negative$"):
+        fn(n, w)
 
 
 class TestChilds:
@@ -702,6 +711,17 @@ class TestParityMeasurement:
             with pytest.raises(StateError, match="state norm"):
                 junk.distribution
 
+    def test_failing_gate_prints_total_and_miss(self):
+        # a miss of 3.5e-7 rounds to "1" at 6 digits; the repr and the miss show it
+        total = 1.0 - 3.5e-7
+        off = SymmetricState(n=1, amps=np.array([math.sqrt(total), 0.0]))
+        with pytest.raises(StateError) as info:
+            off.distribution
+        assert str(info.value) == "state norm 0.9999996500000001 is not 1 within 1e-08: it misses by 3.5e-07"
+        nan = SymmetricState(n=1, amps=np.array([math.nan, 0.0]))
+        with pytest.raises(StateError, match=r"^state norm nan is not 1 within 1e-08: it misses by nan$"):
+            nan.distribution
+
     def test_unnormalized_rejected(self):
         junk = SymmetricState(n=3, amps=np.array([0.5, 0.1, 0.0, 0.0]))
         rng = np.random.default_rng(0)
@@ -846,7 +866,7 @@ def childs_law(n, w, t=0):
 def simulate_counts(path, argv, trials, seed):
     """The count column of `dickeprep simulate *argv --trials trials --seed seed`, read from its CSV."""
     assert cli.main(["simulate", *argv, "--trials", str(trials), "--seed", str(seed), "--out", str(path)]) == 0
-    _, header, rows = csvio.read_csv(path)
+    _, header, rows = read_csv(path)
     counts = [int(row[header.index("count")]) for row in rows]
     assert sum(counts) == trials
     return counts
