@@ -27,37 +27,44 @@ small matrix product per (n, w) and batch of functions gives every
 function's Fourier coefficients; the grid is then one more matrix product.
 The derivatives of amp are closed-form in the same coefficients, so each
 Newton step on p'(theta) = 2 C(n,w) amp amp' costs one cos/sin evaluation
-per coefficient, and three or four steps reach the maximum.  The parts
-that do not depend on w -- the float Krawtchouk rows behind the
-coefficients and the grid's cosines and sines at the same frequencies --
-form one basis per n (_basis).  exhaustive_search, which visits one n at
-many w, reads it from an LRU cache of 8 sizes, shared by every w at that n;
-its n <= MAX_EXHAUSTIVE_N bounds the cache at 1.64 MiB.  optimize_r, one
-call per (f, w), builds its own basis and leaves the cache alone.  Every
-float is the same whether or not the basis was cached.  A function and its
-complement have exactly negated coefficients, so they tie bit for bit and
-only the member with f_n = 0 is kept.  Mirror pairs also tie exactly:
-p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i} (complemented when
-that sets f_n), but the computed values differ by rounding, so the winner is
-relabelled to the member with the lower (function value, r).
+per coefficient, and three or four steps reach the maximum.  Everything
+that does not depend on w forms one basis per n (_basis): the float
+Krawtchouk rows behind the coefficients, scaled and unscaled, their signs
+(-1)^l, the frequencies and their squares, the four phase-sign rows, and the
+r grid with its theta and its cosines and sines at the same frequencies.
+So a search cell does only per-weight work: the bracket of every grid point
+is a gather from the grid theta.  exhaustive_search, which visits one n at
+many w, reads the basis from an LRU cache of 8 sizes, shared by every w at
+that n; its n <= MAX_EXHAUSTIVE_N bounds the cache at 1.79 MiB.
+optimize_r, one call per (f, w), builds its own basis and leaves the cache
+alone.  Every float is the same whether or not the basis was cached.  A
+function and its complement have exactly negated coefficients, so they tie
+bit for bit and only the member with f_n = 0 is kept.  Mirror pairs also
+tie exactly: p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i}
+(complemented when that sets f_n), but the computed values differ by
+rounding, so the winner is relabelled to the member with the lower
+(function value, r).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import os
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from math import comb
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ResourceLimitError, check_index, check_size
-from .krawtchouk import descending_columns
-from .symfunc import SymmetricBooleanFunction, optimal_function
-from .symstate import childs_probability, dj_success_exact
+from .krawtchouk import column, descending_columns
+from .symfunc import SymmetricBooleanFunction
+from .symstate import childs_probability
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -73,8 +80,9 @@ __all__ = [
 MAX_EXHAUSTIVE_N = 48
 _GRID_POINTS = 512  # r grid of every maximization, see _grid
 # bases kept, one per n; only exhaustive_search reads the cache, so n <= 48
-# and a basis is at most 25 x 49 Krawtchouk floats and 512 x 50 wave floats:
-# 8 x (25 x 49 + 512 x 50) x 8 B = 1.64 MiB
+# and a basis is at most 2 x 25 x 49 Krawtchouk floats, 4 x 49 phase signs,
+# 3 x 25 row signs and frequencies, 2 x 512 grid points and 512 x 50 wave
+# floats: 8 x (2 x 25 x 49 + 4 x 49 + 3 x 25 + 2 x 512 + 512 x 50) x 8 B = 1.79 MiB
 _BASIS_CACHE = 8
 # Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
 # bisection toward a root near theta = 0 does not run down into denormals
@@ -93,13 +101,24 @@ class SearchRecord:
     method: str = "biased"
 
     def to_json(self) -> str:
-        fields = {"n": self.n, "w": self.w, "f_hex": self.f_hex, "r": self.r,
-                  "probability": self.probability, "method": self.method}
-        return json.dumps(fields, sort_keys=True)
+        """json.dumps of the fields with sorted keys, the same text built directly."""
+        return (f'{{"f_hex": {_json(self.f_hex)}, "method": {_json(self.method)}, '
+                f'"n": {_json(self.n)}, "probability": {_json(self.probability)}, '
+                f'"r": {_json(self.r)}, "w": {_json(self.w)}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "SearchRecord":
         return cls(**json.loads(line))
+
+
+def _json(value: object) -> str:
+    """`value` as json.dumps writes it: str, int and finite float without its per-call encoder."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)  # NaN, Infinity, subclasses
 
 
 def _sign_rows(n: int, values: np.ndarray) -> np.ndarray:
@@ -117,18 +136,32 @@ def _theta(n: int, rs: np.ndarray) -> np.ndarray:
     return np.arcsin(np.sqrt(rs / max(n, 1)))
 
 
-def _waves(n: int, lam: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """[cos(lam theta), sin(lam theta)] per bias r, with sin^2(theta) = r/n: (R, 2L), row-major."""
-    phase = _theta(n, rs)[:, None] * lam[None, :]
+def _waves(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """[cos(lam theta), sin(lam theta)] per angle theta: (R, 2L), row-major."""
+    phase = theta[:, None] * lam[None, :]
     out = np.empty((phase.shape[0], 2 * lam.size))
     np.cos(phase, out=out[:, :lam.size])
     np.sin(phase, out=out[:, lam.size:])
     return out
 
 
+class _Basis(NamedTuple):
+    """The per-n state of the kernel, every array read-only (see _basis)."""
+
+    K: np.ndarray  # (L, n+1): K_i(l, n) at l = ceil(n/2) + j
+    K_scaled: np.ndarray  # K * 2^-n
+    alt: np.ndarray  # (L,): (-1)^l of the same rows
+    lam: np.ndarray  # (L,): their frequencies 2l - n, integers
+    lam2: np.ndarray  # lam * lam
+    phase_signs: np.ndarray  # (4, n+1, 1): row q, entry i is Re (-i)^{q+i}
+    grid: np.ndarray  # (G,): the r grid
+    theta: np.ndarray  # (G,): _theta on the grid
+    waves: np.ndarray  # (G, 2L): _waves at the grid theta
+
+
 @functools.lru_cache(maxsize=_BASIS_CACHE)
-def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The part of every spectrum at n that does not depend on w, read-only.
+def _basis(n: int) -> _Basis:
+    """Every part of a search at n that does not depend on w, read-only.
 
     K[j, i] = K_i(l, n) at l = ceil(n/2) + j: the rows l >= n/2 of
     np.array(krawtchouk.columns(n), dtype=float) bit for bit, the only rows
@@ -137,8 +170,12 @@ def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     palindrome K_{n-i}(l, n) = (-1)^l K_i(l, n) fills in the rest by exact
     sign flips, and `+ 0.0` turns a negated zero back into the +0.0 the
     conversion gives.  From n = 1030 the conversion raises OverflowError,
-    and the cache keeps no entry then.  The second array is _waves on the
-    grid at the frequencies 2l - n of those rows: (G, 2L).
+    and the cache keeps no entry then.  Next to K it holds what _spectrum,
+    _optimize_batch and _slopes would otherwise recompute per call, each by
+    the same formula: K 2^-n, the row signs (-1)^l, the frequencies
+    lam = 2l - n and lam^2, the phase-sign rows Re (-i)^{q+i} of the four
+    classes q = w mod 4 (the sine signs of w are the cosine signs of w + 1),
+    the grid, its theta, computed once, and _waves there: (G, 2L).
     """
     h = n // 2
     quarter = np.array(list(islice(descending_columns(n), h + 1)), dtype=float)[::-1]
@@ -146,14 +183,19 @@ def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     K = np.empty((h + 1, n + 1))
     K[:, :h + 1] = quarter
     K[:, h + 1:] = quarter[:, :n - h][:, ::-1] * alt[:, None] + 0.0
-    waves = _waves(n, np.arange(n - 2 * h, n + 1, 2), _grid(n))
-    for a in (K, waves):
+    lam = np.arange(n - 2 * h, n + 1, 2)
+    phase = (np.arange(4)[:, None] + np.arange(n + 1)) % 4
+    grid = _grid(n)
+    theta = _theta(n, grid)
+    basis = _Basis(K=K, K_scaled=K * 2.0 ** -n, alt=alt, lam=lam, lam2=lam * lam,
+                   phase_signs=np.array([1.0, 0.0, -1.0, 0.0])[phase, None],
+                   grid=grid, theta=theta, waves=_waves(theta, lam))
+    for a in basis:
         a.flags.writeable = False
-    return K, waves
+    return basis
 
 
-def _spectrum(n: int, w: int, basis: tuple[np.ndarray, np.ndarray]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectrum(n: int, w: int, basis: _Basis) -> np.ndarray:
     """Exact Fourier form of the biased-DJ inner sums T_i(theta) at weight w.
 
     With sin^2(theta) = r/n the bias layer is B = R(theta) Z, and on the
@@ -165,12 +207,12 @@ def _spectrum(n: int, w: int, basis: tuple[np.ndarray, np.ndarray]
     and K_{n-l}(w) = (-1)^w K_l(w)), so T_i is real and the rows l >= n/2
     give it: the frequency lam = 2l - n >= 0 counts twice where lam > 0, and
     the phase (-i)^{w+i} is 1, -i, -1 or i, so each row i has a cosine or
-    a sine part only.  Returns (lam, T, waves): lam = n % 2, ..., n, T of
-    shape (n+1, 2L) with
-      T_i(theta) = sum_l T[i, l] cos(lam_l theta) + T[i, L+l] sin(lam_l theta),
-    and the grid waves of the basis.  Scaled as K_i(l)/2^n times
-    K_l(w)/2^{n/2}, each entry is within a few ulps and exact zeros stay 0;
-    from n = 1030 the floats overflow (OverflowError, raised by _basis).
+    a sine part only.  Returns T of shape (n+1, 2L), at the frequencies
+    lam = n % 2, ..., n of the basis, with
+      T_i(theta) = sum_l T[i, l] cos(lam_l theta) + T[i, L+l] sin(lam_l theta).
+    Scaled as K_i(l)/2^n times K_l(w)/2^{n/2}, each entry is within a few
+    ulps and exact zeros stay 0; from n = 1030 the floats overflow
+    (OverflowError, raised by _basis).
 
     `basis` is _basis(n), which does not depend on w: exhaustive_search
     passes the cached one, so each further w at the same n costs a few
@@ -178,23 +220,22 @@ def _spectrum(n: int, w: int, basis: tuple[np.ndarray, np.ndarray]
     _basis.__wrapped__, which leaves the cache alone.
     """
     check_index("w", w, n)
-    K, waves = basis
     h = n // 2
-    lam = np.arange(n - 2 * h, n + 1, 2)
     # K_l(w, n) for l >= n/2: row w, or (-1)^l K_l(n - w, n) from row n - w
     if w >= n - h:
-        K_w = K[w - n + h, n - h:]
+        K_w = basis.K[w - n + h, n - h:]
     else:
-        K_w = K[h - w, n - h:] * (1.0 - 2.0 * (np.arange(n - h, n + 1) & 1))
-    M = (K * 2.0 ** -n) * (K_w * 2.0 ** (-0.5 * n))[:, None]  # M[j, i] at frequency lam_j
-    M[lam > 0] *= 2.0
-    phase = (w + np.arange(n + 1)) % 4  # (-i)^{w+i} = cos sign + i sin sign
-    cos_sign = np.array([1.0, 0.0, -1.0, 0.0])[phase, None]
-    sin_sign = np.array([0.0, -1.0, 0.0, 1.0])[phase, None]
-    # T stays column-major, the transpose of M: a row-major copy changes how
-    # BLAS rounds the products with it, which moves 41 of the 1128 records at
-    # n <= 48 by an ulp and relabels two exact ties at n = 43
-    return lam, np.hstack([M.T * cos_sign, M.T * sin_sign]), waves
+        K_w = basis.K[h - w, n - h:] * basis.alt
+    M = basis.K_scaled * (K_w * 2.0 ** (-0.5 * n))[:, None]  # M[j, i] at frequency lam_j
+    M[1 - n % 2:] *= 2.0  # every frequency but lam = 0
+    # (-i)^{w+i} = cos sign + i sin sign.  T stays column-major, the transpose
+    # of M: a row-major copy changes how BLAS rounds the products with it,
+    # which moves 41 of the 1128 records at n <= 48 by an ulp and relabels two
+    # exact ties at n = 43
+    T = np.empty((2 * (h + 1), n + 1)).T
+    np.multiply(M.T, basis.phase_signs[w % 4], out=T[:, :h + 1])
+    np.multiply(M.T, basis.phase_signs[(w + 1) % 4], out=T[:, h + 1:])
+    return T
 
 
 def _mirror(n: int, value: int) -> int:
@@ -203,7 +244,7 @@ def _mirror(n: int, value: int) -> int:
     return m ^ ((1 << (n + 1)) - 1) if m >> n else m
 
 
-def _slopes(lam: np.ndarray, coef: np.ndarray, c: np.ndarray,
+def _slopes(basis: _Basis, coef: np.ndarray, c: np.ndarray,
             s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h = amp amp' and h' = amp'^2 + amp amp'' at each row's own theta.
 
@@ -212,15 +253,16 @@ def _slopes(lam: np.ndarray, coef: np.ndarray, c: np.ndarray,
     amp' = sum l (b c - a s) and amp'' = -sum l^2 (a c + b s).  Negated
     coefficients give the same h and h' bit for bit.
     """
-    a, b = coef[:, :lam.size], coef[:, lam.size:]
+    L = basis.lam.size
+    a, b = coef[:, :L], coef[:, L:]
     even = a * c + b * s
     amp = even.sum(axis=-1)
-    d1 = ((b * c - a * s) * lam).sum(axis=-1)
-    d2 = -(even * (lam * lam)).sum(axis=-1)
+    d1 = ((b * c - a * s) * basis.lam).sum(axis=-1)
+    d2 = -(even * basis.lam2).sum(axis=-1)
     return amp * d1, d1 * d1 + amp * d2
 
 
-def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarray,
+def _newton(basis: _Basis, coef: np.ndarray, theta: np.ndarray, far: np.ndarray,
             h: np.ndarray, dh: np.ndarray, h_far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows whose bracket holds a maximum of amp^2, and its theta there.
 
@@ -249,45 +291,45 @@ def _newton(lam: np.ndarray, coef: np.ndarray, theta: np.ndarray, far: np.ndarra
         live &= dx > _THETA_STEP
         if not live.any():
             break
-        phase = t[:, None] * lam
-        h, dh = _slopes(lam, coef, np.cos(phase), np.sin(phase))
+        phase = t[:, None] * basis.lam
+        h, dh = _slopes(basis, coef, np.cos(phase), np.sin(phase))
         a = np.where(h > 0, t, a)
         b = np.where(h < 0, t, b)
     return idx, t
 
 
-def _optimize_batch(n: int, w: int, signs: np.ndarray,
-                    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
+                    T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row global max of p(r) on [0, n]: grid scan, then Newton in theta.
 
     The best grid point (ties keep the leftmost) brackets the maximum between
     its neighbours.  Inside that bracket Newton refines the root of
     p'(theta) = 2 C(n,w) amp amp'; p at the result is then compared with p at
     both bracket ends, so an endpoint maximum is kept.  The start and both
-    ends are grid points, so their cosines and sines are rows of the basis's
-    grid waves; only Newton's iterates and its result evaluate new ones.
-    `spectrum` is _spectrum(n, w, basis).
+    ends are grid points, so their theta, cosines and sines are entries of
+    the basis's grid theta and rows of its grid waves; only Newton's iterates
+    and its result evaluate new ones.  T is _spectrum(n, w, basis).
     """
-    grid = _grid(n)
-    lam, T, waves = spectrum
+    L = basis.lam.size
     coef = signs @ T  # each row's [a_l | b_l]
     scale = comb(n, w)
-    P = scale * (coef @ waves.T) ** 2  # (F, G)
+    P = scale * (coef @ basis.waves.T) ** 2  # (F, G)
     best = P.argmax(axis=1)  # leftmost max on ties
-    at = np.stack([best, np.maximum(best - 1, 0), np.minimum(best + 1, grid.size - 1)])
-    start = waves[at]  # (3, F, 2L): the start, lo and hi of every row
-    (h, h_lo, h_hi), (dh, _, _) = _slopes(lam, coef, start[..., :lam.size], start[..., lam.size:])
-    r, lo, hi = grid[at]
+    # per row the bracket ends lo and hi, then the start; an end that ties the
+    # refined point keeps its exact r, so the ends come first
+    at = np.stack([np.maximum(best - 1, 0), np.minimum(best + 1, _GRID_POINTS - 1), best])
+    waves = basis.waves[at]  # (3, F, 2L)
+    (h_lo, h_hi, h), (_, _, dh) = _slopes(basis, coef, waves[..., :L], waves[..., L:])
     up = h > 0
-    idx, theta = _newton(lam, coef, _theta(n, r), _theta(n, np.where(up, hi, lo)),
+    idx, theta = _newton(basis, coef, basis.theta[best], basis.theta[np.where(up, at[1], at[0])],
                          h, dh, np.where(up, h_hi, h_lo))
-    r[idx] = n * np.sin(theta) ** 2
-    rs = np.stack([lo, hi, r])
-    amp = (coef * np.concatenate([start[1:], _waves(n, lam, r)[None]])).sum(axis=-1)
+    rs = basis.grid[at]
+    rs[2, idx] = n * np.sin(theta) ** 2
+    waves[2] = _waves(_theta(n, rs[2]), basis.lam)  # the start's waves make way for the result's
+    amp = (coef * waves).sum(axis=-1)
     ps = scale * amp * amp  # each function at its own r
-    pick = ps.argmax(axis=0)  # an end that ties the refined point keeps its exact r
-    rows = np.arange(r.size)
+    pick = ps.argmax(axis=0)
+    rows = np.arange(best.size)
     return rs[pick, rows], ps[pick, rows]
 
 
@@ -301,8 +343,9 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     """
     check_size("n", f.n, 1)
     check_index("w", w, f.n)
-    spectrum = _spectrum(f.n, w, _basis.__wrapped__(f.n))
-    r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float), spectrum)
+    basis = _basis.__wrapped__(f.n)
+    T = _spectrum(f.n, w, basis)
+    r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float), basis, T)
     return float(r[0]), float(p[0])
 
 
@@ -331,33 +374,41 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     _check_bound(n)
     check_size("n", n, 1)
     check_index("w", w, n)
-    _, T, waves = spectrum = _spectrum(n, w, _basis(n))
-    negative = (T @ waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
+    basis = _basis(n)
+    T = _spectrum(n, w, basis)
+    negative = (T @ basis.waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0
     values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
-    r, p = _optimize_batch(n, w, _sign_rows(n, values), spectrum)
+    r, p = _optimize_batch(n, w, _sign_rows(n, values), basis, T)
     idx = int(np.argmax(p))  # values ascend, so ties keep the lowest value
     value, r_best = min(
         (int(values[idx]), float(r[idx])),
         (_mirror(n, int(values[idx])), n - float(r[idx])),
     )
-    f_hex = SymmetricBooleanFunction.from_value(n, value).to_hex()
     return SearchRecord(
-        n=n, w=w, f_hex=f_hex, r=r_best, probability=float(p[idx]), method="biased"
+        n=n, w=w, f_hex=format(value, "X"), r=r_best, probability=float(p[idx]), method="biased"
     )
 
 
 def dj_record(n: int, w: int) -> SearchRecord:
-    """Unbiased-DJ baseline row: the sign-rule function at bias n/2."""
-    f = optimal_function(n, w)
-    p = dj_success_exact(f, w)
+    """Unbiased-DJ baseline row: the sign-rule function at bias n/2.
+
+    One exact column K(w, n) gives both: the function optimal_function(n, w),
+    f_i = [K_i(w, n) < 0], and p = dj_optimal_success_exact(n, w) =
+    C(n,w) S^2 / 2^(2n) with S = sum_i |K_i(w, n)|, as one correctly rounded
+    big-int division, the same float as that of the reduced Fraction.
+    """
+    check_index("w", w, n)
+    col = column(w, n)
+    value = sum(1 << i for i, v in enumerate(col) if v < 0)
+    s = sum(map(abs, col))
     return SearchRecord(
         n=n,
         w=w,
-        f_hex=f.to_hex(),
+        f_hex=format(value, "X"),
         r=n / 2.0,
-        probability=p.numerator / p.denominator,
+        probability=(comb(n, w) * s * s) / (1 << (2 * n)),
         method="dj",
     )
 
@@ -401,10 +452,14 @@ class RecordStore:
         self.path = Path(path)
 
     def append(self, record: SearchRecord) -> None:
-        line = record.to_json() + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
+        """Add the record's line, creating the file: one os.write on an O_APPEND descriptor."""
+        line = (record.to_json() + "\n").encode("utf-8")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while line:  # a regular file takes the whole line; this only guards a short write
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
 
     def records(self) -> Iterator[SearchRecord]:
         if not self.path.exists():

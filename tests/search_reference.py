@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 
 from dickeprep.krawtchouk import columns
-from dickeprep.search import _grid, _waves
+from dickeprep.search import _grid, _theta, _waves
 
 _R_TOL = 1e-8  # golden-section refinement stops at this bracket width in r
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,7 +53,7 @@ def fold(lam: np.ndarray, C: np.ndarray,
 def candidates(n: int, w: int) -> np.ndarray:
     """The sign-rule candidates of exhaustive_search: grid sign patterns, f_n = 0."""
     lam, coef = fold(*biased_amplitude_spectrum(n, w))
-    negative = (coef @ _waves(n, lam, _grid(n)).T < 0).astype(np.int64)  # T_i(r_g) < 0
+    negative = (coef @ _waves(_theta(n, _grid(n)), lam).T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     return np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
 
@@ -65,10 +65,10 @@ def optimize_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.nd
     scale = comb(n, w)
 
     def probability(rs: np.ndarray) -> np.ndarray:  # each function at its own r
-        amp = (coef * _waves(n, lam, rs)).sum(axis=1)
+        amp = (coef * _waves(_theta(n, rs), lam)).sum(axis=1)
         return scale * amp * amp
 
-    P = scale * (coef @ _waves(n, lam, grid).T) ** 2  # (F, G)
+    P = scale * (coef @ _waves(_theta(n, grid), lam).T) ** 2  # (F, G)
     best = P.argmax(axis=1)  # leftmost max on ties
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]

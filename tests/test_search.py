@@ -117,15 +117,16 @@ def mirror(f):
     return complement(g) if g.bits[f.n] else g
 
 
-def cold_spectrum(n, w):
-    """_spectrum(n, w) on a basis built for this call alone, as optimize_r builds it."""
-    return search._spectrum(n, w, search._basis.__wrapped__(n))
+def cold_batch(n, w, signs):
+    """_optimize_batch at (n, w) on a basis built for this call alone, as optimize_r builds it."""
+    basis = search._basis.__wrapped__(n)
+    return search._optimize_batch(n, w, signs, basis, search._spectrum(n, w, basis))
 
 
 def brute_force(n, w):
     """Reference scan: every one of the 2^(n+1) functions through the batch kernel."""
     values = np.arange(1 << (n + 1), dtype=np.int64)
-    r, p = search._optimize_batch(n, w, search._sign_rows(n, values), cold_spectrum(n, w))
+    r, p = cold_batch(n, w, search._sign_rows(n, values))
     idx = int(np.argmax(p))  # highest p, then lowest value
     return SymmetricBooleanFunction.from_value(n, int(values[idx])), float(r[idx]), float(p[idx])
 
@@ -149,8 +150,9 @@ class TestSignRuleSearch:
         theta = np.linspace(0.0, np.pi / 2, 8001)
         for n in (12, 24, 36, 48):
             for w in (1, n // 4, n // 2, 3 * n // 4, n - 1):
-                lam, coef, _ = cold_spectrum(n, w)
-                phase = np.outer(lam, theta)
+                basis = search._basis.__wrapped__(n)
+                coef = search._spectrum(n, w, basis)
+                phase = np.outer(basis.lam, theta)
                 T = coef @ np.vstack([np.cos(phase), np.sin(phase)])
                 envelope = comb(n, w) * float(np.max(np.abs(T).sum(axis=0))) ** 2
                 p = exhaustive_search(n, w).probability
@@ -185,7 +187,7 @@ class TestSpectralKernel:
                 assert optimize_r(f, w) == optimize_r(complement(f), w)
         n, w = 8, 3
         values = np.arange(1 << (n + 1), dtype=np.int64)
-        r, p = search._optimize_batch(n, w, search._sign_rows(n, values), cold_spectrum(n, w))
+        r, p = cold_batch(n, w, search._sign_rows(n, values))
         assert np.array_equal(p, p[::-1]) and np.array_equal(r, r[::-1])
 
     def test_scan_tie_keeps_lower_complement(self):
@@ -206,7 +208,7 @@ class TestNewtonRefinement:
         cells += [(n, w) for n in (17, 24, 31, 40, 48) for w in (1, n // 4, n // 2, n - 3)]
         for n, w in cells:
             signs = search._sign_rows(n, search_reference.candidates(n, w))
-            _, p = search._optimize_batch(n, w, signs, cold_spectrum(n, w))
+            _, p = cold_batch(n, w, signs)
             _, p_ref = search_reference.optimize_batch(n, w, signs)
             assert np.all(p >= p_ref - 2e-15), (n, w)
 
@@ -292,15 +294,78 @@ class TestSharedBasis:
 
     def test_cached_waves_are_the_grid_waves(self):
         for n in (1, 6, 11, 48):
-            K, waves = search._basis(n)
+            waves = search._basis(n).waves
             lam = np.arange(-n, n + 1, 2)
-            assert np.array_equal(waves, search._waves(n, lam[lam >= 0], search._grid(n)))
+            grid = np.linspace(0.0, float(n), search._GRID_POINTS)
+            assert np.array_equal(waves, search._waves(search._theta(n, grid), lam[lam >= 0]))
             with pytest.raises(ValueError):
                 waves[0, 0] = 2.0
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 11, 48, 64])
+    def test_per_n_state_is_the_per_call_formulas(self, n):
+        # each cached array is its old per-call formula bit for bit (int64
+        # views tell +0.0 from -0.0), and read-only
+        basis = search._basis.__wrapped__(n)
+        h = n // 2
+        lam = np.arange(n - 2 * h, n + 1, 2)
+        grid = np.linspace(0.0, float(n), search._GRID_POINTS)
+        theta = np.arcsin(np.sqrt(grid / max(n, 1)))
+        phase = theta[:, None] * lam[None, :]
+        want = {
+            "K_scaled": basis.K * 2.0 ** -n,
+            "alt": 1.0 - 2.0 * (np.arange(n - h, n + 1) & 1),
+            "lam": lam,
+            "lam2": lam * lam,
+            "grid": grid,
+            "theta": theta,
+            "waves": np.hstack([np.cos(phase), np.sin(phase)]),
+        }
+        for name, value in want.items():
+            got = getattr(basis, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert np.array_equal(got.view(np.int64), value.view(np.int64)), name
+        for w in range(n + 1):
+            # the phase (-i)^{w+i} split into its cosine and sine signs per row i
+            phase = (w + np.arange(n + 1)) % 4
+            cos_sign = np.array([1.0, 0.0, -1.0, 0.0])[phase, None]
+            sin_sign = np.array([0.0, -1.0, 0.0, 1.0])[phase, None]
+            assert np.array_equal(basis.phase_signs[w % 4], cos_sign), w
+            assert np.array_equal(basis.phase_signs[(w + 1) % 4], sin_sign), w
+        for name, a in basis._asdict().items():
+            with pytest.raises(ValueError):
+                a.flat[0] = 2.0
+            assert not a.flags.writeable, name
+
+    def test_cache_hit_recomputes_no_grid(self, monkeypatch):
+        # a cell on a cached basis computes neither the grid nor its theta:
+        # its one _theta call is on the refined r, one entry per candidate
+        search._basis(9)
+        calls = []
+        real_linspace, real_theta = np.linspace, search._theta
+
+        def linspace(*args, **kwargs):
+            calls.append("linspace")
+            return real_linspace(*args, **kwargs)
+
+        def theta(n, rs):
+            calls.append(rs.size)
+            return real_theta(n, rs)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        monkeypatch.setattr(search, "_theta", theta)
+        for w in range(1, 9):
+            hits = search._basis.cache_info().hits
+            exhaustive_search(9, w)
+            assert search._basis.cache_info().hits == hits + 1
+        assert "linspace" not in calls and len(calls) == 8
+        assert all(size < search._GRID_POINTS for size in calls)
+
     def test_cache_bound(self):
         # only exhaustive_search, n <= 48, fills the cache; optimize_r at any n
-        # leaves it as it was (the byte bound: TestKrawtchoukFloats in test_symstate)
+        # leaves it as it was.  With the per-n state a basis at n = 48 holds
+        # 29345 floats, 234760 B, so the 8 kept take 1.79 MiB (the byte bound:
+        # TestKrawtchoukFloats in test_symstate)
+        assert sum(a.nbytes for a in search._basis.__wrapped__(48)) == 29345 * 8
         cache = search._basis
         cache.cache_clear()
         for n in range(41, 49):
@@ -340,8 +405,9 @@ class TestSharedBasis:
         for n in (0, 1, 6, 11, 48, 64, 301):
             lam = np.arange(n % 2, n + 1, 2)
             for rs in (search._grid(n), rng.random(7) * n, np.array([n / 2])):
-                waves = search._waves(n, lam, rs)
-                phase = search._theta(n, rs)[:, None] * lam[None, :]
+                theta = search._theta(n, rs)
+                waves = search._waves(theta, lam)
+                phase = theta[:, None] * lam[None, :]
                 want = np.hstack([np.cos(phase), np.sin(phase)])
                 assert waves.flags.c_contiguous and waves.shape == want.shape
                 assert np.array_equal(waves.view(np.int64), want.view(np.int64)), n
@@ -363,17 +429,17 @@ class TestRealSpectrum:
         for n in range(65):
             basis = search._basis.__wrapped__(n)
             for k in range(n + 1):
-                lam, coef, _ = search._spectrum(n, k, basis)
+                coef = search._spectrum(n, k, basis)
                 lam_ref, coef_ref = search_reference.fold(
                     *search_reference.biased_amplitude_spectrum(n, k))
-                assert np.array_equal(lam, lam_ref), (n, k)
+                assert np.array_equal(basis.lam, lam_ref), (n, k)
                 assert np.array_equal(coef, coef_ref), (n, k)
 
     def test_exact_tie_cells_keep_their_records(self):
         # two candidates tie to an ulp at (43, 19) and at (43, 24), so the
         # rounding of signs @ T picks the stored function; a row-major T
         # stores 195555 and 32AAAA8 instead
-        assert search._spectrum(43, 19, search._basis(43))[1].flags.f_contiguous
+        assert search._spectrum(43, 19, search._basis(43)).flags.f_contiguous
         assert exhaustive_search(43, 19).f_hex == "40000195555"
         assert exhaustive_search(43, 24).f_hex == "32AAAAA"
 
@@ -385,6 +451,15 @@ class TestBaselineRecords:
         assert rec.r == 3.0
         assert rec.probability == pytest.approx(0.527344, abs=1e-6)
         assert rec.f_hex == "1C"
+        # everywhere: p from one column sum is the float of the reduced
+        # Fraction, and f is the sign-rule function
+        for n in range(2, 49):
+            for w in range(1, n):
+                rec = dj_record(n, w)
+                assert rec.probability == float(dj_optimal_success_exact(n, w)), (n, w)
+                assert rec.f_hex == optimal_function(n, w).to_hex(), (n, w)
+        with pytest.raises(ValueError, match="w=7 out of range"):
+            dj_record(6, 7)
 
     def test_childs_record(self):
         rec = childs_record(6, 3)
@@ -455,8 +530,35 @@ class TestRecordStore:
         assert index[(4, 2)].probability == 0.9
 
     def test_json_matches_asdict(self):
-        for rec in (exhaustive_search(6, 2), dj_record(6, 2), childs_record(6, 3)):
+        # to_json builds the text of json.dumps(..., sort_keys=True) itself:
+        # records of each method and edge values
+        records = [
+            exhaustive_search(6, 2), dj_record(6, 2), childs_record(6, 3),
+            SearchRecord(n=1, w=0, f_hex="", r=0.0, probability=5e-324, method="childs"),
+            SearchRecord(n=7, w=3, f_hex="7F", r=7 / 2, probability=1.0, method="dj"),
+            SearchRecord(n=48, w=47, f_hex="1C5", r=-0.0, probability=0.1 + 0.2, method="biasé ✓"),
+            SearchRecord(n=2, w=1, f_hex="A\"\\\n", r=1e-300, probability=2.5e300, method=""),
+            # types a hand-edited line reads back as: an int r, NaN and infinity
+            SearchRecord(n=3, w=1, f_hex="3", r=3, probability=float("nan")),
+            SearchRecord(n=3, w=1, f_hex="3", r=float("-inf"), probability=float("inf")),
+        ]
+        for rec in records:
             assert rec.to_json() == json.dumps(dataclasses.asdict(rec), sort_keys=True)
+
+    def test_append_is_the_json_line(self, tmp_path):
+        # a missing file is created; earlier lines are kept; each record adds
+        # exactly its to_json() and a newline
+        path = tmp_path / "db.jsonl"
+        store = RecordStore(path)
+        first = SearchRecord(n=4, w=2, f_hex="8", r=3.7013, probability=0.981763)
+        store.append(first)
+        assert path.read_bytes() == (first.to_json() + "\n").encode()
+        path.write_bytes(path.read_bytes() + b"\n")  # a blank line, as a hand edit leaves
+        before = path.read_bytes()
+        second = SearchRecord(n=4, w=2, f_hex="", r=2.0, probability=0.5, method="childs é")
+        store.append(second)
+        assert path.read_bytes() == before + (second.to_json() + "\n").encode()
+        assert list(store.records()) == [first, second]
 
     def test_missing_file_is_empty(self, tmp_path):
         store = RecordStore(tmp_path / "nope.jsonl")

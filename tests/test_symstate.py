@@ -540,14 +540,15 @@ class TestBiasedAmplitudeSpectrum:
             theta = np.arcsin(np.sqrt(rhos))  # sin^2(theta) = rho
             basis = search._basis.__wrapped__(n)
             for k in range(n + 1):
-                lam, coef, _ = search._spectrum(n, k, basis)
-                phase = np.outer(lam, theta)
+                coef = search._spectrum(n, k, basis)
+                phase = np.outer(basis.lam, theta)
                 got = coef @ np.vstack([np.cos(phase), np.sin(phase)])
                 assert np.max(np.abs(got - biased_amplitude_table(n, k, rhos))) <= 1e-13
 
     def test_frequencies_are_exact_integers(self):
         for n in (0, 1, 6, 33, 64):
-            lam, coef, waves = search._spectrum(n, n // 3, search._basis.__wrapped__(n))
+            basis = search._basis.__wrapped__(n)
+            lam, coef, waves = basis.lam, search._spectrum(n, n // 3, basis), basis.waves
             assert lam.dtype.kind == "i"
             assert lam.tolist() == list(range(n % 2, n + 1, 2))
             assert coef.shape == (n + 1, 2 * lam.size)
@@ -561,8 +562,9 @@ class TestBiasedAmplitudeSpectrum:
         K = columns(n)  # K[l][i] = K_i(l, n)
         scale = 1 << (3 * n // 2)
         basis = search._basis.__wrapped__(n)
+        lam = basis.lam
         for k in (1, n // 4, n // 2):
-            lam, coef, _ = search._spectrum(n, k, basis)
+            coef = search._spectrum(n, k, basis)
             a, b = coef[:, :lam.size], coef[:, lam.size:]
             for i in range(n + 1):
                 m = (k + i) % 4
@@ -587,11 +589,11 @@ class TestBiasedAmplitudeSpectrum:
             for k in (0, 1, n // 3, n // 2, n):
                 lam, C = search_reference.biased_amplitude_spectrum(n, k)
                 assert np.array_equal(C[:, ::-1], C.conj())
-                assert np.array_equal(search_reference.fold(lam, C)[1], search._spectrum(n, k, basis)[1])
+                assert np.array_equal(search_reference.fold(lam, C)[1], search._spectrum(n, k, basis))
 
     def test_float_range(self):
         # Krawtchouk entries pass the float range at n = 1030
-        lam, coef, _ = search._spectrum(1029, 514, search._basis.__wrapped__(1029))
+        coef = search._spectrum(1029, 514, search._basis.__wrapped__(1029))
         assert np.isfinite(coef).all()
         with pytest.raises(OverflowError):
             search._basis.__wrapped__(1030)
@@ -620,12 +622,14 @@ class TestKrawtchoukFloats:
 
     def test_cache_bound(self):
         # at most 8 bases, each of n <= 48, the sizes exhaustive_search takes:
-        # 8 x (25 x 49 + 512 x 50) x 8 B = 1.64 MiB
+        # two Krawtchouk blocks (K and K 2^-n), the phase signs, the row signs,
+        # frequencies and their squares, the grid and its theta, and the waves:
+        # 8 x (2 x 25 x 49 + 4 x 49 + 3 x 25 + 2 x 512 + 512 x 50) x 8 B = 1.79 MiB
         cache = search._basis
         assert cache.cache_info().maxsize == search._BASIS_CACHE == 8
         assert search.MAX_EXHAUSTIVE_N == 48
         largest = sum(a.nbytes for a in cache.__wrapped__(48))
-        assert 8 * largest == 8 * (25 * 49 + 512 * 50) * 8 < 1.64 * 2**20
+        assert 8 * largest == 8 * (2 * 25 * 49 + 4 * 49 + 3 * 25 + 2 * 512 + 512 * 50) * 8 < 1.8 * 2**20
         cache.cache_clear()
         with pytest.raises(ResourceLimitError):
             search.exhaustive_search(49, 3)
