@@ -19,22 +19,15 @@ import numpy as np
 
 from . import __version__, csvio, fullsim, grover, search
 from .errors import ResourceLimitError
-from .symfunc import (
-    SymmetricBooleanFunction,
-    c_minima,
-    c_minima_bytes,
-    dj_optimal_profile_strings,
-    optimal_function,
-    quarter_binomials,
-    quarter_slice,
-    spectrum_value,
-)
+from .symfunc import SymmetricBooleanFunction, optimal_function, spectrum_value
 from .symstate import (
     biased_dj_state,
-    childs_profile_strings,
-    childs_quarter_slice_strings,
+    c_minima,
+    c_minima_bytes,
     childs_state,
+    curves_columns,
     dj_state,
+    quarter_columns,
     success_probability,
 )
 from .krawtchouk import column, dump_rows
@@ -148,8 +141,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
-    binoms = column(0, n)[: n // 2 + 1]  # C(n, k) for k <= n//2, shared by both columns
-    dj, childs = dj_optimal_profile_strings(n, binoms), childs_profile_strings(n, binoms)
+    dj, childs = curves_columns(n)
     header = ["w", "dj_prob", "childs_prob"]
     csvio.write_csv(args.out, "curves", {"n": n}, header, csvio.column_rows(header, [range(n + 1), dj, childs]))
     return 0
@@ -158,8 +150,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
-    binoms = quarter_binomials(args.max_n)  # C(n, n//4) for n <= max_n, shared by both columns
-    dj, childs = quarter_slice(args.max_n, binoms), childs_quarter_slice_strings(args.max_n, binoms)
+    dj, childs = quarter_columns(args.max_n)
     header = ["n", "dj_prob", "childs_prob"]
     csvio.write_csv(args.out, "sweep-quarter", {"max_n": args.max_n}, header,
                     csvio.column_rows(header, [range(4, args.max_n + 1), dj[4:], childs[4:]]))

@@ -41,7 +41,7 @@ A column also steps in n: G_k^(n+1) = G_k^(n) (1+z) and
 G_{k+1}^(n+1) = G_k^(n) (1-z), one add or subtract per half-column entry
 (`next_half_column`; for odd n the half column first gains
 K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
-`symfunc.quarter_slice` carries its one column this way instead of
+`symstate.quarter_columns` carries its one column this way instead of
 rebuilding every n from scratch.
 
 `dump_rows` gives the matrix as the rows of the `krawtchouk` dump,
@@ -86,7 +86,7 @@ def krawtchouk(i: int, k: int, n: int) -> int:
     return total
 
 
-def _half_column(k: int, n: int) -> list[int]:
+def half_column(k: int, n: int) -> list[int]:
     """(K_0(k, n), ..., K_{n//2}(k, n)) by the three-term recurrence."""
     check_index("k", k, n)
     h = n // 2
@@ -110,7 +110,7 @@ def column(k: int, n: int) -> tuple[int, ...]:
 
     The recurrence gives entries i <= n//2, the palindrome the rest.
     """
-    return tuple(full_column(_half_column(k, n), k, n))
+    return tuple(full_column(half_column(k, n), k, n))
 
 
 def descending_columns(n: int) -> Iterator[list[int]]:
@@ -121,7 +121,7 @@ def descending_columns(n: int) -> Iterator[list[int]]:
     current half column is kept (the caller must not modify it), so a caller
     that stops early pays only for the columns it took.
     """
-    col = _half_column(n, n)
+    col = half_column(n, n)
     yield col
     for _ in range(n):
         col = list(accumulate(map(add, col, [0] + col[:-1])))
@@ -230,4 +230,4 @@ def abs_column_sum(k: int, n: int) -> int:
     peak reduced-Walsh value attainable at weight k by any symmetric Boolean
     function.
     """
-    return half_abs_sum(_half_column(k, n), n)
+    return half_abs_sum(half_column(k, n), n)

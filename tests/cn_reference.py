@@ -1,4 +1,4 @@
-"""The carried exact columns, every term evaluated, the reference that symfunc.c_minima is checked against."""
+"""The carried exact columns, every term evaluated, the reference that symstate.c_minima is checked against."""
 
 import math
 

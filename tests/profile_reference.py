@@ -1,4 +1,7 @@
-"""The exact DJ profile, every value one integer ratio, the reference that symfunc.dj_optimal_profile_strings and symfunc.quarter_slice are checked against."""
+"""The exact DJ profile, every value one integer ratio.
+
+The reference that the DJ columns of symstate.curves_columns and symstate.quarter_columns are checked against.
+"""
 
 from dickeprep.krawtchouk import column, descending_columns, half_abs_sum
 

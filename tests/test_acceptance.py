@@ -17,10 +17,11 @@ from dickeprep import fullsim
 from dickeprep.grover import amplify
 from dickeprep.krawtchouk import abs_column_sum, matrix
 from dickeprep.search import exhaustive_search, optimize_r
-from dickeprep.symfunc import SymmetricBooleanFunction, c_minima, optimal_function
+from dickeprep.symfunc import SymmetricBooleanFunction, optimal_function
 from dickeprep.symstate import (
     SymmetricState,
     biased_dj_state,
+    c_minima,
     childs_probability_exact,
     dj_state,
     dj_success_exact,

@@ -14,8 +14,8 @@ from dickeprep import cli, csvio, fullsim, symstate
 from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix
 from dickeprep.search import RecordStore, SearchRecord
-from dickeprep.symfunc import SymmetricBooleanFunction, c_minima_bytes, quarter_binomials, quarter_slice
-from dickeprep.symstate import dicke
+from dickeprep.symfunc import SymmetricBooleanFunction
+from dickeprep.symstate import c_minima_bytes, dicke, quarter_columns
 
 from csv_reference import read_csv, render_per_value, written
 from profile_reference import dj_optimal_profile
@@ -194,17 +194,17 @@ class TestCurvesCommand:
 
         krawtchouk = importlib.import_module("dickeprep.krawtchouk")  # the package exports a function of that name
         rows = []
-        real = krawtchouk._half_column
+        real = krawtchouk.half_column
 
         def counted(k, n):
             if k == 0:
                 rows.append(n)
             return real(k, n)
 
-        # krawtchouk.column builds through its module's _half_column; the others hold their own binding
+        # krawtchouk.column builds through its module's half_column; the others hold their own binding
         for module in (krawtchouk, cli, symfunc, symstate):
-            if hasattr(module, "_half_column"):
-                monkeypatch.setattr(module, "_half_column", counted)
+            if hasattr(module, "half_column"):
+                monkeypatch.setattr(module, "half_column", counted)
         for n in (12, 196):
             rows.clear()
             _, out, _ = run(capsys, "curves", "--n", str(n))
@@ -229,11 +229,11 @@ class TestSweepQuarterCommand:
 
     @staticmethod
     def exact_csv(max_n, dj=None, childs=None):
-        """The sweep-quarter CSV from exact floats: quarter_slice and childs_probability(n, n // 4) per n.
+        """The sweep-quarter CSV from exact floats: quarter_columns' DJ column and childs_probability(n, n // 4) per n.
 
         dj and childs, when given, are longer such lists, of which the CSV takes the prefix.
         """
-        dj = quarter_slice(max_n, quarter_binomials(max_n)) if dj is None else dj[: max_n + 1]
+        dj = quarter_columns(max_n)[0] if dj is None else dj[: max_n + 1]
         childs = quarter_childs(max_n) if childs is None else childs[: max_n + 1]
         header = ["n", "dj_prob", "childs_prob"]
         return written("sweep-quarter", {"max_n": max_n}, header,
@@ -246,7 +246,7 @@ class TestSweepQuarterCommand:
         assert out == self.exact_csv(max_n)
 
     def test_float_path_same_bytes_at_every_small_n(self, capsys):
-        dj, childs = quarter_slice(400, quarter_binomials(400)), quarter_childs(400)  # each a prefix of the next
+        dj, childs = quarter_columns(400)[0], quarter_childs(400)  # each a prefix of the next
         for max_n in range(4, 401):
             _, out, _ = run(capsys, "sweep-quarter", "--max-n", str(max_n))
             assert out == self.exact_csv(max_n, dj, childs), max_n

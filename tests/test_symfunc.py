@@ -6,34 +6,36 @@ from math import comb
 import numpy as np
 import pytest
 
-from dickeprep import symfunc
+from dickeprep import symstate
 from dickeprep.csvio import fmt
 from dickeprep.krawtchouk import (
-    _half_column,
     abs_column_sum,
     column,
     columns,
     descending_columns,
     half_abs_sum,
+    half_column,
     matrix,
     next_half_column,
 )
 from dickeprep.symfunc import (
     SymmetricBooleanFunction,
+    _lane_layout,
+    optimal_function,
+    reduced_walsh_spectrum,
+    spectrum_value,
+)
+from dickeprep.symstate import (
     _born_column,
     _FloatFilter,
     _dj_float_bounds,
     _frexp_ints,
-    _lane_layout,
     _sqrt_ratios,
     c_minima,
     c_minima_bytes,
-    dj_optimal_profile_strings,
-    optimal_function,
-    quarter_binomials,
-    quarter_slice,
-    reduced_walsh_spectrum,
-    spectrum_value,
+    curves_columns,
+    dj_optimal_success_exact,
+    quarter_columns,
 )
 
 import cn_reference
@@ -301,7 +303,7 @@ def c_term(k, n):
 
 
 class TestCofN:
-    """cn_reference.c_minima, the exact c(n) that symfunc.c_minima is checked against."""
+    """cn_reference.c_minima, the exact c(n) that symstate.c_minima is checked against."""
 
     def test_trivial(self):
         assert cn_reference.c_minima(1) == [(1.0, 0)]
@@ -349,23 +351,22 @@ class TestCarriedColumns:
             c_minima(0)
 
     def test_quarter_slice_matches_exact_optimum(self):
-        from dickeprep.symstate import dj_optimal_success_exact
-
-        got = quarter_slice(400, quarter_binomials(400))
+        got, _ = quarter_columns(400)
         assert got == [float(dj_optimal_success_exact(n, n // 4)) for n in range(401)]
-        assert quarter_slice(0, [1]) == [1.0]
-        assert quarter_slice(9, quarter_binomials(9)) == got[:10]
+        assert quarter_columns(0)[0] == [1.0]
+        assert quarter_columns(9)[0] == got[:10]
 
     def test_quarter_binomials_exact(self):
-        # past the float range from n = 1270, where C(n, n // 4) first passes 2^1024
-        assert quarter_binomials(1300) == [comb(n, n // 4) for n in range(1301)]
-        assert quarter_binomials(0) == [1]
+        # the carried C(n, n // 4) passes 2^1024 from n = 1270: both columns stay exact past it
+        dj, childs = quarter_columns(1300)
+        assert dj == [float(dj_optimal_success_exact(n, n // 4)) for n in range(1301)]
+        assert childs[1260:] == [fmt(symstate.childs_probability(n, n // 4)) for n in range(1260, 1301)]
 
     def test_quarter_slice_matches_profile(self):
-        got = quarter_slice(64, quarter_binomials(64))
+        got, _ = quarter_columns(64)
         assert got == [dj_optimal_profile(n)[n // 4] for n in range(65)]
         with pytest.raises(ValueError, match="max_n="):
-            quarter_slice(-1, [])
+            quarter_columns(-1)
 
 
 @pytest.fixture(scope="module")
@@ -413,11 +414,11 @@ class TestFloatFilteredMinima:
         self.check_certificate(200)
 
     def test_certificate_with_mid_block_rebuilds(self, monkeypatch):
-        monkeypatch.setattr(symfunc, "_RESEED_RATIO", 2.0**-50)  # rebuilds nearly every kept column
+        monkeypatch.setattr(symstate, "_RESEED_RATIO", 2.0**-50)  # rebuilds nearly every kept column
         self.check_certificate(200)
 
     def test_mid_block_rebuilds_give_same_rows(self, reference_rows, monkeypatch):
-        monkeypatch.setattr(symfunc, "_RESEED_RATIO", 2.0**-50)  # rebuilds nearly every kept column
+        monkeypatch.setattr(symstate, "_RESEED_RATIO", 2.0**-50)  # rebuilds nearly every kept column
         rows = []
         real = _FloatFilter._reseed
 
@@ -427,24 +428,24 @@ class TestFloatFilteredMinima:
 
         monkeypatch.setattr(_FloatFilter, "_reseed", watched)
         assert c_minima(300) == reference_rows[:300]
-        assert any(0 < j < symfunc._BLOCK_STEPS - 1 for j in rows)
+        assert any(0 < j < symstate._BLOCK_STEPS - 1 for j in rows)
 
     def test_born_column_is_the_binomial_half_row(self):
         # (1 - z)^h (1 + z)^h = (1 - z^2)^h
         for h in range(301):
-            assert _born_column(_half_column(0, h), h) == _half_column(h, 2 * h), h
+            assert _born_column(half_column(0, h), h) == half_column(h, 2 * h), h
 
     def test_reseeding_off_gives_same_rows(self, reference_rows, monkeypatch):
         counts = []
-        real = symfunc._c_term
+        real = symstate._c_term
 
         def counted(*args):
             counts[-1] += 1
             return real(*args)
 
-        monkeypatch.setattr(symfunc, "_c_term", counted)
-        for ratio in (symfunc._RESEED_RATIO, math.inf):
-            monkeypatch.setattr(symfunc, "_RESEED_RATIO", ratio)
+        monkeypatch.setattr(symstate, "_c_term", counted)
+        for ratio in (symstate._RESEED_RATIO, math.inf):
+            monkeypatch.setattr(symstate, "_RESEED_RATIO", ratio)
             counts.append(0)
             assert c_minima(400) == reference_rows[:400], ratio
         # more exact terms without reseeding, the same bytes
@@ -521,7 +522,7 @@ def exact_strings(n):
 
 
 def half_row(n):
-    """The binomial half row (C(n, 0), ..., C(n, n//2)) that curves passes to the float paths."""
+    """The binomial half row (C(n, 0), ..., C(n, n//2)) that curves_columns passes to the float paths."""
     return column(0, n)[: n // 2 + 1]
 
 
@@ -557,7 +558,7 @@ def enclosed_abs(terms, rest):
 
 
 class TestCertifiedDjStrings:
-    """dj_optimal_profile_strings: the 9-digit text of dj_optimal_profile from certified floats."""
+    """curves_columns' DJ column: the 9-digit text of dj_optimal_profile from certified floats."""
 
     @pytest.mark.parametrize("ns", [range(161), (255, 256, 350, 351, 1000)])
     def test_bounds_contain_exact_value(self, ns):
@@ -576,7 +577,7 @@ class TestCertifiedDjStrings:
         # term.  Then [lo, hi] must hold tau~ +- eps for eps the sum of the certified terms, so a bound
         # that drops one of them fails here although the others alone still cover the observed error.
         blocks, terms = [], []
-        real_block, real_terms = symfunc._recurrence_block, symfunc._dj_float_terms
+        real_block, real_terms = symstate._recurrence_block, symstate._dj_float_terms
 
         def block(rows, top, i, *args):
             real_block(rows, top, i, *args)
@@ -586,8 +587,8 @@ class TestCertifiedDjStrings:
             terms.append(real_terms(m, binoms))
             return terms[-1]
 
-        monkeypatch.setattr(symfunc, "_recurrence_block", block)
-        monkeypatch.setattr(symfunc, "_dj_float_terms", captured)
+        monkeypatch.setattr(symstate, "_recurrence_block", block)
+        monkeypatch.setattr(symstate, "_dj_float_terms", captured)
         binoms = half_row(n)
         lo, hi = _dj_float_bounds(n, binoms)
         (d,) = terms
@@ -633,7 +634,7 @@ class TestCertifiedDjStrings:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
     def test_widened_bounds_fall_back_to_same_strings(self, n, monkeypatch):
         calls = []
-        real_sum, real_bounds = symfunc.abs_column_sum, symfunc._dj_float_bounds
+        real_sum, real_bounds = symstate.abs_column_sum, symstate._dj_float_bounds
 
         def widened(m, binoms):
             lo, hi = real_bounds(m, binoms)
@@ -643,17 +644,17 @@ class TestCertifiedDjStrings:
             calls.append(k)
             return real_sum(k, m)
 
-        monkeypatch.setattr(symfunc, "_dj_float_bounds", widened)
-        monkeypatch.setattr(symfunc, "abs_column_sum", counted)
-        assert dj_optimal_profile_strings(n, half_row(n)) == exact_strings(n)
+        monkeypatch.setattr(symstate, "_dj_float_bounds", widened)
+        monkeypatch.setattr(symstate, "abs_column_sum", counted)
+        assert curves_columns(n)[0] == exact_strings(n)
         assert calls == list(range(n // 2 + 1))
 
     def test_non_finite_bounds_fall_back(self, monkeypatch):
-        real_bounds = symfunc._dj_float_bounds
+        real_bounds = symstate._dj_float_bounds
         for bad in (math.nan, math.inf):
-            monkeypatch.setattr(symfunc, "_dj_float_bounds",
+            monkeypatch.setattr(symstate, "_dj_float_bounds",
                                 lambda m, binoms: (np.full(m // 2 + 1, bad), np.full(m // 2 + 1, bad)))
-            assert dj_optimal_profile_strings(30, half_row(30)) == exact_strings(30)
+            assert curves_columns(30)[0] == exact_strings(30)
 
     @pytest.mark.parametrize("n", [350, 1000])
     def test_few_exact_fallbacks(self, n):
@@ -677,4 +678,4 @@ class TestCertifiedDjStrings:
 
     def test_domain(self):
         with pytest.raises(ValueError, match="n="):
-            dj_optimal_profile_strings(-1, ())
+            curves_columns(-1)

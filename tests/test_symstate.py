@@ -22,15 +22,15 @@ from dickeprep.symstate import (
     biased_dj_state,
     childs_probability,
     childs_probability_exact,
-    childs_profile_strings,
-    childs_quarter_slice_strings,
     childs_state,
+    curves_columns,
     dicke,
     dj_optimal_success_exact,
     dj_state,
     dj_success_exact,
     parity_measure,
     parity_sample,
+    quarter_columns,
     repetitions_until_success,
     success_probability,
 )
@@ -203,7 +203,7 @@ def childs_ratio(n, w):
 
 
 def half_row(n):
-    """The binomial half row (C(n, 0), ..., C(n, n//2)) that curves passes to childs_profile_strings."""
+    """The binomial half row (C(n, 0), ..., C(n, n//2)) that curves_columns passes to the float paths."""
     return column(0, n)[: n // 2 + 1]
 
 
@@ -242,7 +242,7 @@ def inside(lo, hi, num, den):
 
 
 class TestCertifiedChildsStrings:
-    """childs_profile_strings and childs_quarter_slice_strings: the Childs column from certified floats."""
+    """The Childs column of curves_columns and quarter_columns from certified floats."""
 
     def test_power_table_within_gamma(self):
         m, e = symstate._power_table(3000)
@@ -285,11 +285,11 @@ class TestCertifiedChildsStrings:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350, 1030])
     def test_same_strings_as_exact_profile(self, n):
-        assert childs_profile_strings(n, half_row(n)) == childs_strings(n)
+        assert curves_columns(n)[1] == childs_strings(n)
 
     def test_quarter_slice_same_strings(self):
-        assert childs_quarter_slice_strings(1300, quarter_row(1300)) == quarter_strings(1300)
-        assert childs_quarter_slice_strings(0, [1]) == ["1"]
+        assert quarter_columns(1300)[1] == quarter_strings(1300)
+        assert quarter_columns(0)[1] == ["1"]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 161, 350])
     def test_widened_bounds_fall_back_to_same_strings(self, n, monkeypatch):
@@ -306,10 +306,10 @@ class TestCertifiedChildsStrings:
 
         monkeypatch.setattr(symstate, "_childs_float_bounds", widened)
         monkeypatch.setattr(symstate, "childs_probability", counted)
-        assert childs_profile_strings(n, half_row(n)) == childs_strings(n)
+        assert curves_columns(n)[1] == childs_strings(n)
         assert calls == list(range(n // 2 + 1))
         calls.clear()
-        assert childs_quarter_slice_strings(n, quarter_row(n)) == quarter_strings(n)
+        assert quarter_columns(n)[1] == quarter_strings(n)
         assert calls == [m // 4 for m in range(n + 1)]
 
     def test_non_finite_bounds_fall_back(self, monkeypatch):
@@ -320,8 +320,8 @@ class TestCertifiedChildsStrings:
                 return p, np.full_like(p, bad), np.full_like(p, bad)
 
             monkeypatch.setattr(symstate, "_childs_float_bounds", broken)
-            assert childs_profile_strings(30, half_row(30)) == childs_strings(30)
-            assert childs_quarter_slice_strings(30, quarter_row(30)) == quarter_strings(30)
+            assert curves_columns(30)[1] == childs_strings(30)
+            assert quarter_columns(30)[1] == quarter_strings(30)
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_few_exact_fallbacks(self, n):
@@ -333,9 +333,26 @@ class TestCertifiedChildsStrings:
 
     def test_domain(self):
         with pytest.raises(ValueError, match="n="):
-            childs_profile_strings(-1, ())
+            curves_columns(-1)
         with pytest.raises(ValueError, match="max_n="):
-            childs_quarter_slice_strings(-1, [])
+            quarter_columns(-1)
+
+
+class TestPaperColumns:
+    """curves_columns and quarter_columns against the exact references, each value rounded once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 95])
+    def test_curves_columns_are_the_exact_references(self, n):
+        dj = [csvio.fmt(float(dj_optimal_success_exact(n, w))) for w in range(n + 1)]
+        childs = [csvio.fmt(float(childs_probability_exact(n, w))) for w in range(n + 1)]
+        assert curves_columns(n) == (dj, childs)
+
+    @pytest.mark.parametrize("max_n", [4, 159])
+    def test_quarter_columns_are_the_exact_references(self, max_n):
+        ns = range(max_n + 1)
+        dj = [float(dj_optimal_success_exact(n, n // 4)) for n in ns]
+        childs = [csvio.fmt(float(childs_probability_exact(n, n // 4))) for n in ns]
+        assert quarter_columns(max_n) == (dj, childs)
 
 
 class TestBiasedDJ:
