@@ -35,9 +35,19 @@ r grid with its theta and its cosines and sines at the same frequencies.
 So a search cell does only per-weight work: the bracket of every grid point
 is a gather from the grid theta.  exhaustive_search, which visits one n at
 many w, reads the basis from an LRU cache of 8 sizes, shared by every w at
-that n; its n <= MAX_EXHAUSTIVE_N bounds the cache at 1.79 MiB.
-optimize_r, one call per (f, w), builds its own basis and leaves the cache
-alone.  Every float is the same whether or not the basis was cached.  A
+that n; its n <= MAX_EXHAUSTIVE_N bounds the cache at 1.79 MiB, and every
+float of its records is the same whether or not the basis was cached.
+optimize_r, one call per (f, w), builds its own basis through the same code,
+without the grid's cosines and sines, and leaves the cache alone.  It finds
+its one function's grid maximum by Horner's rule on
+amp(theta) = Re(e^{i lam_0 theta} sum_l (a_l - i b_l) z^l), z = e^{2i theta}
+at the grid angles: L passes of one multiply and one add over the grid, in
+place of 512 L cosines and sines.  Its values lie within a stated rounding
+bound epsilon of the table's (see optimize_r), and the grid maximum is the
+leftmost point whose |amp| lies within 2 epsilon of the largest, so ties
+keep the leftmost point under rounding too: of the two mirror peaks of a
+sign-rule function, p(f, r) = p(f, n - r), the left one is refined.  From
+the grid maximum on, one shared refinement (_refine) serves both callers.  A
 function and its complement have exactly negated coefficients, so they tie
 bit for bit and only the member with f_n = 0 is kept.  Mirror pairs also
 tie exactly: p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i}
@@ -156,11 +166,11 @@ class _Basis(NamedTuple):
     phase_signs: np.ndarray  # (4, n+1, 1): row q, entry i is Re (-i)^{q+i}
     grid: np.ndarray  # (G,): the r grid
     theta: np.ndarray  # (G,): _theta on the grid
-    waves: np.ndarray  # (G, 2L): _waves at the grid theta
+    waves: np.ndarray | None  # (G, 2L): _waves at the grid theta; None without the table
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE)
-def _basis(n: int) -> _Basis:
+def _basis(n: int, table: bool = True) -> _Basis:
     """Every part of a search at n that does not depend on w, read-only.
 
     K[j, i] = K_i(l, n) at l = ceil(n/2) + j: the rows l >= n/2 of
@@ -171,11 +181,13 @@ def _basis(n: int) -> _Basis:
     sign flips, and `+ 0.0` turns a negated zero back into the +0.0 the
     conversion gives.  From n = 1030 the conversion raises OverflowError,
     and the cache keeps no entry then.  Next to K it holds what _spectrum,
-    _optimize_batch and _slopes would otherwise recompute per call, each by
+    _refine and _slopes would otherwise recompute per call, each by
     the same formula: K 2^-n, the row signs (-1)^l, the frequencies
     lam = 2l - n and lam^2, the phase-sign rows Re (-i)^{q+i} of the four
     classes q = w mod 4 (the sine signs of w are the cosine signs of w + 1),
-    the grid, its theta, computed once, and _waves there: (G, 2L).
+    the grid, its theta, computed once, and, with `table`, _waves there:
+    (G, 2L).  optimize_r scans one function without that table, so it
+    builds its basis with _basis.__wrapped__(n, table=False): waves is None.
     """
     h = n // 2
     quarter = np.array(list(islice(descending_columns(n), h + 1)), dtype=float)[::-1]
@@ -189,9 +201,10 @@ def _basis(n: int) -> _Basis:
     theta = _theta(n, grid)
     basis = _Basis(K=K, K_scaled=K * 2.0 ** -n, alt=alt, lam=lam, lam2=lam * lam,
                    phase_signs=np.array([1.0, 0.0, -1.0, 0.0])[phase, None],
-                   grid=grid, theta=theta, waves=_waves(theta, lam))
+                   grid=grid, theta=theta, waves=_waves(theta, lam) if table else None)
     for a in basis:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return basis
 
 
@@ -298,54 +311,116 @@ def _newton(basis: _Basis, coef: np.ndarray, theta: np.ndarray, far: np.ndarray,
     return idx, t
 
 
-def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
-                    T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row global max of p(r) on [0, n]: grid scan, then Newton in theta.
+def _refine(n: int, w: int, basis: _Basis, coef: np.ndarray,
+            best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row global max of p(r) on [0, n] from each row's grid maximum `best`.
 
-    The best grid point (ties keep the leftmost) brackets the maximum between
-    its neighbours.  Inside that bracket Newton refines the root of
-    p'(theta) = 2 C(n,w) amp amp'; p at the result is then compared with p at
-    both bracket ends, so an endpoint maximum is kept.  The start and both
-    ends are grid points, so their theta, cosines and sines are entries of
-    the basis's grid theta and rows of its grid waves; only Newton's iterates
-    and its result evaluate new ones.  T is _spectrum(n, w, basis).
+    The grid maximum brackets the maximum between its neighbours.  Inside
+    that bracket Newton refines the root of p'(theta) = 2 C(n,w) amp amp';
+    p at the result is then compared with p at both bracket ends, so an
+    endpoint maximum is kept.  The start and both ends are grid points, so
+    their theta is an entry of the basis's grid theta, and their cosines and
+    sines are rows of its table, gathered, or without a table the same rows
+    computed by _waves at that theta, which is elementwise, so bit for bit
+    the table's; only Newton's iterates and its result evaluate new ones.
+    coef holds each row's [a_l | b_l].
     """
     L = basis.lam.size
-    coef = signs @ T  # each row's [a_l | b_l]
-    scale = comb(n, w)
-    P = scale * (coef @ basis.waves.T) ** 2  # (F, G)
-    best = P.argmax(axis=1)  # leftmost max on ties
     # per row the bracket ends lo and hi, then the start; an end that ties the
     # refined point keeps its exact r, so the ends come first
     at = np.stack([np.maximum(best - 1, 0), np.minimum(best + 1, _GRID_POINTS - 1), best])
-    waves = basis.waves[at]  # (3, F, 2L)
+    theta = basis.theta[at]  # (3, F)
+    if basis.waves is None:
+        waves = _waves(theta.ravel(), basis.lam).reshape(3, best.size, 2 * L)
+    else:
+        waves = basis.waves[at]  # (3, F, 2L)
     (h_lo, h_hi, h), (_, _, dh) = _slopes(basis, coef, waves[..., :L], waves[..., L:])
     up = h > 0
-    idx, theta = _newton(basis, coef, basis.theta[best], basis.theta[np.where(up, at[1], at[0])],
-                         h, dh, np.where(up, h_hi, h_lo))
+    idx, t = _newton(basis, coef, theta[2], np.where(up, theta[1], theta[0]),
+                     h, dh, np.where(up, h_hi, h_lo))
     rs = basis.grid[at]
-    rs[2, idx] = n * np.sin(theta) ** 2
+    rs[2, idx] = n * np.sin(t) ** 2
     waves[2] = _waves(_theta(n, rs[2]), basis.lam)  # the start's waves make way for the result's
     amp = (coef * waves).sum(axis=-1)
-    ps = scale * amp * amp  # each function at its own r
+    ps = comb(n, w) * amp * amp  # each function at its own r
     pick = ps.argmax(axis=0)
     rows = np.arange(best.size)
     return rs[pick, rows], ps[pick, rows]
 
 
+def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
+                    T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row global max of p(r) on [0, n]: a scan of the grid table, then _refine.
+
+    The best grid point of each row (ties keep the leftmost) is the argmax
+    of p over the table of the cached basis, one matrix product for the
+    whole batch.  T is _spectrum(n, w, basis).
+    """
+    coef = signs @ T  # each row's [a_l | b_l]
+    P = comb(n, w) * (coef @ basis.waves.T) ** 2  # (F, G)
+    best = P.argmax(axis=1)  # leftmost max on ties
+    return _refine(n, w, basis, coef, best)
+
+
+def _scan_bound(n: int, coef: np.ndarray) -> float:
+    """epsilon of _grid_amps: 6 (n + 2) u sum_l (|a_l| + |b_l|), u = 2^-53 (see optimize_r)."""
+    return 6.0 * (n + 2) * 2.0 ** -53 * float(np.abs(coef).sum())
+
+
+def _grid_amps(basis: _Basis, coef: np.ndarray) -> np.ndarray:
+    """amp at every grid theta for one row coef = [a_l | b_l], by Horner.
+
+    amp(theta) = sum_l a_l cos(lam_l theta) + b_l sin(lam_l theta)
+    = Re(e^{i lam_0 theta} sum_l (a_l - i b_l) z^l) with z = e^{2i theta},
+    since lam_l = lam_0 + 2l.  The sum is L passes of one multiply and one
+    add over the grid; the complex accumulator stays here, and the result
+    is its real part.
+    """
+    L = basis.lam.size
+    c = coef[:L] - 1j * coef[L:]
+    z = np.exp(2j * basis.theta)
+    acc = np.full(z.size, c[-1])
+    for cl in c[-2::-1]:
+        np.multiply(acc, z, out=acc)
+        np.add(acc, cl, out=acc)
+    if basis.lam[0]:  # odd n: lam_0 = 1
+        acc *= np.exp(1j * basis.theta)
+    return acc.real.copy()
+
+
 def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     """Best bias for one function: argmax_r p(r) over [0, n] and the value.
 
-    The r grid (ties keep the leftmost point), then Newton's method in theta
-    inside the bracket of the winning grid point; a bracket end that is at
-    least as high is returned instead, so an endpoint maximum is kept.
-    One call reads one basis once, so it builds its own and caches nothing.
+    The grid maximum of |amp| is found without the grid's cos/sin table:
+    _grid_amps evaluates amp at the 512 grid angles by Horner in
+    z = e^{2i theta}.  To first order in u = 2^-53 its value lies within
+    (3n + 5) u S of the exact amp at the grid theta, and the table's within
+    (2.58n + 3) u S, where S = sum_l (|a_l| + |b_l|) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3 and 5: L - 1 complex multiplies
+    of error <= sqrt(2) gamma_2 and adds of error <= u, e^{2i theta} within
+    2u; the table's arguments lam theta carry n (pi/2) u, its dot products
+    gamma_{2L}).  epsilon = 6 (n + 2) u S (_scan_bound) bounds the sum, so
+    the two scans differ by at most epsilon, and two grid points of one
+    exact |amp| by at most 2 epsilon.  The grid maximum is the leftmost
+    point whose |amp| lies within 2 epsilon of the largest, so ties keep the
+    leftmost point under rounding too: every sign-rule f has
+    p(f, r) = p(f, n - r), and of its two mirror peaks the left one, r <= n/2,
+    is refined, where the table scan let rounding choose.  A lead of more
+    than 4 epsilon over the table's runner-up makes both scans pick the same
+    point, and then (r, p) is bit for bit the table scan's.  From the grid
+    maximum on, _refine runs as for a batch of exhaustive_search: Newton's
+    method in theta inside the bracket of that grid point, and a bracket end
+    at least as high is returned instead, so an endpoint maximum is kept.
+    One call reads one basis once, so it builds its own, without the table,
+    and caches nothing.
     """
     check_size("n", f.n, 1)
     check_index("w", w, f.n)
-    basis = _basis.__wrapped__(f.n)
-    T = _spectrum(f.n, w, basis)
-    r, p = _optimize_batch(f.n, w, np.array([f.signs()], dtype=float), basis, T)
+    basis = _basis.__wrapped__(f.n, table=False)
+    coef = np.array([f.signs()], dtype=float) @ _spectrum(f.n, w, basis)
+    amp = np.abs(_grid_amps(basis, coef[0]))
+    best = np.argmax(amp >= amp.max() - 2.0 * _scan_bound(f.n, coef))
+    r, p = _refine(f.n, w, basis, coef, np.array([best]))
     return float(r[0]), float(p[0])
 
 
@@ -378,8 +453,9 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     T = _spectrum(n, w, basis)
     negative = (T @ basis.waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
-    # f and its complement tie bit for bit; keep the member with f_n = 0
-    values = np.unique(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
+    # f and its complement tie bit for bit; keep the member with f_n = 0, once
+    values = np.sort(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     r, p = _optimize_batch(n, w, _sign_rows(n, values), basis, T)
     idx = int(np.argmax(p))  # values ascend, so ties keep the lowest value
     value, r_best = min(

@@ -1,6 +1,7 @@
 """References that the search kernel is checked against: the complex closed form
-of the bias spectrum with its fold to real coefficients, and the literal
-golden-section refinement that search._optimize_batch replaced."""
+of the bias spectrum with its fold to real coefficients, the literal
+golden-section refinement that search._optimize_batch replaced, and the
+one-function scan of the grid's cos/sin table that optimize_r replaced."""
 
 import math
 from functools import lru_cache
@@ -9,7 +10,7 @@ from math import comb
 import numpy as np
 
 from dickeprep.krawtchouk import columns
-from dickeprep.search import _grid, _theta, _waves
+from dickeprep.search import _basis, _grid, _optimize_batch, _spectrum, _theta, _waves
 
 _R_TOL = 1e-8  # golden-section refinement stops at this bracket width in r
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -82,3 +83,25 @@ def optimize_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.nd
         hi = np.where(move_lo, hi, d)
     r = 0.5 * (lo + hi)
     return r, probability(r)
+
+
+@lru_cache(maxsize=8)
+def _table_basis(n: int):
+    """search._basis(n) with its grid table, held here so the search cache is left alone."""
+    return _basis.__wrapped__(n)
+
+
+def table_amps(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One function's [a_l | b_l] and its amp at the 512 grid points from the
+    (G, 2L) cos/sin table, as optimize_r scanned them before the Horner scan."""
+    basis = _table_basis(n)
+    coef = signs @ _spectrum(n, w, basis)
+    return coef, coef @ basis.waves.T
+
+
+def table_fit(n: int, w: int, signs: np.ndarray) -> tuple[float, float]:
+    """optimize_r by the table scan: the argmax of p over the grid table (ties
+    keep the leftmost by rounding), then the refinement from that grid point."""
+    basis = _table_basis(n)
+    r, p = _optimize_batch(n, w, signs[None, :], basis, _spectrum(n, w, basis))
+    return float(r[0]), float(p[0])

@@ -257,6 +257,89 @@ class TestNewtonRefinement:
         assert calls == [(9, 4)]
 
 
+def _scan_cases(max_n, random_count, seed):
+    """Every sign-rule fit (f, w) with n <= max_n, then seeded random (f, w) with n <= 40."""
+    cases = [(optimal_function(n, w), w) for n in range(1, max_n + 1) for w in range(n + 1)]
+    rng = np.random.default_rng(seed)
+    for _ in range(random_count):
+        n = int(rng.integers(1, 41))
+        value = int(rng.integers(0, 1 << (n + 1), dtype=np.uint64))
+        cases.append((SymmetricBooleanFunction.from_value(n, value), int(rng.integers(0, n + 1))))
+    return sorted(cases, key=lambda case: case[0].n)
+
+
+class TestHornerScan:
+    """optimize_r's Horner scan of the grid against the table scan it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 47, 64, 301])
+    def test_within_bound_of_table(self, n):
+        # every grid value within epsilon of the table's, real, for sign-rule
+        # and random functions
+        rng = np.random.default_rng(n)
+        basis = search._basis.__wrapped__(n, table=False)
+        weights = sorted({0, 1, n // 3, n // 2, n - 1, n, *rng.integers(0, n + 1, 4).tolist()})
+        for w in weights:
+            for f in (optimal_function(n, w),
+                      SymmetricBooleanFunction(n=n, bits=tuple(rng.integers(0, 2, n + 1).tolist()))):
+                coef, table = search_reference.table_amps(n, w, np.array(f.signs(), dtype=float))
+                amps = search._grid_amps(basis, coef)
+                assert amps.dtype == np.float64 and amps.shape == (search._GRID_POINTS,)
+                assert np.max(np.abs(amps - table)) <= search._scan_bound(n, coef), (n, w)
+
+    def test_table_fit_bit_for_bit_away_from_ties(self):
+        # wherever the table's grid maximum beats the runner-up by more than
+        # 2 epsilon the scans pick one grid point, so (r, p) is the same bits
+        compared = 0
+        for f, w in _scan_cases(64, 500, seed=39):
+            n = f.n
+            signs = np.array(f.signs(), dtype=float)
+            coef, table = search_reference.table_amps(n, w, signs)
+            top, runner_up = np.sort(np.abs(table))[:-3:-1]
+            if top - runner_up > 2 * search._scan_bound(n, coef):
+                r, p = optimize_r(f, w)
+                assert type(r) is float and type(p) is float
+                assert (r, p) == search_reference.table_fit(n, w, signs), (n, w, f.value)
+                compared += 1
+        assert compared > 800
+
+    def test_mirror_tie_keeps_left_peak(self):
+        # a sign-rule f has p(f, r) = p(f, n - r); where its two mirror grid
+        # peaks tie within 2 epsilon the left one is refined, and p stays
+        # within the evaluation's rounding of the table scan's
+        ties = 0
+        for f, w in _scan_cases(64, 0, seed=0):
+            n = f.n
+            signs = np.array(f.signs(), dtype=float)
+            coef, table = search_reference.table_amps(n, w, signs)
+            amp = np.abs(table)
+            g = int(np.argmax(amp))
+            mirror = search._GRID_POINTS - 1 - g
+            eps = search._scan_bound(n, coef)
+            if abs(mirror - g) < 3 or amp[g] - amp[mirror] > 2 * eps:
+                continue  # one peak: the centre's, or no tie
+            r, p = optimize_r(f, w)
+            _, p_table = search_reference.table_fit(n, w, signs)
+            assert r <= n / 2, (n, w)
+            assert abs(p - p_table) <= 4 * np.sqrt(comb(n, w) * p) * eps, (n, w)
+            ties += 1
+        assert ties > 100
+        # the table scan returned r = 10.503 and 9.521 here
+        for n, w, left in ((11, 5, 0.497), (13, 6, 3.479)):
+            r, _ = optimize_r(optimal_function(n, w), w)
+            assert r == pytest.approx(left, abs=1e-3)
+
+    def test_bracket_rows_are_the_table_rows(self):
+        # without the table, _refine computes each bracket row alone; _waves is
+        # elementwise, so every row is the table's bit for bit
+        for n in (1, 2, 7, 16, 33, 48, 64):
+            table = search._basis.__wrapped__(n).waves
+            basis = search._basis.__wrapped__(n, table=False)
+            assert basis.waves is None
+            rows = np.vstack([search._waves(basis.theta[g:g + 1], basis.lam)
+                              for g in range(search._GRID_POINTS)])
+            assert np.array_equal(rows.view(np.int64), table.view(np.int64)), n
+
+
 def _evict_basis(keep: int):
     """Fill the per-n cache with other sizes, so that `keep` is not held."""
     for m in [m for m in range(30, 41) if m != keep][:search._BASIS_CACHE]:
