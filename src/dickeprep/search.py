@@ -47,7 +47,10 @@ bound epsilon of the table's (see optimize_r), and the grid maximum is the
 leftmost point whose |amp| lies within 2 epsilon of the largest, so ties
 keep the leftmost point under rounding too: of the two mirror peaks of a
 sign-rule function, p(f, r) = p(f, n - r), the left one is refined.  From
-the grid maximum on, one shared refinement (_refine) serves both callers.  A
+the grid maximum on, _refine_one refines its one row as _refine refines a
+batch: the same operations in the same order, so the same bits, with
+Newton's control on Python floats in place of the batch's masked array
+passes, which for one row cost more in numpy calls than in arithmetic.  A
 function and its complement have exactly negated coefficients, so they tie
 bit for bit and only the member with f_n = 0 is kept.  Mirror pairs also
 tie exactly: p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i}
@@ -320,20 +323,15 @@ def _refine(n: int, w: int, basis: _Basis, coef: np.ndarray,
     p at the result is then compared with p at both bracket ends, so an
     endpoint maximum is kept.  The start and both ends are grid points, so
     their theta is an entry of the basis's grid theta, and their cosines and
-    sines are rows of its table, gathered, or without a table the same rows
-    computed by _waves at that theta, which is elementwise, so bit for bit
-    the table's; only Newton's iterates and its result evaluate new ones.
-    coef holds each row's [a_l | b_l].
+    sines are rows of its table, gathered; only Newton's iterates and its
+    result evaluate new ones.  coef holds each row's [a_l | b_l].
     """
     L = basis.lam.size
     # per row the bracket ends lo and hi, then the start; an end that ties the
     # refined point keeps its exact r, so the ends come first
     at = np.stack([np.maximum(best - 1, 0), np.minimum(best + 1, _GRID_POINTS - 1), best])
     theta = basis.theta[at]  # (3, F)
-    if basis.waves is None:
-        waves = _waves(theta.ravel(), basis.lam).reshape(3, best.size, 2 * L)
-    else:
-        waves = basis.waves[at]  # (3, F, 2L)
+    waves = basis.waves[at]  # (3, F, 2L)
     (h_lo, h_hi, h), (_, _, dh) = _slopes(basis, coef, waves[..., :L], waves[..., L:])
     up = h > 0
     idx, t = _newton(basis, coef, theta[2], np.where(up, theta[1], theta[0]),
@@ -346,6 +344,59 @@ def _refine(n: int, w: int, basis: _Basis, coef: np.ndarray,
     pick = ps.argmax(axis=0)
     rows = np.arange(best.size)
     return rs[pick, rows], ps[pick, rows]
+
+
+def _refine_one(n: int, w: int, basis: _Basis, coef: np.ndarray,
+                best: int) -> tuple[float, float]:
+    """_refine for one row, coef (1, 2L), on a basis without the table: (r, p).
+
+    The same steps give the same bits.  The bracket rows are _waves at the
+    three grid theta, which is elementwise, so bit for bit the table's
+    rows; h and h' come from _slopes, for the three points at once and then
+    once per iterate; and _newton's safeguarded step runs on Python floats,
+    whose + - * /, abs and comparisons are float64's, in the same order,
+    with the same bisection tests and the same _THETA_STEP stop.  The
+    refined r and its theta keep the one-element arrays of the batch, whose
+    ** 2 is np.square.  A step then makes 19 numpy ufunc and reduction
+    calls, 16 of them in _slopes, where the batch's masks and np.where bring
+    one row's step to about 45.
+    """
+    L = basis.lam.size
+    # lo, hi, then the start: an end that ties the refined point keeps its exact r
+    at = [max(best - 1, 0), min(best + 1, _GRID_POINTS - 1), best]
+    theta = basis.theta[at]
+    waves = _waves(theta, basis.lam)  # (3, 2L)
+    hs, dhs = _slopes(basis, coef, waves[:, :L], waves[:, L:])
+    (h_lo, h_hi, h), dh = hs.tolist(), dhs[2].item()
+    lo, hi, t = theta.tolist()
+    far, h_far = (hi, h_hi) if h > 0 else (lo, h_lo)
+    rs = basis.grid[at]
+    if (h > 0 and h_far < 0) or (h < 0 and h_far > 0):
+        a, b = min(t, far), max(t, far)  # h(a) > 0 > h(b)
+        dx = dx_old = b - a
+        while True:
+            step = h / (dh if dh < 0 else -1.0)
+            nt = t - step
+            # bisect where Newton leaves the bracket, runs downhill in p (h' >= 0)
+            # or does not halve the step before last
+            if dh >= 0 or nt < a or nt > b or 2.0 * abs(step) > dx_old:
+                nt = 0.5 * (a + b)
+            dx_old, dx = dx, abs(nt - t)
+            t = nt
+            if not dx > _THETA_STEP:  # a NaN step stops too, as the batch's `live` does
+                break
+            phase = t * basis.lam
+            h, dh = (v.item() for v in _slopes(basis, coef, np.cos(phase), np.sin(phase)))
+            if h > 0:
+                a = t
+            if h < 0:
+                b = t
+        rs[2:] = n * np.sin([t]) ** 2
+    waves[2:] = _waves(_theta(n, rs[2:]), basis.lam)  # the start's waves make way for the result's
+    amp = (coef * waves).sum(axis=-1)
+    ps = comb(n, w) * amp * amp
+    pick = int(ps.argmax())
+    return float(rs[pick]), float(ps[pick])
 
 
 def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
@@ -408,11 +459,12 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     is refined, where the table scan let rounding choose.  A lead of more
     than 4 epsilon over the table's runner-up makes both scans pick the same
     point, and then (r, p) is bit for bit the table scan's.  From the grid
-    maximum on, _refine runs as for a batch of exhaustive_search: Newton's
-    method in theta inside the bracket of that grid point, and a bracket end
-    at least as high is returned instead, so an endpoint maximum is kept.
-    One call reads one basis once, so it builds its own, without the table,
-    and caches nothing.
+    maximum on, _refine_one does for the one row what _refine does for a
+    batch of exhaustive_search, bit for bit: Newton's method in theta inside
+    the bracket of that grid point, and a bracket end at least as high is
+    returned instead, so an endpoint maximum is kept.  Its Newton control
+    runs on Python floats, 19 numpy calls per step.  One call reads one
+    basis once, so it builds its own, without the table, and caches nothing.
     """
     check_size("n", f.n, 1)
     check_index("w", w, f.n)
@@ -420,8 +472,7 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     coef = np.array([f.signs()], dtype=float) @ _spectrum(f.n, w, basis)
     amp = np.abs(_grid_amps(basis, coef[0]))
     best = np.argmax(amp >= amp.max() - 2.0 * _scan_bound(f.n, coef))
-    r, p = _refine(f.n, w, basis, coef, np.array([best]))
-    return float(r[0]), float(p[0])
+    return _refine_one(f.n, w, basis, coef, int(best))
 
 
 def _better(a: tuple[float, int, float], b: tuple[float, int, float]) -> bool:

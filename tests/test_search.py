@@ -329,8 +329,8 @@ class TestHornerScan:
             assert r == pytest.approx(left, abs=1e-3)
 
     def test_bracket_rows_are_the_table_rows(self):
-        # without the table, _refine computes each bracket row alone; _waves is
-        # elementwise, so every row is the table's bit for bit
+        # without the table, _refine_one computes each bracket row alone; _waves
+        # is elementwise, so every row is the table's bit for bit
         for n in (1, 2, 7, 16, 33, 48, 64):
             table = search._basis.__wrapped__(n).waves
             basis = search._basis.__wrapped__(n, table=False)
@@ -338,6 +338,45 @@ class TestHornerScan:
             rows = np.vstack([search._waves(basis.theta[g:g + 1], basis.lam)
                               for g in range(search._GRID_POINTS)])
             assert np.array_equal(rows.view(np.int64), table.view(np.int64)), n
+
+
+class TestOneRowRefinement:
+    """optimize_r's scalar-controlled _refine_one against the batch _refine."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 48, 64])
+    def test_every_start_matches_batch(self, n):
+        # from every grid index, _refine_one returns the (r, p) the batch
+        # _refine returns on a table basis: bisection steps, endpoint maxima
+        # and rows where Newton never runs, as float.hex
+        rng = np.random.default_rng(n)
+        table = search._basis.__wrapped__(n)
+        basis = search._basis.__wrapped__(n, table=False)
+        starts = np.arange(search._GRID_POINTS)
+        for w in sorted({0, 1, n // 3, n // 2, n}):
+            functions = [optimal_function(n, w)] + [
+                SymmetricBooleanFunction(n=n, bits=tuple(rng.integers(0, 2, n + 1).tolist()))
+                for _ in range(2)
+            ]
+            for f in functions:
+                coef = np.array([f.signs()], dtype=float) @ search._spectrum(n, w, basis)
+                r, p = search._refine(n, w, table, np.repeat(coef, starts.size, axis=0), starts)
+                want = [(float(r[g]).hex(), float(p[g]).hex()) for g in starts]
+                got = [tuple(x.hex() for x in search._refine_one(n, w, basis, coef, int(g)))
+                       for g in starts]
+                assert got == want, (n, w, f.value)
+
+    def test_one_shot_fit_runs_no_batch_refinement(self, monkeypatch):
+        want = [optimize_r(optimal_function(n, n // 3), n // 3) for n in (1, 5, 20, 40, 64)]
+
+        def batch(*args):
+            raise AssertionError("optimize_r ran the batch refinement")
+
+        monkeypatch.setattr(search, "_newton", batch)
+        monkeypatch.setattr(search, "_refine", batch)
+        got = [optimize_r(optimal_function(n, n // 3), n // 3) for n in (1, 5, 20, 40, 64)]
+        assert got == want
+        with pytest.raises(AssertionError, match="batch refinement"):
+            exhaustive_search(6, 2)
 
 
 def _evict_basis(keep: int):
