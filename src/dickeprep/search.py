@@ -47,10 +47,11 @@ bound epsilon of the table's (see optimize_r), and the grid maximum is the
 leftmost point whose |amp| lies within 2 epsilon of the largest, so ties
 keep the leftmost point under rounding too: of the two mirror peaks of a
 sign-rule function, p(f, r) = p(f, n - r), the left one is refined.  From
-the grid maximum on, _refine_one refines its one row as _refine refines a
-batch: the same operations in the same order, so the same bits, with
-Newton's control on Python floats in place of the batch's masked array
-passes, which for one row cost more in numpy calls than in arithmetic.  A
+the grid maximum on, both refine with one _refine: exhaustive_search
+gathers each candidate's bracket rows from the table, optimize_r computes
+its one row's with _waves, the same bits.  Newton's control runs per row on
+Python floats, and each step evaluates the rows still live in one pass of
+19 numpy calls, so a row's bits do not depend on its batch.  A
 function and its complement have exactly negated coefficients, so they tie
 bit for bit and only the member with f_n = 0 is kept.  Mirror pairs also
 tie exactly: p(f, r) = p(mirror f, n - r) with mirror f_i = f_{n-i}
@@ -150,11 +151,11 @@ def _theta(n: int, rs: np.ndarray) -> np.ndarray:
 
 
 def _waves(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """[cos(lam theta), sin(lam theta)] per angle theta: (R, 2L), row-major."""
-    phase = theta[:, None] * lam[None, :]
-    out = np.empty((phase.shape[0], 2 * lam.size))
-    np.cos(phase, out=out[:, :lam.size])
-    np.sin(phase, out=out[:, lam.size:])
+    """[cos(lam theta), sin(lam theta)] per angle theta: (*theta.shape, 2L), row-major."""
+    phase = theta[..., None] * lam
+    out = np.empty((*theta.shape, 2 * lam.size))
+    np.cos(phase, out=out[..., :lam.size])
+    np.sin(phase, out=out[..., lam.size:])
     return out
 
 
@@ -278,103 +279,50 @@ def _slopes(basis: _Basis, coef: np.ndarray, c: np.ndarray,
     return amp * d1, d1 * d1 + amp * d2
 
 
-def _newton(basis: _Basis, coef: np.ndarray, theta: np.ndarray, far: np.ndarray,
-            h: np.ndarray, dh: np.ndarray, h_far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose bracket holds a maximum of amp^2, and its theta there.
+def _bracket(best: np.ndarray) -> np.ndarray:
+    """Grid indices of each row's bracket ends lo and hi, then of its start `best`: (3, F).
 
-    p rises from the start theta (slopes h, dh) toward the bracket end `far`
-    (slope h_far); only where h changes sign between the two is there a
-    maximum inside, and it is the root of h, found by Newton safeguarded with
-    bisection (rtsafe, Numerical Recipes 9.4).  The other rows are left to
-    the caller's endpoint comparison.
+    An end that ties the refined point keeps its exact r, so the ends come first.
     """
-    idx = np.flatnonzero(((h > 0) & (h_far < 0)) | ((h < 0) & (h_far > 0)))
-    t, h, dh, far, coef = theta[idx], h[idx], dh[idx], far[idx], coef[idx]
-    a, b = np.minimum(t, far), np.maximum(t, far)  # h(a) > 0 > h(b)
-    dx = dx_old = b - a
-    # rows stay in place: a converged row keeps its theta while the live rows
-    # step on, and the loop ends when none is live
-    live = np.ones(idx.size, dtype=bool)
-    while idx.size:
-        step = h / np.where(dh < 0, dh, -1.0)
-        nt = t - step
-        # bisect where Newton leaves the bracket, runs downhill in p (h' >= 0)
-        # or does not halve the step before last
-        bisect = (dh >= 0) | (nt < a) | (nt > b) | (2.0 * np.abs(step) > dx_old)
-        nt = np.where(bisect, 0.5 * (a + b), nt)
-        dx_old, dx = dx, np.abs(nt - t)
-        t = np.where(live, nt, t)
-        live &= dx > _THETA_STEP
-        if not live.any():
-            break
-        phase = t[:, None] * basis.lam
-        h, dh = _slopes(basis, coef, np.cos(phase), np.sin(phase))
-        a = np.where(h > 0, t, a)
-        b = np.where(h < 0, t, b)
-    return idx, t
+    return np.minimum(np.maximum(best + np.array([[-1], [1], [0]]), 0), _GRID_POINTS - 1)
 
 
-def _refine(n: int, w: int, basis: _Basis, coef: np.ndarray,
-            best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row global max of p(r) on [0, n] from each row's grid maximum `best`.
+def _refine(n: int, w: int, basis: _Basis, coef: np.ndarray, at: np.ndarray,
+            waves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row global max of p(r) on [0, n] from each row's grid maximum.
 
-    The grid maximum brackets the maximum between its neighbours.  Inside
-    that bracket Newton refines the root of p'(theta) = 2 C(n,w) amp amp';
+    coef holds each row's [a_l | b_l], at is _bracket of the rows' grid
+    maxima, and waves (3, F, 2L), which is overwritten, holds _waves at the
+    theta of those grid points: the grid table's rows, bit for bit, whether
+    gathered or computed.  p rises from the start toward one bracket end;
+    only where h = amp amp' changes sign between the two is there a maximum
+    inside, the root of h, found by Newton safeguarded with bisection
+    (rtsafe, Numerical Recipes 9.4) until a step is _THETA_STEP or less.
+    Each row's control runs on Python floats, whose + - * /, abs and
+    comparisons are float64's; each step evaluates h and h' of the rows
+    still live in one _slopes call, on their rows of coef.  Every reduction
+    is along a row, so a row's bits do not depend on the batch it is in.
     p at the result is then compared with p at both bracket ends, so an
-    endpoint maximum is kept.  The start and both ends are grid points, so
-    their theta is an entry of the basis's grid theta, and their cosines and
-    sines are rows of its table, gathered; only Newton's iterates and its
-    result evaluate new ones.  coef holds each row's [a_l | b_l].
+    endpoint maximum is kept.
     """
     L = basis.lam.size
-    # per row the bracket ends lo and hi, then the start; an end that ties the
-    # refined point keeps its exact r, so the ends come first
-    at = np.stack([np.maximum(best - 1, 0), np.minimum(best + 1, _GRID_POINTS - 1), best])
-    theta = basis.theta[at]  # (3, F)
-    waves = basis.waves[at]  # (3, F, 2L)
-    (h_lo, h_hi, h), (_, _, dh) = _slopes(basis, coef, waves[..., :L], waves[..., L:])
-    up = h > 0
-    idx, t = _newton(basis, coef, theta[2], np.where(up, theta[1], theta[0]),
-                     h, dh, np.where(up, h_hi, h_lo))
-    rs = basis.grid[at]
-    rs[2, idx] = n * np.sin(t) ** 2
-    waves[2] = _waves(_theta(n, rs[2]), basis.lam)  # the start's waves make way for the result's
-    amp = (coef * waves).sum(axis=-1)
-    ps = comb(n, w) * amp * amp  # each function at its own r
-    pick = ps.argmax(axis=0)
-    rows = np.arange(best.size)
-    return rs[pick, rows], ps[pick, rows]
-
-
-def _refine_one(n: int, w: int, basis: _Basis, coef: np.ndarray,
-                best: int) -> tuple[float, float]:
-    """_refine for one row, coef (1, 2L), on a basis without the table: (r, p).
-
-    The same steps give the same bits.  The bracket rows are _waves at the
-    three grid theta, which is elementwise, so bit for bit the table's
-    rows; h and h' come from _slopes, for the three points at once and then
-    once per iterate; and _newton's safeguarded step runs on Python floats,
-    whose + - * /, abs and comparisons are float64's, in the same order,
-    with the same bisection tests and the same _THETA_STEP stop.  The
-    refined r and its theta keep the one-element arrays of the batch, whose
-    ** 2 is np.square.  A step then makes 19 numpy ufunc and reduction
-    calls, 16 of them in _slopes, where the batch's masks and np.where bring
-    one row's step to about 45.
-    """
-    L = basis.lam.size
-    # lo, hi, then the start: an end that ties the refined point keeps its exact r
-    at = [max(best - 1, 0), min(best + 1, _GRID_POINTS - 1), best]
-    theta = basis.theta[at]
-    waves = _waves(theta, basis.lam)  # (3, 2L)
-    hs, dhs = _slopes(basis, coef, waves[:, :L], waves[:, L:])
-    (h_lo, h_hi, h), dh = hs.tolist(), dhs[2].item()
-    lo, hi, t = theta.tolist()
-    far, h_far = (hi, h_hi) if h > 0 else (lo, h_lo)
-    rs = basis.grid[at]
-    if (h > 0 and h_far < 0) or (h < 0 and h_far > 0):
-        a, b = min(t, far), max(t, far)  # h(a) > 0 > h(b)
-        dx = dx_old = b - a
-        while True:
+    hs, dhs = _slopes(basis, coef, waves[..., :L], waves[..., L:])
+    (h_lo, h_hi, h), dh = hs.tolist(), dhs[2].tolist()
+    # the rows where h changes sign from the start toward the end p rises to,
+    # each with its theta, h, h', bracket [a, b] with h(a) > 0 > h(b) and last
+    # two steps
+    newton = {}
+    for i, (lo, hi, t) in enumerate(zip(*basis.theta[at].tolist())):
+        far, h_far = (hi, h_hi[i]) if h[i] > 0 else (lo, h_lo[i])
+        if (h[i] > 0 and h_far < 0) or (h[i] < 0 and h_far > 0):
+            a, b = min(t, far), max(t, far)
+            newton[i] = (t, h[i], dh[i], a, b, b - a, b - a)
+    live = list(newton)
+    sub = coef if len(live) == len(coef) else coef[live]  # live rows, copied once rows drop
+    while live:
+        still = []
+        for i in live:
+            t, h, dh, a, b, dx, dx_old = newton[i]
             step = h / (dh if dh < 0 else -1.0)
             nt = t - step
             # bisect where Newton leaves the bracket, runs downhill in p (h' >= 0)
@@ -382,21 +330,28 @@ def _refine_one(n: int, w: int, basis: _Basis, coef: np.ndarray,
             if dh >= 0 or nt < a or nt > b or 2.0 * abs(step) > dx_old:
                 nt = 0.5 * (a + b)
             dx_old, dx = dx, abs(nt - t)
-            t = nt
-            if not dx > _THETA_STEP:  # a NaN step stops too, as the batch's `live` does
-                break
-            phase = t * basis.lam
-            h, dh = (v.item() for v in _slopes(basis, coef, np.cos(phase), np.sin(phase)))
-            if h > 0:
-                a = t
-            if h < 0:
-                b = t
-        rs[2:] = n * np.sin([t]) ** 2
-    waves[2:] = _waves(_theta(n, rs[2:]), basis.lam)  # the start's waves make way for the result's
+            newton[i] = (nt, h, dh, a, b, dx, dx_old)
+            if dx > _THETA_STEP:  # a NaN step stops too
+                still.append(i)
+        if not still:
+            break
+        if len(still) < len(live):
+            sub = coef[still]
+        live = still
+        phase = np.multiply.outer([newton[i][0] for i in live], basis.lam)
+        hs, dhs = _slopes(basis, sub, np.cos(phase), np.sin(phase))
+        for i, h, dh in zip(live, hs.tolist(), dhs.tolist()):
+            t, _, _, a, b, dx, dx_old = newton[i]
+            newton[i] = (t, h, dh, t if h > 0 else a, t if h < 0 else b, dx, dx_old)
+    rs = basis.grid[at]
+    # sin of an array of theta, whose ** 2 is np.square
+    rs[2, list(newton)] = n * np.sin([row[0] for row in newton.values()]) ** 2
+    waves[2] = _waves(_theta(n, rs[2]), basis.lam)  # the start's waves make way for the result's
     amp = (coef * waves).sum(axis=-1)
-    ps = comb(n, w) * amp * amp
-    pick = int(ps.argmax())
-    return float(rs[pick]), float(ps[pick])
+    ps = comb(n, w) * amp * amp  # each function at its own r
+    pick = ps.argmax(axis=0)
+    each = np.arange(at.shape[1])
+    return rs[pick, each], ps[pick, each]
 
 
 def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
@@ -409,8 +364,8 @@ def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
     """
     coef = signs @ T  # each row's [a_l | b_l]
     P = comb(n, w) * (coef @ basis.waves.T) ** 2  # (F, G)
-    best = P.argmax(axis=1)  # leftmost max on ties
-    return _refine(n, w, basis, coef, best)
+    at = _bracket(P.argmax(axis=1))  # leftmost max on ties
+    return _refine(n, w, basis, coef, at, basis.waves[at])
 
 
 def _scan_bound(n: int, coef: np.ndarray) -> float:
@@ -459,20 +414,22 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     is refined, where the table scan let rounding choose.  A lead of more
     than 4 epsilon over the table's runner-up makes both scans pick the same
     point, and then (r, p) is bit for bit the table scan's.  From the grid
-    maximum on, _refine_one does for the one row what _refine does for a
-    batch of exhaustive_search, bit for bit: Newton's method in theta inside
-    the bracket of that grid point, and a bracket end at least as high is
-    returned instead, so an endpoint maximum is kept.  Its Newton control
-    runs on Python floats, 19 numpy calls per step.  One call reads one
-    basis once, so it builds its own, without the table, and caches nothing.
+    maximum on, _refine refines the one row as it refines a batch of
+    exhaustive_search, whose rows' bits do not depend on the batch: Newton's
+    method in theta inside the bracket of that grid point, and a bracket end
+    at least as high is returned instead, so an endpoint maximum is kept.
+    Its bracket rows are _waves at the grid theta, the table's rows bit for
+    bit.  One call reads one basis once, so it builds its own, without the
+    table, and caches nothing.
     """
     check_size("n", f.n, 1)
     check_index("w", w, f.n)
     basis = _basis.__wrapped__(f.n, table=False)
     coef = np.array([f.signs()], dtype=float) @ _spectrum(f.n, w, basis)
     amp = np.abs(_grid_amps(basis, coef[0]))
-    best = np.argmax(amp >= amp.max() - 2.0 * _scan_bound(f.n, coef))
-    return _refine_one(f.n, w, basis, coef, int(best))
+    at = _bracket(np.argmax(amp >= amp.max() - 2.0 * _scan_bound(f.n, coef)))
+    r, p = _refine(f.n, w, basis, coef, at, _waves(basis.theta[at], basis.lam))
+    return float(r[0]), float(p[0])
 
 
 def _better(a: tuple[float, int, float], b: tuple[float, int, float]) -> bool:

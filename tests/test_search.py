@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from itertools import islice
 from math import comb
@@ -329,8 +330,8 @@ class TestHornerScan:
             assert r == pytest.approx(left, abs=1e-3)
 
     def test_bracket_rows_are_the_table_rows(self):
-        # without the table, _refine_one computes each bracket row alone; _waves
-        # is elementwise, so every row is the table's bit for bit
+        # without the table, optimize_r computes its bracket rows with _waves,
+        # which is elementwise, so every row is the table's bit for bit
         for n in (1, 2, 7, 16, 33, 48, 64):
             table = search._basis.__wrapped__(n).waves
             basis = search._basis.__wrapped__(n, table=False)
@@ -341,42 +342,64 @@ class TestHornerScan:
 
 
 class TestOneRowRefinement:
-    """optimize_r's scalar-controlled _refine_one against the batch _refine."""
+    """One _refine serves exhaustive_search's batches and optimize_r's one row:
+    a row's result does not depend on the batch it is refined in."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 48, 64])
     def test_every_start_matches_batch(self, n):
-        # from every grid index, _refine_one returns the (r, p) the batch
-        # _refine returns on a table basis: bisection steps, endpoint maxima
-        # and rows where Newton never runs, as float.hex
+        # from every grid index, a one-row call as optimize_r makes it (bracket
+        # rows computed on a basis without the table) returns the (r, p) of
+        # that row in one batch of all 512 starts of all three functions,
+        # interleaved, as exhaustive_search makes it (bracket rows gathered
+        # from the table): bisection steps, endpoint maxima and rows where
+        # Newton never runs, as float.hex
         rng = np.random.default_rng(n)
         table = search._basis.__wrapped__(n)
         basis = search._basis.__wrapped__(n, table=False)
-        starts = np.arange(search._GRID_POINTS)
+        at = search._bracket(np.arange(search._GRID_POINTS))
         for w in sorted({0, 1, n // 3, n // 2, n}):
             functions = [optimal_function(n, w)] + [
                 SymmetricBooleanFunction(n=n, bits=tuple(rng.integers(0, 2, n + 1).tolist()))
                 for _ in range(2)
             ]
-            for f in functions:
-                coef = np.array([f.signs()], dtype=float) @ search._spectrum(n, w, basis)
-                r, p = search._refine(n, w, table, np.repeat(coef, starts.size, axis=0), starts)
-                want = [(float(r[g]).hex(), float(p[g]).hex()) for g in starts]
-                got = [tuple(x.hex() for x in search._refine_one(n, w, basis, coef, int(g)))
-                       for g in starts]
-                assert got == want, (n, w, f.value)
+            signs = np.array([f.signs() for f in functions], dtype=float)
+            coefs = signs @ search._spectrum(n, w, basis)
+            # row 3 g + k: function k from grid index g
+            rows_at = np.repeat(at, len(functions), axis=1)
+            r, p = search._refine(n, w, table, np.tile(coefs, (search._GRID_POINTS, 1)),
+                                  rows_at, table.waves[rows_at])
+            want = [(x.hex(), y.hex()) for x, y in zip(r.tolist(), p.tolist())]
+            got = []
+            for g in range(search._GRID_POINTS):
+                one = at[:, g:g + 1]
+                waves = search._waves(basis.theta[one], basis.lam)
+                for k in range(len(functions)):
+                    r, p = search._refine(n, w, basis, coefs[k:k + 1], one, waves.copy())
+                    got.append((float(r[0]).hex(), float(p[0]).hex()))
+            assert got == want, (n, w, [f.value for f in functions])
 
-    def test_one_shot_fit_runs_no_batch_refinement(self, monkeypatch):
-        want = [optimize_r(optimal_function(n, n // 3), n // 3) for n in (1, 5, 20, 40, 64)]
 
-        def batch(*args):
-            raise AssertionError("optimize_r ran the batch refinement")
+class TestSearchDigests:
+    """Every record and sign-rule fit in range, pinned byte for byte (sha256)."""
 
-        monkeypatch.setattr(search, "_newton", batch)
-        monkeypatch.setattr(search, "_refine", batch)
-        got = [optimize_r(optimal_function(n, n // 3), n // 3) for n in (1, 5, 20, 40, 64)]
-        assert got == want
-        with pytest.raises(AssertionError, match="batch refinement"):
-            exhaustive_search(6, 2)
+    def test_exhaustive_records(self):
+        # each line as RecordStore.append writes it, n <= MAX_EXHAUSTIVE_N, every w
+        digest = hashlib.sha256()
+        for n in range(1, search.MAX_EXHAUSTIVE_N + 1):
+            for w in range(n + 1):
+                digest.update((exhaustive_search(n, w).to_json() + "\n").encode())
+        assert digest.hexdigest() == (
+            "d65f34e48b7867b1e6411e3c5b75568f57b74ed48d174060c54c06f6576cd78f")
+
+    def test_sign_rule_fits(self):
+        # the lines the CI thread-count step writes to fits1.txt
+        digest = hashlib.sha256()
+        for n in range(1, 65):
+            for w in range(n + 1):
+                r, p = optimize_r(optimal_function(n, w), w)
+                digest.update(f"{n} {w} {r.hex()} {p.hex()}\n".encode())
+        assert digest.hexdigest() == (
+            "f4275bd74c6db2630595ec557146cb6d1b72cf8a42f9c082f030b4eac88bfe05")
 
 
 def _evict_basis(keep: int):
