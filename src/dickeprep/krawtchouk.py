@@ -45,8 +45,8 @@ K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
 rebuilding every n from scratch.
 
 `dump_rows` gives the matrix as the rows of the `krawtchouk` dump,
-"i,K_i(0, n),...,K_i(n, n)", in slices of whole rows that the writer sends
-on one at a time.  Only the quarter block i, k <= n/2 goes through `str`
+"i,K_i(0, n),...,K_i(n, n)", one row per item, which the writer sends on
+as it comes.  Only the quarter block i, k <= n/2 goes through `str`
 (taken, by the mirror, from the half columns k >= n/2 that the stepper
 yields), and only its texts are held, never the dump's: the mirror fills
 out rows i <= n/2 with the same texts reversed, signs flipped at odd i, and
@@ -157,22 +157,21 @@ def columns(n: int) -> list[list[int]]:
 
 
 def dump_rows(n: int) -> Iterator[str]:
-    """The rows "i,K_i(0, n),...,K_i(n, n)" for i = 0..n, each ended by a newline.
+    """The rows "i,K_i(0, n),...,K_i(n, n)" for i = 0..n, one item each, ended by a newline.
 
-    Rows come in slices of whole rows, at most 2^20 characters each unless
-    one row is longer.  Each K_i(k, n) of the quarter block i, k <= n/2
-    goes through `str` once, before the first slice; the mirror and the
-    palindrome give every other entry by adding or dropping a leading "-".
+    Each K_i(k, n) of the quarter block i, k <= n/2 goes through `str`
+    once, before the first row; the mirror and the palindrome give every
+    other entry by adding or dropping a leading "-".
     """
     check_size("n", n, 0)
     h = n // 2
     # column j of the block is K_i(n - j, n) for i <= h, the half column the stepper yields
     quarter = list(zip(*[list(map(str, half)) for _, half in zip(range(h + 1), descending_columns(n))]))
-    return _slices(_rows(n, quarter), 1 << 20)
+    return _rows(n, quarter)
 
 
 def _rows(n: int, quarter: list[tuple[str, ...]]) -> Iterator[str]:
-    """The dump rows, without their newlines, from quarter[j][m] = K_j(n - m, n) = (-1)^j K_j(m, n).
+    """The dump rows, each ended by a newline, from quarter[j][m] = K_j(n - m, n) = (-1)^j K_j(m, n).
 
     Rows j <= n/2 come first, then rows n - j.  The negated texts of an odd
     row j are held from row j to row n - j, to be made only once.
@@ -183,33 +182,19 @@ def _rows(n: int, quarter: list[tuple[str, ...]]) -> Iterator[str]:
         if j & 1:
             held[j] = _negated(pos)
         # k <= h from K_j(k, n) = (-1)^j K_j(n - k, n), k > h from pos itself
-        yield ",".join([str(j), *(held[j] if j & 1 else pos), *pos[:n - h][::-1]])
+        yield ",".join([str(j), *(held[j] if j & 1 else pos), *pos[:n - h][::-1]]) + "\n"
     for j in range(n - h - 1, -1, -1):  # row n - j: K_{n-j}(k, n) = (-1)^k K_j(k, n)
         pos = quarter[j]
         neg = held.pop(j) if j & 1 else _negated(pos)
         row = [str(n - j), *(neg if j & 1 else pos), *pos[:n - h][::-1]]
         flipped = [str(n - j), *(pos if j & 1 else neg), *neg[:n - h][::-1]]  # -K_j(k, n)
         flipped[1::2] = row[1::2]  # even k keep the sign of row j
-        yield ",".join(flipped)
+        yield ",".join(flipped) + "\n"
 
 
 def _negated(texts: tuple[str, ...]) -> list[str]:
     """The texts of -v for the texts of ints v: a leading "-" added or dropped, "0" kept."""
     return [t[1:] if t[0] == "-" else t if t == "0" else "-" + t for t in texts]
-
-
-def _slices(lines: Iterator[str], size: int) -> Iterator[str]:
-    """The lines, each ended by a newline, in slices of at most `size` characters; a longer line alone."""
-    batch: list[str] = []
-    length = 0
-    for line in lines:
-        if batch and length + len(line) >= size:
-            yield "\n".join([*batch, ""])
-            batch, length = [], 0
-        batch.append(line)
-        length += len(line) + 1
-    if batch:
-        yield "\n".join([*batch, ""])
 
 
 def matrix(n: int) -> tuple[tuple[int, ...], ...]:

@@ -31,15 +31,15 @@ per coefficient, and three or four steps reach the maximum.  Everything
 that does not depend on w forms one basis per n (_basis): the float
 Krawtchouk rows behind the coefficients, scaled and unscaled, their signs
 (-1)^l, the frequencies and their squares, the four phase-sign rows, and the
-r grid with its theta and its cosines and sines at the same frequencies.
-So a search cell does only per-weight work: the bracket of every grid point
-is a gather from the grid theta.  exhaustive_search, which visits one n at
-many w, reads the basis from an LRU cache of 8 sizes, shared by every w at
-that n; its n <= MAX_EXHAUSTIVE_N bounds the cache at 1.79 MiB, and every
-float of its records is the same whether or not the basis was cached.
-optimize_r, one call per (f, w), builds its own basis through the same code,
-without the grid's cosines and sines, and leaves the cache alone.  It finds
-its one function's grid maximum by Horner's rule on
+r grid with its theta.  exhaustive_search, which visits one n at many w,
+reads its per-n state from an LRU cache of 8 sizes (_cells): the basis and
+the grid table, the cosines and sines at the grid theta, shared by every w
+at that n.  So a search cell does only per-weight work, and the bracket of
+every grid point is a gather from the grid theta and the table.  Its
+n <= MAX_EXHAUSTIVE_N bounds the cache at 1.79 MiB, and every float of its
+records is the same whether or not the state was cached.  optimize_r, one
+call per (f, w), builds the basis alone, without the table, and leaves the
+cache alone.  It finds its one function's grid maximum by Horner's rule on
 amp(theta) = Re(e^{i lam_0 theta} sum_l (a_l - i b_l) z^l), z = e^{2i theta}
 at the grid angles: L passes of one multiply and one add over the grid, in
 place of 512 L cosines and sines.  Its values lie within a stated rounding
@@ -93,10 +93,10 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 48
 _GRID_POINTS = 512  # r grid of every maximization, see _grid
-# bases kept, one per n; only exhaustive_search reads the cache, so n <= 48
-# and a basis is at most 2 x 25 x 49 Krawtchouk floats, 4 x 49 phase signs,
-# 3 x 25 row signs and frequencies, 2 x 512 grid points and 512 x 50 wave
-# floats: 8 x (2 x 25 x 49 + 4 x 49 + 3 x 25 + 2 x 512 + 512 x 50) x 8 B = 1.79 MiB
+# sizes _cells keeps; only exhaustive_search reads it, so n <= 48 and an entry
+# is at most 2 x 25 x 49 Krawtchouk floats, 4 x 49 phase signs, 3 x 25 row
+# signs and frequencies, 2 x 512 grid points and a 512 x 50 table:
+# 8 x (2 x 25 x 49 + 4 x 49 + 3 x 25 + 2 x 512 + 512 x 50) x 8 B = 1.79 MiB
 _BASIS_CACHE = 8
 # Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
 # bisection toward a root near theta = 0 does not run down into denormals
@@ -170,11 +170,9 @@ class _Basis(NamedTuple):
     phase_signs: np.ndarray  # (4, n+1, 1): row q, entry i is Re (-i)^{q+i}
     grid: np.ndarray  # (G,): the r grid
     theta: np.ndarray  # (G,): _theta on the grid
-    waves: np.ndarray | None  # (G, 2L): _waves at the grid theta; None without the table
 
 
-@functools.lru_cache(maxsize=_BASIS_CACHE)
-def _basis(n: int, table: bool = True) -> _Basis:
+def _basis(n: int) -> _Basis:
     """Every part of a search at n that does not depend on w, read-only.
 
     K[j, i] = K_i(l, n) at l = ceil(n/2) + j: the rows l >= n/2 of
@@ -183,15 +181,12 @@ def _basis(n: int, table: bool = True) -> _Basis:
     descending_columns yields -- are converted from exact integers; the
     palindrome K_{n-i}(l, n) = (-1)^l K_i(l, n) fills in the rest by exact
     sign flips, and `+ 0.0` turns a negated zero back into the +0.0 the
-    conversion gives.  From n = 1030 the conversion raises OverflowError,
-    and the cache keeps no entry then.  Next to K it holds what _spectrum,
-    _refine and _slopes would otherwise recompute per call, each by
-    the same formula: K 2^-n, the row signs (-1)^l, the frequencies
-    lam = 2l - n and lam^2, the phase-sign rows Re (-i)^{q+i} of the four
-    classes q = w mod 4 (the sine signs of w are the cosine signs of w + 1),
-    the grid, its theta, computed once, and, with `table`, _waves there:
-    (G, 2L).  optimize_r scans one function without that table, so it
-    builds its basis with _basis.__wrapped__(n, table=False): waves is None.
+    conversion gives.  From n = 1030 the conversion raises OverflowError.
+    Next to K it holds what _spectrum, _refine and _slopes would otherwise
+    recompute per call, each by the same formula: K 2^-n, the row signs
+    (-1)^l, the frequencies lam = 2l - n and lam^2, the phase-sign rows
+    Re (-i)^{q+i} of the four classes q = w mod 4 (the sine signs of w are
+    the cosine signs of w + 1), the grid and its theta, computed once.
     """
     h = n // 2
     quarter = np.array(list(islice(descending_columns(n), h + 1)), dtype=float)[::-1]
@@ -202,14 +197,23 @@ def _basis(n: int, table: bool = True) -> _Basis:
     lam = np.arange(n - 2 * h, n + 1, 2)
     phase = (np.arange(4)[:, None] + np.arange(n + 1)) % 4
     grid = _grid(n)
-    theta = _theta(n, grid)
     basis = _Basis(K=K, K_scaled=K * 2.0 ** -n, alt=alt, lam=lam, lam2=lam * lam,
                    phase_signs=np.array([1.0, 0.0, -1.0, 0.0])[phase, None],
-                   grid=grid, theta=theta, waves=_waves(theta, lam) if table else None)
+                   grid=grid, theta=_theta(n, grid))
     for a in basis:
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return basis
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE)
+def _cells(n: int) -> tuple[_Basis, np.ndarray]:
+    """exhaustive_search's per-n state: _basis(n) and the grid table, _waves
+    at its theta, (G, 2L), read-only.  From n = 1030 _basis raises
+    OverflowError, and the cache keeps no entry then."""
+    basis = _basis(n)
+    table = _waves(basis.theta, basis.lam)
+    table.flags.writeable = False
+    return basis, table
 
 
 def _spectrum(n: int, w: int, basis: _Basis) -> np.ndarray:
@@ -232,9 +236,8 @@ def _spectrum(n: int, w: int, basis: _Basis) -> np.ndarray:
     (OverflowError, raised by _basis).
 
     `basis` is _basis(n), which does not depend on w: exhaustive_search
-    passes the cached one, so each further w at the same n costs a few
-    (n+1)^2/2 elementwise products, and optimize_r builds its own with
-    _basis.__wrapped__, which leaves the cache alone.
+    passes the one _cells holds, so each further w at the same n costs a
+    few (n+1)^2/2 elementwise products, and optimize_r builds its own.
     """
     check_index("w", w, n)
     h = n // 2
@@ -354,20 +357,6 @@ def _refine(n: int, w: int, basis: _Basis, coef: np.ndarray, at: np.ndarray,
     return rs[pick, each], ps[pick, each]
 
 
-def _optimize_batch(n: int, w: int, signs: np.ndarray, basis: _Basis,
-                    T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row global max of p(r) on [0, n]: a scan of the grid table, then _refine.
-
-    The best grid point of each row (ties keep the leftmost) is the argmax
-    of p over the table of the cached basis, one matrix product for the
-    whole batch.  T is _spectrum(n, w, basis).
-    """
-    coef = signs @ T  # each row's [a_l | b_l]
-    P = comb(n, w) * (coef @ basis.waves.T) ** 2  # (F, G)
-    at = _bracket(P.argmax(axis=1))  # leftmost max on ties
-    return _refine(n, w, basis, coef, at, basis.waves[at])
-
-
 def _scan_bound(n: int, coef: np.ndarray) -> float:
     """epsilon of _grid_amps: 6 (n + 2) u sum_l (|a_l| + |b_l|), u = 2^-53 (see optimize_r)."""
     return 6.0 * (n + 2) * 2.0 ** -53 * float(np.abs(coef).sum())
@@ -424,7 +413,7 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     """
     check_size("n", f.n, 1)
     check_index("w", w, f.n)
-    basis = _basis.__wrapped__(f.n, table=False)
+    basis = _basis(f.n)
     coef = np.array([f.signs()], dtype=float) @ _spectrum(f.n, w, basis)
     amp = np.abs(_grid_amps(basis, coef[0]))
     at = _bracket(np.argmax(amp >= amp.max() - 2.0 * _scan_bound(f.n, coef)))
@@ -449,22 +438,27 @@ def exhaustive_search(n: int, w: int) -> SearchRecord:
     """Best (f, r) over all 2^(n+1) symmetric functions at weight w.
 
     Candidates are the sign-rule functions f_i = [T_i(r) < 0] at the grid
-    biases, each maximized over r as in optimize_r, from one spectrum of
-    (n, w), on the cached basis of n, shared by the collection and the
-    refinement; the highest p wins, then the lowest function value, and the
-    winner is relabelled to the lower (value, r) member of its mirror pair.
+    biases, from one spectrum of (n, w) on the cached state of n (_cells),
+    whose grid table serves the collection and the scan.  The best grid
+    point of each candidate (ties keep the leftmost) is the argmax of p over
+    the table, one matrix product for all of them, and _refine takes each
+    from there, with its bracket rows gathered from the table; the highest
+    p wins, then the lowest function value, and the winner is relabelled to
+    the lower (value, r) member of its mirror pair.
     """
     _check_bound(n)
     check_size("n", n, 1)
     check_index("w", w, n)
-    basis = _basis(n)
+    basis, table = _cells(n)
     T = _spectrum(n, w, basis)
-    negative = (T @ basis.waves.T < 0).astype(np.int64)  # T_i(r_g) < 0
+    negative = (T @ table.T < 0).astype(np.int64)  # T_i(r_g) < 0
     values = (negative << np.arange(n + 1, dtype=np.int64)[:, None]).sum(axis=0)
     # f and its complement tie bit for bit; keep the member with f_n = 0, once
     values = np.sort(np.where(values >> n, values ^ ((1 << (n + 1)) - 1), values))
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    r, p = _optimize_batch(n, w, _sign_rows(n, values), basis, T)
+    coef = _sign_rows(n, values) @ T  # each candidate's [a_l | b_l]
+    at = _bracket((comb(n, w) * (coef @ table.T) ** 2).argmax(axis=1))  # leftmost max on ties
+    r, p = _refine(n, w, basis, coef, at, table[at])
     idx = int(np.argmax(p))  # values ascend, so ties keep the lowest value
     value, r_best = min(
         (int(values[idx]), float(r[idx])),

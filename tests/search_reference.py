@@ -1,7 +1,8 @@
 """References that the search kernel is checked against: the complex closed form
 of the bias spectrum with its fold to real coefficients, the literal
-golden-section refinement that search._optimize_batch replaced, and the
-one-function scan of the grid's cos/sin table that optimize_r replaced."""
+golden-section refinement that exhaustive_search's Newton refinement
+replaced, and the one-function scan of the grid's cos/sin table that
+optimize_r replaced."""
 
 import math
 from functools import lru_cache
@@ -10,7 +11,7 @@ from math import comb
 import numpy as np
 
 from dickeprep.krawtchouk import columns
-from dickeprep.search import _basis, _grid, _optimize_batch, _spectrum, _theta, _waves
+from dickeprep.search import _basis, _bracket, _grid, _refine, _spectrum, _theta, _waves
 
 _R_TOL = 1e-8  # golden-section refinement stops at this bracket width in r
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,22 +87,33 @@ def optimize_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 @lru_cache(maxsize=8)
-def _table_basis(n: int):
-    """search._basis(n) with its grid table, held here so the search cache is left alone."""
-    return _basis.__wrapped__(n)
+def table_basis(n: int):
+    """(search._basis(n), the grid table) as search._cells(n) holds them, built
+    and held here so the search cache is left alone."""
+    basis = _basis(n)
+    return basis, _waves(basis.theta, basis.lam)
+
+
+def table_batch(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (r, p) of exhaustive_search's scan and refinement, one row per
+    row of signs: the argmax of p over the grid table (ties keep the
+    leftmost), then _refine from there on the table's bracket rows."""
+    basis, table = table_basis(n)
+    coef = signs @ _spectrum(n, w, basis)
+    at = _bracket((comb(n, w) * (coef @ table.T) ** 2).argmax(axis=1))
+    return _refine(n, w, basis, coef, at, table[at])
 
 
 def table_amps(n: int, w: int, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One function's [a_l | b_l] and its amp at the 512 grid points from the
     (G, 2L) cos/sin table, as optimize_r scanned them before the Horner scan."""
-    basis = _table_basis(n)
+    basis, table = table_basis(n)
     coef = signs @ _spectrum(n, w, basis)
-    return coef, coef @ basis.waves.T
+    return coef, coef @ table.T
 
 
 def table_fit(n: int, w: int, signs: np.ndarray) -> tuple[float, float]:
     """optimize_r by the table scan: the argmax of p over the grid table (ties
     keep the leftmost by rounding), then the refinement from that grid point."""
-    basis = _table_basis(n)
-    r, p = _optimize_batch(n, w, signs[None, :], basis, _spectrum(n, w, basis))
+    r, p = table_batch(n, w, signs[None, :])
     return float(r[0]), float(p[0])

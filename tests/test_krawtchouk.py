@@ -196,16 +196,14 @@ def test_dump_rows_are_str_of_columns_up_to_64():
         dump_rows(-1)
 
 
-def test_dump_rows_come_in_slices_of_whole_rows():
-    # a dump of n <= 151 is one slice; past about n = 190, slices of at most 2^20 characters
-    assert [len(list(dump_rows(n))) for n in (0, 1, 64, 151)] == [1, 1, 1, 1]
-    for n in (200, 330):
-        slices = list(dump_rows(n))
-        assert len(slices) > 1
-        assert all(len(part) <= 1 << 20 and part.endswith("\n") for part in slices)
-        assert all(len(part) + len(nxt.split("\n", 1)[0]) + 1 > 1 << 20 for part, nxt in zip(slices, slices[1:]))
-        lines = "".join(slices).split("\n")
-        assert lines[-1] == "" and [line.split(",") for line in lines[:-1]] == [
+def test_dump_rows_come_one_row_per_item():
+    # item i is row i, ended by its one newline, also past n = 190, where
+    # the whole dump passes 2^20 characters
+    for n in (0, 1, 64, 200, 330):
+        items = list(dump_rows(n))
+        assert len(items) == n + 1
+        assert all(item.count("\n") == 1 and item.endswith("\n") for item in items)
+        assert [item[:-1].split(",") for item in items] == [
             [str(i), *map(str, row)] for i, row in enumerate(zip(*columns(n)))]
 
 

@@ -10,6 +10,7 @@ import dickeprep
 from dickeprep import symfunc, symstate
 
 SOURCES = sorted(Path(dickeprep.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 EXACT_LAYERS = ("krawtchouk.py", "symfunc.py")  # plain Python integers, no float arrays
 
 
@@ -52,3 +53,11 @@ def test_no_public_function_takes_binomials(module):
         if callable(obj):
             params = inspect.signature(obj).parameters
             assert not [p for p in params if "binom" in p.lower()], name
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_cache_bypass(path):
+    # a cached function has one job: work wanted without its cache is a plain function of its own
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"] == []

@@ -118,16 +118,10 @@ def mirror(f):
     return complement(g) if g.bits[f.n] else g
 
 
-def cold_batch(n, w, signs):
-    """_optimize_batch at (n, w) on a basis built for this call alone, as optimize_r builds it."""
-    basis = search._basis.__wrapped__(n)
-    return search._optimize_batch(n, w, signs, basis, search._spectrum(n, w, basis))
-
-
 def brute_force(n, w):
     """Reference scan: every one of the 2^(n+1) functions through the batch kernel."""
     values = np.arange(1 << (n + 1), dtype=np.int64)
-    r, p = cold_batch(n, w, search._sign_rows(n, values))
+    r, p = search_reference.table_batch(n, w, search._sign_rows(n, values))
     idx = int(np.argmax(p))  # highest p, then lowest value
     return SymmetricBooleanFunction.from_value(n, int(values[idx])), float(r[idx]), float(p[idx])
 
@@ -151,7 +145,7 @@ class TestSignRuleSearch:
         theta = np.linspace(0.0, np.pi / 2, 8001)
         for n in (12, 24, 36, 48):
             for w in (1, n // 4, n // 2, 3 * n // 4, n - 1):
-                basis = search._basis.__wrapped__(n)
+                basis = search._basis(n)
                 coef = search._spectrum(n, w, basis)
                 phase = np.outer(basis.lam, theta)
                 T = coef @ np.vstack([np.cos(phase), np.sin(phase)])
@@ -188,7 +182,7 @@ class TestSpectralKernel:
                 assert optimize_r(f, w) == optimize_r(complement(f), w)
         n, w = 8, 3
         values = np.arange(1 << (n + 1), dtype=np.int64)
-        r, p = cold_batch(n, w, search._sign_rows(n, values))
+        r, p = search_reference.table_batch(n, w, search._sign_rows(n, values))
         assert np.array_equal(p, p[::-1]) and np.array_equal(r, r[::-1])
 
     def test_scan_tie_keeps_lower_complement(self):
@@ -209,7 +203,7 @@ class TestNewtonRefinement:
         cells += [(n, w) for n in (17, 24, 31, 40, 48) for w in (1, n // 4, n // 2, n - 3)]
         for n, w in cells:
             signs = search._sign_rows(n, search_reference.candidates(n, w))
-            _, p = cold_batch(n, w, signs)
+            _, p = search_reference.table_batch(n, w, signs)
             _, p_ref = search_reference.optimize_batch(n, w, signs)
             assert np.all(p >= p_ref - 2e-15), (n, w)
 
@@ -277,7 +271,7 @@ class TestHornerScan:
         # every grid value within epsilon of the table's, real, for sign-rule
         # and random functions
         rng = np.random.default_rng(n)
-        basis = search._basis.__wrapped__(n, table=False)
+        basis = search._basis(n)
         weights = sorted({0, 1, n // 3, n // 2, n - 1, n, *rng.integers(0, n + 1, 4).tolist()})
         for w in weights:
             for f in (optimal_function(n, w),
@@ -333,9 +327,9 @@ class TestHornerScan:
         # without the table, optimize_r computes its bracket rows with _waves,
         # which is elementwise, so every row is the table's bit for bit
         for n in (1, 2, 7, 16, 33, 48, 64):
-            table = search._basis.__wrapped__(n).waves
-            basis = search._basis.__wrapped__(n, table=False)
-            assert basis.waves is None
+            _, table = search_reference.table_basis(n)
+            basis = search._basis(n)
+            assert not hasattr(basis, "waves")
             rows = np.vstack([search._waves(basis.theta[g:g + 1], basis.lam)
                               for g in range(search._GRID_POINTS)])
             assert np.array_equal(rows.view(np.int64), table.view(np.int64)), n
@@ -348,14 +342,14 @@ class TestOneRowRefinement:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 48, 64])
     def test_every_start_matches_batch(self, n):
         # from every grid index, a one-row call as optimize_r makes it (bracket
-        # rows computed on a basis without the table) returns the (r, p) of
+        # rows computed with _waves on its own basis) returns the (r, p) of
         # that row in one batch of all 512 starts of all three functions,
         # interleaved, as exhaustive_search makes it (bracket rows gathered
         # from the table): bisection steps, endpoint maxima and rows where
         # Newton never runs, as float.hex
         rng = np.random.default_rng(n)
-        table = search._basis.__wrapped__(n)
-        basis = search._basis.__wrapped__(n, table=False)
+        cells, table = search_reference.table_basis(n)
+        basis = search._basis(n)
         at = search._bracket(np.arange(search._GRID_POINTS))
         for w in sorted({0, 1, n // 3, n // 2, n}):
             functions = [optimal_function(n, w)] + [
@@ -366,8 +360,8 @@ class TestOneRowRefinement:
             coefs = signs @ search._spectrum(n, w, basis)
             # row 3 g + k: function k from grid index g
             rows_at = np.repeat(at, len(functions), axis=1)
-            r, p = search._refine(n, w, table, np.tile(coefs, (search._GRID_POINTS, 1)),
-                                  rows_at, table.waves[rows_at])
+            r, p = search._refine(n, w, cells, np.tile(coefs, (search._GRID_POINTS, 1)),
+                                  rows_at, table[rows_at])
             want = [(x.hex(), y.hex()) for x, y in zip(r.tolist(), p.tolist())]
             got = []
             for g in range(search._GRID_POINTS):
@@ -402,15 +396,15 @@ class TestSearchDigests:
             "f4275bd74c6db2630595ec557146cb6d1b72cf8a42f9c082f030b4eac88bfe05")
 
 
-def _evict_basis(keep: int):
+def _evict_cells(keep: int):
     """Fill the per-n cache with other sizes, so that `keep` is not held."""
     for m in [m for m in range(30, 41) if m != keep][:search._BASIS_CACHE]:
-        search._basis(m)
+        search._cells(m)
 
 
 class TestSharedBasis:
-    """exhaustive_search builds the w-independent basis once per n, optimize_r
-    builds its own per call; results do not depend on either."""
+    """exhaustive_search builds the w-independent state once per n (_cells),
+    optimize_r builds its own basis per call; results do not depend on either."""
 
     CASES = [
         *((n, w, "cell") for n in (6, 11, 24, 48) for w in (1, n // 3, n // 2, n - 1)),
@@ -425,21 +419,21 @@ class TestSharedBasis:
 
     def test_cold_warm_and_evicted_agree(self):
         for n, w, kind in self.CASES:
-            search._basis.cache_clear()
+            search._cells.cache_clear()
             cold = self._result(n, w, kind)
-            info = search._basis.cache_info()
+            info = search._cells.cache_info()
             warm = self._result(n, w, kind)
             if kind == "cell":
-                assert search._basis.cache_info().hits > info.hits
+                assert search._cells.cache_info().hits > info.hits
             else:
-                assert search._basis.cache_info() == info
-            _evict_basis(n)
+                assert search._cells.cache_info() == info
+            _evict_cells(n)
             evicted = self._result(n, w, kind)
             assert cold == warm == evicted, (n, w, kind)
 
     def test_cached_waves_are_the_grid_waves(self):
         for n in (1, 6, 11, 48):
-            waves = search._basis(n).waves
+            waves = search._cells(n)[1]
             lam = np.arange(-n, n + 1, 2)
             grid = np.linspace(0.0, float(n), search._GRID_POINTS)
             assert np.array_equal(waves, search._waves(search._theta(n, grid), lam[lam >= 0]))
@@ -450,7 +444,8 @@ class TestSharedBasis:
     def test_per_n_state_is_the_per_call_formulas(self, n):
         # each cached array is its old per-call formula bit for bit (int64
         # views tell +0.0 from -0.0), and read-only
-        basis = search._basis.__wrapped__(n)
+        basis, table = search._cells(n)
+        state = {**basis._asdict(), "waves": table}
         h = n // 2
         lam = np.arange(n - 2 * h, n + 1, 2)
         grid = np.linspace(0.0, float(n), search._GRID_POINTS)
@@ -466,7 +461,7 @@ class TestSharedBasis:
             "waves": np.hstack([np.cos(phase), np.sin(phase)]),
         }
         for name, value in want.items():
-            got = getattr(basis, name)
+            got = state[name]
             assert got.dtype == value.dtype and got.shape == value.shape, name
             assert np.array_equal(got.view(np.int64), value.view(np.int64)), name
         for w in range(n + 1):
@@ -476,15 +471,15 @@ class TestSharedBasis:
             sin_sign = np.array([0.0, -1.0, 0.0, 1.0])[phase, None]
             assert np.array_equal(basis.phase_signs[w % 4], cos_sign), w
             assert np.array_equal(basis.phase_signs[(w + 1) % 4], sin_sign), w
-        for name, a in basis._asdict().items():
+        for name, a in state.items():
             with pytest.raises(ValueError):
                 a.flat[0] = 2.0
             assert not a.flags.writeable, name
 
     def test_cache_hit_recomputes_no_grid(self, monkeypatch):
-        # a cell on a cached basis computes neither the grid nor its theta:
+        # a cell on a cached state computes neither the grid nor its theta:
         # its one _theta call is on the refined r, one entry per candidate
-        search._basis(9)
+        search._cells(9)
         calls = []
         real_linspace, real_theta = np.linspace, search._theta
 
@@ -499,19 +494,20 @@ class TestSharedBasis:
         monkeypatch.setattr(np, "linspace", linspace)
         monkeypatch.setattr(search, "_theta", theta)
         for w in range(1, 9):
-            hits = search._basis.cache_info().hits
+            hits = search._cells.cache_info().hits
             exhaustive_search(9, w)
-            assert search._basis.cache_info().hits == hits + 1
+            assert search._cells.cache_info().hits == hits + 1
         assert "linspace" not in calls and len(calls) == 8
         assert all(size < search._GRID_POINTS for size in calls)
 
     def test_cache_bound(self):
         # only exhaustive_search, n <= 48, fills the cache; optimize_r at any n
-        # leaves it as it was.  With the per-n state a basis at n = 48 holds
+        # leaves it as it was.  The basis and the table at n = 48 hold
         # 29345 floats, 234760 B, so the 8 kept take 1.79 MiB (the byte bound:
         # TestKrawtchoukFloats in test_symstate)
-        assert sum(a.nbytes for a in search._basis.__wrapped__(48)) == 29345 * 8
-        cache = search._basis
+        cache = search._cells
+        basis, table = cache(48)
+        assert sum(a.nbytes for a in basis) + table.nbytes == 29345 * 8
         cache.cache_clear()
         for n in range(41, 49):
             exhaustive_search(n, 3)
@@ -527,12 +523,12 @@ class TestSharedBasis:
 
     def test_one_shot_fits_keep_the_cells_basis(self):
         # cells at n = 9 interleaved with one-shot fits at 25 other sizes: the
-        # fits build their own bases, so the n = 9 basis is built once
+        # fits build their own bases, so the n = 9 state is built once
         cold = []
         for w in range(1, 9):
-            search._basis.cache_clear()
+            search._cells.cache_clear()
             cold.append(exhaustive_search(9, w))
-        search._basis.cache_clear()
+        search._cells.cache_clear()
         fits = iter(range(16, 41))
         warm = []
         for w in range(1, 9):
@@ -540,7 +536,7 @@ class TestSharedBasis:
             for m in islice(fits, 4):
                 optimize_r(optimal_function(m, m // 3), m // 3)
         assert next(fits, None) is None
-        info = search._basis.cache_info()
+        info = search._cells.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
         assert warm == cold
 
@@ -559,7 +555,7 @@ class TestSharedBasis:
 
     def test_overflow_leaves_nothing_cached(self):
         # Krawtchouk entries pass the float range at n = 1030
-        cache = search._basis
+        cache = search._cells
         cache.cache_clear()
         for build in (cache, lambda n: optimize_r(SymmetricBooleanFunction.from_value(n, 0), 1)):
             with pytest.raises(OverflowError):
@@ -572,7 +568,7 @@ class TestRealSpectrum:
 
     def test_equals_fold_of_complex_closed_form(self):
         for n in range(65):
-            basis = search._basis.__wrapped__(n)
+            basis = search._basis(n)
             for k in range(n + 1):
                 coef = search._spectrum(n, k, basis)
                 lam_ref, coef_ref = search_reference.fold(

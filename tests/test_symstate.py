@@ -555,7 +555,7 @@ class TestBiasedAmplitudeSpectrum:
         for n in range(31):
             rhos = np.concatenate([[0.0, 1.0], rng.random(3)])
             theta = np.arcsin(np.sqrt(rhos))  # sin^2(theta) = rho
-            basis = search._basis.__wrapped__(n)
+            basis = search._basis(n)
             for k in range(n + 1):
                 coef = search._spectrum(n, k, basis)
                 phase = np.outer(basis.lam, theta)
@@ -564,8 +564,8 @@ class TestBiasedAmplitudeSpectrum:
 
     def test_frequencies_are_exact_integers(self):
         for n in (0, 1, 6, 33, 64):
-            basis = search._basis.__wrapped__(n)
-            lam, coef, waves = basis.lam, search._spectrum(n, n // 3, basis), basis.waves
+            basis, waves = search._cells(n)
+            lam, coef = basis.lam, search._spectrum(n, n // 3, basis)
             assert lam.dtype.kind == "i"
             assert lam.tolist() == list(range(n % 2, n + 1, 2))
             assert coef.shape == (n + 1, 2 * lam.size)
@@ -578,7 +578,7 @@ class TestBiasedAmplitudeSpectrum:
         # the cosine part for even k + i and in the sine part for odd k + i
         K = columns(n)  # K[l][i] = K_i(l, n)
         scale = 1 << (3 * n // 2)
-        basis = search._basis.__wrapped__(n)
+        basis = search._basis(n)
         lam = basis.lam
         for k in (1, n // 4, n // 2):
             coef = search._spectrum(n, k, basis)
@@ -602,7 +602,7 @@ class TestBiasedAmplitudeSpectrum:
         # the complex closed form that the real one folds: its column at -lam
         # is the exact conjugate of that at lam, so only lam >= 0 is kept
         for n in (1, 2, 12, 33, 100):
-            basis = search._basis.__wrapped__(n)
+            basis = search._basis(n)
             for k in (0, 1, n // 3, n // 2, n):
                 lam, C = search_reference.biased_amplitude_spectrum(n, k)
                 assert np.array_equal(C[:, ::-1], C.conj())
@@ -610,14 +610,14 @@ class TestBiasedAmplitudeSpectrum:
 
     def test_float_range(self):
         # Krawtchouk entries pass the float range at n = 1030
-        coef = search._spectrum(1029, 514, search._basis.__wrapped__(1029))
+        coef = search._spectrum(1029, 514, search._basis(1029))
         assert np.isfinite(coef).all()
         with pytest.raises(OverflowError):
-            search._basis.__wrapped__(1030)
+            search._basis(1030)
 
     def test_weight_domain_error(self):
         with pytest.raises(ValueError, match="w="):
-            search._spectrum(4, 5, search._basis.__wrapped__(4))
+            search._spectrum(4, 5, search._basis(4))
 
 
 class TestKrawtchoukFloats:
@@ -626,26 +626,28 @@ class TestKrawtchoukFloats:
     @pytest.mark.parametrize("n", [*range(71), 301, 1029])
     def test_quarter_build_is_the_conversion_bit_for_bit(self, n):
         # the rows l >= n/2; int64 views tell +0.0 from -0.0
-        got = search._basis.__wrapped__(n)[0]
+        got = search._basis(n).K
         want = np.array(columns(n), dtype=float)[(n + 1) // 2:]
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_cached_matrix_is_read_only(self):
-        K = search._basis(5)[0]
+        K = search._cells(5)[0].K
         with pytest.raises(ValueError):
             K[0, 0] = 2.0
-        assert search._basis(5)[0][0, 0] == 1.0  # K_0(3, 5)
+        assert search._cells(5)[0].K[0, 0] == 1.0  # K_0(3, 5)
 
     def test_cache_bound(self):
-        # at most 8 bases, each of n <= 48, the sizes exhaustive_search takes:
-        # two Krawtchouk blocks (K and K 2^-n), the phase signs, the row signs,
-        # frequencies and their squares, the grid and its theta, and the waves:
+        # at most 8 entries, each of n <= 48, the sizes exhaustive_search takes:
+        # a basis, with two Krawtchouk blocks (K and K 2^-n), the phase signs,
+        # the row signs, frequencies and their squares, the grid and its theta,
+        # and the grid table:
         # 8 x (2 x 25 x 49 + 4 x 49 + 3 x 25 + 2 x 512 + 512 x 50) x 8 B = 1.79 MiB
-        cache = search._basis
+        cache = search._cells
         assert cache.cache_info().maxsize == search._BASIS_CACHE == 8
         assert search.MAX_EXHAUSTIVE_N == 48
-        largest = sum(a.nbytes for a in cache.__wrapped__(48))
+        basis, table = cache(48)
+        largest = sum(a.nbytes for a in basis) + table.nbytes
         assert 8 * largest == 8 * (2 * 25 * 49 + 4 * 49 + 3 * 25 + 2 * 512 + 512 * 50) * 8 < 1.8 * 2**20
         cache.cache_clear()
         with pytest.raises(ResourceLimitError):
