@@ -45,9 +45,13 @@ at the grid angles: L passes of one multiply and one add over the grid, in
 place of 512 L cosines and sines.  Its values lie within a stated rounding
 bound epsilon of the table's (see optimize_r), and the grid maximum is the
 leftmost point whose |amp| lies within 2 epsilon of the largest, so ties
-keep the leftmost point under rounding too: of the two mirror peaks of a
-sign-rule function, p(f, r) = p(f, n - r), the left one is refined.  From
-the grid maximum on, both refine with one _refine: exhaustive_search
+keep the leftmost point under rounding too.  The sign-rule function f_i =
+[K_i(w, n) < 0] has p(f, r) = p(f, n - r) for even w, and for odd w when
+no K_i(w, n) is zero (then mirror f is f or its complement); of its two
+equal mirror peaks the left one is refined.  For odd w with a zero
+K_i(w, n) (at even n, K_{n/2}(w, n) = 0) the two peaks differ and the
+higher one, which may lie right of n/2, is refined.  From the grid maximum
+on, both refine with one _refine: exhaustive_search
 gathers each candidate's bracket rows from the table, optimize_r computes
 its one row's with _waves, the same bits.  Newton's control runs per row on
 Python floats, and each step evaluates the rows still live in one pass of
@@ -398,9 +402,12 @@ def optimize_r(f: SymmetricBooleanFunction, w: int) -> tuple[float, float]:
     the two scans differ by at most epsilon, and two grid points of one
     exact |amp| by at most 2 epsilon.  The grid maximum is the leftmost
     point whose |amp| lies within 2 epsilon of the largest, so ties keep the
-    leftmost point under rounding too: every sign-rule f has
-    p(f, r) = p(f, n - r), and of its two mirror peaks the left one, r <= n/2,
-    is refined, where the table scan let rounding choose.  A lead of more
+    leftmost point under rounding too: where p(f, r) = p(f, n - r), as for
+    the sign-rule f at even w, or at odd w with no zero K_i(w, n), the left
+    one of its two equal mirror peaks, r <= n/2, is refined, where the table
+    scan let rounding choose.  Where a zero K_i(w, n) breaks the mirror (odd
+    w; at even n, K_{n/2}(w, n) = 0) the higher peak is refined: (n, w) =
+    (2, 1) gives r = 1 + 1/sqrt(2), p = 1 - 2e-16.  A lead of more
     than 4 epsilon over the table's runner-up makes both scans pick the same
     point, and then (r, p) is bit for bit the table scan's.  From the grid
     maximum on, _refine refines the one row as it refines a batch of

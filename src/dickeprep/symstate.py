@@ -35,14 +35,20 @@ III.2.4), bit for bit the stream of Generator.choice(n + 1, size, p=...).
 Like choice, the sampler takes cdf = cumsum(distribution) / its last entry
 and one uniform u = rng.random() per trial, and the outcome is
 #{cdf <= u} = cdf.searchsorted(u, side="right").  With G the smallest power
-of two >= 4(n+1), the table holds cut[j] = #{cdf <= j/G}; u*G and j/G are
-exact, and #{cdf <= u} is non-decreasing in u, so on the bucket
-j <= u*G < j+1 it lies between cut[j] and cut[j+1].  Where the two agree
-that count is the outcome, read with one gather; only trials in a bucket
-that holds a cdf value are binary-searched.  The uniforms are drawn a block
-of at most 2^15 at a time into one buffer, so a draw holds 8 bytes per trial
-(the outcome array) plus at most 256 KiB (the buffer), where choice holds 16
-bytes per trial.  These are the per-trial outcomes; the CLI's
+of two >= max(4(n+1), min(trials, 1024)), the table holds
+cut[j] = #{cdf <= j/G}; u*G and j/G are exact, and #{cdf <= u} is
+non-decreasing in u, so on the bucket j <= u*G < j+1 it lies between cut[j]
+and cut[j+1].  Where the two agree that count is the outcome, read with one
+gather; only trials in a bucket that holds a cdf value are binary-searched.
+At most n+1 of the G buckets hold one, so with G near 4(n+1) up to a
+quarter of the trials can reach the search.  A draw of many trials spreads
+the cost of a larger table over them, so it takes at least 1024 buckets;
+below 1024 trials the floor is the trial count, so a small draw builds no
+table much larger than itself, and parity_measure's one trial keeps the
+4(n+1)-bucket table.  The uniforms are drawn a block of at most 2^15 at a
+time into one buffer, so a draw holds 8 bytes per trial (the outcome array)
+plus at most 256 KiB (the buffer) and the table's 2G words, where choice
+holds 16 bytes per trial.  These are the per-trial outcomes; the CLI's
 `simulate --trials` prints only counts, so it draws them in one
 Generator.multinomial on `distribution`, the same law at constant memory.
 
@@ -403,6 +409,7 @@ def biased_dj_state(f: SymmetricBooleanFunction, r: float) -> SymmetricState:
 # parity measurement
 
 _BLOCK = 1 << 15  # uniforms drawn per rng.random call in parity_sample
+_GUIDE_FLOOR = 1024  # least guide-table size of a draw of at least this many trials
 
 
 def parity_measure(s: SymmetricState, rng: np.random.Generator) -> int:
@@ -417,13 +424,17 @@ def parity_sample(s: SymmetricState, trials: int, rng: np.random.Generator) -> n
     """Vector of `trials` independent parity-measurement outcomes, int64.
 
     Equal to rng.choice(s.n + 1, size=trials, p=s.distribution), and leaves
-    rng where choice would; the module docstring gives the guide-table
+    rng where choice would.  The guide table has G buckets, G the smallest
+    power of two >= max(4(n+1), min(trials, 1024)): 1024 buckets send few
+    trials of a large draw to the binary search, and a small draw is not
+    charged for a table larger than itself.  The module docstring gives the
     argument.
     """
     check_size("trials", trials, 0)
     cdf = s.distribution.cumsum()
     cdf /= cdf[-1]
-    g = 1 << (4 * cdf.size - 1).bit_length()  # smallest power of two >= 4(n+1)
+    # smallest power of two >= max(4(n+1), min(trials, 1024))
+    g = 1 << (max(4 * cdf.size, min(trials, _GUIDE_FLOOR)) - 1).bit_length()
     # cdf * g is exact, so cdf <= j/g exactly when ceil(cdf * g) <= j
     cut = np.bincount(np.ceil(cdf * g).astype(np.intp), minlength=g + 1).cumsum()
     guide = np.where(cut[:-1] == cut[1:], cut[:-1], -1)  # -1: search this bucket

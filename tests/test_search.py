@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from itertools import islice
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 
 from dickeprep import fullsim, search
 from dickeprep.errors import ResourceLimitError
+from dickeprep.krawtchouk import column
 from dickeprep.search import (
     RecordStore,
     SearchRecord,
@@ -116,6 +118,28 @@ def mirror(f):
     # f_i -> f_{n-i}, complemented when that sets f_n (the member kept of a complement pair)
     g = SymmetricBooleanFunction(n=f.n, bits=f.bits[::-1])
     return complement(g) if g.bits[f.n] else g
+
+
+def weight_polynomial(f, w):
+    """Integers c_d with amp(f, r, w) = 2^(-n/2) sum_d c_d u^(n-d) v^d, u = sqrt(1 - r/n), v = sqrt(r/n).
+
+    The coefficient of z^i in (v - u z)^w (u + v z)^(n-w), signed by f_i and
+    summed over i.  r -> n - r swaps u and v, which reverses c, so p(f, r) =
+    p(f, n - r) at every r exactly when c is its own reverse up to sign.
+    """
+    n = f.n
+    c = [0] * (n + 1)
+    for i, sign in enumerate(f.signs()):
+        for j in range(max(0, i - (n - w)), min(i, w) + 1):
+            c[i + w - 2 * j] += sign * (-1) ** j * comb(w, j) * comb(n - w, i - j)
+    return c
+
+
+def polynomial_probability(c, n, w, r):
+    """C(n, w) amp^2 at bias r from weight_polynomial's c, its terms summed by fsum."""
+    u, v = math.sqrt(1.0 - r / n), math.sqrt(r / n)
+    amp = math.fsum(cd * u ** (n - d) * v ** d for d, cd in enumerate(c))
+    return comb(n, w) * (amp * 2.0 ** (-n / 2)) ** 2
 
 
 def brute_force(n, w):
@@ -298,7 +322,7 @@ class TestHornerScan:
         assert compared > 800
 
     def test_mirror_tie_keeps_left_peak(self):
-        # a sign-rule f has p(f, r) = p(f, n - r); where its two mirror grid
+        # where a sign-rule f has p(f, r) = p(f, n - r) and its two mirror grid
         # peaks tie within 2 epsilon the left one is refined, and p stays
         # within the evaluation's rounding of the table scan's
         ties = 0
@@ -322,6 +346,31 @@ class TestHornerScan:
         for n, w, left in ((11, 5, 0.497), (13, 6, 3.479)):
             r, _ = optimize_r(optimal_function(n, w), w)
             assert r == pytest.approx(left, abs=1e-3)
+
+    def test_sign_rule_mirror_identity_classes(self):
+        # p(f, r) = p(f, n - r) at every r exactly when the weight polynomial is
+        # its own reverse up to sign: for even w, and for odd w with no zero
+        # K_i(w, n).  Elsewhere optimize_r returns the higher of the two peaks.
+        right_peaks = 0
+        for n in range(1, 17):
+            for w in range(n + 1):
+                f = optimal_function(n, w)
+                c = weight_polynomial(f, w)
+                mirrored = c[::-1] in (c, [-x for x in c])
+                assert mirrored == (w % 2 == 0 or 0 not in column(w, n)), (n, w)
+                r, p = optimize_r(f, w)
+                # 1e-14: three times the largest rounding gap seen at n <= 16
+                assert p >= polynomial_probability(c, n, w, n - r) - 1e-14, (n, w)
+                if mirrored:
+                    assert r <= n / 2 + 1e-9, (n, w)  # the left one of two equal peaks
+                else:
+                    right_peaks += r > n / 2
+        assert right_peaks > 0
+        r, p = optimize_r(optimal_function(2, 1), 1)
+        assert r == pytest.approx(1 + 0.5 ** 0.5) and p == pytest.approx(1.0)
+        assert polynomial_probability(weight_polynomial(optimal_function(2, 1), 1), 2, 1, 2 - r) < 1e-20
+        r, _ = optimize_r(optimal_function(6, 3), 3)
+        assert r == pytest.approx(0.248, abs=1e-3)
 
     def test_bracket_rows_are_the_table_rows(self):
         # without the table, optimize_r computes its bracket rows with _waves,

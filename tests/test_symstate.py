@@ -768,19 +768,22 @@ def sampler_states(n):
 
 
 def two_boundary_state():
-    """n = 2 with law (0.30, 0.01, 0.69): cdf 0.30 and 0.31 share the bucket [4/16, 5/16).
+    """n = 2 with law (0.3, 5e-4, 0.6995): cdf 0.3 and 0.3005 share a bucket at G = 16 and G = 1024.
 
-    G = 16 buckets.  Weight 1 owns [0.30, 0.31), which lies inside that one
-    bucket, so the guide table never answers 1: every 1 drawn comes from the
-    binary-search fallback.
+    A one-trial draw has G = 16 buckets, a draw of 1024 trials or more has
+    G = 1024; the two cdf values fall in [4/16, 5/16) and in
+    [307/1024, 308/1024).  Weight 1 owns [0.3, 0.3005), which lies inside
+    that one bucket at either G, so the guide table never answers 1: every 1
+    drawn comes from the binary-search fallback.
     """
-    return SymmetricState(n=2, amps=np.sqrt([0.30, 0.01 / 2, 0.69]))
+    return SymmetricState(n=2, amps=np.sqrt([0.3, 5e-4 / 2, 0.6995]))
 
 
 class TestSamplerExactness:
     """parity_sample and parity_measure against Generator.choice (sampler_reference)."""
 
-    TRIALS = (0, 1, 2, 1000, 20_000)
+    # 1023-1025 straddle the 1024-bucket floor of the guide table
+    TRIALS = (0, 1, 2, 1000, 1023, 1024, 1025, 20_000)
 
     def assert_same_draw(self, s, trials, seed, bit_generator=np.random.PCG64):
         rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -792,7 +795,8 @@ class TestSamplerExactness:
 
     @pytest.mark.parametrize("ns, seeds", [
         (range(0, 41), range(5)),
-        ((64, 129, 300, 1028, 1029), range(3)),
+        # 4(n+1) crosses the 1024-bucket floor between n = 254 and 256
+        ((64, 129, 254, 255, 256, 300, 1028, 1029), range(3)),
     ])
     def test_samples_match_choice(self, ns, seeds):
         for n in ns:
@@ -801,10 +805,21 @@ class TestSamplerExactness:
                     for trials in self.TRIALS:
                         self.assert_same_draw(s, trials, seed)
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox, np.random.SFC64])
+    def test_guide_sizes_match_choice_on_every_generator(self, bit_generator):
+        # trial counts and sizes on both sides of the 1024-bucket floor
+        for n in (0, 2, 22, 254, 255, 256):
+            for s in sampler_states(n) + [two_boundary_state()]:
+                for trials in self.TRIALS:
+                    self.assert_same_draw(s, trials, n, bit_generator)
+
     def test_fallback_search(self):
         s = two_boundary_state()
+        cdf = s.distribution.cumsum() / s.distribution.sum()
+        assert np.floor(cdf[0] * 1024) == np.floor(cdf[1] * 1024) == 307
         for seed in range(5):
-            assert (parity_sample(s, 20_000, np.random.default_rng(seed)) == 1).any()
+            assert (parity_sample(s, 20_000, np.random.default_rng(seed)) == 1).any(), seed
             self.assert_same_draw(s, 20_000, seed)
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
@@ -816,7 +831,7 @@ class TestSamplerExactness:
             self.assert_same_draw(s, trials, 11, bit_generator)
 
     def test_measure_matches_choice(self):
-        for n in (0, 1, 6, 40, 1029):
+        for n in (0, 1, 6, 40, 254, 255, 256, 1029):
             for s in sampler_states(n) + [two_boundary_state()]:
                 rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
                 got = [parity_measure(s, rng) for _ in range(50)]
