@@ -54,11 +54,12 @@ MAX_KRAWTCHOUK_TEXT_BYTES = _krawtchouk_text_bytes(1030)
 
 @contextlib.contextmanager
 def _full_integers():
-    """Lift CPython's 4300-digit limit on int-to-decimal text while output is written.
+    """Lift CPython's 4300-digit limit on int-to-decimal text while a command runs.
 
-    Exact integers are printed in full.  The limit is process-wide and main()
-    may run in-process, so it is restored on the way out.  Pythons without
-    the limit (before 3.10.7) have nothing to lift.
+    Exact integers are printed in full, in output and in error messages
+    alike.  The limit is process-wide and main() may run in-process, so it
+    is restored on the way out.  Pythons without the limit (before 3.10.7)
+    have nothing to lift.
     """
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:
@@ -93,19 +94,18 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be non-negative, got {n}")
     if args.k is not None and not 0 <= args.k <= n:
         raise ValueError(f"--k must be in [0, {n}], got {args.k}")
-    with _full_integers():
-        if args.k is not None:
-            header = ["i", "value"]
-            csvio.write_csv(args.out, "krawtchouk", {"n": n, "k": args.k}, header,
-                            csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
-        else:
-            text = _krawtchouk_text_bytes(n)
-            if text > MAX_KRAWTCHOUK_TEXT_BYTES:
-                raise ResourceLimitError(
-                    f"--n {n} needs up to {text} B of text, over the limit {MAX_KRAWTCHOUK_TEXT_BYTES} B"
-                )
-            header = ["i"] + [f"k{k}" for k in range(n + 1)]
-            csvio.write_csv(args.out, "krawtchouk", {"n": n}, header, dump_rows(n))
+    if args.k is not None:
+        header = ["i", "value"]
+        csvio.write_csv(args.out, "krawtchouk", {"n": n, "k": args.k}, header,
+                        csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
+    else:
+        text = _krawtchouk_text_bytes(n)
+        if text > MAX_KRAWTCHOUK_TEXT_BYTES:
+            raise ResourceLimitError(
+                f"--n {n} needs up to {text} B of text, over the limit {MAX_KRAWTCHOUK_TEXT_BYTES} B"
+            )
+        header = ["i"] + [f"k{k}" for k in range(n + 1)]
+        csvio.write_csv(args.out, "krawtchouk", {"n": n}, header, dump_rows(n))
     return 0
 
 
@@ -117,8 +117,7 @@ def _cmd_optfn(args: argparse.Namespace) -> int:
     rw = spectrum_value(f, args.w)
     print(f"re_f = [{', '.join(str(b) for b in f.bits)}]")
     print(f"hex = {f.to_hex()}")
-    with _full_integers():
-        print(f"rw_f({args.w}) = {rw}")
+    print(f"rw_f({args.w}) = {rw}")
     return 0
 
 
@@ -407,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _full_integers():
+            return args.func(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # one-line diagnostic, nonzero exit

@@ -15,10 +15,11 @@ commands pass their data as columns, one per header field, through
 `column_rows`, whose small text is one slice.  There a float or int ndarray
 is formatted once per distinct value, a list of only `str` is its own text
 (`fmt` returns a str unchanged), and any other column goes through `fmt`
-per value; the bytes equal `csv.writer` on per-value `fmt` (`,`, `"`,
-newline and a lone empty field quoted).  Columns unlike the header in count
-or length, and a carriage return in a field (which csv.reader would split
-at), raise ValueError.
+per value.  Cells are plain text: a header or data cell that holds `,`,
+`"`, a line feed or a carriage return, or an empty cell that would be the
+only field of its row, raises ValueError before any byte is written, so
+the bytes are `csv.writer`'s on per-value `fmt` with nothing to quote.
+Columns unlike the header in count or length raise ValueError too.
 """
 
 from __future__ import annotations
@@ -51,30 +52,21 @@ def fmt_column(col: Iterable[object]) -> list[str]:
     return col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))
 
 
-def _quote(field: str) -> str:
-    if "\r" in field:
-        raise ValueError(f"CSV field {field!r} holds a carriage return")
-    return '"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\n') else field
-
-
-def _fields(col: Iterable[object]) -> list[str]:
+def _fields(col: Iterable[object], lone: bool) -> list[str]:
+    """fmt_column(col), refusing a cell that csv.writer would quote; `lone` when it is the row's only field."""
     out = fmt_column(col)
-    text = "".join(out)
-    return list(map(_quote, out)) if any(c in text for c in ',"\n\r') else out
-
-
-def _lone(fields: list[str]) -> list[str]:
-    # csv.writer quotes a lone empty field, so that its line is not blank
-    return [field or '""' for field in fields]
+    if any(c in "".join(out) for c in ',"\n\r') or lone and "" in out:
+        cell = next(f for f in out if any(c in f for c in ',"\n\r') or lone and not f)
+        raise ValueError(f"CSV cell {cell!r} is not plain text: it holds a comma, a double quote, "
+                         f"a line feed or a carriage return, or is empty and alone on its row")
+    return out
 
 
 def column_rows(header: Sequence[str], columns: Iterable[Iterable[object]]) -> list[str]:
     """The data rows of one column per header field, as one CSV text slice for `write_csv`."""
-    cols = [_fields(col) for col in columns]
+    cols = [_fields(col, len(header) == 1) for col in columns]
     if len(cols) != len(header) or len(set(map(len, cols))) > 1:
         raise ValueError(f"need one equal-length column for each of the {len(header)} header fields")
-    if len(cols) == 1:
-        cols = [_lone(cols[0])]
     lines = list(map(",".join, zip(*cols)))
     return ["\n".join(lines + [""])] if lines else []
 
@@ -100,9 +92,7 @@ def write_csv(
     before anything is written; on any failure the file's temporary copy
     is removed.
     """
-    head = _fields(header)
-    if len(head) == 1:
-        head = _lone(head)
+    head = _fields(header, len(header) == 1)
     trailer = "".join(f"# {comment}\n" for comment in trailer_comments)
     parts = chain([f"{_meta_line(command, params)}\n{','.join(head)}\n"], rows, [trailer])
     if not out:

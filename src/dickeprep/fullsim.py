@@ -93,7 +93,9 @@ def zero_state(n: int) -> FullState:
 
 @lru_cache(maxsize=32)
 def weights(n: int) -> np.ndarray:
-    """wt(x) for every basis index x in [0, 2^n)."""
+    """wt(x) for every basis index x in [0, 2^n), subject to the qubit cap."""
+    check_size("n", n, 0)
+    _check_cap(n)
     out = np.zeros(1, dtype=np.int64)
     for _ in range(n):  # setting the next bit up adds 1 to every weight so far
         out = np.concatenate((out, out + 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -160,6 +161,16 @@ class TestCnCommand:
         run(capsys, "cn", "--max-n", "12", "--out", str(a))
         run(capsys, "cn", "--max-n", "12", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_table_limit_named_past_4300_digits(self, capsys):
+        # the table's byte count passes CPython's default int-to-text limit
+        huge = 10**3000
+        code, out, err = run(capsys, "cn", "--max-n", str(huge))
+        assert (code, out) == (1, "")
+        with cli._full_integers():
+            expected = (f"error: --max-n {huge} needs a {c_minima_bytes(huge)} B float table, "
+                        f"over the limit {cli.MAX_CN_TABLE_BYTES} B")
+        assert err.splitlines() == [expected]
 
 
 class TestCurvesCommand:
@@ -583,6 +594,20 @@ class TestTable1Command:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table1", "--from", "5", "--to", "4")
         assert code == 1 and "--from" in err
+
+    def test_record_needing_quotes_refused_before_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "table1", "--from", "3", "--to", "3", "--db", "bad.jsonl")[0] == 0
+        lines = Path("bad.jsonl").read_text(encoding="utf-8").splitlines()
+        edited = SearchRecord.from_json(lines[0])
+        assert edited.method == "biased"
+        lines[0] = dataclasses.replace(edited, f_hex="A,B").to_json()
+        Path("bad.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "table1", "--from", "3", "--to", "3", "--db", "bad.jsonl", "--out", "t.csv")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: CSV cell 'A,B' is not plain text: it holds a comma, a double quote, "
+                                    "a line feed or a carriage return, or is empty and alone on its row"]
+        assert not Path("t.csv").exists() and not Path("t.csv.tmp").exists()
 
     def test_past_search_bound_refused_before_work(self, capsys, tmp_path):
         db = tmp_path / "t.jsonl"

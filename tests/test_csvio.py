@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ CASES = {  # name -> (header, columns)
         list(range(7)),
         [(-3) ** (60 + 7 * i) for i in range(5)] + [2**64, -(2**64) - 1],
     ]),
-    "quoted strs": (["s", "t"], [["a,b", "plain", ""], ['say "hi"', "line\nbreak", " "]]),
-    "quoted header": (['s,"q"', "t\nu"], [[1], [2]]),
     "None, bool, numpy scalars": (["a", "b", "c", "d"], [
         [None, None],
         [True, False],
@@ -44,11 +43,18 @@ CASES = {  # name -> (header, columns)
         np.array([0.5, -0.25, -0.25, 0.125]),
         np.array([0.0, -0.0, 0.0, -0.0]),
     ]),
-    "single column of empty strs": (["s"], [["", "a", ""]]),
     "str columns, as the krawtchouk dump emits them": (["i", "k0", "k1"], [
-        range(3), ["1", "-20", "0"], ["-1", "a,b", 'q"'],
+        range(3), ["1", "-20", "0"], ["-1", "", "q"],
     ]),
-    "single empty header field": ([""], [[1, 2]]),
+}
+# name -> (header, columns, cell): the one cell csv.writer would quote, which is refused
+REFUSED = {
+    **{f"{name} in a header cell": (["a", f"x{c}y"], [[1], [2]], f"x{c}y") for name, c in
+       [("comma", ","), ("double quote", '"'), ("line feed", "\n"), ("carriage return", "\r")]},
+    **{f"{name} in a data cell": (["a", "b"], [[1, 2], ["", f"x{c}y"]], f"x{c}y") for name, c in
+       [("comma", ","), ("double quote", '"'), ("line feed", "\n"), ("carriage return", "\r")]},
+    "lone empty header cell": ([""], [[1, 2]], ""),
+    "lone empty data cell": (["s"], [["a", "", "b"]], ""),
 }
 
 
@@ -59,6 +65,17 @@ def test_bytes_match_per_value_formatting(name):
     trailer = ["done"]
     got = written("demo", params, header, column_rows(header, cols), trailer).encode("utf-8")
     assert got == render_per_value("demo", params, header, zip(*cols), trailer).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_cell_needing_quotes_refused(name, capsys, tmp_path):
+    header, cols, cell = REFUSED[name]
+    path = tmp_path / "out.csv"
+    for out in (None, path):
+        with pytest.raises(ValueError, match=re.escape(f"CSV cell {cell!r} is not plain text")):
+            write_csv(out, "demo", {}, header, column_rows(header, cols))
+    assert capsys.readouterr().out == ""  # refused before the first byte
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary copy
 
 
 def test_generator_columns():
@@ -99,9 +116,9 @@ def test_str_column_passes_through_without_fmt(monkeypatch):
 
 def test_rows_text_passes_through():
     # the dumps hand write_csv their rows as text slices; only the header is formatted here
-    got = written("demo", {"n": 1}, ["x", 'q"'], ["a,1\n", "b,2\n"], ["done"])
-    assert got == render_per_value("demo", {"n": 1}, ["x", 'q"'], [("a", 1), ("b", 2)], ["done"])
-    assert written("demo", {}, [""], []) == render_per_value("demo", {}, [""], [])
+    got = written("demo", {"n": 1}, ["x", "q"], ["a,1\n", "b,2\n"], ["done"])
+    assert got == render_per_value("demo", {"n": 1}, ["x", "q"], [("a", 1), ("b", 2)], ["done"])
+    assert written("demo", {}, ["a"], []) == render_per_value("demo", {}, ["a"], [])
     assert column_rows(["a"], [[]]) == []
 
 
@@ -127,7 +144,7 @@ def test_write_csv_file_same_bytes_as_stdout(tmp_path):
     # header, trailer comments, and no rows at all
     rows = ["".join(f"{i},\u00e9{'x' * (i % 7)}\n" for i in range(j, j + 100_000)) for j in (0, 100_000)]
     assert len(rows[0]) > 1 << 20
-    for header, trailer, slices in ((["i", "s"], ["done", "again"], rows), ([""], [], rows), (["a"], [], [])):
+    for header, trailer, slices in ((["i", "s"], ["done", "again"], rows), (["s"], [], rows), (["a"], [], [])):
         path = tmp_path / "out.csv"
         write_csv(path, "demo", {"n": 3}, header, iter(slices), trailer)
         assert path.read_bytes() == written("demo", {"n": 3}, header, slices, trailer).encode("utf-8")

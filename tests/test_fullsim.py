@@ -50,6 +50,16 @@ class TestWeights:
             assert wt.dtype == np.int64
             assert wt.tolist() == [bin(x).count("1") for x in range(1 << n)]
 
+    def test_size_checked_before_the_build(self):
+        # a negative n is not [0], and past the cap the 2^n build is refused, not started
+        for bad in (-1, -40):
+            with pytest.raises(ValueError, match=f"n={bad} must be non-negative"):
+                fullsim.weights(bad)
+        for big in (fullsim.MAX_QUBITS + 1, 40):
+            with pytest.raises(ResourceLimitError, match="cap 16"):
+                fullsim.weights(big)
+        assert len(fullsim.weights(fullsim.MAX_QUBITS)) == 1 << fullsim.MAX_QUBITS
+
     def test_cached_read_only(self):
         wt = fullsim.weights(7)
         assert fullsim.weights(7) is wt

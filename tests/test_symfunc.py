@@ -507,6 +507,12 @@ class TestFloatFilteredMinima:
         assert c_minima_bytes(600) == 8 * (301 * 302 + 108 * 302 + 320 * 301)
         assert c_minima_bytes(2895) == 8 * (1448 * 1449 + 32 * 1449 + 320 * 1448)
 
+    def test_table_bytes_domain(self):
+        # as c_minima: a non-positive max_n has no table, not a negative byte count
+        for bad in (0, -1, -5):
+            with pytest.raises(ValueError, match=f"max_n={bad} must be positive"):
+                c_minima_bytes(bad)
+
 
 
 def exact_dj_profile(n):
