@@ -23,10 +23,13 @@ consumer of all columns steps through the upper half only.
 
 Columns 0 and n are the signed binomial rows: G_0(z) = (1+z)^n gives
 K_i(0, n) = C(n, i), and K_i(n, n) = (-1)^i C(n, i) (MacWilliams & Sloane,
-The Theory of Error-Correcting Codes, ch. 5).  Every consumer of a whole
-row of binomials -- the parity outcome weights C(n, k) a_k^2, the DJ
-profile, the stepper's seed -- takes it from here, one recurrence pass per
-row instead of one `math.comb` call per entry.
+The Theory of Error-Correcting Codes, ch. 5).  `half_column` builds them by
+C(n, i+1) = C(n, i) (n-i) / (i+1), one multiply and one exact divide per
+entry (the sign flips each step for column n), where the recurrence takes
+two multiplies.  Every consumer of a whole row of binomials -- the parity
+outcome weights C(n, k) a_k^2, the DJ profile, the stepper's seed, the
+spectrum's top lane -- takes it from here instead of one `math.comb` call
+per entry.
 
 Each column is also a palindrome up to sign: z^n G_k(1/z) = (-1)^k G_k(z),
 so K_{n-i}(k, n) = (-1)^k K_i(k, n).  Entries i <= n//2 therefore fix the
@@ -87,15 +90,28 @@ def krawtchouk(i: int, k: int, n: int) -> int:
 
 
 def half_column(k: int, n: int) -> list[int]:
-    """(K_0(k, n), ..., K_{n//2}(k, n)) by the three-term recurrence."""
+    """(K_0(k, n), ..., K_{n//2}(k, n)).
+
+    Columns 0 and n, the binomial row C(n, i) and its signed form, take one
+    multiply and one exact divide per entry; the others take the three-term
+    recurrence.
+    """
     check_index("k", k, n)
     h = n // 2
-    vals = [0] * (h + 1)
-    vals[0] = 1
-    if h >= 1:
-        vals[1] = n - 2 * k
-    for i in range(1, h):
-        vals[i + 1] = ((n - 2 * k) * vals[i] - (n - i + 1) * vals[i - 1]) // (i + 1)
+    vals = [1] * (h + 1)
+    if k == 0 or k == n:
+        # K_{i+1} = K_i (n - i) / (i + 1) at k = 0 and K_i (i - n) / (i + 1) at k = n, exact
+        v = 1
+        for i, m in enumerate(range(-n, h - n) if k else range(n, n - h, -1), 1):
+            v = v * m // i
+            vals[i] = v
+        return vals
+    lam = n - 2 * k
+    prev, v = 1, lam
+    vals[1] = v  # 0 < k < n, so h >= 1
+    for i, m in zip(range(2, h + 1), range(n, n - h + 1, -1)):  # m = n - i + 2
+        prev, v = v, (lam * v - m * prev) // i
+        vals[i] = v
     return vals
 
 
@@ -108,7 +124,7 @@ def full_column(half: list[int], k: int, n: int) -> list[int]:
 def column(k: int, n: int) -> tuple[int, ...]:
     """Column k of the Krawtchouk matrix, (K_0(k, n), ..., K_n(k, n)).
 
-    The recurrence gives entries i <= n//2, the palindrome the rest.
+    `half_column` gives entries i <= n//2, the palindrome the rest.
     """
     return tuple(full_column(half_column(k, n), k, n))
 

@@ -70,6 +70,7 @@ import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -105,6 +106,9 @@ _BASIS_CACHE = 8
 # Newton stops at a step of a few ulps of theta in [0, pi/2]; absolute, so
 # bisection toward a root near theta = 0 does not run down into denormals
 _THETA_STEP = 4.0 * float(np.spacing(np.pi / 2))
+# a stored p may pass 1 by this much: exhaustive_search's largest p at n <= 48,
+# every w, is 1 + 2^-51 (n = 3, w = 0)
+_P_SLACK = 4 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -547,24 +551,37 @@ class RecordStore:
             os.close(fd)
 
     def records(self) -> Iterator[SearchRecord]:
+        return (rec for _, rec in self._numbered())
+
+    def _numbered(self) -> Iterator[tuple[int, SearchRecord]]:
+        """(line number, record) for each non-blank line of the file."""
         if not self.path.exists():
             return
         with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    yield SearchRecord.from_json(line)
+                    try:
+                        rec = SearchRecord.from_json(line)
+                    except (ValueError, TypeError) as exc:  # not JSON, or not the record's fields
+                        raise ValueError(f"{self.path} line {number}: not a search record: {exc}") from None
+                    yield number, rec
 
     def index(self) -> dict[tuple[int, int], SearchRecord]:
         """Rebuild the (n, w) -> best biased record lookup from the file.
 
         Baseline rows (method "dj" or "childs") are not search results and
-        are left out, so they never stand in for a biased record.
+        are left out, so they never stand in for a biased record.  A biased
+        record that no search can have written raises ValueError naming its
+        line (`_record_problem`).
         """
         best: dict[tuple[int, int], SearchRecord] = {}
-        for rec in self.records():
+        for number, rec in self._numbered():
             if rec.method != "biased":
                 continue
+            problem = _record_problem(rec)
+            if problem:
+                raise ValueError(f"{self.path} line {number}: impossible search record: {problem}")
             key = (rec.n, rec.w)
             cur = best.get(key)
             if cur is None or _better(_rank(rec), _rank(cur)):
@@ -572,6 +589,28 @@ class RecordStore:
         return best
 
 
+def _record_problem(rec: SearchRecord) -> str | None:
+    """What makes a biased record impossible, or None.
+
+    n and w are ints, 1 <= n and 0 <= w <= n; f_hex is the uppercase hex,
+    without leading zeros, of a value below 2^(n+1); r is an int or float
+    in [0, n] and p one in [0, 1 + _P_SLACK] (NaN and infinities fail the
+    comparisons).  Whether p is the probability of (f, r) is not checked.
+    """
+    n, w, f_hex, r, p = rec.n, rec.w, rec.f_hex, rec.r, rec.probability
+    if type(n) is not int or n < 1:
+        return f"n={n!r} is not a positive int"
+    if type(w) is not int or not 0 <= w <= n:
+        return f"w={w!r} is not an int in [0, {n}]"
+    if (type(f_hex) is not str or not re.fullmatch(r"0|[1-9A-F][0-9A-F]*", f_hex)
+            or int(f_hex, 16).bit_length() > n + 1):
+        return f"f_hex={f_hex!r} is not the uppercase hex of a value below 2^{n + 1}"
+    if type(r) not in (int, float) or not 0 <= r <= n:
+        return f"r={r!r} is not in [0, {n}]"
+    if type(p) not in (int, float) or not 0 <= p <= 1 + _P_SLACK:
+        return f"probability={p!r} is not in [0, 1]"
+    return None
+
+
 def _rank(rec: SearchRecord) -> tuple[float, int, float]:
-    value = int(rec.f_hex, 16) if rec.f_hex else (1 << 62)
-    return rec.probability, value, rec.r
+    return rec.probability, int(rec.f_hex, 16), rec.r

@@ -33,8 +33,8 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, lshift, sub
 
 from .errors import check_index, check_size
 from .krawtchouk import column, half_column
@@ -130,14 +130,15 @@ def _abel_groups(signs: list[int], parity: int) -> list[tuple[int, list[int]]]:
     Each nonzero difference d is grouped with the indices where it occurs.
     """
     n = len(signs) - 1
-    sign = -1 if parity else 1
-    weights = [signs[i] + sign * signs[n - i] for i in range((n + 1) // 2)]
+    h = (n + 1) // 2
+    tail = signs[: n - h : -1]  # s_n, s_{n-1}, ..., s_{n+1-h}
+    weights = list(map(sub if parity else add, signs[:h], tail))
     if n % 2 == 0:
-        weights.append(signs[n // 2])
+        weights.append(signs[h])
+    diffs = list(map(sub, weights, chain(weights[1:], (0,))))
     groups: dict[int, list[int]] = {}
-    for i, d in enumerate(map(sub, weights, weights[1:] + [0])):
-        if d:
-            groups.setdefault(d, []).append(i)
+    for i, d in compress(enumerate(diffs), diffs):
+        groups.setdefault(d, []).append(i)
     return list(groups.items())
 
 
@@ -151,23 +152,26 @@ def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
 
     Lane layout (`_lane_layout`): the columns n, n-1, ..., n - n//2 are cut
     into L runs of `span` columns, `span` even when L > 1, and lane l steps
-    the run that starts at column n - l*span, seeded by the recurrence
-    (`krawtchouk.half_column`).  The last run may end past column
+    the run that starts at column n - l*span, seeded by
+    `krawtchouk.half_column` (lane 0's seed, column n, is the signed
+    binomial row, which also sizes the lanes).  The last run may end past column
     n - n//2; its extra columns are dropped.  Row i is one int,
     sum_l K_i(c_l, n) 2^(B_{l+1} + ... + B_{L-1}) for lane l at column c_l,
     B_l bits wide.  The top lane sets the length of each int.  Lane 0, the
     widest (its first column n takes B_0 = n + 2 bits), holds the top bits:
     its entries start at +-C(n, i), short at small i, so the ints are
     shorter on average than with a narrower lane on top (1097 against 1150
-    bits at n = 290, 3464 against 3632 at n = 917).  The stepper keeps the
-    prefix sums P = accumulate(R) of the rows, not the rows.  It reads both
-    dots from them by Abel summation,
+    bits at n = 290, 3464 against 3632 at n = 917).  The seeds are packed
+    one lane at a time, each row shifted and added in one `map` pass.  The
+    stepper keeps the prefix sums P = accumulate(R) of the rows, not the
+    rows.  It reads both dots from them by Abel summation,
     sum_i phi_i R_i = sum_i (phi_i - phi_{i+1}) P_i, so a dot costs one add
-    per index where its weights change, and steps every lane k -> k-1 by
-    R'_i = P_i + P_{i-1}, accumulated as it is formed: two adds per row, one
-    `accumulate(map(add, ...))` pass.  Both are linear, so one pass serves
-    every lane; the even span gives all lanes one column parity, hence one
-    pair of folded weights.
+    per index where its weights change (`_abel_groups` lists only those),
+    and steps every lane k -> k-1 by R'_i = P_i + P_{i-1}, accumulated as it
+    is formed: two adds per row, one `accumulate(map(add, P, chain((0,), P)))`
+    pass, which reads P shifted by one without copying it.  Both are linear,
+    so one pass serves every lane; the even span gives all lanes one column
+    parity, hence one pair of folded weights.
 
     Width bound: rows and prefix sums are never unpacked, only dots, and a
     dot is a spectrum value rw_f(c) or rw_f(n-c) at a column c of its lane.
@@ -191,16 +195,15 @@ def reduced_walsh_spectrum(f: SymmetricBooleanFunction) -> tuple[int, ...]:
     fields = [(s, (1 << b) - 1, 1 << (b - 1)) for s, b in zip(shifts, widths)]
     bias = sum(offset << s for s, _, offset in fields)
 
-    sums = [0] * m  # the packed rows of the seed columns, then their prefix sums
-    for l in range(len(widths)):
-        seed = half_column(n - l * span, n) if l else first
-        sums = [(r << widths[l]) + v for r, v in zip(sums, seed)]
+    sums = first  # the packed rows of the seed columns, then their prefix sums
+    for l in range(1, len(widths)):
+        sums = list(map(add, map(lshift, sums, repeat(widths[l])), half_column(n - l * span, n)))
     sums = list(accumulate(sums))
 
     direct_dots, mirror_dots = [], []
     for j in range(span):
         if j:  # the next column, R'_i = P_i + P_{i-1}, is kept only as its prefix sums
-            sums = list(accumulate(map(add, sums, [0] + sums[:-1])))
+            sums = list(accumulate(map(add, sums, chain((0,), sums))))
         get = sums.__getitem__
         for dots, pairs in zip((direct_dots, mirror_dots), groups[(n - j) & 1]):
             dot = bias

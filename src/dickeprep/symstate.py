@@ -6,7 +6,7 @@ Dicke state |D^n_w> is the unit vector a_w = 1/sqrt(C(n,w)).
 
 Synthesis maps:
   * dj_state        -- H U_f H on |0..0>, amplitudes rw_f(k)/2^n (exact ints
-                       divided once, so Parseval gives normalization for free)
+                       rounded once, so Parseval gives normalization for free)
   * biased_dj_state -- B_{r,n} U_f H on |0..0>.  Grouping the basis strings
                        x by weight and by overlap with z gives, at weight k,
                          sum_i T_i(k) z^i = 2^{-n/2} (v - u z)^k (u + v z)^{n-k}
@@ -59,8 +59,11 @@ dj_optimal_success_exact and childs_probability_exact above.  Each public
 function walks its own binomials once and returns both columns:
 `curves_columns` over w at one n, `quarter_columns` at w = n//4 over n,
 and `c_minima` the least c_k(n) = p_dj(n, k) sqrt(n) at each n.  Every big
-integer becomes a float through one conversion, `_frexp_ints`, and every
-exact DJ value is one correctly rounded integer ratio, `_dj_ratio`.
+integer of these columns becomes a float through one conversion,
+`_frexp_ints`, and every exact DJ value is one correctly rounded integer
+ratio, `_dj_ratio`.  A DJ spectrum at n <= 1022 is rounded by one
+conversion too (`dj_state`); past that its amplitudes can be subnormal,
+and each is one integer division.
 
 `quarter_columns` carries the single column k = n//4 along n by the Pascal
 step `krawtchouk.next_half_column` (one add per half-column entry, where a
@@ -211,6 +214,7 @@ __all__ = [
 ]
 
 NORM_ATOL = 1e-8  # SymmetricState.distribution refuses a larger |norm - 1|
+_NORMAL_DJ_N = 1022  # the largest n at which 2^-n, the least nonzero |rw_f(k)| / 2^n, is a normal float
 
 
 # rounded binomial rows kept, one per n: at most 8 x 1030 x 8 B = 64.4 KiB,
@@ -285,10 +289,26 @@ def dicke(n: int, w: int) -> SymmetricState:
 
 
 def dj_state(f: SymmetricBooleanFunction) -> SymmetricState:
-    """H^n U_f H^n |0..0>: amplitude rw_f(k)/2^n at each weight k."""
-    denom = 1 << f.n
-    amps = np.array([rw / denom for rw in reduced_walsh_spectrum(f)])
-    return SymmetricState(n=f.n, amps=amps)
+    """H^n U_f H^n |0..0>: amplitude rw_f(k)/2^n at each weight k, correctly rounded.
+
+    At n <= 1022 every nonzero amplitude, |rw_f(k)| / 2^n >= 2^-n, is a
+    normal float, so the whole spectrum is rounded in one conversion to
+    floats (|rw_f(k)| <= 2^n, inside the float range) and scaled by 2^-n,
+    which is exact.  Past that each entry is one integer division, which
+    rounds a subnormal result once.  Nothing gates the amplitudes there:
+    past n ~ 1023 the small ones can go subnormal, keeping fewer than 53
+    bits, and further on they underflow to 0 (at n = 5000, 4563 of the
+    5001 amplitudes of the sign-rule f at w = 2), while `probabilities`
+    refuses from n = 1030.
+    """
+    n = f.n
+    spectrum = reduced_walsh_spectrum(f)
+    if n <= _NORMAL_DJ_N:
+        amps = np.array(spectrum, dtype=float) * 2.0**-n
+    else:
+        denom = 1 << n
+        amps = np.array([rw / denom for rw in spectrum])
+    return SymmetricState(n=n, amps=amps)
 
 
 def success_probability(s: SymmetricState, w: int) -> float:

@@ -605,9 +605,44 @@ class TestTable1Command:
         Path("bad.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, out, err = run(capsys, "table1", "--from", "3", "--to", "3", "--db", "bad.jsonl", "--out", "t.csv")
         assert (code, out) == (1, "")
-        assert err.splitlines() == ["error: CSV cell 'A,B' is not plain text: it holds a comma, a double quote, "
-                                    "a line feed or a carriage return, or is empty and alone on its row"]
+        assert err.splitlines() == ["error: bad.jsonl line 1: impossible search record: "
+                                    "f_hex='A,B' is not the uppercase hex of a value below 2^4"]
         assert not Path("t.csv").exists() and not Path("t.csv.tmp").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"f_hex": "ZZ", "probability": 7.5}, "f_hex='ZZ'"),  # printed as 3,1,biased,ZZ,0.35644419,7.5 before
+        ({"probability": 7.5}, "probability=7.5"),
+        ({"f_hex": "a"}, "f_hex='a'"),
+        ({"f_hex": "01"}, "f_hex='01'"),
+        ({"f_hex": "10"}, "f_hex='10'"),  # 16 needs n + 2 bits
+        ({"f_hex": ""}, "f_hex=''"),
+        ({"probability": -0.5}, "probability=-0.5"),
+        ({"probability": 1.000000000000001}, "probability=1.000000000000001"),
+        ({"probability": float("nan")}, "probability=nan"),
+        ({"r": -0.25}, "r=-0.25"),
+        ({"r": 3.5}, "r=3.5"),
+        ({"r": float("inf")}, "r=inf"),
+        ({"w": 4}, "w=4"),
+        ({"n": 0}, "n=0"),
+    ])
+    def test_impossible_record_refused_before_output(self, capsys, tmp_path, monkeypatch, edit, named):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "table1", "--from", "3", "--to", "4", "--db", "bad.jsonl")[0] == 0
+        lines = Path("bad.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = dataclasses.replace(SearchRecord.from_json(lines[1]), **edit).to_json()  # n = 3, w = 2
+        Path("bad.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "table1", "--from", "3", "--to", "4", "--db", "bad.jsonl", "--out", "t.csv")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: bad.jsonl line 2: impossible search record: {named} ")
+        assert not Path("t.csv").exists() and not Path("t.csv.tmp").exists()
+
+    def test_line_that_is_no_record_named(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.jsonl").write_text('\n{"f_hex": "1", "method": "biased"}\n', encoding="utf-8")
+        code, out, err = run(capsys, "table1", "--from", "3", "--to", "3", "--db", "bad.jsonl")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad.jsonl line 2: not a search record: ")
 
     def test_past_search_bound_refused_before_work(self, capsys, tmp_path):
         db = tmp_path / "t.jsonl"

@@ -7,6 +7,7 @@ from dickeprep.krawtchouk import (
     columns,
     descending_columns,
     dump_rows,
+    half_column,
     krawtchouk,
     matrix,
     next_half_column,
@@ -101,6 +102,14 @@ def test_domain_errors(func, kwargs):
     # the offending parameter is named
     bad = next(name for name, v in kwargs.items() if not 0 <= v <= kwargs["n"])
     assert f"{bad}=" in str(exc.value)
+
+
+def test_binomial_half_columns_equal_comb_rows():
+    # columns 0 and n, built by one multiply and one exact divide per entry
+    for n in [*range(65), 1029, 1030, 2000]:
+        row = [comb(n, i) for i in range(n // 2 + 1)]
+        assert half_column(0, n) == row, n
+        assert half_column(n, n) == [-v if i & 1 else v for i, v in enumerate(row)], n
 
 
 def test_recurrence_matches_defining_sum_up_to_100():

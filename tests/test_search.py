@@ -719,6 +719,23 @@ class TestRecordStore:
         assert index[(4, 1)].f_hex == "3"
         assert index[(4, 2)].probability == 0.9
 
+    def test_index_accepts_every_searched_record(self, tmp_path):
+        # p of exhaustive_search(3, 0) is 1 + 2^-51, inside the stated slack
+        store = RecordStore(tmp_path / "records.jsonl")
+        records = [exhaustive_search(n, w) for n in (1, 3, 6) for w in range(n + 1)]
+        assert max(rec.probability for rec in records) == 1 + 2.0**-51
+        for rec in records:
+            store.append(rec)
+        assert store.index() == {(rec.n, rec.w): rec for rec in records}
+
+    def test_index_refuses_an_impossible_record_naming_its_line(self, tmp_path):
+        store = RecordStore(tmp_path / "records.jsonl")
+        store.append(dj_record(4, 2))  # baseline rows are not checked: index leaves them out
+        store.append(SearchRecord(n=4, w=2, f_hex="8", r=3.7013, probability=0.981763))
+        store.append(SearchRecord(n=4, w=2, f_hex="20", r=3.7013, probability=0.981763))
+        with pytest.raises(ValueError, match=r"records\.jsonl line 3: .*f_hex='20'"):
+            store.index()
+
     def test_json_matches_asdict(self):
         # to_json builds the text of json.dumps(..., sort_keys=True) itself:
         # records of each method and edge values

@@ -179,6 +179,22 @@ class TestLanePackedSpectrum:
             for f in _test_functions(n, rng):
                 assert reduced_walsh_spectrum(f) == reference_spectrum(f), n
 
+    def test_matches_reference_where_lane_count_changes(self):
+        # both sides of each change: 1 lane up to 10 at n = 600, and back down to 1 at n = 2566
+        binomials, lanes, changes = [1], 1, []
+        for n in range(1, 2600):
+            binomials = next_half_column(binomials, 0, n - 1)
+            count = len(_lane_layout(n, binomials)[1])
+            if count != lanes:
+                changes.append(n)
+                lanes = count
+        assert len(changes) == 18 and changes[-1] == 2566
+        rng = np.random.default_rng(2566)
+        for n in changes:
+            for size in (n - 1, n):
+                f = SymmetricBooleanFunction(n=size, bits=tuple(int(b) for b in rng.integers(0, 2, size + 1)))
+                assert reduced_walsh_spectrum(f) == reference_spectrum(f), size
+
     def test_reference_range_covers_every_layout(self):
         # one lane, a full last lane and a partial last lane, each at both parities of n
         kinds = set()

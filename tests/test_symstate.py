@@ -100,6 +100,14 @@ class TestDJState:
                 expected = [spectrum_value(f, k) / 2**n for k in range(n + 1)]
                 assert dj_state(f).amps.tolist() == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 300, 1021, 1022, 1023, 1029])
+    def test_amplitudes_are_the_correctly_rounded_ratios(self, n):
+        # one conversion of the whole spectrum at n <= 1022, one division per entry past it
+        for w in sorted({0, 1, n // 3, n // 2, n}):
+            f = optimal_function(n, w)
+            expected = np.array([rw / 2**n for rw in reduced_walsh_spectrum(f)])
+            assert dj_state(f).amps.tobytes() == expected.tobytes(), w
+
 
 class TestSuccessProbability:
     def test_worked_example(self):
