@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the one copy of each argument check."""
 
+__all__ = ["ResourceLimitError", "StateError", "UnreachableTargetError", "check_bias", "check_index", "check_size"]
+
 
 class StateError(ValueError):
     """A quantum state violates a required property (e.g. normalization)."""

@@ -64,6 +64,7 @@ class SymmetricBooleanFunction:
     @classmethod
     def from_value(cls, n: int, value: int) -> "SymmetricBooleanFunction":
         """Decode the integer whose bit i is f_i (f_0 least significant)."""
+        check_size("n", n, 0)
         if not 0 <= value < 1 << (n + 1):
             raise ValueError(f"value={value} out of range for n={n}")
         return cls(n=n, bits=tuple((value >> i) & 1 for i in range(n + 1)))

@@ -329,6 +329,9 @@ def dj_optimal_success_exact(n: int, w: int) -> Fraction:
     """dj_success_exact at the sign-rule optimum, via the column absolute sum.
 
     The sign rule aligns every spectrum term, so rw_f(w) = sum_i |K_i(w, n)|.
+    At even n, G_{n/2}(z) = (1 - z^2)^(n/2), so |K_i(n/2, n)| is C(n/2, i/2)
+    at even i and 0 at odd i, and S(n/2, n) = 2^(n/2).  Then p_dj(n, n/2) =
+    C(n, n/2) 2^n / 4^n = C(n, n/2) / 2^n = childs_probability_exact(n, n/2).
     """
     check_index("w", w, n)
     s = abs_column_sum(w, n)

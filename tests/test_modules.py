@@ -1,6 +1,7 @@
 """The boundaries between the package's modules, read from their source and their public signatures."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -24,6 +25,16 @@ def imports(path):
             module = "." * node.level + (node.module or "")
             out += [(module, alias.name) for alias in node.names]
     return out
+
+
+def test_package_root_binds_only_modules():
+    # each public name has one home, its module's __all__; the root re-exports none
+    assert [name for name, value in vars(dickeprep).items()
+            if not name.startswith("__") and not inspect.ismodule(value)] == []
+    from dickeprep import krawtchouk
+    assert inspect.ismodule(krawtchouk) and krawtchouk.__name__ == "dickeprep.krawtchouk"
+    assert [p.stem for p in SOURCES if p.stem != "__init__"
+            and not hasattr(importlib.import_module(f"dickeprep.{p.stem}"), "__all__")] == []
 
 
 def test_sources_found():

@@ -113,6 +113,13 @@ class TestSymmetricBooleanFunction:
         with pytest.raises(ValueError):
             SymmetricBooleanFunction.from_hex(3, "-1")
 
+    def test_negative_n_named(self):
+        # checked before the range test, whose 1 << (n + 1) is a negative shift
+        with pytest.raises(ValueError, match=r"^n=-2 must be non-negative$"):
+            SymmetricBooleanFunction.from_value(-2, 0)
+        with pytest.raises(ValueError, match=r"^n=-3 must be non-negative$"):
+            SymmetricBooleanFunction.from_hex(-3, "0")
+
     @pytest.mark.parametrize("code", ["0x3", " 3 ", "3_0", "+3", "0X1f", "\u0663", ""])
     def test_hex_accepts_only_ascii_digits(self, code):
         # int(code, 16) takes every one of these but the empty string

@@ -171,6 +171,20 @@ class TestChilds:
             for w in sorted({*range(0, n + 1, 23), 1, n // 4, n // 2, n - 1, n}):
                 assert childs_probability(n, w) == float(childs_probability_exact(n, w)), (n, w)
 
+    def test_dj_equals_childs_at_half_weight(self):
+        # G_{n/2}(z) = (1 - z^2)^(n/2) gives S(n/2, n) = 2^(n/2): both are C(n, n/2) / 2^n
+        for n in range(0, 401, 2):
+            expected = Fraction(comb(n, n // 2), 1 << n)
+            assert dj_optimal_success_exact(n, n // 2) == childs_probability_exact(n, n // 2) == expected, n
+
+    def test_dj_at_least_childs(self):
+        # equal at w = 0, n (both 1) and at w = n/2, and nowhere else
+        for n in range(201):
+            for w in range(n + 1):
+                dj, childs = dj_optimal_success_exact(n, w), childs_probability_exact(n, w)
+                assert dj >= childs, (n, w)
+                assert (dj == childs) == (w in (0, n) or 2 * w == n), (n, w)
+
     def test_state_matches_probability(self):
         for n, w in ((0, 0), (4, 2), (9, 4), (11, 0), (11, 11)):
             s = childs_state(n, w)
