@@ -278,19 +278,20 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
     # are real, and the im column stays, all zeros, for the file format.  x is
     # a high half followed by a low half; each low half comes with the comma,
     # the row weight and the next comma already joined, one list per weight of
-    # the high half, so a row is four pieces of one join, and the rows of one
-    # high half are one slice.
+    # the high half, and each distinct amplitude is formatted once with its
+    # ",0" and line end, so a row is three pieces of one join, and the rows of
+    # one high half are one slice.
     high = list(map("".join, product("01", repeat=args.n - args.n // 2)))
     low = list(map("".join, product("01", repeat=args.n // 2)))
     low_wt = [[f"{b},{wt + b.count('1')}," for b in low] for wt in range(args.n - args.n // 2 + 1)]
-    amps = csvio.fmt_column(state.amps)
+    amps = csvio.fmt_column(state.amps, end=",0\n")
 
     def slices():
-        pieces = [",0\n"] * (4 * len(low))
+        pieces = [""] * (3 * len(low))
         for start, a in zip(range(0, len(amps), len(low)), high):
-            pieces[0::4] = [a] * len(low)
-            pieces[1::4] = low_wt[a.count("1")]
-            pieces[2::4] = amps[start:start + len(low)]
+            pieces[0::3] = [a] * len(low)
+            pieces[1::3] = low_wt[a.count("1")]
+            pieces[2::3] = amps[start:start + len(low)]
             yield "".join(pieces)
 
     csvio.write_csv(args.out, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import importlib
 import os
 import subprocess
 import sys
@@ -201,9 +200,8 @@ class TestCurvesCommand:
         assert out == self.exact_csv(n)
 
     def test_float_path_builds_binomial_row_once(self, capsys, monkeypatch):
-        from dickeprep import symfunc
+        from dickeprep import krawtchouk, symfunc
 
-        krawtchouk = importlib.import_module("dickeprep.krawtchouk")  # the package exports a function of that name
         rows = []
         real = krawtchouk.half_column
 

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from dickeprep.csvio import column_rows, fmt, write_csv
+from dickeprep import csvio
+from dickeprep.csvio import column_rows, fmt, fmt_column, write_csv
 
 from csv_reference import render_per_value, written
 
@@ -76,6 +77,15 @@ def test_cell_needing_quotes_refused(name, capsys, tmp_path):
             write_csv(out, "demo", {}, header, column_rows(header, cols))
     assert capsys.readouterr().out == ""  # refused before the first byte
     assert list(tmp_path.iterdir()) == []  # neither the file nor its temporary copy
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fmt_column_end_follows_every_value(name):
+    # fullsim formats each distinct amplitude once with its ",0" and line end
+    for col in CASES[name][1]:
+        want = [fmt(v) + ",0\n" for v in col]
+        assert fmt_column(col, end=",0\n") == want
+        assert fmt_column(col) == [fmt(v) for v in col]
 
 
 def test_generator_columns():
@@ -149,6 +159,29 @@ def test_write_csv_file_same_bytes_as_stdout(tmp_path):
         write_csv(path, "demo", {"n": 3}, header, iter(slices), trailer)
         assert path.read_bytes() == written("demo", {"n": 3}, header, slices, trailer).encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_file_leaves_in_buffer_sized_writes(tmp_path, monkeypatch):
+    # open(file, "w", buffering=b) is a TextIOWrapper on a BufferedWriter of b bytes on a FileIO;
+    # the same stack, with each system write counted at the FileIO
+    writes = []
+
+    class CountedFileIO(io.FileIO):
+        def write(self, b):
+            writes.append(len(b))
+            return super().write(b)
+
+    def counted_open(file, mode, encoding, buffering):
+        return io.TextIOWrapper(io.BufferedWriter(CountedFileIO(file, mode), buffering), encoding=encoding)
+
+    monkeypatch.setattr(csvio, "open", counted_open, raising=False)
+    rows = ["".join(f"{i},{'x' * (i % 23)}\n" for i in range(j, j + 200)) for j in range(0, 40_000, 200)]
+    path = tmp_path / "out.csv"
+    write_csv(path, "demo", {}, ["i", "s"], iter(rows))
+    size = path.stat().st_size
+    assert path.read_bytes() == written("demo", {}, ["i", "s"], rows).encode("utf-8")
+    assert sum(writes) == size > 8 * csvio._FILE_BUFFER
+    assert len(writes) <= size // (csvio._FILE_BUFFER // 2) + 1  # an 8 KiB buffer would take about 8 times as many
 
 
 def test_write_csv_failure_leaves_nothing_behind(tmp_path):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -35,6 +37,7 @@ from dickeprep.symstate import (
     success_probability,
 )
 
+import certified_reference
 import sampler_reference
 import search_reference
 from biased_reference import biased_amplitude_table, biased_amplitudes
@@ -358,6 +361,93 @@ class TestCertifiedChildsStrings:
             curves_columns(-1)
         with pytest.raises(ValueError, match="max_n="):
             quarter_columns(-1)
+
+
+def adversarial_bounds(seed):
+    """(lo, hi) pairs that probe the 9-digit rounding cells of the certified columns.
+
+    Intervals that straddle a 9-digit half-way point or sit one ulp from it,
+    exact half-way floats, values just below and above powers of ten (and
+    those rounding up to one), lo == hi, lo = 0, subnormal lo, hi = inf or
+    nan, bounds 600 decades apart, and relative widths from 0 to 1e-6.
+    """
+    rng = np.random.default_rng(seed)
+    up, down = (lambda x: np.nextafter(x, math.inf)), (lambda x: np.nextafter(x, -math.inf))
+    widths = [0.0, 2.0**-53, 1e-15, 1e-13, 1e-11, 1e-10, 1e-9, 5e-9, 1e-8, 1e-7, 1e-6, *rng.uniform(0, 1e-6, 8)]
+    pairs = []
+
+    def around(x):
+        # x itself, its neighbours, and widths on either side of it
+        pairs.extend([(x, x), (down(x), x), (x, up(x)), (down(x), up(x)), (down(x), down(x)), (up(x), up(x))])
+        pairs.extend((x * (1 - w), x) for w in widths[1:])
+        pairs.extend((x, x * (1 + w)) for w in widths[1:])
+        pairs.extend((x * (1 - w), x * (1 + w)) for w in widths[1:])
+
+    for _ in range(60):  # near half-way points m.5 of random 9-digit m at random decades
+        m, d = int(rng.integers(10**8, 10**9)), int(rng.integers(-300, 300))
+        around(float(f"{m}.5e{d - 8}"))
+    # exact half-way floats: m + 1/2, (10 m + 5) 10^j, and dyadics with 10 significant digits
+    for m in rng.integers(10**8, 10**9, 20).tolist():
+        around(m + 0.5)
+        around(float((10 * m + 5) * 10 ** int(rng.integers(0, 6))))
+    for x in (2.0**-13, 2.0**-14, 3 * 2.0**-14, 123456789.5, 999999999.5, 100000000.5):
+        around(x)
+    for d in [*range(-323, 309, 7), -308, -307, -1, 0, 1, 308]:  # powers of ten, and values rounding to them
+        around(float(f"1e{d}"))
+        if d < 308:
+            around(float(f"9.999999995e{d}"))
+            around(float(f"9.9999999949e{d}"))
+    for x in 10.0 ** rng.uniform(-320, 300, 200):  # random values at every width
+        around(float(x))
+    tiny = 5e-324
+    pairs += [(0.0, 0.0), (0.0, tiny), (0.0, 1e-300), (0.0, 0.5), (0.0, 1.9), (0.0, 1e300), (-0.0, 0.0)]
+    pairs += [(tiny, tiny), (tiny, 2 * tiny), (1e-310, 1e-310), (2.2250738585072014e-308 / 3, 1e-308), (1e-320, 1e-319)]
+    pairs += [(lo, bad) for lo in (0.0, tiny, 0.25, 1e300, 1.7e308) for bad in (math.inf, math.nan)]
+    pairs += [(math.nan, math.nan), (math.nan, 0.5), (math.inf, math.inf), (1e-300, 1e300), (1.7e308, 1.7976931348623157e308)]
+    lo, hi = np.array(pairs).T
+    return lo, hi
+
+
+class TestCertifiedStrings:
+    """symstate._certified_strings: the numeric pre-test against the two-format rule alone."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2026])
+    def test_same_texts_and_exact_calls_as_two_format_rule(self, seed):
+        lo, hi = adversarial_bounds(seed)
+        calls = {"new": [], "reference": []}
+
+        def exact(side):
+            def value(j):
+                calls[side].append(j)
+                return float(j) + 0.125  # unlike any bound's text
+            return value
+
+        got = symstate._certified_strings(lo, hi, exact("new"))
+        want = certified_reference.certified_strings(lo, hi, exact("reference"))
+        assert got == want
+        assert calls["new"] == calls["reference"]
+        # the set probes both sides: a tenth or more of the values print from their bounds, a tenth or more exactly
+        assert len(lo) // 10 < len(calls["new"]) < len(lo) * 9 // 10
+
+    def test_pretest_uses_only_basic_operations(self):
+        # products, comparisons, rint and table lookups: no transcendental ufunc, whose bits follow numpy's SIMD dispatch
+        tree = ast.parse(inspect.getsource(symstate._certified_strings))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"log", "log10", "log2", "log1p", "exp", "exp2", "expm1", "power", "float_power"}
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+
+    def test_real_columns_same_as_two_format_rule(self):
+        for n in (1, 40, 350, 1000, 2000):
+            binoms = symstate.half_column(0, n)
+            bounds = [symstate._dj_float_bounds(n, binoms),
+                      symstate._childs_float_bounds(binoms, np.arange(n // 2 + 1), n, symstate._power_table(n))[1:]]
+            for lo, hi in bounds:
+                calls = []
+                got = symstate._certified_strings(lo, hi, lambda j: calls.append(j) or 0.5)
+                want_calls = []
+                assert got == certified_reference.certified_strings(lo, hi, lambda j: want_calls.append(j) or 0.5)
+                assert calls == want_calls
 
 
 class TestPaperColumns:
