@@ -260,6 +260,70 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fullsim_rows(n: int, amps: np.ndarray):
+    """The `fullsim` CSV rows of the 2^n float64 amplitudes amps, one slice per high half of x.
+
+    Row x is format(x, f"0{n}b"), wt(x), fmt(amps[x]) and 0: the amplitudes
+    are real, and the im column stays, all zeros, for the file format.  x
+    is a high half of n - n//2 bits followed by a low half of n//2 bits.
+
+    A weight class prints one text for all its members when its least and
+    greatest members, taken over one stable gather by weight
+    (fullsim._weight_classes), have one sign and print the same.  Rounding
+    to 9 significant digits is monotone and the text is a function of the
+    rounded value: lo <= a <= hi gives round(lo) <= round(a) <= round(hi),
+    so when lo and hi print the same, every member does.  The sign test
+    keeps out a class that holds a zero, whose +0.0 and -0.0 compare equal
+    but print as 0 and -0, and a class that holds a nan.  In a one-text
+    class the row tail "low,weight,text" depends only on the low half and
+    on the weight of the high half, so when every row of a high half falls
+    in one-text classes, its slice is one join of the tail list of its
+    weight, with ",0", the line end and the high half between tails.  The members
+    of any other class print their own texts, each distinct amplitude
+    formatted once (csvio.fmt_column), and a high half whose weights reach
+    such a class joins tail, text and line end per row.
+    """
+    order, starts, _ = fullsim._weight_classes(n)
+    grouped = amps[order]
+    lows = np.minimum.reduceat(grouped, starts)
+    texts = list(map(csvio.fmt, lows.tolist()))
+    # mixed[w]: the members of class w print their own texts
+    mixed = [not (lo > 0.0 or hi < 0.0) or text != csvio.fmt(hi)
+             for lo, hi, text in zip(lows.tolist(), np.maximum.reduceat(grouped, starts).tolist(), texts)]
+    half = n // 2
+    high = list(map("".join, product("01", repeat=n - half)))
+    low = list(map("".join, product("01", repeat=half)))
+    low_wt = [b.count("1") for b in low]
+    reach = [any(mixed[h:h + half + 1]) for h in range(n - half + 1)]
+    # per weight h of the high half, the row tail of each low half: the low half, the row
+    # weight and, unless the high half reaches a mixed class, the class's text
+    lead = [f",{w}," for w in range(n + 1)]
+    full = [f",{w},{text}" for w, text in enumerate(texts)]
+    tails = [[b + (lead if reach[h] else full)[h + k] for b, k in zip(low, low_wt)]
+             for h in range(n - half + 1)]
+    if any(mixed):
+        wt = fullsim.weights(n)
+        # a member of a one-text class stands in as its class's low, which prints that text
+        cells = csvio.fmt_column(np.where(np.array(mixed)[wt], amps, lows[wt]))
+
+    def slices():
+        # a, then per row its tail, its text and ",0\n" + a, but ",0\n" after the last
+        pieces = [""] * (3 * len(low) + 1)
+        pieces[-1] = ",0\n"
+        for start, a in zip(range(0, 1 << n, len(low)), high):
+            h, sep = a.count("1"), ",0\n" + a
+            if not reach[h]:
+                yield a + sep.join(tails[h]) + ",0\n"
+                continue
+            pieces[0] = a
+            pieces[1::3] = tails[h]
+            pieces[2::3] = cells[start:start + len(low)]
+            pieces[3:-1:3] = [sep] * (len(low) - 1)
+            yield "".join(pieces)
+
+    return slices()
+
+
 def _cmd_fullsim(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be positive, got {args.n}")
@@ -274,28 +338,9 @@ def _cmd_fullsim(args: argparse.Namespace) -> int:
         f"deviation {csvio.fmt(profile.deviations[k])}"
         for k in range(args.n + 1)
     ] + [f"symmetric {profile.symmetric}"]
-    # Row x is format(x, f"0{n}b"), wt(x), the amplitude and 0: the amplitudes
-    # are real, and the im column stays, all zeros, for the file format.  x is
-    # a high half followed by a low half; each low half comes with the comma,
-    # the row weight and the next comma already joined, one list per weight of
-    # the high half, and each distinct amplitude is formatted once with its
-    # ",0" and line end, so a row is three pieces of one join, and the rows of
-    # one high half are one slice.
-    high = list(map("".join, product("01", repeat=args.n - args.n // 2)))
-    low = list(map("".join, product("01", repeat=args.n // 2)))
-    low_wt = [[f"{b},{wt + b.count('1')}," for b in low] for wt in range(args.n - args.n // 2 + 1)]
-    amps = csvio.fmt_column(state.amps, end=",0\n")
-
-    def slices():
-        pieces = [""] * (3 * len(low))
-        for start, a in zip(range(0, len(amps), len(low)), high):
-            pieces[0::3] = [a] * len(low)
-            pieces[1::3] = low_wt[a.count("1")]
-            pieces[2::3] = amps[start:start + len(low)]
-            yield "".join(pieces)
-
+    # the rows print each weight class's text once where its members allow (_fullsim_rows)
     csvio.write_csv(args.out, "fullsim", {"n": args.n, "f": f.to_hex(), "r": r},
-                    ["x", "weight", "re", "im"], slices(), trailer)
+                    ["x", "weight", "re", "im"], _fullsim_rows(args.n, state.amps), trailer)
     return 0
 
 

@@ -16,14 +16,15 @@ Either way the writer holds one slice and one buffer at a time.  The dumps
 (`krawtchouk --n`, `fullsim`) build their slices directly; the other
 commands pass their data as columns, one per header field, through
 `column_rows`, whose small text is one slice.  There a float or int ndarray
-is formatted once per distinct value, a list of only `str` is its own text
-(`fmt` returns a str unchanged), and any other column goes through `fmt`
-per value.  `fmt_column` can also follow each text with a fixed `end`,
-joined once per distinct value of an ndarray; `fullsim` passes its row
-tail so.  Cells are plain text: a header or data cell that holds `,`,
-`"`, a line feed or a carriage return, or an empty cell that would be the
-only field of its row, raises ValueError before any byte is written, so
-the bytes are `csv.writer`'s on per-value `fmt` with nothing to quote.
+is formatted once per distinct value (`fmt_column`: `np.unique` over the
+bit patterns, then the distinct values as Python numbers, which print as
+their numpy scalars do, for float64 and int arrays), a `range` goes
+through `str`, a list of only `str` is its own text (`fmt` returns a str
+unchanged), and any other column goes through `fmt` per value.  Cells are
+plain text: a header or data cell that holds `,`, `"`, a line feed or a
+carriage return, or an empty cell that would be the only field of its
+row, raises ValueError before any byte is written, so the bytes are
+`csv.writer`'s on per-value `fmt` with nothing to quote.
 Columns unlike the header in count or length raise ValueError too.
 """
 
@@ -50,14 +51,19 @@ def fmt(value: object) -> str:
     return str(value)
 
 
-def fmt_column(col: Iterable[object], end: str = "") -> list[str]:
-    """fmt of every value of col followed by end; a float or int ndarray is formatted once per distinct bit pattern."""
+def fmt_column(col: Iterable[object]) -> list[str]:
+    """fmt of every value of col; a float or int ndarray is formatted once per distinct bit pattern."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
         # distinct bit patterns, not values, so that -0.0 stays apart from 0.0
         bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-        return (np.array(list(map(fmt, bits.view(col.dtype))), dtype=object) + end)[inv].tolist()
-    out = col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))
-    return [text + end for text in out] if end else out
+        distinct = bits.view(col.dtype)
+        # a float64 or an int prints as the Python number tolist gives; other floats stay numpy scalars
+        if col.dtype.kind in "iu" or col.dtype == np.float64:
+            distinct = distinct.tolist()
+        return np.array(list(map(fmt, distinct)), dtype=object)[inv].tolist()
+    if isinstance(col, range):
+        return list(map(str, col))
+    return col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))
 
 
 def _fields(col: Iterable[object], lone: bool) -> list[str]:

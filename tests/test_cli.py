@@ -507,6 +507,59 @@ class TestFullsimCommand:
         assert err == "error: n=17 exceeds the dense-simulation cap 16\n"
 
 
+def _straddle():
+    """p and the next float up, which print differently: they straddle a 9-digit half-way point."""
+    p = float("0.1234567885")
+    if csvio.fmt(p) == "0.123456789":
+        p = np.nextafter(p, 0.0)
+    q = np.nextafter(p, 1.0)
+    assert (csvio.fmt(p), csvio.fmt(q)) == ("0.123456788", "0.123456789")
+    return float(p), float(q)
+
+
+def _crafted(n, classes, seed=0):
+    """2^n amplitudes, one seeded value per weight class but in the classes that `classes` lists.
+
+    classes maps a weight to the values its members take, in index order,
+    repeated as needed.
+    """
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(-1.0, 1.0, n + 1)[fullsim.weights(n)]
+    for w, values in classes.items():
+        members = np.flatnonzero(fullsim.weights(n) == w)
+        amps[members] = np.resize(np.array(values, dtype=float), members.size)
+    return amps
+
+
+P, Q = _straddle()
+CLASS_RULE_CASES = {  # name -> (n, amps)
+    "one ulp apart across a half-way point": (3, _crafted(3, {1: [P, Q, P]})),
+    "negative, one ulp apart across a half-way point": (4, _crafted(4, {2: [-Q, -P]})),
+    "+0.0 and -0.0": (3, _crafted(3, {2: [0.0, -0.0, 0.0]})),
+    "-0.0 and +0.0, every other class zero too": (2, np.array([1.0, -0.0, 0.0, -0.0])),
+    "min 0.0, max above 0": (3, _crafted(3, {1: [0.0, 0.25, 5e-324]})),
+    "min below 0, max -0.0": (3, _crafted(3, {2: [-0.25, -0.0]})),
+    "a nan beside ones": (3, _crafted(3, {1: [1.0, float("nan")]})),
+    "n = 1": (1, np.array([0.6, -0.8])),
+    "n = 1, signed zeros": (1, np.array([-0.0, 0.0])),
+    "n = 16, one-text classes only": (16, fullsim.biased_dj_output(
+        SymmetricBooleanFunction.from_hex(16, "1A5B5"), 7.3).amps),
+    "n = 16, a straddle and a zero class": (16, _crafted(16, {1: [Q, P, P], 16: [-0.0]}, seed=16)),
+    "n = 16, f = 0 at r = 8": (16, fullsim.biased_dj_output(SymmetricBooleanFunction.from_value(16, 0), 8.0).amps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_RULE_CASES))
+def test_fullsim_rows_class_rule(name):
+    # every row against csv.writer over per-value fmt, whichever texts its class takes
+    n, amps = CLASS_RULE_CASES[name]
+    header = ["x", "weight", "re", "im"]
+    got = written("fullsim", {"n": n}, header, cli._fullsim_rows(n, amps))
+    rows = zip([format(x, f"0{n}b") for x in range(1 << n)], fullsim.weights(n).tolist(),
+               amps.tolist(), [0.0] * (1 << n))
+    assert got == render_per_value("fullsim", {"n": n}, header, rows)
+
+
 class TestSearchCommand:
     def test_appends_records(self, capsys, tmp_path):
         db = tmp_path / "db.jsonl"

@@ -38,6 +38,11 @@ CASES = {  # name -> (header, columns)
     ])]),
     "float32 array": (["x"], [np.array([0.1, -0.0, 0.0, 1.0 / 3.0, 0.1], dtype=np.float32)]),
     "int64 array": (["i"], [np.array([0, -1, 7, 2**62, -(2**63), 7, 0], dtype=np.int64)]),
+    "uint64, float16 and big-endian float64 arrays": (["u", "h", "b"], [
+        np.array([2**64 - 1, 0, 2**63, 7], dtype=np.uint64),
+        np.array([0.1, -0.0, 65504.0, 0.1], dtype=np.float16),
+        np.array([0.1, -0.0, 1.0 / 3.0, 0.1], dtype=">f8"),
+    ]),
     "arrays beside lists, as fullsim emits them": (["x", "weight", "re", "im"], [
         ["00", "01", "10", "11"],
         np.array([0, 1, 1, 2]),
@@ -46,6 +51,9 @@ CASES = {  # name -> (header, columns)
     ]),
     "str columns, as the krawtchouk dump emits them": (["i", "k0", "k1"], [
         range(3), ["1", "-20", "0"], ["-1", "", "q"],
+    ]),
+    "range columns, as curves and cn emit them": (["w", "n", "d"], [
+        range(4, 7), range(-1, 2), range(2**64 - 1, 2**64 + 2),
     ]),
 }
 # name -> (header, columns, cell): the one cell csv.writer would quote, which is refused
@@ -80,11 +88,8 @@ def test_cell_needing_quotes_refused(name, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_fmt_column_end_follows_every_value(name):
-    # fullsim formats each distinct amplitude once with its ",0" and line end
+def test_fmt_column_same_as_fmt(name):
     for col in CASES[name][1]:
-        want = [fmt(v) + ",0\n" for v in col]
-        assert fmt_column(col, end=",0\n") == want
         assert fmt_column(col) == [fmt(v) for v in col]
 
 
