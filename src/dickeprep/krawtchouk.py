@@ -44,8 +44,11 @@ A column also steps in n: G_k^(n+1) = G_k^(n) (1+z) and
 G_{k+1}^(n+1) = G_k^(n) (1-z), one add or subtract per half-column entry
 (`next_half_column`; for odd n the half column first gains
 K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
-`symstate.quarter_columns` carries its one column this way instead of
-rebuilding every n from scratch.
+`symstate.c_minima` grows its binomial half rows this way, and
+`symstate.quarter_columns` carries its one column k = n//4 this way below
+max_n = 80; from there it takes an exact column only every 48 n, and the
+steps between are one product by the coefficients of
+(1+z)^a (1-z)^b in floats.
 
 `dump_rows` gives the matrix as the rows of the `krawtchouk` dump,
 "i,K_i(0, n),...,K_i(n, n)", one row per item, which the writer sends on

@@ -65,10 +65,54 @@ ratio, `_dj_ratio`.  A DJ spectrum at n <= 1022 is rounded by one
 conversion too (`dj_state`); past that its amplitudes can be subnormal,
 and each is one integer division.
 
-`quarter_columns` carries the single column k = n//4 along n by the Pascal
-step `krawtchouk.next_half_column` (one add per half-column entry, where a
-step in k costs two), with C(n, k) carried by one exact multiply and
-divide, and each DJ value is that exact ratio, correctly rounded.
+`quarter_columns` gives the 9-digit text of p_dj(n, n//4) for every n up
+to max_n, the `sweep-quarter` DJ column, with C(n, k) carried along n by
+one exact multiply and divide.  Its exact work is at the anchors
+n0 = 0, 48, 96, ...: there the half column k0 = n0/4 comes from
+`krawtchouk.half_column`, and p_dj(n0, k0) is one exact ratio
+(`_dj_ratio`).  The B = 47 values of n after an anchor come from floats.
+As G_k(z) = (1 - z)^k (1 + z)^(n - k), column (n0 + j)//4 at n0 + j is
+column k0 at n0 times kappa_j(z) = (1 + z)^(j - j//4) (1 - z)^(j//4), so
+its entry i is sum_t kappa_j[t] K_(i-t)(k0, n0).  The coefficients are
+integers below 2^47, exact in floats, and the same for every anchor (n0 is
+a multiple of 4): one constant (48, 47) matrix.  The anchor's entries
+K_0 .. K_(n0/2 + 23) (past the middle, from the palindrome) and S(k0, n0)
+are rounded once (`_frexp_ints`) and scaled by 2^-top, top the exponent
+of S(k0, n0), exactly; an entry below 2^-1001 is flushed to 0 (from the
+anchor n0 = 1728 on, K_0 = 1 is one).  One product
+of the sliding windows (X_(i-47), ..., X_i) with that matrix gives entries
+i <= n/2 of all 47 columns, and one weighted sum of their absolute values
+(2 below the middle, 1 on it) their S~.  The anchors of a batch are
+aligned on their middle row n0/2, so that one set of weights serves them
+all; a batch holds at most 2^15 window entries (256 KiB for its product).
+
+The bound, with u = 2^-53 as in Higham (below): a rounded entry X~_l is
+within u |X~_l| of the exact scaled X_l, and a flushed one lost at most
+2^-1001.  A computed window product is within
+gamma_(j+1) sum_t |kappa_j[t]| |X~_(i-t)| of the exact product of the
+floats in any order of summation, fused multiply-adds or not (Higham,
+ch. 3; a zero coefficient adds an exact zero, so only j + 1 terms round).
+Over the rows and their weights these and the anchor's rounding add at most
+2 (j + 2) 1.01 u |kappa_j|_1 T, with |kappa_j|_1 <= 2^j and
+T = S(k0, n0) 2^-top rounded once: the entries past the middle repeat
+ones below it, so the sum of |X~_l| over the windows is at most
+(1 + u) S(k0, n0) 2^-top <= (1 + u) T / (1 - u), inside the 1.01.  The
+flushed entries add at most |kappa_j|_1 rows 2^-1000, and the weighted sum
+of rows terms (rows + 3) 1.01 u S~.  An unflushed entry is at least
+2^-1001, a multiple of 2^-1053, and so is every product and every sum, so
+a result below 2^-1000 is exact: no rounding meets the subnormal range, and
+the bound needs no underflow term.  The sum dev of these terms, lifted by
+_BOUND_MARGIN, gives |S~ - S(k, n) 2^-top| <= dev, and
+[lo, hi] = C~ (S~ -+ dev)^2 2^(2 top - 2n), C~ = C(n, k) rounded once,
+is widened by 2^-48, past five roundings.  A value prints from [lo, hi] by
+the Ziv rule (below), and otherwise from the exact ratio with
+S = abs_column_sum(k, n): up to n = 2100 only n = 8, 9 and 11 do, whose
+values (567/1024 = 0.5537109375, ...) lie on a 9-digit rounding boundary;
+the bound is some 100 times the largest observed error or more.  Below max_n = 80
+the float blocks' fixed cost (some 40 numpy calls) passes the exact
+path's, so there each DJ value is the exact ratio, its column carried
+along n by the Pascal step `krawtchouk.next_half_column` (one add per
+half-column entry).
 
 `c_minima` gives only the least term at each n, c(n) = min_k c_k(n)
 with c_k(n) = C(n, k) S(k, n)^2 sqrt(n) / 4^n and S(k, n) = sum_i |K_i(k, n)|,
@@ -202,7 +246,7 @@ from math import comb
 import numpy as np
 
 from .errors import StateError, UnreachableTargetError, check_bias, check_index, check_size
-from .krawtchouk import abs_column_sum, column, half_abs_sum, half_column, next_half_column
+from .krawtchouk import abs_column_sum, column, full_column, half_abs_sum, half_column, next_half_column
 from .symfunc import SymmetricBooleanFunction, reduced_walsh_spectrum, spectrum_value
 
 __all__ = [
@@ -1043,25 +1087,148 @@ def curves_columns(n: int) -> tuple[list[str], list[str]]:
     return dj + dj[: n - n // 2][::-1], childs + childs[: n - n // 2][::-1]
 
 
-def quarter_columns(max_n: int) -> tuple[list[float], list[str]]:
-    """(dj, childs) at w = n//4 for n = 0..max_n: the DJ optimum as a float, and csvio.fmt of childs_probability.
+# sweep-quarter's DJ float blocks (module docstring)
+_QUARTER_STEP = 48  # n per block: the exact anchor n0, a multiple of 48, then n0 + 1 .. n0 + 47 from floats
+_FLUSH_EXP = -1000  # anchor entries below 2^(_FLUSH_EXP - 1) of the block's scale are flushed to 0
+_QUARTER_FLOATS = 80  # the least max_n whose DJ column comes from the float blocks: below it, from exact steps
+_QUARTER_CHUNK = 1 << 15  # window entries per batch of blocks: 256 KiB for its product
+_QUARTER_OUTWARD = np.array([1.0 - 2.0**-48, 1.0 + 2.0**-48])[:, None, None]  # past (1 + u)^5 (module docstring)
 
-    dj[n] = C(n, k) S(k, n)^2 / 4^n at k = n // 4, correctly rounded: the
-    same float as float(dj_optimal_success_exact(n, n // 4)).  Column k goes
-    from n to n+1 by the Pascal step (1+z), or by (1-z) to column k+1 where
-    (n+1)//4 > k (`krawtchouk.next_half_column`), and C(n, k) by one exact
-    multiply and divide.  The same binomials give childs[n], printed from
-    certified bounds when both give the same 9 digits, and otherwise from
-    the exact childs_probability(n, n // 4).
+
+def _quarter_steps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(steps, middle, factors) for blocks of B = _QUARTER_STEP - 1 values of n after an anchor n0 = 0 mod 4.
+
+    Column j - 1 of the (B + 1, B) matrix steps holds the coefficients of
+    kappa_j(z) = (1 + z)^(j - j//4) (1 - z)^(j//4), Krawtchouk column j//4
+    at n = j, highest power first, so that the window (X_(i-B), ..., X_i) of
+    column n0//4 at n0 times it is entry i of column (n0 + j)//4 at n0 + j.
+    Every coefficient is an integer below 2^B, exact in a float.
+    middle[r, j - 1] weighs row i = n0/2 + r in the sum over the full column
+    at n0 + j: 2 below the middle, 1 on it, 0 past it.  Column j - 1 of
+    factors holds 2 (j + 2) 1.01 u |kappa_j|_1 and |kappa_j|_1, the factors
+    of the bound (module docstring), each lifted by _BOUND_MARGIN.
+    """
+    b = _QUARTER_STEP - 1
+    steps = np.zeros((b + 1, b))
+    for j in range(1, b + 1):
+        steps[b - j:, j - 1] = column(j // 4, j)[::-1]
+    js = np.arange(1, b + 1)
+    twice = 2 * np.arange(b // 2 + 1)[:, None]
+    middle = np.where(twice < js, 2.0, np.where(twice == js, 1.0, 0.0))
+    norms = np.abs(steps).sum(axis=0)  # exact: integers below 2^53
+    return steps, middle, np.array([(js + 2) * (2.02 * _U), np.ones(b)]) * norms * _BOUND_MARGIN
+
+
+_QUARTER_STEPS, _QUARTER_MIDDLE, _QUARTER_FACTORS = _quarter_steps()
+
+
+def _window_sums(flat: list[int], middle_row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sums, dev, top) of a batch of blocks: |sums[a, j - 1] - S_j 2^-top[a]| <= dev[a, j - 1] for j = 1..B.
+
+    Row a of flat, B = _QUARTER_STEP - 1, holds B + middle_row - h0 zeros,
+    then X_0 .. X_(h0 + tail) (entries 0 .. n0/2 + tail of column k0 at the
+    anchor n0 = 2 h0, tail = _QUARTER_STEP/2 - 1), zeros up to
+    B + middle_row + tail + 1 entries, and last an integer T >= sum_l |X_l|
+    (S(k0, n0) at an anchor).  S_j = sum_i w_i |Y_i| over i <= h0 + tail,
+    Y_i = sum_t kappa_j[t] X_(i-t), with w_i 2, 1 or 0 as 2 (i - h0) is
+    below, at or past j: at an anchor, S(k0 + j//4, n0 + j) (module
+    docstring).  Every int is rounded once, scaled by 2^-top, the exponent
+    of T, and flushed to 0 below 2^(_FLUSH_EXP - 1).
+    """
+    b, rows = _QUARTER_STEP - 1, middle_row + _QUARTER_STEP // 2
+    m, e = _frexp_ints(flat)
+    m, e = m.reshape(-1, rows + b + 1), e.reshape(-1, rows + b + 1)
+    top = e[:, -1].copy()  # T >= every |X_l|, so its exponent is the largest
+    e -= top[:, None]
+    e[e < _FLUSH_EXP] = -2 * 1074  # flushed: ldexp gives 0
+    x = np.ldexp(m, e, out=m)
+    # the sliding windows, as sliding_window_view builds them, without its per-call checks
+    y = np.ndarray((len(x), rows, b + 1), buffer=x, strides=(x.strides[0], 8, 8)) @ _QUARTER_STEPS
+    np.abs(y, out=y)
+    sums = y[:, :middle_row].sum(axis=1)  # rows below every middle, weight 2
+    sums *= 2.0
+    sums += np.einsum("brj,rj->bj", y[:, middle_row:], _QUARTER_MIDDLE)
+    # the sum's rounding, then the windows' (|kappa_j|_1 T) and the flushed entries' (|kappa_j|_1 rows 2^_FLUSH_EXP)
+    dev = sums * ((rows + 3) * (1.01 * _U) * _BOUND_MARGIN)
+    dev += np.stack((x[:, -1], np.full(len(x), rows * 2.0**_FLUSH_EXP)), axis=1) @ _QUARTER_FACTORS
+    return sums, dev, top
+
+
+def _quarter_dj_bounds(binoms: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) for n = 0..len(binoms) - 1, k = n // 4, from binoms[n] = C(n, k).
+
+    At each anchor n0, a multiple of _QUARTER_STEP, lo = hi is the exact
+    p_dj(n0, k0) = C(n0, k0) S(k0, n0)^2 / 4^n0, correctly rounded.  The
+    other n take one product of float windows of the anchor's column
+    (`_window_sums`, module docstring), blocks in batches of about
+    _QUARTER_CHUNK window entries, and lo <= p_dj(n, k) <= hi is certified.
+    """
+    step = _QUARTER_STEP
+    tail = step // 2 - 1  # the last n//2 of a block is n0/2 + tail
+    blocks = (len(binoms) - 1) // step + 1
+    sums, dev = np.empty((blocks, step - 1)), np.empty((blocks, step - 1))
+    tops, exact = np.empty(blocks, dtype=np.int64), []
+    first = 0
+    while first < blocks:
+        last = first + 1  # the batch is blocks first .. last - 1, its largest anchor (last - 1) step
+        while last < blocks and (last - first + 1) * (last * step // 2 + tail + 1) * step <= _QUARTER_CHUNK:
+            last += 1
+        middle_row = (last - 1) * step // 2  # the anchors are aligned on their middle row n0/2
+        width = middle_row + tail + step
+        flat = []
+        for n0 in range(first * step, last * step, step):
+            k0, h0 = n0 // 4, n0 // 2
+            half = half_column(k0, n0)
+            total = half_abs_sum(half, n0)
+            exact.append(_dj_ratio(binoms[n0], total, n0))
+            x = full_column(half, k0, n0)[: h0 + tail + 1]
+            lead = middle_row - h0 + step - 1
+            flat += [0] * lead
+            flat += x
+            flat += [0] * (width - lead - len(x))
+            flat.append(total)
+        sums[first:last], dev[first:last], tops[first:last] = _window_sums(flat, middle_row)
+        first = last
+    bounds = sums + dev * np.array([-1.0, 1.0])[:, None, None]  # S~ -+ dev
+    np.maximum(bounds, 0.0, out=bounds)
+    bounds *= bounds
+    cm, ce = _frexp_ints(binoms + [0] * (blocks * step - len(binoms)))  # past the last n, a zero bound
+    ce -= np.arange(0, 2 * blocks * step, 2)
+    bounds *= cm.reshape(blocks, step)[:, 1:]
+    bounds *= _QUARTER_OUTWARD
+    out = np.empty((2, blocks, step))
+    out[:, :, 0] = exact
+    np.ldexp(bounds, ce.reshape(blocks, step)[:, 1:] + 2 * tops[:, None], out=out[:, :, 1:])
+    return out[0].reshape(-1)[: len(binoms)], out[1].reshape(-1)[: len(binoms)]
+
+
+def quarter_columns(max_n: int) -> tuple[list[str], list[str]]:
+    """(dj, childs) for n = 0..max_n: csvio.fmt of the DJ optimum C(n, k) S(k, n)^2 / 4^n and of childs_probability(n, k), k = n//4.
+
+    S(k, n) = sum_i |K_i(k, n)|.  The binomials C(n, k) are carried along n
+    by one exact multiply and divide each.  From max_n = _QUARTER_FLOATS on,
+    every value comes with certified bounds (`_quarter_dj_bounds`,
+    `_childs_float_bounds`, module docstring) and prints from them when both
+    give the same 9 digits; otherwise it is computed exactly: the DJ value as
+    `_dj_ratio` with S = abs_column_sum(k, n), the same float as
+    float(dj_optimal_success_exact(n, k)), the Childs value as
+    childs_probability(n, k).  Below that, every DJ value is that exact ratio,
+    its column carried along n by `krawtchouk.next_half_column`.
     """
     check_size("max_n", max_n, 0)
-    binoms, dj, half = [1], [1.0], [1]  # n = 0: C(0, 0), its DJ value and column 0
+    binoms = [1]  # C(n, n // 4)
     for n in range(1, max_n + 1):
-        k = (n - 1) // 4
-        down = n // 4 > k  # C(n, k + 1) = C(n - 1, k) n / (k + 1), else C(n, k) = C(n - 1, k) n / (n - k)
-        half = next_half_column(half, k, n - 1, down)
-        binoms.append(binoms[-1] * n // (k + 1 if down else n - k))
-        dj.append(_dj_ratio(binoms[-1], half_abs_sum(half, n), n))
+        k = (n - 1) // 4  # C(n, k + 1) = C(n - 1, k) n / (k + 1) where n // 4 > k, else C(n, k) = C(n - 1, k) n / (n - k)
+        binoms.append(binoms[-1] * n // (k + 1 if n // 4 > k else n - k))
+    if max_n < _QUARTER_FLOATS:
+        dj, half = ["1"], [1]
+        for n in range(1, max_n + 1):
+            k = (n - 1) // 4
+            half = next_half_column(half, k, n - 1, n // 4 > k)
+            dj.append(format(_dj_ratio(binoms[n], half_abs_sum(half, n), n), _PRINTED))
+    else:
+        lo, hi = _quarter_dj_bounds(binoms)
+        dj = _certified_strings(lo, hi, lambda n: _dj_ratio(binoms[n], abs_column_sum(n // 4, n), n))
     ns = np.arange(max_n + 1)
     _, lo, hi = _childs_float_bounds(binoms, ns // 4, ns, _power_table(max_n))
     return dj, _certified_strings(lo, hi, lambda n: childs_probability(n, n // 4))

@@ -15,7 +15,7 @@ from dickeprep.cli import main
 from dickeprep.krawtchouk import abs_column_sum, column, columns, matrix
 from dickeprep.search import RecordStore, SearchRecord
 from dickeprep.symfunc import SymmetricBooleanFunction
-from dickeprep.symstate import c_minima_bytes, dicke, quarter_columns
+from dickeprep.symstate import c_minima_bytes, dicke
 
 from csv_reference import read_csv, render_per_value, written
 from profile_reference import dj_optimal_profile
@@ -25,6 +25,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def quarter_dj(max_n):
+    """[dj_optimal_success_exact(n, n // 4) for n = 0..max_n] as floats, the exact DJ quarter slice."""
+    return [float(symstate.dj_optimal_success_exact(n, n // 4)) for n in range(max_n + 1)]
 
 
 def quarter_childs(max_n):
@@ -238,11 +243,11 @@ class TestSweepQuarterCommand:
 
     @staticmethod
     def exact_csv(max_n, dj=None, childs=None):
-        """The sweep-quarter CSV from exact floats: quarter_columns' DJ column and childs_probability(n, n // 4) per n.
+        """The sweep-quarter CSV from exact floats: quarter_dj(max_n) and quarter_childs(max_n).
 
         dj and childs, when given, are longer such lists, of which the CSV takes the prefix.
         """
-        dj = quarter_columns(max_n)[0] if dj is None else dj[: max_n + 1]
+        dj = quarter_dj(max_n) if dj is None else dj[: max_n + 1]
         childs = quarter_childs(max_n) if childs is None else childs[: max_n + 1]
         header = ["n", "dj_prob", "childs_prob"]
         return written("sweep-quarter", {"max_n": max_n}, header,
@@ -255,7 +260,7 @@ class TestSweepQuarterCommand:
         assert out == self.exact_csv(max_n)
 
     def test_float_path_same_bytes_at_every_small_n(self, capsys):
-        dj, childs = quarter_columns(400)[0], quarter_childs(400)  # each a prefix of the next
+        dj, childs = quarter_dj(400), quarter_childs(400)  # each a prefix of the next
         for max_n in range(4, 401):
             _, out, _ = run(capsys, "sweep-quarter", "--max-n", str(max_n))
             assert out == self.exact_csv(max_n, dj, childs), max_n
@@ -793,6 +798,12 @@ class TestOutputDigests:
             (("simulate", "--n", "1027", "--w", "301", "--method", "dj", "--grover",
               "--trials", "20000", "--seed", "5"),
              "f844f725f78f13d9bee90384a925b69e85a60cab61b76a3f93beb1aa3aa6929f"),
+            # C(n, n // 4) past the float range from n = 1270; from the DJ anchor at n = 1728
+            # on, the anchors' smallest entries are flushed
+            (("sweep-quarter", "--max-n", "1300"),
+             "658e63e08a9843c7a3c6fd5f07a7f1d30557480bc258f57946af4f442c5f8a30"),
+            (("sweep-quarter", "--max-n", "2500"),
+             "a3b7cf02f1f707db1ea0403c1c780de5f82af4a9a15dd8e44a1e83f10cbf3108"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

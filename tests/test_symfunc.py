@@ -375,19 +375,19 @@ class TestCarriedColumns:
 
     def test_quarter_slice_matches_exact_optimum(self):
         got, _ = quarter_columns(400)
-        assert got == [float(dj_optimal_success_exact(n, n // 4)) for n in range(401)]
-        assert quarter_columns(0)[0] == [1.0]
+        assert got == [fmt(float(dj_optimal_success_exact(n, n // 4))) for n in range(401)]
+        assert quarter_columns(0)[0] == ["1"]
         assert quarter_columns(9)[0] == got[:10]
 
     def test_quarter_binomials_exact(self):
         # the carried C(n, n // 4) passes 2^1024 from n = 1270: both columns stay exact past it
         dj, childs = quarter_columns(1300)
-        assert dj == [float(dj_optimal_success_exact(n, n // 4)) for n in range(1301)]
+        assert dj == [fmt(float(dj_optimal_success_exact(n, n // 4))) for n in range(1301)]
         assert childs[1260:] == [fmt(symstate.childs_probability(n, n // 4)) for n in range(1260, 1301)]
 
     def test_quarter_slice_matches_profile(self):
-        got, _ = quarter_columns(64)
-        assert got == [dj_optimal_profile(n)[n // 4] for n in range(65)]
+        got, _ = quarter_columns(100)
+        assert got == [fmt(dj_optimal_profile(n)[n // 4]) for n in range(101)]
         with pytest.raises(ValueError, match="max_n="):
             quarter_columns(-1)
 

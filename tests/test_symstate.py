@@ -363,6 +363,110 @@ class TestCertifiedChildsStrings:
             quarter_columns(-1)
 
 
+def quarter_dj_strings(max_n):
+    """The printed DJ quarter slice n = 0..max_n, from dj_optimal_success_exact per n."""
+    return [csvio.fmt(float(dj_optimal_success_exact(n, n // 4))) for n in range(max_n + 1)]
+
+
+def dj_ratio(n, w):
+    """The DJ optimum C(n, w) S(w, n)^2 / 4^n as an unreduced (numerator, denominator)."""
+    s = abs_column_sum(w, n)
+    return comb(n, w) * s * s, 1 << (2 * n)
+
+
+class TestCertifiedQuarterDJ:
+    """The DJ column of quarter_columns from float blocks between exact anchors."""
+
+    @staticmethod
+    def window_row(xs, h0, middle_row):
+        """One row of symstate._window_sums' flat input: the entries xs = X_0, X_1, ... placed for h0, then sum |X_l|."""
+        step = symstate._QUARTER_STEP
+        lead = middle_row - h0 + step - 1
+        return [0] * lead + xs + [0] * (middle_row + step // 2 - 1 + step - lead - len(xs)) + [sum(map(abs, xs))]
+
+    @staticmethod
+    def window_sums_exact(xs, h0):
+        """S_1 .. S_B of symstate._window_sums for the entries xs (zero past them), exactly.
+
+        kappa_j = (1 + z)^a (1 - z)^b, a = j - j//4 and b = j//4, multiplied out term by term.
+        """
+        out = []
+        for j in range(1, symstate._QUARTER_STEP):
+            a, b = j - j // 4, j // 4
+            kappa = [sum((-1) ** s * comb(b, s) * comb(a, t - s) for s in range(max(0, t - a), min(b, t) + 1))
+                     for t in range(j + 1)]
+            ys = [sum(c * xs[i - t] for t, c in enumerate(kappa) if 0 <= i - t < len(xs))
+                  for i in range(h0 + symstate._QUARTER_STEP // 2)]
+            out.append(sum((2 if 2 * (i - h0) < j else 1 if 2 * (i - h0) == j else 0) * abs(y)
+                           for i, y in enumerate(ys)))
+        return out
+
+    @pytest.mark.parametrize("flush_exp", [symstate._FLUSH_EXP, -20])
+    def test_window_sums_within_dev(self, flush_exp, monkeypatch):
+        monkeypatch.setattr(symstate, "_FLUSH_EXP", flush_exp)
+        step = symstate._QUARTER_STEP
+        tail = step // 2 - 1
+        middle_row = step  # the batch's largest anchor is n0 = 2 step
+        cases = [(list(column(n0 // 4, n0)[: n0 // 2 + tail + 1]), n0 // 2) for n0 in (0, step, 2 * step)]
+        # windows that cancel against kappa_47 = (1 + z)^36 (1 - z)^11: X = (1 + z)^-36 truncated, so the
+        # products are about |kappa_47|_1 times S_47 and their rounding is the inner-product term's
+        cases.append(([(-1) ** i * comb(35 + i, i) for i in range(middle_row + tail + 1)], middle_row))
+        # entries 2^-60 of the largest, flushed at the coarse threshold
+        cases.append(([1 << (60 * (i % 2)) for i in range(middle_row + tail + 1)], middle_row))
+        flat = [v for xs, h0 in cases for v in self.window_row(xs, h0, middle_row)]
+        sums, dev, top = symstate._window_sums(flat, middle_row)
+        for a, (xs, h0) in enumerate(cases):
+            for j, s in enumerate(self.window_sums_exact(xs, h0)):
+                assert abs(Fraction(float(sums[a, j])) - Fraction(s, 2 ** int(top[a]))) <= Fraction(float(dev[a, j])), (a, j + 1)
+
+    @pytest.mark.parametrize("flush_exp", [symstate._FLUSH_EXP, -20])
+    @pytest.mark.parametrize("ns", [range(1301), range(2040, 2101)], ids=["to1300", "2040-2100"])
+    def test_bounds_contain_exact_value(self, ns, flush_exp, monkeypatch):
+        # from the anchor n0 = 1728 on, the smallest entries are flushed; a coarse flush threshold
+        # flushes entries at every size, so that its term of the bound has to carry them
+        monkeypatch.setattr(symstate, "_FLUSH_EXP", flush_exp)
+        lo, hi = symstate._quarter_dj_bounds(quarter_row(ns[-1]))
+        assert lo.shape == hi.shape == (ns[-1] + 1,)
+        for n in ns:
+            num, den = dj_ratio(n, n // 4)
+            if n % symstate._QUARTER_STEP == 0:  # an anchor: the exact value, correctly rounded
+                assert lo[n] == hi[n] == num / den, n
+            else:
+                assert inside(lo[n], hi[n], num, den), n
+
+    @pytest.mark.parametrize("floats", [symstate._QUARTER_FLOATS, 0], ids=["as-set", "floats-everywhere"])
+    def test_same_strings_at_block_edges(self, floats, monkeypatch):
+        # just below, on and just past the first two anchors after n = 0, and past the exact steps
+        step, edge = symstate._QUARTER_STEP, symstate._QUARTER_FLOATS
+        monkeypatch.setattr(symstate, "_QUARTER_FLOATS", floats)
+        want = quarter_dj_strings(3 * step)
+        for max_n in (0, 1, step - 1, step, step + 1, 2 * step - 1, 2 * step, 2 * step + 1, edge - 1, edge):
+            assert quarter_columns(max_n)[0] == want[: max_n + 1], max_n
+
+    def test_widened_bounds_fall_back_to_same_strings(self, monkeypatch):
+        calls = []
+        real_sum, real_bounds = symstate.abs_column_sum, symstate._quarter_dj_bounds
+
+        def widened(binoms):
+            lo, hi = real_bounds(binoms)
+            return lo * 0.5, hi * 2.0
+
+        want = quarter_dj_strings(200)
+        monkeypatch.setattr(symstate, "_quarter_dj_bounds", widened)
+        monkeypatch.setattr(symstate, "abs_column_sum", lambda k, n: calls.append(n) or real_sum(k, n))
+        assert quarter_columns(200)[0] == want
+        assert calls == list(range(201))
+
+    def test_few_exact_fallbacks(self, monkeypatch):
+        calls = []
+        real_sum = symstate.abs_column_sum
+        monkeypatch.setattr(symstate, "abs_column_sum", lambda k, n: calls.append(n) or real_sum(k, n))
+        quarter_columns(2100)
+        # p at n = 8, 9 and 11 (567/1024 = 0.5537109375, ...) lies on a 9-digit rounding boundary,
+        # which no interval of nonzero width settles
+        assert calls == [8, 9, 11]
+
+
 def adversarial_bounds(seed):
     """(lo, hi) pairs that probe the 9-digit rounding cells of the certified columns.
 
@@ -462,7 +566,7 @@ class TestPaperColumns:
     @pytest.mark.parametrize("max_n", [4, 159])
     def test_quarter_columns_are_the_exact_references(self, max_n):
         ns = range(max_n + 1)
-        dj = [float(dj_optimal_success_exact(n, n // 4)) for n in ns]
+        dj = [csvio.fmt(float(dj_optimal_success_exact(n, n // 4))) for n in ns]
         childs = [csvio.fmt(float(childs_probability_exact(n, n // 4))) for n in ns]
         assert quarter_columns(max_n) == (dj, childs)
 
