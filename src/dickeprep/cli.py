@@ -52,6 +52,21 @@ def _krawtchouk_text_bytes(n: int) -> int:
 MAX_KRAWTCHOUK_TEXT_BYTES = _krawtchouk_text_bytes(1030)
 
 
+def _int_bytes(count: int, bits: int) -> int:
+    """A bound on count CPython ints below 2^bits: 28 B, 4 B per 30-bit digit past the first, 8 B a list slot."""
+    return count * (36 + 4 * (bits // 30))
+
+
+# curves --n and sweep-quarter --max-n bound on their exact integers, about 52 MiB: those of curves --n 20000
+MAX_EXACT_INT_BYTES = _int_bytes(2 * (20000 // 2 + 1), 20001)
+
+
+def _check_limit(request: str, need: int, limit: int) -> None:
+    """Refuse, before any work, a request that needs more than limit bytes."""
+    if need > limit:
+        raise ResourceLimitError(f"{request}, over the limit {limit} B")
+
+
 @contextlib.contextmanager
 def _full_integers():
     """Lift CPython's 4300-digit limit on int-to-decimal text while a command runs.
@@ -100,10 +115,7 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
                         csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
     else:
         text = _krawtchouk_text_bytes(n)
-        if text > MAX_KRAWTCHOUK_TEXT_BYTES:
-            raise ResourceLimitError(
-                f"--n {n} needs up to {text} B of text, over the limit {MAX_KRAWTCHOUK_TEXT_BYTES} B"
-            )
+        _check_limit(f"--n {n} needs up to {text} B of text", text, MAX_KRAWTCHOUK_TEXT_BYTES)
         header = ["i"] + [f"k{k}" for k in range(n + 1)]
         csvio.write_csv(args.out, "krawtchouk", {"n": n}, header, dump_rows(n))
     return 0
@@ -125,10 +137,7 @@ def _cmd_cn(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be positive, got {args.max_n}")
     table = c_minima_bytes(args.max_n)
-    if table > MAX_CN_TABLE_BYTES:
-        raise ResourceLimitError(
-            f"--max-n {args.max_n} needs a {table} B float table, over the limit {MAX_CN_TABLE_BYTES} B"
-        )
+    _check_limit(f"--max-n {args.max_n} needs a {table} B float table", table, MAX_CN_TABLE_BYTES)
     cs, w_mins = zip(*c_minima(args.max_n))
     header = ["n", "c", "w_min"]
     csvio.write_csv(args.out, "cn", {"max_n": args.max_n}, header,
@@ -140,6 +149,9 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be positive, got {n}")
+    # the binomial half row and an exact fallback's half column, each int at most 2^n
+    ints = _int_bytes(2 * (n // 2 + 1), n + 1)
+    _check_limit(f"--n {n} needs up to {ints} B of exact integers", ints, MAX_EXACT_INT_BYTES)
     dj, childs = curves_columns(n)
     header = ["w", "dj_prob", "childs_prob"]
     csvio.write_csv(args.out, "curves", {"n": n}, header, csvio.column_rows(header, [range(n + 1), dj, childs]))
@@ -149,6 +161,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_sweep_quarter(args: argparse.Namespace) -> int:
     if args.max_n < 4:
         raise ValueError(f"--max-n must be at least 4, got {args.max_n}")
+    # the carried C(n, n//4), then at most the bytes of 2 (max_n + 1) + 2048 more: an anchor's half
+    # column, its mirror and the batch's windows, or an exact fallback's half column; each at most 2^max_n
+    ints = _int_bytes(3 * (args.max_n + 1) + 2048, args.max_n + 1)
+    _check_limit(f"--max-n {args.max_n} needs up to {ints} B of exact integers", ints, MAX_EXACT_INT_BYTES)
     dj, childs = quarter_columns(args.max_n)
     header = ["n", "dj_prob", "childs_prob"]
     csvio.write_csv(args.out, "sweep-quarter", {"max_n": args.max_n}, header,

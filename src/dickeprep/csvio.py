@@ -15,12 +15,12 @@ writes, where the default 8 KiB buffer made 128.  stdout keeps its own.
 Either way the writer holds one slice and one buffer at a time.  The dumps
 (`krawtchouk --n`, `fullsim`) build their slices directly; the other
 commands pass their data as columns, one per header field, through
-`column_rows`, whose small text is one slice.  There a float or int ndarray
-is formatted once per distinct value (`fmt_column`: `np.unique` over the
-bit patterns, then the distinct values as Python numbers, which print as
-their numpy scalars do, for float64 and int arrays), a `range` goes
-through `str`, a list of only `str` is its own text (`fmt` returns a str
-unchanged), and any other column goes through `fmt` per value.  Cells are
+`column_rows`, whose small text is one slice.  There a native float64 or
+an int ndarray is formatted once per distinct value (`fmt_column`:
+`np.unique` over the bit patterns, then the distinct values as Python
+numbers), a `range` goes through `str`, a list of only `str` is its own
+text (`fmt` returns a str unchanged), and any other column, an ndarray of
+another dtype too, goes through `fmt` per value.  Cells are
 plain text: a header or data cell that holds `,`, `"`, a line feed or a
 carriage return, or an empty cell that would be the only field of its
 row, raises ValueError before any byte is written, so the bytes are
@@ -52,15 +52,11 @@ def fmt(value: object) -> str:
 
 
 def fmt_column(col: Iterable[object]) -> list[str]:
-    """fmt of every value of col; a float or int ndarray is formatted once per distinct bit pattern."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
-        # distinct bit patterns, not values, so that -0.0 stays apart from 0.0
+    """fmt of every value of col; a native float64 or an int ndarray is formatted once per distinct bit pattern."""
+    if isinstance(col, np.ndarray) and (col.dtype.kind in "iu" or col.dtype == np.float64):
+        # distinct bit patterns, not values, so that -0.0 stays apart from 0.0; each prints as its Python number
         bits, inv = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-        distinct = bits.view(col.dtype)
-        # a float64 or an int prints as the Python number tolist gives; other floats stay numpy scalars
-        if col.dtype.kind in "iu" or col.dtype == np.float64:
-            distinct = distinct.tolist()
-        return np.array(list(map(fmt, distinct)), dtype=object)[inv].tolist()
+        return np.array(list(map(fmt, bits.view(col.dtype).tolist())), dtype=object)[inv].tolist()
     if isinstance(col, range):
         return list(map(str, col))
     return col if isinstance(col, list) and set(map(type, col)) == {str} else list(map(fmt, col))

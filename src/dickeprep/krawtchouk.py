@@ -40,15 +40,10 @@ the half columns (K_0(k, n), ..., K_{n//2}(k, n)), which `full_column`
 completes.  With the mirror, a consumer of the whole matrix computes a
 quarter of it.
 
-A column also steps in n: G_k^(n+1) = G_k^(n) (1+z) and
-G_{k+1}^(n+1) = G_k^(n) (1-z), one add or subtract per half-column entry
-(`next_half_column`; for odd n the half column first gains
-K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
-`symstate.c_minima` grows its binomial half rows this way, and
-`symstate.quarter_columns` carries its one column k = n//4 this way below
-max_n = 80; from there it takes an exact column only every 48 n, and the
-steps between are one product by the coefficients of
-(1+z)^a (1-z)^b in floats.
+A column also steps in n: G_k^(n+1) = G_k^(n) (1+z), one add per
+half-column entry (`next_half_column`; for odd n the half column first
+gains K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) from the palindrome).
+`symstate.c_minima` grows its binomial half rows this way.
 
 `dump_rows` gives the matrix as the rows of the `krawtchouk` dump,
 "i,K_i(0, n),...,K_i(n, n)", one row per item, which the writer sends on
@@ -65,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import check_index, check_size
 
@@ -147,19 +142,17 @@ def descending_columns(n: int) -> Iterator[list[int]]:
         yield col
 
 
-def next_half_column(half: list[int], k: int, n: int, down: bool = False) -> list[int]:
-    """Half column k at n+1 from half column k at n; half column k+1 at n+1 when `down`.
+def next_half_column(half: list[int], k: int, n: int) -> list[int]:
+    """Half column k at n+1 from half column k at n.
 
-    G_k^(n+1) = G_k^(n) (1+z) and G_{k+1}^(n+1) = G_k^(n) (1-z), so entry i is
-    K_i(k, n) + K_{i-1}(k, n), or K_i(k, n) - K_{i-1}(k, n): one add per
-    entry.  For odd n the half column grows by one entry, whose input
+    G_k^(n+1) = G_k^(n) (1+z), so entry i is K_i(k, n) + K_{i-1}(k, n): one
+    add per entry.  For odd n the half column grows by one entry, whose input
     K_{n//2+1}(k, n) = (-1)^k K_{n//2}(k, n) comes from the palindrome, so it
-    is 2 K_{n//2}(k, n) or 0 (times -1 when `down`).
+    is 2 K_{n//2}(k, n) or 0.
     """
-    out = [half[0], *map(sub if down else add, half[1:], half)]
+    out = [half[0], *map(add, half[1:], half)]
     if n & 1:
-        last = 2 * half[-1] if (k & 1) == down else 0
-        out.append(-last if down else last)
+        out.append(0 if k & 1 else 2 * half[-1])
     return out
 
 

@@ -108,11 +108,7 @@ is widened by 2^-48, past five roundings.  A value prints from [lo, hi] by
 the Ziv rule (below), and otherwise from the exact ratio with
 S = abs_column_sum(k, n): up to n = 2100 only n = 8, 9 and 11 do, whose
 values (567/1024 = 0.5537109375, ...) lie on a 9-digit rounding boundary;
-the bound is some 100 times the largest observed error or more.  Below max_n = 80
-the float blocks' fixed cost (some 40 numpy calls) passes the exact
-path's, so there each DJ value is the exact ratio, its column carried
-along n by the Pascal step `krawtchouk.next_half_column` (one add per
-half-column entry).
+the bound is some 100 times the largest observed error or more.
 
 `c_minima` gives only the least term at each n, c(n) = min_k c_k(n)
 with c_k(n) = C(n, k) S(k, n)^2 sqrt(n) / 4^n and S(k, n) = sum_i |K_i(k, n)|,
@@ -222,7 +218,8 @@ exact).  With e(v) roundings in v^v, e(1) = 0, e(2v) = 2 e(v) + 1 and
 e(v + 1) = e(v) + 1 give e(v) = v - 1, so entry v is within
 gamma_(v-1) = (v-1)u / (1 - (v-1)u) of v^v, u = 2^-53 (Higham, above).  The
 exact C(n, w), from the binomial half row or the carried quarter binomials,
-is rounded once by `_frexp_ints`.  Then p~ = C V[w] V[n-w] / V[n] takes
+is rounded once by `_frexp_ints`, one conversion that the DJ bounds of the
+same column pair share.  Then p~ = C V[w] V[n-w] / V[n] takes
 1 + (w-1) + (n-w-1) + (n-1) + 3 = 2n + 1 roundings for 0 < w < n, so
 p~ = p (1 + theta) with |theta| <= gamma_(2n+1); at w = 0 and n, p~ = 1
 exactly.  Each end of [lo, hi] = p~ (1 -+ rel) rounds twice more, so
@@ -921,9 +918,9 @@ _GAMMA_ROW = 5.01 * _U  # past gamma_5 = 5u / (1 - 5u), the rounding of one recu
 _OUTWARD = 1.0 + 2.0**-50  # past (1 + u)^4, the rounding of a square and its operands
 
 
-def _sqrt_ratios(values: list[int], n: int) -> np.ndarray:
-    """sqrt(v / 2^n) for each positive int v, within 2u relative (a subnormal result within _SUBNORMAL)."""
-    m, e = _frexp_ints(values)
+def _sqrt_ratios(rounded: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """sqrt(v / 2^n) for each positive int v from rounded = _frexp_ints(v), within 2u relative (subnormal: _SUBNORMAL)."""
+    m, e = rounded
     d = e - n  # v / 2^n = m 2^(d & 1) 4^(d >> 1), the first factor in [1/2, 2)
     return np.ldexp(np.sqrt(np.ldexp(m, d & 1)), d >> 1)
 
@@ -959,11 +956,11 @@ class _DjTerms:
     weights: float
 
 
-def _dj_float_terms(n: int, binoms: Sequence[int]) -> _DjTerms:
+def _dj_float_terms(n: int, rounded: tuple[np.ndarray, np.ndarray]) -> _DjTerms:
     """Columns k of U streamed row by row through the three-term recurrence, each from u_0 = 1
     and rescaled by powers of two at block ends, and the terms of their bound (module docstring).
 
-    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).
+    rounded is _frexp_ints of the binomial half row (C(n, 0), ..., C(n, n//2)).
     """
     h = n // 2
     ks = np.arange(h + 1)
@@ -973,7 +970,7 @@ def _dj_float_terms(n: int, binoms: Sequence[int]) -> _DjTerms:
     mult = np.full(h + 1, 2.0)  # rows i < n/2 stand for rows i and n - i of the full column
     if n % 2 == 0:
         mult[h] = 1.0
-    weights = mult * _sqrt_ratios(binoms, n)  # the column U[:, 0], folded
+    weights = mult * _sqrt_ratios(rounded, n)  # the column U[:, 0], folded
     # a block of g^R growth, g = 2 sqrt(n) + 1 per row, keeps every sum of squares below 2^1000
     growth = 2.0 * math.log2(2.0 * math.sqrt(n) + 1.0) if n else 1.0
     block = max(1, min(_BLOCK_ROWS, int((1000 - math.log2(2 * h + 2)) / growth)))
@@ -1019,14 +1016,14 @@ def _dj_float_terms(n: int, binoms: Sequence[int]) -> _DjTerms:
     )
 
 
-def _dj_float_bounds(n: int, binoms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _dj_float_bounds(n: int, rounded: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) for k <= n//2, with lo[k] <= C(n, k) S(k, n)^2 / 4^n <= hi[k] certified.
 
-    binoms is the binomial half row (C(n, 0), ..., C(n, n//2)).  The terms
+    rounded is _frexp_ints of the binomial half row (C(n, 0), ..., C(n, n//2)).  The terms
     come from `_dj_float_terms`; the bound is in the module docstring.  A
     non-finite entry of lo or hi certifies nothing.
     """
-    d = _dj_float_terms(n, binoms)
+    d = _dj_float_terms(n, rounded)
     with np.errstate(all="ignore"):  # a non-finite bound certifies nothing
         # Davis-Kahan, sin <= |X u - lam u| / (2 |u|): a-priori rows i < h (twice), then the closure
         sine = d.row + (d.floor + d.closure) / (2 * np.sqrt(d.nu * (1.0 - d.rel)))
@@ -1053,14 +1050,14 @@ def _power_table(top: int) -> tuple[np.ndarray, np.ndarray]:
     return m, e
 
 
-def _childs_float_bounds(binoms: Sequence[int], ws: np.ndarray, ns, table) -> tuple[np.ndarray, ...]:
-    """(p~, lo, hi) with lo <= childs_probability_exact(ns, ws) <= hi certified, from binoms = C(ns, ws).
+def _childs_float_bounds(rounded: tuple[np.ndarray, np.ndarray], ws: np.ndarray, ns, table) -> tuple[np.ndarray, ...]:
+    """(p~, lo, hi) with lo <= childs_probability_exact(ns, ws) <= hi certified, from rounded = _frexp_ints(C(ns, ws)).
 
     p~ = C V[w] V[n - w] / V[n] on mantissas from the v**v table rounds
     within gamma_(2n+1) (module docstring), and [lo, hi] widens it outward.
     """
     m, e = table
-    cm, ce = _frexp_ints(binoms)
+    cm, ce = rounded
     p = np.ldexp(cm * m[ws] * m[ns - ws] / m[ns], ce + e[ws] + e[ns - ws] - e[ns])
     k = 2 * ns + 3  # the 2n + 1 roundings of p~, and two more for each end of [lo, hi]
     rel = k * _U / (1.0 - 2 * k * _U)  # gamma_k / (1 - gamma_k); its own rounding is of second order
@@ -1071,8 +1068,8 @@ def curves_columns(n: int) -> tuple[list[str], list[str]]:
     """(dj, childs) for w = 0..n: csvio.fmt of the DJ optimum C(n, w) S(w, n)^2 / 4^n and of childs_probability(n, w).
 
     S(w, n) = sum_i |K_i(w, n)|.  Both columns are symmetric in w <-> n - w,
-    so only w <= n//2 are computed, both from one binomial half row.  Each
-    value comes with certified bounds (`_dj_float_bounds`,
+    so only w <= n//2 are computed, both from one binomial half row, rounded
+    once to floats.  Each value comes with certified bounds (`_dj_float_bounds`,
     `_childs_float_bounds`, module docstring) and prints from them when both
     give the same 9 digits; otherwise it is computed exactly: the DJ value as
     `_dj_ratio` with S = abs_column_sum(w, n), the Childs value as
@@ -1080,9 +1077,10 @@ def curves_columns(n: int) -> tuple[list[str], list[str]]:
     """
     check_size("n", n, 0)
     binoms = half_column(0, n)  # C(n, k) for k <= n//2
-    lo, hi = _dj_float_bounds(n, binoms)
+    rounded = _frexp_ints(binoms)
+    lo, hi = _dj_float_bounds(n, rounded)
     dj = _certified_strings(lo, hi, lambda k: _dj_ratio(binoms[k], abs_column_sum(k, n), n))
-    _, lo, hi = _childs_float_bounds(binoms, np.arange(n // 2 + 1), n, _power_table(n))
+    _, lo, hi = _childs_float_bounds(rounded, np.arange(n // 2 + 1), n, _power_table(n))
     childs = _certified_strings(lo, hi, lambda w: childs_probability(n, w))
     return dj + dj[: n - n // 2][::-1], childs + childs[: n - n // 2][::-1]
 
@@ -1090,7 +1088,6 @@ def curves_columns(n: int) -> tuple[list[str], list[str]]:
 # sweep-quarter's DJ float blocks (module docstring)
 _QUARTER_STEP = 48  # n per block: the exact anchor n0, a multiple of 48, then n0 + 1 .. n0 + 47 from floats
 _FLUSH_EXP = -1000  # anchor entries below 2^(_FLUSH_EXP - 1) of the block's scale are flushed to 0
-_QUARTER_FLOATS = 80  # the least max_n whose DJ column comes from the float blocks: below it, from exact steps
 _QUARTER_CHUNK = 1 << 15  # window entries per batch of blocks: 256 KiB for its product
 _QUARTER_OUTWARD = np.array([1.0 - 2.0**-48, 1.0 + 2.0**-48])[:, None, None]  # past (1 + u)^5 (module docstring)
 
@@ -1154,8 +1151,8 @@ def _window_sums(flat: list[int], middle_row: int) -> tuple[np.ndarray, np.ndarr
     return sums, dev, top
 
 
-def _quarter_dj_bounds(binoms: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) for n = 0..len(binoms) - 1, k = n // 4, from binoms[n] = C(n, k).
+def _quarter_dj_bounds(binoms: list[int], rounded: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) for n = 0..len(binoms) - 1, k = n // 4, from binoms[n] = C(n, k) and rounded = _frexp_ints(binoms).
 
     At each anchor n0, a multiple of _QUARTER_STEP, lo = hi is the exact
     p_dj(n0, k0) = C(n0, k0) S(k0, n0)^2 / 4^n0, correctly rounded.  The
@@ -1192,7 +1189,8 @@ def _quarter_dj_bounds(binoms: list[int]) -> tuple[np.ndarray, np.ndarray]:
     bounds = sums + dev * np.array([-1.0, 1.0])[:, None, None]  # S~ -+ dev
     np.maximum(bounds, 0.0, out=bounds)
     bounds *= bounds
-    cm, ce = _frexp_ints(binoms + [0] * (blocks * step - len(binoms)))  # past the last n, a zero bound
+    pad = blocks * step - len(binoms)  # past the last n, a zero bound
+    cm, ce = (np.concatenate((a, np.zeros(pad, a.dtype))) for a in rounded)
     ce -= np.arange(0, 2 * blocks * step, 2)
     bounds *= cm.reshape(blocks, step)[:, 1:]
     bounds *= _QUARTER_OUTWARD
@@ -1206,29 +1204,22 @@ def quarter_columns(max_n: int) -> tuple[list[str], list[str]]:
     """(dj, childs) for n = 0..max_n: csvio.fmt of the DJ optimum C(n, k) S(k, n)^2 / 4^n and of childs_probability(n, k), k = n//4.
 
     S(k, n) = sum_i |K_i(k, n)|.  The binomials C(n, k) are carried along n
-    by one exact multiply and divide each.  From max_n = _QUARTER_FLOATS on,
-    every value comes with certified bounds (`_quarter_dj_bounds`,
+    by one exact multiply and divide each and rounded once to floats for both
+    columns.  Every value comes with certified bounds (`_quarter_dj_bounds`,
     `_childs_float_bounds`, module docstring) and prints from them when both
     give the same 9 digits; otherwise it is computed exactly: the DJ value as
     `_dj_ratio` with S = abs_column_sum(k, n), the same float as
     float(dj_optimal_success_exact(n, k)), the Childs value as
-    childs_probability(n, k).  Below that, every DJ value is that exact ratio,
-    its column carried along n by `krawtchouk.next_half_column`.
+    childs_probability(n, k).
     """
     check_size("max_n", max_n, 0)
     binoms = [1]  # C(n, n // 4)
     for n in range(1, max_n + 1):
         k = (n - 1) // 4  # C(n, k + 1) = C(n - 1, k) n / (k + 1) where n // 4 > k, else C(n, k) = C(n - 1, k) n / (n - k)
         binoms.append(binoms[-1] * n // (k + 1 if n // 4 > k else n - k))
-    if max_n < _QUARTER_FLOATS:
-        dj, half = ["1"], [1]
-        for n in range(1, max_n + 1):
-            k = (n - 1) // 4
-            half = next_half_column(half, k, n - 1, n // 4 > k)
-            dj.append(format(_dj_ratio(binoms[n], half_abs_sum(half, n), n), _PRINTED))
-    else:
-        lo, hi = _quarter_dj_bounds(binoms)
-        dj = _certified_strings(lo, hi, lambda n: _dj_ratio(binoms[n], abs_column_sum(n // 4, n), n))
+    rounded = _frexp_ints(binoms)
+    lo, hi = _quarter_dj_bounds(binoms, rounded)
+    dj = _certified_strings(lo, hi, lambda n: _dj_ratio(binoms[n], abs_column_sum(n // 4, n), n))
     ns = np.arange(max_n + 1)
-    _, lo, hi = _childs_float_bounds(binoms, ns // 4, ns, _power_table(max_n))
+    _, lo, hi = _childs_float_bounds(rounded, ns // 4, ns, _power_table(max_n))
     return dj, _certified_strings(lo, hi, lambda n: childs_probability(n, n // 4))

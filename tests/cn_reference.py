@@ -2,7 +2,7 @@
 
 import math
 
-from dickeprep.krawtchouk import half_abs_sum, next_half_column
+from dickeprep.krawtchouk import half_abs_sum, half_column, next_half_column
 
 
 def c_minima(max_n: int) -> list[tuple[float, int]]:
@@ -13,22 +13,21 @@ def c_minima(max_n: int) -> list[tuple[float, int]]:
 
     Each column k <= max_n//2 is carried along n = 2k..max_n by the Pascal
     step (1+z), one add per half-column entry, with C(n, k) by one exact
-    multiply and divide; column k at n = 2k comes from column k-1 at
-    n = 2k-2 by (1-z), then (1+z).  Only one carried column is live at a
-    time.  The terms are symmetric in k <-> n-k, so a strict `<` over
-    ascending k <= n//2 keeps the first minimum over all k.
+    multiply and divide; column k at n = 2k is the exact half_column.  Only
+    one carried column is live at a time.  The terms are symmetric in
+    k <-> n-k, so a strict `<` over ascending k <= n//2 keeps the first
+    minimum over all k.
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be positive")
     cs, w_mins = [math.inf] * (max_n + 1), [0] * (max_n + 1)
     denoms = [1 << (2 * n) for n in range(max_n + 1)]
     scales = [math.sqrt(n) for n in range(max_n + 1)]
-    seed, seed_binom = [1], 1  # column 0 at n = 0
+    seed_binom = 1  # C(0, 0)
     for k in range(max_n // 2 + 1):
         if k:
-            seed = next_half_column(next_half_column(seed, k - 1, 2 * k - 2, down=True), k, 2 * k - 1)
             seed_binom = seed_binom * (2 * k) * (2 * k - 1) // (k * k)
-        half, binom = seed, seed_binom
+        half, binom = half_column(k, 2 * k), seed_binom
         for n in range(max(2 * k, 1), max_n + 1):
             if n > 2 * k:
                 half = next_half_column(half, k, n - 1)

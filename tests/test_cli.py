@@ -177,6 +177,36 @@ class TestCnCommand:
         assert err.splitlines() == [expected]
 
 
+def exact_int_limit_refused_before_work(capsys, monkeypatch, command, flag, columns, need, largest):
+    """`command flag v` past MAX_EXACT_INT_BYTES exits 1 with one error line before `columns` runs.
+
+    need(v) is the command's byte bound and largest the largest v the limit admits.
+    """
+    calls = []
+    real = getattr(cli, columns)
+
+    def watched(v):
+        calls.append(v)
+        assert v <= 100  # a refusal that failed must not run the work
+        return real(v)
+
+    monkeypatch.setattr(cli, columns, watched)
+    huge = 10**12
+    code, out, err = run(capsys, command, flag, str(huge))
+    assert code == 1 and out == "" and calls == []
+    assert err.splitlines() == [
+        f"error: {flag} {huge} needs up to {need(huge)} B of exact integers, over the limit {cli.MAX_EXACT_INT_BYTES} B"
+    ]
+    assert need(largest) <= cli.MAX_EXACT_INT_BYTES < need(largest + 1)
+    # the bound itself is accepted (checked at a lowered bound)
+    monkeypatch.setattr(cli, "MAX_EXACT_INT_BYTES", need(5))
+    code, out, _ = run(capsys, command, flag, "5")
+    assert code == 0 and out.count("\n") > 2 and calls == [5]
+    code, out, err = run(capsys, command, flag, "6")
+    assert code == 1 and out == "" and calls == [5]
+    assert err.splitlines() == [f"error: {flag} 6 needs up to {need(6)} B of exact integers, over the limit {need(5)} B"]
+
+
 class TestCurvesCommand:
     def test_round_trip(self, capsys, tmp_path):
         path = tmp_path / "curves.csv"
@@ -225,6 +255,12 @@ class TestCurvesCommand:
             assert rows == [n]
             assert out == self.exact_csv(n)
 
+    def test_exact_int_limit_refused_before_work(self, capsys, monkeypatch):
+        # the binomial half row and one exact column, n//2 + 1 ints each, at most 2^n; the limit is that of
+        # --n 20000, the largest run measured, which 20001 shares
+        exact_int_limit_refused_before_work(capsys, monkeypatch, "curves", "--n", "curves_columns",
+                                            lambda n: cli._int_bytes(2 * (n // 2 + 1), n + 1), 20001)
+
     def test_float_path_same_bytes_at_every_small_n(self, capsys):
         for n in range(1, 401):
             _, out, _ = run(capsys, "curves", "--n", str(n))
@@ -258,6 +294,11 @@ class TestSweepQuarterCommand:
         code, out, err = run(capsys, "sweep-quarter", "--max-n", str(max_n))
         assert (code, err) == (0, "")
         assert out == self.exact_csv(max_n)
+
+    def test_exact_int_limit_refused_before_work(self, capsys, monkeypatch):
+        # the max_n + 1 carried C(n, n//4) and the bytes of 2 (max_n + 1) + 2048 more ints, at most 2^max_n
+        exact_int_limit_refused_before_work(capsys, monkeypatch, "sweep-quarter", "--max-n", "quarter_columns",
+                                            lambda m: cli._int_bytes(3 * (m + 1) + 2048, m + 1), 11158)
 
     def test_float_path_same_bytes_at_every_small_n(self, capsys):
         dj, childs = quarter_dj(400), quarter_childs(400)  # each a prefix of the next

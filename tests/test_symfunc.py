@@ -592,7 +592,7 @@ class TestCertifiedDjStrings:
     @pytest.mark.parametrize("ns", [range(161), (255, 256, 350, 351, 1000)])
     def test_bounds_contain_exact_value(self, ns):
         for n in ns:
-            lo, hi = _dj_float_bounds(n, half_row(n))
+            lo, hi = _dj_float_bounds(n, _frexp_ints(half_row(n)))
             assert lo.shape == hi.shape == (n // 2 + 1,)
             for k, exact in enumerate(exact_dj_profile(n)):
                 assert Fraction(lo[k]) <= exact <= Fraction(hi[k]), (n, k)
@@ -619,7 +619,7 @@ class TestCertifiedDjStrings:
         monkeypatch.setattr(symstate, "_recurrence_block", block)
         monkeypatch.setattr(symstate, "_dj_float_terms", captured)
         binoms = half_row(n)
-        lo, hi = _dj_float_bounds(n, binoms)
+        lo, hi = _dj_float_bounds(n, _frexp_ints(binoms))
         (d,) = terms
         h = n // 2
         assert len(blocks) == min(h, 1)  # one block up to n = 40: no rescale between the captured rows
@@ -627,7 +627,7 @@ class TestCertifiedDjStrings:
         mirror = [min(i, n - i) for i in range(n + 1)]
         middle = {h, n - h}
 
-        w_float = [Fraction(x) for x in _sqrt_ratios(binoms, n).tolist()]
+        w_float = [Fraction(x) for x in _sqrt_ratios(_frexp_ints(binoms), n).tolist()]
         w_err = 0
         for i in mirror:
             w = root(Fraction(binoms[i], 1 << n))
@@ -688,7 +688,7 @@ class TestCertifiedDjStrings:
     @pytest.mark.parametrize("n", [350, 1000])
     def test_few_exact_fallbacks(self, n):
         # bound: at most 2 % of the n//2 + 1 columns (3 at n = 350, 10 at n = 1000)
-        lo, hi = _dj_float_bounds(n, half_row(n))
+        lo, hi = _dj_float_bounds(n, _frexp_ints(half_row(n)))
         fallbacks = sum(fmt(a) != fmt(b) for a, b in zip(lo.tolist(), hi.tolist()))
         assert np.isfinite(hi).all()
         assert fallbacks <= (n // 2 + 1) // 50
@@ -697,7 +697,7 @@ class TestCertifiedDjStrings:
         # sqrt(v / 2^n) within 2u relative, or within 2^-1074 once it is subnormal
         for n in (0, 1, 30, 1022, 1023, 1030, 2000, 2047, 2200, 2300):
             values = list(column(0, n)[: n // 2 + 1])
-            got = _sqrt_ratios(values, n)
+            got = _sqrt_ratios(_frexp_ints(values), n)
             assert got.shape == (len(values),)
             for v, g in zip(values, got.tolist()):
                 p = n // 2 + 1200  # floor(sqrt(v / 2^n) 2^p) from one integer square root

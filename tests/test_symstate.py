@@ -245,7 +245,7 @@ def quarter_strings(max_n):
 def childs_bounds(n):
     """symstate._childs_float_bounds over the profile k <= n//2 at n."""
     ws = np.arange(n // 2 + 1)
-    return symstate._childs_float_bounds(half_row(n), ws, n, symstate._power_table(n))
+    return symstate._childs_float_bounds(symstate._frexp_ints(half_row(n)), ws, n, symstate._power_table(n))
 
 
 def quarter_row(max_n):
@@ -256,7 +256,8 @@ def quarter_row(max_n):
 def quarter_bounds(max_n):
     """symstate._childs_float_bounds over the quarter slice n = 0..max_n."""
     ns = np.arange(max_n + 1)
-    return symstate._childs_float_bounds(quarter_row(max_n), ns // 4, ns, symstate._power_table(max_n))
+    return symstate._childs_float_bounds(symstate._frexp_ints(quarter_row(max_n)), ns // 4, ns,
+                                        symstate._power_table(max_n))
 
 
 def inside(lo, hi, num, den):
@@ -374,6 +375,9 @@ def dj_ratio(n, w):
     return comb(n, w) * s * s, 1 << (2 * n)
 
 
+_STEP = symstate._QUARTER_STEP  # n per float block of the quarter DJ column
+
+
 class TestCertifiedQuarterDJ:
     """The DJ column of quarter_columns from float blocks between exact anchors."""
 
@@ -401,6 +405,18 @@ class TestCertifiedQuarterDJ:
                            for i, y in enumerate(ys)))
         return out
 
+    @staticmethod
+    def rounding_down_entries(count):
+        """Entries X_0 = 2^59, X_r = 2^60 + d_r - X_(r-1), each within 2^14 of 2^59, whose windows against
+        kappa_1 = 1 + z are y_r = 2^60 + d_r, with d_r a multiple of 2^8 (an ulp of 2^60) chosen so that adding
+        y_r to the running float sum of y_0 .. y_(r-1) rounds down by as much as it can."""
+        xs, p = [1 << 59], 2.0**59
+        for _ in range(1, count):
+            y = max(range(1 << 60, (1 << 60) + (1 << 14), 1 << 8), key=lambda y: Fraction(p) + y - Fraction(p + y))
+            xs.append(y - xs[-1])
+            p += y
+        return xs
+
     @pytest.mark.parametrize("flush_exp", [symstate._FLUSH_EXP, -20])
     def test_window_sums_within_dev(self, flush_exp, monkeypatch):
         monkeypatch.setattr(symstate, "_FLUSH_EXP", flush_exp)
@@ -413,6 +429,10 @@ class TestCertifiedQuarterDJ:
         cases.append(([(-1) ** i * comb(35 + i, i) for i in range(middle_row + tail + 1)], middle_row))
         # entries 2^-60 of the largest, flushed at the coarse threshold
         cases.append(([1 << (60 * (i % 2)) for i in range(middle_row + tail + 1)], middle_row))
+        # many rows of equal magnitude and no cancellation against kappa_1, summed so that every add rounds
+        # down: at j = 1 the error of S~ is about 4 times the windows' and flushed entries' terms, and only the
+        # abs-sum term (rows + 3) 1.01 u S~ covers it
+        cases.append((self.rounding_down_entries(middle_row + tail + 1), middle_row))
         flat = [v for xs, h0 in cases for v in self.window_row(xs, h0, middle_row)]
         sums, dev, top = symstate._window_sums(flat, middle_row)
         for a, (xs, h0) in enumerate(cases):
@@ -425,7 +445,8 @@ class TestCertifiedQuarterDJ:
         # from the anchor n0 = 1728 on, the smallest entries are flushed; a coarse flush threshold
         # flushes entries at every size, so that its term of the bound has to carry them
         monkeypatch.setattr(symstate, "_FLUSH_EXP", flush_exp)
-        lo, hi = symstate._quarter_dj_bounds(quarter_row(ns[-1]))
+        binoms = quarter_row(ns[-1])
+        lo, hi = symstate._quarter_dj_bounds(binoms, symstate._frexp_ints(binoms))
         assert lo.shape == hi.shape == (ns[-1] + 1,)
         for n in ns:
             num, den = dj_ratio(n, n // 4)
@@ -434,21 +455,23 @@ class TestCertifiedQuarterDJ:
             else:
                 assert inside(lo[n], hi[n], num, den), n
 
-    @pytest.mark.parametrize("floats", [symstate._QUARTER_FLOATS, 0], ids=["as-set", "floats-everywhere"])
-    def test_same_strings_at_block_edges(self, floats, monkeypatch):
-        # just below, on and just past the first two anchors after n = 0, and past the exact steps
-        step, edge = symstate._QUARTER_STEP, symstate._QUARTER_FLOATS
-        monkeypatch.setattr(symstate, "_QUARTER_FLOATS", floats)
-        want = quarter_dj_strings(3 * step)
-        for max_n in (0, 1, step - 1, step, step + 1, 2 * step - 1, 2 * step, 2 * step + 1, edge - 1, edge):
+    @pytest.mark.parametrize("max_ns", [
+        # just below, on and just past the first two anchors after n = 0 at _QUARTER_STEP as set, the least --max-n 4
+        (0, 1, 4, _STEP - 1, _STEP, _STEP + 1, 2 * _STEP - 1, 2 * _STEP, 2 * _STEP + 1),
+        # every max_n up to 80, the small sweeps that an exact path once served, now from the float blocks
+        range(81),
+    ], ids=["as-set", "floats-everywhere"])
+    def test_same_strings_at_block_edges(self, max_ns):
+        want = quarter_dj_strings(3 * _STEP)
+        for max_n in max_ns:
             assert quarter_columns(max_n)[0] == want[: max_n + 1], max_n
 
     def test_widened_bounds_fall_back_to_same_strings(self, monkeypatch):
         calls = []
         real_sum, real_bounds = symstate.abs_column_sum, symstate._quarter_dj_bounds
 
-        def widened(binoms):
-            lo, hi = real_bounds(binoms)
+        def widened(*args):
+            lo, hi = real_bounds(*args)
             return lo * 0.5, hi * 2.0
 
         want = quarter_dj_strings(200)
@@ -543,9 +566,9 @@ class TestCertifiedStrings:
 
     def test_real_columns_same_as_two_format_rule(self):
         for n in (1, 40, 350, 1000, 2000):
-            binoms = symstate.half_column(0, n)
-            bounds = [symstate._dj_float_bounds(n, binoms),
-                      symstate._childs_float_bounds(binoms, np.arange(n // 2 + 1), n, symstate._power_table(n))[1:]]
+            rounded = symstate._frexp_ints(symstate.half_column(0, n))
+            bounds = [symstate._dj_float_bounds(n, rounded),
+                      symstate._childs_float_bounds(rounded, np.arange(n // 2 + 1), n, symstate._power_table(n))[1:]]
             for lo, hi in bounds:
                 calls = []
                 got = symstate._certified_strings(lo, hi, lambda j: calls.append(j) or 0.5)
@@ -562,6 +585,18 @@ class TestPaperColumns:
         dj = [csvio.fmt(float(dj_optimal_success_exact(n, w))) for w in range(n + 1)]
         childs = [csvio.fmt(float(childs_probability_exact(n, w))) for w in range(n + 1)]
         assert curves_columns(n) == (dj, childs)
+
+    @pytest.mark.parametrize("n", [0, 1, 95, 1300])
+    def test_binomials_rounded_once(self, n, monkeypatch):
+        # the DJ and the Childs bounds of each column pair share one rounding of its C(n, k) list
+        calls = []
+        real = symstate._frexp_ints
+        monkeypatch.setattr(symstate, "_frexp_ints", lambda values: calls.append(list(values)) or real(values))
+        curves_columns(n)
+        assert calls.count(list(half_row(n))) == 1
+        calls.clear()
+        quarter_columns(n)
+        assert calls.count(quarter_row(n)) == 1
 
     @pytest.mark.parametrize("max_n", [4, 159])
     def test_quarter_columns_are_the_exact_references(self, max_n):
