@@ -52,6 +52,15 @@ def _krawtchouk_text_bytes(n: int) -> int:
 MAX_KRAWTCHOUK_TEXT_BYTES = _krawtchouk_text_bytes(1030)
 
 
+def _column_text_bytes(n: int) -> int:
+    """A bound on the `krawtchouk --k` text: n + 1 rows "i,K_i(k, n)", with i <= n <= 2^n and |K_i(k, n)| <= 2^n.
+
+    Each number has at most floor(n log10 2) + 1 digits; with a sign, a comma
+    and the line end, a row takes at most twice that + 3 bytes.
+    """
+    return (n + 1) * (2 * (n * 30103 // 100000) + 5)
+
+
 def _int_bytes(count: int, bits: int) -> int:
     """A bound on count CPython ints below 2^bits: 28 B, 4 B per 30-bit digit past the first, 8 B a list slot."""
     return count * (36 + 4 * (bits // 30))
@@ -65,6 +74,15 @@ def _check_limit(request: str, need: int, limit: int) -> None:
     """Refuse, before any work, a request that needs more than limit bytes."""
     if need > limit:
         raise ResourceLimitError(f"{request}, over the limit {limit} B")
+
+
+def _check_column_ints(n: int) -> None:
+    """Refuse, before any work, a Krawtchouk column at n past MAX_EXACT_INT_BYTES.
+
+    It is held as its half and its full column, each int at most 2^n.
+    """
+    ints = _int_bytes(n // 2 + 1 + n + 1, n + 1)
+    _check_limit(f"--n {n} needs up to {ints} B of exact integers", ints, MAX_EXACT_INT_BYTES)
 
 
 @contextlib.contextmanager
@@ -110,6 +128,9 @@ def _cmd_krawtchouk(args: argparse.Namespace) -> int:
     if args.k is not None and not 0 <= args.k <= n:
         raise ValueError(f"--k must be in [0, {n}], got {args.k}")
     if args.k is not None:
+        _check_column_ints(n)
+        text = _column_text_bytes(n)
+        _check_limit(f"--n {n} --k {args.k} needs up to {text} B of text", text, MAX_KRAWTCHOUK_TEXT_BYTES)
         header = ["i", "value"]
         csvio.write_csv(args.out, "krawtchouk", {"n": n, "k": args.k}, header,
                         csvio.column_rows(header, [range(n + 1), column(args.k, n)]))
@@ -125,6 +146,7 @@ def _cmd_optfn(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     _check_w(args.n, args.w)
+    _check_column_ints(args.n)
     f = optimal_function(args.n, args.w)
     rw = spectrum_value(f, args.w)
     print(f"re_f = [{', '.join(str(b) for b in f.bits)}]")

@@ -116,17 +116,24 @@ so a certified float filter rules out the other terms, and only the
 survivors, usually one per n, are evaluated exactly.  The filter carries
 every column k <= n//2 in one table of floats Y_i ~ K_i(k, n) 2^-e_k, by
 the Pascal step Y_i + Y_{i-1} (the palindrome gives the extra input at
-odd n).  A step of n costs two passes over the live table, whole rows at
-a time through one reusable buffer: the Pascal add (from a copy of the
-old entries) and the float sums S~ of |Y_i| over the full columns.  The
-rest runs once per block of 32 n, vectorised over the block: the error
-bounds, the carried binomials, the bounds of every term, the prune, and a
-rescale of each column by the power of two that brings its sum into
-[1/2, 1), so nothing overflows at any n.  Column k is born at n = 2k in
-closed form: G_k(z) = (1 - z)^k (1 + z)^k = (1 - z^2)^k, so K_i(k, 2k) is
-(-1)^(i/2) C(k, i/2) at even i and 0 at odd i, from the binomial half row
-of k, itself carried by one add per entry.  A block's births are written
-before it steps, into rows its steps reach only from their birth on.
+odd n).  Once per block of 32 n, the table is laid out anew, in place in
+one store of (max_n//2 + 1) x (max_n//2 + 2) floats, at the live width of
+the block's last n: rows k <= n//2 of n//2 + 2 entries, the entries
+i <= n//2 and one zero past them.  A step of n costs two passes over its
+rows k <= n//2, whole rows at a time through one reusable buffer: the
+Pascal add (from a copy of the old entries) and the float sums S~ of
+|Y_i| over the full columns.  So a step touches at most 16 entries per
+row past the live ones, not the (max_n - n)/2 of a table laid out for
+max_n.  The rest runs once per block, vectorised over the block: the
+error bounds, the carried binomials, the bounds of every term, the
+prune, and a rescale of each column by the power of two that brings its
+sum into [1/2, 1), so nothing overflows at any n.  Column k is born at
+n = 2k in closed form: G_k(z) = (1 - z)^k (1 + z)^k = (1 - z^2)^k, so
+K_i(k, 2k) is (-1)^(i/2) C(k, i/2) at even i and 0 at odd i, from the
+binomial half row of k, itself carried by one add per entry.  A block's
+births are rounded to floats in one conversion (`_frexp_ints`) and
+written before it steps, into rows its steps reach only from their birth
+on.
 
 The error bound follows Higham, Accuracy and Stability of Numerical
 Algorithms (2nd ed., 2002), ch. 3-4, with unit roundoff u = 2^-53: a step
@@ -163,30 +170,59 @@ b_i = sqrt((i + 1)(n - i))) for the eigenvalue lam = n - 2k, and
 U[i, 0] = w_i = sqrt(C(n, i) / 2^n), so
 p_dj(n, k) = C(n, k) S(k, n)^2 / 4^n = (sum_i |U[i, k]| w_i)^2.  Every
 column k <= n//2 starts at u_0 = 1 and runs the three-term recurrence
-sqrt((i+1)(n-i)) u_{i+1} = lam u_i - sqrt(i(n-i+1)) u_{i-1}, vectorised
-over k, in blocks of at most 32 rows (Abdulhussain et al., J. Math. Imaging
-Vis. 60 (2018) 285: from the tail into the oscillatory band, where the
-wanted solution dominates).  The palindrome u_{n-i} = (-1)^k u_i gives the
-rest of the column, so the rows i <= n//2 carry the folded sums
-t = sum_i |u_i| w_i and nu = |u|^2 over the full column, and
-p = t^2 / nu.  After each block, a column whose last two rows reach 1 is
-scaled by a power of two, and so are its t and nu; a block grows a column
-by at most (2 sqrt(n) + 1) per row, so no sum of squares passes 2^1000 and
-nothing overflows at any n.  Memory is one (block + 2) x (n//2 + 1) buffer.
+b_i u_{i+1} = lam u_i - a_i u_{i-1}, a_i = sqrt(i(n-i+1)) = b_{i-1},
+vectorised over k, in blocks of at most 32 rows (Abdulhussain et al., J.
+Math. Imaging Vis. 60 (2018) 285: from the tail into the oscillatory band,
+where the wanted solution dominates).  It runs on v_i = u_i / g_i, with
+g_0 = g_1 = 1 and g_{i+1} = g_{i-1} r_i, r_i = a_i / b_i, so that
+a_i g_{i-1} = b_i g_{i+1} and the row is
+v_{i+1} = (c_i lam) v_i - v_{i-1},  c_i = g_i / (b_i g_{i+1}):
+one product by a row of the block's table of c_i lam (one outer product
+per block) and one subtraction, each into a preallocated row, with no
+scalar operand.  g is one cumulative product down each parity of i, with
+r_i the square root of the rounded quotient of the integers a_i^2 and
+b_i^2; it falls from 1 down each parity, and c_{i+1} c_i = 1 / b_i^2 gives
+c_i <= c_0 = c_1 = n^(-1/2).  The palindrome u_{n-i} = (-1)^k u_i gives
+the rest of the column, so the rows i <= n//2 carry the folded sums
+t = sum_i |u_i| w_i and nu = |u|^2 over the full column, as
+sum_i |v_i| (g_i w_i) and sum_i v_i^2 g_i^2, and p = t^2 / nu.  When a
+block ends with the last two rows of some column at 2^200 or more, each
+column whose last two rows reach 1 is scaled by a power of two, and so
+are its t and nu; a row grows a column by at most |c_i lam| + 1, about
+sqrt(n) + 1, inside the 2 sqrt(n) + 1 the block size assumes, so from
+rows below 2^200 no sum of squares passes 2^1000 and nothing overflows at
+any n.  Memory is a (block + 2) x (n//2 + 1) buffer of rows and the
+block's table, block x (n//2 + 1).
 
-The bound, with u = 2^-53 as in Higham (above): the computed column
-satisfies rows i < n//2 of X u = lam u up to a rounding of at most
-gamma_5 (|lam| |u_i| + sqrt(i(n-i+1)) |u_{i-1}|) (four operations and two
-rounded square roots), so those rows and their mirrors have a residual of
-norm at most gamma_5 (|lam| + (n + 1) / 2) |u|, plus a subnormal term.
-Row n//2 joins the half column to its mirror image; its residual, the
-closure, is computed from the last two rows (within 4u).  The eigenvalues
+The bound, with u = 2^-53 as in Higham (above), is for the vector
+u = g~ v~ of the computed floats, taken exactly.  Row i < n//2 rounds the
+table entry c~_i lam, its product with v~_i and the subtraction of
+v~_{i-1}, by d1, d2 and d3 at most u each, and the floats g~ and c~ miss
+the two identities: b_i g~_{i+1} c~_i = g~_i (1 + eta) with
+|eta| <= gamma_3 (b_i's square root, a product and a quotient), and
+b_i g~_{i+1} = a_i g~_{i-1} (1 + mu) with |mu| <= (1 + u)^(5/2) - 1 (the
+quotient of integers, half of whose rounding the square root keeps, that
+root and the product).  The row times b_i g~_{i+1} gives
+b_i u_{i+1} - lam u_i + a_i u_{i-1} =
+lam u_i ((1 + eta)(1 + d1)(1 + d2)(1 + d3) - 1) - a_i u_{i-1} ((1 + mu)(1 + d3) - 1),
+so rows i < n//2 of X u = lam u hold up to
+(u + u + u + 3.01u) |lam| |u_i| + (u + 2.51u) a_i |u_{i-1}| (_ROW_TABLE,
+_ROW_MULTIPLY, _ROW_SUBTRACT, _C_MISMATCH, _G_MISMATCH: 3.01u and 2.51u
+cover the second-order terms), and those rows and their mirrors have a
+residual of norm at most (6.01u |lam| + 3.51u (n + 1) / 2) |u|, plus a
+subnormal term (a product among the subnormals is off by at most 2^-1075,
+times at most n/2; a subtraction there is exact).  Row n//2 joins the
+half column to its mirror image; its residual, the closure, is computed
+from u = g~ v~ at the last two rows (within 5u).  The eigenvalues
 of X are n - 2j, 2 apart, so Davis-Kahan (Parlett, The Symmetric
 Eigenvalue Problem, ch. 11) gives sin(angle) <= |X u - lam u| / (2 |u|),
 and the unit vectors differ by at most sqrt(2) sin(angle).  With |w| = 1
 that moves sqrt(p) by as much; the floats of w_i (2u each, a subnormal one
-within 2^-1074) add |w~ - w|; the folded dot and sum of squares add
-gamma_(n//2 + 4) each, plus their subnormal products and rescalings.  The
+within 2^-1074) add |w~ - w|, and a subnormal folded weight g~_i w~_i,
+off by at most 2^-1075, moves w~_i by at most 2^-1075 / g~_i more; the
+folded dot and sum of squares add gamma_(n//2 + 4) each (the rounding of
+g~_i w~_i and g~_i^2 is inside that count), plus their subnormal products
+and rescalings.  The
 sum eps is rounded up, and [lo, hi] = [(tau - eps)^2, (tau + eps)^2],
 tau = t / sqrt(nu), is rounded outward.  A value prints from its floats
 when format(lo, ".9g") == format(hi, ".9g") (Ziv, ACM TOMS 17 (1991)
@@ -629,7 +665,7 @@ def _buffer_rows(m: int) -> int:
 def c_minima_bytes(max_n: int) -> int:
     """Bytes of c_minima(max_n)'s float arrays, m = max_n//2 + 1 columns of m + 1 entries.
 
-    The (m, m + 1) table, the sum buffer of whole table rows (32 of them, or
+    The table's store of m (m + 1) floats, the sum buffer of whole rows (32 of them, or
     as many as fill 32^3 entries), and ten (32, m) arrays' worth for a
     block: its sums, error bounds, binomials, lo and hi, and the temporaries
     that form them (module docstring).
@@ -670,7 +706,8 @@ class _FloatFilter:
     """Certified float bounds lo <= c_k(n) <= hi for every k <= n//2, one block of n at a time.
 
     Row k of `table` holds half column k as Y_i ~ K_i(k, n) 2^-e_k, with
-    e_k = exps[k] through a block.  After `advance`, row j of each block
+    e_k = exps[k] through a block; each block lays the table out at its
+    live width (`_relay`).  After `advance`, row j of each block
     array belongs to n = ns[j]: sums[j, k] is the float sum of |Y_i| over
     the full column, with
     |S(k, n) 2^-exps[k] - sums[j, k]| <= err[j, k] + (n + 8) u sums[j, k],
@@ -682,10 +719,11 @@ class _FloatFilter:
 
     def __init__(self, max_n: int) -> None:
         m = max_n // 2 + 1
-        self.max_n, self.n = max_n, 0
-        self.table = np.zeros((m, m + 1))  # entries past i = n//2 + 1 stay zero: at least one past each row
-        self.table[0, 0] = 1.0  # column 0 at n = 0
-        self._buf = np.empty((_buffer_rows(m), m + 1))  # the sum buffer: whole rows of the table
+        self.max_n, self.n, self._columns = max_n, 0, m
+        self._store = np.zeros(m * (m + 1))  # the table's storage, laid out once per block (`_relay`)
+        self.table = self._store[:2].reshape(1, 2)  # column 0 at n = 0, then a zero
+        self.table[0, 0] = 1.0
+        self._buf = np.empty(_buffer_rows(m) * (m + 1))  # the sum buffer, flat: whole rows of the table
         # each column at n, the end of the last block
         self._err = np.zeros(m)
         self._exps = np.zeros(m, dtype=np.int64)
@@ -725,16 +763,47 @@ class _FloatFilter:
         lo[low], hi[high] = 0.0, np.inf
         return lo, hi
 
-    def _birth(self, n: int) -> None:
-        """Column h = n/2 at n from the binomial half row of h (`_born_column`), before the block steps."""
-        h = n // 2
-        self._row = next_half_column(self._row, 0, h - 1)
-        self._middle = self._middle * n * (n - 1) // (h * h)
-        self.middles[n] = self._middle
-        top = self._row[-1].bit_length()  # C(h, h//2), the largest entry
-        m, e = _frexp_ints(_born_column(self._row, h))
-        self.table[h, : h + 1] = np.ldexp(m, e - top)  # a subnormal result rounds once more
-        self._exps[h], self._err[h] = top, 0.0
+    def _relay(self, rows: int, width: int) -> None:
+        """Lay the table out in its storage as `rows` rows of `width` entries, in place: each row keeps its entries,
+        zeros follow.
+
+        The width never shrinks, so row k only moves up, from k w to k width: rows move last first, a chunk
+        at a time through the sum buffer, and none is overwritten before it moves.
+        """
+        old = self.table
+        held, w = old.shape
+        table = self._store[: rows * width].reshape(rows, width)
+        if width != w:
+            step = len(self._buf) // w
+            for top in range(held, 0, -step):
+                low = max(top - step, 0)
+                part = self._buf[: (top - low) * w].reshape(top - low, w)
+                np.copyto(part, old[low:top])
+                table[low:top, :w] = part
+            table[:held, w:] = 0.0
+        table[held:] = 0.0
+        self.table = table
+
+    def _births(self, first: int) -> None:
+        """The columns h = n/2 of the block's even n from the binomial half rows of h (`_born_column`), before
+        the block steps: one conversion for all of them."""
+        self.middles, born, tops = {}, [], []
+        for n in range(first + first % 2, self.n + 1, 2):
+            h = n // 2
+            self._row = next_half_column(self._row, 0, h - 1)
+            self._middle = self._middle * n * (n - 1) // (h * h)
+            self.middles[n] = self._middle
+            born += _born_column(self._row, h)
+            tops.append(self._row[-1].bit_length())  # C(h, h//2), the largest entry
+        if not tops:
+            return
+        hs = np.array([n // 2 for n in self.middles])
+        m, e = _frexp_ints(born)
+        e -= np.repeat(tops, hs + 1)
+        # entries i <= h of the born rows h, consecutive, in the order of `born`; a subnormal result rounds once more
+        self.table[hs[0] : hs[-1] + 1][np.arange(self.table.shape[1]) <= hs[:, None]] = np.ldexp(m, e)
+        self._exps[hs], self._err[hs] = tops, 0.0
+        self._binoms[hs], self.binom_exps[hs] = _frexp_ints(list(self.middles.values()))  # C(n, n/2), in one conversion
 
     def _pass(self, n: int, t: np.ndarray, stepped: int, signs: np.ndarray, out: np.ndarray) -> None:
         """The first `stepped` rows of t to n by the Pascal step, then every row's full-column sum into out.
@@ -750,16 +819,17 @@ class _FloatFilter:
         width, flat = t.shape[1], t.reshape(-1)
         if n % 2 == 0:  # the half column gains K_h(k, n-1) = (-1)^k K_{h-1}(k, n-1)
             np.multiply(signs, t[:stepped, h - 1], out=t[:stepped, h])
-        start = len(self.table) - h
+        start = self._columns - h
         weights = self._weights[n % 2, start : start + width]
-        for r in range(0, len(t), len(buf)):
-            e = min(r + len(buf), len(t))
+        chunk = len(buf) // width
+        for r in range(0, len(t), chunk):
+            e = min(r + chunk, len(t))
             s = min(e, stepped)
             if s > r:
-                old = buf.reshape(-1)[: (s - r) * width - 1]
+                old = buf[: (s - r) * width - 1]
                 np.copyto(old, flat[r * width : s * width - 1])
                 np.add(flat[r * width + 1 : s * width], old, out=flat[r * width + 1 : s * width])
-            np.dot(np.abs(t[r:e], out=buf[: e - r]), weights, out=out[r:e])
+            np.dot(np.abs(t[r:e], out=buf[: (e - r) * width].reshape(e - r, width)), weights, out=out[r:e])
         if n % 2 == 0:  # the step carried K_h into entry h + 1; an odd step's is overwritten by the next one
             t[:stepped, h + 1] = 0.0
 
@@ -784,11 +854,8 @@ class _FloatFilter:
         self.n = min(self.n + _BLOCK_STEPS, self.max_n)
         ns = self.ns = np.arange(first, self.n + 1)
         w = self.n // 2 + 1
-        self.middles = {}
-        for n in range(first + first % 2, self.n + 1, 2):
-            self._birth(n)
-        born = [n // 2 for n in self.middles]  # C(n, n/2) of every birth of the block, in one conversion
-        self._binoms[born], self.binom_exps[born] = _frexp_ints(list(self.middles.values()))
+        self._relay(w, w + 1)  # the live width at the block's last n: entries i <= n//2, and the zero past them
+        self._births(first)
         self.sums = np.zeros((len(ns), w))
         for j, n in enumerate(ns.tolist()):
             live = (n + 1) // 2  # the columns k <= (n - 1)//2 step; column n/2 is born at even n
@@ -913,8 +980,14 @@ def c_minima(max_n: int) -> list[tuple[float, int]]:
 
 
 # curves' DJ float basis (module docstring)
-_BLOCK_ROWS = 32  # rows of U per block: one buffer of (_BLOCK_ROWS + 2) x (n//2 + 1) floats
-_GAMMA_ROW = 5.01 * _U  # past gamma_5 = 5u / (1 - 5u), the rounding of one recurrence row
+_BLOCK_ROWS = 32  # rows of U per block: buffers of (_BLOCK_ROWS + 2) and _BLOCK_ROWS x (n//2 + 1) floats
+_RESCALE_EXP = 200  # a block end rescales once a column's last two rows reach 2^200
+# the a-priori row term (module docstring), each a relative rounding of one recurrence row
+_ROW_TABLE = _U  # the table entry c_i lam
+_ROW_MULTIPLY = _U  # its product with v_i
+_ROW_SUBTRACT = _U  # the subtraction of v_{i-1}
+_C_MISMATCH = 3.01 * _U  # past gamma_3: |b_i g_{i+1} c_i / g_i - 1|, from b_i's square root, a product and a quotient
+_G_MISMATCH = 2.51 * _U  # past (1 + u)^(5/2) - 1: |b_i g_{i+1} / (a_i g_{i-1}) - 1|, from r_i and a product
 _OUTWARD = 1.0 + 2.0**-50  # past (1 + u)^4, the rounding of a square and its operands
 
 
@@ -925,13 +998,34 @@ def _sqrt_ratios(rounded: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
     return np.ldexp(np.sqrt(np.ldexp(m, d & 1)), d >> 1)
 
 
-def _recurrence_block(rows: np.ndarray, top: int, i: int, lam, alpha, beta) -> None:
-    """Rows u_{i+1}..u_{i+top} of every column into rows[2 : top + 2], from u_{i-1}, u_i in rows[0], rows[1]."""
-    for j in range(1, top + 1):  # u_{i+j} = (lam u_{i+j-1} - alpha u_{i+j-2}) / beta, row i+j-1
-        new, r = rows[j + 1], i + j - 1
-        np.multiply(lam, rows[j], out=new)
-        new -= alpha[r] * rows[j - 1]
-        new /= beta[r]
+def _gauge(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, c): g_i for i <= n//2 and c_i for i < n//2, so that u_i = g_i v_i turns the U recurrence into
+    v_{i+1} = c_i lam v_i - v_{i-1} (module docstring).
+
+    g_0 = g_1 = 1 and g_{i+1} = g_{i-1} r_i, r_i = sqrt(i (n - i + 1) / ((i + 1)(n - i))) from one rounded
+    quotient, one cumulative product down each parity of i; c_i = g_i / (b_i g_{i+1}), b_i = sqrt((i + 1)(n - i)).
+    """
+    h = n // 2
+    ks = np.arange(h)
+    squares = (ks + 1) * (n - ks)  # b_i^2 = a_{i+1}^2: exact integers
+    beta = np.sqrt(squares)
+    ratio = np.sqrt(squares[:-1] / squares[1:])  # r_i for 1 <= i < h
+    g = np.ones(h + 1)
+    np.multiply.accumulate(ratio[::2], out=g[2::2])  # g_{i+1} = g_{i-1} r_i at odd i
+    np.multiply.accumulate(ratio[1::2], out=g[3::2])  # and at even i
+    return g, g[:h] / (beta * g[1:])
+
+
+def _recurrence_block(rows: list[np.ndarray], table: list[np.ndarray]) -> None:
+    """Rows v_{i+1}..v_{i+top} of every column into rows[2 : top + 2], from v_{i-1}, v_i in rows[0], rows[1].
+
+    rows and table are lists of row views; table[j] is the row c_{i+j} lam, top = len(table).  Each new row
+    is one product and one difference.
+    """
+    multiply, subtract = np.multiply, np.subtract
+    for entry, below, last, new in zip(table, rows, rows[1:], rows[2:]):
+        multiply(entry, last, new)
+        subtract(new, below, new)
 
 
 @dataclass(frozen=True)
@@ -957,62 +1051,71 @@ class _DjTerms:
 
 
 def _dj_float_terms(n: int, rounded: tuple[np.ndarray, np.ndarray]) -> _DjTerms:
-    """Columns k of U streamed row by row through the three-term recurrence, each from u_0 = 1
-    and rescaled by powers of two at block ends, and the terms of their bound (module docstring).
+    """Columns k of U streamed row by row as v = u / g (`_gauge`), each from v_0 = 1 and rescaled by
+    powers of two at block ends, and the terms of their bound (module docstring).
 
     rounded is _frexp_ints of the binomial half row (C(n, 0), ..., C(n, n//2)).
     """
     h = n // 2
     ks = np.arange(h + 1)
     lam = (n - 2 * ks).astype(float)
-    alpha = np.sqrt((ks * (n - ks + 1)).astype(float))  # sqrt(i (n - i + 1)), the u_{i-1} coefficient
-    beta = np.sqrt(((ks + 1) * (n - ks)).astype(float))  # sqrt((i + 1) (n - i)), the u_{i+1} coefficient
+    g, c = _gauge(n)
     mult = np.full(h + 1, 2.0)  # rows i < n/2 stand for rows i and n - i of the full column
     if n % 2 == 0:
         mult[h] = 1.0
     weights = mult * _sqrt_ratios(rounded, n)  # the column U[:, 0], folded
-    # a block of g^R growth, g = 2 sqrt(n) + 1 per row, keeps every sum of squares below 2^1000
+    # t and nu sum |u_i| w_i = |v_i| g_i w_i and u_i^2 = v_i^2 g_i^2
+    t_weights, nu_weights = weights * g, mult * np.square(g)
+    # a block of q^R growth, q = 2 sqrt(n) + 1 per row, from rows below 2^_RESCALE_EXP keeps every sum of
+    # squares below 2^1000
     growth = 2.0 * math.log2(2.0 * math.sqrt(n) + 1.0) if n else 1.0
-    block = max(1, min(_BLOCK_ROWS, int((1000 - math.log2(2 * h + 2)) / growth)))
+    block = max(1, min(_BLOCK_ROWS, h, int((1000 - 2 * _RESCALE_EXP - math.log2(2 * h + 2)) / growth)))
 
-    rows = np.zeros((block + 2, h + 1))  # rows[0], rows[1]: u_{i-1}, u_i; the block's new rows follow
+    rows = np.zeros((block + 2, h + 1))  # rows[0], rows[1]: v_{i-1}, v_i; the block's new rows follow
     rows[1] = 1.0
-    t, nu = weights[0] * rows[1], mult[0] * rows[1]
+    table = np.empty((block, h + 1))  # the block's rows of c_i lam
+    row_views, table_views = list(rows), list(table)
+    t, nu = t_weights[0] * rows[1], nu_weights[0] * rows[1]
     i = 0
     while i < h:
         top = min(block, h - i)
-        _recurrence_block(rows, top, i, lam, alpha, beta)
+        np.multiply.outer(c[i : i + top], lam, out=table[:top])
+        _recurrence_block(row_views, table_views[:top])
         new_rows = rows[2 : top + 2]
-        t += weights[i + 1 : i + top + 1] @ np.abs(new_rows)
-        nu += mult[i + 1 : i + top + 1] @ np.square(new_rows)
+        t += t_weights[i + 1 : i + top + 1] @ np.abs(new_rows)
+        nu += nu_weights[i + 1 : i + top + 1] @ np.square(new_rows)
         rows[:2] = rows[top : top + 2]
         i += top
-        shift = np.maximum(np.frexp(np.abs(rows[:2]).max(axis=0))[1], 0)
-        if shift.any():
+        if np.abs(rows[:2]).max() >= 2.0**_RESCALE_EXP:
+            shift = np.maximum(np.frexp(np.abs(rows[:2]).max(axis=0))[1], 0)
             rows[:2] = np.ldexp(rows[:2], -shift)
             t, nu = np.ldexp(t, -shift), np.ldexp(nu, -2 * shift)
 
-    # row h of X u - lam u, the closure by u_{n-i} = (-1)^k u_i, in floats and within 4u of their sum
+    # row h of X u - lam u, the closure by u_{n-i} = (-1)^k u_i, from u = g v at rows h - 1 and h, within 5u
     sign = np.where(ks & 1, -1.0, 1.0)
     if n % 2 == 0:
         near, own = 1.0 + sign, -lam
     else:
         near, own = np.ones(h + 1), sign * (h + 1) - lam
-    a, b = near * (alpha[h] * rows[0]), own * rows[1]
+    a = (near * (math.sqrt(h * (n - h + 1)) * g[h - 1])) * rows[0]
+    b = (own * g[h]) * rows[1]
     with np.errstate(all="ignore"):  # a non-finite bound certifies nothing
-        closure = np.abs(a + b) + 4 * _U * (np.abs(a) + np.abs(b)) + 3 * _SUBNORMAL
+        closure = np.abs(a + b) + 5 * _U * (np.abs(a) + np.abs(b)) + 3 * _SUBNORMAL
         # |t~ - t| / t + |nu~ - nu| / nu: gamma_(h+4) for each sum, and their subnormal products and rescalings
         tiny = 2 * (n + 2) * _SUBNORMAL
         rel = 1.01 * (2.02 * (h + 4) * _U + tiny / t + tiny / nu)
         rel = np.where(rel <= 2.0**-10, rel, np.inf)
         tau = t / np.sqrt(nu)
         sums = 1.01 * tau * (rel + 3 * _U)
+    lam_part = _ROW_TABLE + _ROW_MULTIPLY + _ROW_SUBTRACT + _C_MISMATCH
     return _DjTerms(
         tau=tau, nu=nu, rel=rel, sums=sums,
-        row=_GAMMA_ROW * (lam + (n + 1) / 2) / 2,  # a-priori, rows i < h and their mirrors
+        # a-priori, rows i < h and their mirrors
+        row=(lam_part * lam + (_ROW_SUBTRACT + _G_MISMATCH) * ((n + 1) / 2)) * (_BOUND_MARGIN / 2),
         floor=math.sqrt(2 * h) * 4 * (n + 2) * _SUBNORMAL,
         closure=math.sqrt(1 + n % 2) * closure,
-        weights=2 * _U + math.sqrt(n + 1) * _SUBNORMAL,
+        # w~ within 2u (a subnormal one within 2^-1074), and a subnormal folded weight g_i w~_i within 2^-1075
+        weights=2 * _U + math.sqrt(n + 1) * _SUBNORMAL * (1.0 + 0.5 / g.min()),
     )
 
 

@@ -37,6 +37,11 @@ def quarter_childs(max_n):
     return [symstate.childs_probability(n, n // 4) for n in range(max_n + 1)]
 
 
+def column_int_bytes(n):
+    """The exact-integer bound of krawtchouk --k and optfn at n: a half and a full column, each int at most 2^n."""
+    return cli._int_bytes(n // 2 + 1 + n + 1, n + 1)
+
+
 def simulate_counts(out):
     """The count column of a simulate report printed with its CSV."""
     lines = out.splitlines()
@@ -73,6 +78,7 @@ class TestKrawtchoukCommand:
 
         def watched(n):
             calls.append(n)
+            assert n <= 100  # a refusal that failed must not run the work
             return real(n)
 
         monkeypatch.setattr(cli, "dump_rows", watched)
@@ -88,7 +94,7 @@ class TestKrawtchoukCommand:
         # the bound holds: the text of every cell fits it
         for n in (0, 1, 9, 160):
             assert sum(len(str(v)) + 1 for col in columns(n) for v in col) <= cli._krawtchouk_text_bytes(n)
-        # the bound itself is accepted (checked at a lowered bound); --k prints one column, unbounded
+        # the bound itself is accepted (checked at a lowered bound); --k prints one column, within its own text bound
         monkeypatch.setattr(cli, "MAX_KRAWTCHOUK_TEXT_BYTES", cli._krawtchouk_text_bytes(5))
         code, out, _ = run(capsys, "krawtchouk", "--n", "5")
         assert code == 0 and len(out.splitlines()) == 8 and calls == [5]
@@ -97,6 +103,45 @@ class TestKrawtchoukCommand:
         assert err.splitlines() == ["error: --n 6 needs up to 196 B of text, over the limit 144 B"]
         code, out, _ = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
         assert code == 0 and len(out.splitlines()) == 9 and calls == [5]
+
+    def test_column_limits_refused_before_work(self, capsys, monkeypatch):
+        calls = []
+        real = cli.column
+
+        def watched(k, n):
+            calls.append(n)
+            assert n <= 100  # a refusal that failed must not run the work
+            return real(k, n)
+
+        monkeypatch.setattr(cli, "column", watched)
+        # the half column and the full column, each int at most 2^n; the limit is that of curves --n 20000
+        need = column_int_bytes
+        huge = 10**6
+        code, out, err = run(capsys, "krawtchouk", "--n", str(huge), "--k", "3")
+        assert code == 1 and out == "" and calls == []
+        assert err.splitlines() == [
+            f"error: --n {huge} needs up to {need(huge)} B of exact integers, over the limit {cli.MAX_EXACT_INT_BYTES} B"
+        ]
+        assert need(16304) <= cli.MAX_EXACT_INT_BYTES < need(16305)
+        # the text bound holds: every row of the column fits it
+        for n in (0, 1, 9, 160, 1000):
+            for k in (0, n // 3, n):
+                rows = "".join(f"{i},{v}\n" for i, v in enumerate(column(k, n)))
+                assert len(rows) <= cli._column_text_bytes(n), (n, k)
+        # each bound itself is accepted (checked at a lowered bound)
+        monkeypatch.setattr(cli, "MAX_EXACT_INT_BYTES", need(5))
+        code, out, _ = run(capsys, "krawtchouk", "--n", "5", "--k", "2")
+        assert code == 0 and len(out.splitlines()) == 8 and calls == [5]
+        code, out, err = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
+        assert code == 1 and out == "" and calls == [5]
+        assert err.splitlines() == [f"error: --n 6 needs up to {need(6)} B of exact integers, over the limit {need(5)} B"]
+        monkeypatch.setattr(cli, "MAX_EXACT_INT_BYTES", need(100))
+        monkeypatch.setattr(cli, "MAX_KRAWTCHOUK_TEXT_BYTES", cli._column_text_bytes(5))
+        code, out, _ = run(capsys, "krawtchouk", "--n", "5", "--k", "2")
+        assert code == 0 and calls == [5, 5]
+        code, out, err = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
+        assert code == 1 and out == "" and calls == [5, 5]
+        assert err.splitlines() == ["error: --n 6 --k 2 needs up to 49 B of text, over the limit 42 B"]
 
     def test_column_stdout(self, capsys):
         code, out, _ = run(capsys, "krawtchouk", "--n", "6", "--k", "2")
@@ -129,6 +174,34 @@ class TestOptfnCommand:
         assert (code, out, err.splitlines()) == (1, "", ["error: --n must be non-negative, got -1"])
         code, out, _ = run(capsys, "optfn", "--n", "0", "--w", "0")
         assert code == 0 and out.splitlines() == ["re_f = [0]", "hex = 0", "rw_f(0) = 1"]
+
+    def test_exact_int_limit_refused_before_work(self, capsys, monkeypatch):
+        calls = []
+        real = cli.optimal_function
+
+        def watched(n, w):
+            calls.append(n)
+            assert n <= 100  # a refusal that failed must not run the work
+            return real(n, w)
+
+        monkeypatch.setattr(cli, "optimal_function", watched)
+        # the sign rule reads column w, and rw_f(w) sums it again: a half and a full column, as krawtchouk --k
+        huge = 10**6
+        code, out, err = run(capsys, "optfn", "--n", str(huge), "--w", "3")
+        assert code == 1 and out == "" and calls == []
+        assert err.splitlines() == [
+            f"error: --n {huge} needs up to {column_int_bytes(huge)} B of exact integers, "
+            f"over the limit {cli.MAX_EXACT_INT_BYTES} B"
+        ]
+        # the bound itself is accepted (checked at a lowered bound)
+        monkeypatch.setattr(cli, "MAX_EXACT_INT_BYTES", column_int_bytes(5))
+        code, out, _ = run(capsys, "optfn", "--n", "5", "--w", "2")
+        assert code == 0 and len(out.splitlines()) == 3 and calls == [5]
+        code, out, err = run(capsys, "optfn", "--n", "6", "--w", "2")
+        assert code == 1 and out == "" and calls == [5]
+        assert err.splitlines() == [
+            f"error: --n 6 needs up to {column_int_bytes(6)} B of exact integers, over the limit {column_int_bytes(5)} B"
+        ]
 
     def test_exact_integer_past_4300_digits(self, capsys):
         # rw_f(1) at n = 14400 has 4333 digits, past CPython's default text limit
@@ -403,6 +476,7 @@ class TestSimulateCommand:
 
         def watched(max_n):
             calls.append(max_n)
+            assert max_n <= 100  # a refusal that failed must not run the work
             return real(max_n)
 
         monkeypatch.setattr(cli, "c_minima", watched)

@@ -401,10 +401,10 @@ def reference_rows():
 class TestFloatFilteredMinima:
     """c_minima's float filter against the exact reference, and its certificate against exact columns."""
 
-    def test_small_max_n_match_reference(self):
-        # both parities, and the block ends 32 and 64
-        for max_n in range(1, 71):
-            assert c_minima(max_n) == cn_reference.c_minima(max_n), max_n
+    def test_small_max_n_match_reference(self, reference_rows):
+        # both parities, the block ends 32, 64, 96 and 128, and every width the table is laid out at
+        for max_n in range(1, 131):
+            assert c_minima(max_n) == reference_rows[:max_n], max_n
 
     @pytest.mark.parametrize("max_n", [250, 401, 600])
     def test_large_max_n_match_reference(self, reference_rows, max_n):
@@ -599,33 +599,71 @@ class TestCertifiedDjStrings:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_each_term_covers_its_exact_counterpart(self, n, monkeypatch):
-        # From the float rows the recurrence produced, in Fractions (square roots enclosed within
-        # 2^-200): the residual X u~ - lam u~ of the rows i != n//2 and their mirrors against the
-        # a-priori row term, that of the middle row(s) against the closure, |w~ - w| against the
-        # weights term, and |tau~ - t / sqrt(nu)| with the exact sums of the float rows against the sums
-        # term.  Then [lo, hi] must hold tau~ +- eps for eps the sum of the certified terms, so a bound
+        # From the float rows v~ the recurrence produced and the floats g~, c~ of `_gauge`, in Fractions
+        # (square roots enclosed within 2^-200), with u~ = g~ v~ exactly: each rounding of a row (the table
+        # entry c~_i lam, its product with v~_i, the subtraction of v~_(i-1)) and the mismatches
+        # |b_i g~_(i+1) c~_i / g~_i - 1| and |b_i g~_(i+1) / (a_i g~_(i-1)) - 1| against their terms of the
+        # row bound, and the row term against the sum of those terms; the residual X u~ - lam u~ of the rows
+        # i != n//2 and their mirrors against the row term, that of the middle row(s) against the closure,
+        # |w~ - w| against the weights term, and |tau~ - t / sqrt(nu)| with the exact sums of u~ against the
+        # sums term.  Then [lo, hi] must hold tau~ +- eps for eps the sum of the certified terms, so a bound
         # that drops one of them fails here although the others alone still cover the observed error.
-        blocks, terms = [], []
-        real_block, real_terms = symstate._recurrence_block, symstate._dj_float_terms
+        blocks, tables, gauges, terms = [], [], [], []
+        real_block, real_gauge, real_terms = symstate._recurrence_block, symstate._gauge, symstate._dj_float_terms
 
-        def block(rows, top, i, *args):
-            real_block(rows, top, i, *args)
-            blocks.append(rows[2 : top + 2].copy())
+        def block(rows, table):
+            real_block(rows, table)
+            tables.append(np.array(table))
+            blocks.append(np.array(rows[2 : len(table) + 2]))
+
+        def gauge(m):
+            gauges.append(real_gauge(m))
+            return gauges[-1]
 
         def captured(m, binoms):
             terms.append(real_terms(m, binoms))
             return terms[-1]
 
         monkeypatch.setattr(symstate, "_recurrence_block", block)
+        monkeypatch.setattr(symstate, "_gauge", gauge)
         monkeypatch.setattr(symstate, "_dj_float_terms", captured)
         binoms = half_row(n)
         lo, hi = _dj_float_bounds(n, _frexp_ints(binoms))
-        (d,) = terms
+        (d,), ((g, c),) = terms, gauges
         h = n // 2
         assert len(blocks) == min(h, 1)  # one block up to n = 40: no rescale between the captured rows
-        half = np.vstack([np.ones(h + 1), *blocks])  # rows u_0..u_h of every column k <= n//2
+        v = np.vstack([np.ones(h + 1), *blocks])  # rows v_0..v_h of every column k <= n//2
+        g = [Fraction(x) for x in g.tolist()]
+        half = [[g[i] * Fraction(x) for x in row] for i, row in enumerate(v.tolist())]  # u~ = g~ v~ exactly
         mirror = [min(i, n - i) for i in range(n + 1)]
         middle = {h, n - h}
+
+        def enclosed(q, x):
+            """max |sqrt(q) x - 1| over the enclosure of sqrt(q)."""
+            return max(abs(root(q) * x - 1), abs((root(q) + _ROOT_SLACK) * x - 1))
+
+        lam_part = symstate._ROW_TABLE + symstate._ROW_MULTIPLY + symstate._ROW_SUBTRACT + symstate._C_MISMATCH
+        alpha_part = symstate._ROW_SUBTRACT + symstate._G_MISMATCH
+        worst = {"table": 0, "multiply": 0, "subtract": 0, "c": 0, "g": 0}
+        for i in range(h):
+            worst["c"] = max(worst["c"], enclosed((i + 1) * (n - i), g[i + 1] * Fraction(c[i]) / g[i]))
+            if i:
+                worst["g"] = max(worst["g"], enclosed(Fraction((i + 1) * (n - i), i * (n - i + 1)), g[i + 1] / g[i - 1]))
+            products = tables[0][i] * v[i]
+            for k in range(h + 1):
+                exact_entry = Fraction(c[i]) * (n - 2 * k)
+                if exact_entry:
+                    worst["table"] = max(worst["table"], abs(Fraction(tables[0][i, k]) / exact_entry - 1))
+                exact_product = Fraction(tables[0][i, k]) * Fraction(v[i, k])
+                if exact_product:
+                    worst["multiply"] = max(worst["multiply"], abs(Fraction(products[k]) / exact_product - 1))
+                exact_difference = Fraction(products[k]) - (Fraction(v[i - 1, k]) if i else 0)
+                if exact_difference:
+                    worst["subtract"] = max(worst["subtract"], abs(Fraction(v[i + 1, k]) / exact_difference - 1))
+        terms_by_name = {"table": symstate._ROW_TABLE, "multiply": symstate._ROW_MULTIPLY,
+                         "subtract": symstate._ROW_SUBTRACT, "c": symstate._C_MISMATCH, "g": symstate._G_MISMATCH}
+        for name, term in terms_by_name.items():
+            assert worst[name] <= Fraction(term), (n, name)
 
         w_float = [Fraction(x) for x in _sqrt_ratios(_frexp_ints(binoms), n).tolist()]
         w_err = 0
@@ -636,8 +674,8 @@ class TestCertifiedDjStrings:
 
         for k in range(h + 1):
             lam = n - 2 * k
-            u = [Fraction(x) * (-1 if k % 2 and i > h else 1)
-                 for i, x in zip(range(n + 1), (half[j, k] for j in mirror))]
+            assert 2 * Fraction(d.row[k]) >= Fraction(lam_part) * lam + Fraction(alpha_part) * Fraction(n + 1, 2), (n, k)
+            u = [half[j][k] * (-1 if k % 2 and i > h else 1) for i, j in enumerate(mirror)]
             rows_sq = middle_sq = 0
             for i in range(n + 1):
                 below = u[i - 1] if i > 0 else 0
@@ -646,6 +684,10 @@ class TestCertifiedDjStrings:
                 if i in middle:
                     middle_sq += r * r
                 else:
+                    if i < h:  # the a-priori bound of one row, before its norm; a mirror row repeats one
+                        alpha = root(i * (n - i + 1)) + _ROOT_SLACK
+                        a_priori = Fraction(lam_part) * abs(lam * u[i]) + Fraction(alpha_part) * alpha * abs(below)
+                        assert r <= a_priori, (n, k, i)
                     rows_sq += r * r
             nu = sum(x * x for x in u)
             t = sum(abs(x) * w_float[j] for x, j in zip(u, mirror))
